@@ -1,7 +1,9 @@
 //! # fj-exec
 //!
-//! The execution engine: Volcano-style physical operators over the
-//! paged storage layer, with deterministic cost accounting.
+//! The execution engine: materialising, operator-at-a-time physical
+//! operators over the paged storage layer — each a function from whole
+//! input relations to a whole output relation of shared, immutable
+//! rows — with deterministic cost accounting.
 //!
 //! The crate provides:
 //!

@@ -3,12 +3,11 @@
 use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
+use crate::ops::key_index::KeyIndex;
 use crate::ops::sort::charge_external_sort;
 use crate::physical::Rel;
 use fj_expr::{Accumulator, AggCall};
 use fj_storage::{Column, PageLayout, Schema, Tuple, Value};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -26,48 +25,49 @@ use std::sync::Arc;
 /// partition-major (duplicate elimination is order-agnostic).
 pub fn distinct(ctx: &ExecCtx, input: Rel) -> Result<Rel, ExecError> {
     ctx.ledger.tuple_ops(input.rows.len() as u64);
+    let all_idx: Vec<usize> = (0..input.schema.arity()).collect();
     let _grant = match ctx.spill_decision(input.page_count()) {
         Some((true, _)) => {
             let spill = ctx.spill_ctx().expect("spill decision implies ctx").clone();
             ctx.spill_stats().spills.fetch_add(1, Ordering::Relaxed);
             let layout = PageLayout::for_schema(&input.schema);
             let fanout = super::spill::spill_fanout(ctx);
-            let all_idx: Vec<usize> = (0..input.schema.arity()).collect();
             let files =
                 super::spill::partition_to_files(ctx, &spill, input.rows, layout, fanout, |t| {
-                    Some(super::spill::route_salted(&t.key(&all_idx), 0, fanout))
+                    Some(super::spill::route_salted(t, &all_idx, 0, fanout))
                 })?;
             let mut rows = Vec::new();
             for f in &files {
                 let part = super::spill::read_spill(ctx, f, layout)?;
-                let mut seen = HashSet::with_capacity(part.len());
-                for (n, t) in part.into_iter().enumerate() {
-                    if n % INTERRUPT_CHECK_INTERVAL == 0 {
-                        ctx.check_interrupt()?;
-                    }
-                    if seen.insert(t.clone()) {
-                        rows.push(t);
-                    }
-                }
+                rows.extend(dedup(ctx, part, &all_idx)?);
             }
             return Ok(Rel::new(input.schema, rows));
         }
         Some((false, grant)) => grant,
         None => None,
     };
-    let mut seen = HashSet::with_capacity(input.rows.len());
-    let mut rows = Vec::new();
-    for (n, t) in input.rows.into_iter().enumerate() {
+    let out = Rel::new(input.schema, dedup(ctx, input.rows, &all_idx)?);
+    charge_external_sort(ctx, out.page_count());
+    Ok(out)
+}
+
+/// First occurrence of each distinct row, in input order. Kept rows are
+/// the input rows themselves; duplicates are found by hashing every
+/// column in place (`all_idx`) and comparing candidates row to row.
+fn dedup(ctx: &ExecCtx, input: Vec<Tuple>, all_idx: &[usize]) -> Result<Vec<Tuple>, ExecError> {
+    let mut index = KeyIndex::with_capacity(input.len());
+    let mut rows: Vec<Tuple> = Vec::new();
+    for (n, t) in input.into_iter().enumerate() {
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
-        if seen.insert(t.clone()) {
+        let hash = t.key_hash(all_idx);
+        if !index.candidates(hash).any(|c| rows[c] == t) {
+            index.insert(hash, rows.len());
             rows.push(t);
         }
     }
-    let out = Rel::new(input.schema, rows);
-    charge_external_sort(ctx, out.page_count());
-    Ok(out)
+    Ok(rows)
 }
 
 /// The in-memory grouping kernel shared by the one-shot aggregate and
@@ -81,36 +81,47 @@ fn accumulate_groups(
     agg_idx: &[Option<usize>],
     aggs: &[AggCall],
 ) -> Result<Vec<Tuple>, ExecError> {
-    let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new(); // deterministic output order
+    // Group `g` is keyed by the group columns of its first row
+    // (`firsts[g]`, read in place) and owns the `aggs.len()`
+    // accumulators starting at `accs[g * aggs.len()]`.
+    let mut index = KeyIndex::with_capacity(rows.len());
+    let mut firsts: Vec<&Tuple> = Vec::new();
+    let mut accs: Vec<Accumulator> = Vec::new();
     for (n, t) in rows.iter().enumerate() {
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
-        let key = t.key(group_idx);
-        let accs = match groups.entry(key.clone()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                order.push(key);
-                e.insert(aggs.iter().map(|a| Accumulator::new(a.func)).collect())
+        let hash = t.key_hash(group_idx);
+        let found = index
+            .candidates(hash)
+            .find(|&g| t.key_eq(group_idx, firsts[g], group_idx));
+        let g = match found {
+            Some(g) => g,
+            None => {
+                index.insert(hash, firsts.len());
+                firsts.push(t);
+                accs.extend(aggs.iter().map(|a| Accumulator::new(a.func)));
+                firsts.len() - 1
             }
         };
-        for (acc, idx) in accs.iter_mut().zip(agg_idx) {
-            let v = match idx {
-                Some(i) => t.value(*i).clone(),
-                None => Value::Bool(true), // COUNT(*)
-            };
-            acc.update(&v)?;
+        let group_accs = &mut accs[g * aggs.len()..(g + 1) * aggs.len()];
+        for (acc, idx) in group_accs.iter_mut().zip(agg_idx) {
+            match idx {
+                Some(i) => acc.update(t.value(*i))?,
+                None => acc.update(&Value::Bool(true))?, // COUNT(*)
+            }
         }
     }
-    let mut out = Vec::with_capacity(groups.len());
-    for key in order {
-        let accs = &groups[&key];
-        let mut vals = key;
-        vals.extend(accs.iter().map(Accumulator::finish));
-        out.push(Tuple::new(vals));
-    }
-    Ok(out)
+    Ok(firsts
+        .iter()
+        .enumerate()
+        .map(|(g, first)| {
+            let keys = group_idx.iter().map(|&i| first.value(i).clone());
+            let group_accs = &accs[g * aggs.len()..(g + 1) * aggs.len()];
+            keys.chain(group_accs.iter().map(Accumulator::finish))
+                .collect()
+        })
+        .collect())
 }
 
 /// Hash aggregation over `group_by` columns.
@@ -176,14 +187,13 @@ pub fn hash_aggregate(
                 ctx.spill_stats().spills.fetch_add(1, Ordering::Relaxed);
                 let layout = PageLayout::for_schema(&input.schema);
                 let fanout = super::spill::spill_fanout(ctx);
-                let gidx = group_idx.clone();
                 let files = super::spill::partition_to_files(
                     ctx,
                     &spill,
                     input.rows,
                     layout,
                     fanout,
-                    |t| Some(super::spill::route_salted(&t.key(&gidx), 0, fanout)),
+                    |t| Some(super::spill::route_salted(t, &group_idx, 0, fanout)),
                 )?;
                 let mut rows = Vec::new();
                 for f in &files {

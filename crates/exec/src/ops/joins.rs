@@ -8,13 +8,13 @@
 use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
+use crate::ops::key_index::KeyIndex;
 use crate::ops::parallel::{route, PARALLEL_ROW_THRESHOLD};
 use crate::ops::sort::charge_external_sort as charge_external_sort_pages;
 use crate::physical::{maybe_qualify, Rel};
 use fj_algebra::JoinKind;
 use fj_expr::{BoundExpr, Expr};
 use fj_storage::{Index, Tuple, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Resolves `(outer_col, inner_col)` key pairs to index pairs.
@@ -41,6 +41,15 @@ fn bind_residual(
         .map(|p| BoundExpr::bind(p, schema))
         .transpose()
         .map_err(Into::into)
+}
+
+/// True iff the joined row `o ⊕ i` passes the residual. The joined row
+/// is only built when there is a residual to evaluate against it.
+fn passes_residual(pred: &Option<BoundExpr>, o: &Tuple, i: &Tuple) -> Result<bool, ExecError> {
+    match pred {
+        Some(p) => Ok(p.eval_predicate(&o.concat(i))?),
+        None => Ok(true),
+    }
 }
 
 /// Block nested-loops join.
@@ -101,11 +110,7 @@ pub fn block_nested_loops(
                         since_check = 0;
                         ctx.check_interrupt()?;
                     }
-                    let joined = o.concat(i);
-                    if match &pred {
-                        Some(p) => p.eval_predicate(&joined)?,
-                        None => true,
-                    } {
+                    if passes_residual(&pred, o, i)? {
                         rows.push(o.clone());
                         break;
                     }
@@ -264,17 +269,17 @@ pub(crate) fn hash_probe<I: std::borrow::Borrow<Tuple> + Sync>(
     pred: &Option<BoundExpr>,
     kind: JoinKind,
 ) -> Result<Vec<Tuple>, ExecError> {
-    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(inner_rows.len());
-    for (n, i) in inner_rows.iter().enumerate() {
+    // Build rows are filed last to first: chains prepend, so a probe
+    // sees its matches in build order.
+    let mut index = KeyIndex::with_capacity(inner_rows.len());
+    for (n, i) in inner_rows.iter().enumerate().rev() {
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
         let i = i.borrow();
-        let key = i.key(ikeys);
-        if key.iter().any(Value::is_null) {
-            continue;
+        if !i.key_has_null(ikeys) {
+            index.insert(i.key_hash(ikeys), n);
         }
-        table.entry(key).or_default().push(i);
     }
 
     let mut rows = Vec::new();
@@ -283,13 +288,13 @@ pub(crate) fn hash_probe<I: std::borrow::Borrow<Tuple> + Sync>(
             ctx.check_interrupt()?;
         }
         let o = o.borrow();
-        let key = o.key(okeys);
-        if key.iter().any(Value::is_null) {
+        if o.key_has_null(okeys) {
             continue;
         }
-        let Some(matches) = table.get(&key) else {
-            continue;
-        };
+        let matches = index
+            .candidates(o.key_hash(okeys))
+            .map(|c| inner_rows[c].borrow())
+            .filter(|i| o.key_eq(okeys, i, ikeys));
         match kind {
             JoinKind::Inner => {
                 for i in matches {
@@ -306,11 +311,7 @@ pub(crate) fn hash_probe<I: std::borrow::Borrow<Tuple> + Sync>(
             JoinKind::Semi => {
                 let mut hit = false;
                 for i in matches {
-                    let joined = o.concat(i);
-                    if match pred {
-                        Some(p) => p.eval_predicate(&joined)?,
-                        None => true,
-                    } {
+                    if passes_residual(pred, o, i)? {
                         hit = true;
                         break;
                     }
@@ -345,19 +346,17 @@ fn partitioned_hash_probe(
 ) -> Result<Vec<Tuple>, ExecError> {
     let mut inner_parts: Vec<Vec<&Tuple>> = vec![Vec::new(); parts];
     for i in &inner.rows {
-        let key = i.key(ikeys);
-        if key.iter().any(Value::is_null) {
+        if i.key_has_null(ikeys) {
             continue; // NULL keys never match; routing them is pointless
         }
-        inner_parts[route(&key, parts)].push(i);
+        inner_parts[route(i, ikeys, parts)].push(i);
     }
     let mut outer_parts: Vec<Vec<&Tuple>> = vec![Vec::new(); parts];
     for o in &outer.rows {
-        let key = o.key(okeys);
-        if key.iter().any(Value::is_null) {
+        if o.key_has_null(okeys) {
             continue;
         }
-        outer_parts[route(&key, parts)].push(o);
+        outer_parts[route(o, okeys, parts)].push(o);
     }
 
     let results: Vec<Result<Vec<Tuple>, ExecError>> = std::thread::scope(|s| {
@@ -407,7 +406,7 @@ fn sort_unsorted_side(
         None => None,
     };
     charge_external_sort_pages(ctx, pages);
-    rows.sort_by_key(|a| a.key(keys));
+    rows.sort_by(|a, b| a.key_cmp(keys, b, keys));
     Ok(rows)
 }
 
@@ -416,7 +415,8 @@ fn sort_unsorted_side(
 /// operator performs before deciding to spill).
 fn is_sorted_by(ctx: &ExecCtx, rows: &[Tuple], keys: &[usize]) -> bool {
     ctx.ledger.tuple_ops(rows.len().saturating_sub(1) as u64);
-    rows.windows(2).all(|w| w[0].key(keys) <= w[1].key(keys))
+    rows.windows(2)
+        .all(|w| w[0].key_cmp(keys, &w[1], keys).is_le())
 }
 
 /// Sort-merge join. Inputs that already arrive sorted by their join
@@ -467,27 +467,25 @@ pub fn merge_join(
             since_check = 0;
             ctx.check_interrupt()?;
         }
-        let lk = left[li].key(&okeys);
-        if lk.iter().any(Value::is_null) {
+        if left[li].key_has_null(&okeys) {
             li += 1;
             continue;
         }
-        let rk = right[ri].key(&ikeys);
-        if rk.iter().any(Value::is_null) {
+        if right[ri].key_has_null(&ikeys) {
             ri += 1;
             continue;
         }
-        match lk.cmp(&rk) {
+        match left[li].key_cmp(&okeys, &right[ri], &ikeys) {
             std::cmp::Ordering::Less => li += 1,
             std::cmp::Ordering::Greater => ri += 1,
             std::cmp::Ordering::Equal => {
                 // Emit the cross product of the equal-key groups.
-                let r_start = ri;
+                let (l_start, r_start) = (li, ri);
                 let mut r_end = ri;
-                while r_end < right.len() && right[r_end].key(&ikeys) == lk {
+                while r_end < right.len() && right[r_end].key_eq(&ikeys, &left[l_start], &okeys) {
                     r_end += 1;
                 }
-                while li < left.len() && left[li].key(&okeys) == lk {
+                while li < left.len() && left[li].key_eq(&okeys, &left[l_start], &okeys) {
                     for r in &right[r_start..r_end] {
                         let joined = left[li].concat(r);
                         if match &pred {
@@ -620,6 +618,44 @@ mod tests {
         assert_eq!(sorted(nlj.rows), sorted(expect.clone()));
         assert_eq!(sorted(hj.rows), sorted(expect));
         assert_eq!(nlj.schema.arity(), 2, "semi join keeps outer schema");
+    }
+
+    #[test]
+    fn residual_free_semi_joins_emit_the_outer_rows_themselves() {
+        // Regression: both semi-join kernels used to build `o ⊕ i` for
+        // every candidate match and throw it away. Without a residual
+        // nothing may be built at all — every output row must be the
+        // outer input's own storage, in outer order.
+        let outer_rows: Vec<Tuple> = (0..10_000).map(|i| tuple![i % 100, i]).collect();
+        let outer = || {
+            Rel::new(
+                Schema::from_pairs(&[("L.k", DataType::Int), ("L.v", DataType::Int)]).into_ref(),
+                outer_rows.clone(),
+            )
+        };
+        let inner = || {
+            Rel::new(
+                Schema::from_pairs(&[("R.k", DataType::Int)]).into_ref(),
+                (0..200).map(|i| tuple![i % 50]).collect(),
+            )
+        };
+        let expect: Vec<&Tuple> = outer_rows
+            .iter()
+            .filter(|t| t.value(0).as_int().unwrap() < 50)
+            .collect();
+        let keys = vec![("L.k".to_string(), "R.k".to_string())];
+        let hj = hash_join(&ctx(), outer(), inner(), &keys, None, JoinKind::Semi).unwrap();
+        let small = || Rel::new(outer().schema, outer_rows[..300].to_vec());
+        let nlj = block_nested_loops(&ctx(), small(), inner(), None, JoinKind::Semi).unwrap();
+        assert_eq!(hj.rows.len(), 5_000);
+        for (out, src) in hj.rows.iter().zip(&expect) {
+            assert!(out.shares_storage_with(src), "{out} was copied");
+        }
+        // No predicate: every outer row with a non-empty inner survives.
+        assert_eq!(nlj.rows.len(), 300);
+        for (out, src) in nlj.rows.iter().zip(&outer_rows) {
+            assert!(out.shares_storage_with(src), "{out} was copied");
+        }
     }
 
     #[test]

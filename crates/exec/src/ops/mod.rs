@@ -10,6 +10,7 @@ pub mod bloom;
 pub mod exchange;
 pub mod filter;
 pub mod joins;
+mod key_index;
 pub mod parallel;
 pub mod scan;
 pub mod ship;

@@ -1,5 +1,5 @@
-//! Intra-query parallelism helpers: contiguous chunking for parallel
-//! scans and hash-partition routing for partitioned joins.
+//! Intra-query parallelism helpers: hash-partition routing for
+//! partitioned joins.
 //!
 //! Parallel operators must leave the cost model untouched: the ledger is
 //! charged exactly the amounts the serial operator would charge (the
@@ -8,108 +8,40 @@
 //! System-R formulas). Parallelism changes wall-clock time only — never
 //! measured cost, and never the output row *multiset*.
 
-use fj_storage::Value;
-use std::hash::{Hash, Hasher};
-use std::ops::Range;
+use fj_storage::Tuple;
 
 /// Minimum input rows before an operator bothers fanning out; below
 /// this, thread spawn overhead dwarfs the work.
 pub const PARALLEL_ROW_THRESHOLD: usize = 1024;
 
-/// Splits `len` items into at most `threads` contiguous, near-equal
-/// ranges (never returns an empty range).
-pub fn chunk_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
-    let parts = threads.max(1).min(len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let size = base + usize::from(p < extra);
-        if size == 0 {
-            break;
-        }
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
-/// Runs `f` over each contiguous chunk of `items` on its own scoped
-/// thread, returning the per-chunk results in chunk order (so callers
-/// that concatenate preserve the serial row order).
-pub fn scoped_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    let ranges = chunk_ranges(items.len(), threads);
-    if ranges.len() <= 1 {
-        return vec![f(items)];
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let slice = &items[r];
-                let f = &f;
-                s.spawn(move || f(slice))
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Re-raise a chunk worker's panic with its original payload
-            // so the runtime's catch_unwind reports the real cause.
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
-}
-
-/// Routes a join key to one of `parts` hash partitions. Partitioning is
-/// by key hash, so every row pair that could match lands in the same
-/// partition and per-partition joins are independent.
-pub fn route(key: &[Value], parts: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % parts.max(1) as u64) as usize
+/// Routes a row to one of `parts` hash partitions by its key columns at
+/// `key_idx`, hashed in place. Partitioning is by key hash, so every row
+/// pair that could match lands in the same partition and per-partition
+/// joins are independent.
+pub fn route(row: &Tuple, key_idx: &[usize], parts: usize) -> usize {
+    (row.key_hash(key_idx) % parts.max(1) as u64) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fj_storage::Value;
 
     #[test]
-    fn chunks_cover_exactly_once() {
-        for (len, threads) in [(0, 4), (1, 4), (7, 3), (100, 8), (5, 1), (3, 16)] {
-            let ranges = chunk_ranges(len, threads);
-            let mut covered = 0;
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "contiguous");
-                assert!(!r.is_empty(), "no empty chunks");
-                covered += r.len();
-                next = r.end;
-            }
-            assert_eq!(covered, len, "len={len} threads={threads}");
-            assert!(ranges.len() <= threads.max(1));
+    fn route_is_bounded_and_agrees_with_the_owned_key() {
+        let row = Tuple::new(vec![
+            Value::Str("pad".into()),
+            Value::Int(42),
+            Value::Str("x".into()),
+            Value::Double(42.0),
+        ]);
+        let owned = Tuple::new(row.key(&[1, 2]));
+        for parts in [1, 2, 7, 32] {
+            let p = route(&row, &[1, 2], parts);
+            assert!(p < parts);
+            assert_eq!(p, route(&owned, &[0, 1], parts));
+            // Int 42 and Double 42.0 are equal keys: same partition.
+            assert_eq!(route(&row, &[1], parts), route(&row, &[3], parts));
         }
-    }
-
-    #[test]
-    fn scoped_chunks_preserves_order() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let chunks = scoped_chunks(&items, 4, |c| c.to_vec());
-        assert_eq!(chunks.len(), 4);
-        let flat: Vec<u64> = chunks.into_iter().flatten().collect();
-        assert_eq!(flat, items);
-    }
-
-    #[test]
-    fn route_is_stable_and_bounded() {
-        let key = vec![Value::Int(42), Value::Str("x".into())];
-        let p = route(&key, 7);
-        assert_eq!(p, route(&key, 7));
-        assert!(p < 7);
     }
 }

@@ -2,45 +2,26 @@
 
 use crate::context::ExecCtx;
 use crate::error::ExecError;
-use crate::ops::parallel::{scoped_chunks, PARALLEL_ROW_THRESHOLD};
 use crate::physical::{maybe_qualify, Rel};
 use fj_storage::{SchemaRef, Tuple, Value};
 
-/// Copies `src` out of storage, fanning the row clones across
-/// `ctx.threads` workers for large inputs. Chunk order is preserved, so
-/// the output row order matches the serial scan exactly. No ledger
-/// charge: the caller charges the page reads.
-fn copy_rows(ctx: &ExecCtx, src: &[Tuple]) -> Vec<Tuple> {
-    if ctx.threads <= 1 || src.len() < PARALLEL_ROW_THRESHOLD {
-        return src.to_vec();
-    }
-    scoped_chunks(src, ctx.threads, |chunk| chunk.to_vec())
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// Sequential scan of a base table. Charges one read per table page.
-/// With `ctx.threads > 1` the heap copy-out is chunked across workers.
-/// Page reads pass through the context's fault plan, if any.
+/// The output rows *are* the table's rows (shared, not copied). Page
+/// reads pass through the context's fault plan, if any.
 pub fn seq_scan(ctx: &ExecCtx, table: &str, alias: &str) -> Result<Rel, ExecError> {
     ctx.check_interrupt()?;
     let t = ctx.catalog.table(table)?;
     let src = t
         .scan_checked(&ctx.ledger, ctx.faults.as_deref())
         .map_err(ExecError::Storage)?;
-    let rows = copy_rows(ctx, src);
-    Ok(Rel::new(maybe_qualify(t.schema(), alias), rows))
+    Ok(Rel::new(maybe_qualify(t.schema(), alias), src.to_vec()))
 }
 
 /// Scan of a registered temp table. Charges its page count as reads.
 pub fn temp_scan(ctx: &ExecCtx, name: &str, alias: &str) -> Result<Rel, ExecError> {
     let t = ctx.temp(name)?;
     ctx.ledger.read_pages(t.page_count());
-    Ok(Rel::new(
-        maybe_qualify(&t.schema, alias),
-        copy_rows(ctx, &t.rows),
-    ))
+    Ok(Rel::new(maybe_qualify(&t.schema, alias), t.rows.to_vec()))
 }
 
 /// Literal rows; free.
@@ -137,6 +118,17 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
         assert!(r.schema.contains("T.a"));
         assert_eq!(ctx.ledger.snapshot().page_reads, 1);
+    }
+
+    #[test]
+    fn seq_scan_shares_table_rows() {
+        let ctx = ctx_with_table();
+        let r = seq_scan(&ctx, "t", "T").unwrap();
+        let table = ctx.catalog.table("t").unwrap();
+        assert_eq!(r.rows.len(), table.rows().len());
+        for (out, stored) in r.rows.iter().zip(table.rows()) {
+            assert!(out.shares_storage_with(stored), "{out} was copied");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub fn sort(ctx: &ExecCtx, input: Rel, keys: &[String]) -> Result<Rel, ExecError
     };
     charge_external_sort(ctx, input.page_count());
     let mut rows = input.rows;
-    rows.sort_by_key(|a| a.key(&key_idx));
+    rows.sort_by(|a, b| a.key_cmp(&key_idx, b, &key_idx));
     ctx.check_interrupt()?;
     Ok(Rel::new(input.schema, rows))
 }

@@ -27,10 +27,10 @@ use crate::ops::joins::hash_probe;
 use crate::physical::Rel;
 use fj_algebra::JoinKind;
 use fj_expr::BoundExpr;
-use fj_storage::{PageLayout, SpillFile, SpillReader, TempWriter, Tuple, Value};
+use fj_storage::{KeyHasher, PageLayout, SpillFile, SpillReader, TempWriter, Tuple, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::atomic::Ordering;
 
 /// Cap on partition fanout, bounding open temp files per operator.
@@ -43,14 +43,14 @@ pub(crate) fn spill_fanout(ctx: &ExecCtx) -> usize {
     (ctx.memory_pages.saturating_sub(1) as usize).clamp(2, MAX_FANOUT)
 }
 
-/// Routes a key to a partition, salted by recursion depth so a skewed
-/// partition re-splits on different boundaries at the next level.
-pub(crate) fn route_salted(key: &[Value], depth: usize, fanout: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    (depth as u64)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .hash(&mut h);
-    key.hash(&mut h);
+/// Routes a row to a partition by its key columns at `key_idx` (hashed
+/// in place, the same [`Tuple::key_hash`] the in-memory operators use),
+/// salted by recursion depth so a skewed partition re-splits on
+/// different boundaries at the next level.
+pub(crate) fn route_salted(row: &Tuple, key_idx: &[usize], depth: usize, fanout: usize) -> usize {
+    let mut h = KeyHasher::default();
+    h.write_usize(depth);
+    h.write_u64(row.key_hash(key_idx));
     (h.finish() % fanout.max(1) as u64) as usize
 }
 
@@ -167,22 +167,11 @@ fn grace_recurse(
 ) -> Result<Vec<Tuple>, ExecError> {
     ctx.spill_stats().spills.fetch_add(1, Ordering::Relaxed);
     let fanout = spill_fanout(ctx);
-    let inner_files = partition_to_files(ctx, spill, inner_rows, ilayout, fanout, |t| {
-        let key = t.key(ikeys);
-        if key.iter().any(Value::is_null) {
-            None
-        } else {
-            Some(route_salted(&key, depth, fanout))
-        }
-    })?;
-    let outer_files = partition_to_files(ctx, spill, outer_rows, olayout, fanout, |t| {
-        let key = t.key(okeys);
-        if key.iter().any(Value::is_null) {
-            None
-        } else {
-            Some(route_salted(&key, depth, fanout))
-        }
-    })?;
+    let route_on = |keys| {
+        move |t: &Tuple| (!t.key_has_null(keys)).then(|| route_salted(t, keys, depth, fanout))
+    };
+    let inner_files = partition_to_files(ctx, spill, inner_rows, ilayout, fanout, route_on(ikeys))?;
+    let outer_files = partition_to_files(ctx, spill, outer_rows, olayout, fanout, route_on(okeys))?;
 
     let mut out = Vec::new();
     for (of, inf) in outer_files.iter().zip(&inner_files) {
@@ -251,7 +240,7 @@ pub(crate) fn external_sort_rows(
     let mut runs: Vec<SpillFile> = Vec::new();
     for chunk in rows.chunks(run_rows) {
         let mut run = chunk.to_vec();
-        run.sort_by_key(|a| a.key(key_idx));
+        run.sort_by(|a, b| a.key_cmp(key_idx, b, key_idx));
         runs.push(write_run(ctx, spill, layout, &run)?);
     }
     drop(rows);
@@ -429,6 +418,42 @@ mod tests {
     fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
         rows.sort();
         rows
+    }
+
+    #[test]
+    fn route_salted_agrees_with_the_owned_key_and_resalts_by_depth() {
+        let rows: Vec<Tuple> = (0..200)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::Str(format!("pad{i}")),
+                    Value::Int(i),
+                    Value::Null,
+                ])
+            })
+            .collect();
+        for fanout in [2, 5, 32] {
+            for depth in 0..3 {
+                for t in &rows {
+                    let p = route_salted(t, &[1, 2], depth, fanout);
+                    assert!(p < fanout);
+                    let owned = Tuple::new(t.key(&[1, 2]));
+                    assert_eq!(p, route_salted(&owned, &[0, 1], depth, fanout));
+                }
+            }
+            // A partition of depth 0 must split again at depth 1.
+            let stuck = rows
+                .iter()
+                .filter(|t| route_salted(t, &[1], 0, fanout) == 0)
+                .map(|t| route_salted(t, &[1], 1, fanout))
+                .collect::<std::collections::HashSet<_>>();
+            assert!(
+                stuck.len() > 1,
+                "depth salt did not re-split fanout {fanout}"
+            );
+        }
+        // Equal keys of different numeric type share a partition.
+        let (i, d) = (tuple![7], tuple![7.0]);
+        assert_eq!(route_salted(&i, &[0], 1, 32), route_salted(&d, &[0], 1, 32));
     }
 
     #[test]

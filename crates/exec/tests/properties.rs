@@ -232,3 +232,171 @@ proptest! {
         }
     }
 }
+
+// ---- Borrowed-key operators vs a reference keyed on `Tuple::key` ----
+//
+// The hash join, aggregate and distinct hash and compare key columns in
+// place. These properties hold them to straightforward reference
+// implementations over owned `Vec<Value>` keys in a std `HashMap`, on
+// keys that mix `Int` and `Double` representations of the same number,
+// NULLs, signed zeros, and a second (string) key column.
+
+/// Key-column value for a generated word: NULL, small ints, the same
+/// numbers as doubles, a non-integral double, and both zeros.
+fn mixed_key(word: i64) -> Value {
+    match word {
+        0 => Value::Null,
+        1..=3 => Value::Int(word),
+        4..=6 => Value::Double((word - 3) as f64),
+        7 => Value::Double(2.5),
+        8 => Value::Double(0.0),
+        9 => Value::Double(-0.0),
+        _ => Value::Int(0),
+    }
+}
+
+fn str_key(word: i64) -> Value {
+    match word {
+        0 => Value::Null,
+        1 => Value::Str("a".into()),
+        _ => Value::Str("b".into()),
+    }
+}
+
+type KeyedRow = (i64, i64, i64);
+fn keyed_rows() -> impl Strategy<Value = Vec<KeyedRow>> {
+    prop::collection::vec((0i64..11, 0i64..3, 0i64..100), 0..40)
+}
+
+/// `(k0: mixed numeric, k1: string, v: int)` rows under `prefix`.
+fn keyed_rel(prefix: &str, rows: &[KeyedRow]) -> Rel {
+    let schema = Schema::new(vec![
+        Column::nullable(format!("{prefix}.k0"), DataType::Double),
+        Column::nullable(format!("{prefix}.k1"), DataType::Str),
+        Column::new(format!("{prefix}.v"), DataType::Int),
+    ])
+    .expect("distinct names")
+    .into_ref();
+    let rows = rows
+        .iter()
+        .map(|&(k0, k1, v)| Tuple::new(vec![mixed_key(k0), str_key(k1), Value::Int(v)]))
+        .collect();
+    Rel::new(schema, rows)
+}
+
+/// Hash join over owned keys: build-order matches per probe row, probe
+/// order overall — the serial operator's exact output order.
+fn reference_hash_join(outer: &Rel, inner: &Rel, idx: &[usize], kind: JoinKind) -> Vec<Tuple> {
+    let mut table: std::collections::HashMap<Vec<Value>, Vec<&Tuple>> = Default::default();
+    for i in &inner.rows {
+        let key = i.key(idx);
+        if !key.iter().any(Value::is_null) {
+            table.entry(key).or_default().push(i);
+        }
+    }
+    let mut out = Vec::new();
+    for o in &outer.rows {
+        let key = o.key(idx);
+        if key.iter().any(Value::is_null) {
+            continue;
+        }
+        match (table.get(&key), kind) {
+            (Some(matches), JoinKind::Inner) => out.extend(matches.iter().map(|i| o.concat(i))),
+            (Some(_), JoinKind::Semi) => out.push(o.clone()),
+            (None, _) => {}
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn borrowed_key_hash_join_matches_owned_key_reference(
+        l in keyed_rows(), r in keyed_rows(), two_cols in 0u8..2
+    ) {
+        let (names, idx): (Vec<(String, String)>, Vec<usize>) = if two_cols == 1 {
+            (vec![("L.k0".into(), "R.k0".into()), ("L.k1".into(), "R.k1".into())], vec![0, 1])
+        } else {
+            (vec![("L.k0".into(), "R.k0".into())], vec![0])
+        };
+        for kind in [JoinKind::Inner, JoinKind::Semi] {
+            let expected = reference_hash_join(&keyed_rel("L", &l), &keyed_rel("R", &r), &idx, kind);
+            let serial = ops::joins::hash_join(
+                &ctx(), keyed_rel("L", &l), keyed_rel("R", &r), &names, None, kind).unwrap();
+            prop_assert_eq!(&serial.rows, &expected, "serial order, {:?}", kind);
+
+            // Inputs repeated past the fan-out threshold take the
+            // partitioned path: same multiset, any order.
+            let big = |rows: &[KeyedRow]| rows.iter().cycle().take(rows.len() * 30).copied().collect::<Vec<_>>();
+            let (bl, br) = (big(&l), big(&r));
+            let expected = reference_hash_join(&keyed_rel("L", &bl), &keyed_rel("R", &br), &idx, kind);
+            let parallel = ops::joins::hash_join(
+                &ctx().with_threads(3), keyed_rel("L", &bl), keyed_rel("R", &br), &names, None, kind).unwrap();
+            prop_assert_eq!(sorted(parallel.rows), sorted(expected), "partitioned, {:?}", kind);
+        }
+    }
+
+    #[test]
+    fn borrowed_key_aggregate_matches_owned_key_reference(
+        l in keyed_rows(), two_cols in 0u8..2
+    ) {
+        let (names, idx): (Vec<String>, Vec<usize>) = if two_cols == 1 {
+            (vec!["L.k0".into(), "L.k1".into()], vec![0, 1])
+        } else {
+            (vec!["L.k0".into()], vec![0])
+        };
+        // First-seen group order; NULL keys group together; the group
+        // key shown is the first row's representation.
+        let input = keyed_rel("L", &l);
+        let mut order: Vec<Vec<Value>> = Vec::new();
+        let mut groups: std::collections::HashMap<Vec<Value>, (i64, i64)> = Default::default();
+        for t in &input.rows {
+            let key = t.key(&idx);
+            let acc = groups.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                (0, 0)
+            });
+            acc.0 += 1;
+            acc.1 += t.value(2).as_int().expect("v is int");
+        }
+        let expected: Vec<Tuple> = order
+            .into_iter()
+            .map(|key| {
+                let (n, s) = groups[&key];
+                key.into_iter().chain([Value::Int(n), Value::Int(s)]).collect()
+            })
+            .collect();
+        let agg = ops::agg::hash_aggregate(
+            &ctx(),
+            input,
+            &names,
+            &[AggCall::count_star("n"), AggCall::new(AggFunc::Sum, "L.v", "s")],
+        )
+        .unwrap();
+        prop_assert_eq!(agg.rows.len(), expected.len());
+        for (got, want) in agg.rows.iter().zip(&expected) {
+            // Compare representations too: Int(1) == Double(1.0) under
+            // `Value`'s equality, but the output must show the first row's.
+            prop_assert_eq!(format!("{got}"), format!("{want}"));
+        }
+    }
+
+    #[test]
+    fn borrowed_key_distinct_matches_owned_key_reference(l in keyed_rows()) {
+        let input = keyed_rel("L", &l);
+        let mut seen: std::collections::HashSet<Vec<Value>> = Default::default();
+        let expected: Vec<Tuple> = input
+            .rows
+            .iter()
+            .filter(|t| seen.insert(t.values().to_vec()))
+            .cloned()
+            .collect();
+        let out = ops::agg::distinct(&ctx(), input).unwrap();
+        prop_assert_eq!(out.rows.len(), expected.len());
+        for (got, want) in out.rows.iter().zip(&expected) {
+            prop_assert!(got.shares_storage_with(want), "{got} is not the first occurrence");
+        }
+    }
+}

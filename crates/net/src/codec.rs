@@ -866,15 +866,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<QueryReply, CodecError> {
     let schema = Schema::new(columns)
         .map_err(|e| CodecError::Invalid(format!("bad schema: {e}")))?
         .into_ref();
-    let nrows = r.u32()?;
-    let mut rows = Vec::new();
-    for _ in 0..nrows {
-        let mut values = Vec::with_capacity(schema.arity());
-        for _ in 0..schema.arity() {
-            values.push(decode_value(&mut r)?);
-        }
-        rows.push(Tuple::new(values));
-    }
+    let rows = decode_rows(&mut r, &schema)?;
     let measured_cost = r.f64()?;
     let estimated_cost = match r.u8()? {
         0 => None,
@@ -1399,12 +1391,14 @@ fn encode_rows(w: &mut Writer, schema: &Schema, rows: &[Tuple]) -> Result<(), Co
 fn decode_rows(r: &mut Reader<'_>, schema: &Schema) -> Result<Vec<Tuple>, CodecError> {
     let nrows = r.u32()?;
     let mut rows = Vec::new();
+    // One scratch vector for every row: draining it into the tuple's
+    // shared storage costs a single exact-size allocation per row.
+    let mut values = Vec::with_capacity(schema.arity());
     for _ in 0..nrows {
-        let mut values = Vec::with_capacity(schema.arity());
         for _ in 0..schema.arity() {
             values.push(decode_value(r)?);
         }
-        rows.push(Tuple::new(values));
+        rows.push(values.drain(..).collect());
     }
     Ok(rows)
 }

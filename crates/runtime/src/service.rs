@@ -137,8 +137,8 @@ pub struct ServiceConfig {
     /// Bounded submission-queue capacity; a full queue blocks
     /// `submit` (backpressure) and fails `try_submit`.
     pub queue_capacity: usize,
-    /// Threads each query may use internally (parallel scans and
-    /// partitioned hash joins). 1 = serial operators.
+    /// Threads each query may use internally (partitioned hash
+    /// joins). 1 = serial operators.
     pub intra_query_threads: usize,
     /// Executor buffer memory in pages (the cost model's `M`).
     pub memory_pages: u64,

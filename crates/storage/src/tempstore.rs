@@ -181,16 +181,18 @@ pub fn decode_rows(bytes: &[u8]) -> Result<Vec<Tuple>, StorageError> {
         return Err(corrupt(format!("row count {n} exceeds payload size")));
     }
     let mut rows = Vec::with_capacity(n);
+    // One scratch vector for every row: draining it into the tuple's
+    // shared storage costs a single exact-size allocation per row.
+    let mut values = Vec::new();
     for _ in 0..n {
         let arity = c.u32()? as usize;
         if arity > bytes.len() {
             return Err(corrupt(format!("arity {arity} exceeds payload size")));
         }
-        let mut values = Vec::with_capacity(arity);
         for _ in 0..arity {
             values.push(decode_value(&mut c)?);
         }
-        rows.push(Tuple::new(values));
+        rows.push(values.drain(..).collect());
     }
     if c.pos != bytes.len() {
         return Err(corrupt(format!(

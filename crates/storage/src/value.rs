@@ -232,6 +232,68 @@ impl Hash for Value {
     }
 }
 
+/// The one hasher behind every key-hashing decision in the executor:
+/// hash-join and grouping tables, parallel partition routing, and spill
+/// partitioning all feed borrowed key columns through it (see
+/// [`crate::Tuple::key_hash`]).
+///
+/// A multiply-rotate word mixer with a splitmix64 finalizer — a few
+/// cycles per column where SipHash costs tens. It is deliberately
+/// *unkeyed*: partition assignment (and therefore the page I/O a
+/// spilling operator charges) must repeat exactly from run to run, which
+/// a per-process random key would break. The finalizer matters: key
+/// columns are mostly small integers hashed as `f64` bits, whose low
+/// bits are all zero, and a bare multiplicative hash would leave them
+/// zero.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.mix(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

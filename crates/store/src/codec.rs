@@ -114,12 +114,14 @@ pub fn decode_rows(buf: &[u8], arity: usize) -> Result<Vec<Tuple>, StoreError> {
     let mut pos = 0;
     let n = get_u32(buf, &mut pos)? as usize;
     let mut rows = Vec::with_capacity(n);
+    // One scratch vector for every row: draining it into the tuple's
+    // shared storage costs a single exact-size allocation per row.
+    let mut values = Vec::with_capacity(arity);
     for _ in 0..n {
-        let mut values = Vec::with_capacity(arity);
         for _ in 0..arity {
             values.push(decode_value(buf, &mut pos)?);
         }
-        rows.push(Tuple::new(values));
+        rows.push(values.drain(..).collect());
     }
     if pos != buf.len() {
         return Err(StoreError::Corrupt {

@@ -39,11 +39,12 @@
 //! checkpoint may proceed), scrub every record the WAL still protects
 //! (healing torn records from the *last* logged payload per page),
 //! fsync the page file, atomically publish the manifest (tmp, rename,
-//! dir fsync — under a brief metadata lock, the only lock the
-//! checkpoint ever takes), then truncate exactly the WAL prefix
-//! `[0, cut)`. Loads, mutations, and queries proceed concurrently:
-//! anything committed after the cut stays in the kept suffix and
-//! replays idempotently on recovery.
+//! dir fsync — under a brief metadata lock; that and the instant in
+//! which the cut and the dirty set are read between mutations are the
+//! only locks the checkpoint ever takes), then truncate exactly the
+//! WAL prefix `[0, cut)`. Loads, mutations, and queries proceed
+//! concurrently: anything committed after the cut stays in the kept
+//! suffix and replays idempotently on recovery.
 
 use crate::checksum::crc64;
 use crate::codec::{decode_rows, encode_rows, get_u32, TableMeta};
@@ -551,14 +552,23 @@ impl Store {
     /// protected is durable elsewhere.
     pub fn checkpoint_until(&self, phase: CheckpointPhase) -> Result<(), StoreError> {
         // 1. Capture the cut. Anything committed after this lands at
-        //    offsets >= cut and survives the truncate.
-        let cut = self.wal.durable_len()?;
+        //    offsets >= cut and survives the truncate. The cut and the
+        //    dirty set are read with no mutation in flight: a mutation
+        //    publishes in three steps (commit fsync, dirty pages into
+        //    the pool, meta into `committed`), and a cut taken between
+        //    them would truncate a commit whose pages step 2 never saw
+        //    or whose meta step 5 never saw. Mutations wait only for
+        //    these two reads, never for the checkpoint's I/O.
+        let (cut, dirty) = {
+            let _no_mutation_in_flight = self.mutation_lock.lock().unwrap();
+            (self.wal.durable_len()?, self.pool.take_dirty())
+        };
 
         // 2. Flush dirty pool pages, verified: a torn write-back
         //    (delta fault class) is detected by checksum and retried
         //    fault-free — the WAL must never be dropped while a flushed
         //    page is secretly torn.
-        for ((table_id, page_no), payload) in self.pool.take_dirty() {
+        for ((table_id, page_no), payload) in dirty {
             let fault = self
                 .faults
                 .as_deref()
@@ -1089,6 +1099,46 @@ mod tests {
         store.checkpoint_until(CheckpointPhase::Manifest).unwrap();
         store.mutate(&delete_even("T"), &NEVER).unwrap();
         store.checkpoint().unwrap();
+        drop(store);
+        let (store, _) = Store::open(dir.path(), 64, None).unwrap();
+        let (_, rows) = store.recovered_rows("T").unwrap();
+        let (oracle, _) = delete_even("T")
+            .apply(table.schema(), table.rows())
+            .unwrap();
+        assert_eq!(rows, oracle);
+    }
+
+    #[test]
+    fn checkpoint_cuts_only_between_mutations() {
+        // A mutation publishes in three steps (commit fsync, dirty
+        // pages, meta). A checkpoint that cut the WAL between them
+        // could truncate a commit whose pages or meta it never saw, so
+        // it must wait out a mutation in flight. The mutation's own
+        // cancellation poll (made under its lock) starts the checkpoint
+        // and gives it every chance to finish early.
+        let dir = TempDir::new("store-cut-between");
+        let table = sample_table("T", 120);
+        let (store, _) = Store::open(dir.path(), 64, None).unwrap();
+        store.load_table(&table).unwrap();
+        std::thread::scope(|s| {
+            let checkpoint = std::sync::Mutex::new(None);
+            let poll = || {
+                let mut slot = checkpoint.lock().unwrap();
+                if slot.is_none() {
+                    let handle = s.spawn(|| store.checkpoint());
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    assert!(
+                        !handle.is_finished(),
+                        "checkpoint completed while a mutation was in flight"
+                    );
+                    *slot = Some(handle);
+                }
+                false
+            };
+            store.mutate(&delete_even("T"), &poll).unwrap();
+            let handle = checkpoint.lock().unwrap().take().expect("poll ran");
+            handle.join().expect("checkpoint thread").unwrap();
+        });
         drop(store);
         let (store, _) = Store::open(dir.path(), 64, None).unwrap();
         let (_, rows) = store.recovered_rows("T").unwrap();
