@@ -1,47 +1,23 @@
 //! Prints every reproduced figure/table as a paper-style text table.
 //!
 //! ```text
-//! reproduce [all|fig1|fig3|table1|fig4|fig5|fig6|complexity|crossover|bushy|dist|dist-wire|udf|local|bloom|throughput|trace-overhead|soak|chaos|cluster-chaos|recovery-chaos|mutation-chaos|memory-chaos]
-//!           [--small] [--threads N]
+//! reproduce [all|fig1|fig3|table1|fig4|fig5|fig6|complexity|crossover|bushy|dist|dist-wire|udf|local|bloom|soak|chaos|cluster-chaos|recovery-chaos|mutation-chaos|memory-chaos]
+//!           [--small]
 //! ```
 //!
 //! `--small` runs reduced instance sizes (used in CI); the default
-//! sizes match `EXPERIMENTS.md`. `--threads N` sets the worker-pool
-//! size the `throughput` experiment compares against a single thread
-//! (default 4); the experiment prints 1-thread vs N-thread queries/sec
-//! and the speedup.
+//! sizes match `EXPERIMENTS.md`. Wall-clock questions (throughput,
+//! scaling, tracing overhead) belong to the `benchmark/` package, not
+//! to this binary.
 
 use fj_bench::repro;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let small = args.iter().any(|a| a == "--small");
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--threads expects a positive integer, got '{v}'");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(4)
-        .max(1);
-    let mut skip_next = false;
     let which: Vec<&str> = args
         .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--threads" {
-                skip_next = true; // also drop its value
-                return false;
-            }
-            !a.starts_with("--")
-        })
+        .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
     let which = if which.is_empty() || which.contains(&"all") {
@@ -60,8 +36,6 @@ fn main() {
             "udf",
             "local",
             "bloom",
-            "throughput",
-            "trace-overhead",
             "soak",
             "chaos",
             "cluster-chaos",
@@ -126,20 +100,6 @@ fn main() {
                     repro::bloom::run(500, 5_000, 20)
                 } else {
                     repro::bloom::run(5_000, 50_000, 100)
-                }
-            }
-            "throughput" => {
-                if small {
-                    repro::throughput::run(1_000, 100, threads, 64)
-                } else {
-                    repro::throughput::run(5_000, 500, threads, 256)
-                }
-            }
-            "trace-overhead" => {
-                if small {
-                    repro::trace_overhead::run(1_000, 100, 10)
-                } else {
-                    repro::trace_overhead::run(5_000, 500, 25)
                 }
             }
             "soak" => {

@@ -19,13 +19,12 @@
 //! | [`repro::udf`] | §5.2: UDF invocation strategies, no duplicate invocations |
 //! | [`repro::local_semijoin`] | §5.3: the local semi-join's two-scans-plus-one claim |
 //! | [`repro::bloom`] | §3.2/App. A: lossy (Bloom) filter sets |
-//! | [`repro::throughput`] | runtime: worker-pool queries/sec, 1 vs N threads |
 //! | [`repro::soak`] | fj-net: TCP loopback soak with shedding and verified row-sets |
 //! | [`repro::chaos`] | governor: the soak under seeded faults, cancellations, and one induced worker panic |
 //!
 //! The `reproduce` binary prints each experiment as a paper-style
-//! table; the Criterion benches in `benches/` time the same code at
-//! reduced sizes.
+//! table. Wall-clock measurement lives in the standalone `benchmark/`
+//! package (`BENCHMARK.json`), not here.
 
 pub mod report;
 pub mod repro;

@@ -21,6 +21,4 @@ pub mod mutation_chaos;
 pub mod recovery_chaos;
 pub mod soak;
 pub mod table1_components;
-pub mod throughput;
-pub mod trace_overhead;
 pub mod udf;

@@ -767,19 +767,6 @@ fn comparable_reply_bytes(raw: &[u8]) -> &[u8] {
     &raw[..raw.len().saturating_sub(9)]
 }
 
-/// Whether `e` is worth a hop to another replica: transport failures
-/// (dead/partitioned replica), load shedding, drain refusals, and
-/// internal server errors (a worker lost mid-query). Deterministic
-/// rejections (malformed, query failed, deadline) are not — every
-/// replica would answer the same.
-fn should_failover(e: &NetError) -> bool {
-    e.is_transport()
-        || matches!(
-            e.error_code(),
-            Some(ErrorCode::Shed | ErrorCode::ShuttingDown | ErrorCode::Internal)
-        )
-}
-
 /// One query attempt against replica `idx`, registering the connection
 /// with the cancel token for the duration.
 fn attempt_on(
@@ -847,7 +834,7 @@ fn failover_query(
                 if token.is_cancelled() || e.error_code() == Some(ErrorCode::Cancelled) {
                     return Err(ClusterError::Cancelled);
                 }
-                if should_failover(&e) {
+                if e.is_replica_local() {
                     replica.breaker.record_failure();
                     last = Some(e);
                     continue;
@@ -948,36 +935,6 @@ mod tests {
         assert_eq!(comparable_reply_bytes(&raw), &raw[..3]);
         let short = vec![1u8, 2];
         assert_eq!(comparable_reply_bytes(&short), &[] as &[u8]);
-    }
-
-    #[test]
-    fn failover_predicate_matches_replica_local_failures_only() {
-        let shed = NetError::Remote {
-            code: ErrorCode::Shed,
-            message: String::new(),
-        };
-        let drain = NetError::Remote {
-            code: ErrorCode::ShuttingDown,
-            message: String::new(),
-        };
-        let internal = NetError::Remote {
-            code: ErrorCode::Internal,
-            message: String::new(),
-        };
-        let failed = NetError::Remote {
-            code: ErrorCode::QueryFailed,
-            message: String::new(),
-        };
-        let deadline = NetError::Remote {
-            code: ErrorCode::DeadlineExceeded,
-            message: String::new(),
-        };
-        assert!(should_failover(&shed));
-        assert!(should_failover(&drain));
-        assert!(should_failover(&internal));
-        assert!(should_failover(&NetError::ConnectionClosed));
-        assert!(!should_failover(&failed), "deterministic rejection");
-        assert!(!should_failover(&deadline), "the deadline is global");
     }
 
     #[test]

@@ -649,8 +649,10 @@ impl DistCoordinator {
     // ------------------------------------------------- transport
 
     /// Runs `f` against partition `p`'s replicas in failover order.
-    /// Retryable refusals (drain/shed) and transport failures move to
-    /// the next replica; anything else is final.
+    /// Replica-local failures ([`NetError::is_replica_local`]: a
+    /// crashed, shedding, or draining replica must be invisible when
+    /// another one holds the partition) move to the next replica;
+    /// anything else is final.
     fn call_shard<T>(
         &self,
         stats: &mut DistStats,
@@ -676,7 +678,7 @@ impl DistCoordinator {
                     stats.add_wire(wire);
                     return Ok(value);
                 }
-                Err(e) if failover_worthy(&e) => {
+                Err(e) if e.is_replica_local() => {
                     // The request frame still went out.
                     stats.messages += 1;
                     last = format!("{addr}: {e}");
@@ -790,18 +792,6 @@ enum Mode {
     FetchMatches,
     Semijoin,
     Bloom,
-}
-
-/// Failures worth trying the next replica for: typed retryable
-/// refusals (shed, drain) plus transport-level losses — a crashed or
-/// draining replica must be invisible when another replica holds the
-/// partition.
-fn failover_worthy(e: &NetError) -> bool {
-    e.is_retryable()
-        || matches!(
-            e,
-            NetError::Io(_) | NetError::Wire(_) | NetError::ConnectionClosed
-        )
 }
 
 /// The scattered partition schema: the base schema plus the hidden

@@ -75,6 +75,20 @@ impl NetError {
             NetError::Io(_) | NetError::Wire(_) | NetError::ConnectionClosed
         )
     }
+
+    /// Whether this failure says something about *this replica* rather
+    /// than about the request — the one failover predicate: transport
+    /// failures (dead or partitioned replica), load shedding, drain
+    /// refusals, and internal server errors (a worker lost
+    /// mid-request). Deterministic rejections (malformed, query
+    /// failed, deadline) are not: every replica would answer the same.
+    pub fn is_replica_local(&self) -> bool {
+        self.is_transport()
+            || matches!(
+                self.error_code(),
+                Some(ErrorCode::Shed | ErrorCode::ShuttingDown | ErrorCode::Internal)
+            )
+    }
 }
 
 impl fmt::Display for NetError {
@@ -387,59 +401,36 @@ impl Client {
         query: &JoinQuery,
         opts: &QueryOptions,
     ) -> Result<(QueryReply, Vec<u8>), NetError> {
-        let deadline_millis = opts
-            .deadline
-            .map(|d| (d.as_millis() as u64).max(1))
-            .unwrap_or(0);
         let request = QueryRequest {
-            deadline_millis,
+            deadline_millis: deadline_millis(opts.deadline),
             want_trace: opts.want_trace,
             config: opts.config,
             query: query.clone(),
         };
         let payload = codec::encode_request(&request)?;
-        // Bound our own wait a bit past the server's deadline so a dead
-        // server cannot hang a deadline-scoped call forever.
-        let read_timeout = opts.deadline.map(|d| d + Duration::from_secs(30));
-        self.stream.set_read_timeout(read_timeout)?;
-        wire::write_frame(&mut self.stream, FrameType::Query, &payload)?;
-        let frame = self.recv()?;
-        match frame.0 {
-            FrameType::Result => {
-                let mut reply = codec::decode_reply(&frame.1)?;
-                if opts.want_trace {
-                    // The trace travels in its own frame right behind
-                    // the RESULT, keeping the result bytes themselves
-                    // replica-comparable.
-                    let trace_frame = self.recv()?;
-                    match trace_frame.0 {
-                        FrameType::TraceReply => {
-                            reply.trace = Some(codec::decode_trace_reply(&trace_frame.1)?);
-                        }
-                        FrameType::Error => return Err(self.remote_error(&trace_frame.1)),
-                        _ => return Err(NetError::Protocol("expected TRACE_REPLY or ERROR frame")),
-                    }
-                }
-                Ok((reply, frame.1))
-            }
-            FrameType::Error => Err(self.remote_error(&frame.1)),
-            _ => Err(NetError::Protocol("expected RESULT or ERROR frame")),
+        let (ty, raw, _) = self.exchange(FrameType::Query, &payload, patience(opts.deadline))?;
+        let raw = reply_body(ty, raw, FrameType::Result, "expected RESULT or ERROR frame")?;
+        let mut reply = codec::decode_reply(&raw)?;
+        if opts.want_trace {
+            // The trace travels in its own frame right behind the
+            // RESULT, keeping the result bytes themselves
+            // replica-comparable.
+            let (ty, body) = self.recv()?;
+            let expected = "expected TRACE_REPLY or ERROR frame";
+            let body = reply_body(ty, body, FrameType::TraceReply, expected)?;
+            reply.trace = Some(codec::decode_trace_reply(&body)?);
         }
+        Ok((reply, raw))
     }
 
     /// Probes the server's health/readiness. Served even while the
     /// server drains, so a router can tell "draining" from "dead". The
     /// wait is bounded by `timeout`.
     pub fn health(&mut self, timeout: Duration) -> Result<HealthSnapshot, NetError> {
-        self.stream.set_read_timeout(Some(timeout))?;
-        wire::write_frame(&mut self.stream, FrameType::Health, &[])?;
-        let frame = self.recv()?;
-        self.stream.set_read_timeout(None)?;
-        match frame.0 {
-            FrameType::HealthReply => Ok(codec::decode_health_reply(&frame.1)?),
-            FrameType::Error => Err(self.remote_error(&frame.1)),
-            _ => Err(NetError::Protocol("expected HEALTH_REPLY or ERROR frame")),
-        }
+        let (ty, body, _) = self.exchange(FrameType::Health, &[], Some(timeout))?;
+        let expected = "expected HEALTH_REPLY or ERROR frame";
+        let body = reply_body(ty, body, FrameType::HealthReply, expected)?;
+        Ok(codec::decode_health_reply(&body)?)
     }
 
     /// A [`Canceller`] for this connection (a cloned socket handle), to
@@ -505,14 +496,10 @@ impl Client {
 
     /// Fetches the server's combined stats JSON line.
     pub fn stats_json(&mut self) -> Result<String, NetError> {
-        self.stream.set_read_timeout(None)?;
-        wire::write_frame(&mut self.stream, FrameType::Stats, &[])?;
-        let frame = self.recv()?;
-        match frame.0 {
-            FrameType::StatsReply => Ok(codec::decode_stats_reply(&frame.1)?),
-            FrameType::Error => Err(self.remote_error(&frame.1)),
-            _ => Err(NetError::Protocol("expected STATS_REPLY or ERROR frame")),
-        }
+        let (ty, body, _) = self.exchange(FrameType::Stats, &[], None)?;
+        let expected = "expected STATS_REPLY or ERROR frame";
+        let body = reply_body(ty, body, FrameType::StatsReply, expected)?;
+        Ok(codec::decode_stats_reply(&body)?)
     }
 
     /// Ships one partition of a base table to this shard (deploy-time
@@ -525,16 +512,10 @@ impl Client {
         timeout: Duration,
     ) -> Result<(ScatterAck, WireBytes), NetError> {
         let payload = codec::encode_scatter(req)?;
-        self.stream.set_read_timeout(Some(timeout))?;
-        let sent = wire::write_frame(&mut self.stream, FrameType::Scatter, &payload)?;
-        let frame = self.recv()?;
-        self.stream.set_read_timeout(None)?;
-        let wire = WireBytes::of(sent, frame.1.len());
-        match frame.0 {
-            FrameType::ScatterAck => Ok((codec::decode_scatter_ack(&frame.1)?, wire)),
-            FrameType::Error => Err(self.remote_error(&frame.1)),
-            _ => Err(NetError::Protocol("expected SCATTER_ACK or ERROR frame")),
-        }
+        let (ty, body, wire) = self.exchange(FrameType::Scatter, &payload, Some(timeout))?;
+        let expected = "expected SCATTER_ACK or ERROR frame";
+        let body = reply_body(ty, body, FrameType::ScatterAck, expected)?;
+        Ok((codec::decode_scatter_ack(&body)?, wire))
     }
 
     /// Runs one stateless semijoin step against this shard: filters the
@@ -547,16 +528,10 @@ impl Client {
         timeout: Duration,
     ) -> Result<(SemijoinAck, WireBytes), NetError> {
         let payload = codec::encode_semijoin(req)?;
-        self.stream.set_read_timeout(Some(timeout))?;
-        let sent = wire::write_frame(&mut self.stream, FrameType::Semijoin, &payload)?;
-        let frame = self.recv()?;
-        self.stream.set_read_timeout(None)?;
-        let wire = WireBytes::of(sent, frame.1.len());
-        match frame.0 {
-            FrameType::SemijoinAck => Ok((codec::decode_semijoin_ack(&frame.1)?, wire)),
-            FrameType::Error => Err(self.remote_error(&frame.1)),
-            _ => Err(NetError::Protocol("expected SEMIJOIN_ACK or ERROR frame")),
-        }
+        let (ty, body, wire) = self.exchange(FrameType::Semijoin, &payload, Some(timeout))?;
+        let expected = "expected SEMIJOIN_ACK or ERROR frame";
+        let body = reply_body(ty, body, FrameType::SemijoinAck, expected)?;
+        Ok((codec::decode_semijoin_ack(&body)?, wire))
     }
 
     /// Runs one query fragment on this shard through its admission
@@ -569,22 +544,18 @@ impl Client {
         req: &FragmentRequest,
     ) -> Result<(GatherReply, WireBytes), NetError> {
         let payload = codec::encode_fragment(req)?;
-        // Bound our own wait a bit past the shard's deadline so a dead
-        // shard cannot hang a deadline-scoped fragment forever.
-        let read_timeout = match req.deadline_millis {
+        let deadline = match req.deadline_millis {
             0 => None,
-            ms => Some(Duration::from_millis(ms) + Duration::from_secs(30)),
+            ms => Some(Duration::from_millis(ms)),
         };
-        self.stream.set_read_timeout(read_timeout)?;
-        let sent = wire::write_frame(&mut self.stream, FrameType::Fragment, &payload)?;
-        let frame = self.recv()?;
-        self.stream.set_read_timeout(None)?;
-        let wire = WireBytes::of(sent, frame.1.len());
-        match frame.0 {
-            FrameType::Gather => Ok((codec::decode_gather(&frame.1)?, wire)),
-            FrameType::Error => Err(self.remote_error(&frame.1)),
-            _ => Err(NetError::Protocol("expected GATHER or ERROR frame")),
-        }
+        let (ty, body, wire) = self.exchange(FrameType::Fragment, &payload, patience(deadline))?;
+        let body = reply_body(
+            ty,
+            body,
+            FrameType::Gather,
+            "expected GATHER or ERROR frame",
+        )?;
+        Ok((codec::decode_gather(&body)?, wire))
     }
 
     /// Executes one mutation (INSERT/UPDATE/DELETE) on the server, with
@@ -604,24 +575,33 @@ impl Client {
         mutation: &Mutation,
         deadline: Option<Duration>,
     ) -> Result<MutationReply, NetError> {
-        let deadline_millis = deadline.map(|d| (d.as_millis() as u64).max(1)).unwrap_or(0);
         let request = MutationRequest {
-            deadline_millis,
+            deadline_millis: deadline_millis(deadline),
             mutation: mutation.clone(),
         };
         let payload = codec::encode_mutation_request(&request)?;
-        // Bound our own wait a bit past the server's deadline so a dead
-        // server cannot hang a deadline-scoped call forever.
-        let read_timeout = deadline.map(|d| d + Duration::from_secs(30));
+        let (ty, body, _) = self.exchange(FrameType::Mutate, &payload, patience(deadline))?;
+        let expected = "expected MUTATE_REPLY or ERROR frame";
+        let body = reply_body(ty, body, FrameType::MutateReply, expected)?;
+        Ok(codec::decode_mutation_reply(&body)?)
+    }
+
+    /// One request/response round trip, the only place a request frame
+    /// is written: arm the read timeout (every reply read on this
+    /// connection happens under the timeout of the exchange it belongs
+    /// to), send the request, read the reply frame. Also reports the
+    /// exact wire bytes exchanged.
+    fn exchange(
+        &mut self,
+        ty: FrameType,
+        payload: &[u8],
+        read_timeout: Option<Duration>,
+    ) -> Result<(FrameType, Vec<u8>, WireBytes), NetError> {
         self.stream.set_read_timeout(read_timeout)?;
-        wire::write_frame(&mut self.stream, FrameType::Mutate, &payload)?;
-        let frame = self.recv()?;
-        self.stream.set_read_timeout(None)?;
-        match frame.0 {
-            FrameType::MutateReply => Ok(codec::decode_mutation_reply(&frame.1)?),
-            FrameType::Error => Err(self.remote_error(&frame.1)),
-            _ => Err(NetError::Protocol("expected MUTATE_REPLY or ERROR frame")),
-        }
+        let sent = wire::write_frame(&mut self.stream, ty, payload)?;
+        let (reply_ty, body) = self.recv()?;
+        let wire = WireBytes::of(sent, body.len());
+        Ok((reply_ty, body, wire))
     }
 
     fn recv(&mut self) -> Result<(FrameType, Vec<u8>), NetError> {
@@ -631,18 +611,63 @@ impl Client {
             Err(e) => Err(NetError::Wire(e)),
         }
     }
+}
 
-    fn remote_error(&self, payload: &[u8]) -> NetError {
-        match codec::decode_error(payload) {
-            Ok((code, message)) => NetError::Remote { code, message },
-            Err(e) => NetError::Codec(e),
-        }
+/// The wire form of an optional server-side deadline (`0` = none; a
+/// sub-millisecond deadline rounds up so it is not mistaken for none).
+fn deadline_millis(deadline: Option<Duration>) -> u64 {
+    deadline.map_or(0, |d| (d.as_millis() as u64).max(1))
+}
+
+/// How long to wait for a reply the server bounds by `deadline`: a bit
+/// past it, so a dead server cannot hang a deadline-scoped call
+/// forever.
+fn patience(deadline: Option<Duration>) -> Option<Duration> {
+    deadline.map(|d| d + Duration::from_secs(30))
+}
+
+/// The body of a reply frame of type `want`; an ERROR frame becomes the
+/// typed [`NetError::Remote`], anything else is a protocol violation
+/// described by `expected`.
+fn reply_body(
+    ty: FrameType,
+    body: Vec<u8>,
+    want: FrameType,
+    expected: &'static str,
+) -> Result<Vec<u8>, NetError> {
+    if ty == want {
+        Ok(body)
+    } else if ty == FrameType::Error {
+        let (code, message) = codec::decode_error(&body)?;
+        Err(NetError::Remote { code, message })
+    } else {
+        Err(NetError::Protocol(expected))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn replica_local_failures_are_transport_shed_drain_and_internal_only() {
+        let remote = |code| NetError::Remote {
+            code,
+            message: String::new(),
+        };
+        assert!(remote(ErrorCode::Shed).is_replica_local());
+        assert!(remote(ErrorCode::ShuttingDown).is_replica_local());
+        assert!(remote(ErrorCode::Internal).is_replica_local());
+        assert!(NetError::ConnectionClosed.is_replica_local());
+        assert!(
+            !remote(ErrorCode::QueryFailed).is_replica_local(),
+            "deterministic rejection"
+        );
+        assert!(
+            !remote(ErrorCode::DeadlineExceeded).is_replica_local(),
+            "the deadline is global"
+        );
+    }
 
     fn schedule(policy: &RetryPolicy, n: usize) -> Vec<Duration> {
         let mut state = splitmix64(policy.seed);

@@ -11,16 +11,23 @@
 //!   overrides, and result rows; total decoders — adversarial bytes
 //!   produce typed errors, never panics;
 //! * [`server`] — accept loop + per-connection handler threads with a
-//!   connection cap, per-request deadlines that **cancel** the query
-//!   server-side on expiry, mid-query CANCEL frames tearing execution
-//!   down, load shedding at the edge (`try_submit` → retryable SHED),
-//!   graceful drain, and a STATS request + periodic JSON log line over
-//!   server counters;
-//! * [`client`] — one blocking connection per [`Client`], with
-//!   [`NetError::is_retryable`] marking shed/drain replies, a
-//!   [`Canceller`] handle to abort an in-flight query from another
-//!   thread, and [`Client::query_with_retry`] — bounded retries with
-//!   exponential backoff and decorrelated jitter.
+//!   connection cap, and **one request lifecycle** for every frame
+//!   kind that queues work (QUERY, FRAGMENT, MUTATE): admit (count,
+//!   drain refusal, decode) → enqueue (`try_submit*` → retryable SHED
+//!   when full) → one wait loop watching the ticket, the deadline, and
+//!   the socket for CANCEL → success frame or one `RuntimeError` →
+//!   [`ErrorCode`] table. Deadlines **cancel** the work server-side on
+//!   expiry, as does a CANCEL frame or a vanished peer. Plus graceful
+//!   drain, and a STATS request + periodic JSON log line over server
+//!   counters;
+//! * [`client`] — one blocking connection per [`Client`], every request
+//!   one private `exchange` (arm timeout, write frame, read reply),
+//!   with [`NetError::is_retryable`] marking shed/drain replies,
+//!   [`NetError::is_replica_local`] — the one failover predicate
+//!   replica routers share —, a [`Canceller`] handle to abort an
+//!   in-flight request from another thread, and
+//!   [`Client::query_with_retry`] — bounded retries with exponential
+//!   backoff and decorrelated jitter.
 //!
 //! ```
 //! use fj_algebra::fixtures::{paper_catalog, paper_query};

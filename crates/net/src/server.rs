@@ -3,24 +3,30 @@
 //! [`fj_runtime::QueryService`] admission control, and reply with
 //! results or typed errors.
 //!
-//! Operational behaviour (see `DESIGN.md`, "Network service & wire
-//! protocol"):
+//! Every request takes one lifecycle, written once (see `DESIGN.md`,
+//! "Network service & wire protocol"): `admit` (count, drain refusal,
+//! decode) → the service's queue (`try_submit*`) → `await_reply` (the
+//! only wait loop) → the success frame, or `send_runtime_error` (the
+//! only `RuntimeError` → [`ErrorCode`] table). QUERY, FRAGMENT and
+//! MUTATE handlers are decode + submit + encode-success around those
+//! pieces; SCATTER and SEMIJOIN share `admit` and run inline.
 //!
 //! * **Load shedding** — `try_submit` maps a full submission queue to
 //!   a retryable [`ErrorCode::Shed`] reply instead of blocking the
 //!   connection handler, and the connection cap sheds the same way at
 //!   accept time;
 //! * **Deadlines** — a request's `deadline_millis` is measured from the
-//!   instant the request frame was decoded; expiry **tears the query
-//!   down**: the handler trips the query's interrupt with
+//!   instant its frame was received; expiry **tears the work down**:
+//!   the handler trips its interrupt with
 //!   [`fj_runtime::InterruptReason::Deadline`], the worker stops within
 //!   a bounded number of tuples, and the client gets
 //!   [`ErrorCode::DeadlineExceeded`];
 //! * **Cancellation** — a [`FrameType::Cancel`] frame received while a
-//!   query is in flight trips its interrupt with
+//!   request is in flight trips its interrupt with
 //!   [`fj_runtime::InterruptReason::Cancelled`]; the reply is an
-//!   [`ErrorCode::Cancelled`] error (or the result, if the query won
-//!   the race). A stale CANCEL between requests is a no-op;
+//!   [`ErrorCode::Cancelled`] error (or the result, if the work won
+//!   the race). A stale CANCEL between requests is a no-op. A peer
+//!   that closes its connection mid-flight cancels the same way;
 //! * **Graceful drain** — [`Server::shutdown`] stops the accept loop,
 //!   lets every handler finish the request it is serving (replies
 //!   included), then closes the worker pool. Accepted work is never
@@ -30,7 +36,7 @@ use crate::codec::{self, HealthSnapshot, HealthStatus};
 use crate::wire::{self, ErrorCode, Frame, FrameReader, FrameType, WireError};
 use fj_algebra::Catalog;
 use fj_optimizer::OptimizerConfig;
-use fj_runtime::{InterruptReason, QueryService, RuntimeError, ServiceConfig};
+use fj_runtime::{InterruptReason, QueryService, RuntimeError, ServiceConfig, Ticket};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -91,13 +97,19 @@ pub struct ServerStats {
     pub connections_active: usize,
     /// Connections refused by the connection cap.
     pub connections_shed: u64,
-    /// QUERY requests decoded.
+    /// Request frames received — QUERY, FRAGMENT, MUTATE, SCATTER and
+    /// SEMIJOIN — counted on arrival, before the drain check and the
+    /// decode (so refused and malformed ones are included).
     pub requests: u64,
-    /// RESULT frames sent.
+    /// Success replies to queued requests: RESULT, GATHER and
+    /// MUTATE_REPLY frames (acks to SCATTER/SEMIJOIN are not counted).
     pub results: u64,
-    /// QUERY requests refused with [`ErrorCode::Shed`] (queue full).
+    /// ERROR frames sent with [`ErrorCode::Shed`]: any queued request
+    /// kind refused by a full queue, plus connections refused by the
+    /// connection cap.
     pub sheds: u64,
-    /// QUERY requests that missed their deadline.
+    /// ERROR frames sent with [`ErrorCode::DeadlineExceeded`], for any
+    /// queued request kind.
     pub deadline_hits: u64,
     /// ERROR frames sent (all codes).
     pub errors_sent: u64,
@@ -144,7 +156,7 @@ impl Shared {
         }
     }
 
-    /// Whether new QUERY frames are refused with SHUTTING_DOWN.
+    /// Whether new request frames are refused with SHUTTING_DOWN.
     fn refusing_queries(&self) -> bool {
         self.draining.load(Ordering::SeqCst) || self.shutting_down.load(Ordering::SeqCst)
     }
@@ -345,7 +357,7 @@ impl Server {
         self.shared.service.checkpoint()
     }
 
-    /// Begins a **soft drain**: new QUERY frames are refused with a
+    /// Begins a **soft drain**: new request frames are refused with a
     /// typed, retryable [`ErrorCode::ShuttingDown`] so clients fail
     /// over, while queries already accepted finish with full replies.
     /// Unlike [`Server::shutdown`], the listener stays up and
@@ -470,34 +482,15 @@ fn stats_logger_loop(shared: &Shared, every: Duration) {
     }
 }
 
-/// Sends one frame, charging the byte counter; returns false when the
-/// peer is gone (handler should close).
-fn send_frame(stream: &mut TcpStream, shared: &Shared, ty: FrameType, payload: &[u8]) -> bool {
-    match wire::write_frame(stream, ty, payload) {
-        Ok(n) => {
-            shared
-                .counters
-                .bytes_out
-                .fetch_add(n as u64, Ordering::Relaxed);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-fn send_error(stream: &mut TcpStream, shared: &Shared, code: ErrorCode, message: &str) -> bool {
-    shared.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-    if code == ErrorCode::Shed {
-        shared.counters.sheds.fetch_add(1, Ordering::Relaxed);
-    }
-    if code == ErrorCode::DeadlineExceeded {
-        shared
-            .counters
-            .deadline_hits
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    let payload = codec::encode_error(code, message);
-    send_frame(stream, shared, FrameType::Error, &payload)
+/// One connection's handler state: the socket, its incremental frame
+/// reader, and whether the connection is still worth keeping — `open`
+/// goes false when the peer is gone (a write failed) or the protocol
+/// says to close, and the handler loop exits on it.
+struct Conn<'a> {
+    shared: &'a Shared,
+    stream: TcpStream,
+    reader: FrameReader,
+    open: bool,
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
@@ -507,22 +500,23 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
     if wire::server_handshake(&mut stream).is_err() {
         return;
     }
+    let mut conn = Conn {
+        shared,
+        stream,
+        reader: FrameReader::new(shared.max_frame_bytes),
+        open: true,
+    };
     if over_cap {
-        send_error(
-            &mut stream,
-            shared,
-            ErrorCode::Shed,
-            "connection limit reached; retry later",
-        );
-        return;
+        return conn.send_error(ErrorCode::Shed, "connection limit reached; retry later");
     }
     // Short poll timeout so the handler notices a drain promptly.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let _ = conn
+        .stream
+        .set_read_timeout(Some(Duration::from_millis(50)));
 
-    let mut reader = FrameReader::new(shared.max_frame_bytes);
     let mut drain_started: Option<Instant> = None;
-    loop {
-        let polled = reader.read_frame(&mut stream, |mid_frame| {
+    while conn.open {
+        let polled = conn.reader.read_frame(&mut conn.stream, |mid_frame| {
             if shared.aborting.load(Ordering::SeqCst) {
                 return true; // hard kill: drop the connection as-is
             }
@@ -541,22 +535,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
             Ok(Some(frame)) => frame,
             Ok(None) => return, // clean close or drain between frames
             Err(WireError::FrameTooLarge { len, max }) => {
-                send_error(
-                    &mut stream,
-                    shared,
-                    ErrorCode::FrameTooLarge,
-                    &format!("frame of {len} bytes exceeds cap of {max}"),
-                );
-                return;
+                let message = format!("frame of {len} bytes exceeds cap of {max}");
+                return conn.send_error(ErrorCode::FrameTooLarge, &message);
             }
             Err(WireError::UnknownFrameType(b)) => {
-                send_error(
-                    &mut stream,
-                    shared,
-                    ErrorCode::Malformed,
-                    &format!("unknown frame type 0x{b:02x}"),
-                );
-                return;
+                let message = format!("unknown frame type 0x{b:02x}");
+                return conn.send_error(ErrorCode::Malformed, &message);
             }
             Err(_) => return, // socket error or truncation: just close
         };
@@ -566,12 +550,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
             .fetch_add(frame.wire_bytes as u64, Ordering::Relaxed);
 
         match frame.ty {
-            FrameType::Query => {
-                if !handle_query(&mut stream, shared, &frame, &mut reader) {
-                    return;
-                }
-            }
-            // A CANCEL with no query in flight lost the race against
+            FrameType::Query => conn.handle_query(&frame),
+            FrameType::Fragment => conn.handle_fragment(&frame),
+            FrameType::Mutate => conn.handle_mutate(&frame),
+            FrameType::Scatter => conn.handle_scatter(&frame),
+            FrameType::Semijoin => conn.handle_semijoin(&frame),
+            // A CANCEL with no request in flight lost the race against
             // the reply; it is a harmless no-op.
             FrameType::Cancel => {}
             FrameType::Health => {
@@ -579,44 +563,15 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
                     .counters
                     .health_probes
                     .fetch_add(1, Ordering::Relaxed);
-                let payload = match codec::encode_health_reply(&shared.health()) {
-                    Ok(p) => p,
+                match codec::encode_health_reply(&shared.health()) {
+                    Ok(payload) => conn.send_frame(FrameType::HealthReply, &payload),
                     Err(_) => return,
-                };
-                if !send_frame(&mut stream, shared, FrameType::HealthReply, &payload) {
-                    return;
                 }
             }
-            FrameType::Stats => {
-                let json = shared.stats_json();
-                let payload = match codec::encode_stats_reply(&json) {
-                    Ok(p) => p,
-                    Err(_) => return,
-                };
-                if !send_frame(&mut stream, shared, FrameType::StatsReply, &payload) {
-                    return;
-                }
-            }
-            FrameType::Scatter => {
-                if !handle_scatter(&mut stream, shared, &frame) {
-                    return;
-                }
-            }
-            FrameType::Semijoin => {
-                if !handle_semijoin(&mut stream, shared, &frame) {
-                    return;
-                }
-            }
-            FrameType::Fragment => {
-                if !handle_fragment(&mut stream, shared, &frame, &mut reader) {
-                    return;
-                }
-            }
-            FrameType::Mutate => {
-                if !handle_mutate(&mut stream, shared, &frame, &mut reader) {
-                    return;
-                }
-            }
+            FrameType::Stats => match codec::encode_stats_reply(&shared.stats_json()) {
+                Ok(payload) => conn.send_frame(FrameType::StatsReply, &payload),
+                Err(_) => return,
+            },
             FrameType::Result
             | FrameType::StatsReply
             | FrameType::HealthReply
@@ -626,641 +581,427 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
             | FrameType::Gather
             | FrameType::MutateReply
             | FrameType::Error => {
-                send_error(
-                    &mut stream,
-                    shared,
-                    ErrorCode::Malformed,
-                    "response frame sent to server",
-                );
-                return;
+                return conn.send_error(ErrorCode::Malformed, "response frame sent to server");
             }
         }
     }
 }
 
-/// Serves one QUERY frame; returns false when the connection should
-/// close. While the query runs, the handler alternates polling the
-/// ticket with short reads on the socket, so a CANCEL frame tears the
-/// query down mid-flight and a deadline expiry cancels instead of
-/// leaking the worker.
-fn handle_query(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    frame: &Frame,
-    reader: &mut FrameReader,
-) -> bool {
-    let received = Instant::now();
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let request = match codec::decode_request(&frame.payload) {
-        Ok(req) => req,
-        Err(e) => {
-            return send_error(stream, shared, ErrorCode::Malformed, &e.to_string());
-        }
-    };
-    let config = request.config.unwrap_or(shared.default_config);
-    let deadline = match request.deadline_millis {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    };
+/// The words that differ between request kinds in error replies.
+struct Kind {
+    noun: &'static str,
+    deadline: &'static str,
+    cancelled: &'static str,
+}
 
-    // Soft drain: accepted work keeps running, but nothing new is
-    // admitted — a typed, retryable refusal sends clients elsewhere.
-    if shared.refusing_queries() {
-        return send_error(stream, shared, ErrorCode::ShuttingDown, "server draining");
+const QUERY: Kind = Kind {
+    noun: "query",
+    deadline: "deadline expired; query cancelled",
+    cancelled: "query cancelled",
+};
+
+const FRAGMENT: Kind = Kind {
+    noun: "fragment",
+    deadline: "deadline expired; fragment cancelled",
+    cancelled: "fragment cancelled",
+};
+
+const MUTATION: Kind = Kind {
+    noun: "mutation",
+    deadline: "deadline expired; mutation aborted without state change",
+    cancelled: "mutation cancelled; no state change",
+};
+
+/// How the wait for an in-flight request ended.
+enum Waited<T> {
+    Reply(Result<T, RuntimeError>),
+    DeadlineExpired,
+    ProtocolViolation,
+    /// The peer vanished, or the server was hard-killed: no reply can
+    /// or should be sent.
+    ConnectionGone,
+}
+
+impl Conn<'_> {
+    /// Sends one frame, charging the byte counter; a failed write means
+    /// the peer is gone.
+    fn send_frame(&mut self, ty: FrameType, payload: &[u8]) {
+        match wire::write_frame(&mut self.stream, ty, payload) {
+            Ok(n) => {
+                self.shared
+                    .counters
+                    .bytes_out
+                    .fetch_add(n as u64, Ordering::Relaxed);
+            }
+            Err(_) => self.open = false,
+        }
     }
 
-    let want_trace = request.want_trace;
-    let ticket = match shared
-        .service
-        .try_submit_with_options(request.query, config, want_trace)
-    {
-        Ok(t) => t,
-        Err(RuntimeError::QueueFull) => {
-            return send_error(
-                stream,
-                shared,
+    fn send_error(&mut self, code: ErrorCode, message: &str) {
+        let counters = &self.shared.counters;
+        counters.errors_sent.fetch_add(1, Ordering::Relaxed);
+        if code == ErrorCode::Shed {
+            counters.sheds.fetch_add(1, Ordering::Relaxed);
+        }
+        if code == ErrorCode::DeadlineExceeded {
+            counters.deadline_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        self.send_frame(FrameType::Error, &codec::encode_error(code, message));
+    }
+
+    /// Sends a success reply, or INTERNAL if it would not encode.
+    fn send_reply(&mut self, ty: FrameType, encoded: Result<Vec<u8>, codec::CodecError>) {
+        match encoded {
+            Ok(payload) => self.send_frame(ty, &payload),
+            Err(e) => self.send_error(ErrorCode::Internal, &e.to_string()),
+        }
+    }
+
+    /// [`Conn::send_reply`] for the frame that answers a queued
+    /// request, counted in [`ServerStats::results`].
+    fn send_result(&mut self, ty: FrameType, encoded: Result<Vec<u8>, codec::CodecError>) {
+        if encoded.is_ok() {
+            self.shared.counters.results.fetch_add(1, Ordering::Relaxed);
+        }
+        self.send_reply(ty, encoded);
+    }
+
+    /// The one `RuntimeError` → wire error table, for refused
+    /// submissions and failed outcomes of every request kind.
+    fn send_runtime_error(&mut self, kind: &Kind, error: RuntimeError) {
+        let noun = kind.noun;
+        let (code, message) = match error {
+            RuntimeError::QueueFull => (
                 ErrorCode::Shed,
-                "submission queue full; retry with backoff",
-            );
-        }
-        Err(RuntimeError::ShuttingDown) => {
-            return send_error(stream, shared, ErrorCode::ShuttingDown, "server draining");
-        }
-        Err(e) => {
-            return send_error(stream, shared, ErrorCode::Internal, &e.to_string());
-        }
-    };
-
-    // While the query is in flight the handler alternates ticket polls
-    // with socket reads; a short read timeout keeps each read pass from
-    // delaying result delivery by more than ~2ms.
-    enum Waited {
-        Reply(Box<Result<fj_core::QueryResult, RuntimeError>>),
-        DeadlineExpired,
-        ProtocolViolation,
-        PeerGone,
+                "submission queue full; retry with backoff".to_string(),
+            ),
+            RuntimeError::ShuttingDown => (ErrorCode::ShuttingDown, "server draining".to_string()),
+            RuntimeError::Interrupted(InterruptReason::Cancelled) => {
+                (ErrorCode::Cancelled, kind.cancelled.to_string())
+            }
+            RuntimeError::Interrupted(InterruptReason::Deadline)
+            | RuntimeError::DeadlineExceeded => {
+                (ErrorCode::DeadlineExceeded, kind.deadline.to_string())
+            }
+            RuntimeError::Interrupted(reason) => (
+                ErrorCode::QueryFailed,
+                format!("{noun} interrupted: {reason}"),
+            ),
+            RuntimeError::Query(e) => (ErrorCode::QueryFailed, e.to_string()),
+            RuntimeError::Storage(msg) => {
+                (ErrorCode::QueryFailed, format!("{noun} rejected: {msg}"))
+            }
+            RuntimeError::WorkerPanicked(msg) => {
+                (ErrorCode::Internal, format!("worker panicked: {msg}"))
+            }
+            e => (ErrorCode::Internal, e.to_string()),
+        };
+        self.send_error(code, &message);
     }
-    let interrupt = ticket.interrupt_handle();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(2)));
-    let waited = loop {
-        if shared.aborting.load(Ordering::SeqCst) {
-            // Hard kill mid-query: tear the query down and vanish
-            // without a reply, as a crashed process would.
-            interrupt.trip(InterruptReason::Cancelled);
-            return false;
+
+    /// The prologue every request handler shares: count the request,
+    /// refuse it while draining — accepted work keeps running, but
+    /// nothing new is admitted, and the typed, retryable refusal sends
+    /// clients elsewhere — then decode its payload. `None`: the
+    /// refusal has been sent and the handler is done.
+    fn admit<R>(
+        &mut self,
+        frame: &Frame,
+        decode: impl FnOnce(&[u8]) -> Result<R, codec::CodecError>,
+    ) -> Option<R> {
+        self.shared
+            .counters
+            .requests
+            .fetch_add(1, Ordering::Relaxed);
+        if self.shared.refusing_queries() {
+            self.send_error(ErrorCode::ShuttingDown, "server draining");
+            return None;
         }
-        if let Some(reply) = ticket.poll(Duration::from_millis(2)) {
-            break Waited::Reply(Box::new(reply));
+        match decode(&frame.payload) {
+            Ok(request) => Some(request),
+            Err(e) => {
+                self.send_error(ErrorCode::Malformed, &e.to_string());
+                None
+            }
         }
-        if let Some(d) = deadline {
-            if received.elapsed() >= d {
+    }
+
+    /// Waits for `ticket`'s reply, alternating 2 ms ticket polls with
+    /// bounded socket reads — a short read timeout keeps each read pass
+    /// from delaying result delivery by more than ~2ms — so a
+    /// mid-flight CANCEL frame trips the request's interrupt. The
+    /// deadline runs from `received`.
+    fn await_reply<T>(
+        &mut self,
+        ticket: &Ticket<T>,
+        deadline: Option<Duration>,
+        received: Instant,
+    ) -> Waited<T> {
+        let _ = self.stream.set_read_timeout(Some(Duration::from_millis(2)));
+        let waited = loop {
+            if self.shared.aborting.load(Ordering::SeqCst) {
+                break Waited::ConnectionGone;
+            }
+            if let Some(reply) = ticket.poll(Duration::from_millis(2)) {
+                break Waited::Reply(reply);
+            }
+            if deadline.is_some_and(|d| received.elapsed() >= d) {
                 break Waited::DeadlineExpired;
             }
-        }
-        // One bounded read pass looking for a mid-query CANCEL frame.
-        let mut passes = 0;
-        match reader.read_frame(stream, |_| {
-            passes += 1;
-            passes > 1
-        }) {
-            Ok(Some(f)) if f.ty == FrameType::Cancel => {
-                shared
-                    .counters
-                    .bytes_in
-                    .fetch_add(f.wire_bytes as u64, Ordering::Relaxed);
-                interrupt.trip(InterruptReason::Cancelled);
-            }
-            Ok(Some(_)) => break Waited::ProtocolViolation,
-            Ok(None) => {} // nothing (or only a partial frame) buffered
-            Err(_) => break Waited::PeerGone,
-        }
-    };
-    // Back to the between-requests poll cadence.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let outcome = match waited {
-        Waited::Reply(reply) => *reply,
-        Waited::DeadlineExpired => {
-            // Expiry cancels: the worker stops within a bounded number
-            // of tuples (its Interrupted reply goes to the dropped
-            // ticket), and the client hears immediately.
-            interrupt.trip(InterruptReason::Deadline);
-            return send_error(
-                stream,
-                shared,
-                ErrorCode::DeadlineExceeded,
-                "deadline expired; query cancelled",
-            );
-        }
-        Waited::ProtocolViolation => {
-            // Any other frame while a query is in flight is a protocol
-            // violation: tear the query down and close.
-            interrupt.trip(InterruptReason::Cancelled);
-            send_error(
-                stream,
-                shared,
-                ErrorCode::Malformed,
-                "only CANCEL may be sent while a query is in flight",
-            );
-            return false;
-        }
-        Waited::PeerGone => {
-            // Peer vanished mid-query: tear the query down too.
-            interrupt.trip(InterruptReason::Cancelled);
-            return false;
-        }
-    };
-    match outcome {
-        Ok(result) => match codec::encode_reply(&result) {
-            Ok(payload) => {
-                shared.counters.results.fetch_add(1, Ordering::Relaxed);
-                if !send_frame(stream, shared, FrameType::Result, &payload) {
-                    return false;
+            // One bounded read pass looking for a mid-flight CANCEL frame.
+            let mut passes = 0;
+            match self.reader.read_frame(&mut self.stream, |_| {
+                passes += 1;
+                passes > 1
+            }) {
+                Ok(Some(f)) if f.ty == FrameType::Cancel => {
+                    self.shared
+                        .counters
+                        .bytes_in
+                        .fetch_add(f.wire_bytes as u64, Ordering::Relaxed);
+                    ticket.cancel();
                 }
-                // The trace rides in its own frame after the RESULT so
-                // the result encoding stays byte-comparable across
-                // replicas whether or not tracing was requested.
-                match (want_trace, &result.trace) {
-                    (true, Some(trace)) => match codec::encode_trace_reply(trace) {
-                        Ok(tp) => send_frame(stream, shared, FrameType::TraceReply, &tp),
-                        Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
-                    },
-                    // A client that asked for a trace is waiting on a
-                    // second frame; never leave it hanging.
-                    (true, None) => {
-                        send_error(stream, shared, ErrorCode::Internal, "trace unavailable")
-                    }
-                    (false, _) => true,
-                }
-            }
-            Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
-        },
-        Err(RuntimeError::Interrupted(InterruptReason::Cancelled)) => {
-            send_error(stream, shared, ErrorCode::Cancelled, "query cancelled")
-        }
-        Err(RuntimeError::Interrupted(InterruptReason::Deadline))
-        | Err(RuntimeError::DeadlineExceeded) => send_error(
-            stream,
-            shared,
-            ErrorCode::DeadlineExceeded,
-            "deadline expired; query cancelled",
-        ),
-        Err(RuntimeError::Interrupted(reason)) => send_error(
-            stream,
-            shared,
-            ErrorCode::QueryFailed,
-            &format!("query interrupted: {reason}"),
-        ),
-        Err(RuntimeError::Query(e)) => {
-            send_error(stream, shared, ErrorCode::QueryFailed, &e.to_string())
-        }
-        Err(RuntimeError::WorkerPanicked(msg)) => send_error(
-            stream,
-            shared,
-            ErrorCode::Internal,
-            &format!("worker panicked: {msg}"),
-        ),
-        Err(RuntimeError::ShuttingDown) => {
-            send_error(stream, shared, ErrorCode::ShuttingDown, "server draining")
-        }
-        Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
-    }
-}
-
-/// Serves one SCATTER frame: installs a partition table into the
-/// shard's catalog (epoch bump invalidates the plan cache). Refused
-/// with a retryable SHUTTING_DOWN while draining, so a coordinator
-/// fails over to the partition's replica shard. Returns false when the
-/// connection should close.
-fn handle_scatter(stream: &mut TcpStream, shared: &Shared, frame: &Frame) -> bool {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    if shared.refusing_queries() {
-        return send_error(stream, shared, ErrorCode::ShuttingDown, "server draining");
-    }
-    let req = match codec::decode_scatter(&frame.payload) {
-        Ok(r) => r,
-        Err(e) => return send_error(stream, shared, ErrorCode::Malformed, &e.to_string()),
-    };
-    let bytes_stored: u64 = req.rows.iter().map(|t| t.wire_width() as u64).sum();
-    let rows_stored = req.rows.len() as u64;
-    let table = match fj_storage::Table::new(&req.table, (*req.schema).clone(), req.rows) {
-        Ok(t) => t,
-        Err(e) => {
-            return send_error(
-                stream,
-                shared,
-                ErrorCode::QueryFailed,
-                &format!("scatter rejected: {e}"),
-            )
-        }
-    };
-    let mut catalog = (*shared.service.catalog()).clone();
-    catalog.add_table(table.into_ref());
-    if let Err(e) = shared.service.try_install_catalog(catalog) {
-        return send_error(stream, shared, ErrorCode::Internal, &e.to_string());
-    }
-    shared
-        .service
-        .metrics_recorder()
-        .record_bytes_scattered(frame.payload.len() as u64);
-    let ack = codec::ScatterAck {
-        rows_stored,
-        bytes_stored,
-    };
-    match codec::encode_scatter_ack(&ack) {
-        Ok(payload) => send_frame(stream, shared, FrameType::ScatterAck, &payload),
-        Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
-    }
-}
-
-/// Serves one SEMIJOIN frame: filters a shard-resident table by the
-/// shipped key / Bloom sets and returns surviving rows and/or distinct
-/// keys. Stateless — the shard's stored partition is never mutated, so
-/// a coordinator can replay any step against a replica after failover.
-/// Returns false when the connection should close.
-fn handle_semijoin(stream: &mut TcpStream, shared: &Shared, frame: &Frame) -> bool {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    if shared.refusing_queries() {
-        return send_error(stream, shared, ErrorCode::ShuttingDown, "server draining");
-    }
-    let req = match codec::decode_semijoin(&frame.payload) {
-        Ok(r) => r,
-        Err(e) => return send_error(stream, shared, ErrorCode::Malformed, &e.to_string()),
-    };
-    let catalog = shared.service.catalog();
-    let table = match catalog.table(&req.table) {
-        Ok(t) => t,
-        Err(e) => return send_error(stream, shared, ErrorCode::QueryFailed, &e.to_string()),
-    };
-    let schema = table.schema();
-    let mut filter_cols = Vec::with_capacity(req.filters.len());
-    for (name, filter) in &req.filters {
-        match schema.resolve(name) {
-            Ok(i) => filter_cols.push((i, filter)),
-            Err(e) => return send_error(stream, shared, ErrorCode::QueryFailed, &e.to_string()),
-        }
-    }
-    let keys_col = match &req.keys_of {
-        None => None,
-        Some(name) => match schema.resolve(name) {
-            Ok(i) => Some(i),
-            Err(e) => return send_error(stream, shared, ErrorCode::QueryFailed, &e.to_string()),
-        },
-    };
-    let rows_before = table.rows().len() as u64;
-    let survivors: Vec<fj_storage::Tuple> = table
-        .rows()
-        .iter()
-        .filter(|row| filter_cols.iter().all(|(i, f)| f.contains(row.value(*i))))
-        .cloned()
-        .collect();
-    let rows_after = survivors.len() as u64;
-    let keys = keys_col.map(|i| {
-        let distinct: std::collections::BTreeSet<fj_storage::Value> =
-            survivors.iter().map(|r| r.value(i).clone()).collect();
-        distinct.into_iter().collect::<Vec<_>>()
-    });
-    let ack = codec::SemijoinAck {
-        rows_before,
-        rows_after,
-        rows: req.want_rows.then(|| (schema.clone(), survivors)),
-        keys,
-    };
-    let recorder = shared.service.metrics_recorder();
-    recorder.record_semijoin_sets(req.filters.len() as u64);
-    match codec::encode_semijoin_ack(&ack) {
-        Ok(payload) => {
-            recorder.record_bytes_gathered(payload.len() as u64);
-            send_frame(stream, shared, FrameType::SemijoinAck, &payload)
-        }
-        Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
-    }
-}
-
-/// Serves one FRAGMENT frame: the fragment query runs through the
-/// shard's query service — admission control, the governor, worker
-/// panics, and mid-flight CANCEL behave exactly as for QUERY frames —
-/// and the partial result returns as a GATHER frame. Returns false
-/// when the connection should close.
-fn handle_fragment(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    frame: &Frame,
-    reader: &mut FrameReader,
-) -> bool {
-    let received = Instant::now();
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    if shared.refusing_queries() {
-        return send_error(stream, shared, ErrorCode::ShuttingDown, "server draining");
-    }
-    let req = match codec::decode_fragment(&frame.payload) {
-        Ok(r) => r,
-        Err(e) => return send_error(stream, shared, ErrorCode::Malformed, &e.to_string()),
-    };
-    let deadline = match req.deadline_millis {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    };
-    let ticket =
-        match shared
-            .service
-            .try_submit_with_options(req.query, shared.default_config, false)
-        {
-            Ok(t) => t,
-            Err(RuntimeError::QueueFull) => {
-                return send_error(
-                    stream,
-                    shared,
-                    ErrorCode::Shed,
-                    "submission queue full; retry with backoff",
-                );
-            }
-            Err(RuntimeError::ShuttingDown) => {
-                return send_error(stream, shared, ErrorCode::ShuttingDown, "server draining");
-            }
-            Err(e) => {
-                return send_error(stream, shared, ErrorCode::Internal, &e.to_string());
+                Ok(Some(_)) => break Waited::ProtocolViolation,
+                // `read_frame` gave up before the stop condition ever
+                // fired: the read hit end-of-stream — the peer closed.
+                Ok(None) if passes < 2 => break Waited::ConnectionGone,
+                Ok(None) => {} // nothing (or only a partial frame) buffered
+                Err(_) => break Waited::ConnectionGone,
             }
         };
-
-    let interrupt = ticket.interrupt_handle();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(2)));
-    enum Waited {
-        Reply(Box<Result<fj_core::QueryResult, RuntimeError>>),
-        DeadlineExpired,
-        ProtocolViolation,
-        PeerGone,
+        // Back to the between-requests poll cadence.
+        let _ = self
+            .stream
+            .set_read_timeout(Some(Duration::from_millis(50)));
+        waited
     }
-    let waited = loop {
-        if shared.aborting.load(Ordering::SeqCst) {
-            interrupt.trip(InterruptReason::Cancelled);
-            return false;
-        }
-        if let Some(reply) = ticket.poll(Duration::from_millis(2)) {
-            break Waited::Reply(Box::new(reply));
-        }
-        if let Some(d) = deadline {
-            if received.elapsed() >= d {
-                break Waited::DeadlineExpired;
+
+    /// Takes an admitted request from submission to its outcome: maps
+    /// a refused submission, waits out the ticket, and answers every
+    /// non-success ending. `Some` is the value the handler still has to
+    /// encode; `None` means the request is over.
+    fn complete<T>(
+        &mut self,
+        kind: &Kind,
+        submitted: Result<Ticket<T>, RuntimeError>,
+        deadline_millis: u64,
+        received: Instant,
+    ) -> Option<T> {
+        let ticket = match submitted {
+            Ok(ticket) => ticket,
+            Err(e) => {
+                self.send_runtime_error(kind, e);
+                return None;
             }
-        }
-        let mut passes = 0;
-        match reader.read_frame(stream, |_| {
-            passes += 1;
-            passes > 1
-        }) {
-            Ok(Some(f)) if f.ty == FrameType::Cancel => {
-                shared
-                    .counters
-                    .bytes_in
-                    .fetch_add(f.wire_bytes as u64, Ordering::Relaxed);
+        };
+        let deadline = match deadline_millis {
+            0 => None,
+            ms => Some(Duration::from_millis(ms)),
+        };
+        let interrupt = ticket.interrupt_handle();
+        match self.await_reply(&ticket, deadline, received) {
+            Waited::Reply(Ok(value)) => return Some(value),
+            Waited::Reply(Err(e)) => self.send_runtime_error(kind, e),
+            Waited::DeadlineExpired => {
+                // Expiry cancels: the worker stops within a bounded
+                // number of tuples (its Interrupted reply goes to the
+                // dropped ticket), and the client hears immediately.
+                interrupt.trip(InterruptReason::Deadline);
+                self.send_runtime_error(kind, RuntimeError::DeadlineExceeded);
+            }
+            Waited::ProtocolViolation => {
+                // Any other frame while a request is in flight is a
+                // protocol violation: tear the work down and close.
                 interrupt.trip(InterruptReason::Cancelled);
+                let noun = kind.noun;
+                let message = format!("only CANCEL may be sent while a {noun} is in flight");
+                self.send_error(ErrorCode::Malformed, &message);
+                self.open = false;
             }
-            Ok(Some(_)) => break Waited::ProtocolViolation,
-            Ok(None) => {}
-            Err(_) => break Waited::PeerGone,
-        }
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let outcome = match waited {
-        Waited::Reply(reply) => *reply,
-        Waited::DeadlineExpired => {
-            interrupt.trip(InterruptReason::Deadline);
-            return send_error(
-                stream,
-                shared,
-                ErrorCode::DeadlineExceeded,
-                "deadline expired; fragment cancelled",
-            );
-        }
-        Waited::ProtocolViolation => {
-            interrupt.trip(InterruptReason::Cancelled);
-            send_error(
-                stream,
-                shared,
-                ErrorCode::Malformed,
-                "only CANCEL may be sent while a fragment is in flight",
-            );
-            return false;
-        }
-        Waited::PeerGone => {
-            interrupt.trip(InterruptReason::Cancelled);
-            return false;
-        }
-    };
-    match outcome {
-        Ok(result) => {
-            let reply = codec::GatherReply {
-                schema: result.schema,
-                rows: result.rows,
-                latency_micros: result.latency_micros,
-            };
-            match codec::encode_gather(&reply) {
-                Ok(payload) => {
-                    shared.counters.results.fetch_add(1, Ordering::Relaxed);
-                    let recorder = shared.service.metrics_recorder();
-                    recorder.record_fragment_served();
-                    recorder.record_bytes_gathered(payload.len() as u64);
-                    send_frame(stream, shared, FrameType::Gather, &payload)
-                }
-                Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
-            }
-        }
-        Err(RuntimeError::Interrupted(InterruptReason::Cancelled)) => {
-            send_error(stream, shared, ErrorCode::Cancelled, "fragment cancelled")
-        }
-        Err(RuntimeError::Interrupted(InterruptReason::Deadline))
-        | Err(RuntimeError::DeadlineExceeded) => send_error(
-            stream,
-            shared,
-            ErrorCode::DeadlineExceeded,
-            "deadline expired; fragment cancelled",
-        ),
-        Err(RuntimeError::Interrupted(reason)) => send_error(
-            stream,
-            shared,
-            ErrorCode::QueryFailed,
-            &format!("fragment interrupted: {reason}"),
-        ),
-        Err(RuntimeError::Query(e)) => {
-            send_error(stream, shared, ErrorCode::QueryFailed, &e.to_string())
-        }
-        Err(RuntimeError::WorkerPanicked(msg)) => send_error(
-            stream,
-            shared,
-            ErrorCode::Internal,
-            &format!("worker panicked: {msg}"),
-        ),
-        Err(RuntimeError::ShuttingDown) => {
-            send_error(stream, shared, ErrorCode::ShuttingDown, "server draining")
-        }
-        Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
-    }
-}
-
-/// Serves one MUTATE frame: the mutation runs through the service's
-/// mutation path — admission control, the governor, and mid-flight
-/// CANCEL behave exactly as for QUERY frames. A deadline expiry or
-/// CANCEL that wins the race against the WAL commit aborts the
-/// mutation with **no state change**; one that loses it gets the
-/// committed result. Returns false when the connection should close.
-fn handle_mutate(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    frame: &Frame,
-    reader: &mut FrameReader,
-) -> bool {
-    let received = Instant::now();
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    if shared.refusing_queries() {
-        return send_error(stream, shared, ErrorCode::ShuttingDown, "server draining");
-    }
-    let req = match codec::decode_mutation_request(&frame.payload) {
-        Ok(r) => r,
-        Err(e) => return send_error(stream, shared, ErrorCode::Malformed, &e.to_string()),
-    };
-    let deadline = match req.deadline_millis {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    };
-    let ticket = match shared.service.try_submit_mutation(req.mutation) {
-        Ok(t) => t,
-        Err(RuntimeError::QueueFull) => {
-            return send_error(
-                stream,
-                shared,
-                ErrorCode::Shed,
-                "submission queue full; retry with backoff",
-            );
-        }
-        Err(RuntimeError::ShuttingDown) => {
-            return send_error(stream, shared, ErrorCode::ShuttingDown, "server draining");
-        }
-        Err(e) => {
-            return send_error(stream, shared, ErrorCode::Internal, &e.to_string());
-        }
-    };
-
-    let interrupt = ticket.interrupt_handle();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(2)));
-    enum Waited {
-        Reply(Box<Result<fj_runtime::MutationStats, RuntimeError>>),
-        DeadlineExpired,
-        ProtocolViolation,
-        PeerGone,
-    }
-    let waited = loop {
-        if shared.aborting.load(Ordering::SeqCst) {
-            // Hard kill mid-mutation: trip the interrupt and vanish.
-            // Crash safety does the rest — either the commit fsync
-            // already happened (the mutation survives restart) or it
-            // did not (no trace of it survives).
-            interrupt.trip(InterruptReason::Cancelled);
-            return false;
-        }
-        if let Some(reply) = ticket.poll(Duration::from_millis(2)) {
-            break Waited::Reply(Box::new(reply));
-        }
-        if let Some(d) = deadline {
-            if received.elapsed() >= d {
-                break Waited::DeadlineExpired;
-            }
-        }
-        let mut passes = 0;
-        match reader.read_frame(stream, |_| {
-            passes += 1;
-            passes > 1
-        }) {
-            Ok(Some(f)) if f.ty == FrameType::Cancel => {
-                shared
-                    .counters
-                    .bytes_in
-                    .fetch_add(f.wire_bytes as u64, Ordering::Relaxed);
+            Waited::ConnectionGone => {
+                // Tear the work down and vanish without a reply, as a
+                // crashed process would. For a mutation, crash safety
+                // does the rest — either the commit fsync already
+                // happened (it survives restart) or it did not (no
+                // trace of it survives).
                 interrupt.trip(InterruptReason::Cancelled);
-            }
-            Ok(Some(_)) => break Waited::ProtocolViolation,
-            Ok(None) => {}
-            Err(_) => break Waited::PeerGone,
-        }
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let outcome = match waited {
-        Waited::Reply(reply) => *reply,
-        Waited::DeadlineExpired => {
-            interrupt.trip(InterruptReason::Deadline);
-            return send_error(
-                stream,
-                shared,
-                ErrorCode::DeadlineExceeded,
-                "deadline expired; mutation aborted without state change",
-            );
-        }
-        Waited::ProtocolViolation => {
-            interrupt.trip(InterruptReason::Cancelled);
-            send_error(
-                stream,
-                shared,
-                ErrorCode::Malformed,
-                "only CANCEL may be sent while a mutation is in flight",
-            );
-            return false;
-        }
-        Waited::PeerGone => {
-            interrupt.trip(InterruptReason::Cancelled);
-            return false;
-        }
-    };
-    match outcome {
-        Ok(stats) => {
-            let reply = codec::MutationReply {
-                rows_affected: stats.rows_affected,
-                row_count: stats.row_count,
-                version: stats.version,
-            };
-            match codec::encode_mutation_reply(&reply) {
-                Ok(payload) => {
-                    shared.counters.results.fetch_add(1, Ordering::Relaxed);
-                    send_frame(stream, shared, FrameType::MutateReply, &payload)
-                }
-                Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
+                self.open = false;
             }
         }
-        Err(RuntimeError::Interrupted(InterruptReason::Cancelled)) => send_error(
-            stream,
-            shared,
-            ErrorCode::Cancelled,
-            "mutation cancelled; no state change",
-        ),
-        Err(RuntimeError::Interrupted(InterruptReason::Deadline))
-        | Err(RuntimeError::DeadlineExceeded) => send_error(
-            stream,
-            shared,
-            ErrorCode::DeadlineExceeded,
-            "deadline expired; mutation aborted without state change",
-        ),
-        Err(RuntimeError::Interrupted(reason)) => send_error(
-            stream,
-            shared,
-            ErrorCode::QueryFailed,
-            &format!("mutation interrupted: {reason}"),
-        ),
-        Err(RuntimeError::Query(e)) => {
-            send_error(stream, shared, ErrorCode::QueryFailed, &e.to_string())
+        None
+    }
+
+    /// Serves one QUERY frame.
+    fn handle_query(&mut self, frame: &Frame) {
+        let received = Instant::now();
+        let Some(request) = self.admit(frame, codec::decode_request) else {
+            return;
+        };
+        let config = request.config.unwrap_or(self.shared.default_config);
+        let want_trace = request.want_trace;
+        let service = &self.shared.service;
+        let submitted = service.try_submit_with_options(request.query, config, want_trace);
+        let Some(result) = self.complete(&QUERY, submitted, request.deadline_millis, received)
+        else {
+            return;
+        };
+        let encoded = codec::encode_reply(&result);
+        let replied = encoded.is_ok();
+        self.send_result(FrameType::Result, encoded);
+        if !(want_trace && replied && self.open) {
+            return;
         }
-        Err(RuntimeError::Storage(msg)) => send_error(
-            stream,
-            shared,
-            ErrorCode::QueryFailed,
-            &format!("mutation rejected: {msg}"),
-        ),
-        Err(RuntimeError::WorkerPanicked(msg)) => send_error(
-            stream,
-            shared,
-            ErrorCode::Internal,
-            &format!("worker panicked: {msg}"),
-        ),
-        Err(RuntimeError::ShuttingDown) => {
-            send_error(stream, shared, ErrorCode::ShuttingDown, "server draining")
+        // The trace rides in its own frame after the RESULT so the
+        // result encoding stays byte-comparable across replicas
+        // whether or not tracing was requested.
+        match &result.trace {
+            Some(trace) => self.send_reply(FrameType::TraceReply, codec::encode_trace_reply(trace)),
+            // A client that asked for a trace is waiting on a second
+            // frame; never leave it hanging.
+            None => self.send_error(ErrorCode::Internal, "trace unavailable"),
         }
-        Err(e) => send_error(stream, shared, ErrorCode::Internal, &e.to_string()),
+    }
+
+    /// Serves one FRAGMENT frame: the fragment query runs through the
+    /// shard's query service — the same lifecycle as a QUERY frame —
+    /// and the partial result returns as a GATHER frame.
+    fn handle_fragment(&mut self, frame: &Frame) {
+        let received = Instant::now();
+        let Some(req) = self.admit(frame, codec::decode_fragment) else {
+            return;
+        };
+        let shared = self.shared;
+        let submitted =
+            shared
+                .service
+                .try_submit_with_options(req.query, shared.default_config, false);
+        let Some(result) = self.complete(&FRAGMENT, submitted, req.deadline_millis, received)
+        else {
+            return;
+        };
+        let encoded = codec::encode_gather(&codec::GatherReply {
+            schema: result.schema,
+            rows: result.rows,
+            latency_micros: result.latency_micros,
+        });
+        if let Ok(payload) = &encoded {
+            let recorder = shared.service.metrics_recorder();
+            recorder.record_fragment_served();
+            recorder.record_bytes_gathered(payload.len() as u64);
+        }
+        self.send_result(FrameType::Gather, encoded);
+    }
+
+    /// Serves one MUTATE frame through the service's mutation path —
+    /// the same lifecycle as a QUERY frame. A deadline expiry or CANCEL
+    /// that wins the race against the WAL commit aborts the mutation
+    /// with **no state change**; one that loses it gets the committed
+    /// result.
+    fn handle_mutate(&mut self, frame: &Frame) {
+        let received = Instant::now();
+        let Some(req) = self.admit(frame, codec::decode_mutation_request) else {
+            return;
+        };
+        let submitted = self.shared.service.try_submit_mutation(req.mutation);
+        let Some(stats) = self.complete(&MUTATION, submitted, req.deadline_millis, received) else {
+            return;
+        };
+        let reply = codec::MutationReply {
+            rows_affected: stats.rows_affected,
+            row_count: stats.row_count,
+            version: stats.version,
+        };
+        self.send_result(FrameType::MutateReply, codec::encode_mutation_reply(&reply));
+    }
+
+    /// Serves one SCATTER frame: installs a partition table into the
+    /// shard's catalog (epoch bump invalidates the plan cache). Refused
+    /// with a retryable SHUTTING_DOWN while draining, so a coordinator
+    /// fails over to the partition's replica shard.
+    fn handle_scatter(&mut self, frame: &Frame) {
+        let Some(req) = self.admit(frame, codec::decode_scatter) else {
+            return;
+        };
+        let service = &self.shared.service;
+        let bytes_stored: u64 = req.rows.iter().map(|t| t.wire_width() as u64).sum();
+        let rows_stored = req.rows.len() as u64;
+        let table = match fj_storage::Table::new(&req.table, (*req.schema).clone(), req.rows) {
+            Ok(t) => t,
+            Err(e) => {
+                let message = format!("scatter rejected: {e}");
+                return self.send_error(ErrorCode::QueryFailed, &message);
+            }
+        };
+        let mut catalog = (*service.catalog()).clone();
+        catalog.add_table(table.into_ref());
+        if let Err(e) = service.try_install_catalog(catalog) {
+            return self.send_error(ErrorCode::Internal, &e.to_string());
+        }
+        service
+            .metrics_recorder()
+            .record_bytes_scattered(frame.payload.len() as u64);
+        let ack = codec::ScatterAck {
+            rows_stored,
+            bytes_stored,
+        };
+        self.send_reply(FrameType::ScatterAck, codec::encode_scatter_ack(&ack));
+    }
+
+    /// Serves one SEMIJOIN frame: filters a shard-resident table by the
+    /// shipped key / Bloom sets and returns surviving rows and/or
+    /// distinct keys. Stateless — the shard's stored partition is never
+    /// mutated, so a coordinator can replay any step against a replica
+    /// after failover.
+    fn handle_semijoin(&mut self, frame: &Frame) {
+        let Some(req) = self.admit(frame, codec::decode_semijoin) else {
+            return;
+        };
+        let service = &self.shared.service;
+        let catalog = service.catalog();
+        let table = match catalog.table(&req.table) {
+            Ok(t) => t,
+            Err(e) => return self.send_error(ErrorCode::QueryFailed, &e.to_string()),
+        };
+        let schema = table.schema();
+        let mut filter_cols = Vec::with_capacity(req.filters.len());
+        for (name, filter) in &req.filters {
+            match schema.resolve(name) {
+                Ok(i) => filter_cols.push((i, filter)),
+                Err(e) => return self.send_error(ErrorCode::QueryFailed, &e.to_string()),
+            }
+        }
+        let keys_col = match &req.keys_of {
+            None => None,
+            Some(name) => match schema.resolve(name) {
+                Ok(i) => Some(i),
+                Err(e) => return self.send_error(ErrorCode::QueryFailed, &e.to_string()),
+            },
+        };
+        let rows_before = table.rows().len() as u64;
+        let survivors: Vec<fj_storage::Tuple> = table
+            .rows()
+            .iter()
+            .filter(|row| filter_cols.iter().all(|(i, f)| f.contains(row.value(*i))))
+            .cloned()
+            .collect();
+        let rows_after = survivors.len() as u64;
+        let keys = keys_col.map(|i| {
+            let distinct: std::collections::BTreeSet<fj_storage::Value> =
+                survivors.iter().map(|r| r.value(i).clone()).collect();
+            distinct.into_iter().collect::<Vec<_>>()
+        });
+        let ack = codec::SemijoinAck {
+            rows_before,
+            rows_after,
+            rows: req.want_rows.then(|| (schema.clone(), survivors)),
+            keys,
+        };
+        let recorder = service.metrics_recorder();
+        recorder.record_semijoin_sets(req.filters.len() as u64);
+        let encoded = codec::encode_semijoin_ack(&ack);
+        if let Ok(payload) = &encoded {
+            recorder.record_bytes_gathered(payload.len() as u64);
+        }
+        self.send_reply(FrameType::SemijoinAck, encoded);
     }
 }

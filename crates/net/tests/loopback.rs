@@ -61,9 +61,13 @@ fn big_catalog_and_query(rows: i64) -> (Catalog, JoinQuery) {
             .unwrap()
             .into_ref(),
     );
-    let q = JoinQuery::new(vec![FromItem::new("L", "A"), FromItem::new("R", "B")])
-        .with_predicate(col("A.k").eq(col("B.k")));
-    (cat, q)
+    (cat, big_query())
+}
+
+/// The equi-join over [`big_catalog_and_query`]'s two tables.
+fn big_query() -> JoinQuery {
+    JoinQuery::new(vec![FromItem::new("L", "A"), FromItem::new("R", "B")])
+        .with_predicate(col("A.k").eq(col("B.k")))
 }
 
 #[test]
@@ -131,179 +135,6 @@ fn per_request_config_override_changes_the_plan_not_the_rows() {
         sorted(override_reply.rows),
         "an optimizer override may change the plan but never the answer"
     );
-    server.shutdown();
-}
-
-#[test]
-fn queue_full_sheds_with_retryable_code_and_no_hang() {
-    let (cat, query) = big_catalog_and_query(1500);
-    let server = Server::bind(
-        "127.0.0.1:0",
-        cat,
-        ServerConfig {
-            service: ServiceConfig {
-                workers: 1,
-                queue_capacity: 1,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr();
-
-    let start = Instant::now();
-    let handles: Vec<_> = (0..8)
-        .map(|_| {
-            let query = query.clone();
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                match client.query(&query) {
-                    Ok(reply) => Ok(reply.rows.len()),
-                    Err(e) => Err(e),
-                }
-            })
-        })
-        .collect();
-    let mut oks = 0u32;
-    let mut sheds = 0u32;
-    for h in handles {
-        match h.join().unwrap() {
-            Ok(nrows) => {
-                assert!(nrows > 0);
-                oks += 1;
-            }
-            Err(NetError::Remote { code, .. }) => {
-                assert_eq!(code, ErrorCode::Shed, "only SHED is expected here");
-                sheds += 1;
-            }
-            Err(other) => panic!("unexpected client error: {other}"),
-        }
-    }
-    assert_eq!(oks + sheds, 8);
-    assert!(oks >= 1, "at least the first-in request must be served");
-    assert!(
-        sheds >= 1,
-        "8 slow queries against workers=1/queue=1 must shed at least one"
-    );
-    // Shed replies are immediate refusals, not timeouts: the whole
-    // burst must resolve in far less time than serving 8 queries
-    // serially would take.
-    assert!(
-        start.elapsed() < Duration::from_secs(60),
-        "shedding must not degrade into hanging"
-    );
-    let stats = server.stats();
-    assert_eq!(stats.sheds as u32, sheds);
-    assert!(server.stats_json().contains("\"sheds\":"));
-
-    // A shed client's NetError advertises retryability — and now that
-    // the burst is over, an actual retry succeeds.
-    let mut retry = Client::connect(addr).unwrap();
-    match retry.query(&query) {
-        Ok(reply) => assert!(!reply.rows.is_empty()),
-        Err(e) => assert!(e.is_retryable(), "SHED must be marked retryable: {e}"),
-    }
-    server.shutdown();
-}
-
-#[test]
-fn deadline_expiry_surfaces_without_poisoning_the_connection() {
-    let (cat, query) = big_catalog_and_query(2000);
-    let server = Server::bind(
-        "127.0.0.1:0",
-        cat,
-        ServerConfig {
-            service: ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-
-    // 1 ms against a query that takes orders of magnitude longer.
-    let err = client
-        .query_with(
-            &query,
-            &QueryOptions {
-                deadline: Some(Duration::from_millis(1)),
-                config: None,
-                want_trace: false,
-            },
-        )
-        .unwrap_err();
-    match &err {
-        NetError::Remote { code, .. } => assert_eq!(*code, ErrorCode::DeadlineExceeded),
-        other => panic!("expected DEADLINE, got {other}"),
-    }
-    assert!(
-        !err.is_retryable(),
-        "an expired deadline is the caller's budget, not server pushback"
-    );
-    assert!(server.stats().deadline_hits >= 1);
-
-    // The connection stays usable. The abandoned query was cancelled
-    // server-side (expiry trips its interrupt), so the worker is free
-    // and the retry without a deadline succeeds promptly.
-    let reply = client.query(&query).unwrap();
-    assert!(!reply.rows.is_empty());
-    assert!(
-        server.metrics().cancelled >= 1,
-        "deadline expiry must cancel the server-side query"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn cancel_frame_tears_down_the_server_side_query() {
-    let (cat, query) = big_catalog_and_query(3000);
-    let server = Server::bind(
-        "127.0.0.1:0",
-        cat,
-        ServerConfig {
-            service: ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-
-    // Fire the CANCEL from another thread while `query` blocks on the
-    // reply. The query may win the race on a fast run, so retry until
-    // one cancellation lands.
-    let mut cancelled = false;
-    for _ in 0..32 {
-        let mut canceller = client.canceller().unwrap();
-        let killer = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(5));
-            canceller.cancel().unwrap();
-        });
-        let outcome = client.query(&query);
-        killer.join().unwrap();
-        match outcome {
-            Err(NetError::Remote {
-                code: ErrorCode::Cancelled,
-                ..
-            }) => {
-                cancelled = true;
-                break;
-            }
-            Ok(reply) => assert!(!reply.rows.is_empty(), "a racing winner returns full rows"),
-            Err(other) => panic!("expected CANCELLED or a result, got {other}"),
-        }
-    }
-    assert!(cancelled, "32 attempts should land one mid-query CANCEL");
-    assert!(server.metrics().cancelled >= 1);
-
-    // The connection and the worker both survive the teardown.
-    let reply = client.query(&query).unwrap();
-    assert!(!reply.rows.is_empty());
     server.shutdown();
 }
 
@@ -818,4 +649,449 @@ fn mutate_on_an_unknown_table_is_a_typed_error_not_a_panic() {
     // The connection survives the refusal.
     assert!(!client.query(&paper_query()).unwrap().rows.is_empty());
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// The request lifecycle, as a table: every request kind that runs
+// through the worker queue × every way its wait can end.
+
+/// The three request kinds that run through the worker queue.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Query,
+    Fragment,
+    Mutate,
+}
+
+/// Every page read of a QUERY/FRAGMENT row stalls this long
+/// (`FaultPlan::with_stalls`), so a scan holds its worker for several
+/// of these and polls its interrupt between the two scans.
+const PAGE_STALL: Duration = Duration::from_millis(30);
+/// Every WAL fsync of a MUTATE row stalls this long
+/// (`FaultPlan::with_slow_fsync`). The fsync is past a mutation's last
+/// cancellation point, so a MUTATE is stalled *before* it by queueing
+/// it behind another mutation's commit (mutations serialize).
+const FSYNC_STALL: Duration = Duration::from_millis(300);
+/// Rows in the table MUTATE rows insert into.
+const MUTATE_ROWS: u64 = 50;
+
+impl Kind {
+    fn request_frame(self) -> fj_net::FrameType {
+        match self {
+            Kind::Query => fj_net::FrameType::Query,
+            Kind::Fragment => fj_net::FrameType::Fragment,
+            Kind::Mutate => fj_net::FrameType::Mutate,
+        }
+    }
+
+    fn reply_frame(self) -> fj_net::FrameType {
+        match self {
+            Kind::Query => fj_net::FrameType::Result,
+            Kind::Fragment => fj_net::FrameType::Gather,
+            Kind::Mutate => fj_net::FrameType::MutateReply,
+        }
+    }
+
+    /// The pinned error texts: (noun, deadline, cancelled).
+    fn texts(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Kind::Query => (
+                "query",
+                "deadline expired; query cancelled",
+                "query cancelled",
+            ),
+            Kind::Fragment => (
+                "fragment",
+                "deadline expired; fragment cancelled",
+                "fragment cancelled",
+            ),
+            Kind::Mutate => (
+                "mutation",
+                "deadline expired; mutation aborted without state change",
+                "mutation cancelled; no state change",
+            ),
+        }
+    }
+
+    fn insert() -> fj_net::Mutation {
+        fj_net::Mutation::Insert {
+            table: "L".to_string(),
+            rows: vec![vec![3i64.into(), 999i64.into()]],
+        }
+    }
+
+    /// One deadline-free request as a raw payload, for connections
+    /// that must not block on the reply.
+    fn request(self) -> Vec<u8> {
+        let query = big_query();
+        match self {
+            Kind::Query => fj_net::codec::encode_request(&fj_net::QueryRequest {
+                deadline_millis: 0,
+                want_trace: false,
+                config: None,
+                query,
+            }),
+            Kind::Fragment => fj_net::codec::encode_fragment(&fj_net::FragmentRequest {
+                deadline_millis: 0,
+                query,
+            }),
+            Kind::Mutate => fj_net::codec::encode_mutation_request(&fj_net::MutationRequest {
+                deadline_millis: 0,
+                mutation: Kind::insert(),
+            }),
+        }
+        .unwrap()
+    }
+
+    /// One request through the real client; `Ok` carries a mutation's
+    /// post-commit row count.
+    fn call(
+        self,
+        client: &mut Client,
+        deadline: Option<Duration>,
+    ) -> Result<Option<u64>, NetError> {
+        let query = big_query();
+        match self {
+            Kind::Query => {
+                let opts = QueryOptions {
+                    deadline,
+                    ..QueryOptions::default()
+                };
+                client.query_with(&query, &opts).map(|_| None)
+            }
+            Kind::Fragment => {
+                let deadline_millis = deadline.map_or(0, |d| d.as_millis() as u64);
+                let request = fj_net::FragmentRequest {
+                    deadline_millis,
+                    query,
+                };
+                client.fragment(&request).map(|_| None)
+            }
+            Kind::Mutate => client
+                .mutate_with(&Kind::insert(), deadline)
+                .map(|reply| Some(reply.row_count)),
+        }
+    }
+}
+
+/// Polls `cond` until it holds; panics after 30 s.
+fn eventually(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "never happened: {what}");
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn assert_remote(err: &NetError, code: ErrorCode, message: &str) {
+    match err {
+        NetError::Remote {
+            code: got_code,
+            message: got_message,
+        } => assert_eq!((*got_code, got_message.as_str()), (code, message)),
+        other => panic!("expected a typed server error, got {other}"),
+    }
+}
+
+/// A raw protocol connection: frames in, frames out, no client logic —
+/// for what the client cannot do (send without waiting, break the
+/// protocol, vanish mid-request).
+struct Raw {
+    stream: TcpStream,
+    reader: fj_net::wire::FrameReader,
+}
+
+impl Raw {
+    fn connect(server: &Server) -> Raw {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        fj_net::wire::client_handshake(&mut stream).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let reader = fj_net::wire::FrameReader::new(fj_net::wire::DEFAULT_MAX_FRAME_BYTES);
+        Raw { stream, reader }
+    }
+
+    fn send(&mut self, ty: fj_net::FrameType, payload: &[u8]) {
+        fj_net::wire::write_frame(&mut self.stream, ty, payload).unwrap();
+    }
+
+    /// The next frame; `None` once the server has closed.
+    fn recv(&mut self) -> Option<(fj_net::FrameType, Vec<u8>)> {
+        let started = Instant::now();
+        self.reader
+            .read_frame(&mut self.stream, |_| {
+                assert!(
+                    started.elapsed() < Duration::from_secs(30),
+                    "no frame in 30 s"
+                );
+                false
+            })
+            .unwrap()
+            .map(|f| (f.ty, f.payload))
+    }
+
+    fn expect_error(&mut self, code: ErrorCode, message: &str) {
+        let (ty, body) = self.recv().expect("an ERROR frame, not a close");
+        assert_eq!(ty, fj_net::FrameType::Error);
+        let (got_code, got_message) = fj_net::codec::decode_error(&body).unwrap();
+        assert_eq!((got_code, got_message.as_str()), (code, message));
+    }
+}
+
+/// Removes a scratch data directory when dropped.
+struct Scratch(std::path::PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One server set up so that requests of `kind` stall mid-flight.
+struct Lifecycle {
+    kind: Kind,
+    server: Server,
+    // Declared after `server`: dropped once the server has stopped.
+    _scratch: Option<Scratch>,
+}
+
+impl Lifecycle {
+    fn start(kind: Kind, workers: usize, queue_capacity: usize) -> Lifecycle {
+        use fj_runtime::{FaultPlan, StorageMode};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static DIRS: AtomicUsize = AtomicUsize::new(0);
+
+        let mut service = ServiceConfig {
+            workers,
+            queue_capacity,
+            ..ServiceConfig::default()
+        };
+        let (catalog, scratch) = if kind == Kind::Mutate {
+            let dir = std::env::temp_dir().join(format!(
+                "fj-net-lifecycle-{}-{}",
+                std::process::id(),
+                DIRS.fetch_add(1, Ordering::Relaxed)
+            ));
+            service.storage = StorageMode::Disk {
+                dir: dir.clone(),
+                pool_pages: 64,
+            };
+            service.fault_plan = Some(FaultPlan::new(1).with_slow_fsync(1, FSYNC_STALL).into());
+            // One table, so start-up pays for one slow load fsync.
+            let mut only_l = Catalog::new();
+            let both = big_catalog_and_query(MUTATE_ROWS as i64).0;
+            only_l.add_table(both.table("L").unwrap());
+            (only_l, Some(Scratch(dir)))
+        } else {
+            service.fault_plan = Some(FaultPlan::new(1).with_stalls(1, PAGE_STALL).into());
+            (big_catalog_and_query(600).0, None)
+        };
+        let config = ServerConfig {
+            service,
+            ..ServerConfig::default()
+        };
+        Lifecycle {
+            kind,
+            server: Server::bind("127.0.0.1:0", catalog, config).unwrap(),
+            _scratch: scratch,
+        }
+    }
+
+    fn client(&self) -> Client {
+        Client::connect(self.server.local_addr()).unwrap()
+    }
+
+    fn in_flight(&self) -> u64 {
+        self.server.health().in_flight
+    }
+
+    fn cancelled(&self) -> u64 {
+        self.server.metrics().cancelled
+    }
+
+    /// What makes the *next* request of this kind stall mid-flight. A
+    /// query stalls by itself, inside its page reads. A mutation needs
+    /// another one ahead of it: this puts one in flight (its slow
+    /// fsync holds the mutation lock) and returns its connection, to
+    /// be kept open.
+    fn occupy_ahead(&self) -> Option<Raw> {
+        (self.kind == Kind::Mutate).then(|| {
+            let mut ahead = Raw::connect(&self.server);
+            ahead.send(self.kind.request_frame(), &self.kind.request());
+            eventually("the mutation ahead is executing", || self.in_flight() == 1);
+            ahead
+        })
+    }
+
+    /// Returns once the request sent after [`Lifecycle::occupy_ahead`]
+    /// is executing (and cannot finish yet).
+    fn wait_stalled(&self, ahead: &Option<Raw>) {
+        let expected = 1 + u64::from(ahead.is_some());
+        eventually("the request is in flight", || self.in_flight() == expected);
+    }
+
+    /// The connection is still in protocol sync and the pool still has
+    /// a free worker: one more request succeeds. `ahead` mutations
+    /// committed before it; an interrupted one left no row behind.
+    fn serves_another(&self, client: &mut Client, ahead: u64) {
+        let row_count = self.kind.call(client, None).expect("served");
+        if let Some(rows) = row_count {
+            assert_eq!(rows, MUTATE_ROWS + ahead + 1);
+        }
+    }
+}
+
+fn cancel_mid_flight_is_cancelled(kind: Kind) {
+    let lc = Lifecycle::start(kind, 2, 64);
+    let mut client = lc.client();
+    let mut canceller = client.canceller().unwrap();
+    let ahead = lc.occupy_ahead();
+    let err = thread::scope(|scope| {
+        let call = scope.spawn(|| kind.call(&mut client, None));
+        lc.wait_stalled(&ahead);
+        canceller.cancel().unwrap();
+        call.join().unwrap().unwrap_err()
+    });
+    assert_remote(&err, ErrorCode::Cancelled, kind.texts().2);
+    assert_eq!(lc.cancelled(), 1);
+    lc.serves_another(&mut client, 1);
+}
+
+fn deadline_is_typed_and_leaves_the_connection_usable(kind: Kind) {
+    let lc = Lifecycle::start(kind, 2, 64);
+    let mut client = lc.client();
+    let _ahead = lc.occupy_ahead();
+    let err = kind
+        .call(&mut client, Some(Duration::from_millis(20)))
+        .unwrap_err();
+    assert_remote(&err, ErrorCode::DeadlineExceeded, kind.texts().1);
+    assert!(
+        !err.is_retryable(),
+        "an expired deadline is the caller's budget, not server pushback"
+    );
+    assert_eq!(lc.server.stats().deadline_hits, 1);
+    // Expiry tripped the abandoned work's interrupt; it stops at its
+    // next poll instead of running to completion.
+    eventually("the abandoned work is torn down", || lc.cancelled() == 1);
+    lc.serves_another(&mut client, 1);
+}
+
+fn second_request_mid_flight_is_a_protocol_violation(kind: Kind) {
+    let lc = Lifecycle::start(kind, 2, 64);
+    let mut conn = Raw::connect(&lc.server);
+    let ahead = lc.occupy_ahead();
+    conn.send(kind.request_frame(), &kind.request());
+    lc.wait_stalled(&ahead);
+    conn.send(kind.request_frame(), &kind.request());
+    let noun = kind.texts().0;
+    conn.expect_error(
+        ErrorCode::Malformed,
+        &format!("only CANCEL may be sent while a {noun} is in flight"),
+    );
+    assert!(conn.recv().is_none(), "the violator's connection is closed");
+    eventually("the in-flight work is torn down", || lc.cancelled() == 1);
+}
+
+fn peer_drop_mid_flight_tears_the_work_down(kind: Kind) {
+    let lc = Lifecycle::start(kind, 2, 64);
+    let mut conn = Raw::connect(&lc.server);
+    let ahead = lc.occupy_ahead();
+    conn.send(kind.request_frame(), &kind.request());
+    lc.wait_stalled(&ahead);
+    drop(conn);
+    eventually("the orphaned work is torn down", || lc.cancelled() == 1);
+    eventually("the workers are idle again", || lc.in_flight() == 0);
+    lc.serves_another(&mut lc.client(), 1);
+}
+
+fn draining_refuses_retryably(kind: Kind) {
+    let lc = Lifecycle::start(kind, 2, 64);
+    let mut client = lc.client();
+    lc.server.begin_drain();
+    let err = kind.call(&mut client, None).unwrap_err();
+    assert_remote(&err, ErrorCode::ShuttingDown, "server draining");
+    assert!(err.is_retryable());
+    assert_eq!(lc.in_flight(), 0, "nothing new is admitted");
+}
+
+fn full_queue_sheds_retryably(kind: Kind) {
+    let lc = Lifecycle::start(kind, 1, 1);
+    let mut running = Raw::connect(&lc.server);
+    running.send(kind.request_frame(), &kind.request());
+    eventually("the only worker is busy", || lc.in_flight() == 1);
+    let mut queued = Raw::connect(&lc.server);
+    queued.send(kind.request_frame(), &kind.request());
+    eventually("the queue is full", || lc.server.health().queued == 1);
+
+    // The refusal is immediate — it arrives while both accepted
+    // requests are still stalled — typed, and retryable.
+    let mut client = lc.client();
+    let err = kind.call(&mut client, None).unwrap_err();
+    assert_remote(
+        &err,
+        ErrorCode::Shed,
+        "submission queue full; retry with backoff",
+    );
+    assert!(err.is_retryable());
+    assert_eq!(lc.server.stats().sheds, 1);
+    assert!(lc.server.stats_json().contains("\"sheds\":1"));
+
+    // Accepted work is unaffected, and the retry succeeds once it is
+    // out of the way.
+    for conn in [&mut running, &mut queued] {
+        assert_eq!(conn.recv().unwrap().0, kind.reply_frame());
+    }
+    lc.serves_another(&mut client, 2);
+}
+
+#[test]
+fn every_queued_request_kind_shares_one_lifecycle() {
+    let cells: [fn(Kind); 6] = [
+        cancel_mid_flight_is_cancelled,
+        deadline_is_typed_and_leaves_the_connection_usable,
+        second_request_mid_flight_is_a_protocol_violation,
+        peer_drop_mid_flight_tears_the_work_down,
+        draining_refuses_retryably,
+        full_queue_sheds_retryably,
+    ];
+    // One thread per kind (named after it, so a failing cell reports
+    // its column; the line number gives the row).
+    thread::scope(|scope| {
+        for kind in [Kind::Query, Kind::Fragment, Kind::Mutate] {
+            thread::Builder::new()
+                .name(format!("{kind:?}"))
+                .spawn_scoped(scope, move || cells.iter().for_each(|cell| cell(kind)))
+                .unwrap();
+        }
+    });
+}
+
+#[test]
+fn a_draining_node_answers_shutting_down_before_it_decodes() {
+    // Drain is checked before the payload is looked at, for all five
+    // request kinds alike: a router must hear the retryable refusal
+    // (and fail over) whatever it sent, not a terminal MALFORMED.
+    let server = Server::bind("127.0.0.1:0", paper_catalog(), ServerConfig::default()).unwrap();
+    let mut conn = Raw::connect(&server);
+    let kinds = [
+        fj_net::FrameType::Query,
+        fj_net::FrameType::Fragment,
+        fj_net::FrameType::Mutate,
+        fj_net::FrameType::Scatter,
+        fj_net::FrameType::Semijoin,
+    ];
+    let garbage = [0xffu8; 3];
+    for ty in kinds {
+        conn.send(ty, &garbage);
+        let (reply, body) = conn.recv().expect("MALFORMED keeps the connection open");
+        assert_eq!(reply, fj_net::FrameType::Error);
+        let (code, _) = fj_net::codec::decode_error(&body).unwrap();
+        assert_eq!(code, ErrorCode::Malformed, "{ty:?} before the drain");
+    }
+    server.begin_drain();
+    for ty in kinds {
+        conn.send(ty, &garbage);
+        conn.expect_error(ErrorCode::ShuttingDown, "server draining");
+    }
 }

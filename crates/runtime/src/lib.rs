@@ -6,7 +6,8 @@
 //!
 //! * [`QueryService`] — a fixed-size worker pool draining a **bounded
 //!   submission queue**; a full queue blocks submitters (backpressure)
-//!   rather than buffering without limit.
+//!   rather than buffering without limit. Queries and mutations share
+//!   the queue, one generic [`Ticket`], and one job runner.
 //! * [`PlanCache`] — optimized plans keyed by the canonical
 //!   [`fj_optimizer::fingerprint`] of (catalog epoch, logical query,
 //!   optimizer config), with hit/miss accounting. Catalog mutations

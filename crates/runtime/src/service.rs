@@ -2,6 +2,13 @@
 //! submission queue, executing against an immutable shared catalog
 //! snapshot with a fingerprint-keyed plan cache.
 //!
+//! A request — query or mutation — has one lifecycle here: `enqueue`
+//! (the only way into the queue, behind every `submit*`/`try_submit*`)
+//! hands back a [`Ticket<T>`](Ticket), a worker pops the job, and
+//! `run_job` takes it to its reply — the queued-cancel check,
+//! `in_flight`, the panic guard, respawn-before-reply and the metrics
+//! exist once, for both kinds.
+//!
 //! Concurrency model (see `DESIGN.md`, "Runtime & concurrency model"):
 //!
 //! * the catalog snapshot is an `Arc<Catalog>` behind an `RwLock` — a
@@ -269,25 +276,25 @@ impl ServiceConfig {
 }
 
 /// One unit of work in the submission queue: a query or a mutation.
-/// Both kinds share the worker pool, the interrupt machinery, and the
-/// queue's admission control.
+/// Both kinds share the worker pool, the interrupt machinery, the
+/// queue's admission control, and one job runner ([`run_job`]).
 enum Job {
-    Query(QueryJob),
-    Mutation(MutationJob),
+    Query(Task<QuerySpec, QueryResult>),
+    Mutation(Task<Mutation, MutationStats>),
 }
 
-struct QueryJob {
+/// A queued request: what to do, the flag that stops it, and where
+/// the outcome goes.
+struct Task<W, T> {
+    work: W,
+    interrupt: Interrupt,
+    reply: mpsc::Sender<Result<T, RuntimeError>>,
+}
+
+struct QuerySpec {
     query: JoinQuery,
     config: OptimizerConfig,
     collect_trace: bool,
-    interrupt: Interrupt,
-    reply: mpsc::Sender<Result<QueryResult, RuntimeError>>,
-}
-
-struct MutationJob {
-    mutation: Mutation,
-    interrupt: Interrupt,
-    reply: mpsc::Sender<Result<MutationStats, RuntimeError>>,
 }
 
 /// What a committed mutation changed, as reported on its
@@ -350,122 +357,71 @@ struct SpillShared {
     broker: Arc<MemoryBroker>,
 }
 
-/// A pending query: redeem with [`Ticket::wait`], abort with
-/// [`Ticket::cancel`].
+/// A pending request — a query by default, a mutation as
+/// [`MutationTicket`]: redeem with [`Ticket::wait`], abort with
+/// [`Ticket::cancel`]. Both kinds run under the same interrupt
+/// machinery; for a mutation, an interrupt observed before the WAL
+/// commit fsync aborts it with **zero** persistent or in-memory
+/// effects, and one observed after it loses the race — the mutation
+/// commits normally and the ticket carries its result.
 #[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<QueryResult, RuntimeError>>,
+pub struct Ticket<T = QueryResult> {
+    rx: mpsc::Receiver<Result<T, RuntimeError>>,
     interrupt: Interrupt,
 }
 
-impl Ticket {
-    /// Cancels the query: trips its interrupt with
-    /// [`InterruptReason::Cancelled`]. If the query is still queued it
-    /// will never execute (the worker replies `Interrupted` on
+/// A pending mutation; see [`Ticket`].
+pub type MutationTicket = Ticket<MutationStats>;
+
+impl<T> Ticket<T> {
+    /// Cancels the request: trips its interrupt with
+    /// [`InterruptReason::Cancelled`]. If the request is still queued
+    /// it will never execute (the worker replies `Interrupted` on
     /// dequeue); if it is mid-execution it stops within a bounded
     /// number of tuples. Returns `true` if this call tripped the flag
-    /// first (`false` if the query was already interrupted for another
-    /// reason). The reply still arrives — `wait` after `cancel` returns
-    /// either the completed result (the query won the race) or
-    /// [`RuntimeError::Interrupted`], never both.
+    /// first (`false` if the request was already interrupted for
+    /// another reason). The reply still arrives — `wait` after `cancel`
+    /// returns either the completed result (the request won the race)
+    /// or [`RuntimeError::Interrupted`], never both.
     pub fn cancel(&self) -> bool {
         self.interrupt.trip(InterruptReason::Cancelled)
     }
 
-    /// A clone of the query's interrupt handle, for callers that need
-    /// to trip it from another thread or with a different reason (the
-    /// `fj-net` server trips [`InterruptReason::Deadline`] from its
-    /// connection handler).
+    /// A clone of the request's interrupt handle, for callers that
+    /// need to trip it from another thread or with a different reason
+    /// (the `fj-net` server trips [`InterruptReason::Deadline`] from
+    /// its connection handler).
     pub fn interrupt_handle(&self) -> Interrupt {
         self.interrupt.clone()
     }
 
-    /// Blocks until the worker finishes this query.
-    pub fn wait(self) -> Result<QueryResult, RuntimeError> {
+    /// Blocks until the worker finishes this request.
+    pub fn wait(self) -> Result<T, RuntimeError> {
         self.rx.recv().unwrap_or(Err(RuntimeError::WorkerLost))
     }
 
-    /// Blocks at most `timeout` for the worker to finish this query.
+    /// Blocks at most `timeout` for the worker to finish this request.
     ///
-    /// Expiry **cancels the query**: the interrupt trips with
+    /// Expiry **cancels the request**: the interrupt trips with
     /// [`InterruptReason::Deadline`], so an abandoned query stops
-    /// within a bounded number of tuples and its worker frees up —
-    /// the wait is never a leak. The caller gets
+    /// within a bounded number of tuples (an abandoned uncommitted
+    /// mutation aborts cleanly) and its worker frees up — the wait is
+    /// never a leak. The caller gets
     /// [`RuntimeError::DeadlineExceeded`] immediately; the worker's
     /// own `Interrupted` reply goes to the dropped channel.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<QueryResult, RuntimeError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(reply) => reply,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.interrupt.trip(InterruptReason::Deadline);
-                Err(RuntimeError::DeadlineExceeded)
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RuntimeError::WorkerLost),
-        }
+    pub fn wait_timeout(self, timeout: Duration) -> Result<T, RuntimeError> {
+        self.poll(timeout).unwrap_or_else(|| {
+            self.interrupt.trip(InterruptReason::Deadline);
+            Err(RuntimeError::DeadlineExceeded)
+        })
     }
 
     /// Non-consuming poll: waits at most `timeout` for the reply.
-    /// `None` means the query is still running (the ticket remains
+    /// `None` means the request is still running (the ticket remains
     /// redeemable) — the primitive for callers that interleave waiting
     /// with other work, like the `fj-net` connection handler watching
     /// for CANCEL frames.
-    pub fn poll(&self, timeout: Duration) -> Option<Result<QueryResult, RuntimeError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(reply) => Some(reply),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(RuntimeError::WorkerLost)),
-        }
-    }
-}
-
-/// A pending mutation: redeem with [`MutationTicket::wait`], abort
-/// with [`MutationTicket::cancel`]. The same interrupt machinery as
-/// query [`Ticket`]s: a cancellation observed before the WAL commit
-/// fsync aborts the mutation with **zero** persistent or in-memory
-/// effects; one observed after commits normally.
-#[derive(Debug)]
-pub struct MutationTicket {
-    rx: mpsc::Receiver<Result<MutationStats, RuntimeError>>,
-    interrupt: Interrupt,
-}
-
-impl MutationTicket {
-    /// Trips the mutation's interrupt with
-    /// [`InterruptReason::Cancelled`]. If the commit fsync has not
-    /// happened yet the mutation aborts and leaves no partial state;
-    /// otherwise it completes and `wait` returns the result.
-    pub fn cancel(&self) -> bool {
-        self.interrupt.trip(InterruptReason::Cancelled)
-    }
-
-    /// A clone of the mutation's interrupt handle (the `fj-net` server
-    /// trips [`InterruptReason::Deadline`] from its connection
-    /// handler).
-    pub fn interrupt_handle(&self) -> Interrupt {
-        self.interrupt.clone()
-    }
-
-    /// Blocks until the worker finishes this mutation.
-    pub fn wait(self) -> Result<MutationStats, RuntimeError> {
-        self.rx.recv().unwrap_or(Err(RuntimeError::WorkerLost))
-    }
-
-    /// Blocks at most `timeout`; expiry trips
-    /// [`InterruptReason::Deadline`], so an abandoned uncommitted
-    /// mutation aborts cleanly instead of leaking.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<MutationStats, RuntimeError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(reply) => reply,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.interrupt.trip(InterruptReason::Deadline);
-                Err(RuntimeError::DeadlineExceeded)
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RuntimeError::WorkerLost),
-        }
-    }
-
-    /// Non-consuming poll; `None` means still running.
-    pub fn poll(&self, timeout: Duration) -> Option<Result<MutationStats, RuntimeError>> {
+    pub fn poll(&self, timeout: Duration) -> Option<Result<T, RuntimeError>> {
         match self.rx.recv_timeout(timeout) {
             Ok(reply) => Some(reply),
             Err(mpsc::RecvTimeoutError::Timeout) => None,
@@ -657,19 +613,15 @@ impl QueryService {
         config: OptimizerConfig,
         collect_trace: bool,
     ) -> Result<Ticket, RuntimeError> {
-        let (tx, rx) = mpsc::channel();
-        let interrupt = Interrupt::new();
-        let job = Job::Query(QueryJob {
-            query,
-            config,
-            collect_trace,
-            interrupt: interrupt.clone(),
-            reply: tx,
-        });
-        match self.shared.queue.push(job) {
-            Ok(()) => Ok(Ticket { rx, interrupt }),
-            Err(_) => Err(RuntimeError::ShuttingDown),
-        }
+        self.enqueue(
+            Job::Query,
+            QuerySpec {
+                query,
+                config,
+                collect_trace,
+            },
+            true,
+        )
     }
 
     /// Non-blocking submit: fails with [`RuntimeError::QueueFull`]
@@ -698,16 +650,39 @@ impl QueryService {
         config: OptimizerConfig,
         collect_trace: bool,
     ) -> Result<Ticket, RuntimeError> {
-        let (tx, rx) = mpsc::channel();
+        self.enqueue(
+            Job::Query,
+            QuerySpec {
+                query,
+                config,
+                collect_trace,
+            },
+            false,
+        )
+    }
+
+    /// The one way into the submission queue, behind every `submit*`
+    /// (`block`: wait for room — the backpressure) and `try_submit*`
+    /// (fail with [`RuntimeError::QueueFull`] instead).
+    fn enqueue<W, T>(
+        &self,
+        into_job: fn(Task<W, T>) -> Job,
+        work: W,
+        block: bool,
+    ) -> Result<Ticket<T>, RuntimeError> {
+        let (reply, rx) = mpsc::channel();
         let interrupt = Interrupt::new();
-        let job = Job::Query(QueryJob {
-            query,
-            config,
-            collect_trace,
+        let job = into_job(Task {
+            work,
             interrupt: interrupt.clone(),
-            reply: tx,
+            reply,
         });
-        match self.shared.queue.try_push(job) {
+        let pushed = if block {
+            self.shared.queue.push(job)
+        } else {
+            self.shared.queue.try_push(job)
+        };
+        match pushed {
             Ok(()) => Ok(Ticket { rx, interrupt }),
             Err(PushError::Full) => Err(RuntimeError::QueueFull),
             Err(PushError::Closed) => Err(RuntimeError::ShuttingDown),
@@ -727,35 +702,14 @@ impl QueryService {
     /// [`relation_version`](Catalog::relation_version) while every
     /// other cached plan stays warm.
     pub fn submit_mutation(&self, mutation: Mutation) -> Result<MutationTicket, RuntimeError> {
-        let (tx, rx) = mpsc::channel();
-        let interrupt = Interrupt::new();
-        let job = Job::Mutation(MutationJob {
-            mutation,
-            interrupt: interrupt.clone(),
-            reply: tx,
-        });
-        match self.shared.queue.push(job) {
-            Ok(()) => Ok(MutationTicket { rx, interrupt }),
-            Err(_) => Err(RuntimeError::ShuttingDown),
-        }
+        self.enqueue(Job::Mutation, mutation, true)
     }
 
     /// Non-blocking mutation submit: fails with
     /// [`RuntimeError::QueueFull`] instead of applying backpressure —
     /// the admission-control path the network front end uses.
     pub fn try_submit_mutation(&self, mutation: Mutation) -> Result<MutationTicket, RuntimeError> {
-        let (tx, rx) = mpsc::channel();
-        let interrupt = Interrupt::new();
-        let job = Job::Mutation(MutationJob {
-            mutation,
-            interrupt: interrupt.clone(),
-            reply: tx,
-        });
-        match self.shared.queue.try_push(job) {
-            Ok(()) => Ok(MutationTicket { rx, interrupt }),
-            Err(PushError::Full) => Err(RuntimeError::QueueFull),
-            Err(PushError::Closed) => Err(RuntimeError::ShuttingDown),
-        }
+        self.enqueue(Job::Mutation, mutation, false)
     }
 
     /// Submit + wait for a mutation: the synchronous convenience path.
@@ -1005,8 +959,12 @@ fn spawn_worker(shared: &Arc<Shared>, name: String) {
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         let keep_going = match job {
-            Job::Query(job) => run_query_job(shared, job),
-            Job::Mutation(job) => run_mutation_job(shared, job),
+            Job::Query(task) => run_job(shared, task, execute_query, |result, latency| {
+                result.latency_micros = latency.as_micros() as u64;
+            }),
+            Job::Mutation(task) => run_job(shared, task, apply_mutation, |_, _| {
+                shared.mutations_applied.fetch_add(1, Ordering::Relaxed);
+            }),
         };
         if !keep_going {
             // This worker's stack may be poisoned by whatever
@@ -1016,35 +974,44 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn run_query_job(shared: &Arc<Shared>, job: QueryJob) -> bool {
-    // Cancelled while still queued: report without ever executing.
-    if let Some(reason) = job.interrupt.tripped() {
+/// Runs one dequeued job of either kind to its reply: `exec` does the
+/// work, `on_ok` finishes a successful outcome with its measured
+/// latency. Returns `false` when `exec` panicked and this worker must
+/// exit in favour of its replacement.
+fn run_job<W, T>(
+    shared: &Arc<Shared>,
+    task: Task<W, T>,
+    exec: fn(&Shared, &W, &Interrupt) -> Result<T, RuntimeError>,
+    on_ok: impl FnOnce(&mut T, Duration),
+) -> bool {
+    // Cancelled while still queued: report without ever executing (a
+    // mutation never touches any state).
+    if let Some(reason) = task.interrupt.tripped() {
         shared.metrics.record_interrupt(reason);
         shared.metrics.record(Duration::ZERO, false);
-        let _ = job.reply.send(Err(RuntimeError::Interrupted(reason)));
+        let _ = task.reply.send(Err(RuntimeError::Interrupted(reason)));
         return true;
     }
     shared.in_flight.fetch_add(1, Ordering::Relaxed);
     let t0 = Instant::now();
     // Self-healing: a panic inside the engine is caught, reported
-    // on this query's ticket, and answered by respawning a
+    // on this job's ticket, and answered by respawning a
     // replacement worker so pool capacity never degrades.
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_job(shared, &job)));
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        exec(shared, &task.work, &task.interrupt)
+    }));
     let latency = t0.elapsed();
     shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     match outcome {
-        Ok(result) => {
+        Ok(mut result) => {
             shared.metrics.record(latency, result.is_ok());
-            if let Err(RuntimeError::Interrupted(reason)) = &result {
-                shared.metrics.record_interrupt(*reason);
+            match &mut result {
+                Ok(value) => on_ok(value, latency),
+                Err(RuntimeError::Interrupted(reason)) => shared.metrics.record_interrupt(*reason),
+                Err(_) => {}
             }
-            let result = result.map(|mut r| {
-                r.latency_micros = latency.as_micros() as u64;
-                r
-            });
             // A dropped ticket just means the submitter stopped caring.
-            let _ = job.reply.send(result);
+            let _ = task.reply.send(result);
             true
         }
         Err(payload) => {
@@ -1056,46 +1023,7 @@ fn run_query_job(shared: &Arc<Shared>, job: QueryJob) -> bool {
             shared.metrics.record_worker_replaced();
             let id = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
             spawn_worker(shared, format!("fj-worker-{id}"));
-            let _ = job.reply.send(Err(RuntimeError::WorkerPanicked(msg)));
-            false
-        }
-    }
-}
-
-fn run_mutation_job(shared: &Arc<Shared>, job: MutationJob) -> bool {
-    // Cancelled while still queued: never touches any state.
-    if let Some(reason) = job.interrupt.tripped() {
-        shared.metrics.record_interrupt(reason);
-        shared.metrics.record(Duration::ZERO, false);
-        let _ = job.reply.send(Err(RuntimeError::Interrupted(reason)));
-        return true;
-    }
-    shared.in_flight.fetch_add(1, Ordering::Relaxed);
-    let t0 = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        apply_mutation(shared, &job)
-    }));
-    let latency = t0.elapsed();
-    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-    match outcome {
-        Ok(result) => {
-            shared.metrics.record(latency, result.is_ok());
-            if result.is_ok() {
-                shared.mutations_applied.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Err(RuntimeError::Interrupted(reason)) = &result {
-                shared.metrics.record_interrupt(*reason);
-            }
-            let _ = job.reply.send(result);
-            true
-        }
-        Err(payload) => {
-            shared.metrics.record(latency, false);
-            let msg = panic_message(payload.as_ref());
-            shared.metrics.record_worker_replaced();
-            let id = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
-            spawn_worker(shared, format!("fj-worker-{id}"));
-            let _ = job.reply.send(Err(RuntimeError::WorkerPanicked(msg)));
+            let _ = task.reply.send(Err(RuntimeError::WorkerPanicked(msg)));
             false
         }
     }
@@ -1115,9 +1043,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Optimize (through the cache) + execute one query against the current
 /// snapshot. Mirrors `Database::execute_with_config`, with the catalog
 /// shared instead of cloned per call.
-fn execute_job(shared: &Shared, job: &QueryJob) -> Result<QueryResult, RuntimeError> {
-    let query = &job.query;
-    let config = job.config;
+fn execute_query(
+    shared: &Shared,
+    spec: &QuerySpec,
+    interrupt: &Interrupt,
+) -> Result<QueryResult, RuntimeError> {
+    let query = &spec.query;
+    let config = spec.config;
     let catalog = shared.snapshot();
     let key = fingerprint(&catalog, query, &config);
     let (plan, cache_hit) = match shared.cache.get(key) {
@@ -1132,7 +1064,7 @@ fn execute_job(shared: &Shared, job: &QueryJob) -> Result<QueryResult, RuntimeEr
     let mut ctx = ExecCtx::new(catalog)
         .with_memory_pages(shared.cfg.memory_pages)
         .with_threads(shared.cfg.intra_query_threads)
-        .with_interrupt(job.interrupt.clone());
+        .with_interrupt(interrupt.clone());
     if let Some(rows) = shared.cfg.row_budget {
         ctx = ctx.with_row_budget(rows);
     }
@@ -1155,7 +1087,7 @@ fn execute_job(shared: &Shared, job: &QueryJob) -> Result<QueryResult, RuntimeEr
             (stats.pool_hits, stats.pool_misses)
         }));
     }
-    let collector = job.collect_trace.then(|| Arc::new(TraceCollector::new()));
+    let collector = spec.collect_trace.then(|| Arc::new(TraceCollector::new()));
     if let Some(c) = &collector {
         ctx = ctx.with_tracer(Arc::clone(c));
     }
@@ -1204,31 +1136,28 @@ fn execute_job(shared: &Shared, job: &QueryJob) -> Result<QueryResult, RuntimeEr
 /// into the live catalog via [`Catalog::replace_table`]. The plan
 /// cache is *not* cleared: the mutated relation's bumped version
 /// already invalidates exactly the plans that read it.
-fn apply_mutation(shared: &Shared, job: &MutationJob) -> Result<MutationStats, RuntimeError> {
+fn apply_mutation(
+    shared: &Shared,
+    mutation: &Mutation,
+    interrupt: &Interrupt,
+) -> Result<MutationStats, RuntimeError> {
     // Serialize mutations: the read→apply→install window must not
     // interleave with another mutation's (lost-update hazard).
     let _serialize = shared
         .mutation_lock
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    let mutation = &job.mutation;
     let name = mutation.table();
-    let interrupt = job.interrupt.clone();
-    let cancelled = move || interrupt.tripped().is_some();
-    let interrupted = |job: &MutationJob| {
-        RuntimeError::Interrupted(
-            job.interrupt
-                .tripped()
-                .unwrap_or(InterruptReason::Cancelled),
-        )
-    };
+    let cancelled = || interrupt.tripped().is_some();
+    let interrupted =
+        || RuntimeError::Interrupted(interrupt.tripped().unwrap_or(InterruptReason::Cancelled));
 
     match &shared.store {
         Some(store) => {
             // Disk mode: the store's WAL commit is the atomic point. A
             // cancellation before it leaves zero state anywhere.
             let result = store.mutate(mutation, &cancelled).map_err(|e| match e {
-                StoreError::Cancelled => interrupted(job),
+                StoreError::Cancelled => interrupted(),
                 other => RuntimeError::Storage(other.to_string()),
             })?;
             let (schema, rows) = store
@@ -1254,7 +1183,7 @@ fn apply_mutation(shared: &Shared, job: &MutationJob) -> Result<MutationStats, R
                 RuntimeError::Storage(format!("{} on '{name}': {e}", mutation.verb()))
             })?;
             if cancelled() {
-                return Err(interrupted(job));
+                return Err(interrupted());
             }
             let row_count = rows.len() as u64;
             let version =
