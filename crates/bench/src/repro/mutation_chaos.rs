@@ -624,7 +624,8 @@ fn storm(
     let health_mutations = direct
         .health(Duration::from_secs(5))
         .expect("health after storm")
-        .mutations_applied;
+        .get("mutations_applied")
+        .expect("HEALTH carries mutations_applied");
 
     let cache_hits = server.metrics().cache_hits;
     let store_stats = server.store_stats();

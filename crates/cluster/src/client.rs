@@ -25,7 +25,7 @@ use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::{ClusterConfig, ClusterConfigError};
 use fj_algebra::JoinQuery;
 use fj_net::client::{Canceller, Client, QueryOptions};
-use fj_net::{ErrorCode, HealthStatus, NetError, QueryReply, RetryBudget};
+use fj_net::{json, ErrorCode, HealthStatus, NetError, QueryReply, RetryBudget};
 use fj_runtime::MetricsRecorder;
 use std::fmt;
 use std::net::SocketAddr;
@@ -208,39 +208,32 @@ impl ClusterStats {
     /// One-line JSON with a stable key order, matching the style of
     /// `RuntimeMetrics::to_json` / the server STATS reply.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            concat!(
-                "{{\"queries\":{},\"failovers\":{},\"hedges_launched\":{},",
-                "\"hedges_won\":{},\"hedge_mismatches\":{},\"probes\":{},",
-                "\"probe_failures\":{},\"breaker_opens\":{},",
-                "\"budget_available\":{},\"budget_withdrawals\":{},",
-                "\"budget_exhaustions\":{},\"replicas\":["
-            ),
-            self.queries,
-            self.failovers,
-            self.hedges_launched,
-            self.hedges_won,
-            self.hedge_mismatches,
-            self.probes,
-            self.probe_failures,
-            self.breaker_opens,
-            self.budget_available,
-            self.budget_withdrawals,
-            self.budget_exhaustions,
-        );
-        for (i, r) in self.replicas.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        json::object(|w| {
+            for (key, v) in [
+                ("queries", self.queries),
+                ("failovers", self.failovers),
+                ("hedges_launched", self.hedges_launched),
+                ("hedges_won", self.hedges_won),
+                ("hedge_mismatches", self.hedge_mismatches),
+                ("probes", self.probes),
+                ("probe_failures", self.probe_failures),
+                ("breaker_opens", self.breaker_opens),
+                ("budget_available", self.budget_available),
+                ("budget_withdrawals", self.budget_withdrawals),
+                ("budget_exhaustions", self.budget_exhaustions),
+            ] {
+                w.key(key).uint(v);
             }
-            s.push_str(&format!(
-                "{{\"addr\":\"{}\",\"health\":\"{}\",\"breaker\":\"{}\"}}",
-                r.addr,
-                r.health.as_str(),
-                r.breaker.as_str()
-            ));
-        }
-        s.push_str("]}");
-        s
+            w.key("replicas").array(|w| {
+                for r in &self.replicas {
+                    w.object(|w| {
+                        w.key("addr").string(&r.addr.to_string());
+                        w.key("health").string(r.health.as_str());
+                        w.key("breaker").string(r.breaker.as_str());
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -372,12 +365,11 @@ impl TaggedTrace {
     /// One-line JSON: provenance keys first, then the trace under
     /// `trace` (the stable [`fj_net::QueryTrace::to_json`] encoding).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"replica\":\"{}\",\"hedge\":\"{}\",\"trace\":{}}}",
-            self.replica,
-            self.hedge.as_str(),
-            self.trace.to_json()
-        )
+        json::object(|w| {
+            w.key("replica").string(&self.replica.to_string());
+            w.key("hedge").string(self.hedge.as_str());
+            w.key("trace").raw(&self.trace.to_json());
+        })
     }
 }
 

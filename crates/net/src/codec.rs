@@ -19,7 +19,9 @@ use fj_algebra::{FromItem, JoinQuery, NetworkModel};
 use fj_core::QueryResult;
 use fj_expr::{BinOp, Expr};
 use fj_optimizer::{CostParams, OptimizerConfig, PlanShape};
+use fj_runtime::HEALTH_KEYS;
 use fj_storage::{BloomFilter, Column, DataType, Mutation, Schema, SchemaRef, Tuple, Value};
+use fj_trace::json;
 use std::fmt;
 use std::sync::Arc;
 
@@ -926,7 +928,8 @@ pub fn decode_error(payload: &[u8]) -> Result<(crate::wire::ErrorCode, String), 
     Ok((code, message))
 }
 
-/// Encodes a STATS_REPLY payload (one JSON string).
+/// Encodes a STATS_REPLY payload: one JSON string, the shape
+/// TRACE_REPLY and HEALTH_REPLY payloads share.
 pub fn encode_stats_reply(json: &str) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
     w.string(json)?;
@@ -963,7 +966,8 @@ pub enum HealthStatus {
 }
 
 impl HealthStatus {
-    fn as_str(self) -> &'static str {
+    /// The status word HEALTH and STATS report.
+    pub fn as_str(self) -> &'static str {
         match self {
             HealthStatus::Ready => "ready",
             HealthStatus::Degraded => "degraded",
@@ -972,12 +976,13 @@ impl HealthStatus {
     }
 
     fn from_str(s: &str) -> Option<HealthStatus> {
-        match s {
-            "ready" => Some(HealthStatus::Ready),
-            "degraded" => Some(HealthStatus::Degraded),
-            "draining" => Some(HealthStatus::Draining),
-            _ => None,
-        }
+        [
+            HealthStatus::Ready,
+            HealthStatus::Degraded,
+            HealthStatus::Draining,
+        ]
+        .into_iter()
+        .find(|status| status.as_str() == s)
     }
 }
 
@@ -989,107 +994,42 @@ impl fmt::Display for HealthStatus {
 
 /// One replica's health report: the HEALTH reply payload, carried on
 /// the wire as a flat JSON object so operators can read it off a
-/// tcpdump and other tooling can scrape it without our codec.
+/// tcpdump and other tooling can scrape it without our codec. The
+/// object is `status` followed by the counters [`HEALTH_KEYS`] names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthSnapshot {
     /// Readiness classification (see [`HealthStatus`]).
     pub status: HealthStatus,
-    /// Configured worker-pool size.
-    pub workers: u64,
-    /// Workers respawned after caught panics.
-    pub workers_replaced: u64,
-    /// Jobs waiting in the submission queue.
-    pub queued: u64,
-    /// Jobs executing right now.
-    pub in_flight: u64,
-    /// Submission-queue capacity (the shed threshold).
-    pub queue_capacity: u64,
-    /// Connections currently open on the server.
-    pub connections_active: u64,
-    /// Buffer-pool hits since start (0 when the replica runs in
-    /// memory).
-    pub pool_hits: u64,
-    /// Buffer-pool misses — physical page reads — since start (0 in
-    /// memory).
-    pub pool_misses: u64,
-    /// Pages evicted from the buffer pool since start.
-    pub pool_evictions: u64,
-    /// WAL group fsyncs issued since start.
-    pub wal_fsyncs: u64,
-    /// Distributed query fragments executed by this shard since start.
-    pub fragments_served: u64,
-    /// Semijoin filter sets (exact key sets or Bloom filters) this
-    /// shard has received and applied since start.
-    pub semijoin_sets_shipped: u64,
-    /// Payload bytes of table partitions scattered onto this shard.
-    pub bytes_scattered: u64,
-    /// Payload bytes of partial results gathered off this shard.
-    pub bytes_gathered: u64,
-    /// Mutations committed (WAL fsync reached) since start.
-    pub mutations_applied: u64,
-    /// WAL page-delta records appended by mutations since start.
-    pub wal_deltas: u64,
-    /// Dirty pages currently held in the buffer pool (awaiting
-    /// write-back or the next checkpoint).
-    pub dirty_pages: u64,
-    /// Fuzzy checkpoints completed since start.
-    pub checkpoints: u64,
-    /// Operator spill events since start (0 when spilling is off).
-    pub spills: u64,
-    /// Temp partitions created by spilling operators since start.
-    pub spill_partitions: u64,
-    /// Bytes appended to spill temp files since start.
-    pub spill_bytes_written: u64,
-    /// Bytes read back from spill temp files since start.
-    pub spill_bytes_read: u64,
-    /// High-water mark of bytes simultaneously held in live spill temp
-    /// files.
-    pub peak_temp_bytes: u64,
+    /// One value per [`HEALTH_KEYS`] entry, in that order.
+    counters: [u64; HEALTH_KEYS.len()],
 }
 
 impl HealthSnapshot {
+    /// A snapshot with `value(key)` as the counter for each of
+    /// [`HEALTH_KEYS`].
+    pub fn new(status: HealthStatus, value: impl FnMut(&'static str) -> u64) -> HealthSnapshot {
+        HealthSnapshot {
+            status,
+            counters: HEALTH_KEYS.map(value),
+        }
+    }
+
+    /// The counter reported as `name`; `None` when HEALTH carries no
+    /// such key.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        let slot = HEALTH_KEYS.iter().position(|k| *k == name)?;
+        Some(self.counters[slot])
+    }
+
     /// Renders the snapshot as its wire JSON: one flat object with a
     /// stable key order.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"status\":\"{}\",\"workers\":{},\"workers_replaced\":{},",
-                "\"queued\":{},\"in_flight\":{},\"queue_capacity\":{},",
-                "\"connections_active\":{},\"pool_hits\":{},",
-                "\"pool_misses\":{},\"pool_evictions\":{},",
-                "\"wal_fsyncs\":{},\"fragments_served\":{},",
-                "\"semijoin_sets_shipped\":{},\"bytes_scattered\":{},",
-                "\"bytes_gathered\":{},\"mutations_applied\":{},",
-                "\"wal_deltas\":{},\"dirty_pages\":{},",
-                "\"checkpoints\":{},\"spills\":{},",
-                "\"spill_partitions\":{},\"spill_bytes_written\":{},",
-                "\"spill_bytes_read\":{},\"peak_temp_bytes\":{}}}"
-            ),
-            self.status,
-            self.workers,
-            self.workers_replaced,
-            self.queued,
-            self.in_flight,
-            self.queue_capacity,
-            self.connections_active,
-            self.pool_hits,
-            self.pool_misses,
-            self.pool_evictions,
-            self.wal_fsyncs,
-            self.fragments_served,
-            self.semijoin_sets_shipped,
-            self.bytes_scattered,
-            self.bytes_gathered,
-            self.mutations_applied,
-            self.wal_deltas,
-            self.dirty_pages,
-            self.checkpoints,
-            self.spills,
-            self.spill_partitions,
-            self.spill_bytes_written,
-            self.spill_bytes_read,
-            self.peak_temp_bytes,
-        )
+        json::object(|w| {
+            w.key("status").string(self.status.as_str());
+            for (key, v) in HEALTH_KEYS.iter().zip(self.counters) {
+                w.key(key).uint(v);
+            }
+        })
     }
 
     /// Parses the wire JSON back into a snapshot. The parser is total
@@ -1098,213 +1038,32 @@ impl HealthSnapshot {
     /// known status string. Anything else — junk bytes, duplicate or
     /// unknown keys, nested values, numeric overflow — is a typed
     /// [`CodecError`], never a panic.
-    pub fn from_json(json: &str) -> Result<HealthSnapshot, CodecError> {
-        let fields = parse_flat_json(json)?;
-        let mut status = None;
-        let mut counters = [None; 23];
-        const KEYS: [&str; 23] = [
-            "workers",
-            "workers_replaced",
-            "queued",
-            "in_flight",
-            "queue_capacity",
-            "connections_active",
-            "pool_hits",
-            "pool_misses",
-            "pool_evictions",
-            "wal_fsyncs",
-            "fragments_served",
-            "semijoin_sets_shipped",
-            "bytes_scattered",
-            "bytes_gathered",
-            "mutations_applied",
-            "wal_deltas",
-            "dirty_pages",
-            "checkpoints",
-            "spills",
-            "spill_partitions",
-            "spill_bytes_written",
-            "spill_bytes_read",
-            "peak_temp_bytes",
-        ];
-        for (key, value) in fields {
-            if key == "status" {
-                let JsonValue::Str(s) = value else {
-                    return Err(CodecError::Invalid(
-                        "health: status must be a string".into(),
-                    ));
-                };
-                let parsed = HealthStatus::from_str(&s)
-                    .ok_or_else(|| CodecError::Invalid(format!("health: unknown status {s:?}")))?;
-                if status.replace(parsed).is_some() {
-                    return Err(CodecError::Invalid("health: duplicate key status".into()));
-                }
-                continue;
+    pub fn from_json(text: &str) -> Result<HealthSnapshot, CodecError> {
+        let mut keys = vec!["status"];
+        keys.extend(HEALTH_KEYS);
+        let mut status = String::new();
+        let mut counters = [0; HEALTH_KEYS.len()];
+        let mut r = json::Reader::new(text);
+        r.object(&keys, |r, slot| {
+            match slot {
+                0 => status = r.string()?,
+                n => counters[n - 1] = r.u64()?,
             }
-            let slot = KEYS
-                .iter()
-                .position(|k| *k == key)
-                .ok_or_else(|| CodecError::Invalid(format!("health: unknown key {key:?}")))?;
-            let JsonValue::Uint(n) = value else {
-                return Err(CodecError::Invalid(format!(
-                    "health: {key} must be an unsigned integer"
-                )));
-            };
-            if counters[slot].replace(n).is_some() {
-                return Err(CodecError::Invalid(format!(
-                    "health: duplicate key {key:?}"
-                )));
-            }
-        }
-        let status =
-            status.ok_or_else(|| CodecError::Invalid("health: missing key status".into()))?;
-        let counter = |slot: usize| {
-            counters[slot]
-                .ok_or_else(|| CodecError::Invalid(format!("health: missing key {:?}", KEYS[slot])))
-        };
-        Ok(HealthSnapshot {
-            status,
-            workers: counter(0)?,
-            workers_replaced: counter(1)?,
-            queued: counter(2)?,
-            in_flight: counter(3)?,
-            queue_capacity: counter(4)?,
-            connections_active: counter(5)?,
-            pool_hits: counter(6)?,
-            pool_misses: counter(7)?,
-            pool_evictions: counter(8)?,
-            wal_fsyncs: counter(9)?,
-            fragments_served: counter(10)?,
-            semijoin_sets_shipped: counter(11)?,
-            bytes_scattered: counter(12)?,
-            bytes_gathered: counter(13)?,
-            mutations_applied: counter(14)?,
-            wal_deltas: counter(15)?,
-            dirty_pages: counter(16)?,
-            checkpoints: counter(17)?,
-            spills: counter(18)?,
-            spill_partitions: counter(19)?,
-            spill_bytes_written: counter(20)?,
-            spill_bytes_read: counter(21)?,
-            peak_temp_bytes: counter(22)?,
+            Ok(())
         })
+        .and_then(|()| r.end())
+        .map_err(|e| CodecError::Invalid(format!("health json: {e}")))?;
+        let status = HealthStatus::from_str(&status)
+            .ok_or_else(|| CodecError::Invalid(format!("health: unknown status {status:?}")))?;
+        Ok(HealthSnapshot { status, counters })
     }
-}
-
-/// A parsed flat-JSON scalar: the only value shapes health uses.
-enum JsonValue {
-    Uint(u64),
-    Str(String),
-}
-
-/// Total parser for one flat JSON object of string/uint fields —
-/// `{"key":123,"other":"text"}` with optional ASCII whitespace between
-/// tokens. Strings accept the two escapes the renderer can emit (`\"`
-/// and `\\`); everything else (nesting, floats, negatives, booleans)
-/// is a typed error. Deliberately tiny: this is a wire-format parser
-/// for payloads *we* define, not a general JSON library.
-fn parse_flat_json(json: &str) -> Result<Vec<(String, JsonValue)>, CodecError> {
-    let bad = |msg: &str| CodecError::Invalid(format!("health json: {msg}"));
-    let bytes = json.as_bytes();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && (bytes[*pos] as char).is_ascii_whitespace() {
-            *pos += 1;
-        }
-    };
-    let parse_string = |pos: &mut usize| -> Result<String, CodecError> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(bad("expected '\"'"));
-        }
-        *pos += 1;
-        let mut out = Vec::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err(bad("unterminated string")),
-                Some(b'"') => {
-                    *pos += 1;
-                    return String::from_utf8(out).map_err(|_| CodecError::BadUtf8);
-                }
-                Some(b'\\') => match bytes.get(*pos + 1) {
-                    Some(b'"') | Some(b'\\') => {
-                        out.push(bytes[*pos + 1]);
-                        *pos += 2;
-                    }
-                    _ => return Err(bad("unsupported escape")),
-                },
-                Some(b) => {
-                    out.push(*b);
-                    *pos += 1;
-                }
-            }
-        }
-    };
-    let parse_uint = |pos: &mut usize| -> Result<u64, CodecError> {
-        let start = *pos;
-        let mut n: u64 = 0;
-        while let Some(d) = bytes.get(*pos).filter(|b| b.is_ascii_digit()) {
-            n = n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add(u64::from(d - b'0')))
-                .ok_or_else(|| bad("integer overflows u64"))?;
-            *pos += 1;
-        }
-        if *pos == start {
-            return Err(bad("expected a digit"));
-        }
-        Ok(n)
-    };
-
-    skip_ws(&mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return Err(bad("expected '{'"));
-    }
-    pos += 1;
-    let mut fields = Vec::new();
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        pos += 1;
-    } else {
-        loop {
-            skip_ws(&mut pos);
-            let key = parse_string(&mut pos)?;
-            skip_ws(&mut pos);
-            if bytes.get(pos) != Some(&b':') {
-                return Err(bad("expected ':'"));
-            }
-            pos += 1;
-            skip_ws(&mut pos);
-            let value = match bytes.get(pos) {
-                Some(b'"') => JsonValue::Str(parse_string(&mut pos)?),
-                Some(b) if b.is_ascii_digit() => JsonValue::Uint(parse_uint(&mut pos)?),
-                _ => return Err(bad("expected a string or unsigned integer value")),
-            };
-            fields.push((key, value));
-            skip_ws(&mut pos);
-            match bytes.get(pos) {
-                Some(b',') => pos += 1,
-                Some(b'}') => {
-                    pos += 1;
-                    break;
-                }
-                _ => return Err(bad("expected ',' or '}'")),
-            }
-        }
-    }
-    skip_ws(&mut pos);
-    if pos != bytes.len() {
-        return Err(CodecError::TrailingBytes(bytes.len() - pos));
-    }
-    Ok(fields)
 }
 
 // ------------------------------------------------------------------ traces
 
 /// Encodes a TRACE_REPLY payload (the trace's JSON as one string).
 pub fn encode_trace_reply(trace: &fj_trace::QueryTrace) -> Result<Vec<u8>, CodecError> {
-    let mut w = Writer::new();
-    w.string(&trace.to_json())?;
-    Ok(w.into_bytes())
+    encode_stats_reply(&trace.to_json())
 }
 
 /// Decodes a TRACE_REPLY payload (consuming it fully). The embedded
@@ -1313,26 +1072,18 @@ pub fn encode_trace_reply(trace: &fj_trace::QueryTrace) -> Result<Vec<u8>, Codec
 /// unknown keys, depth bombs, and malformed numbers are all typed
 /// errors, never panics.
 pub fn decode_trace_reply(payload: &[u8]) -> Result<fj_trace::QueryTrace, CodecError> {
-    let mut r = Reader::new(payload);
-    let json = r.string()?;
-    r.finish()?;
-    fj_trace::QueryTrace::from_json(&json)
+    fj_trace::QueryTrace::from_json(&decode_stats_reply(payload)?)
         .map_err(|e| CodecError::Invalid(format!("trace json: {e}")))
 }
 
 /// Encodes a HEALTH_REPLY payload (the snapshot's JSON as one string).
 pub fn encode_health_reply(health: &HealthSnapshot) -> Result<Vec<u8>, CodecError> {
-    let mut w = Writer::new();
-    w.string(&health.to_json())?;
-    Ok(w.into_bytes())
+    encode_stats_reply(&health.to_json())
 }
 
 /// Decodes a HEALTH_REPLY payload (consuming it fully).
 pub fn decode_health_reply(payload: &[u8]) -> Result<HealthSnapshot, CodecError> {
-    let mut r = Reader::new(payload);
-    let json = r.string()?;
-    r.finish()?;
-    HealthSnapshot::from_json(&json)
+    HealthSnapshot::from_json(&decode_stats_reply(payload)?)
 }
 
 // ------------------------------------------------- distributed execution

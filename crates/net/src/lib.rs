@@ -51,7 +51,8 @@ pub use codec::{
     MutationReply, MutationRequest, QueryReply, QueryRequest, ScatterAck, ScatterRequest,
     SemijoinAck, SemijoinRequest,
 };
+pub use fj_runtime::HEALTH_KEYS;
 pub use fj_storage::Mutation;
-pub use fj_trace::QueryTrace;
+pub use fj_trace::{json, QueryTrace};
 pub use server::{Server, ServerConfig, ServerStats};
 pub use wire::{ErrorCode, FrameType, WireError, VERSION};

@@ -36,7 +36,10 @@ use crate::codec::{self, HealthSnapshot, HealthStatus};
 use crate::wire::{self, ErrorCode, Frame, FrameReader, FrameType, WireError};
 use fj_algebra::Catalog;
 use fj_optimizer::OptimizerConfig;
-use fj_runtime::{InterruptReason, QueryService, RuntimeError, ServiceConfig, Ticket};
+use fj_runtime::{
+    Counter, InterruptReason, QueryService, RuntimeError, RuntimeMetrics, ServiceConfig, Ticket,
+};
+use fj_trace::json;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -136,6 +139,9 @@ struct Shared {
     aborting: AtomicBool,
     max_frame_bytes: u32,
     drain_grace: Duration,
+    /// The fronted service's submission-queue capacity (the shed
+    /// threshold), reported by HEALTH.
+    queue_capacity: usize,
 }
 
 impl Shared {
@@ -161,71 +167,56 @@ impl Shared {
         self.draining.load(Ordering::SeqCst) || self.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// The HEALTH reply body: drain state, pool strength, and queue
-    /// pressure, classified for the replica router.
-    fn health(&self) -> HealthSnapshot {
-        let h = self.service.health();
-        let status = if self.refusing_queries() {
+    /// Classifies one metrics snapshot for the replica router.
+    fn status_of(&self, m: &RuntimeMetrics) -> HealthStatus {
+        if self.refusing_queries() {
             HealthStatus::Draining
-        } else if h.workers_replaced > 0 || h.saturated() {
+        } else if m.workers_replaced > 0 || m.queue_depth >= self.queue_capacity {
             HealthStatus::Degraded
         } else {
             HealthStatus::Ready
-        };
-        HealthSnapshot {
-            status,
-            workers: h.workers as u64,
-            workers_replaced: h.workers_replaced,
-            queued: h.queued as u64,
-            in_flight: h.in_flight as u64,
-            queue_capacity: h.queue_capacity as u64,
-            connections_active: self.counters.connections_active.load(Ordering::Relaxed) as u64,
-            pool_hits: h.pool_hits,
-            pool_misses: h.pool_misses,
-            pool_evictions: h.pool_evictions,
-            wal_fsyncs: h.wal_fsyncs,
-            fragments_served: h.fragments_served,
-            semijoin_sets_shipped: h.semijoin_sets_shipped,
-            bytes_scattered: h.bytes_scattered,
-            bytes_gathered: h.bytes_gathered,
-            mutations_applied: h.mutations_applied,
-            wal_deltas: h.wal_deltas,
-            dirty_pages: h.dirty_pages,
-            checkpoints: h.checkpoints,
-            spills: h.spills,
-            spill_partitions: h.spill_partitions,
-            spill_bytes_written: h.spill_bytes_written,
-            spill_bytes_read: h.spill_bytes_read,
-            peak_temp_bytes: h.peak_temp_bytes,
         }
     }
 
+    /// The HEALTH reply body: drain state, pool strength, and queue
+    /// pressure, all read from one metrics snapshot.
+    fn health(&self) -> HealthSnapshot {
+        let m = self.service.metrics();
+        HealthSnapshot::new(self.status_of(&m), |key| match key {
+            "queued" => m.queue_depth as u64,
+            "queue_capacity" => self.queue_capacity as u64,
+            "connections_active" => self.counters.connections_active.load(Ordering::Relaxed) as u64,
+            shared => m
+                .counter(shared)
+                .expect("every other HEALTH key names a STATS runtime counter"),
+        })
+    }
+
     /// Server counters + runtime metrics as one stable-key JSON line —
-    /// the STATS reply body and the periodic log line.
+    /// the STATS reply body and the periodic log line. `state` and
+    /// `runtime` come from the same metrics snapshot.
     fn stats_json(&self) -> String {
         let s = self.stats();
-        format!(
-            concat!(
-                "{{\"state\":\"{}\",\"connections_total\":{},\"connections_active\":{},",
-                "\"connections_shed\":{},\"requests\":{},\"results\":{},",
-                "\"sheds\":{},\"deadline_hits\":{},\"errors_sent\":{},",
-                "\"health_probes\":{},",
-                "\"bytes_in\":{},\"bytes_out\":{},\"runtime\":{}}}"
-            ),
-            self.health().status,
-            s.connections_total,
-            s.connections_active,
-            s.connections_shed,
-            s.requests,
-            s.results,
-            s.sheds,
-            s.deadline_hits,
-            s.errors_sent,
-            s.health_probes,
-            s.bytes_in,
-            s.bytes_out,
-            self.service.metrics().to_json(),
-        )
+        let m = self.service.metrics();
+        json::object(|w| {
+            w.key("state").string(self.status_of(&m).as_str());
+            for (key, v) in [
+                ("connections_total", s.connections_total),
+                ("connections_active", s.connections_active as u64),
+                ("connections_shed", s.connections_shed),
+                ("requests", s.requests),
+                ("results", s.results),
+                ("sheds", s.sheds),
+                ("deadline_hits", s.deadline_hits),
+                ("errors_sent", s.errors_sent),
+                ("health_probes", s.health_probes),
+                ("bytes_in", s.bytes_in),
+                ("bytes_out", s.bytes_out),
+            ] {
+                w.key(key).uint(v);
+            }
+            w.key("runtime").raw(&m.to_json());
+        })
     }
 }
 
@@ -282,6 +273,7 @@ impl Server {
             aborting: AtomicBool::new(false),
             max_frame_bytes: config.max_frame_bytes,
             drain_grace: config.drain_grace,
+            queue_capacity: config.service.queue_capacity,
         });
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -329,7 +321,7 @@ impl Server {
     }
 
     /// Live metrics of the fronted query service.
-    pub fn metrics(&self) -> fj_runtime::RuntimeMetrics {
+    pub fn metrics(&self) -> RuntimeMetrics {
         self.shared.service.metrics()
     }
 
@@ -886,8 +878,8 @@ impl Conn<'_> {
         });
         if let Ok(payload) = &encoded {
             let recorder = shared.service.metrics_recorder();
-            recorder.record_fragment_served();
-            recorder.record_bytes_gathered(payload.len() as u64);
+            recorder.add(Counter::FragmentsServed, 1);
+            recorder.add(Counter::BytesGathered, payload.len() as u64);
         }
         self.send_result(FrameType::Gather, encoded);
     }
@@ -939,7 +931,7 @@ impl Conn<'_> {
         }
         service
             .metrics_recorder()
-            .record_bytes_scattered(frame.payload.len() as u64);
+            .add(Counter::BytesScattered, frame.payload.len() as u64);
         let ack = codec::ScatterAck {
             rows_stored,
             bytes_stored,
@@ -997,10 +989,10 @@ impl Conn<'_> {
             keys,
         };
         let recorder = service.metrics_recorder();
-        recorder.record_semijoin_sets(req.filters.len() as u64);
+        recorder.add(Counter::SemijoinSetsShipped, req.filters.len() as u64);
         let encoded = codec::encode_semijoin_ack(&ack);
         if let Ok(payload) = &encoded {
-            recorder.record_bytes_gathered(payload.len() as u64);
+            recorder.add(Counter::BytesGathered, payload.len() as u64);
         }
         self.send_reply(FrameType::SemijoinAck, encoded);
     }

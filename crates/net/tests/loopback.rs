@@ -328,10 +328,14 @@ fn health_frame_reports_pool_shape_and_readiness() {
 
     let health = client.health(Duration::from_secs(5)).unwrap();
     assert_eq!(health.status, fj_net::HealthStatus::Ready);
-    assert_eq!(health.workers, 3);
-    assert_eq!(health.workers_replaced, 0);
-    assert_eq!(health.queue_capacity, 17);
-    assert!(health.connections_active >= 1, "this probe's connection");
+    assert_eq!(health.get("workers"), Some(3));
+    assert_eq!(health.get("workers_replaced"), Some(0));
+    assert_eq!(health.get("queue_capacity"), Some(17));
+    assert!(
+        health.get("connections_active") >= Some(1),
+        "this probe's connection"
+    );
+    assert_eq!(health.get("no_such_counter"), None);
 
     // Health probes and queries interleave on one connection.
     assert_eq!(client.query(&paper_query()).unwrap().rows.len(), 2);
@@ -630,7 +634,7 @@ fn mutate_over_the_wire_changes_results_and_counts_in_health() {
     assert_eq!(client.query(&query).unwrap().rows.len(), before);
 
     let health = client.health(Duration::from_secs(5)).unwrap();
-    assert_eq!(health.mutations_applied, 2);
+    assert_eq!(health.get("mutations_applied"), Some(2));
     server.shutdown();
 }
 
@@ -648,6 +652,84 @@ fn mutate_on_an_unknown_table_is_a_typed_error_not_a_panic() {
     assert_eq!(err.error_code(), Some(ErrorCode::QueryFailed));
     // The connection survives the refusal.
     assert!(!client.query(&paper_query()).unwrap().rows.is_empty());
+    server.shutdown();
+}
+
+/// The integer STATS reports as `key` inside its `runtime` object
+/// (`None` for an absent key or a float).
+fn runtime_counter(stats_json: &str, key: &str) -> Option<u64> {
+    let runtime = &stats_json[stats_json.find("\"runtime\":{")?..];
+    let value = &runtime[runtime.find(&format!("\"{key}\":"))? + key.len() + 3..];
+    let digits = value.find(|c: char| !c.is_ascii_digit())?;
+    (!value[digits..].starts_with('.')).then(|| value[..digits].parse().ok())?
+}
+
+/// HEALTH and STATS are two renderings of one metrics snapshot: after
+/// work that moves every family of counters (a traced query, a commit
+/// on a disk store, a join that spills), each key HEALTH shares with
+/// the STATS `runtime` object reports the same value.
+#[test]
+fn health_and_stats_report_the_same_counters() {
+    use fj_runtime::StorageMode;
+    let dir = Scratch(std::env::temp_dir().join(format!("fj-net-agree-{}", std::process::id())));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        big_catalog_and_query(600).0,
+        ServerConfig {
+            service: ServiceConfig {
+                storage: StorageMode::Disk {
+                    dir: dir.0.clone(),
+                    pool_pages: 6,
+                },
+                memory_pages: 1,
+                spill_soft_watermark_pages: Some(8),
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let traced = QueryOptions {
+        want_trace: true,
+        ..QueryOptions::default()
+    };
+    let spilled = client.query_with(&big_query(), &traced).unwrap();
+    assert!(spilled.trace.is_some());
+    client.mutate(&Kind::insert()).unwrap();
+
+    let stats = client.stats_json().unwrap();
+    let health = client.health(Duration::from_secs(5)).unwrap();
+    let shared: Vec<&str> = fj_net::HEALTH_KEYS
+        .into_iter()
+        .filter(|key| runtime_counter(&stats, key).is_some())
+        .collect();
+    for key in &shared {
+        assert_eq!(
+            health.get(key),
+            runtime_counter(&stats, key),
+            "HEALTH and STATS disagree on {key}: {stats}"
+        );
+    }
+    // Everything but the three HEALTH-only keys is shared, and the
+    // work above moved each family off zero.
+    assert_eq!(shared.len(), fj_net::HEALTH_KEYS.len() - 3, "{shared:?}");
+    for moved in [
+        "workers",
+        "pool_hits",
+        "pool_misses",
+        "wal_fsyncs",
+        "mutations_applied",
+        "wal_deltas",
+        "spills",
+        "spill_partitions",
+        "spill_bytes_written",
+        "spill_bytes_read",
+        "peak_temp_bytes",
+    ] {
+        assert!(health.get(moved) > Some(0), "{moved} never moved: {stats}");
+    }
+    assert_eq!(runtime_counter(&stats, "traces_recorded"), Some(1));
     server.shutdown();
 }
 
@@ -903,7 +985,7 @@ impl Lifecycle {
     }
 
     fn in_flight(&self) -> u64 {
-        self.server.health().in_flight
+        self.server.metrics().in_flight as u64
     }
 
     fn cancelled(&self) -> u64 {
@@ -1022,11 +1104,23 @@ fn full_queue_sheds_retryably(kind: Kind) {
     eventually("the only worker is busy", || lc.in_flight() == 1);
     let mut queued = Raw::connect(&lc.server);
     queued.send(kind.request_frame(), &kind.request());
-    eventually("the queue is full", || lc.server.health().queued == 1);
+    eventually("the queue is full", || lc.server.metrics().queue_depth == 1);
+
+    // One stalled worker, one queued job: STATS and HEALTH count the
+    // same two requests the same way (`queue_depth` is the waiting
+    // one only), and both call the full queue degraded.
+    let mut client = lc.client();
+    let stats = client.stats_json().unwrap();
+    assert!(stats.starts_with("{\"state\":\"degraded\","), "{stats}");
+    assert_eq!(runtime_counter(&stats, "queue_depth"), Some(1), "{stats}");
+    assert_eq!(runtime_counter(&stats, "in_flight"), Some(1), "{stats}");
+    let health = client.health(Duration::from_secs(5)).unwrap();
+    assert_eq!(health.status, fj_net::HealthStatus::Degraded);
+    assert_eq!(health.get("queued"), Some(1));
+    assert_eq!(health.get("in_flight"), Some(1));
 
     // The refusal is immediate — it arrives while both accepted
     // requests are still stalled — typed, and retryable.
-    let mut client = lc.client();
     let err = kind.call(&mut client, None).unwrap_err();
     assert_remote(
         &err,

@@ -69,9 +69,11 @@ pub use fj_storage::Mutation;
 pub use fj_storage::{TempStore, TempStoreStats};
 pub use fj_store::{CheckpointPhase, RecoveryReport, Store, StoreStats};
 pub use fj_trace::{QueryTrace, TraceRing, TracedQuery};
-pub use metrics::{LatencyHistogram, MetricsRecorder, RuntimeMetrics, LATENCY_BUCKETS};
+pub use metrics::{
+    Counter, LatencyHistogram, Metric, MetricsRecorder, RuntimeMetrics, HEALTH_KEYS,
+    LATENCY_BUCKETS,
+};
 pub use queue::{BoundedQueue, PushError};
 pub use service::{
-    MutationStats, MutationTicket, QueryService, RuntimeError, ServiceConfig, ServiceHealth,
-    StorageMode, Ticket,
+    MutationStats, MutationTicket, QueryService, RuntimeError, ServiceConfig, StorageMode, Ticket,
 };

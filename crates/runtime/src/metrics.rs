@@ -1,15 +1,24 @@
-//! Runtime metrics: per-query latency histogram, throughput, cache hit
-//! rate, and queue depth.
+//! Runtime metrics: the one table every reported counter is declared
+//! in, a per-query latency histogram, and the snapshot STATS and HEALTH
+//! are rendered from.
+//!
+//! A monotonic counter is a [`Counter`] variant — one slot of
+//! [`MetricsRecorder`]'s atomic array, bumped with one relaxed
+//! `fetch_add` — plus a [`RuntimeMetrics`] field and its row in
+//! [`RuntimeMetrics::entries`], the ordered `(name, value)` list that
+//! *is* the STATS `runtime` object. [`HEALTH_KEYS`] names the subset a
+//! HEALTH reply carries. Nothing downstream (`fj-net`'s server, codec
+//! and client) spells a counter name again.
 //!
 //! All counters are atomics updated by worker threads with `Relaxed`
 //! ordering (they are statistics, not synchronization), matching the
 //! cost ledger's accounting discipline. The latency histogram uses
 //! power-of-two microsecond buckets: bucket *i* covers
 //! `[2^i, 2^(i+1))` µs, so quantile estimates are upper bounds accurate
-//! to a factor of two — plenty for the throughput bench's speedup
-//! comparisons.
+//! to a factor of two.
 
 use fj_exec::InterruptReason;
+use fj_trace::json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -17,21 +26,46 @@ use std::time::Duration;
 /// days; the last bucket absorbs anything longer).
 pub const LATENCY_BUCKETS: usize = 40;
 
+/// The monotonic counters [`MetricsRecorder`] keeps, one atomic slot
+/// each. The same-named [`RuntimeMetrics`] field documents what each
+/// one counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Successfully completed queries.
+    Completed,
+    /// Queries that returned an error.
+    Errors,
+    /// Stopped by explicit cancellation or deadline expiry.
+    Cancelled,
+    /// Stopped by a memory-page or output-row budget.
+    InterruptedByBudget,
+    /// Workers respawned after a caught panic.
+    WorkersReplaced,
+    /// Distributed query fragments executed to completion.
+    FragmentsServed,
+    /// Semijoin filter sets received and applied.
+    SemijoinSetsShipped,
+    /// Partition payload bytes scattered onto this node.
+    BytesScattered,
+    /// Partial-result payload bytes gathered off this node.
+    BytesGathered,
+    /// Mutations committed.
+    MutationsApplied,
+    /// Operator spill events (each grace recursion level counts once).
+    Spills,
+    /// Temp partitions created by spilling operators.
+    SpillPartitions,
+}
+
+/// Slots in the table: the last variant's index + 1, so new counters
+/// go before `SpillPartitions`.
+const COUNTERS: usize = Counter::SpillPartitions as usize + 1;
+
 /// Live counters shared by the workers (interior; see
 /// [`RuntimeMetrics`] for the snapshot type).
 #[derive(Debug)]
 pub struct MetricsRecorder {
-    completed: AtomicU64,
-    errors: AtomicU64,
-    cancelled: AtomicU64,
-    interrupted_by_budget: AtomicU64,
-    workers_replaced: AtomicU64,
-    fragments_served: AtomicU64,
-    semijoin_sets_shipped: AtomicU64,
-    bytes_scattered: AtomicU64,
-    bytes_gathered: AtomicU64,
-    spills: AtomicU64,
-    spill_partitions: AtomicU64,
+    counters: [AtomicU64; COUNTERS],
     latency_sum_micros: AtomicU64,
     latency_max_micros: AtomicU64,
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -40,17 +74,7 @@ pub struct MetricsRecorder {
 impl Default for MetricsRecorder {
     fn default() -> Self {
         MetricsRecorder {
-            completed: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            interrupted_by_budget: AtomicU64::new(0),
-            workers_replaced: AtomicU64::new(0),
-            fragments_served: AtomicU64::new(0),
-            semijoin_sets_shipped: AtomicU64::new(0),
-            bytes_scattered: AtomicU64::new(0),
-            bytes_gathered: AtomicU64::new(0),
-            spills: AtomicU64::new(0),
-            spill_partitions: AtomicU64::new(0),
+            counters: Default::default(),
             latency_sum_micros: AtomicU64::new(0),
             latency_max_micros: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -63,17 +87,39 @@ fn bucket_of(micros: u64) -> usize {
 }
 
 impl MetricsRecorder {
+    /// Adds `n` to `counter`.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value of `counter`.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
     /// Records one finished query (successful or not).
     pub fn record(&self, latency: Duration, ok: bool) {
         let us = latency.as_micros() as u64;
         if ok {
-            self.completed.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::Completed, 1);
         } else {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::Errors, 1);
         }
         self.latency_sum_micros.fetch_add(us, Ordering::Relaxed);
         self.latency_max_micros.fetch_max(us, Ordering::Relaxed);
         self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one interrupted query under the counter its reason maps
+    /// to: explicit/deadline cancellations vs. governor budget trips.
+    pub fn record_interrupt(&self, reason: InterruptReason) {
+        let counter = match reason {
+            InterruptReason::Deadline | InterruptReason::Cancelled => Counter::Cancelled,
+            InterruptReason::MemoryBudget | InterruptReason::RowLimit => {
+                Counter::InterruptedByBudget
+            }
+        };
+        self.add(counter, 1);
     }
 
     /// Snapshot of the histogram counters.
@@ -83,110 +129,6 @@ impl MetricsRecorder {
             sum_micros: self.latency_sum_micros.load(Ordering::Relaxed),
             max_micros: self.latency_max_micros.load(Ordering::Relaxed),
         }
-    }
-
-    /// Successfully completed queries.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Failed queries.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Records one interrupted query under the counter its reason maps
-    /// to: explicit/deadline cancellations vs. governor budget trips.
-    pub fn record_interrupt(&self, reason: InterruptReason) {
-        match reason {
-            InterruptReason::Deadline | InterruptReason::Cancelled => {
-                self.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            InterruptReason::MemoryBudget | InterruptReason::RowLimit => {
-                self.interrupted_by_budget.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Records one worker replaced after a caught panic.
-    pub fn record_worker_replaced(&self) {
-        self.workers_replaced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Queries stopped by explicit cancellation or deadline expiry.
-    pub fn cancelled(&self) -> u64 {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Queries stopped by a memory-page or output-row budget.
-    pub fn interrupted_by_budget(&self) -> u64 {
-        self.interrupted_by_budget.load(Ordering::Relaxed)
-    }
-
-    /// Workers respawned after a caught panic.
-    pub fn workers_replaced(&self) -> u64 {
-        self.workers_replaced.load(Ordering::Relaxed)
-    }
-
-    /// Records one distributed query fragment executed to completion.
-    pub fn record_fragment_served(&self) {
-        self.fragments_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` semijoin filter sets received and applied.
-    pub fn record_semijoin_sets(&self, n: u64) {
-        self.semijoin_sets_shipped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `bytes` of partition payload scattered onto this node.
-    pub fn record_bytes_scattered(&self, bytes: u64) {
-        self.bytes_scattered.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records `bytes` of partial-result payload gathered off this node.
-    pub fn record_bytes_gathered(&self, bytes: u64) {
-        self.bytes_gathered.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Distributed fragments executed.
-    pub fn fragments_served(&self) -> u64 {
-        self.fragments_served.load(Ordering::Relaxed)
-    }
-
-    /// Semijoin filter sets received and applied.
-    pub fn semijoin_sets_shipped(&self) -> u64 {
-        self.semijoin_sets_shipped.load(Ordering::Relaxed)
-    }
-
-    /// Partition payload bytes scattered onto this node.
-    pub fn bytes_scattered(&self) -> u64 {
-        self.bytes_scattered.load(Ordering::Relaxed)
-    }
-
-    /// Partial-result payload bytes gathered off this node.
-    pub fn bytes_gathered(&self) -> u64 {
-        self.bytes_gathered.load(Ordering::Relaxed)
-    }
-
-    /// Records one query's spill activity (operator spill events and
-    /// temp partitions created). A no-op for the common in-memory case.
-    pub fn record_spill_activity(&self, spills: u64, partitions: u64) {
-        if spills == 0 && partitions == 0 {
-            return;
-        }
-        self.spills.fetch_add(spills, Ordering::Relaxed);
-        self.spill_partitions
-            .fetch_add(partitions, Ordering::Relaxed);
-    }
-
-    /// Operator spill events (each grace recursion level counts once).
-    pub fn spills(&self) -> u64 {
-        self.spills.load(Ordering::Relaxed)
-    }
-
-    /// Temp partitions created by spilling operators.
-    pub fn spill_partitions(&self) -> u64 {
-        self.spill_partitions.load(Ordering::Relaxed)
     }
 }
 
@@ -317,73 +259,141 @@ pub struct RuntimeMetrics {
     pub latency: LatencyHistogram,
 }
 
+/// One reported value: an integer counter or gauge, or a real that
+/// renders with six decimals.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Metric {
+    /// A counter or gauge.
+    Count(u64),
+    /// A rate or ratio (always finite).
+    Real(f64),
+}
+
+impl From<u64> for Metric {
+    fn from(v: u64) -> Metric {
+        Metric::Count(v)
+    }
+}
+
+impl From<usize> for Metric {
+    fn from(v: usize) -> Metric {
+        Metric::Count(v as u64)
+    }
+}
+
+impl From<f64> for Metric {
+    fn from(v: f64) -> Metric {
+        Metric::Real(v)
+    }
+}
+
+/// The counters a HEALTH reply carries after `status`, in wire order.
+/// `queued` is [`RuntimeMetrics::queue_depth`] under its HEALTH name,
+/// `queue_capacity` and `connections_active` are the server's own;
+/// every other key is the same-named [`RuntimeMetrics::entries`] row,
+/// read from the same snapshot STATS renders.
+pub const HEALTH_KEYS: [&str; 23] = [
+    "workers",
+    "workers_replaced",
+    "queued",
+    "in_flight",
+    "queue_capacity",
+    "connections_active",
+    "pool_hits",
+    "pool_misses",
+    "pool_evictions",
+    "wal_fsyncs",
+    "fragments_served",
+    "semijoin_sets_shipped",
+    "bytes_scattered",
+    "bytes_gathered",
+    "mutations_applied",
+    "wal_deltas",
+    "dirty_pages",
+    "checkpoints",
+    "spills",
+    "spill_partitions",
+    "spill_bytes_written",
+    "spill_bytes_read",
+    "peak_temp_bytes",
+];
+
 impl RuntimeMetrics {
-    /// One-line JSON rendering with a stable key order, hand-rolled so
-    /// both the `fj-net` STATS reply and the reproduce binary emit the
-    /// same scrapeable shape. Floats are fixed to six decimals (every
-    /// field here is finite, so the output is always valid JSON).
+    /// Every reported name with its value, in wire order: the only
+    /// description of the STATS `runtime` object. The key set is a
+    /// wire contract pinned by `to_json_key_set_snapshot`.
+    pub fn entries(&self) -> Vec<(&'static str, Metric)> {
+        macro_rules! rows {
+            ($($field:ident),* $(,)?) => {
+                vec![$((stringify!($field), Metric::from(self.$field))),*]
+            };
+        }
+        let mut rows = rows![
+            completed,
+            errors,
+            cancelled,
+            interrupted_by_budget,
+            workers_replaced,
+            workers,
+            in_flight,
+            traces_recorded,
+            pool_hits,
+            pool_misses,
+            pool_evictions,
+            wal_fsyncs,
+            fragments_served,
+            semijoin_sets_shipped,
+            bytes_scattered,
+            bytes_gathered,
+            mutations_applied,
+            wal_deltas,
+            dirty_pages,
+            dirty_writebacks,
+            checkpoints,
+            spills,
+            spill_partitions,
+            spill_bytes_written,
+            spill_bytes_read,
+            peak_temp_bytes,
+            cache_hits,
+            cache_misses,
+            cache_hit_rate,
+            cache_entries,
+            queue_depth,
+            uptime_secs,
+            throughput_qps,
+        ];
+        let latency = &self.latency;
+        rows.extend([
+            ("latency_mean_micros", latency.mean_micros().into()),
+            ("latency_p50_micros", latency.quantile_micros(0.5).into()),
+            ("latency_p99_micros", latency.quantile_micros(0.99).into()),
+            ("latency_max_micros", latency.max_micros.into()),
+        ]);
+        rows
+    }
+
+    /// The integer counter or gauge reported as `name`, if there is one.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.entries().into_iter().find_map(|row| match row {
+            (n, Metric::Count(v)) if n == name => Some(v),
+            _ => None,
+        })
+    }
+
+    /// One-line JSON rendering of [`RuntimeMetrics::entries`], so both
+    /// the `fj-net` STATS reply and the reproduce binary emit the same
+    /// scrapeable shape. Floats are fixed to six decimals (every field
+    /// here is finite, so the output is always valid JSON).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"completed\":{},\"errors\":{},\"cancelled\":{},",
-                "\"interrupted_by_budget\":{},\"workers_replaced\":{},",
-                "\"workers\":{},\"in_flight\":{},",
-                "\"traces_recorded\":{},",
-                "\"pool_hits\":{},\"pool_misses\":{},",
-                "\"pool_evictions\":{},\"wal_fsyncs\":{},",
-                "\"fragments_served\":{},\"semijoin_sets_shipped\":{},",
-                "\"bytes_scattered\":{},\"bytes_gathered\":{},",
-                "\"mutations_applied\":{},\"wal_deltas\":{},",
-                "\"dirty_pages\":{},\"dirty_writebacks\":{},",
-                "\"checkpoints\":{},",
-                "\"spills\":{},\"spill_partitions\":{},",
-                "\"spill_bytes_written\":{},\"spill_bytes_read\":{},",
-                "\"peak_temp_bytes\":{},",
-                "\"cache_hits\":{},",
-                "\"cache_misses\":{},\"cache_hit_rate\":{:.6},",
-                "\"cache_entries\":{},\"queue_depth\":{},",
-                "\"uptime_secs\":{:.6},\"throughput_qps\":{:.6},",
-                "\"latency_mean_micros\":{:.6},\"latency_p50_micros\":{},",
-                "\"latency_p99_micros\":{},\"latency_max_micros\":{}}}"
-            ),
-            self.completed,
-            self.errors,
-            self.cancelled,
-            self.interrupted_by_budget,
-            self.workers_replaced,
-            self.workers,
-            self.in_flight,
-            self.traces_recorded,
-            self.pool_hits,
-            self.pool_misses,
-            self.pool_evictions,
-            self.wal_fsyncs,
-            self.fragments_served,
-            self.semijoin_sets_shipped,
-            self.bytes_scattered,
-            self.bytes_gathered,
-            self.mutations_applied,
-            self.wal_deltas,
-            self.dirty_pages,
-            self.dirty_writebacks,
-            self.checkpoints,
-            self.spills,
-            self.spill_partitions,
-            self.spill_bytes_written,
-            self.spill_bytes_read,
-            self.peak_temp_bytes,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate,
-            self.cache_entries,
-            self.queue_depth,
-            self.uptime_secs,
-            self.throughput_qps,
-            self.latency.mean_micros(),
-            self.latency.quantile_micros(0.5),
-            self.latency.quantile_micros(0.99),
-            self.latency.max_micros,
-        )
+        json::object(|w| {
+            for (name, value) in self.entries() {
+                match value {
+                    Metric::Count(v) => w.key(name).uint(v),
+                    Metric::Real(v) => w.key(name).float6(v),
+                };
+            }
+        })
     }
 }
 
@@ -407,8 +417,8 @@ mod tests {
         m.record(Duration::from_micros(10), true);
         m.record(Duration::from_micros(100), true);
         m.record(Duration::from_micros(1000), false);
-        assert_eq!(m.completed(), 2);
-        assert_eq!(m.errors(), 1);
+        assert_eq!(m.get(Counter::Completed), 2);
+        assert_eq!(m.get(Counter::Errors), 1);
         let h = m.histogram();
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum_micros, 1110);

@@ -24,7 +24,7 @@
 //!   charging from several threads.
 
 use crate::cache::PlanCache;
-use crate::metrics::{MetricsRecorder, RuntimeMetrics};
+use crate::metrics::{Counter, MetricsRecorder, RuntimeMetrics};
 use crate::queue::{BoundedQueue, PushError};
 use fj_algebra::{Catalog, JoinQuery, RelationKind, SiteId};
 use fj_core::QueryResult;
@@ -35,7 +35,7 @@ use fj_store::{RecoveryReport, Store, StoreError, StoreStats};
 use fj_trace::{TraceCollector, TraceRing, TracedQuery};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -328,8 +328,6 @@ struct Shared {
     /// modes (the read-apply-install window must not interleave);
     /// queries and checkpoints are unaffected.
     mutation_lock: Mutex<()>,
-    /// Mutations committed by this service since start (both modes).
-    mutations_applied: AtomicU64,
     /// The disk store behind the catalog's page backings
     /// (`None` = in-memory mode).
     store: Option<Arc<Store>>,
@@ -430,71 +428,6 @@ impl<T> Ticket<T> {
     }
 }
 
-/// A point-in-time health view of one [`QueryService`]: the snapshot a
-/// replica-aware router needs to tell a healthy pool from a degraded
-/// one. Cheaper than [`QueryService::metrics`] (no histogram copy) and
-/// stable under load — every field is one relaxed atomic load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceHealth {
-    /// Configured worker-pool size (post-normalization).
-    pub workers: usize,
-    /// Workers respawned after caught panics; a non-zero value means
-    /// the pool has been through trauma even if it is back at strength.
-    pub workers_replaced: u64,
-    /// Jobs waiting in the submission queue (not yet picked up).
-    pub queued: usize,
-    /// Jobs a worker is executing right now.
-    pub in_flight: usize,
-    /// Submission-queue capacity (the shed threshold).
-    pub queue_capacity: usize,
-    /// Buffer-pool hits since start (0 in in-memory mode).
-    pub pool_hits: u64,
-    /// Buffer-pool misses — physical page reads — since start (0 in
-    /// in-memory mode).
-    pub pool_misses: u64,
-    /// Pages evicted from the buffer pool since start.
-    pub pool_evictions: u64,
-    /// WAL group fsyncs issued since start.
-    pub wal_fsyncs: u64,
-    /// Distributed query fragments executed since start.
-    pub fragments_served: u64,
-    /// Semijoin filter sets received and applied since start.
-    pub semijoin_sets_shipped: u64,
-    /// Partition payload bytes scattered onto this node since start.
-    pub bytes_scattered: u64,
-    /// Partial-result payload bytes gathered off this node since start.
-    pub bytes_gathered: u64,
-    /// Mutations committed since start (both storage modes).
-    pub mutations_applied: u64,
-    /// WAL page-delta records appended since start (0 in in-memory
-    /// mode).
-    pub wal_deltas: u64,
-    /// Dirty pages currently resident in the buffer pool (gauge; 0 in
-    /// in-memory mode).
-    pub dirty_pages: u64,
-    /// Fuzzy checkpoints completed since start (0 in in-memory mode).
-    pub checkpoints: u64,
-    /// Operator spill events since start (0 when spilling is off).
-    pub spills: u64,
-    /// Temp partitions created by spilling operators since start.
-    pub spill_partitions: u64,
-    /// Bytes appended to spill temp files since start.
-    pub spill_bytes_written: u64,
-    /// Bytes read back from spill temp files since start.
-    pub spill_bytes_read: u64,
-    /// High-water mark of bytes simultaneously held in live spill temp
-    /// files.
-    pub peak_temp_bytes: u64,
-}
-
-impl ServiceHealth {
-    /// Whether the submission queue is at (or past) capacity — the
-    /// condition under which `try_submit` sheds.
-    pub fn saturated(&self) -> bool {
-        self.queued >= self.queue_capacity
-    }
-}
-
 /// The concurrent query service; see the module docs.
 pub struct QueryService {
     shared: Arc<Shared>,
@@ -575,7 +508,6 @@ impl QueryService {
             worker_handles: Mutex::new(Vec::new()),
             worker_seq: AtomicUsize::new(config.workers),
             mutation_lock: Mutex::new(()),
-            mutations_applied: AtomicU64::new(0),
             store,
             spill,
             recovery,
@@ -751,38 +683,6 @@ impl QueryService {
         self.shared.snapshot()
     }
 
-    /// The health snapshot a replica router probes for: pool strength,
-    /// replacements, and queue pressure, without the histogram copy a
-    /// full [`QueryService::metrics`] snapshot carries.
-    pub fn health(&self) -> ServiceHealth {
-        let store = self.store_stats();
-        let temp = self.spill_stats();
-        ServiceHealth {
-            workers: self.shared.cfg.workers,
-            workers_replaced: self.shared.metrics.workers_replaced(),
-            queued: self.shared.queue.len(),
-            in_flight: self.shared.in_flight.load(Ordering::Relaxed),
-            queue_capacity: self.shared.cfg.queue_capacity,
-            pool_hits: store.pool_hits,
-            pool_misses: store.pool_misses,
-            pool_evictions: store.pool_evictions,
-            wal_fsyncs: store.wal_fsyncs,
-            fragments_served: self.shared.metrics.fragments_served(),
-            semijoin_sets_shipped: self.shared.metrics.semijoin_sets_shipped(),
-            bytes_scattered: self.shared.metrics.bytes_scattered(),
-            bytes_gathered: self.shared.metrics.bytes_gathered(),
-            mutations_applied: self.shared.mutations_applied.load(Ordering::Relaxed),
-            wal_deltas: store.wal_deltas,
-            dirty_pages: store.dirty_pages,
-            checkpoints: store.checkpoints,
-            spills: self.shared.metrics.spills(),
-            spill_partitions: self.shared.metrics.spill_partitions(),
-            spill_bytes_written: temp.bytes_written,
-            spill_bytes_read: temp.bytes_read,
-            peak_temp_bytes: temp.peak_bytes,
-        }
-    }
-
     /// The live metrics recorder, for layers above the service (e.g.
     /// the network server) that observe events the service itself
     /// cannot see — scattered partitions, shipped semijoin sets,
@@ -858,23 +758,25 @@ impl QueryService {
         self.shared.traces.to_json()
     }
 
-    /// Live service metrics.
+    /// Live service metrics: one snapshot, taken once, that STATS and
+    /// HEALTH are both rendered from.
     pub fn metrics(&self) -> RuntimeMetrics {
+        let counters = &self.shared.metrics;
         let cache = self.shared.cache.stats();
         let uptime = self.shared.started.elapsed().as_secs_f64();
-        let completed = self.shared.metrics.completed();
+        let completed = counters.get(Counter::Completed);
         let store = self.store_stats();
         let temp = self.spill_stats();
         RuntimeMetrics {
             completed,
-            errors: self.shared.metrics.errors(),
+            errors: counters.get(Counter::Errors),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_hit_rate: cache.hit_rate(),
             cache_entries: cache.entries,
-            cancelled: self.shared.metrics.cancelled(),
-            interrupted_by_budget: self.shared.metrics.interrupted_by_budget(),
-            workers_replaced: self.shared.metrics.workers_replaced(),
+            cancelled: counters.get(Counter::Cancelled),
+            interrupted_by_budget: counters.get(Counter::InterruptedByBudget),
+            workers_replaced: counters.get(Counter::WorkersReplaced),
             workers: self.shared.cfg.workers,
             in_flight: self.shared.in_flight.load(Ordering::Relaxed),
             traces_recorded: self.shared.traces.recorded(),
@@ -882,28 +784,28 @@ impl QueryService {
             pool_misses: store.pool_misses,
             pool_evictions: store.pool_evictions,
             wal_fsyncs: store.wal_fsyncs,
-            fragments_served: self.shared.metrics.fragments_served(),
-            semijoin_sets_shipped: self.shared.metrics.semijoin_sets_shipped(),
-            bytes_scattered: self.shared.metrics.bytes_scattered(),
-            bytes_gathered: self.shared.metrics.bytes_gathered(),
-            mutations_applied: self.shared.mutations_applied.load(Ordering::Relaxed),
+            fragments_served: counters.get(Counter::FragmentsServed),
+            semijoin_sets_shipped: counters.get(Counter::SemijoinSetsShipped),
+            bytes_scattered: counters.get(Counter::BytesScattered),
+            bytes_gathered: counters.get(Counter::BytesGathered),
+            mutations_applied: counters.get(Counter::MutationsApplied),
             wal_deltas: store.wal_deltas,
             dirty_pages: store.dirty_pages,
             dirty_writebacks: store.dirty_writebacks,
             checkpoints: store.checkpoints,
-            spills: self.shared.metrics.spills(),
-            spill_partitions: self.shared.metrics.spill_partitions(),
+            spills: counters.get(Counter::Spills),
+            spill_partitions: counters.get(Counter::SpillPartitions),
             spill_bytes_written: temp.bytes_written,
             spill_bytes_read: temp.bytes_read,
             peak_temp_bytes: temp.peak_bytes,
-            queue_depth: self.shared.queue.len() + self.shared.in_flight.load(Ordering::Relaxed),
+            queue_depth: self.shared.queue.len(),
             uptime_secs: uptime,
             throughput_qps: if uptime > 0.0 {
                 completed as f64 / uptime
             } else {
                 0.0
             },
-            latency: self.shared.metrics.histogram(),
+            latency: counters.histogram(),
         }
     }
 
@@ -963,7 +865,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 result.latency_micros = latency.as_micros() as u64;
             }),
             Job::Mutation(task) => run_job(shared, task, apply_mutation, |_, _| {
-                shared.mutations_applied.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.add(Counter::MutationsApplied, 1);
             }),
         };
         if !keep_going {
@@ -1020,7 +922,7 @@ fn run_job<W, T>(
             // Replace first, answer second: by the time the caller
             // observes WorkerPanicked on its ticket, the pool is
             // back at strength and `workers_replaced` reflects it.
-            shared.metrics.record_worker_replaced();
+            shared.metrics.add(Counter::WorkersReplaced, 1);
             let id = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
             spawn_worker(shared, format!("fj-worker-{id}"));
             let _ = task.reply.send(Err(RuntimeError::WorkerPanicked(msg)));
@@ -1096,9 +998,12 @@ fn execute_query(
     // Spill activity counts even for queries that end up interrupted
     // mid-spill — the temp I/O happened either way.
     let spilled = ctx.spill_snapshot();
-    shared
-        .metrics
-        .record_spill_activity(spilled.spills, spilled.partitions);
+    if spilled.spills > 0 || spilled.partitions > 0 {
+        shared.metrics.add(Counter::Spills, spilled.spills);
+        shared
+            .metrics
+            .add(Counter::SpillPartitions, spilled.partitions);
+    }
     let rel = result.map_err(OptError::from)?;
     let charges = ctx.ledger.snapshot().delta(&before);
     let trace = collector.and_then(|c| c.finish());
@@ -1404,7 +1309,7 @@ mod tests {
     }
 
     #[test]
-    fn health_reflects_pool_shape_and_idle_queue() {
+    fn metrics_reflect_pool_shape_and_idle_queue() {
         let service = QueryService::start(
             fj_algebra::fixtures::paper_catalog(),
             ServiceConfig {
@@ -1413,19 +1318,17 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        let h = service.health();
-        assert_eq!(h.workers, 2);
-        assert_eq!(h.queue_capacity, 8);
-        assert_eq!(h.workers_replaced, 0);
-        assert_eq!(h.queued, 0);
-        assert!(!h.saturated());
+        let m = service.metrics();
+        assert_eq!(m.workers, 2);
+        assert_eq!(m.workers_replaced, 0);
+        assert_eq!(m.queue_depth, 0);
         // After a completed query the pool is idle again.
         service
             .execute(fj_algebra::fixtures::paper_query())
             .unwrap();
-        let h = service.health();
-        assert_eq!(h.in_flight, 0);
-        assert_eq!(h.queued, 0);
+        let m = service.metrics();
+        assert_eq!(m.in_flight, 0);
+        assert_eq!(m.queue_depth, 0);
         service.shutdown();
     }
 
@@ -1483,8 +1386,6 @@ mod tests {
         assert!(!r.cache_hit, "mutated relation's plan must go stale");
         assert_eq!(r.rows.len(), 5);
 
-        let h = service.health();
-        assert_eq!(h.mutations_applied, 2);
         assert_eq!(service.metrics().mutations_applied, 2);
         service.shutdown();
     }
@@ -1616,8 +1517,8 @@ mod tests {
         service.shutdown();
 
         // Same budget with spilling on: the join completes, the spill
-        // counters surface through metrics *and* health, and the temp
-        // directory drains behind the query.
+        // counters surface through metrics, and the temp directory
+        // drains behind the query.
         let service = QueryService::start(
             catalog(),
             ServiceConfig {
@@ -1633,12 +1534,6 @@ mod tests {
         assert!(m.spill_bytes_written > 0);
         assert!(m.spill_bytes_read > 0);
         assert!(m.peak_temp_bytes > 0);
-        let h = service.health();
-        assert_eq!(h.spills, m.spills);
-        assert_eq!(h.spill_partitions, m.spill_partitions);
-        assert_eq!(h.spill_bytes_written, m.spill_bytes_written);
-        assert_eq!(h.spill_bytes_read, m.spill_bytes_read);
-        assert_eq!(h.peak_temp_bytes, m.peak_temp_bytes);
         assert_eq!(
             service
                 .spill_temp_store()

@@ -11,7 +11,9 @@
 //! a dedicated frame as the stable-key JSON produced by
 //! [`QueryTrace::to_json`] and re-parsed by the **strict, total**
 //! [`QueryTrace::from_json`] (typed errors on adversarial bytes, never
-//! panics — the same discipline as the HEALTH codec).
+//! panics). Both go through [`json`], the one JSON writer and strict
+//! reader every JSON body in the workspace (STATS, HEALTH, traces)
+//! shares — which is why it lives in this dependency-free crate.
 //!
 //! ## Collection model
 //!
@@ -24,16 +26,21 @@
 //! worker threads — and attributed to the node on the stack when the
 //! poll happened, minus whatever its children consumed.
 
+pub mod json;
+
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+/// Typed failures of [`QueryTrace::from_json`].
+pub use json::Error as TraceError;
+
 /// Maximum nesting depth [`QueryTrace::from_json`] accepts — bounds
 /// recursion on adversarial inputs (same guard idea as the wire codec's
 /// expression-depth cap).
-pub const MAX_TRACE_DEPTH: usize = 200;
+pub const MAX_TRACE_DEPTH: usize = json::MAX_DEPTH;
 
 /// What one physical operator did during one execution.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -129,13 +136,10 @@ impl QueryTrace {
     /// `pool_misses`, `wall_micros`, `interrupt_polls`, `spills`,
     /// `spill_pages`, `children`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"total_wall_micros\":");
-        out.push_str(&self.total_wall_micros.to_string());
-        out.push_str(",\"root\":");
-        write_node_json(&self.root, &mut out);
-        out.push('}');
-        out
+        json::object(|w| {
+            w.key("total_wall_micros").uint(self.total_wall_micros);
+            write_node(&self.root, w.key("root"));
+        })
     }
 
     /// Strict, total parse of [`QueryTrace::to_json`] output: accepts
@@ -143,295 +147,110 @@ impl QueryTrace {
     /// non-integer counters, over-deep nesting and trailing bytes with
     /// typed errors. Never panics on adversarial input.
     pub fn from_json(s: &str) -> Result<QueryTrace, TraceError> {
-        let mut p = Parser {
-            b: s.as_bytes(),
-            i: 0,
-        };
-        p.ws();
-        p.expect(b'{')?;
-        let mut total: Option<u64> = None;
-        let mut root: Option<TraceNode> = None;
-        loop {
-            p.ws();
-            let key = p.string()?;
-            p.ws();
-            p.expect(b':')?;
-            p.ws();
-            match key.as_str() {
-                "total_wall_micros" => {
-                    if total.replace(p.u64()?).is_some() {
-                        return Err(TraceError::DuplicateKey("total_wall_micros".into()));
-                    }
-                }
-                "root" => {
-                    if root.replace(p.node(0)?).is_some() {
-                        return Err(TraceError::DuplicateKey("root".into()));
-                    }
-                }
-                other => return Err(TraceError::UnknownKey(other.into())),
+        let mut r = json::Reader::new(s);
+        let (mut total, mut root) = (0, None);
+        r.object(&["total_wall_micros", "root"], |r, slot| {
+            match slot {
+                0 => total = r.u64()?,
+                _ => root = Some(read_node(r, 0)?),
             }
-            p.ws();
-            match p.bump()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return Err(TraceError::Expected("',' or '}'")),
-            }
-        }
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(TraceError::TrailingBytes(p.b.len() - p.i));
-        }
+            Ok(())
+        })?;
+        r.end()?;
         Ok(QueryTrace {
-            total_wall_micros: total.ok_or(TraceError::MissingKey("total_wall_micros"))?,
+            total_wall_micros: total,
             root: root.ok_or(TraceError::MissingKey("root"))?,
         })
     }
 }
 
-fn write_node_json(node: &TraceNode, out: &mut String) {
-    let s = &node.stats;
-    out.push_str("{\"op\":\"");
-    for ch in s.label.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-    out.push_str(&format!(
-        "\",\"rows_in\":{},\"rows_out\":{},\"build_rows\":{},\"probe_rows\":{},\"pages_read\":{},\"pool_hits\":{},\"pool_misses\":{},\"wall_micros\":{},\"interrupt_polls\":{},\"spills\":{},\"spill_pages\":{},\"children\":[",
-        s.rows_in, s.rows_out, s.build_rows, s.probe_rows, s.pages_read, s.pool_hits, s.pool_misses, s.wall_micros, s.interrupt_polls, s.spills, s.spill_pages
-    ));
-    for (i, c) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_node_json(c, out);
-    }
-    out.push_str("]}");
-}
+/// A node's JSON keys: `op`, one per [`OpStats`] counter, `children`.
+const NODE_KEYS: [&str; 13] = [
+    "op",
+    "rows_in",
+    "rows_out",
+    "build_rows",
+    "probe_rows",
+    "pages_read",
+    "pool_hits",
+    "pool_misses",
+    "wall_micros",
+    "interrupt_polls",
+    "spills",
+    "spill_pages",
+    "children",
+];
 
-/// Typed failures of [`QueryTrace::from_json`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// Input ended mid-value.
-    UnexpectedEof,
-    /// A specific token was required and absent.
-    Expected(&'static str),
-    /// The same key appeared twice in one object.
-    DuplicateKey(String),
-    /// A key this schema does not define.
-    UnknownKey(String),
-    /// A required key was absent.
-    MissingKey(&'static str),
-    /// A counter was not an unsigned integer (or overflowed u64).
-    BadNumber,
-    /// A string escape other than `\"` or `\\`.
-    BadEscape,
-    /// Nesting beyond [`MAX_TRACE_DEPTH`].
-    TooDeep,
-    /// Bytes after the closing brace.
-    TrailingBytes(usize),
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::UnexpectedEof => f.write_str("unexpected end of input"),
-            TraceError::Expected(what) => write!(f, "expected {what}"),
-            TraceError::DuplicateKey(k) => write!(f, "duplicate key '{k}'"),
-            TraceError::UnknownKey(k) => write!(f, "unknown key '{k}'"),
-            TraceError::MissingKey(k) => write!(f, "missing key '{k}'"),
-            TraceError::BadNumber => f.write_str("counter is not a u64"),
-            TraceError::BadEscape => f.write_str("unsupported string escape"),
-            TraceError::TooDeep => write!(f, "nesting deeper than {MAX_TRACE_DEPTH}"),
-            TraceError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
-        }
+impl OpStats {
+    /// The counters in `NODE_KEYS` order (between `op` and
+    /// `children`).
+    fn counters(&self) -> [u64; 11] {
+        [
+            self.rows_in,
+            self.rows_out,
+            self.build_rows,
+            self.probe_rows,
+            self.pages_read,
+            self.pool_hits,
+            self.pool_misses,
+            self.wall_micros,
+            self.interrupt_polls,
+            self.spills,
+            self.spill_pages,
+        ]
     }
 }
 
-impl std::error::Error for TraceError {}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
+fn write_node(node: &TraceNode, w: &mut json::Writer) {
+    w.object(|w| {
+        w.key("op").string(&node.stats.label);
+        for (key, v) in NODE_KEYS[1..].iter().zip(node.stats.counters()) {
+            w.key(key).uint(v);
+        }
+        w.key("children").array(|w| {
+            for c in &node.children {
+                write_node(c, w);
+            }
+        });
+    });
 }
 
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
+/// One trace node object; `depth` guards recursion.
+fn read_node(r: &mut json::Reader<'_>, depth: usize) -> Result<TraceNode, TraceError> {
+    if depth >= MAX_TRACE_DEPTH {
+        return Err(TraceError::TooDeep);
     }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, TraceError> {
-        let c = self.peek().ok_or(TraceError::UnexpectedEof)?;
-        self.i += 1;
-        Ok(c)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), TraceError> {
-        match self.bump()? {
-            c if c == want => Ok(()),
-            _ => Err(match want {
-                b'{' => TraceError::Expected("'{'"),
-                b':' => TraceError::Expected("':'"),
-                b'[' => TraceError::Expected("'['"),
-                b'"' => TraceError::Expected("'\"'"),
-                _ => TraceError::Expected("punctuation"),
-            }),
+    let mut label = String::new();
+    let mut c = [0u64; 11];
+    let mut children = Vec::new();
+    r.object(&NODE_KEYS, |r, slot| {
+        match slot {
+            0 => label = r.string()?,
+            12 => r.array(|r| {
+                children.push(read_node(r, depth + 1)?);
+                Ok(())
+            })?,
+            n => c[n - 1] = r.u64()?,
         }
-    }
-
-    /// A quoted string with `\"` and `\\` as the only escapes.
-    fn string(&mut self) -> Result<String, TraceError> {
-        self.expect(b'"')?;
-        let start = self.i;
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => break,
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    _ => return Err(TraceError::BadEscape),
-                },
-                _ => {
-                    // Re-slice from the source so multi-byte UTF-8
-                    // sequences survive intact (the input is a &str, so
-                    // consuming the continuation bytes restores a
-                    // char boundary).
-                    let ch_start = self.i - 1;
-                    while matches!(self.peek(), Some(0x80..=0xBF)) {
-                        self.i += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.b[ch_start..self.i])
-                            .map_err(|_| TraceError::Expected("utf-8"))?,
-                    );
-                }
-            }
-        }
-        let _ = start;
-        Ok(out)
-    }
-
-    /// An unsigned integer: digits only, no leading zeros (except "0"),
-    /// overflow is a typed error.
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        let start = self.i;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.i += 1;
-        }
-        let digits = &self.b[start..self.i];
-        if digits.is_empty() || (digits.len() > 1 && digits[0] == b'0') {
-            return Err(TraceError::BadNumber);
-        }
-        let mut v: u64 = 0;
-        for d in digits {
-            v = v
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(d - b'0')))
-                .ok_or(TraceError::BadNumber)?;
-        }
-        Ok(v)
-    }
-
-    /// One trace node object; `depth` guards recursion.
-    fn node(&mut self, depth: usize) -> Result<TraceNode, TraceError> {
-        if depth >= MAX_TRACE_DEPTH {
-            return Err(TraceError::TooDeep);
-        }
-        self.expect(b'{')?;
-        let mut label: Option<String> = None;
-        let mut fields: [Option<u64>; 11] = [None; 11];
-        const KEYS: [&str; 11] = [
-            "rows_in",
-            "rows_out",
-            "build_rows",
-            "probe_rows",
-            "pages_read",
-            "pool_hits",
-            "pool_misses",
-            "wall_micros",
-            "interrupt_polls",
-            "spills",
-            "spill_pages",
-        ];
-        let mut children: Option<Vec<TraceNode>> = None;
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            if key == "op" {
-                if label.replace(self.string()?).is_some() {
-                    return Err(TraceError::DuplicateKey("op".into()));
-                }
-            } else if key == "children" {
-                if children.is_some() {
-                    return Err(TraceError::DuplicateKey("children".into()));
-                }
-                children = Some(self.children(depth)?);
-            } else if let Some(slot) = KEYS.iter().position(|k| *k == key) {
-                if fields[slot].replace(self.u64()?).is_some() {
-                    return Err(TraceError::DuplicateKey(key));
-                }
-            } else {
-                return Err(TraceError::UnknownKey(key));
-            }
-            self.ws();
-            match self.bump()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return Err(TraceError::Expected("',' or '}'")),
-            }
-        }
-        let take = |slot: usize| fields[slot].ok_or(TraceError::MissingKey(KEYS[slot]));
-        Ok(TraceNode {
-            stats: OpStats {
-                label: label.ok_or(TraceError::MissingKey("op"))?,
-                rows_in: take(0)?,
-                rows_out: take(1)?,
-                build_rows: take(2)?,
-                probe_rows: take(3)?,
-                pages_read: take(4)?,
-                pool_hits: take(5)?,
-                pool_misses: take(6)?,
-                wall_micros: take(7)?,
-                interrupt_polls: take(8)?,
-                spills: take(9)?,
-                spill_pages: take(10)?,
-            },
-            children: children.ok_or(TraceError::MissingKey("children"))?,
-        })
-    }
-
-    fn children(&mut self, depth: usize) -> Result<Vec<TraceNode>, TraceError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(out);
-        }
-        loop {
-            self.ws();
-            out.push(self.node(depth + 1)?);
-            self.ws();
-            match self.bump()? {
-                b',' => continue,
-                b']' => break,
-                _ => return Err(TraceError::Expected("',' or ']'")),
-            }
-        }
-        Ok(out)
-    }
+        Ok(())
+    })?;
+    Ok(TraceNode {
+        stats: OpStats {
+            label,
+            rows_in: c[0],
+            rows_out: c[1],
+            build_rows: c[2],
+            probe_rows: c[3],
+            pages_read: c[4],
+            pool_hits: c[5],
+            pool_misses: c[6],
+            wall_micros: c[7],
+            interrupt_polls: c[8],
+            spills: c[9],
+            spill_pages: c[10],
+        },
+        children,
+    })
 }
 
 /// I/O observed across one plan node's subtree, as measured by the
@@ -627,18 +446,10 @@ pub struct TracedQuery {
 impl TracedQuery {
     /// Stable-key JSON: `{"query":"...","trace":{...}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"query\":\"");
-        for ch in self.query.chars() {
-            match ch {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c => out.push(c),
-            }
-        }
-        out.push_str("\",\"trace\":");
-        out.push_str(&self.trace.to_json());
-        out.push('}');
-        out
+        json::object(|w| {
+            w.key("query").string(&self.query);
+            w.key("trace").raw(&self.trace.to_json());
+        })
     }
 }
 
@@ -698,16 +509,11 @@ impl TraceRing {
 
     /// The retained traces as one JSON array, oldest first.
     pub fn to_json(&self) -> String {
-        let entries = self.recent();
-        let mut out = String::from("[");
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::array(|w| {
+            for e in self.recent() {
+                w.raw(&e.to_json());
             }
-            out.push_str(&e.to_json());
-        }
-        out.push(']');
-        out
+        })
     }
 }
 
