@@ -68,6 +68,7 @@ pub fn staged(n_emps: usize, n_depts: usize, frac_big: f64) -> Vec<ComponentRow>
         keys: &keys,
         inner_alias: "V",
         inner_relation: "DepAvgSal",
+        filter_keys: &keys,
         use_bloom: false,
         prefix_production: None,
     })

@@ -1,51 +1,52 @@
 //! The System-R bottom-up dynamic-programming enumerator (§3.1),
 //! extended with the Filter Join as a join method (§3.2–3.3).
 //!
-//! Two plan shapes are supported, selected by
-//! [`OptimizerConfig::plan_shape`]:
+//! There is one DP. `best[S]` holds a small frontier of the cheapest
+//! plans joining the alias subset `S`; [`Search::run`] visits a list of
+//! subset masks and, for each, asks a *split generator* for
+//! `(outer, inner)` sub-masks, joins every retained outer entry with
+//! every retained inner entry under every applicable method
+//! ([`Search::join_candidates`]) and keeps the survivors of
+//! [`insert_pruned`]. The three search spaces differ only in which
+//! masks are visited and how each is split:
 //!
 //! * [`PlanShape::LeftDeep`] (the default, and the shape of every
-//!   pinned paper experiment) explores left-deep join orders: `best[S]`
-//!   holds the cheapest plans joining the alias subset `S`, built by
-//!   extending `best[S∖{j}]` with leaf `j` under every applicable join
-//!   method — block nested loops, hash join, sort-merge, index nested
-//!   loops, UDF probing, and the Filter Join (exact and Bloom variants;
-//!   that is Limitation 3's "small constant number of filter sets").
-//!   Because each join considers O(1) methods and Filter Join costing
-//!   is O(1) after the parametric fits (Assumption 1), enabling the
-//!   Filter Join multiplies the per-join work by a constant and leaves
-//!   the `O(N·2^(N−1))` asymptotic complexity of optimization unchanged
-//!   — the property the complexity benchmark measures.
+//!   pinned paper experiment): every subset, split as `(S∖{j}, {j})`
+//!   for each leaf `j` — the left-deep orders of System R. Each join
+//!   considers O(1) methods and Filter Join costing is O(1) after the
+//!   parametric fits (Assumption 1), so enabling the Filter Join
+//!   multiplies the per-join work by a constant and leaves the
+//!   `O(N·2^(N−1))` complexity of optimization unchanged — the property
+//!   the complexity benchmark measures.
+//! * [`PlanShape::Bushy`]: every subset, split DPccp-style into
+//!   connected subgraph–complement pairs of the join graph (conjunct
+//!   masks plus the equality-class transitive closure), both
+//!   orientations. A split whose inner side is a single leaf is admitted
+//!   even without a connecting edge, so every left-deep *tree* (cross
+//!   products included) is also a bushy tree.
+//! * A forced order ([`Optimizer::optimize_with_order`]): only the
+//!   `n − 1` prefixes of the order, each split one way.
 //!
-//! * [`PlanShape::Bushy`] enumerates the bushy space DPccp-style: for
-//!   every subset `S` it splits `S` into connected
-//!   subgraph–complement pairs (`s1`, `s2`) of the join graph (built
-//!   from `conjunct_masks` plus the equality-class transitive closure)
-//!   and joins `best[s1]` with `best[s2]` in both orientations. Splits
-//!   whose inner side is a single leaf are *always* admitted, even
-//!   without a connecting edge — that keeps the bushy space a strict
-//!   superset of the left-deep space (which freely builds
-//!   cross-product intermediates), so the best bushy plan is never
-//!   costed worse than the best left-deep plan. Join methods that
-//!   intrinsically need a base/UDF leaf on the inner (index nested
-//!   loops, UDF probes, and the Filter Join, whose filter restricts a
-//!   named inner relation) are offered exactly when the inner side is
-//!   a singleton; the symmetric methods (BNL, hash, sort-merge) accept
-//!   any subtree on either side. Interesting-orders pruning and SIPS
-//!   extraction are shape-agnostic and shared between both modes.
+//! Join methods that restrict a *named* relation — index nested loops,
+//! UDF probes and the Filter Join — are offered when the inner side is
+//! a single leaf; block nested loops, hash and sort-merge accept any
+//! subtree on either side. The Filter Join itself is one method with a
+//! list of variants ([`Search::filter_join_variants`]): Limitations 1–3
+//! of §3.3 bound that list to a small constant per join.
 
 use crate::cost::CostParams;
 use crate::error::OptError;
-use crate::estimate::{EstStats, PlanEstimator};
+use crate::estimate::{ColEst, EstStats, PlanEstimator};
 use crate::filter_join::{
-    build_filter_join_plan, cost_filter_join, FilterJoinArgs, FilterJoinCost,
+    build_filter_join_plan, cost_filter_join, FilterJoinArgs, FilterJoinCost, PrefixProduction,
 };
 use crate::parametric::ParametricEstimator;
 use fj_algebra::{Catalog, JoinKind, JoinQuery, LogicalPlan, RelationKind, Sips};
 use fj_exec::{lower, PhysPlan};
-use fj_expr::{columns_of, conjoin, split_conjuncts, EquiJoinKey, Expr};
-use fj_storage::Index as _;
-use std::collections::HashMap;
+use fj_expr::{col, columns_of, conjoin, equi_join_keys, split_conjuncts, EquiJoinKey, Expr};
+use fj_storage::{Index as _, Schema};
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Which join-tree shapes the enumerator explores.
@@ -144,7 +145,8 @@ pub struct OptimizedPlan {
     pub cost: f64,
     /// Estimated result cardinality.
     pub est_rows: f64,
-    /// Chosen left-deep join order (aliases, outermost first).
+    /// Leaves of the chosen join tree, left to right (aliases). For a
+    /// left-deep plan this is the join order, outermost first.
     pub order: Vec<String>,
     /// SIPS of every Filter Join in the plan (empty = no magic).
     pub sips: Vec<Sips>,
@@ -183,61 +185,44 @@ const MAX_ENTRIES_PER_SUBSET: usize = 4;
 
 /// Inserts `e` into a Pareto frontier over (cost, sort order): an entry
 /// is dominated when another is no more expensive and provides at least
-/// its ordering. This is the left-deep frontier, kept byte-identical to
-/// the pinned paper experiments.
+/// its ordering.
 fn insert_pruned(entries: &mut Vec<Entry>, e: Entry) {
-    insert_pruned_shaped(entries, e, false)
-}
-
-/// Frontier insertion for both shapes. Under `rows_aware` (the bushy
-/// enumerator) dominance additionally requires the dominator's
-/// estimated cardinality to be no larger: cardinality estimates are
-/// path-dependent, and the bushy space produces many more association
-/// orders for the same subset, so pruning on cost alone would let a
-/// cheaper-but-fatter bushy entry evict the lean entry a left-deep
-/// winner extends — making the "bushy never worse than left-deep"
-/// superset guarantee false in practice. The rows-aware frontier keeps
-/// both, at twice the entry cap.
-fn insert_pruned_shaped(entries: &mut Vec<Entry>, e: Entry, rows_aware: bool) {
     let dominates = |k: &Entry, e: &Entry| {
-        k.cost <= e.cost + 1e-12
-            && (!rows_aware || k.stats.rows <= e.stats.rows + 1e-9)
-            && order_satisfies(&k.order_by, &e.order_by)
+        k.cost <= e.cost + 1e-12 && order_satisfies(&k.order_by, &e.order_by)
     };
     if entries.iter().any(|k| dominates(k, &e)) {
         return;
     }
     entries.retain(|k| !dominates(&e, k));
     entries.push(e);
-    let cap = if rows_aware {
-        2 * MAX_ENTRIES_PER_SUBSET
-    } else {
-        MAX_ENTRIES_PER_SUBSET
-    };
-    if entries.len() > cap {
-        // Never drop the cheapest (nor, rows-aware, the leanest); drop
-        // the most expensive of the rest.
+    if entries.len() > MAX_ENTRIES_PER_SUBSET {
+        // Never drop the cheapest; drop the most expensive of the rest.
         let min_cost = entries.iter().map(|k| k.cost).fold(f64::INFINITY, f64::min);
-        let min_rows = entries
-            .iter()
-            .map(|k| k.stats.rows)
-            .fold(f64::INFINITY, f64::min);
         let evict = entries
             .iter()
             .enumerate()
-            .filter(|(_, k)| k.cost > min_cost && (!rows_aware || k.stats.rows > min_rows))
+            .filter(|(_, k)| k.cost > min_cost)
             .max_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
-            .or_else(|| {
-                entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, k)| k.cost > min_cost)
-                    .max_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
-            })
             .map(|(idx, _)| idx);
         if let Some(idx) = evict {
             entries.remove(idx);
         }
+    }
+}
+
+/// The entry for `outer ⋈ inner`: leaf order, SIPS and Table 1
+/// breakdowns concatenate left to right. Every join implementation
+/// iterates the outer side in arrival order, so the outer's sort order
+/// is kept; the merge join overwrites it with its own.
+fn joined(outer: &Entry, inner: &Entry, cost: f64, stats: EstStats, phys: PhysPlan) -> Entry {
+    Entry {
+        cost,
+        stats,
+        phys,
+        order: [&outer.order[..], &inner.order[..]].concat(),
+        order_by: outer.order_by.clone(),
+        sips: [&outer.sips[..], &inner.sips[..]].concat(),
+        fj_costs: [&outer.fj_costs[..], &inner.fj_costs[..]].concat(),
     }
 }
 
@@ -271,201 +256,27 @@ impl Optimizer {
                 self.config.plan_shape
             )));
         }
-        let mut memo = ParametricEstimator::new(self.config.eq_classes);
-        let mut plans_considered: u64 = 0;
-        let estimator = PlanEstimator::new(&self.catalog, self.config.params);
-
-        // Conjuncts with their referenced alias bitmasks, then the
-        // per-alias access paths.
-        let conjuncts = self.conjunct_masks(query);
-        let classes = equality_classes(&conjuncts);
-        let leaves = self.build_leaves(query, &estimator, &conjuncts)?;
-
-        // ---- DP over subsets, keeping a small Pareto frontier of
-        // entries per subset (cheapest + interesting sort orders).
-        let mut best: HashMap<u64, Vec<Entry>> = HashMap::new();
-        for (i, leaf) in leaves.iter().enumerate() {
-            let mut seeds = vec![leaf.clone()];
-            for alt in self.ordered_leaf_alternatives(query, &estimator, &conjuncts, i)? {
-                insert_pruned(&mut seeds, alt);
-            }
-            best.insert(1u64 << i, seeds);
-        }
-        let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let adj = match self.config.plan_shape {
-            PlanShape::Bushy => self.join_graph(query, &conjuncts, &classes),
-            PlanShape::LeftDeep => Vec::new(),
-        };
-        for mask in 1..=full {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            let mut frontier: Vec<Entry> = Vec::new();
-            match self.config.plan_shape {
-                PlanShape::LeftDeep => {
-                    for (j, leaf) in leaves.iter().enumerate() {
-                        let bit = 1u64 << j;
-                        if mask & bit == 0 {
-                            continue;
-                        }
-                        let outer_mask = mask & !bit;
-                        let Some(outers) = best.get(&outer_mask) else {
-                            continue;
-                        };
-                        let leaf_alts = best
-                            .get(&bit)
-                            .cloned()
-                            .unwrap_or_else(|| vec![leaf.clone()]);
-                        // Conjuncts first fully bound at this join.
-                        let applicable: Vec<Expr> = conjuncts
-                            .iter()
-                            .filter(|(_, m)| *m & !mask == 0 && *m & bit != 0 && *m != bit)
-                            .map(|(c, _)| c.clone())
-                            .collect();
-                        for outer in outers {
-                            if !outer.cost.is_finite() {
-                                continue;
-                            }
-                            let prefixes = self.prefix_entries(&best, outer);
-                            for leaf_alt in &leaf_alts {
-                                let candidates = self.join_candidates(
-                                    query,
-                                    &estimator,
-                                    &mut memo,
-                                    &mut plans_considered,
-                                    outer,
-                                    leaf_alt,
-                                    Some(j),
-                                    mask,
-                                    &applicable,
-                                    &classes,
-                                    &prefixes,
-                                )?;
-                                for c in candidates {
-                                    insert_pruned(&mut frontier, c);
-                                }
-                            }
-                        }
-                    }
-                }
-                PlanShape::Bushy => {
-                    // DPccp-style: split `mask` into subgraph–complement
-                    // pairs, canonicalized on the side holding the
-                    // lowest set bit so each unordered split is visited
-                    // once; both orientations are then tried.
-                    let low = mask & mask.wrapping_neg();
-                    let mut s1 = (mask - 1) & mask;
-                    while s1 != 0 {
-                        if s1 & low == 0 {
-                            s1 = (s1 - 1) & mask;
-                            continue;
-                        }
-                        let s2 = mask & !s1;
-                        let linked = masks_connected(&adj, s1, s2);
-                        // Conjuncts first fully bound at this join:
-                        // bound by `mask` and crossing the split.
-                        let applicable: Vec<Expr> = conjuncts
-                            .iter()
-                            .filter(|(_, m)| *m & !mask == 0 && *m & s1 != 0 && *m & s2 != 0)
-                            .map(|(c, _)| c.clone())
-                            .collect();
-                        for (om, im) in [(s1, s2), (s2, s1)] {
-                            let inner_leaf =
-                                (im.count_ones() == 1).then(|| im.trailing_zeros() as usize);
-                            // Composite inners require a join-graph edge
-                            // (a csg–cmp pair); single-leaf inners are
-                            // always admitted, keeping the space a
-                            // strict superset of left-deep (which
-                            // freely forms cross-product intermediates).
-                            if inner_leaf.is_none() && !linked {
-                                continue;
-                            }
-                            let (Some(outers), Some(inners)) = (best.get(&om), best.get(&im))
-                            else {
-                                continue;
-                            };
-                            for outer in outers {
-                                if !outer.cost.is_finite() {
-                                    continue;
-                                }
-                                let prefixes = self.prefix_entries(&best, outer);
-                                for inner in inners {
-                                    let candidates = self.join_candidates(
-                                        query,
-                                        &estimator,
-                                        &mut memo,
-                                        &mut plans_considered,
-                                        outer,
-                                        inner,
-                                        inner_leaf,
-                                        mask,
-                                        &applicable,
-                                        &classes,
-                                        &prefixes,
-                                    )?;
-                                    for c in candidates {
-                                        insert_pruned(&mut frontier, c);
-                                    }
-                                }
-                            }
-                        }
-                        s1 = (s1 - 1) & mask;
-                    }
-                }
-            }
-            if !frontier.is_empty() {
-                best.insert(mask, frontier);
+        let mut search = Search::new(self, query)?;
+        search.seed_ordered_access_paths();
+        let full = (1u64 << n) - 1;
+        let subsets = (1..=full).filter(|m| m.count_ones() >= 2);
+        match self.config.plan_shape {
+            PlanShape::LeftDeep => search.run(subsets, left_deep_splits)?,
+            PlanShape::Bushy => {
+                let adj = search.join_graph();
+                search.run(subsets, |mask| bushy_splits(&adj, mask))?
             }
         }
-
-        // Pick the winner by *total* cost including the final
-        // projection: cardinality estimates are path-dependent, so two
-        // entries tied on entry cost can differ once the projection's
-        // per-row CPU is added.
-        let proj_cpu = |e: &Entry| e.cost + self.config.params.cpu(e.stats.rows);
-        let final_entry = best
-            .remove(&full)
-            .unwrap_or_default()
-            .into_iter()
-            .min_by(|a, b| proj_cpu(a).total_cmp(&proj_cpu(b)))
-            .ok_or_else(|| OptError::NoPlan("dynamic program found no plan".into()))?;
-        if !final_entry.cost.is_finite() {
-            return Err(OptError::NoPlan(
-                "no finite-cost plan (non-enumerable UDF without probe keys?)".into(),
-            ));
-        }
-
-        // ---- Final projection (explicit, or SELECT * in FROM order).
-        let mut phys = final_entry.phys;
-        let mut cost = final_entry.cost;
-        let est_rows = final_entry.stats.rows;
-        phys = PhysPlan::Project {
-            input: phys.boxed(),
-            exprs: self.final_projection(query)?,
-        };
-        cost += self.config.params.cpu(est_rows);
-
-        Ok(OptimizedPlan {
-            phys,
-            cost,
-            est_rows,
-            order: final_entry
-                .order
-                .iter()
-                .map(|&i| query.from[i].alias.clone())
-                .collect(),
-            sips: final_entry.sips,
-            filter_join_costs: final_entry.fj_costs,
-            plans_considered,
-            nested_invocations: memo.nested_invocations,
-        })
+        search.finish(full)
     }
 
     /// Optimizes a query under a *forced* join order (the aliases,
     /// outermost first) — still choosing the cheapest join method
     /// (including the Filter Join) at every position. This is how the
     /// Figure 3 experiment prices each of the six orders of the
-    /// motivating query.
+    /// motivating query. Each relation is read through its plain access
+    /// path; the ordered index scans `optimize` also seeds are not
+    /// offered here.
     ///
     /// A forced order always denotes a forced **left-deep** chain:
     /// `["A", "B", "C"]` means `(A ⋈ B) ⋈ C`, never `A ⋈ (B ⋈ C)`.
@@ -517,132 +328,276 @@ impl Optimizer {
             )));
         }
 
-        let mut memo = ParametricEstimator::new(self.config.eq_classes);
-        let mut plans_considered: u64 = 0;
-        let estimator = PlanEstimator::new(&self.catalog, self.config.params);
-        let conjuncts = self.conjunct_masks(query);
-        let classes = equality_classes(&conjuncts);
-        let leaves = self.build_leaves(query, &estimator, &conjuncts)?;
-
-        let mut frontier: Vec<Entry> = vec![leaves[perm[0]].clone()];
-        let mut chain: Vec<Entry> = vec![leaves[perm[0]].clone()];
-        let mut mask = 1u64 << perm[0];
-        for &j in &perm[1..] {
-            let bit = 1u64 << j;
-            mask |= bit;
-            let applicable: Vec<Expr> = conjuncts
-                .iter()
-                .filter(|(_, m)| *m & !mask == 0 && *m & bit != 0 && *m != bit)
-                .map(|(c, _)| c.clone())
-                .collect();
-            let mut next: Vec<Entry> = Vec::new();
-            for outer in &frontier {
-                let prefixes: Vec<(usize, &Entry)> = if self.config.allow_prefix_production {
-                    chain.iter().enumerate().map(|(i, e)| (i + 1, e)).collect()
-                } else {
-                    Vec::new()
-                };
-                let candidates = self.join_candidates(
-                    query,
-                    &estimator,
-                    &mut memo,
-                    &mut plans_considered,
-                    outer,
-                    &leaves[j],
-                    Some(j),
-                    mask,
-                    &applicable,
-                    &classes,
-                    &prefixes,
-                )?;
-                for c in candidates {
-                    insert_pruned(&mut next, c);
-                }
-            }
-            if next.is_empty() {
-                return Err(OptError::NoPlan("no join method applicable".into()));
-            }
-            frontier = next;
-            let step_best = frontier
-                .iter()
-                .min_by(|a, b| a.cost.total_cmp(&b.cost))
-                .expect("non-empty frontier")
-                .clone();
-            chain.push(step_best);
-        }
-        let proj_cpu = |e: &Entry| e.cost + self.config.params.cpu(e.stats.rows);
-        let entry = frontier
-            .into_iter()
-            .min_by(|a, b| proj_cpu(a).total_cmp(&proj_cpu(b)))
-            .expect("non-empty frontier");
-        if !entry.cost.is_finite() {
-            return Err(OptError::NoPlan("forced order has no finite plan".into()));
-        }
-
-        let mut phys = entry.phys;
-        let mut cost = entry.cost;
-        phys = PhysPlan::Project {
-            input: phys.boxed(),
-            exprs: self.final_projection(query)?,
-        };
-        cost += self.config.params.cpu(entry.stats.rows);
-        Ok(OptimizedPlan {
-            phys,
-            cost,
-            est_rows: entry.stats.rows,
-            order: order.to_vec(),
-            sips: entry.sips,
-            filter_join_costs: entry.fj_costs,
-            plans_considered,
-            nested_invocations: memo.nested_invocations,
-        })
+        // The same DP over the order's prefixes only; a prefix of
+        // length k splits one way, into its first k − 1 relations and
+        // the k-th.
+        let mut search = Search::new(self, query)?;
+        let prefixes = perm.iter().skip(1).scan(1u64 << perm[0], |mask, &j| {
+            *mask |= 1u64 << j;
+            Some(*mask)
+        });
+        search.run(prefixes, |mask| {
+            let bit = 1u64 << perm[mask.count_ones() as usize - 1];
+            vec![(mask & !bit, bit)]
+        })?;
+        search.finish(seen)
     }
+}
 
-    /// The SELECT list to apply on top of the final join: the user's
-    /// projection, or — `SELECT *` semantics — every column of every
-    /// FROM item in declaration order (the chosen join order must not
-    /// leak into the output schema).
-    fn final_projection(&self, query: &JoinQuery) -> Result<Vec<(Expr, String)>, OptError> {
-        if let Some(p) = &query.projection {
-            return Ok(p.clone());
-        }
-        let mut out = Vec::new();
-        for item in &query.from {
-            let schema = query.alias_schema(&self.catalog, &item.alias)?;
-            for c in schema.columns() {
-                out.push((fj_expr::col(c.name.clone()), c.name.clone()));
-            }
-        }
-        Ok(out)
-    }
-    /// The FROM position of the alias whose schema provides `col`.
-    fn alias_of(&self, query: &JoinQuery, col: &str) -> Option<usize> {
-        query.from.iter().position(|item| {
-            query
-                .alias_schema(&self.catalog, &item.alias)
-                .is_ok_and(|s| s.contains(col))
-        })
-    }
-
+/// Everything one optimization shares between the DP driver and the
+/// candidate generator: the query and what is derived from it once, the
+/// estimators, the two effort counters, and the DP table itself.
+struct Search<'a> {
+    catalog: &'a Catalog,
+    config: OptimizerConfig,
+    query: &'a JoinQuery,
+    estimator: PlanEstimator<'a>,
+    /// Parametric fits, memoized across the whole enumeration.
+    memo: RefCell<ParametricEstimator>,
+    plans_considered: Cell<u64>,
+    /// Qualified schema of every FROM item, by position.
+    schemas: Vec<Schema>,
     /// Conjuncts of the query predicate, each with the bitmask of
     /// aliases it references.
-    fn conjunct_masks(&self, query: &JoinQuery) -> Vec<(Expr, u64)> {
-        query
+    conjuncts: Vec<(Expr, u64)>,
+    /// Transitive closure of the predicate's column equalities.
+    classes: Vec<BTreeSet<String>>,
+    /// `best[S]`: the frontier of plans joining alias subset `S`.
+    best: HashMap<u64, Vec<Entry>>,
+}
+
+/// One Filter Join alternative for a given (outer, leaf inner) pair.
+struct FilterJoinVariant<'e> {
+    /// `None`: the whole outer (Limitation 2). `Some(p)`: the cheapest
+    /// plan for a strict prefix of the outer's leaves.
+    production: Option<&'e Entry>,
+    /// (production column, inner column) pairs the filter set projects.
+    filter_keys: Vec<(String, String)>,
+    /// Bloom filter instead of an exact filter set.
+    lossy: bool,
+    /// Distinguishes this variant's temp-table names.
+    tag: String,
+}
+
+impl<'a> Search<'a> {
+    /// Derives the per-query facts and seeds `best` with each alias's
+    /// plain access path.
+    fn new(opt: &'a Optimizer, query: &'a JoinQuery) -> Result<Search<'a>, OptError> {
+        let catalog: &Catalog = &opt.catalog;
+        let schemas: Vec<Schema> = query
+            .from
+            .iter()
+            .map(|item| query.alias_schema(catalog, &item.alias))
+            .collect::<Result<_, _>>()?;
+        let conjuncts: Vec<(Expr, u64)> = query
             .predicate
-            .as_ref()
-            .map(|p| {
-                split_conjuncts(p)
-                    .into_iter()
-                    .map(|c| {
-                        let mask = columns_of(&c)
-                            .iter()
-                            .filter_map(|col| self.alias_of(query, col))
-                            .fold(0u64, |m, i| m | (1 << i));
-                        (c, mask)
-                    })
-                    .collect()
+            .iter()
+            .flat_map(split_conjuncts)
+            .map(|c| {
+                let mask = columns_of(&c)
+                    .iter()
+                    .filter_map(|col| alias_of(&schemas, col))
+                    .fold(0u64, |m, i| m | (1 << i));
+                (c, mask)
             })
+            .collect();
+        let mut search = Search {
+            catalog,
+            config: opt.config,
+            query,
+            estimator: PlanEstimator::new(catalog, opt.config.params),
+            memo: RefCell::new(ParametricEstimator::new(opt.config.eq_classes)),
+            plans_considered: Cell::new(0),
+            classes: equality_classes(&conjuncts),
+            schemas,
+            conjuncts,
+            best: HashMap::new(),
+        };
+        for i in 0..query.from.len() {
+            let leaf = search.leaf(i)?;
+            search.best.insert(1u64 << i, vec![leaf]);
+        }
+        Ok(search)
+    }
+
+    /// The conjuncts that reference alias `i` alone, conjoined.
+    fn local_predicate(&self, i: usize) -> Option<Expr> {
+        let local = self.conjuncts.iter().filter(|(_, m)| *m == 1u64 << i);
+        conjoin(local.map(|(c, _)| c.clone()))
+    }
+
+    /// Alias `i`'s access path with its local conjuncts applied.
+    fn leaf(&self, i: usize) -> Result<Entry, OptError> {
+        let item = &self.query.from[i];
+        let mut logical = LogicalPlan::scan(item.relation.clone(), item.alias.clone());
+        if let Some(p) = self.local_predicate(i) {
+            logical = logical.select(p);
+        }
+        let (cost, stats, phys) = match self.query.alias_kind(self.catalog, &item.alias)? {
+            // Only reachable by probing: never enumerated on its own.
+            RelationKind::Udf(u) if u.domain().is_none() => {
+                let stats = EstStats {
+                    rows: 1000.0,
+                    width: self.schemas[i].row_width(),
+                    cols: self.schemas[i]
+                        .columns()
+                        .iter()
+                        .map(|c| {
+                            let est = ColEst {
+                                distinct: 1000.0,
+                                ..Default::default()
+                            };
+                            (c.name.clone(), est)
+                        })
+                        .collect(),
+                };
+                let phys = PhysPlan::UdfFullScan {
+                    udf: item.relation.clone(),
+                    alias: item.alias.clone(),
+                };
+                (f64::INFINITY, stats, phys)
+            }
+            _ => {
+                let (cost, stats) = self.estimator.cost(&logical)?;
+                (cost, stats, lower::lower(&logical, self.catalog)?)
+            }
+        };
+        Ok(Entry {
+            cost,
+            stats,
+            phys,
+            order: vec![i],
+            order_by: Vec::new(),
+            sips: Vec::new(),
+            fj_costs: Vec::new(),
+        })
+    }
+
+    /// Adds the *ordered* access paths to the leaf frontiers: one per
+    /// B-tree index on a local base table — the classic
+    /// interesting-orders source (§3.1). The ordered scan costs the
+    /// index's leaf pages on top of the heap scan, in exchange for a
+    /// sort order later merge joins can exploit.
+    fn seed_ordered_access_paths(&mut self) {
+        for (i, item) in self.query.from.iter().enumerate() {
+            let Ok(RelationKind::Base(t)) = self.query.alias_kind(self.catalog, &item.alias) else {
+                continue;
+            };
+            let local = self.local_predicate(i);
+            let frontier = self.best.get_mut(&(1u64 << i)).expect("leaf seeded");
+            let leaf = frontier[0].clone();
+            for (ci, column) in t.schema().columns().iter().enumerate() {
+                let Some(index) = t.btree_index(ci) else {
+                    continue;
+                };
+                let mut phys = PhysPlan::IndexOrderedScan {
+                    table: item.relation.clone(),
+                    alias: item.alias.clone(),
+                    col: column.base_name().to_string(),
+                };
+                if let Some(p) = &local {
+                    phys = PhysPlan::Filter {
+                        input: phys.boxed(),
+                        predicate: p.clone(),
+                    };
+                }
+                let ordered = Entry {
+                    cost: leaf.cost
+                        + index.page_count() as f64
+                        + self.config.params.cpu(t.row_count() as f64),
+                    phys,
+                    order_by: vec![format!("{}.{}", item.alias, column.base_name())],
+                    ..leaf.clone()
+                };
+                insert_pruned(frontier, ordered);
+            }
+        }
+    }
+
+    /// The DP driver: fills `best[mask]` for each visited `mask` from
+    /// the `(outer, inner)` sub-masks `splits(mask)` yields. `masks`
+    /// must list every sub-mask before the masks split into it.
+    fn run(
+        &mut self,
+        masks: impl Iterator<Item = u64>,
+        splits: impl Fn(u64) -> Vec<(u64, u64)>,
+    ) -> Result<(), OptError> {
+        for mask in masks {
+            let mut frontier: Vec<Entry> = Vec::new();
+            for (om, im) in splits(mask) {
+                let (Some(outers), Some(inners)) = (self.best.get(&om), self.best.get(&im)) else {
+                    continue;
+                };
+                // Conjuncts first fully bound at this join: inside
+                // `mask` and crossing the split.
+                let applicable: Vec<Expr> = self
+                    .conjuncts
+                    .iter()
+                    .filter(|(_, m)| *m & !mask == 0 && *m & om != 0 && *m & im != 0)
+                    .map(|(c, _)| c.clone())
+                    .collect();
+                for outer in outers.iter().filter(|o| o.cost.is_finite()) {
+                    for inner in inners {
+                        for c in self.join_candidates(outer, inner, &applicable)? {
+                            insert_pruned(&mut frontier, c);
+                        }
+                    }
+                }
+            }
+            if !frontier.is_empty() {
+                self.best.insert(mask, frontier);
+            }
+        }
+        Ok(())
+    }
+
+    /// Turns the winner of `best[full]` into the optimizer's output.
+    fn finish(mut self, full: u64) -> Result<OptimizedPlan, OptError> {
+        // Pick the winner by *total* cost including the final
+        // projection: cardinality estimates are path-dependent, so two
+        // entries tied on entry cost can differ once the projection's
+        // per-row CPU is added.
+        let params = self.config.params;
+        let total = |e: &Entry| e.cost + params.cpu(e.stats.rows);
+        let winner = self
+            .best
+            .remove(&full)
             .unwrap_or_default()
+            .into_iter()
+            .min_by(|a, b| total(a).total_cmp(&total(b)))
+            .ok_or_else(|| OptError::NoPlan("dynamic program found no plan".into()))?;
+        if !winner.cost.is_finite() {
+            return Err(OptError::NoPlan(
+                "no finite-cost plan (non-enumerable UDF without probe keys?)".into(),
+            ));
+        }
+        // The SELECT list: the user's projection, or — `SELECT *`
+        // semantics — every column of every FROM item in declaration
+        // order (the chosen join order must not leak into the output
+        // schema).
+        let exprs = self.query.projection.clone().unwrap_or_else(|| {
+            let columns = self.schemas.iter().flat_map(|s| s.columns());
+            columns
+                .map(|c| (col(c.name.clone()), c.name.clone()))
+                .collect()
+        });
+        Ok(OptimizedPlan {
+            cost: total(&winner),
+            est_rows: winner.stats.rows,
+            phys: PhysPlan::Project {
+                input: winner.phys.boxed(),
+                exprs,
+            },
+            order: winner
+                .order
+                .iter()
+                .map(|&i| self.query.from[i].alias.clone())
+                .collect(),
+            sips: winner.sips,
+            filter_join_costs: winner.fj_costs,
+            plans_considered: self.plans_considered.get(),
+            nested_invocations: self.memo.borrow().nested_invocations,
+        })
     }
 
     /// Per-alias neighbor bitmasks of the join graph. Alias `i` is
@@ -651,716 +606,443 @@ impl Optimizer {
     /// bushy enumerator treat `D ⋈ V` as connected under
     /// `E.did = D.did AND E.did = V.did` even though no conjunct names
     /// the pair directly (the same derivation Figure 3's order 3 uses).
-    fn join_graph(
-        &self,
-        query: &JoinQuery,
-        conjuncts: &[(Expr, u64)],
-        classes: &[std::collections::BTreeSet<String>],
-    ) -> Vec<u64> {
-        let n = query.from.len();
-        let mut adj = vec![0u64; n];
-        fn connect(adj: &mut [u64], m: u64) {
-            if m.count_ones() < 2 {
-                return;
+    fn join_graph(&self) -> Vec<u64> {
+        let class_masks = self.classes.iter().map(|class| {
+            let aliases = class.iter().filter_map(|c| alias_of(&self.schemas, c));
+            aliases.fold(0u64, |acc, i| acc | (1u64 << i))
+        });
+        let mut adj = vec![0u64; self.query.from.len()];
+        for m in self.conjuncts.iter().map(|(_, m)| *m).chain(class_masks) {
+            for (i, neighbors) in adj.iter_mut().enumerate() {
+                if m & (1u64 << i) != 0 {
+                    *neighbors |= m & !(1u64 << i);
+                }
             }
-            let mut bits = m;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                adj[i] |= m & !(1u64 << i);
-                bits &= bits - 1;
-            }
-        }
-        for (_, m) in conjuncts {
-            connect(&mut adj, *m);
-        }
-        for class in classes {
-            let m = class
-                .iter()
-                .filter_map(|c| self.alias_of(query, c))
-                .fold(0u64, |acc, i| acc | (1u64 << i));
-            connect(&mut adj, m);
         }
         adj
     }
 
-    /// Prefix productions for the Limitation-2 ablation: the DP table
-    /// holds the cheapest entry for every prefix of the outer's own
-    /// left-to-right leaf order.
-    fn prefix_entries<'a>(
-        &self,
-        best: &'a HashMap<u64, Vec<Entry>>,
-        outer: &Entry,
-    ) -> Vec<(usize, &'a Entry)> {
-        if !self.config.allow_prefix_production {
-            return Vec::new();
-        }
-        (1..outer.order.len())
-            .filter_map(|k| {
-                let m = outer.order[..k].iter().fold(0u64, |acc, &i| acc | (1 << i));
-                best.get(&m)
-                    .and_then(|v| v.iter().min_by(|a, b| a.cost.total_cmp(&b.cost)))
-                    .map(|e| (k, e))
-            })
+    /// One derived key per equality class with a column on each side:
+    /// how a pair of inputs the predicate only links through a third
+    /// relation (Figure 3's order 3) still gets a join key.
+    fn class_keys(&self, left: &EstStats, right: &EstStats) -> Vec<(String, String)> {
+        let pick = |class: &BTreeSet<String>, side: &EstStats| {
+            class.iter().find(|c| side.cols.contains_key(*c)).cloned()
+        };
+        self.classes
+            .iter()
+            .filter_map(|class| Some((pick(class, left)?, pick(class, right)?)))
             .collect()
     }
 
-    /// Builds the per-alias leaf entries (access paths with local
-    /// conjuncts applied).
-    fn build_leaves(
-        &self,
-        query: &JoinQuery,
-        estimator: &PlanEstimator<'_>,
-        conjuncts: &[(Expr, u64)],
-    ) -> Result<Vec<Entry>, OptError> {
-        let mut leaves = Vec::with_capacity(query.from.len());
-        for (i, item) in query.from.iter().enumerate() {
-            let local: Vec<Expr> = conjuncts
-                .iter()
-                .filter(|(_, m)| *m == (1u64 << i))
-                .map(|(c, _)| c.clone())
-                .collect();
-            let mut logical = LogicalPlan::scan(item.relation.clone(), item.alias.clone());
-            if let Some(p) = conjoin(local.clone()) {
-                logical = logical.select(p);
-            }
-            let kind = query.alias_kind(&self.catalog, &item.alias)?;
-            let (cost, stats, phys) = match &kind {
-                RelationKind::Udf(u) if u.domain().is_none() => {
-                    let schema = u.schema().with_qualifier(&item.alias);
-                    let stats = EstStats {
-                        rows: 1000.0,
-                        width: schema.row_width(),
-                        cols: schema
-                            .columns()
-                            .iter()
-                            .map(|c| {
-                                (
-                                    c.name.clone(),
-                                    crate::estimate::ColEst {
-                                        distinct: 1000.0,
-                                        ..Default::default()
-                                    },
-                                )
-                            })
-                            .collect(),
-                    };
-                    let phys = PhysPlan::UdfFullScan {
-                        udf: item.relation.clone(),
-                        alias: item.alias.clone(),
-                    };
-                    (f64::INFINITY, stats, phys)
-                }
-                _ => {
-                    let (cost, stats) = estimator.cost(&logical)?;
-                    let phys = lower::lower(&logical, &self.catalog)?;
-                    (cost, stats, phys)
-                }
-            };
-            leaves.push(Entry {
-                cost,
-                stats,
-                phys,
-                order: vec![i],
-                order_by: Vec::new(),
-                sips: Vec::new(),
-                fj_costs: Vec::new(),
-            });
-        }
-        Ok(leaves)
-    }
-
-    /// Alternative *ordered* access paths for a leaf: one per B-tree
-    /// index on a local base table — the classic interesting-orders
-    /// source (§3.1). The ordered scan costs the index's leaf pages on
-    /// top of the heap scan, in exchange for a sort order later merge
-    /// joins can exploit.
-    fn ordered_leaf_alternatives(
-        &self,
-        query: &JoinQuery,
-        estimator: &PlanEstimator<'_>,
-        conjuncts: &[(Expr, u64)],
-        i: usize,
-    ) -> Result<Vec<Entry>, OptError> {
-        let item = &query.from[i];
-        let Ok(RelationKind::Base(t)) = query.alias_kind(&self.catalog, &item.alias) else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::new();
-        for (ci, column) in t.schema().columns().iter().enumerate() {
-            if t.btree_index(ci).is_none() {
-                continue;
-            }
-            let local: Vec<Expr> = conjuncts
-                .iter()
-                .filter(|(_, m)| *m == (1u64 << i))
-                .map(|(c, _)| c.clone())
-                .collect();
-            let mut logical = LogicalPlan::scan(item.relation.clone(), item.alias.clone());
-            if let Some(p) = conjoin(local.clone()) {
-                logical = logical.select(p.clone());
-            }
-            let (seq_cost, stats) = estimator.cost(&logical)?;
-            let index_pages = t
-                .btree_index(ci)
-                .map(|b| b.page_count() as f64)
-                .unwrap_or(0.0);
-            let mut phys = PhysPlan::IndexOrderedScan {
-                table: item.relation.clone(),
-                alias: item.alias.clone(),
-                col: column.base_name().to_string(),
-            };
-            if let Some(p) = conjoin(local) {
-                phys = PhysPlan::Filter {
-                    input: phys.boxed(),
-                    predicate: p,
-                };
-            }
-            out.push(Entry {
-                cost: seq_cost + index_pages + self.config.params.cpu(t.row_count() as f64),
-                stats: stats.clone(),
-                phys,
-                order: vec![i],
-                order_by: vec![format!("{}.{}", item.alias, column.base_name())],
-                sips: Vec::new(),
-                fj_costs: Vec::new(),
-            });
-        }
-        Ok(out)
-    }
-
-    /// All join-method candidates for joining `outer` with `inner`.
-    /// `inner_leaf` is `Some(j)` when the inner side is the single FROM
-    /// item `j` — the precondition for the methods that restrict a
-    /// *named* relation (index nested loops, UDF probes, and the Filter
-    /// Join). With a composite inner (a bushy subtree) only the
-    /// symmetric methods — BNL, hash join, sort-merge — apply.
-    #[allow(clippy::too_many_arguments)]
+    /// All join-method candidates for joining `outer` with `inner`,
+    /// where `applicable` are the conjuncts first bound by this join.
+    /// The methods that restrict a *named* relation (index nested
+    /// loops, UDF probes, and the Filter Join) need `inner` to be a
+    /// single FROM item; with a composite inner (a bushy subtree) only
+    /// the symmetric methods — BNL, hash join, sort-merge — apply.
     fn join_candidates(
         &self,
-        query: &JoinQuery,
-        estimator: &PlanEstimator<'_>,
-        memo: &mut ParametricEstimator,
-        plans_considered: &mut u64,
         outer: &Entry,
         inner: &Entry,
-        inner_leaf: Option<usize>,
-        mask: u64,
         applicable: &[Expr],
-        classes: &[std::collections::BTreeSet<String>],
-        prefixes: &[(usize, &Entry)],
     ) -> Result<Vec<Entry>, OptError> {
         let params = self.config.params;
-        let leaf = inner;
         let pred = conjoin(applicable.to_vec());
-        let mut keys: Vec<(String, String)> = pred
+        let mut keys = pred
             .as_ref()
-            .map(|p| {
-                fj_expr::equi_join_keys(p, &|c| outer.stats.cols.contains_key(c), &|c| {
-                    leaf.stats.cols.contains_key(c)
-                })
-                .into_iter()
-                .map(|k| (k.left, k.right))
-                .collect()
-            })
+            .map(|p| written_keys(p, &outer.stats, &inner.stats))
             .unwrap_or_default();
-        // Transitive closure: when the predicate only links this pair of
-        // inputs through a third relation (Figure 3's order 3), derive a
-        // join key from the equality class. Enforcing it early is sound:
-        // the full predicate implies it.
+        // Enforcing a derived key early is sound: the full predicate
+        // implies it.
         let mut derived: Vec<Expr> = Vec::new();
         if keys.is_empty() {
-            for class in classes {
-                let o = class.iter().find(|c| outer.stats.cols.contains_key(*c));
-                let i = class.iter().find(|c| leaf.stats.cols.contains_key(*c));
-                if let (Some(o), Some(i)) = (o, i) {
-                    derived.push(fj_expr::col(o.clone()).eq(fj_expr::col(i.clone())));
-                    keys.push((o.clone(), i.clone()));
-                }
-            }
+            keys = self.class_keys(&outer.stats, &inner.stats);
+            let equalities = keys.iter().map(|(o, i)| col(o.clone()).eq(col(i.clone())));
+            derived = equalities.collect();
         }
-        let residual = pred.as_ref().map(|p| {
-            conjoin(
-                split_conjuncts(p)
-                    .into_iter()
-                    .filter(|c| !is_key_conjunct(c, &keys)),
-            )
-        });
-        let residual = residual.flatten();
+        let residual = conjoin(
+            applicable
+                .iter()
+                .filter(|c| !is_key_conjunct(c, &keys))
+                .cloned(),
+        );
         // Estimate with derived equalities included (they restrict the
         // output just like written ones).
-        let pred_est = conjoin(applicable.iter().cloned().chain(derived.iter().cloned()));
-        let out_stats = estimator.join_stats(
+        let pred_est = conjoin(applicable.iter().cloned().chain(derived));
+        let out_stats = self.estimator.join_stats(
             &outer.stats,
-            &leaf.stats,
+            &inner.stats,
             pred_est.as_ref(),
             JoinKind::Inner,
         );
 
         let op = outer.stats.pages(&params);
-        let ip = leaf.stats.pages(&params);
+        let ip = inner.stats.pages(&params);
+        let both = outer.cost + inner.cost;
+        let considered = || self.plans_considered.set(self.plans_considered.get() + 1);
         let mut out = Vec::new();
-        // Every join implementation here iterates the outer side in
-        // arrival order, so the outer's sort order is preserved unless
-        // the candidate sets its own (merge join).
-        let push = |cost_delta: f64,
-                    phys: PhysPlan,
-                    sips: Option<Sips>,
-                    fj: Option<FilterJoinCost>,
-                    stats: EstStats,
-                    out: &mut Vec<Entry>,
-                    base_cost: f64,
-                    order_by: Vec<String>| {
-            // The left-to-right leaf order of the combined tree; for a
-            // leaf inner this appends exactly `j`, as the left-deep DP
-            // always did.
-            let mut order = outer.order.clone();
-            order.extend_from_slice(&inner.order);
-            let mut all_sips = outer.sips.clone();
-            all_sips.extend(inner.sips.iter().cloned());
-            let mut all_fj = outer.fj_costs.clone();
-            all_fj.extend(inner.fj_costs.iter().cloned());
-            if let Some(s) = sips {
-                all_sips.push(s);
-            }
-            if let Some(f) = fj {
-                all_fj.push(f);
-            }
-            out.push(Entry {
-                cost: base_cost + cost_delta,
-                stats,
-                phys,
-                order,
-                order_by,
-                sips: all_sips,
-                fj_costs: all_fj,
-            });
-        };
 
-        let both = outer.cost + leaf.cost;
-
-        // 1. Block nested loops (always applicable when the leaf is
+        // 1. Block nested loops (always applicable when the inner is
         // enumerable).
-        if leaf.cost.is_finite() {
-            *plans_considered += 1;
-            push(
-                params.bnl_cost(outer.stats.rows, op, leaf.stats.rows, ip),
+        if inner.cost.is_finite() {
+            considered();
+            out.push(joined(
+                outer,
+                inner,
+                both + params.bnl_cost(outer.stats.rows, op, inner.stats.rows, ip),
+                out_stats.clone(),
                 PhysPlan::NestedLoops {
                     outer: outer.phys.clone().boxed(),
-                    inner: leaf.phys.clone().boxed(),
+                    inner: inner.phys.clone().boxed(),
                     predicate: pred.clone(),
                     kind: JoinKind::Inner,
                 },
-                None,
-                None,
-                out_stats.clone(),
-                &mut out,
-                both,
-                outer.order_by.clone(),
-            );
+            ));
         }
 
-        if !keys.is_empty() && leaf.cost.is_finite() {
+        if !keys.is_empty() && inner.cost.is_finite() {
             // 2. Hash join.
-            *plans_considered += 1;
-            push(
-                params.hash_join_cost(outer.stats.rows, op, leaf.stats.rows, ip, out_stats.rows),
+            considered();
+            out.push(joined(
+                outer,
+                inner,
+                both + params.hash_join_cost(
+                    outer.stats.rows,
+                    op,
+                    inner.stats.rows,
+                    ip,
+                    out_stats.rows,
+                ),
+                out_stats.clone(),
                 PhysPlan::HashJoin {
                     outer: outer.phys.clone().boxed(),
-                    inner: leaf.phys.clone().boxed(),
+                    inner: inner.phys.clone().boxed(),
                     keys: keys.clone(),
                     residual: residual.clone(),
                     kind: JoinKind::Inner,
                 },
-                None,
-                None,
-                out_stats.clone(),
-                &mut out,
-                both,
-                outer.order_by.clone(),
-            );
+            ));
             // 3. Sort-merge join — an *interesting order* producer: the
             // output is sorted by the outer key columns, and an outer
             // that already provides that order skips its sort (§3.1).
             if self.config.enable_merge_join {
-                *plans_considered += 1;
-                let okey_cols: Vec<String> = keys.iter().map(|(o, _)| o.clone()).collect();
-                let ikey_cols: Vec<String> = keys.iter().map(|(_, i)| i.clone()).collect();
-                let outer_sorted = order_satisfies(&outer.order_by, &okey_cols);
-                let inner_sorted = order_satisfies(&leaf.order_by, &ikey_cols);
-                push(
-                    params.merge_join_cost_with_orders(
+                considered();
+                let (okey_cols, ikey_cols): (Vec<String>, Vec<String>) =
+                    keys.iter().cloned().unzip();
+                let mut merge = joined(
+                    outer,
+                    inner,
+                    both + params.merge_join_cost_with_orders(
                         outer.stats.rows,
                         op,
-                        leaf.stats.rows,
+                        inner.stats.rows,
                         ip,
                         out_stats.rows,
-                        outer_sorted,
-                        inner_sorted,
+                        order_satisfies(&outer.order_by, &okey_cols),
+                        order_satisfies(&inner.order_by, &ikey_cols),
                     ),
+                    out_stats.clone(),
                     PhysPlan::MergeJoin {
                         outer: outer.phys.clone().boxed(),
-                        inner: leaf.phys.clone().boxed(),
+                        inner: inner.phys.clone().boxed(),
                         keys: keys.clone(),
                         residual: residual.clone(),
                     },
-                    None,
-                    None,
-                    out_stats.clone(),
-                    &mut out,
-                    both,
-                    okey_cols,
                 );
+                merge.order_by = okey_cols;
+                out.push(merge);
             }
         }
 
         // Methods 4–6 restrict a *named* inner relation (an index
         // probe, a UDF invocation, or a filter applied to the inner's
-        // access path), so they require the inner side to be a single
-        // FROM item; a composite (bushy) inner stops here.
-        let Some(j) = inner_leaf else {
+        // access path); a composite (bushy) inner stops here.
+        let [j] = inner.order[..] else {
             return Ok(out);
         };
-        let item = &query.from[j];
-        let kind = query.alias_kind(&self.catalog, &item.alias)?;
+        let item = &self.query.from[j];
+        let kind = self.query.alias_kind(self.catalog, &item.alias)?;
+        // Methods that bypass the leaf's own (filtered) access path
+        // re-apply its local conjuncts together with the residual.
+        let local = self
+            .query
+            .conjuncts_within(self.catalog, &[item.alias.as_str()]);
+        let restriction = conjoin(local.into_iter().chain(residual.clone()));
 
         // 4. Index nested loops: local base table with an index on the
         // join column.
-        if self.config.enable_index_nl && keys.len() == 1 {
-            if let RelationKind::Base(t) = &kind {
-                let inner_col = keys[0]
-                    .1
-                    .strip_prefix(&format!("{}.", item.alias))
-                    .unwrap_or(&keys[0].1)
-                    .to_string();
-                if let Ok(ci) = t.schema().resolve(&inner_col) {
-                    if t.has_index(ci) {
-                        *plans_considered += 1;
-                        let probe_pages = if t.hash_index(ci).is_some() {
-                            1.0
-                        } else {
-                            t.btree_index(ci).map(|b| b.height() as f64).unwrap_or(1.0)
-                        };
-                        let base_rows = t.row_count() as f64;
-                        let d = t
-                            .stats()
-                            .column(ci)
-                            .map(|s| s.distinct as f64)
-                            .unwrap_or(1.0)
-                            .max(1.0);
-                        // Local leaf conjuncts become residuals (the
-                        // probe sees unfiltered heap rows).
-                        let local: Vec<Expr> =
-                            query.conjuncts_within(&self.catalog, &[item.alias.as_str()]);
-                        let full_residual = conjoin(local.into_iter().chain(residual.clone()));
-                        push(
-                            params.inl_cost(outer.stats.rows, probe_pages, base_rows / d)
-                                - leaf.cost, // leaf scan not performed
-                            PhysPlan::IndexNestedLoops {
-                                outer: outer.phys.clone().boxed(),
-                                table: item.relation.clone(),
-                                alias: item.alias.clone(),
-                                outer_key: keys[0].0.clone(),
-                                inner_col,
-                                residual: full_residual,
-                            },
-                            None,
-                            None,
-                            out_stats.clone(),
-                            &mut out,
-                            both,
-                            outer.order_by.clone(),
-                        );
-                    }
-                }
+        if let (true, [(outer_key, inner_key)], RelationKind::Base(t)) =
+            (self.config.enable_index_nl, &keys[..], &kind)
+        {
+            let inner_col = inner_key
+                .strip_prefix(&format!("{}.", item.alias))
+                .unwrap_or(inner_key)
+                .to_string();
+            if let Some(ci) = t
+                .schema()
+                .resolve(&inner_col)
+                .ok()
+                .filter(|&ci| t.has_index(ci))
+            {
+                considered();
+                let probe_pages = if t.hash_index(ci).is_some() {
+                    1.0
+                } else {
+                    t.btree_index(ci).map(|b| b.height() as f64).unwrap_or(1.0)
+                };
+                let base_rows = t.row_count() as f64;
+                let d = t
+                    .stats()
+                    .column(ci)
+                    .map(|s| s.distinct as f64)
+                    .unwrap_or(1.0)
+                    .max(1.0);
+                // The probe sees unfiltered heap rows, and the leaf scan
+                // is not performed.
+                out.push(joined(
+                    outer,
+                    inner,
+                    both + (params.inl_cost(outer.stats.rows, probe_pages, base_rows / d)
+                        - inner.cost),
+                    out_stats.clone(),
+                    PhysPlan::IndexNestedLoops {
+                        outer: outer.phys.clone().boxed(),
+                        table: item.relation.clone(),
+                        alias: item.alias.clone(),
+                        outer_key: outer_key.clone(),
+                        inner_col,
+                        residual: restriction.clone(),
+                    },
+                ));
             }
         }
 
-        // 5. UDF probe: keys cover the UDF's argument columns.
+        // 5. UDF probe: keys cover the UDF's argument columns. The leaf
+        // is never enumerated, so only the outer's cost is carried.
         if let RelationKind::Udf(u) = &kind {
             let schema = u.schema();
-            let arg_names: Vec<String> = (0..u.arg_count())
-                .map(|i| format!("{}.{}", item.alias, schema.column(i).base_name()))
-                .collect();
-            let covered: Vec<Option<String>> = arg_names
-                .iter()
-                .map(|a| {
-                    keys.iter()
-                        .find(|(_, ik)| ik == a)
-                        .map(|(ok, _)| ok.clone())
+            let arg_cols: Option<Vec<String>> = (0..u.arg_count())
+                .map(|i| {
+                    let arg = format!("{}.{}", item.alias, schema.column(i).base_name());
+                    let key = keys.iter().find(|(_, ik)| *ik == arg);
+                    key.map(|(ok, _)| ok.clone())
                 })
                 .collect();
-            if covered.iter().all(Option::is_some) {
-                *plans_considered += 1;
-                let arg_cols: Vec<String> = covered.into_iter().map(Option::unwrap).collect();
-                let cost_delta = outer.stats.rows * u.invocation_cost();
+            if let Some(arg_cols) = arg_cols {
+                considered();
                 let mut stats = out_stats.clone();
                 stats.rows = outer.stats.rows * u.rows_per_call();
-                push(
-                    cost_delta,
+                out.push(joined(
+                    outer,
+                    inner,
+                    outer.cost + outer.stats.rows * u.invocation_cost(),
+                    stats,
                     PhysPlan::UdfProbe {
                         outer: outer.phys.clone().boxed(),
                         udf: item.relation.clone(),
                         alias: item.alias.clone(),
                         arg_cols,
                     },
-                    None,
-                    None,
-                    stats,
-                    &mut out,
-                    outer.cost, // leaf never enumerated
-                    outer.order_by.clone(),
-                );
+                ));
             }
         }
 
-        // 6. The Filter Join (exact, and Bloom for table inners).
-        let fj_applicable = self.config.enable_filter_join
+        // 6. The Filter Join.
+        if self.config.enable_filter_join
             && !keys.is_empty()
-            && (kind.is_virtual() || self.config.filter_join_on_base);
-        if fj_applicable {
-            let variants: &[bool] = if self.config.enable_bloom {
-                &[false, true]
-            } else {
-                &[false]
-            };
-            for &use_bloom in variants {
-                *plans_considered += 1;
-                let decision = cost_filter_join(FilterJoinArgs {
-                    catalog: &self.catalog,
-                    params,
-                    memo,
-                    outer_cost: outer.cost,
-                    outer: &outer.stats,
-                    keys: &keys,
-                    inner_alias: &item.alias,
-                    inner_relation: &item.relation,
-                    use_bloom,
-                    prefix_production: None,
-                })?;
-                let Some(d) = decision else { continue };
-                let suffix = format!("_{mask:x}_{j}{}", if use_bloom { "b" } else { "" });
-                let mut phys = build_filter_join_plan(&self.catalog, &outer.phys, &d, &suffix)?;
-                // Residual + the inner's local conjuncts apply on top.
-                let local: Vec<Expr> =
-                    query.conjuncts_within(&self.catalog, &[item.alias.as_str()]);
-                let extra = conjoin(local.iter().cloned().chain(residual.clone()));
-                let mut stats = d.output.clone();
-                let mut cost_delta = d.cost.total() - outer.cost; // JoinCost_P already in base
-                if let Some(p) = extra {
-                    let sel = estimator.selectivity(&p, &stats);
-                    cost_delta += params.cpu(stats.rows);
-                    stats.rows *= sel;
-                    phys = PhysPlan::Filter {
-                        input: phys.boxed(),
-                        predicate: p,
-                    };
-                }
-                let sips = Sips {
-                    production: outer
-                        .order
-                        .iter()
-                        .map(|&i| query.from[i].alias.clone())
-                        .collect(),
-                    inner: item.alias.clone(),
-                    filter_keys: keys
-                        .iter()
-                        .map(|(l, r)| EquiJoinKey {
-                            left: l.clone(),
-                            right: r.clone(),
-                        })
-                        .collect(),
-                };
-                push(
-                    cost_delta,
-                    phys,
-                    Some(sips),
-                    Some(d.cost),
-                    stats,
-                    &mut out,
-                    outer.cost, // leaf's own access cost replaced by FilterCost_Rk
-                    outer.order_by.clone(),
-                );
-            }
-
-            // 6a. Attribute-subset filter sets (Limitation 3): with
-            // multiple join attributes, "the filter set could contain
-            // any subset of them" — a lossy filter by attribute
-            // omission. We try each single attribute (a small constant
-            // number of variants, as the limitation requires).
-            if keys.len() > 1 {
-                for drop_idx in 0..keys.len() {
-                    let subset: Vec<(String, String)> = keys
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != drop_idx)
-                        .map(|(_, k)| k.clone())
-                        .collect();
-                    *plans_considered += 1;
-                    let decision = cost_filter_join(FilterJoinArgs {
-                        catalog: &self.catalog,
-                        params,
-                        memo,
-                        outer_cost: outer.cost,
-                        outer: &outer.stats,
-                        keys: &keys,
-                        inner_alias: &item.alias,
-                        inner_relation: &item.relation,
-                        use_bloom: false,
-                        prefix_production: Some(crate::filter_join::PrefixProduction {
-                            stats: &outer.stats,
-                            cost: outer.cost,
-                            len: outer.order.len(),
-                            filter_keys: &subset,
-                            production_is_outer: true,
-                        }),
-                    })?;
-                    let Some(d) = decision else { continue };
-                    let suffix = format!("_{mask:x}_{j}s{drop_idx}");
-                    let mut phys = build_filter_join_plan(&self.catalog, &outer.phys, &d, &suffix)?;
-                    let local: Vec<Expr> =
-                        query.conjuncts_within(&self.catalog, &[item.alias.as_str()]);
-                    let extra = conjoin(local.iter().cloned().chain(residual.clone()));
-                    let mut stats = d.output.clone();
-                    let mut cost_delta = d.cost.total() - outer.cost;
-                    if let Some(p) = extra {
-                        let sel = estimator.selectivity(&p, &stats);
-                        cost_delta += params.cpu(stats.rows);
-                        stats.rows *= sel;
-                        phys = PhysPlan::Filter {
-                            input: phys.boxed(),
-                            predicate: p,
-                        };
-                    }
-                    let sips = Sips {
-                        production: outer
-                            .order
-                            .iter()
-                            .map(|&i| query.from[i].alias.clone())
-                            .collect(),
-                        inner: item.alias.clone(),
-                        filter_keys: subset
-                            .iter()
-                            .map(|(l, r)| EquiJoinKey {
-                                left: l.clone(),
-                                right: r.clone(),
-                            })
-                            .collect(),
-                    };
-                    push(
-                        cost_delta,
-                        phys,
-                        Some(sips),
-                        Some(d.cost),
-                        stats,
-                        &mut out,
-                        outer.cost,
-                        outer.order_by.clone(),
-                    );
-                }
-            }
-
-            // 6b. Prefix production sets (Limitation-2 ablation): the
-            // filter set comes from a strict prefix of the outer; the
-            // final join still consumes the full outer. One exact
-            // variant per prefix — this is the O(N) factor §3.3 warns
-            // about.
-            for &(k, prefix) in prefixes {
-                // Keys linking the *prefix* to the inner (direct or via
-                // equality classes).
-                let mut fkeys: Vec<(String, String)> = pred_est
-                    .as_ref()
-                    .map(|p| {
-                        fj_expr::equi_join_keys(p, &|c| prefix.stats.cols.contains_key(c), &|c| {
-                            leaf.stats.cols.contains_key(c)
-                        })
-                        .into_iter()
-                        .map(|key| (key.left, key.right))
-                        .collect()
-                    })
-                    .unwrap_or_default();
-                if fkeys.is_empty() {
-                    for class in classes {
-                        let o = class.iter().find(|c| prefix.stats.cols.contains_key(*c));
-                        let i = class.iter().find(|c| leaf.stats.cols.contains_key(*c));
-                        if let (Some(o), Some(i)) = (o, i) {
-                            fkeys.push((o.clone(), i.clone()));
-                        }
-                    }
-                }
-                if fkeys.is_empty() {
-                    continue;
-                }
-                *plans_considered += 1;
-                let decision = cost_filter_join(FilterJoinArgs {
-                    catalog: &self.catalog,
-                    params,
-                    memo,
-                    outer_cost: outer.cost,
-                    outer: &outer.stats,
-                    keys: &keys,
-                    inner_alias: &item.alias,
-                    inner_relation: &item.relation,
-                    use_bloom: false,
-                    prefix_production: Some(crate::filter_join::PrefixProduction {
-                        stats: &prefix.stats,
-                        cost: prefix.cost,
-                        len: k,
-                        filter_keys: &fkeys,
-                        production_is_outer: false,
-                    }),
-                })?;
-                let Some(d) = decision else { continue };
-                let suffix = format!("_{mask:x}_{j}p{k}");
-                let mut phys = crate::filter_join::build_filter_join_plan_with_production(
-                    &self.catalog,
-                    &outer.phys,
-                    Some(&prefix.phys),
-                    &d,
-                    &suffix,
-                )?;
-                let local: Vec<Expr> =
-                    query.conjuncts_within(&self.catalog, &[item.alias.as_str()]);
-                let extra = conjoin(local.iter().cloned().chain(residual.clone()));
-                let mut stats = d.output.clone();
-                let mut cost_delta = d.cost.total() - outer.cost;
-                if let Some(p) = extra {
-                    let sel = estimator.selectivity(&p, &stats);
-                    cost_delta += params.cpu(stats.rows);
-                    stats.rows *= sel;
-                    phys = PhysPlan::Filter {
-                        input: phys.boxed(),
-                        predicate: p,
-                    };
-                }
-                let sips = Sips {
-                    production: outer.order[..k]
-                        .iter()
-                        .map(|&i| query.from[i].alias.clone())
-                        .collect(),
-                    inner: item.alias.clone(),
-                    filter_keys: fkeys
-                        .iter()
-                        .map(|(l, r)| EquiJoinKey {
-                            left: l.clone(),
-                            right: r.clone(),
-                        })
-                        .collect(),
-                };
-                push(
-                    cost_delta,
-                    phys,
-                    Some(sips),
-                    Some(d.cost),
-                    stats,
-                    &mut out,
-                    outer.cost,
-                    outer.order_by.clone(),
-                );
+            && (kind.is_virtual() || self.config.filter_join_on_base)
+        {
+            for variant in self.filter_join_variants(outer, inner, &keys, pred_est.as_ref()) {
+                considered();
+                out.extend(self.filter_join_entry(outer, inner, &keys, &restriction, variant)?);
             }
         }
-
         Ok(out)
     }
+
+    /// The Filter Join alternatives for one (outer, leaf inner) pair.
+    /// §3.3's limitations are what keep this list short: the production
+    /// set is the whole outer (Limitations 1+2) and only a small
+    /// constant number of filter sets is tried (Limitation 3) — exact,
+    /// Bloom, and with several join attributes each filter set that
+    /// omits one of them. The Limitation-2 ablation appends one exact
+    /// variant per strict prefix of the outer whose columns reach the
+    /// inner: the O(N) factor §3.3 warns about.
+    fn filter_join_variants<'s>(
+        &'s self,
+        outer: &Entry,
+        inner: &Entry,
+        keys: &[(String, String)],
+        pred_est: Option<&Expr>,
+    ) -> Vec<FilterJoinVariant<'s>> {
+        let whole_outer = |filter_keys, lossy, tag| FilterJoinVariant {
+            production: None,
+            filter_keys,
+            lossy,
+            tag,
+        };
+        let mut variants = vec![whole_outer(keys.to_vec(), false, String::new())];
+        if self.config.enable_bloom {
+            variants.push(whole_outer(keys.to_vec(), true, "b".into()));
+        }
+        if keys.len() > 1 {
+            for omit in 0..keys.len() {
+                let mut subset = keys.to_vec();
+                subset.remove(omit);
+                variants.push(whole_outer(subset, false, format!("s{omit}")));
+            }
+        }
+        if self.config.allow_prefix_production {
+            let cheapest = |v: &'s Vec<Entry>| v.iter().min_by(|a, b| a.cost.total_cmp(&b.cost));
+            for k in 1..outer.order.len() {
+                let mask = outer.order[..k].iter().fold(0u64, |m, &i| m | (1 << i));
+                let Some(prefix) = self.best.get(&mask).and_then(cheapest) else {
+                    continue;
+                };
+                let mut filter_keys = pred_est
+                    .map(|p| written_keys(p, &prefix.stats, &inner.stats))
+                    .unwrap_or_default();
+                if filter_keys.is_empty() {
+                    filter_keys = self.class_keys(&prefix.stats, &inner.stats);
+                }
+                if !filter_keys.is_empty() {
+                    variants.push(FilterJoinVariant {
+                        production: Some(prefix),
+                        filter_keys,
+                        lossy: false,
+                        tag: format!("p{k}"),
+                    });
+                }
+            }
+        }
+        variants
+    }
+
+    /// Costs one Filter Join variant (Table 1) and, when applicable,
+    /// builds its plan and DP entry, with `restriction` (the inner's
+    /// local conjuncts and the join's residual) filtering on top. The
+    /// final join always consumes the whole outer, whatever the
+    /// production set.
+    fn filter_join_entry(
+        &self,
+        outer: &Entry,
+        inner: &Entry,
+        keys: &[(String, String)],
+        restriction: &Option<Expr>,
+        variant: FilterJoinVariant<'_>,
+    ) -> Result<Option<Entry>, OptError> {
+        let params = self.config.params;
+        let j = inner.order[0];
+        let item = &self.query.from[j];
+        let production = variant.production;
+        let decision = cost_filter_join(FilterJoinArgs {
+            catalog: self.catalog,
+            params,
+            memo: &mut self.memo.borrow_mut(),
+            outer_cost: outer.cost,
+            outer: &outer.stats,
+            keys,
+            inner_alias: &item.alias,
+            inner_relation: &item.relation,
+            filter_keys: &variant.filter_keys,
+            use_bloom: variant.lossy,
+            prefix_production: production.map(|p| PrefixProduction {
+                stats: &p.stats,
+                cost: p.cost,
+            }),
+        })?;
+        let Some(d) = decision else {
+            return Ok(None);
+        };
+        let mask = outer.order.iter().fold(1u64 << j, |m, &i| m | (1 << i));
+        let suffix = format!("_{mask:x}_{j}{}", variant.tag);
+        let mut phys = build_filter_join_plan(
+            self.catalog,
+            &outer.phys,
+            production.map(|p| &p.phys),
+            &d,
+            &suffix,
+        )?;
+        let mut stats = d.output;
+        let mut cost_delta = d.cost.total() - outer.cost; // JoinCost_P already in base
+        if let Some(p) = restriction.clone() {
+            let sel = self.estimator.selectivity(&p, &stats);
+            cost_delta += params.cpu(stats.rows);
+            stats.rows *= sel;
+            phys = PhysPlan::Filter {
+                input: phys.boxed(),
+                predicate: p,
+            };
+        }
+        // The leaf's own access cost is replaced by FilterCost_Rk.
+        let mut entry = joined(outer, inner, outer.cost + cost_delta, stats, phys);
+        let produced = production.map_or(outer.order.len(), |p| p.order.len());
+        entry.sips.push(Sips {
+            production: outer.order[..produced]
+                .iter()
+                .map(|&i| self.query.from[i].alias.clone())
+                .collect(),
+            inner: item.alias.clone(),
+            filter_keys: variant
+                .filter_keys
+                .into_iter()
+                .map(|(left, right)| EquiJoinKey { left, right })
+                .collect(),
+        });
+        entry.fj_costs.push(d.cost);
+        Ok(Some(entry))
+    }
+}
+
+/// The FROM position of the alias whose schema provides `col`.
+fn alias_of(schemas: &[Schema], col: &str) -> Option<usize> {
+    schemas.iter().position(|s| s.contains(col))
+}
+
+/// The left-deep splits of `mask`: each leaf `j` in turn as the inner,
+/// the rest as the outer.
+fn left_deep_splits(mask: u64) -> Vec<(u64, u64)> {
+    let bits = (0..u64::BITS - mask.leading_zeros()).map(|j| 1u64 << j);
+    bits.filter(|bit| mask & bit != 0)
+        .map(|bit| (mask & !bit, bit))
+        .collect()
+}
+
+/// The bushy splits of `mask`, DPccp-style: subgraph–complement pairs,
+/// canonicalized on the side holding the lowest set bit so each
+/// unordered split is visited once, then both orientations. Composite
+/// inners require a join-graph edge (a csg–cmp pair); single-leaf
+/// inners are always admitted, as the left-deep space (which freely
+/// forms cross-product intermediates) admits them.
+fn bushy_splits(adj: &[u64], mask: u64) -> Vec<(u64, u64)> {
+    let low = mask & mask.wrapping_neg();
+    let mut out = Vec::new();
+    let mut s1 = (mask - 1) & mask;
+    while s1 != 0 {
+        if s1 & low != 0 {
+            let s2 = mask & !s1;
+            let linked = masks_connected(adj, s1, s2);
+            for (om, im) in [(s1, s2), (s2, s1)] {
+                if linked || im.count_ones() == 1 {
+                    out.push((om, im));
+                }
+            }
+        }
+        s1 = (s1 - 1) & mask;
+    }
+    out
+}
+
+/// The equi-join keys `pred` writes between two inputs, as
+/// `(left column, right column)`.
+fn written_keys(pred: &Expr, left: &EstStats, right: &EstStats) -> Vec<(String, String)> {
+    equi_join_keys(pred, &|c| left.cols.contains_key(c), &|c| {
+        right.cols.contains_key(c)
+    })
+    .into_iter()
+    .map(|k| (k.left, k.right))
+    .collect()
 }
 
 /// Computes the transitive closure of column equalities in the query
@@ -1368,8 +1050,7 @@ impl Optimizer {
 /// puts all three columns in one class, which is how join order 3 of
 /// Figure 3 can pass a `D`-derived filter set into `V` even though the
 /// predicate never writes `D.did = V.did` explicitly.
-pub fn equality_classes(conjuncts: &[(Expr, u64)]) -> Vec<std::collections::BTreeSet<String>> {
-    use std::collections::BTreeSet;
+pub fn equality_classes(conjuncts: &[(Expr, u64)]) -> Vec<BTreeSet<String>> {
     let mut classes: Vec<BTreeSet<String>> = Vec::new();
     for (c, _) in conjuncts {
         let Expr::Binary {

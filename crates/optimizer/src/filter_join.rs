@@ -5,8 +5,15 @@
 //! that are accessed. This restricted set of B tuples is then joined
 //! with the relation A."*
 //!
-//! Under Limitations 1+2 (§3.3) the production set is exactly the outer
-//! relation, so the seven cost components of Table 1 become:
+//! One candidate is described by three choices, and Limitations 1–3
+//! (§3.3) are restrictions on them: the **production set** (the whole
+//! outer under Limitation 2, or a strict prefix of it in the ablation —
+//! [`FilterJoinArgs::prefix_production`]), the **filter attributes**
+//! (all join keys, or a subset: Limitation 3's lossy filter "by
+//! omitting one of the join attributes" — [`FilterJoinArgs::filter_keys`])
+//! and **exact or lossy** representation ([`FilterJoinArgs::use_bloom`]).
+//! [`cost_filter_join`] prices any such description with the seven
+//! components of Table 1 and [`build_filter_join_plan`] builds it:
 //!
 //! | component | here |
 //! |---|---|
@@ -95,16 +102,6 @@ pub struct PrefixProduction<'a> {
     pub stats: &'a EstStats,
     /// Cost of producing the prefix.
     pub cost: f64,
-    /// Prefix length (relations), for SIPS reporting.
-    pub len: usize,
-    /// Filter keys: (production column, inner column).
-    pub filter_keys: &'a [(String, String)],
-    /// True when the "prefix" is in fact the whole outer — used by the
-    /// attribute-subset variants of Limitation 3, where the production
-    /// set is the outer but the filter projects only *some* of the join
-    /// attributes (a lossy filter "by omitting one of the join
-    /// attributes", §3.2).
-    pub production_is_outer: bool,
 }
 
 /// Everything the enumerator passes to cost one Filter Join candidate.
@@ -125,6 +122,11 @@ pub struct FilterJoinArgs<'a> {
     pub inner_alias: &'a str,
     /// Catalog name of the inner relation.
     pub inner_relation: &'a str,
+    /// Filter-set keys (production-side column, inner column): all of
+    /// `keys`, a subset of them (Limitation 3's filter "omitting one of
+    /// the join attributes"), or the keys linking a prefix production to
+    /// the inner.
+    pub filter_keys: &'a [(String, String)],
     /// Use a Bloom filter instead of an exact filter set (base/remote
     /// table inners only).
     pub use_bloom: bool,
@@ -145,12 +147,8 @@ pub struct FilterJoinDecision {
     pub output: EstStats,
     /// Final-join keys (outer qualified, inner qualified).
     pub keys: Vec<(String, String)>,
-    /// Filter-set keys (production-side column, inner column); equal to
-    /// `keys` under Limitation 2, taken from the prefix otherwise.
+    /// Filter-set keys (production-side column, inner column).
     pub filter_keys: Vec<(String, String)>,
-    /// `Some(k)` when the production set is the length-`k` prefix of
-    /// the outer rather than the whole outer.
-    pub production_prefix_len: Option<usize>,
     /// Inner alias.
     pub inner_alias: String,
     /// Inner catalog name.
@@ -172,7 +170,8 @@ fn filter_wire_width(n: usize) -> f64 {
 /// applicable (no keys; Bloom requested for a view; UDF without a
 /// probeable key).
 pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDecision>, OptError> {
-    if args.keys.is_empty() {
+    let filter_keys = args.filter_keys;
+    if args.keys.is_empty() || filter_keys.is_empty() {
         return Ok(None);
     }
     let params = args.params;
@@ -188,28 +187,18 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
     let p_rows = args.outer.rows;
     let p_pages = args.outer.pages(&params);
 
-    // The filter set's *source*: the whole outer (Limitation 2) or a
-    // strict prefix of it (the ablation).
-    let (src_stats, src_cost, filter_keys) = match &args.prefix_production {
-        Some(pp) => (pp.stats, pp.cost, pp.filter_keys),
-        None => (args.outer, args.outer_cost, args.keys),
+    // The filter set's *source*: the whole outer (Limitation 2), read
+    // twice when materialized (filter projection + final join), or a
+    // strict prefix of it (the ablation), which only feeds the
+    // projection.
+    let (src_stats, src_cost, reads) = match &args.prefix_production {
+        Some(pp) => (pp.stats, pp.cost, 1.0),
+        None => (args.outer, args.outer_cost, 2.0),
     };
-    if filter_keys.is_empty() {
-        return Ok(None);
-    }
     let src_rows = src_stats.rows;
     let src_pages = src_stats.pages(&params);
 
-    // ---- ProductionCost_P: materialize vs recompute. When the
-    // production is the outer itself it is read twice (filter
-    // projection + final join); a strict prefix only feeds the
-    // projection.
-    let production_is_outer = args
-        .prefix_production
-        .as_ref()
-        .map(|p| p.production_is_outer)
-        .unwrap_or(true);
-    let reads = if production_is_outer { 2.0 } else { 1.0 };
+    // ---- ProductionCost_P: materialize vs recompute.
     let mat_cost = params.materialize_cost(src_pages) + reads * src_pages;
     let recompute_cost = src_cost;
     let (production_cost_p, materialize_production) = if mat_cost <= recompute_cost {
@@ -377,7 +366,6 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
         output,
         keys: args.keys.to_vec(),
         filter_keys: filter_keys.to_vec(),
-        production_prefix_len: args.prefix_production.as_ref().map(|p| p.len),
         inner_alias: args.inner_alias.to_string(),
         inner_relation: args.inner_relation.to_string(),
         inner_site,
@@ -415,20 +403,10 @@ fn requalify_stats(mut stats: EstStats, alias: &str) -> EstStats {
 /// Remote inners wrap the filter producer and the restricted inner in
 /// `Ship` nodes (the SDD-1 semi-join of §5.1); Bloom variants replace
 /// the filter materialization with a `BuildBloom` step and the semi-join
-/// with a `BloomProbe`.
-pub fn build_filter_join_plan(
-    catalog: &Catalog,
-    outer_phys: &PhysPlan,
-    decision: &FilterJoinDecision,
-    suffix: &str,
-) -> Result<PhysPlan, OptError> {
-    build_filter_join_plan_with_production(catalog, outer_phys, None, decision, suffix)
-}
-
-/// Like [`build_filter_join_plan`], with an explicit production-set
-/// plan when the decision used a prefix production (`None` keeps
+/// with a `BloomProbe`. `production_phys` is the production-set plan
+/// when the decision was costed with a prefix production (`None` keeps
 /// Limitation 2: production = the outer itself).
-pub fn build_filter_join_plan_with_production(
+pub fn build_filter_join_plan(
     catalog: &Catalog,
     outer_phys: &PhysPlan,
     production_phys: Option<&PhysPlan>,
@@ -728,6 +706,7 @@ mod tests {
             keys: &keys(),
             inner_alias: "V",
             inner_relation: "DepAvgSal",
+            filter_keys: &keys(),
             use_bloom: false,
             prefix_production: None,
         })
@@ -756,6 +735,7 @@ mod tests {
             keys: &[],
             inner_alias: "V",
             inner_relation: "DepAvgSal",
+            filter_keys: &[],
             use_bloom: false,
             prefix_production: None,
         })
@@ -777,6 +757,7 @@ mod tests {
             keys: &keys(),
             inner_alias: "V",
             inner_relation: "DepAvgSal",
+            filter_keys: &keys(),
             use_bloom: true,
             prefix_production: None,
         })
@@ -798,12 +779,13 @@ mod tests {
             keys: &keys(),
             inner_alias: "V",
             inner_relation: "DepAvgSal",
+            filter_keys: &keys(),
             use_bloom: false,
             prefix_production: None,
         })
         .unwrap()
         .unwrap();
-        let plan = build_filter_join_plan(&cat, &outer_phys(), &d, "_t").unwrap();
+        let plan = build_filter_join_plan(&cat, &outer_phys(), None, &d, "_t").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Join output: (E ⨝ D filtered) ⨝ V — 3 young employees in big
@@ -834,6 +816,7 @@ mod tests {
             keys: &keys,
             inner_alias: "D",
             inner_relation: "Dept",
+            filter_keys: &keys,
             use_bloom: false,
             prefix_production: None,
         })
@@ -847,7 +830,7 @@ mod tests {
             .boxed(),
             predicate: col("E.age").lt(lit(30)),
         };
-        let plan = build_filter_join_plan(&cat, &outer, &d, "_b").unwrap();
+        let plan = build_filter_join_plan(&cat, &outer, None, &d, "_b").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Young employees (1,3,4,5) each joined with their department.
@@ -871,6 +854,7 @@ mod tests {
             keys: &keys,
             inner_alias: "D",
             inner_relation: "Dept",
+            filter_keys: &keys,
             use_bloom: true,
             prefix_production: None,
         })
@@ -885,7 +869,7 @@ mod tests {
             .boxed(),
             predicate: col("E.age").lt(lit(30)),
         };
-        let plan = build_filter_join_plan(&cat, &outer, &d, "_bl").unwrap();
+        let plan = build_filter_join_plan(&cat, &outer, None, &d, "_bl").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // No false negatives: all 4 young-employee joins survive.
@@ -934,14 +918,9 @@ mod tests {
             keys: &keys,
             inner_alias: "r",
             inner_relation: "R",
+            filter_keys: &subset,
             use_bloom: false,
-            prefix_production: Some(PrefixProduction {
-                stats: &ostats,
-                cost: ocost,
-                len: 1,
-                filter_keys: &subset,
-                production_is_outer: true,
-            }),
+            prefix_production: None,
         })
         .unwrap()
         .unwrap();
@@ -951,7 +930,7 @@ mod tests {
             table: "L".into(),
             alias: "l".into(),
         };
-        let plan = build_filter_join_plan(&cat, &outer, &d, "_ss").unwrap();
+        let plan = build_filter_join_plan(&cat, &outer, None, &d, "_ss").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Reference: count matches on (a, b).
@@ -993,6 +972,7 @@ mod tests {
             keys: &keys,
             inner_alias: "D",
             inner_relation: "Dept",
+            filter_keys: &keys,
             use_bloom: false,
             prefix_production: None,
         })
@@ -1007,7 +987,7 @@ mod tests {
             table: "Emp".into(),
             alias: "E".into(),
         };
-        let plan = build_filter_join_plan(&cat, &outer, &d, "_r").unwrap();
+        let plan = build_filter_join_plan(&cat, &outer, None, &d, "_r").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         assert_eq!(rel.rows.len(), 5, "every employee matches a department");

@@ -35,12 +35,12 @@ const PINS: &[Pin<'static>] = &[
     ("fig3/EVD", 0x406767f258bf258c, 0x403b6aaaaaaaaaaf, 15, 4, "E V D", "", 0x4fec00e259330f71), // cost 187.2483, rows 27.42
     ("fig3/VED", 0x406767f258bf258c, 0x403b6aaaaaaaaaaf, 15, 0, "V E D", "", 0x95642f4612a8717f), // cost 187.2483, rows 27.42
     ("fig3/VDE", 0x4065e4cb761b1ff5, 0x3fd111d9af6eff1b, 19, 0, "V D E", "{V,D}->E[D.did=E.did,V.did=E.did]", 0xd9341994239aa4e1), // cost 175.1498, rows 0.27
-    ("fig3-prefix/EDV", 0x4063016f30cab727, 0x403b23fd085f47de, 20, 4, "E D V", "{E,D}->V[E.did=V.did]", 0x76fda85be8e98a52), // cost 152.0448, rows 27.14
-    ("fig3-prefix/DEV", 0x40625f95567b90ff, 0x40324037a90c4240, 20, 4, "D E V", "{D}->E[D.did=E.did]; {D}->V[D.did=V.did]", 0x06d5f0b1d2fc6c49), // cost 146.9870, rows 18.25
-    ("fig3-prefix/DVE", 0x40618fa5348abf2f, 0x3fda0a1bd3c63d48, 24, 4, "D V E", "{D}->V[D.did=V.did]; {D,V}->E[D.did=E.did,V.did=E.did]", 0xb73fbb68b31d94ab), // cost 140.4889, rows 0.41
-    ("fig3-prefix/EVD", 0x406767f258bf258c, 0x403b6aaaaaaaaaaf, 20, 4, "E V D", "", 0x4fec00e259330f71), // cost 187.2483, rows 27.42
-    ("fig3-prefix/VED", 0x406767f258bf258c, 0x403b6aaaaaaaaaaf, 20, 0, "V E D", "", 0x95642f4612a8717f), // cost 187.2483, rows 27.42
-    ("fig3-prefix/VDE", 0x4065e4cb761b1ff5, 0x3fd111d9af6eff1b, 24, 0, "V D E", "{V,D}->E[D.did=E.did,V.did=E.did]", 0xd9341994239aa4e1), // cost 175.1498, rows 0.27
+    ("fig3-prefix/EDV", 0x4063416f30cab727, 0x403b23fd085f47de, 17, 4, "E D V", "{E,D}->V[E.did=V.did]", 0x0464318a625916a9), // cost 154.0448, rows 27.14
+    ("fig3-prefix/DEV", 0x40628fbb975f96c1, 0x4038bbf0fbfcf034, 17, 4, "D E V", "{D}->E[D.did=E.did]; {D}->V[D.did=V.did]", 0x2859b07188f1f24a), // cost 148.4916, rows 24.73
+    ("fig3-prefix/DVE", 0x4061afa5348abf2f, 0x3fda0a1bd3c63d48, 21, 4, "D V E", "{D}->V[D.did=V.did]; {D,V}->E[D.did=E.did,V.did=E.did]", 0x5e299d30e5b5db99), // cost 141.4889, rows 0.41
+    ("fig3-prefix/EVD", 0x406767f258bf258c, 0x403b6aaaaaaaaaaf, 17, 4, "E V D", "", 0x4fec00e259330f71), // cost 187.2483, rows 27.42
+    ("fig3-prefix/VED", 0x406767f258bf258c, 0x403b6aaaaaaaaaaf, 17, 0, "V E D", "", 0x95642f4612a8717f), // cost 187.2483, rows 27.42
+    ("fig3-prefix/VDE", 0x4065e4cb761b1ff5, 0x3fd111d9af6eff1b, 21, 0, "V D E", "{V,D}->E[D.did=E.did,V.did=E.did]", 0xd9341994239aa4e1), // cost 175.1498, rows 0.27
     ("chain2/fj-off", 0x4028000000000000, 0x4069000000000000, 6, 0, "t1 t0", "", 0xfae695d388176f67), // cost 12.0000, rows 200.00
     ("chain2/fj-on", 0x4028000000000000, 0x4069000000000000, 10, 0, "t1 t0", "", 0xfae695d388176f67), // cost 12.0000, rows 200.00
     ("chain2/prefix", 0x4028000000000000, 0x4069000000000000, 10, 0, "t1 t0", "", 0xfae695d388176f67), // cost 12.0000, rows 200.00
@@ -78,7 +78,7 @@ const PINS: &[Pin<'static>] = &[
     ("two-col-key/default", 0x4060c27027027028, 0x400e79e79e79e79f, 94, 0, "s l r", "", 0xa2d2776a25b48a38), // cost 134.0762, rows 3.81
     ("two-col-key/bushy", 0x4060c27027027028, 0x400e79e79e79e79f, 121, 0, "l s r", "", 0x40c5f0152d6882e8), // cost 134.0762, rows 3.81
     ("two-col-key/prefix", 0x4060c27027027028, 0x400e79e79e79e79f, 103, 0, "s l r", "", 0xa2d2776a25b48a38), // cost 134.0762, rows 3.81
-    ("two-col-key/forced-lrs", 0x406576db6db6db6e, 0x4091db6db6db6db7, 22, 0, "l r s", "", 0xd136b1125c47f7eb), // cost 171.7143, rows 1142.86
+    ("two-col-key/forced-lrs", 0x406576db6db6db6e, 0x4091db6db6db6db7, 19, 0, "l r s", "", 0xd136b1125c47f7eb), // cost 171.7143, rows 1142.86
     ("two-col-key/remote", 0x4073e03c2eab9b08, 0x3faada4fbf4adbd4, 79, 0, "s l r", "{s,l}->r[l.a=r.a,s.a=r.a]", 0x3d542a41e0f3425f), // cost 318.0147, rows 0.05
     ("udf/enumerable", 0x40678ccccccccccd, 0x409f400000000000, 11, 0, "T S", "{T}->S[T.cust=S.cust]", 0x4182f7dfa10949d7), // cost 188.4000, rows 2000.00
     ("udf/probe-only", 0x40678ccccccccccd, 0x409f400000000000, 3, 0, "T S", "{T}->S[T.cust=S.cust]", 0x4182f7dfa10949d7), // cost 188.4000, rows 2000.00
