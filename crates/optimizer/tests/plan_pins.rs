@@ -85,6 +85,13 @@ const PINS: &[Pin<'static>] = &[
     ("remote/wan", 0x4075f3a7ffb3d113, 0x40a76fffff3df4da, 10, 0, "O C", "{O}->C[O.cust=C.cust]", 0xf11782ec2cb06f29), // cost 351.2285, rows 3000.00
     ("btree-merge/default", 0x4093c80000000000, 0x40b7700000000000, 188, 0, "a c b", "", 0x30b1b9bdaf658079), // cost 1266.0000, rows 6000.00
     ("btree-merge/forced-abc", 0x409e600000000000, 0x40b7700000000000, 15, 0, "a b c", "", 0xddb644111efcc57d), // cost 1944.0000, rows 6000.00
+    ("bench-star/lt8/left-deep", 0x4050c2d0e5604188, 0x402c000000000000, 1730, 0, "d3 d2 f d0 d4 d1", "", 0xa7d00361505f26a2), // cost 67.0440, rows 14.00
+    ("bench-star/lt8/bushy", 0x4050c2d0e5604188, 0x402c000000000000, 4838, 0, "f d2 d3 d0 d4 d1", "", 0x062d750123ea3638), // cost 67.0440, rows 14.00
+    ("bench-star/lt25/left-deep", 0x405806be55ef2875, 0x40518c47bc5733c3, 1730, 0, "d0 f d4 d3 d2 d1", "", 0xf324f5eda2345220), // cost 96.1054, rows 70.19
+    ("bench-star/lt25/bushy", 0x405806be55ef2875, 0x40518c47bc5733c3, 4838, 0, "f d0 d4 d3 d2 d1", "", 0x70f8c2a2f6b39fac), // cost 96.1054, rows 70.19
+    ("bench-star/lt42/left-deep", 0x40673c387bf269c0, 0x408bf938ac18f81f, 1730, 0, "d4 f d0 d3 d2 d1", "", 0x1710993b8dc2d051), // cost 185.8819, rows 895.15
+    ("bench-star/lt42/bushy", 0x40673c387bf269c0, 0x408bf938ac18f81f, 4838, 0, "f d4 d0 d3 d2 d1", "", 0x99c371f3950efd21), // cost 185.8819, rows 895.15
+    ("prefix-view/optimize", 0x404ded426ee29af5, 0x40189c302a7cea99, 90, 4, "D E V", "{D}->V[D.did=V.did]", 0x8dae91fef1b209c5), // cost 59.8536, rows 6.15
 ];
 
 /// A row as it is written in `PINS`.
@@ -412,6 +419,29 @@ fn actual_rows() -> Vec<(String, OptimizedPlan)> {
         &q,
         cfg,
         &["a", "b", "c"],
+    );
+
+    // The shape the wall-clock benchmark's `adhoc_plan` runs: a fact
+    // and five filtered dimensions at its sizes, three selectivities.
+    for attr_lt in [8, 25, 42] {
+        let (cat, q) = star_selective(6, 2_000, 100, attr_lt, 1);
+        rows.both_shapes(&format!("bench-star/lt{attr_lt}"), cat, &q);
+    }
+
+    // Many small departments: `optimize` itself picks a Filter Join
+    // into the view whose production set `{D}` is a strict prefix of
+    // the outer `D ⋈ E`.
+    let cat = Arc::new(emp_dept(EmpDeptConfig {
+        n_emps: 1_000,
+        n_depts: 500,
+        frac_big: 0.05,
+        ..Default::default()
+    }));
+    rows.optimize(
+        "prefix-view/optimize".into(),
+        &cat,
+        &paper_query(),
+        prefix_ablation(),
     );
 
     rows.0
