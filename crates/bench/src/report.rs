@@ -14,7 +14,15 @@ pub struct Report {
     pub rows: Vec<Vec<String>>,
     /// Free-form notes printed under the table.
     pub notes: Vec<String>,
+    /// Printed at the start of every line; [`WALL_CLOCK_MARK`] for a
+    /// table of timings, empty otherwise.
+    pub line_prefix: &'static str,
 }
+
+/// Starts every line of a report whose numbers are wall-clock times, so
+/// a comparison against pinned output can skip them
+/// (`grep -v '^~'`).
+pub const WALL_CLOCK_MARK: &str = "~ ";
 
 impl Report {
     /// Starts a report.
@@ -24,7 +32,14 @@ impl Report {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            line_prefix: "",
         }
+    }
+
+    /// Marks the report as wall-clock: not reproducible run to run.
+    pub fn wall_clock(mut self) -> Report {
+        self.line_prefix = WALL_CLOCK_MARK;
+        self
     }
 
     /// Appends a row (panics on arity mismatch — reports are
@@ -62,26 +77,27 @@ impl fmt::Display for Report {
                 widths[i] = widths[i].max(c.len());
             }
         }
-        writeln!(f, "== {} ==", self.title)?;
+        let p = self.line_prefix;
+        writeln!(f, "{p}== {} ==", self.title)?;
         let header: Vec<String> = self
             .headers
             .iter()
             .enumerate()
             .map(|(i, h)| format!("{h:>w$}", w = widths[i]))
             .collect();
-        writeln!(f, "{}", header.join("  "))?;
+        writeln!(f, "{p}{}", header.join("  "))?;
         let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-        writeln!(f, "{}", "-".repeat(total))?;
+        writeln!(f, "{p}{}", "-".repeat(total))?;
         for row in &self.rows {
             let line: Vec<String> = row
                 .iter()
                 .enumerate()
                 .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
                 .collect();
-            writeln!(f, "{}", line.join("  "))?;
+            writeln!(f, "{p}{}", line.join("  "))?;
         }
         for n in &self.notes {
-            writeln!(f, "  note: {n}")?;
+            writeln!(f, "{p}  note: {n}")?;
         }
         Ok(())
     }
@@ -102,6 +118,17 @@ mod tests {
         assert!(s.contains("note: shape holds"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[1].len(), lines[3].len(), "aligned columns");
+    }
+
+    #[test]
+    fn wall_clock_report_marks_every_line() {
+        let mut r = Report::new("T", &["us"]).wall_clock();
+        r.row(vec!["17".into()]);
+        r.note("varies");
+        assert!(r
+            .to_string()
+            .lines()
+            .all(|l| l.starts_with(WALL_CLOCK_MARK)));
     }
 
     #[test]

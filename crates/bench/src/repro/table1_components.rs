@@ -14,7 +14,9 @@ use fj_core::exec::context::TempTable;
 use fj_core::exec::physical::Rel;
 use fj_core::expr::col;
 use fj_core::optimizer::estimate::PlanEstimator;
-use fj_core::optimizer::filter_join::{cost_filter_join, FilterJoinArgs};
+use fj_core::optimizer::filter_join::{
+    cost_filter_join, FilterJoinArgs, FilterJoinInner, FilterJoinSpec,
+};
 use fj_core::optimizer::parametric::ParametricEstimator;
 use fj_core::storage::CPU_WEIGHT_DEFAULT;
 use fj_core::{lit, CostParams, ExecCtx, LedgerSnapshot, LogicalPlan, PhysPlan};
@@ -65,11 +67,12 @@ pub fn staged(n_emps: usize, n_depts: usize, frac_big: f64) -> Vec<ComponentRow>
         memo: &mut memo,
         outer_cost,
         outer: &outer_stats,
-        keys: &keys,
-        inner_alias: "V",
-        inner_relation: "DepAvgSal",
-        filter_keys: &keys,
-        use_bloom: false,
+        spec: FilterJoinSpec {
+            inner: &FilterJoinInner::new(&cat, "DepAvgSal", "V").expect("view resolves"),
+            keys: &keys,
+            filter_keys: &keys,
+            use_bloom: false,
+        },
         prefix_production: None,
     })
     .expect("costing succeeds")

@@ -21,12 +21,17 @@ pub struct EquiJoinKey {
 
 /// Splits a predicate into its top-level AND conjuncts.
 pub fn split_conjuncts(pred: &Expr) -> Vec<Expr> {
+    conjunct_refs(pred).into_iter().cloned().collect()
+}
+
+/// The top-level AND conjuncts of `pred`, left to right, borrowed.
+pub fn conjunct_refs(pred: &Expr) -> Vec<&Expr> {
     let mut out = Vec::new();
     collect_conjuncts(pred, &mut out);
     out
 }
 
-fn collect_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
+fn collect_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     match e {
         Expr::Binary {
             op: BinOp::And,
@@ -36,7 +41,7 @@ fn collect_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
             collect_conjuncts(left, out);
             collect_conjuncts(right, out);
         }
-        other => out.push(other.clone()),
+        other => out.push(other),
     }
 }
 
@@ -49,21 +54,52 @@ pub fn conjoin(preds: impl IntoIterator<Item = Expr>) -> Option<Expr> {
 /// All column names referenced by an expression, sorted and de-duplicated.
 pub fn columns_of(e: &Expr) -> BTreeSet<String> {
     let mut set = BTreeSet::new();
-    collect_columns(e, &mut set);
+    for_each_column(e, &mut |name| {
+        set.insert(name.to_string());
+    });
     set
 }
 
-fn collect_columns(e: &Expr, out: &mut BTreeSet<String>) {
+/// Calls `visit` with every column reference in `e`, left to right
+/// (a column referenced twice is visited twice).
+pub fn for_each_column(e: &Expr, visit: &mut dyn FnMut(&str)) {
     match e {
-        Expr::Column(name) => {
-            out.insert(name.clone());
-        }
+        Expr::Column(name) => visit(name),
         Expr::Literal(_) => {}
         Expr::Binary { left, right, .. } => {
-            collect_columns(left, out);
-            collect_columns(right, out);
+            for_each_column(left, visit);
+            for_each_column(right, visit);
         }
-        Expr::Not(inner) | Expr::IsNull(inner) => collect_columns(inner, out),
+        Expr::Not(inner) | Expr::IsNull(inner) => for_each_column(inner, visit),
+    }
+}
+
+/// The equi-join key a single conjunct writes: `Some((left column,
+/// right column))` when it has the exact shape `col = col` and the two
+/// columns satisfy `is_left` and `is_right` respectively (in either
+/// textual order).
+pub fn equi_join_key<'e>(
+    conjunct: &'e Expr,
+    is_left: &dyn Fn(&str) -> bool,
+    is_right: &dyn Fn(&str) -> bool,
+) -> Option<(&'e str, &'e str)> {
+    let Expr::Binary {
+        op: BinOp::Eq,
+        left,
+        right,
+    } = conjunct
+    else {
+        return None;
+    };
+    let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
+        return None;
+    };
+    if is_left(a) && is_right(b) {
+        Some((a, b))
+    } else if is_left(b) && is_right(a) {
+        Some((b, a))
+    } else {
+        None
     }
 }
 
@@ -78,32 +114,12 @@ pub fn equi_join_keys(
     is_left: &dyn Fn(&str) -> bool,
     is_right: &dyn Fn(&str) -> bool,
 ) -> Vec<EquiJoinKey> {
-    split_conjuncts(pred)
-        .iter()
-        .filter_map(|c| match c {
-            Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } => match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(a), Expr::Column(b)) => {
-                    if is_left(a) && is_right(b) {
-                        Some(EquiJoinKey {
-                            left: a.clone(),
-                            right: b.clone(),
-                        })
-                    } else if is_left(b) && is_right(a) {
-                        Some(EquiJoinKey {
-                            left: b.clone(),
-                            right: a.clone(),
-                        })
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            },
-            _ => None,
+    conjunct_refs(pred)
+        .into_iter()
+        .filter_map(|c| equi_join_key(c, is_left, is_right))
+        .map(|(left, right)| EquiJoinKey {
+            left: left.to_string(),
+            right: right.to_string(),
         })
         .collect()
 }

@@ -21,7 +21,8 @@ pub mod expr;
 
 pub use agg::{Accumulator, AggCall, AggFunc};
 pub use analysis::{
-    columns_of, conjoin, equi_join_keys, separable_conjuncts, split_conjuncts, EquiJoinKey,
+    columns_of, conjoin, conjunct_refs, equi_join_key, equi_join_keys, for_each_column,
+    separable_conjuncts, split_conjuncts, EquiJoinKey,
 };
 pub use bound::BoundExpr;
 pub use error::ExprError;

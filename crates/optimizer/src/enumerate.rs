@@ -6,8 +6,8 @@
 //! subset masks and, for each, asks a *split generator* for
 //! `(outer, inner)` sub-masks, joins every retained outer entry with
 //! every retained inner entry under every applicable method
-//! ([`Search::join_candidates`]) and keeps the survivors of
-//! [`insert_pruned`]. The three search spaces differ only in which
+//! ([`Search::join_pair`]) and keeps the survivors of
+//! [`Search::offer`]. The three search spaces differ only in which
 //! masks are visited and how each is split:
 //!
 //! * [`PlanShape::LeftDeep`] (the default, and the shape of every
@@ -31,22 +31,39 @@
 //! UDF probes and the Filter Join — are offered when the inner side is
 //! a single leaf; block nested loops, hash and sort-merge accept any
 //! subtree on either side. The Filter Join itself is one method with a
-//! list of variants ([`Search::filter_join_variants`]): Limitations 1–3
+//! list of variants ([`Search::whole_outer_variants`]): Limitations 1–3
 //! of §3.3 bound that list to a small constant per join.
+//!
+//! A candidate is *costed*, not built. An [`Entry`] is a small record
+//! in an arena: cost, output statistics (a shared handle), sort-order
+//! id and a [`Recipe`] naming the method and the two sub-entries by id.
+//! What every pair of entries across one split has in common — the
+//! conjuncts the join binds, its keys, what an index probe or a UDF
+//! call costs — is derived once per split ([`Split`]), and what every
+//! join into one FROM item has in common once per query ([`Alias`]).
+//! One set of output statistics serves every method's entry for a pair
+//! of inputs; a Filter Join, whose output differs, is costed from
+//! cardinalities alone and its statistics derived only if the frontier
+//! will keep it. The physical plan, leaf order, SIPS and Table 1
+//! breakdowns exist only for the winner: [`Search::finish`] walks its
+//! recipe. DESIGN.md ("How the DP stores plans") has the rationale and
+//! why the order candidates are offered in must not change.
 
 use crate::cost::CostParams;
 use crate::error::OptError;
-use crate::estimate::{ColEst, EstStats, PlanEstimator};
+use crate::estimate::{ColEst, EstStats, JoinTerm, PlanEstimator};
 use crate::filter_join::{
-    build_filter_join_plan, cost_filter_join, FilterJoinArgs, FilterJoinCost, PrefixProduction,
+    build_filter_join_plan, cost_filter_join, filter_join_stats, FilterJoinArgs, FilterJoinCost,
+    FilterJoinDecision, FilterJoinInner, FilterJoinSpec, PrefixProduction,
 };
 use crate::parametric::ParametricEstimator;
 use fj_algebra::{Catalog, JoinKind, JoinQuery, LogicalPlan, RelationKind, Sips};
 use fj_exec::{lower, PhysPlan};
-use fj_expr::{col, columns_of, conjoin, equi_join_keys, split_conjuncts, EquiJoinKey, Expr};
+use fj_expr::{col, conjoin, conjunct_refs, equi_join_key, for_each_column, EquiJoinKey, Expr};
 use fj_storage::{Index as _, Schema};
-use std::cell::{Cell, RefCell};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which join-tree shapes the enumerator explores.
@@ -159,72 +176,93 @@ pub struct OptimizedPlan {
     pub nested_invocations: u64,
 }
 
-/// One dynamic-programming table entry.
+/// Index of an [`Entry`] in [`Search::arena`]. Entries are never
+/// removed, so an id never dangles.
+type EntryId = u32;
+
+/// Index of an interned sort order in [`Search::orders`].
+type OrderId = u32;
+
+/// The empty sort order.
+const UNORDERED: OrderId = 0;
+
+/// One dynamic-programming table entry: what a candidate plan costs
+/// and produces, and how to build it should it win.
 #[derive(Debug, Clone)]
 struct Entry {
     cost: f64,
+    /// Output statistics. The column estimates inside are shared with
+    /// every entry derived from the same pair of inputs.
     stats: EstStats,
-    phys: PhysPlan,
-    order: Vec<usize>,
-    /// Output sort order (column names, major first); empty = none.
-    /// This is the *interesting orders* property of §3.1: entries with
-    /// a useful order are not pruned by cheaper unordered entries.
-    order_by: Vec<String>,
-    sips: Vec<Sips>,
-    fj_costs: Vec<FilterJoinCost>,
+    /// Output sort order (interned column ids, major first). This is
+    /// the *interesting orders* property of §3.1: entries with a useful
+    /// order are not pruned by cheaper unordered entries.
+    order_by: OrderId,
+    /// The FROM items joined.
+    mask: u64,
+    recipe: Recipe,
+}
+
+/// How to build an entry's plan from the entries it was derived from.
+#[derive(Debug, Clone, Copy)]
+enum Recipe {
+    /// FROM item `alias` through its plain access path, or through the
+    /// B-tree index on column `ordered_on`.
+    Leaf {
+        alias: usize,
+        ordered_on: Option<usize>,
+    },
+    /// `outer ⋈ inner`, reading the plans of both.
+    Join {
+        method: Symmetric,
+        outer: EntryId,
+        inner: EntryId,
+    },
+    /// `outer` joined into the relation the leaf `inner` names; the
+    /// leaf's own access path is not run.
+    Into {
+        method: Named,
+        outer: EntryId,
+        inner: EntryId,
+    },
+}
+
+/// The join methods that accept any subtree on either side.
+#[derive(Debug, Clone, Copy)]
+enum Symmetric {
+    NestedLoops,
+    Hash,
+    Merge,
+}
+
+/// The join methods that restrict a *named* inner relation.
+#[derive(Debug, Clone, Copy)]
+enum Named {
+    IndexNestedLoops,
+    UdfProbe,
+    FilterJoin(Variant),
+}
+
+/// One Filter Join alternative for a given (outer, leaf inner) pair.
+#[derive(Debug, Clone, Copy)]
+struct Variant {
+    /// `None`: the whole outer (Limitation 2). `Some(p)`: the cheapest
+    /// plan for a strict prefix of the outer's leaves.
+    production: Option<EntryId>,
+    /// The filter set projects every join key but this one.
+    omit: Option<usize>,
+    /// Bloom filter instead of an exact filter set.
+    lossy: bool,
 }
 
 /// `have` provides ordering `want` iff `want` is a prefix of `have`.
-fn order_satisfies(have: &[String], want: &[String]) -> bool {
+fn order_satisfies<T: PartialEq>(have: &[T], want: &[T]) -> bool {
     want.len() <= have.len() && &have[..want.len()] == want
 }
 
 /// Max entries retained per subset (the System-R "interesting orders"
 /// frontier, bounded to keep enumeration linear in practice).
 const MAX_ENTRIES_PER_SUBSET: usize = 4;
-
-/// Inserts `e` into a Pareto frontier over (cost, sort order): an entry
-/// is dominated when another is no more expensive and provides at least
-/// its ordering.
-fn insert_pruned(entries: &mut Vec<Entry>, e: Entry) {
-    let dominates = |k: &Entry, e: &Entry| {
-        k.cost <= e.cost + 1e-12 && order_satisfies(&k.order_by, &e.order_by)
-    };
-    if entries.iter().any(|k| dominates(k, &e)) {
-        return;
-    }
-    entries.retain(|k| !dominates(&e, k));
-    entries.push(e);
-    if entries.len() > MAX_ENTRIES_PER_SUBSET {
-        // Never drop the cheapest; drop the most expensive of the rest.
-        let min_cost = entries.iter().map(|k| k.cost).fold(f64::INFINITY, f64::min);
-        let evict = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| k.cost > min_cost)
-            .max_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
-            .map(|(idx, _)| idx);
-        if let Some(idx) = evict {
-            entries.remove(idx);
-        }
-    }
-}
-
-/// The entry for `outer ⋈ inner`: leaf order, SIPS and Table 1
-/// breakdowns concatenate left to right. Every join implementation
-/// iterates the outer side in arrival order, so the outer's sort order
-/// is kept; the merge join overwrites it with its own.
-fn joined(outer: &Entry, inner: &Entry, cost: f64, stats: EstStats, phys: PhysPlan) -> Entry {
-    Entry {
-        cost,
-        stats,
-        phys,
-        order: [&outer.order[..], &inner.order[..]].concat(),
-        order_by: outer.order_by.clone(),
-        sips: [&outer.sips[..], &inner.sips[..]].concat(),
-        fj_costs: [&outer.fj_costs[..], &inner.fj_costs[..]].concat(),
-    }
-}
 
 /// The cost-based optimizer.
 #[derive(Debug, Clone)]
@@ -344,6 +382,104 @@ impl Optimizer {
     }
 }
 
+/// What the search derives once per FROM item.
+struct Alias {
+    /// The relation, as a join whose inner side it is sees it.
+    rel: FilterJoinInner,
+    /// The plain access path, local conjuncts applied; lowered only
+    /// if the winner reads it.
+    access: LogicalPlan,
+    /// The conjuncts (by position) that reference no other FROM item.
+    local: Vec<usize>,
+}
+
+/// What every pair of entries joined across one `(outer, inner)` split
+/// has in common: derived once per split, read per candidate, and
+/// derived again by [`Search::build`] for the joins of the winner.
+struct Split {
+    /// Conjuncts (by position) first fully bound at this join.
+    applicable: Vec<usize>,
+    /// Equalities the predicate implies but does not write, enforced
+    /// when it writes no key between the two sides.
+    derived: Vec<Expr>,
+    /// Join keys: (outer column, inner column).
+    keys: Vec<(String, String)>,
+    /// The applicable conjuncts that are not keys.
+    residual: Vec<usize>,
+    /// The sort orders a merge join needs of its inputs (the key
+    /// columns), and gives its output (the outer's).
+    outer_key_order: OrderId,
+    inner_key_order: OrderId,
+    /// Set when the inner side is a single FROM item.
+    leaf: Option<LeafInner>,
+}
+
+impl Split {
+    /// What the join enforces: the applicable conjuncts, then the
+    /// derived equalities.
+    fn conjuncts<'s>(&'s self, search: &'s Search<'_>) -> impl Iterator<Item = &'s Expr> {
+        let applicable = self.applicable.iter().map(|&k| search.conjuncts[k].0);
+        applicable.chain(&self.derived)
+    }
+
+    /// `variant` of the Filter Join into this split's leaf inner, as
+    /// costing and plan construction take it.
+    fn filter_join<'s>(
+        &'s self,
+        aliases: &'s [Alias],
+        variant: Variant,
+        filter_keys: &'s [(String, String)],
+    ) -> FilterJoinSpec<'s> {
+        let leaf = self.leaf.as_ref().expect("offered for a leaf inner");
+        FilterJoinSpec {
+            inner: &aliases[leaf.alias].rel,
+            keys: &self.keys,
+            filter_keys,
+            use_bloom: variant.lossy,
+        }
+    }
+}
+
+/// The methods that restrict a *named* inner relation.
+struct LeafInner {
+    /// FROM position of the inner.
+    alias: usize,
+    /// What a method that bypasses the leaf's own (filtered) access
+    /// path re-applies: its local conjuncts and the join's residual.
+    restriction: Vec<usize>,
+    index_probe: Option<IndexProbe>,
+    udf_probe: Option<UdfProbe>,
+    /// The Filter Joins whose production set is the whole outer; empty
+    /// when the method is not offered.
+    variants: Vec<Variant>,
+}
+
+/// Index nested loops into a local base table.
+struct IndexProbe {
+    outer_key: String,
+    inner_col: String,
+    /// Index pages read per probe.
+    pages: f64,
+    /// Unfiltered heap rows a probe returns.
+    rows: f64,
+}
+
+/// A table function invoked once per outer row.
+struct UdfProbe {
+    /// The outer column feeding each argument.
+    arg_cols: Vec<String>,
+    rows_per_call: f64,
+    invocation_cost: f64,
+}
+
+/// What walking the winner's recipe accumulates, left to right.
+#[derive(Default)]
+struct Built {
+    order: Vec<usize>,
+    sips: Vec<Sips>,
+    fj_costs: Vec<FilterJoinCost>,
+}
+
 /// Everything one optimization shares between the DP driver and the
 /// candidate generator: the query and what is derived from it once, the
 /// estimators, the two effort counters, and the DP table itself.
@@ -353,30 +489,26 @@ struct Search<'a> {
     query: &'a JoinQuery,
     estimator: PlanEstimator<'a>,
     /// Parametric fits, memoized across the whole enumeration.
-    memo: RefCell<ParametricEstimator>,
-    plans_considered: Cell<u64>,
+    memo: ParametricEstimator,
+    plans_considered: u64,
     /// Qualified schema of every FROM item, by position.
     schemas: Vec<Schema>,
+    aliases: Vec<Alias>,
     /// Conjuncts of the query predicate, each with the bitmask of
     /// aliases it references.
-    conjuncts: Vec<(Expr, u64)>,
+    conjuncts: Vec<(&'a Expr, u64)>,
     /// Transitive closure of the predicate's column equalities.
     classes: Vec<BTreeSet<String>>,
+    /// Interned names of the columns sort orders mention.
+    columns: Vec<String>,
+    /// Interned sort orders, as column ids major first.
+    orders: Vec<Vec<u32>>,
+    /// Every entry ever retained, evicted ones included.
+    arena: Vec<Entry>,
+    /// The frontiers `best` points into, back to back.
+    frontiers: Vec<EntryId>,
     /// `best[S]`: the frontier of plans joining alias subset `S`.
-    best: HashMap<u64, Vec<Entry>>,
-}
-
-/// One Filter Join alternative for a given (outer, leaf inner) pair.
-struct FilterJoinVariant<'e> {
-    /// `None`: the whole outer (Limitation 2). `Some(p)`: the cheapest
-    /// plan for a strict prefix of the outer's leaves.
-    production: Option<&'e Entry>,
-    /// (production column, inner column) pairs the filter set projects.
-    filter_keys: Vec<(String, String)>,
-    /// Bloom filter instead of an exact filter set.
-    lossy: bool,
-    /// Distinguishes this variant's temp-table names.
-    tag: String,
+    best: HashMap<u64, Range<usize>>,
 }
 
 impl<'a> Search<'a> {
@@ -389,15 +521,15 @@ impl<'a> Search<'a> {
             .iter()
             .map(|item| query.alias_schema(catalog, &item.alias))
             .collect::<Result<_, _>>()?;
-        let conjuncts: Vec<(Expr, u64)> = query
+        let conjuncts: Vec<(&Expr, u64)> = query
             .predicate
             .iter()
-            .flat_map(split_conjuncts)
+            .flat_map(conjunct_refs)
             .map(|c| {
-                let mask = columns_of(&c)
-                    .iter()
-                    .filter_map(|col| alias_of(&schemas, col))
-                    .fold(0u64, |m, i| m | (1 << i));
+                let mut mask = 0u64;
+                for_each_column(c, &mut |col| {
+                    mask |= alias_of(&schemas, col).map_or(0, |i| 1 << i);
+                });
                 (c, mask)
             })
             .collect();
@@ -406,16 +538,41 @@ impl<'a> Search<'a> {
             config: opt.config,
             query,
             estimator: PlanEstimator::new(catalog, opt.config.params),
-            memo: RefCell::new(ParametricEstimator::new(opt.config.eq_classes)),
-            plans_considered: Cell::new(0),
+            memo: ParametricEstimator::new(opt.config.eq_classes),
+            plans_considered: 0,
             classes: equality_classes(&conjuncts),
             schemas,
+            aliases: Vec::new(),
             conjuncts,
+            columns: Vec::new(),
+            orders: vec![Vec::new()],
+            arena: Vec::new(),
+            frontiers: Vec::new(),
             best: HashMap::new(),
         };
-        for i in 0..query.from.len() {
-            let leaf = search.leaf(i)?;
-            search.best.insert(1u64 << i, vec![leaf]);
+        for (i, item) in query.from.iter().enumerate() {
+            let rel = FilterJoinInner::new(catalog, &item.relation, &item.alias)?;
+            let mut access = LogicalPlan::scan(item.relation.clone(), item.alias.clone());
+            if let Some(p) = search.local_predicate(i) {
+                access = access.select(p);
+            }
+            let (cost, stats) = search.access_cost(i, &rel, &access)?;
+            let within = |(_, m): &(&Expr, u64)| m & !(1u64 << i) == 0;
+            let local = (0..search.conjuncts.len())
+                .filter(|&k| within(&search.conjuncts[k]))
+                .collect();
+            search.aliases.push(Alias { rel, access, local });
+            let leaf = search.retain(Entry {
+                cost,
+                stats,
+                order_by: UNORDERED,
+                mask: 1u64 << i,
+                recipe: Recipe::Leaf {
+                    alias: i,
+                    ordered_on: None,
+                },
+            });
+            search.publish(1u64 << i, &[leaf]);
         }
         Ok(search)
     }
@@ -423,54 +580,35 @@ impl<'a> Search<'a> {
     /// The conjuncts that reference alias `i` alone, conjoined.
     fn local_predicate(&self, i: usize) -> Option<Expr> {
         let local = self.conjuncts.iter().filter(|(_, m)| *m == 1u64 << i);
-        conjoin(local.map(|(c, _)| c.clone()))
+        conjoin(local.map(|(c, _)| (*c).clone()))
     }
 
-    /// Alias `i`'s access path with its local conjuncts applied.
-    fn leaf(&self, i: usize) -> Result<Entry, OptError> {
-        let item = &self.query.from[i];
-        let mut logical = LogicalPlan::scan(item.relation.clone(), item.alias.clone());
-        if let Some(p) = self.local_predicate(i) {
-            logical = logical.select(p);
+    /// Cost and output statistics of alias `i`'s access path.
+    fn access_cost(
+        &self,
+        i: usize,
+        rel: &FilterJoinInner,
+        access: &LogicalPlan,
+    ) -> Result<(f64, EstStats), OptError> {
+        if !probe_only(&rel.kind) {
+            return self.estimator.cost(access);
         }
-        let (cost, stats, phys) = match self.query.alias_kind(self.catalog, &item.alias)? {
-            // Only reachable by probing: never enumerated on its own.
-            RelationKind::Udf(u) if u.domain().is_none() => {
-                let stats = EstStats {
-                    rows: 1000.0,
-                    width: self.schemas[i].row_width(),
-                    cols: self.schemas[i]
-                        .columns()
-                        .iter()
-                        .map(|c| {
-                            let est = ColEst {
-                                distinct: 1000.0,
-                                ..Default::default()
-                            };
-                            (c.name.clone(), est)
-                        })
-                        .collect(),
-                };
-                let phys = PhysPlan::UdfFullScan {
-                    udf: item.relation.clone(),
-                    alias: item.alias.clone(),
-                };
-                (f64::INFINITY, stats, phys)
-            }
-            _ => {
-                let (cost, stats) = self.estimator.cost(&logical)?;
-                (cost, stats, lower::lower(&logical, self.catalog)?)
-            }
+        let stats = EstStats {
+            rows: 1000.0,
+            width: self.schemas[i].row_width(),
+            cols: self.schemas[i]
+                .columns()
+                .iter()
+                .map(|c| {
+                    let est = ColEst {
+                        distinct: 1000.0,
+                        ..Default::default()
+                    };
+                    (c.name.as_str(), est)
+                })
+                .collect(),
         };
-        Ok(Entry {
-            cost,
-            stats,
-            phys,
-            order: vec![i],
-            order_by: Vec::new(),
-            sips: Vec::new(),
-            fj_costs: Vec::new(),
-        })
+        Ok((f64::INFINITY, stats))
     }
 
     /// Adds the *ordered* access paths to the leaf frontiers: one per
@@ -479,37 +617,119 @@ impl<'a> Search<'a> {
     /// index's leaf pages on top of the heap scan, in exchange for a
     /// sort order later merge joins can exploit.
     fn seed_ordered_access_paths(&mut self) {
-        for (i, item) in self.query.from.iter().enumerate() {
-            let Ok(RelationKind::Base(t)) = self.query.alias_kind(self.catalog, &item.alias) else {
+        for i in 0..self.aliases.len() {
+            let RelationKind::Base(t) = &self.aliases[i].rel.kind else {
                 continue;
             };
-            let local = self.local_predicate(i);
-            let frontier = self.best.get_mut(&(1u64 << i)).expect("leaf seeded");
-            let leaf = frontier[0].clone();
+            let t = Arc::clone(t);
+            let plain = self.frontiers[self.best[&(1u64 << i)].start];
+            let leaf = self.arena[plain as usize].clone();
+            let mut frontier = vec![plain];
             for (ci, column) in t.schema().columns().iter().enumerate() {
                 let Some(index) = t.btree_index(ci) else {
                     continue;
                 };
-                let mut phys = PhysPlan::IndexOrderedScan {
-                    table: item.relation.clone(),
-                    alias: item.alias.clone(),
-                    col: column.base_name().to_string(),
-                };
-                if let Some(p) = &local {
-                    phys = PhysPlan::Filter {
-                        input: phys.boxed(),
-                        predicate: p.clone(),
-                    };
-                }
+                let sorted_on = format!("{}.{}", self.aliases[i].rel.alias, column.base_name());
                 let ordered = Entry {
                     cost: leaf.cost
                         + index.page_count() as f64
                         + self.config.params.cpu(t.row_count() as f64),
-                    phys,
-                    order_by: vec![format!("{}.{}", item.alias, column.base_name())],
+                    order_by: self.intern_order([sorted_on.as_str()].into_iter()),
+                    recipe: Recipe::Leaf {
+                        alias: i,
+                        ordered_on: Some(ci),
+                    },
                     ..leaf.clone()
                 };
-                insert_pruned(frontier, ordered);
+                self.offer(&mut frontier, ordered);
+            }
+            self.publish(1u64 << i, &frontier);
+        }
+    }
+
+    /// The id of the sort order `columns` (major first).
+    fn intern_order<'c>(&mut self, columns: impl Iterator<Item = &'c str> + Clone) -> OrderId {
+        let names = &self.columns;
+        let is_it = |order: &Vec<u32>| {
+            let mut wanted = columns.clone();
+            let matched = order
+                .iter()
+                .all(|&c| wanted.next() == Some(&names[c as usize]));
+            matched && wanted.next().is_none()
+        };
+        if let Some(known) = self.orders.iter().position(is_it) {
+            return known as OrderId;
+        }
+        let mut ids = Vec::new();
+        for name in columns {
+            let known = self.columns.iter().position(|c| c == name);
+            ids.push(known.unwrap_or_else(|| {
+                self.columns.push(name.to_string());
+                self.columns.len() - 1
+            }) as u32);
+        }
+        self.orders.push(ids);
+        (self.orders.len() - 1) as OrderId
+    }
+
+    /// Puts `e` in the arena.
+    fn retain(&mut self, e: Entry) -> EntryId {
+        self.arena.push(e);
+        (self.arena.len() - 1) as EntryId
+    }
+
+    /// Makes `frontier` the retained plans of `mask`.
+    fn publish(&mut self, mask: u64, frontier: &[EntryId]) {
+        let start = self.frontiers.len();
+        self.frontiers.extend_from_slice(frontier);
+        self.best.insert(mask, start..self.frontiers.len());
+    }
+
+    /// The Pareto order on (cost, sort order): a plan dominates another
+    /// when it is no more expensive and provides at least its ordering.
+    fn dominates(&self, (cost, order): (f64, OrderId), (than, its): (f64, OrderId)) -> bool {
+        cost <= than + 1e-12 && self.sorted(order, its)
+    }
+
+    /// Whether rows in order `have` are also in order `want`.
+    fn sorted(&self, have: OrderId, want: OrderId) -> bool {
+        order_satisfies(&self.orders[have as usize], &self.orders[want as usize])
+    }
+
+    /// The (cost, sort order) of entry `id`.
+    fn rank(&self, id: EntryId) -> (f64, OrderId) {
+        let e = &self.arena[id as usize];
+        (e.cost, e.order_by)
+    }
+
+    /// Whether some plan in `frontier` dominates one of `rank`.
+    fn dominated(&self, frontier: &[EntryId], rank: (f64, OrderId)) -> bool {
+        frontier.iter().any(|&k| self.dominates(self.rank(k), rank))
+    }
+
+    /// Offers `e` to `frontier`: unless it is dominated it goes in (and
+    /// into the arena), pushing out what it dominates. One pushed out
+    /// stays in the arena, unreferenced.
+    fn offer(&mut self, frontier: &mut Vec<EntryId>, e: Entry) {
+        let rank = (e.cost, e.order_by);
+        if self.dominated(frontier, rank) {
+            return;
+        }
+        frontier.retain(|&k| !self.dominates(rank, self.rank(k)));
+        let id = self.retain(e);
+        frontier.push(id);
+        if frontier.len() > MAX_ENTRIES_PER_SUBSET {
+            // Never drop the cheapest; drop the most expensive of the rest.
+            let cost = |&k: &EntryId| self.arena[k as usize].cost;
+            let min_cost = frontier.iter().map(cost).fold(f64::INFINITY, f64::min);
+            let evict = frontier
+                .iter()
+                .enumerate()
+                .filter(|(_, k)| cost(k) > min_cost)
+                .max_by(|a, b| cost(a.1).total_cmp(&cost(b.1)))
+                .map(|(idx, _)| idx);
+            if let Some(idx) = evict {
+                frontier.remove(idx);
             }
         }
     }
@@ -522,30 +742,29 @@ impl<'a> Search<'a> {
         masks: impl Iterator<Item = u64>,
         splits: impl Fn(u64) -> Vec<(u64, u64)>,
     ) -> Result<(), OptError> {
+        let mut frontier: Vec<EntryId> = Vec::new();
         for mask in masks {
-            let mut frontier: Vec<Entry> = Vec::new();
+            frontier.clear();
             for (om, im) in splits(mask) {
                 let (Some(outers), Some(inners)) = (self.best.get(&om), self.best.get(&im)) else {
                     continue;
                 };
-                // Conjuncts first fully bound at this join: inside
-                // `mask` and crossing the split.
-                let applicable: Vec<Expr> = self
-                    .conjuncts
-                    .iter()
-                    .filter(|(_, m)| *m & !mask == 0 && *m & om != 0 && *m & im != 0)
-                    .map(|(c, _)| c.clone())
-                    .collect();
-                for outer in outers.iter().filter(|o| o.cost.is_finite()) {
-                    for inner in inners {
-                        for c in self.join_candidates(outer, inner, &applicable)? {
-                            insert_pruned(&mut frontier, c);
-                        }
+                let (outers, inners) = (outers.clone(), inners.clone());
+                let mut split = None;
+                for outer_at in outers {
+                    let outer = self.frontiers[outer_at];
+                    if !self.arena[outer as usize].cost.is_finite() {
+                        continue;
+                    }
+                    for inner_at in inners.clone() {
+                        let inner = self.frontiers[inner_at];
+                        let split = split.get_or_insert_with(|| self.split(outer, inner));
+                        self.join_pair(split, outer, inner, &mut frontier)?;
                     }
                 }
             }
             if !frontier.is_empty() {
-                self.best.insert(mask, frontier);
+                self.publish(mask, &frontier);
             }
         }
         Ok(())
@@ -559,18 +778,20 @@ impl<'a> Search<'a> {
         // per-row CPU is added.
         let params = self.config.params;
         let total = |e: &Entry| e.cost + params.cpu(e.stats.rows);
-        let winner = self
-            .best
-            .remove(&full)
-            .unwrap_or_default()
-            .into_iter()
-            .min_by(|a, b| total(a).total_cmp(&total(b)))
+        let frontier = self.best.get(&full).cloned().unwrap_or_default();
+        let winner = self.frontiers[frontier]
+            .iter()
+            .map(|&id| (id, &self.arena[id as usize]))
+            .min_by(|a, b| total(a.1).total_cmp(&total(b.1)))
             .ok_or_else(|| OptError::NoPlan("dynamic program found no plan".into()))?;
-        if !winner.cost.is_finite() {
+        if !winner.1.cost.is_finite() {
             return Err(OptError::NoPlan(
                 "no finite-cost plan (non-enumerable UDF without probe keys?)".into(),
             ));
         }
+        let (winner, cost, est_rows) = (winner.0, total(winner.1), winner.1.stats.rows);
+        let mut built = Built::default();
+        let phys = self.build(winner, &mut built)?;
         // The SELECT list: the user's projection, or — `SELECT *`
         // semantics — every column of every FROM item in declaration
         // order (the chosen join order must not leak into the output
@@ -582,21 +803,181 @@ impl<'a> Search<'a> {
                 .collect()
         });
         Ok(OptimizedPlan {
-            cost: total(&winner),
-            est_rows: winner.stats.rows,
+            cost,
+            est_rows,
             phys: PhysPlan::Project {
-                input: winner.phys.boxed(),
+                input: phys.boxed(),
                 exprs,
             },
-            order: winner
-                .order
-                .iter()
-                .map(|&i| self.query.from[i].alias.clone())
-                .collect(),
-            sips: winner.sips,
-            filter_join_costs: winner.fj_costs,
-            plans_considered: self.plans_considered.get(),
-            nested_invocations: self.memo.borrow().nested_invocations,
+            order: built.order.iter().map(|&i| self.alias(i).clone()).collect(),
+            sips: built.sips,
+            filter_join_costs: built.fj_costs,
+            plans_considered: self.plans_considered,
+            nested_invocations: self.memo.nested_invocations,
+        })
+    }
+
+    /// The alias of FROM item `i`.
+    fn alias(&self, i: usize) -> &String {
+        &self.query.from[i].alias
+    }
+
+    /// The conjuncts at `positions`, conjoined.
+    fn conjoined(&self, positions: &[usize]) -> Option<Expr> {
+        conjoin(positions.iter().map(|&k| self.conjuncts[k].0.clone()))
+    }
+
+    /// Materialises the plan of entry `id` by walking its recipe,
+    /// appending its leaves, SIPS and Table 1 breakdowns to `out` in
+    /// left-to-right order.
+    fn build(&mut self, id: EntryId, out: &mut Built) -> Result<PhysPlan, OptError> {
+        let first_leaf = out.order.len();
+        let (method, outer, inner) = match self.arena[id as usize].recipe {
+            Recipe::Leaf { alias, ordered_on } => {
+                out.order.push(alias);
+                return self.leaf_plan(alias, ordered_on);
+            }
+            Recipe::Join {
+                method,
+                outer,
+                inner,
+            } => {
+                let split = self.split(outer, inner);
+                let (outer, inner) = (self.build(outer, out)?, self.build(inner, out)?);
+                let (outer, inner) = (outer.boxed(), inner.boxed());
+                let (keys, residual) = (split.keys, self.conjoined(&split.residual));
+                return Ok(match method {
+                    Symmetric::NestedLoops => PhysPlan::NestedLoops {
+                        outer,
+                        inner,
+                        predicate: self.conjoined(&split.applicable),
+                        kind: JoinKind::Inner,
+                    },
+                    Symmetric::Hash => PhysPlan::HashJoin {
+                        outer,
+                        inner,
+                        keys,
+                        residual,
+                        kind: JoinKind::Inner,
+                    },
+                    Symmetric::Merge => PhysPlan::MergeJoin {
+                        outer,
+                        inner,
+                        keys,
+                        residual,
+                    },
+                });
+            }
+            Recipe::Into {
+                method,
+                outer,
+                inner,
+            } => (method, outer, inner),
+        };
+        let split = self.split(outer, inner);
+        let outer_phys = self.build(outer, out)?;
+        let outer_leaves = out.order.len() - first_leaf;
+        let leaf = split.leaf.as_ref().expect("costed with a leaf inner");
+        let j = leaf.alias;
+        out.order.push(j);
+        let item = &self.query.from[j];
+        let restriction = self.conjoined(&leaf.restriction);
+        Ok(match method {
+            Named::IndexNestedLoops => {
+                let probe = leaf.index_probe.as_ref().expect("costed with an index");
+                PhysPlan::IndexNestedLoops {
+                    outer: outer_phys.boxed(),
+                    table: item.relation.clone(),
+                    alias: item.alias.clone(),
+                    outer_key: probe.outer_key.clone(),
+                    inner_col: probe.inner_col.clone(),
+                    residual: restriction,
+                }
+            }
+            Named::UdfProbe => {
+                let probe = leaf.udf_probe.as_ref().expect("costed with probe keys");
+                PhysPlan::UdfProbe {
+                    outer: outer_phys.boxed(),
+                    udf: item.relation.clone(),
+                    alias: item.alias.clone(),
+                    arg_cols: probe.arg_cols.clone(),
+                }
+            }
+            Named::FilterJoin(variant) => {
+                let filter_keys = self.filter_keys(&split, variant, inner).into_owned();
+                // Only a prefix production's plan is read; what it
+                // accumulates belongs to no leaf of this plan.
+                let (production, produced, tag) = match variant {
+                    Variant {
+                        production: Some(p),
+                        ..
+                    } => {
+                        let k = self.arena[p as usize].mask.count_ones() as usize;
+                        let prefix = self.build(p, &mut Built::default())?;
+                        (Some(prefix), k, format!("p{k}"))
+                    }
+                    Variant { omit: Some(k), .. } => (None, outer_leaves, format!("s{k}")),
+                    Variant { lossy: true, .. } => (None, outer_leaves, "b".to_string()),
+                    _ => (None, outer_leaves, String::new()),
+                };
+                let (d, _) = self
+                    .cost_variant(&split, outer, variant, &filter_keys)?
+                    .expect("applicable when it was costed");
+                let mask = self.arena[id as usize].mask;
+                let mut phys = build_filter_join_plan(
+                    self.catalog,
+                    outer_phys,
+                    production,
+                    split.filter_join(&self.aliases, variant, &filter_keys),
+                    &d,
+                    &format!("_{mask:x}_{j}{tag}"),
+                )?;
+                if let Some(p) = restriction {
+                    phys = PhysPlan::Filter {
+                        input: phys.boxed(),
+                        predicate: p,
+                    };
+                }
+                let producers = &out.order[first_leaf..first_leaf + produced];
+                out.sips.push(Sips {
+                    production: producers.iter().map(|&i| self.alias(i).clone()).collect(),
+                    inner: item.alias.clone(),
+                    filter_keys: filter_keys
+                        .into_iter()
+                        .map(|(left, right)| EquiJoinKey { left, right })
+                        .collect(),
+                });
+                out.fj_costs.push(d.cost);
+                phys
+            }
+        })
+    }
+
+    /// FROM item `alias` read through its plain access path, or in the
+    /// order of the B-tree index on column `ordered_on`.
+    fn leaf_plan(&self, alias: usize, ordered_on: Option<usize>) -> Result<PhysPlan, OptError> {
+        let item = &self.query.from[alias];
+        let Alias { rel, access, .. } = &self.aliases[alias];
+        let Some(ci) = ordered_on else {
+            if probe_only(&rel.kind) {
+                return Ok(PhysPlan::UdfFullScan {
+                    udf: item.relation.clone(),
+                    alias: item.alias.clone(),
+                });
+            }
+            return Ok(lower::lower(access, self.catalog)?);
+        };
+        let phys = PhysPlan::IndexOrderedScan {
+            table: item.relation.clone(),
+            alias: item.alias.clone(),
+            col: self.schemas[alias].column(ci).base_name().to_string(),
+        };
+        Ok(match self.local_predicate(alias) {
+            Some(predicate) => PhysPlan::Filter {
+                input: phys.boxed(),
+                predicate,
+            },
+            None => phys,
         })
     }
 
@@ -627,7 +1008,7 @@ impl<'a> Search<'a> {
     /// relation (Figure 3's order 3) still gets a join key.
     fn class_keys(&self, left: &EstStats, right: &EstStats) -> Vec<(String, String)> {
         let pick = |class: &BTreeSet<String>, side: &EstStats| {
-            class.iter().find(|c| side.cols.contains_key(*c)).cloned()
+            class.iter().find(|c| side.cols.contains_key(c)).cloned()
         };
         self.classes
             .iter()
@@ -635,318 +1016,368 @@ impl<'a> Search<'a> {
             .collect()
     }
 
-    /// All join-method candidates for joining `outer` with `inner`,
-    /// where `applicable` are the conjuncts first bound by this join.
-    /// The methods that restrict a *named* relation (index nested
-    /// loops, UDF probes, and the Filter Join) need `inner` to be a
-    /// single FROM item; with a composite inner (a bushy subtree) only
-    /// the symmetric methods — BNL, hash join, sort-merge — apply.
-    fn join_candidates(
-        &self,
-        outer: &Entry,
-        inner: &Entry,
-        applicable: &[Expr],
-    ) -> Result<Vec<Entry>, OptError> {
-        let params = self.config.params;
-        let pred = conjoin(applicable.to_vec());
-        let mut keys = pred
-            .as_ref()
-            .map(|p| written_keys(p, &outer.stats, &inner.stats))
-            .unwrap_or_default();
+    /// The facts shared by every join of an entry over `outer`'s
+    /// relations with one over `inner`'s (any two such entries have the
+    /// same columns, which is all that is read of them here).
+    fn split(&mut self, outer: EntryId, inner: EntryId) -> Split {
+        let (o, i) = (&self.arena[outer as usize], &self.arena[inner as usize]);
+        let (om, im) = (o.mask, i.mask);
+        // Conjuncts first fully bound at this join: inside the joined
+        // set and crossing the split.
+        let bound_here = |m: u64| m & !(om | im) == 0 && m & om != 0 && m & im != 0;
+        let applicable: Vec<usize> = (0..self.conjuncts.len())
+            .filter(|&k| bound_here(self.conjuncts[k].1))
+            .collect();
+        let written = applicable.iter().map(|&k| self.conjuncts[k].0);
+        let mut keys = written_keys(written, &o.stats, &i.stats);
         // Enforcing a derived key early is sound: the full predicate
         // implies it.
-        let mut derived: Vec<Expr> = Vec::new();
+        let mut derived = Vec::new();
         if keys.is_empty() {
-            keys = self.class_keys(&outer.stats, &inner.stats);
+            keys = self.class_keys(&o.stats, &i.stats);
             let equalities = keys.iter().map(|(o, i)| col(o.clone()).eq(col(i.clone())));
             derived = equalities.collect();
         }
-        let residual = conjoin(
-            applicable
-                .iter()
-                .filter(|c| !is_key_conjunct(c, &keys))
-                .cloned(),
-        );
+        let residual: Vec<usize> = applicable
+            .iter()
+            .copied()
+            .filter(|&k| !is_key_conjunct(self.conjuncts[k].0, &keys))
+            .collect();
+        let leaf = (im.count_ones() == 1)
+            .then(|| self.leaf_inner(im.trailing_zeros() as usize, &keys, &residual));
+        Split {
+            outer_key_order: self.intern_order(keys.iter().map(|(o, _)| o.as_str())),
+            inner_key_order: self.intern_order(keys.iter().map(|(_, i)| i.as_str())),
+            applicable,
+            derived,
+            keys,
+            residual,
+            leaf,
+        }
+    }
+
+    /// What index nested loops, a UDF probe and the Filter Join need to
+    /// know about joining into FROM item `j` on `keys`.
+    fn leaf_inner(&self, j: usize, keys: &[(String, String)], residual: &[usize]) -> LeafInner {
+        let Alias { rel, local, .. } = &self.aliases[j];
+        // Local base table with an index on the join column. The probe
+        // sees unfiltered heap rows.
+        let mut index_probe = None;
+        if let (true, [(outer_key, inner_key)], RelationKind::Base(t)) =
+            (self.config.enable_index_nl, keys, &rel.kind)
+        {
+            let inner_col = rel.attr(inner_key);
+            let indexed = t.schema().resolve(inner_col).ok();
+            if let Some(ci) = indexed.filter(|&ci| t.has_index(ci)) {
+                let pages = if t.hash_index(ci).is_some() {
+                    1.0
+                } else {
+                    t.btree_index(ci).map(|b| b.height() as f64).unwrap_or(1.0)
+                };
+                let distinct = t.stats().column(ci).map(|s| s.distinct as f64);
+                index_probe = Some(IndexProbe {
+                    outer_key: outer_key.clone(),
+                    inner_col: inner_col.to_string(),
+                    pages,
+                    rows: t.row_count() as f64 / distinct.unwrap_or(1.0).max(1.0),
+                });
+            }
+        }
+        // Keys cover the UDF's argument columns.
+        let mut udf_probe = None;
+        if let RelationKind::Udf(u) = &rel.kind {
+            let schema = u.schema();
+            let arg_cols: Option<Vec<String>> = (0..u.arg_count())
+                .map(|i| {
+                    let arg = format!("{}.{}", rel.alias, schema.column(i).base_name());
+                    let key = keys.iter().find(|(_, ik)| *ik == arg);
+                    key.map(|(ok, _)| ok.clone())
+                })
+                .collect();
+            udf_probe = arg_cols.map(|arg_cols| UdfProbe {
+                arg_cols,
+                rows_per_call: u.rows_per_call(),
+                invocation_cost: u.invocation_cost(),
+            });
+        }
+        LeafInner {
+            alias: j,
+            restriction: local.iter().chain(residual).copied().collect(),
+            index_probe,
+            udf_probe,
+            variants: self.whole_outer_variants(&rel.kind, keys.len()),
+        }
+    }
+
+    /// The Filter Join alternatives for a join on `keys` keys into an
+    /// inner of `kind`, production set the whole outer. §3.3's
+    /// limitations are what keep this list short: Limitations 1+2 fix
+    /// the production set and only a small constant number of filter
+    /// sets is tried (Limitation 3) — exact, Bloom, and with several
+    /// join attributes each filter set that omits one of them.
+    fn whole_outer_variants(&self, kind: &RelationKind, keys: usize) -> Vec<Variant> {
+        let offered = self.config.enable_filter_join
+            && keys > 0
+            && (kind.is_virtual() || self.config.filter_join_on_base);
+        if !offered {
+            return Vec::new();
+        }
+        let exact = Variant {
+            production: None,
+            omit: None,
+            lossy: false,
+        };
+        let bloom = self.config.enable_bloom.then_some(Variant {
+            lossy: true,
+            ..exact
+        });
+        let omissions = (0..keys).filter(|_| keys > 1).map(|omit| Variant {
+            omit: Some(omit),
+            ..exact
+        });
+        [exact].into_iter().chain(bloom).chain(omissions).collect()
+    }
+
+    /// All join-method candidates for joining `outer` with `inner`,
+    /// offered to `frontier` as they are costed. The methods that
+    /// restrict a *named* relation (index nested loops, UDF probes, and
+    /// the Filter Join) need `inner` to be a single FROM item; with a
+    /// composite inner (a bushy subtree) only the symmetric methods —
+    /// BNL, hash join, sort-merge — apply.
+    fn join_pair(
+        &mut self,
+        split: &Split,
+        outer: EntryId,
+        inner: EntryId,
+        frontier: &mut Vec<EntryId>,
+    ) -> Result<(), OptError> {
+        let params = self.config.params;
+        let (o, i) = (&self.arena[outer as usize], &self.arena[inner as usize]);
         // Estimate with derived equalities included (they restrict the
-        // output just like written ones).
-        let pred_est = conjoin(applicable.iter().cloned().chain(derived));
-        let out_stats = self.estimator.join_stats(
-            &outer.stats,
-            &inner.stats,
-            pred_est.as_ref(),
+        // output just like written ones). One result per pair, shared
+        // by every method's entry.
+        let out_stats = self.estimator.join_stats_terms(
+            &o.stats,
+            &i.stats,
+            split.conjuncts(self).map(JoinTerm::Conjunct),
             JoinKind::Inner,
         );
-
-        let op = outer.stats.pages(&params);
-        let ip = inner.stats.pages(&params);
-        let both = outer.cost + inner.cost;
-        let considered = || self.plans_considered.set(self.plans_considered.get() + 1);
-        let mut out = Vec::new();
+        let (o_cost, o_rows, op) = (o.cost, o.stats.rows, o.stats.pages(&params));
+        let (i_cost, i_rows, ip) = (i.cost, i.stats.rows, i.stats.pages(&params));
+        let (o_order, i_order) = (o.order_by, i.order_by);
+        let both = o_cost + i_cost;
+        let mask = o.mask | i.mask;
+        let entry = |recipe: Recipe, cost: f64, stats: &EstStats, order_by: OrderId| Entry {
+            cost,
+            stats: stats.clone(),
+            order_by,
+            mask,
+            recipe,
+        };
+        let join = |method: Symmetric| Recipe::Join {
+            method,
+            outer,
+            inner,
+        };
+        let into = |method: Named| Recipe::Into {
+            method,
+            outer,
+            inner,
+        };
+        // Every join implementation iterates the outer side in arrival
+        // order, so the outer's sort order is kept; the merge join
+        // replaces it with its own.
 
         // 1. Block nested loops (always applicable when the inner is
         // enumerable).
-        if inner.cost.is_finite() {
-            considered();
-            out.push(joined(
-                outer,
-                inner,
-                both + params.bnl_cost(outer.stats.rows, op, inner.stats.rows, ip),
-                out_stats.clone(),
-                PhysPlan::NestedLoops {
-                    outer: outer.phys.clone().boxed(),
-                    inner: inner.phys.clone().boxed(),
-                    predicate: pred.clone(),
-                    kind: JoinKind::Inner,
-                },
-            ));
+        if i_cost.is_finite() {
+            self.plans_considered += 1;
+            let cost = both + params.bnl_cost(o_rows, op, i_rows, ip);
+            self.offer(
+                frontier,
+                entry(join(Symmetric::NestedLoops), cost, &out_stats, o_order),
+            );
         }
 
-        if !keys.is_empty() && inner.cost.is_finite() {
+        if !split.keys.is_empty() && i_cost.is_finite() {
             // 2. Hash join.
-            considered();
-            out.push(joined(
-                outer,
-                inner,
-                both + params.hash_join_cost(
-                    outer.stats.rows,
-                    op,
-                    inner.stats.rows,
-                    ip,
-                    out_stats.rows,
-                ),
-                out_stats.clone(),
-                PhysPlan::HashJoin {
-                    outer: outer.phys.clone().boxed(),
-                    inner: inner.phys.clone().boxed(),
-                    keys: keys.clone(),
-                    residual: residual.clone(),
-                    kind: JoinKind::Inner,
-                },
-            ));
+            self.plans_considered += 1;
+            let cost = both + params.hash_join_cost(o_rows, op, i_rows, ip, out_stats.rows);
+            self.offer(
+                frontier,
+                entry(join(Symmetric::Hash), cost, &out_stats, o_order),
+            );
             // 3. Sort-merge join — an *interesting order* producer: the
             // output is sorted by the outer key columns, and an outer
             // that already provides that order skips its sort (§3.1).
             if self.config.enable_merge_join {
-                considered();
-                let (okey_cols, ikey_cols): (Vec<String>, Vec<String>) =
-                    keys.iter().cloned().unzip();
-                let mut merge = joined(
-                    outer,
-                    inner,
-                    both + params.merge_join_cost_with_orders(
-                        outer.stats.rows,
+                self.plans_considered += 1;
+                let cost = both
+                    + params.merge_join_cost_with_orders(
+                        o_rows,
                         op,
-                        inner.stats.rows,
+                        i_rows,
                         ip,
                         out_stats.rows,
-                        order_satisfies(&outer.order_by, &okey_cols),
-                        order_satisfies(&inner.order_by, &ikey_cols),
+                        self.sorted(o_order, split.outer_key_order),
+                        self.sorted(i_order, split.inner_key_order),
+                    );
+                self.offer(
+                    frontier,
+                    entry(
+                        join(Symmetric::Merge),
+                        cost,
+                        &out_stats,
+                        split.outer_key_order,
                     ),
-                    out_stats.clone(),
-                    PhysPlan::MergeJoin {
-                        outer: outer.phys.clone().boxed(),
-                        inner: inner.phys.clone().boxed(),
-                        keys: keys.clone(),
-                        residual: residual.clone(),
-                    },
                 );
-                merge.order_by = okey_cols;
-                out.push(merge);
             }
         }
 
         // Methods 4–6 restrict a *named* inner relation (an index
         // probe, a UDF invocation, or a filter applied to the inner's
         // access path); a composite (bushy) inner stops here.
-        let [j] = inner.order[..] else {
-            return Ok(out);
+        let Some(leaf) = &split.leaf else {
+            return Ok(());
         };
-        let item = &self.query.from[j];
-        let kind = self.query.alias_kind(self.catalog, &item.alias)?;
-        // Methods that bypass the leaf's own (filtered) access path
-        // re-apply its local conjuncts together with the residual.
-        let local = self
-            .query
-            .conjuncts_within(self.catalog, &[item.alias.as_str()]);
-        let restriction = conjoin(local.into_iter().chain(residual.clone()));
 
-        // 4. Index nested loops: local base table with an index on the
-        // join column.
-        if let (true, [(outer_key, inner_key)], RelationKind::Base(t)) =
-            (self.config.enable_index_nl, &keys[..], &kind)
-        {
-            let inner_col = inner_key
-                .strip_prefix(&format!("{}.", item.alias))
-                .unwrap_or(inner_key)
-                .to_string();
-            if let Some(ci) = t
-                .schema()
-                .resolve(&inner_col)
-                .ok()
-                .filter(|&ci| t.has_index(ci))
-            {
-                considered();
-                let probe_pages = if t.hash_index(ci).is_some() {
-                    1.0
-                } else {
-                    t.btree_index(ci).map(|b| b.height() as f64).unwrap_or(1.0)
-                };
-                let base_rows = t.row_count() as f64;
-                let d = t
-                    .stats()
-                    .column(ci)
-                    .map(|s| s.distinct as f64)
-                    .unwrap_or(1.0)
-                    .max(1.0);
-                // The probe sees unfiltered heap rows, and the leaf scan
-                // is not performed.
-                out.push(joined(
-                    outer,
-                    inner,
-                    both + (params.inl_cost(outer.stats.rows, probe_pages, base_rows / d)
-                        - inner.cost),
-                    out_stats.clone(),
-                    PhysPlan::IndexNestedLoops {
-                        outer: outer.phys.clone().boxed(),
-                        table: item.relation.clone(),
-                        alias: item.alias.clone(),
-                        outer_key: outer_key.clone(),
-                        inner_col,
-                        residual: restriction.clone(),
-                    },
-                ));
-            }
+        // 4. Index nested loops. The leaf scan is not performed.
+        if let Some(probe) = &leaf.index_probe {
+            self.plans_considered += 1;
+            let cost = both + (params.inl_cost(o_rows, probe.pages, probe.rows) - i_cost);
+            self.offer(
+                frontier,
+                entry(into(Named::IndexNestedLoops), cost, &out_stats, o_order),
+            );
         }
 
-        // 5. UDF probe: keys cover the UDF's argument columns. The leaf
-        // is never enumerated, so only the outer's cost is carried.
-        if let RelationKind::Udf(u) = &kind {
-            let schema = u.schema();
-            let arg_cols: Option<Vec<String>> = (0..u.arg_count())
-                .map(|i| {
-                    let arg = format!("{}.{}", item.alias, schema.column(i).base_name());
-                    let key = keys.iter().find(|(_, ik)| *ik == arg);
-                    key.map(|(ok, _)| ok.clone())
-                })
-                .collect();
-            if let Some(arg_cols) = arg_cols {
-                considered();
-                let mut stats = out_stats.clone();
-                stats.rows = outer.stats.rows * u.rows_per_call();
-                out.push(joined(
-                    outer,
-                    inner,
-                    outer.cost + outer.stats.rows * u.invocation_cost(),
-                    stats,
-                    PhysPlan::UdfProbe {
-                        outer: outer.phys.clone().boxed(),
-                        udf: item.relation.clone(),
-                        alias: item.alias.clone(),
-                        arg_cols,
-                    },
-                ));
-            }
+        // 5. UDF probe. The leaf is never enumerated, so only the
+        // outer's cost is carried.
+        if let Some(probe) = &leaf.udf_probe {
+            self.plans_considered += 1;
+            let stats = EstStats {
+                rows: o_rows * probe.rows_per_call,
+                ..out_stats.clone()
+            };
+            let cost = o_cost + o_rows * probe.invocation_cost;
+            self.offer(
+                frontier,
+                entry(into(Named::UdfProbe), cost, &stats, o_order),
+            );
         }
 
         // 6. The Filter Join.
-        if self.config.enable_filter_join
-            && !keys.is_empty()
-            && (kind.is_virtual() || self.config.filter_join_on_base)
-        {
-            for variant in self.filter_join_variants(outer, inner, &keys, pred_est.as_ref()) {
-                considered();
-                out.extend(self.filter_join_entry(outer, inner, &keys, &restriction, variant)?);
+        let prefixes = self.prefix_variants(leaf, outer);
+        for variant in leaf.variants.iter().copied().chain(prefixes) {
+            let filter_keys = self.filter_keys(split, variant, inner);
+            if filter_keys.is_empty() {
+                // A prefix whose columns do not reach the inner.
+                continue;
             }
+            self.plans_considered += 1;
+            let Some((d, cost)) = self.cost_variant(split, outer, variant, &filter_keys)? else {
+                continue;
+            };
+            // Costed from cardinalities alone; its statistics are
+            // worth deriving only if it will be kept.
+            if self.dominated(frontier, (cost, o_order)) {
+                continue;
+            }
+            let stats = self.variant_stats(split, outer, variant, &filter_keys, &d);
+            self.offer(
+                frontier,
+                entry(into(Named::FilterJoin(variant)), cost, &stats, o_order),
+            );
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// The Filter Join alternatives for one (outer, leaf inner) pair.
-    /// §3.3's limitations are what keep this list short: the production
-    /// set is the whole outer (Limitations 1+2) and only a small
-    /// constant number of filter sets is tried (Limitation 3) — exact,
-    /// Bloom, and with several join attributes each filter set that
-    /// omits one of them. The Limitation-2 ablation appends one exact
-    /// variant per strict prefix of the outer whose columns reach the
-    /// inner: the O(N) factor §3.3 warns about.
-    fn filter_join_variants<'s>(
-        &'s self,
-        outer: &Entry,
-        inner: &Entry,
-        keys: &[(String, String)],
-        pred_est: Option<&Expr>,
-    ) -> Vec<FilterJoinVariant<'s>> {
-        let whole_outer = |filter_keys, lossy, tag| FilterJoinVariant {
-            production: None,
-            filter_keys,
-            lossy,
-            tag,
-        };
-        let mut variants = vec![whole_outer(keys.to_vec(), false, String::new())];
-        if self.config.enable_bloom {
-            variants.push(whole_outer(keys.to_vec(), true, "b".into()));
-        }
-        if keys.len() > 1 {
-            for omit in 0..keys.len() {
-                let mut subset = keys.to_vec();
-                subset.remove(omit);
-                variants.push(whole_outer(subset, false, format!("s{omit}")));
+    /// The leaves of entry `id`'s plan, left to right.
+    fn leaf_order(&self, id: EntryId, out: &mut Vec<usize>) {
+        match self.arena[id as usize].recipe {
+            Recipe::Leaf { alias, .. } => out.push(alias),
+            Recipe::Join { outer, inner, .. } | Recipe::Into { outer, inner, .. } => {
+                self.leaf_order(outer, out);
+                self.leaf_order(inner, out);
             }
         }
-        if self.config.allow_prefix_production {
-            let cheapest = |v: &'s Vec<Entry>| v.iter().min_by(|a, b| a.cost.total_cmp(&b.cost));
-            for k in 1..outer.order.len() {
-                let mask = outer.order[..k].iter().fold(0u64, |m, &i| m | (1 << i));
-                let Some(prefix) = self.best.get(&mask).and_then(cheapest) else {
-                    continue;
-                };
-                let mut filter_keys = pred_est
-                    .map(|p| written_keys(p, &prefix.stats, &inner.stats))
-                    .unwrap_or_default();
-                if filter_keys.is_empty() {
-                    filter_keys = self.class_keys(&prefix.stats, &inner.stats);
-                }
-                if !filter_keys.is_empty() {
-                    variants.push(FilterJoinVariant {
-                        production: Some(prefix),
-                        filter_keys,
-                        lossy: false,
-                        tag: format!("p{k}"),
-                    });
-                }
-            }
-        }
-        variants
     }
 
-    /// Costs one Filter Join variant (Table 1) and, when applicable,
-    /// builds its plan and DP entry, with `restriction` (the inner's
-    /// local conjuncts and the join's residual) filtering on top. The
-    /// final join always consumes the whole outer, whatever the
-    /// production set.
-    fn filter_join_entry(
+    /// The Limitation-2 ablation: one exact Filter Join per strict
+    /// prefix of `outer`'s leaves, its production set the cheapest plan
+    /// for that prefix — the O(N) factor §3.3 warns about.
+    fn prefix_variants(&self, leaf: &LeafInner, outer: EntryId) -> Vec<Variant> {
+        if !self.config.allow_prefix_production || leaf.variants.is_empty() {
+            return Vec::new();
+        }
+        let mut order = Vec::new();
+        self.leaf_order(outer, &mut order);
+        let cost = |&id: &EntryId| self.arena[id as usize].cost;
+        let prefixes = (1..order.len()).filter_map(|k| {
+            let mask = order[..k].iter().fold(0u64, |m, &i| m | (1 << i));
+            let frontier = &self.frontiers[self.best.get(&mask)?.clone()];
+            let cheapest = frontier.iter().min_by(|a, b| cost(a).total_cmp(&cost(b)));
+            cheapest.map(|&p| Variant {
+                production: Some(p),
+                omit: None,
+                lossy: false,
+            })
+        });
+        prefixes.collect()
+    }
+
+    /// The (production column, inner column) pairs `variant`'s filter
+    /// set projects.
+    fn filter_keys<'s>(
         &self,
-        outer: &Entry,
-        inner: &Entry,
-        keys: &[(String, String)],
-        restriction: &Option<Expr>,
-        variant: FilterJoinVariant<'_>,
-    ) -> Result<Option<Entry>, OptError> {
+        split: &'s Split,
+        variant: Variant,
+        inner: EntryId,
+    ) -> Cow<'s, [(String, String)]> {
+        match variant {
+            Variant {
+                production: Some(p),
+                ..
+            } => {
+                let (prefix, inner) = (&self.arena[p as usize], &self.arena[inner as usize]);
+                let written = written_keys(split.conjuncts(self), &prefix.stats, &inner.stats);
+                Cow::Owned(if written.is_empty() {
+                    self.class_keys(&prefix.stats, &inner.stats)
+                } else {
+                    written
+                })
+            }
+            Variant { omit: Some(k), .. } => {
+                let kept = split.keys.iter().enumerate().filter(|(at, _)| *at != k);
+                Cow::Owned(kept.map(|(_, pair)| pair.clone()).collect())
+            }
+            _ => Cow::Borrowed(&split.keys),
+        }
+    }
+
+    /// Costs one Filter Join variant (Table 1) with the inner's
+    /// restriction (its local conjuncts and the join's residual)
+    /// filtering on top: the decision and the entry's cost; `None` when
+    /// the variant is not applicable. The final join always consumes
+    /// the whole outer, whatever the production set.
+    fn cost_variant(
+        &mut self,
+        split: &Split,
+        outer: EntryId,
+        variant: Variant,
+        filter_keys: &[(String, String)],
+    ) -> Result<Option<(FilterJoinDecision, f64)>, OptError> {
         let params = self.config.params;
-        let j = inner.order[0];
-        let item = &self.query.from[j];
-        let production = variant.production;
+        let o = &self.arena[outer as usize];
+        let production = variant.production.map(|p| &self.arena[p as usize]);
+        let leaf = split.leaf.as_ref().expect("offered for a leaf inner");
         let decision = cost_filter_join(FilterJoinArgs {
             catalog: self.catalog,
             params,
-            memo: &mut self.memo.borrow_mut(),
-            outer_cost: outer.cost,
-            outer: &outer.stats,
-            keys,
-            inner_alias: &item.alias,
-            inner_relation: &item.relation,
-            filter_keys: &variant.filter_keys,
-            use_bloom: variant.lossy,
+            memo: &mut self.memo,
+            outer_cost: o.cost,
+            outer: &o.stats,
+            spec: split.filter_join(&self.aliases, variant, filter_keys),
             prefix_production: production.map(|p| PrefixProduction {
                 stats: &p.stats,
                 cost: p.cost,
@@ -955,44 +1386,40 @@ impl<'a> Search<'a> {
         let Some(d) = decision else {
             return Ok(None);
         };
-        let mask = outer.order.iter().fold(1u64 << j, |m, &i| m | (1 << i));
-        let suffix = format!("_{mask:x}_{j}{}", variant.tag);
-        let mut phys = build_filter_join_plan(
-            self.catalog,
-            &outer.phys,
-            production.map(|p| &p.phys),
-            &d,
-            &suffix,
-        )?;
-        let mut stats = d.output;
-        let mut cost_delta = d.cost.total() - outer.cost; // JoinCost_P already in base
-        if let Some(p) = restriction.clone() {
-            let sel = self.estimator.selectivity(&p, &stats);
-            cost_delta += params.cpu(stats.rows);
-            stats.rows *= sel;
-            phys = PhysPlan::Filter {
-                input: phys.boxed(),
-                predicate: p,
-            };
+        let mut cost_delta = d.cost.total() - o.cost; // JoinCost_P already in base
+        if !leaf.restriction.is_empty() {
+            cost_delta += params.cpu(d.rows);
         }
         // The leaf's own access cost is replaced by FilterCost_Rk.
-        let mut entry = joined(outer, inner, outer.cost + cost_delta, stats, phys);
-        let produced = production.map_or(outer.order.len(), |p| p.order.len());
-        entry.sips.push(Sips {
-            production: outer.order[..produced]
-                .iter()
-                .map(|&i| self.query.from[i].alias.clone())
-                .collect(),
-            inner: item.alias.clone(),
-            filter_keys: variant
-                .filter_keys
-                .into_iter()
-                .map(|(left, right)| EquiJoinKey { left, right })
-                .collect(),
-        });
-        entry.fj_costs.push(d.cost);
-        Ok(Some(entry))
+        Ok(Some((d, o.cost + cost_delta)))
     }
+
+    /// Output statistics of the Filter Join `d` was costed for, the
+    /// restriction's selectivity applied.
+    fn variant_stats(
+        &self,
+        split: &Split,
+        outer: EntryId,
+        variant: Variant,
+        filter_keys: &[(String, String)],
+        d: &FilterJoinDecision,
+    ) -> EstStats {
+        let leaf = split.leaf.as_ref().expect("offered for a leaf inner");
+        let spec = split.filter_join(&self.aliases, variant, filter_keys);
+        let outer = &self.arena[outer as usize].stats;
+        let mut stats = filter_join_stats(&self.estimator, outer, spec, d);
+        if !leaf.restriction.is_empty() {
+            let conjuncts = leaf.restriction.iter().map(|&k| self.conjuncts[k].0);
+            stats.rows *= self.estimator.selectivity_of(conjuncts, &stats);
+        }
+        stats
+    }
+}
+
+/// A table function with no domain to enumerate: only reachable by
+/// probing, never scanned on its own.
+fn probe_only(kind: &RelationKind) -> bool {
+    matches!(kind, RelationKind::Udf(u) if u.domain().is_none())
 }
 
 /// The FROM position of the alias whose schema provides `col`.
@@ -1034,15 +1461,21 @@ fn bushy_splits(adj: &[u64], mask: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// The equi-join keys `pred` writes between two inputs, as
+/// The equi-join keys `conjuncts` write between two inputs, as
 /// `(left column, right column)`.
-fn written_keys(pred: &Expr, left: &EstStats, right: &EstStats) -> Vec<(String, String)> {
-    equi_join_keys(pred, &|c| left.cols.contains_key(c), &|c| {
-        right.cols.contains_key(c)
-    })
-    .into_iter()
-    .map(|k| (k.left, k.right))
-    .collect()
+fn written_keys<'e>(
+    conjuncts: impl Iterator<Item = &'e Expr>,
+    left: &EstStats,
+    right: &EstStats,
+) -> Vec<(String, String)> {
+    let (in_left, in_right) = (
+        |c: &str| left.cols.contains_key(c),
+        |c: &str| right.cols.contains_key(c),
+    );
+    conjuncts
+        .filter_map(|c| equi_join_key(c, &in_left, &in_right))
+        .map(|(l, r)| (l.to_string(), r.to_string()))
+        .collect()
 }
 
 /// Computes the transitive closure of column equalities in the query
@@ -1050,7 +1483,7 @@ fn written_keys(pred: &Expr, left: &EstStats, right: &EstStats) -> Vec<(String, 
 /// puts all three columns in one class, which is how join order 3 of
 /// Figure 3 can pass a `D`-derived filter set into `V` even though the
 /// predicate never writes `D.did = V.did` explicitly.
-pub fn equality_classes(conjuncts: &[(Expr, u64)]) -> Vec<BTreeSet<String>> {
+pub fn equality_classes(conjuncts: &[(&Expr, u64)]) -> Vec<BTreeSet<String>> {
     let mut classes: Vec<BTreeSet<String>> = Vec::new();
     for (c, _) in conjuncts {
         let Expr::Binary {

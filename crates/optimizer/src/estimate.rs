@@ -15,9 +15,10 @@
 use crate::cost::CostParams;
 use crate::error::OptError;
 use fj_algebra::{Catalog, JoinKind, LogicalPlan, RelationKind};
-use fj_expr::{split_conjuncts, BinOp, Expr};
+use fj_expr::{conjunct_refs, equi_join_key, BinOp, Expr};
 use fj_storage::{yao_distinct, Histogram, Schema, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Default selectivity for an equality predicate with no statistics.
 pub const DEFAULT_EQ_SEL: f64 = 0.1;
@@ -35,8 +36,105 @@ pub struct ColEst {
     pub min: Option<Value>,
     /// Maximum value, when known.
     pub max: Option<Value>,
-    /// Histogram, when inherited from a base table.
-    pub histogram: Option<Histogram>,
+    /// Histogram, when inherited from a base table (shared with it).
+    pub histogram: Option<Arc<Histogram>>,
+}
+
+/// Per-column estimates keyed by output column name, in insertion
+/// order. A plan has a handful of columns and the enumerator derives
+/// thousands of these per query, so this is a shared slice rather than
+/// a hash table: cloning bumps a reference count, a write through a
+/// shared handle first copies the entries (one allocation), and a
+/// lookup is a short scan.
+#[derive(Debug, Clone)]
+pub struct ColMap(Arc<[(Arc<str>, ColEst)]>);
+
+impl Default for ColMap {
+    fn default() -> ColMap {
+        ColMap(Arc::new([]))
+    }
+}
+
+impl ColMap {
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when there are no columns.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.0.iter().position(|(n, _)| &**n == name)
+    }
+
+    /// The entries, for writing: copied first if another handle shares
+    /// them.
+    fn entries_mut(&mut self) -> &mut [(Arc<str>, ColEst)] {
+        if Arc::get_mut(&mut self.0).is_none() {
+            self.0 = self.0.iter().cloned().collect();
+        }
+        Arc::get_mut(&mut self.0).expect("sole handle")
+    }
+
+    /// The estimate for column `name`.
+    pub fn get(&self, name: &str) -> Option<&ColEst> {
+        self.position(name).map(|i| &self.0[i].1)
+    }
+
+    /// The estimate for column `name`, for writing.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut ColEst> {
+        let i = self.position(name)?;
+        Some(&mut self.entries_mut()[i].1)
+    }
+
+    /// Whether column `name` is present.
+    pub fn contains_key(&self, name: &str) -> bool {
+        self.position(name).is_some()
+    }
+
+    /// `(name, estimate)` pairs in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &ColEst)> {
+        self.0.iter().map(|(n, e)| (&**n, e))
+    }
+
+    /// The estimates in insertion order.
+    pub fn values(&self) -> impl Iterator<Item = &ColEst> {
+        self.0.iter().map(|(_, e)| e)
+    }
+
+    /// The estimates in insertion order, for writing.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut ColEst> {
+        self.entries_mut().iter_mut().map(|(_, e)| e)
+    }
+
+    /// The columns of `left` followed by those of `right` — a join's
+    /// output columns. A column in both keeps `right`'s estimate.
+    pub fn concat(left: &ColMap, right: &ColMap) -> ColMap {
+        let both = left.0.iter().chain(right.0.iter()).cloned();
+        if right.0.iter().any(|(n, _)| left.contains_key(n)) {
+            return both.collect();
+        }
+        // Exact-size, so the slice is allocated once and filled in place.
+        ColMap(both.collect())
+    }
+}
+
+/// Collects `(name, estimate)` pairs; a repeated name keeps its first
+/// position and its last estimate.
+impl<N: Into<Arc<str>> + AsRef<str>> FromIterator<(N, ColEst)> for ColMap {
+    fn from_iter<I: IntoIterator<Item = (N, ColEst)>>(iter: I) -> ColMap {
+        let mut entries: Vec<(Arc<str>, ColEst)> = Vec::new();
+        for (name, est) in iter {
+            match entries.iter_mut().find(|(n, _)| **n == *name.as_ref()) {
+                Some(slot) => slot.1 = est,
+                None => entries.push((name.into(), est)),
+            }
+        }
+        ColMap(entries.into())
+    }
 }
 
 /// Estimated properties of a plan's output.
@@ -47,7 +145,18 @@ pub struct EstStats {
     /// Row width in bytes.
     pub width: usize,
     /// Per-column estimates, keyed by qualified output column name.
-    pub cols: HashMap<String, ColEst>,
+    pub cols: ColMap,
+}
+
+/// One condition of a join, as [`PlanEstimator::join_stats_terms`]
+/// takes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum JoinTerm<'e> {
+    /// An equi-join key already oriented `(left column, right column)`.
+    Key(&'e str, &'e str),
+    /// Any conjunct; `col = col` across the two inputs is recognised as
+    /// a key, anything else is costed as a selection.
+    Conjunct(&'e Expr),
 }
 
 impl EstStats {
@@ -69,20 +178,19 @@ impl EstStats {
         if alias.is_empty() {
             return self;
         }
+        let mut name = String::new();
         self.cols = self
             .cols
-            .into_iter()
-            .map(|(k, v)| {
-                let base = k.rsplit_once('.').map(|(_, b)| b).unwrap_or(&k);
-                (format!("{alias}.{base}"), v)
-            })
+            .iter()
+            .map(|(k, v)| (qualified(alias, k, &mut name), v.clone()))
             .collect();
         self
     }
 
     fn cap_distincts(&mut self) {
+        let rows = self.rows;
         for c in self.cols.values_mut() {
-            c.distinct = c.distinct.min(self.rows).max(1.0);
+            c.distinct = c.distinct.min(rows).max(1.0);
         }
     }
 }
@@ -132,7 +240,7 @@ impl<'a> PlanEstimator<'a> {
                 let remote = matches!(kind, RelationKind::Remote(..));
                 match kind {
                     RelationKind::Base(t) | RelationKind::Remote(t, _) => {
-                        let stats = base_table_stats(&t);
+                        let stats = base_table_stats(&t, alias);
                         let pages = stats.pages(&self.params);
                         let mut cost = pages;
                         if remote {
@@ -140,7 +248,7 @@ impl<'a> PlanEstimator<'a> {
                                 .params
                                 .ship_cost(stats.rows, wire_width_of(t.schema()) as f64);
                         }
-                        Ok((cost, stats.requalify(alias)))
+                        Ok((cost, stats))
                     }
                     RelationKind::View(view) => {
                         let (cost, stats) = self.estimate_inner(&view.plan)?;
@@ -194,26 +302,21 @@ impl<'a> PlanEstimator<'a> {
             }
             LogicalPlan::Project { input, exprs } => {
                 let (cost, stats) = self.estimate_inner(input)?;
-                let mut cols = HashMap::new();
-                let mut width = 8;
-                for (e, name) in exprs {
+                let unknown = || ColEst {
+                    distinct: stats.rows,
+                    ..ColEst::default()
+                };
+                let cols = exprs.iter().map(|(e, name)| {
                     let ce = match e {
-                        Expr::Column(c) => stats.cols.get(c).cloned().unwrap_or(ColEst {
-                            distinct: stats.rows,
-                            ..ColEst::default()
-                        }),
-                        _ => ColEst {
-                            distinct: stats.rows,
-                            ..ColEst::default()
-                        },
+                        Expr::Column(c) => stats.cols.get(c).cloned().unwrap_or_else(unknown),
+                        _ => unknown(),
                     };
-                    width += 9;
-                    cols.insert(name.clone(), ce);
-                }
+                    (name.as_str(), ce)
+                });
                 let out = EstStats {
                     rows: stats.rows,
-                    width,
-                    cols,
+                    width: 8 + 9 * exprs.len(),
+                    cols: cols.collect(),
                 };
                 Ok((cost + self.params.cpu(stats.rows), out))
             }
@@ -258,28 +361,22 @@ impl<'a> PlanEstimator<'a> {
                         .min(stats.rows)
                         .max(1.0)
                 };
-                let mut cols = HashMap::new();
-                let mut width = 8;
-                for g in group_by {
+                let grouped = group_by.iter().map(|g| {
                     let mut ce = stats.cols.get(g).cloned().unwrap_or_default();
                     ce.distinct = ce.distinct.min(groups).max(1.0);
-                    cols.insert(g.clone(), ce);
-                    width += 9;
-                }
-                for a in aggs {
-                    cols.insert(
-                        a.output.clone(),
-                        ColEst {
-                            distinct: groups,
-                            ..ColEst::default()
-                        },
-                    );
-                    width += 9;
-                }
+                    (g.as_str(), ce)
+                });
+                let aggregated = aggs.iter().map(|a| {
+                    let ce = ColEst {
+                        distinct: groups,
+                        ..ColEst::default()
+                    };
+                    (a.output.as_str(), ce)
+                });
                 let out = EstStats {
                     rows: groups,
-                    width,
-                    cols,
+                    width: 8 + 9 * (group_by.len() + aggs.len()),
+                    cols: grouped.chain(aggregated).collect(),
                 };
                 let agg_cost = self.params.cpu(stats.rows * (1 + aggs.len()) as f64)
                     + self.params.external_sort_io(out.pages(&self.params));
@@ -347,58 +444,77 @@ impl<'a> PlanEstimator<'a> {
         predicate: Option<&Expr>,
         kind: JoinKind,
     ) -> EstStats {
-        let mut cols = ls.cols.clone();
-        let mut width = ls.width;
-        if kind == JoinKind::Inner {
-            cols.extend(rs.cols.clone());
-            width += rs.width.saturating_sub(8);
-        }
+        let conjuncts = predicate.map(conjunct_refs).unwrap_or_default();
+        self.join_stats_terms(ls, rs, conjuncts.into_iter().map(JoinTerm::Conjunct), kind)
+    }
+
+    /// [`Self::join_stats`] over conditions already split into terms,
+    /// applied in order — what the enumerator calls, once per pair of
+    /// inputs, with the conjuncts it split once per query.
+    pub(crate) fn join_stats_terms<'e>(
+        &self,
+        ls: &EstStats,
+        rs: &EstStats,
+        terms: impl IntoIterator<Item = JoinTerm<'e>>,
+        kind: JoinKind,
+    ) -> EstStats {
+        let (mut cols, width) = match kind {
+            JoinKind::Inner => (
+                ColMap::concat(&ls.cols, &rs.cols),
+                ls.width + rs.width.saturating_sub(8),
+            ),
+            JoinKind::Semi => (ls.cols.clone(), ls.width),
+        };
 
         let mut rows = match kind {
             JoinKind::Inner => ls.rows * rs.rows,
             JoinKind::Semi => ls.rows,
         };
-        if let Some(p) = predicate {
-            for c in split_conjuncts(p) {
-                let keys = self.equi_keys(&c, ls, rs);
-                if let Some((lk, rk)) = keys.first() {
-                    match kind {
-                        JoinKind::Inner => {
-                            let sel = 1.0 / ls.distinct(lk).max(rs.distinct(rk));
-                            rows *= sel;
-                            // Containment: joined key keeps min distinct.
-                            let d = ls.distinct(lk).min(rs.distinct(rk));
-                            if let Some(ce) = cols.get_mut(lk) {
-                                ce.distinct = d;
-                            }
-                            if let Some(ce) = cols.get_mut(rk) {
-                                ce.distinct = d;
-                            }
+        for term in terms {
+            let key = match term {
+                JoinTerm::Key(lk, rk) => Ok((lk, rk)),
+                JoinTerm::Conjunct(c) => equi_join_key(c, &|n| ls.cols.contains_key(n), &|n| {
+                    rs.cols.contains_key(n)
+                })
+                .ok_or(c),
+            };
+            match key {
+                Ok((lk, rk)) => match kind {
+                    JoinKind::Inner => {
+                        rows *= key_selectivity(ls.distinct(lk), rs.distinct(rk));
+                        // Containment: joined key keeps min distinct.
+                        let d = ls.distinct(lk).min(rs.distinct(rk));
+                        if let Some(ce) = cols.get_mut(lk) {
+                            ce.distinct = d;
                         }
-                        JoinKind::Semi => {
-                            // Fraction of outer keys present in the inner
-                            // — for a filter set of f values over a
-                            // domain of d, exactly f/d: the straight
-                            // line of Figure 4.
-                            let frac = (rs.distinct(rk) / ls.distinct(lk)).min(1.0);
-                            rows *= frac;
-                            // Only the filtered key values survive, which
-                            // is what shrinks the group count when an
-                            // aggregate sits above the semi-join.
-                            let d = ls.distinct(lk).min(rs.distinct(rk));
-                            if let Some(ce) = cols.get_mut(lk) {
-                                ce.distinct = d;
-                            }
+                        if let Some(ce) = cols.get_mut(rk) {
+                            ce.distinct = d;
                         }
                     }
-                } else {
+                    JoinKind::Semi => {
+                        // Fraction of outer keys present in the inner
+                        // — for a filter set of f values over a
+                        // domain of d, exactly f/d: the straight
+                        // line of Figure 4.
+                        let frac = (rs.distinct(rk) / ls.distinct(lk)).min(1.0);
+                        rows *= frac;
+                        // Only the filtered key values survive, which
+                        // is what shrinks the group count when an
+                        // aggregate sits above the semi-join.
+                        let d = ls.distinct(lk).min(rs.distinct(rk));
+                        if let Some(ce) = cols.get_mut(lk) {
+                            ce.distinct = d;
+                        }
+                    }
+                },
+                Err(c) => {
                     // Non-equi or one-sided conjunct.
                     let combined = EstStats {
                         rows: 0.0,
                         width: 0,
                         cols: cols.clone(),
                     };
-                    rows *= self.selectivity_conjunct(&c, &combined, Some((ls, rs)));
+                    rows *= self.selectivity_conjunct(c, &combined);
                 }
             }
         }
@@ -423,19 +539,23 @@ impl<'a> PlanEstimator<'a> {
 
     /// Selectivity of a (possibly conjunctive) predicate against `stats`.
     pub fn selectivity(&self, pred: &Expr, stats: &EstStats) -> f64 {
-        split_conjuncts(pred)
-            .iter()
-            .map(|c| self.selectivity_conjunct(c, stats, None))
+        self.selectivity_of(conjunct_refs(pred), stats)
+    }
+
+    /// Selectivity of the conjunction of `conjuncts` against `stats`.
+    pub(crate) fn selectivity_of<'e>(
+        &self,
+        conjuncts: impl IntoIterator<Item = &'e Expr>,
+        stats: &EstStats,
+    ) -> f64 {
+        conjuncts
+            .into_iter()
+            .map(|c| self.selectivity_conjunct(c, stats))
             .product::<f64>()
             .clamp(0.0, 1.0)
     }
 
-    fn selectivity_conjunct(
-        &self,
-        c: &Expr,
-        stats: &EstStats,
-        _sides: Option<(&EstStats, &EstStats)>,
-    ) -> f64 {
+    fn selectivity_conjunct(&self, c: &Expr, stats: &EstStats) -> f64 {
         match c {
             Expr::Binary { op, left, right } => match (op, left.as_ref(), right.as_ref()) {
                 (BinOp::Eq, Expr::Column(a), Expr::Column(b)) => {
@@ -451,17 +571,16 @@ impl<'a> PlanEstimator<'a> {
                     self.range_selectivity(*op, l, r, stats)
                 }
                 (BinOp::And, _, _) => {
-                    self.selectivity_conjunct(left, stats, None)
-                        * self.selectivity_conjunct(right, stats, None)
+                    self.selectivity_conjunct(left, stats) * self.selectivity_conjunct(right, stats)
                 }
                 (BinOp::Or, _, _) => {
-                    let a = self.selectivity_conjunct(left, stats, None);
-                    let b = self.selectivity_conjunct(right, stats, None);
+                    let a = self.selectivity_conjunct(left, stats);
+                    let b = self.selectivity_conjunct(right, stats);
                     (a + b - a * b).clamp(0.0, 1.0)
                 }
                 _ => DEFAULT_SEL,
             },
-            Expr::Not(inner) => 1.0 - self.selectivity_conjunct(inner, stats, None),
+            Expr::Not(inner) => 1.0 - self.selectivity_conjunct(inner, stats),
             Expr::IsNull(_) => DEFAULT_EQ_SEL,
             Expr::Literal(Value::Bool(true)) => 1.0,
             Expr::Literal(Value::Bool(false)) => 0.0,
@@ -476,7 +595,7 @@ impl<'a> PlanEstimator<'a> {
                 left: left.clone(),
                 right: right.clone(),
             };
-            self.selectivity_conjunct(&eq, stats, None)
+            self.selectivity_conjunct(&eq, stats)
         } else {
             DEFAULT_EQ_SEL
         }
@@ -531,11 +650,46 @@ impl<'a> PlanEstimator<'a> {
     }
 }
 
+/// Selectivity of an equi-join key whose columns have `left` and
+/// `right` distinct values, under containment.
+fn key_selectivity(left: f64, right: f64) -> f64 {
+    1.0 / left.max(right)
+}
+
+/// Cardinality of the inner equi-join of inputs of `left_rows` and
+/// `right_rows` rows on keys with the given (left, right) distinct
+/// counts — what [`PlanEstimator::join_stats_terms`] estimates for the
+/// same keys, without building the output's statistics.
+pub(crate) fn equi_join_rows(
+    left_rows: f64,
+    right_rows: f64,
+    key_distincts: impl Iterator<Item = (f64, f64)>,
+) -> f64 {
+    let selectivities = key_distincts.map(|(l, r)| key_selectivity(l, r));
+    selectivities
+        .fold(left_rows * right_rows, |rows, sel| rows * sel)
+        .max(0.0)
+}
+
+/// `alias.base` for a column named `column` (`base` is what follows its
+/// last dot), or `column` itself under the empty alias. `buf` is
+/// scratch space, so a name costs one allocation.
+fn qualified(alias: &str, column: &str, buf: &mut String) -> Arc<str> {
+    if alias.is_empty() {
+        return Arc::from(column);
+    }
+    let base = column.rsplit_once('.').map_or(column, |(_, base)| base);
+    buf.clear();
+    buf.extend([alias, ".", base]);
+    Arc::from(buf.as_str())
+}
+
 /// Builds [`EstStats`] for a base table from its analyzed statistics,
-/// with *unqualified* column names.
-pub fn base_table_stats(table: &fj_storage::Table) -> EstStats {
+/// with its columns qualified under `alias` (unqualified when empty).
+pub fn base_table_stats(table: &fj_storage::Table, alias: &str) -> EstStats {
     let schema = table.schema();
     let stats = table.stats();
+    let mut name = String::new();
     let cols = schema
         .columns()
         .iter()
@@ -543,7 +697,7 @@ pub fn base_table_stats(table: &fj_storage::Table) -> EstStats {
         .map(|(i, c)| {
             let cs = stats.column(i);
             (
-                c.name.clone(),
+                qualified(alias, &c.name, &mut name),
                 ColEst {
                     distinct: cs.map(|s| s.distinct as f64).unwrap_or(1.0).max(1.0),
                     min: cs.and_then(|s| s.min.clone()),
@@ -672,7 +826,7 @@ mod tests {
             EstStats {
                 rows: 42.0,
                 width: 17,
-                cols: HashMap::new(),
+                cols: ColMap::default(),
             },
         );
         assert_eq!(e.estimate(&plan).unwrap().rows, 42.0);

@@ -10,8 +10,8 @@
 //! outer under Limitation 2, or a strict prefix of it in the ablation —
 //! [`FilterJoinArgs::prefix_production`]), the **filter attributes**
 //! (all join keys, or a subset: Limitation 3's lossy filter "by
-//! omitting one of the join attributes" — [`FilterJoinArgs::filter_keys`])
-//! and **exact or lossy** representation ([`FilterJoinArgs::use_bloom`]).
+//! omitting one of the join attributes" — [`FilterJoinSpec::filter_keys`])
+//! and **exact or lossy** representation ([`FilterJoinSpec::use_bloom`]).
 //! [`cost_filter_join`] prices any such description with the seven
 //! components of Table 1 and [`build_filter_join_plan`] builds it:
 //!
@@ -24,16 +24,25 @@
 //! | `FilterCost_Rk` | restricted inner: parametric fit for views, semi-join formula for tables, per-value invocation for UDFs |
 //! | `AvailCost_Rk'` | pipelined (0) locally, shipping for remote inners |
 //! | `FinalJoinCost` | hash join of P with R'k |
+//!
+//! Costing is what the enumerator does thousands of times per query, so
+//! it copies nothing it is handed: what depends only on the inner
+//! relation is derived once ([`FilterJoinInner`]), the description is
+//! borrowed ([`FilterJoinSpec`]), and the plan is built from the same
+//! description only for a candidate that won.
 
 use crate::cost::CostParams;
 use crate::error::OptError;
-use crate::estimate::{base_table_stats, ColEst, EstStats, PlanEstimator};
+use crate::estimate::{
+    base_table_stats, equi_join_rows, ColEst, EstStats, JoinTerm, PlanEstimator,
+};
 use crate::parametric::ParametricEstimator;
 use fj_algebra::{magic, Catalog, JoinKind, RelationKind, SiteId};
 use fj_exec::{lower, PhysPlan, TempStep};
 use fj_expr::col;
 use fj_storage::{yao_distinct, Column, DataType, Schema};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The seven cost components of Table 1, in page-I/O-equivalent units.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -93,6 +102,78 @@ impl fmt::Display for FilterJoinCost {
     }
 }
 
+/// What costing and building a Filter Join need to know about its inner
+/// relation, derived once per FROM item rather than per candidate.
+#[derive(Debug, Clone)]
+pub struct FilterJoinInner {
+    /// Alias of the inner relation in the query.
+    pub alias: String,
+    /// Catalog name of the inner relation.
+    pub relation: String,
+    /// What the name resolves to.
+    pub kind: RelationKind,
+    /// `"alias."`, the qualifier stripped from inner key columns.
+    qualifier: String,
+    /// Statistics of the whole relation, qualified under `alias`, once
+    /// a Filter Join into it has been costed: a stored table's own, or
+    /// a view's from its parametric fit (a table function has none).
+    unrestricted: OnceLock<EstStats>,
+}
+
+impl FilterJoinInner {
+    /// Resolves `relation` and derives what depends only on it.
+    pub fn new(
+        catalog: &Catalog,
+        relation: &str,
+        alias: &str,
+    ) -> Result<FilterJoinInner, OptError> {
+        Ok(FilterJoinInner {
+            alias: alias.to_string(),
+            relation: relation.to_string(),
+            kind: catalog.resolve(relation)?,
+            qualifier: format!("{alias}."),
+            unrestricted: OnceLock::new(),
+        })
+    }
+
+    /// Site where the inner lives (LOCAL unless it is a remote table).
+    pub fn site(&self) -> SiteId {
+        self.kind.site()
+    }
+
+    /// `column` without the alias qualifier — the attribute's name
+    /// inside the relation.
+    pub fn attr<'c>(&self, column: &'c str) -> &'c str {
+        column.strip_prefix(&self.qualifier).unwrap_or(column)
+    }
+}
+
+/// Which Filter Join: the inner relation, the final-join keys and the
+/// filter set. Borrowed by both costing and plan construction.
+#[derive(Debug, Clone, Copy)]
+pub struct FilterJoinSpec<'a> {
+    /// The inner relation.
+    pub inner: &'a FilterJoinInner,
+    /// Join keys: (qualified outer column, qualified inner column).
+    pub keys: &'a [(String, String)],
+    /// Filter-set keys (production-side column, inner column): all of
+    /// `keys`, a subset of them (Limitation 3's filter "omitting one of
+    /// the join attributes"), or the keys linking a prefix production to
+    /// the inner.
+    pub filter_keys: &'a [(String, String)],
+    /// Use a Bloom filter instead of an exact filter set (base/remote
+    /// table inners only).
+    pub use_bloom: bool,
+}
+
+impl FilterJoinSpec<'_> {
+    /// Inner-side attribute names (unqualified) of the filter keys.
+    fn inner_attrs(&self) -> Vec<&str> {
+        let attrs = self.filter_keys.iter().map(|(_, i)| self.inner.attr(i));
+        attrs.collect()
+    }
+}
+
 /// A production set that is a *strict prefix* of the outer — Limitation
 /// 1 without Limitation 2 (§3.3). The paper notes that searching these
 /// "would increase the complexity of optimization by a factor of O(N)";
@@ -116,45 +197,26 @@ pub struct FilterJoinArgs<'a> {
     pub outer_cost: f64,
     /// Outer output statistics.
     pub outer: &'a EstStats,
-    /// Join keys: (qualified outer column, qualified inner column).
-    pub keys: &'a [(String, String)],
-    /// Alias of the inner relation in the query.
-    pub inner_alias: &'a str,
-    /// Catalog name of the inner relation.
-    pub inner_relation: &'a str,
-    /// Filter-set keys (production-side column, inner column): all of
-    /// `keys`, a subset of them (Limitation 3's filter "omitting one of
-    /// the join attributes"), or the keys linking a prefix production to
-    /// the inner.
-    pub filter_keys: &'a [(String, String)],
-    /// Use a Bloom filter instead of an exact filter set (base/remote
-    /// table inners only).
-    pub use_bloom: bool,
+    /// The candidate's description.
+    pub spec: FilterJoinSpec<'a>,
     /// Produce the filter set from a strict prefix of the outer instead
     /// of the whole outer (`None` = Limitation 2 applies).
     pub prefix_production: Option<PrefixProduction<'a>>,
 }
 
-/// The costed decision, carrying what the plan builder needs.
-#[derive(Debug, Clone)]
+/// The costed decision: scalars only. Costing builds no statistics;
+/// [`filter_join_stats`] derives the output's from these for a
+/// candidate that is kept.
+#[derive(Debug, Clone, Copy)]
 pub struct FilterJoinDecision {
     /// The Table 1 breakdown.
     pub cost: FilterJoinCost,
-    /// Estimated statistics of the restricted inner (qualified under the
-    /// inner alias).
-    pub restricted: EstStats,
-    /// Estimated statistics of the join output.
-    pub output: EstStats,
-    /// Final-join keys (outer qualified, inner qualified).
-    pub keys: Vec<(String, String)>,
-    /// Filter-set keys (production-side column, inner column).
-    pub filter_keys: Vec<(String, String)>,
-    /// Inner alias.
-    pub inner_alias: String,
-    /// Inner catalog name.
-    pub inner_relation: String,
-    /// Inner site (LOCAL unless the inner is a remote table).
-    pub inner_site: SiteId,
+    /// Estimated cardinality of the join output.
+    pub rows: f64,
+    /// Estimated cardinality of the filter set.
+    pub filter_rows: f64,
+    /// Estimated cardinality of the restricted inner.
+    pub restricted_rows: f64,
     /// Bloom bits (when lossy).
     pub bloom_bits: u64,
     /// Bloom hash count (when lossy).
@@ -170,15 +232,18 @@ fn filter_wire_width(n: usize) -> f64 {
 /// applicable (no keys; Bloom requested for a view; UDF without a
 /// probeable key).
 pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDecision>, OptError> {
-    let filter_keys = args.filter_keys;
-    if args.keys.is_empty() || filter_keys.is_empty() {
+    let FilterJoinSpec {
+        inner,
+        keys,
+        filter_keys,
+        use_bloom,
+    } = args.spec;
+    if keys.is_empty() || filter_keys.is_empty() {
         return Ok(None);
     }
     let params = args.params;
-    let kind = args.catalog.resolve(args.inner_relation)?;
-    let inner_site = kind.site();
-    let remote = inner_site != SiteId::LOCAL;
-    if args.use_bloom && matches!(kind, RelationKind::View(_) | RelationKind::Udf(_)) {
+    let remote = inner.site() != SiteId::LOCAL;
+    if use_bloom && matches!(inner.kind, RelationKind::View(_) | RelationKind::Udf(_)) {
         // Lossy filters cannot be pushed through view definitions or
         // drive UDF invocation (a Bloom filter cannot be enumerated).
         return Ok(None);
@@ -217,7 +282,7 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
     let f_width = 8 + 9 * filter_keys.len();
     let f_pages = params.pages(f_rows, f_width);
     let proj_cost_f = params.cpu(src_rows) + params.external_sort_io(f_pages);
-    let (avail_cost_f, bloom_bits, bloom_hashes) = if args.use_bloom {
+    let (avail_cost_f, bloom_bits, bloom_hashes) = if use_bloom {
         // Fixed-size bit vector; sized (analytically — no allocation
         // during costing) for ~2% false positives.
         let (bits, hashes) = fj_storage::BloomFilter::sizing(f_rows.round() as u64 + 1, 0.02);
@@ -239,114 +304,92 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
         (params.materialize_cost(f_pages) + f_pages + ship, 0, 0)
     };
 
-    // Inner-side attribute names (unqualified), from the filter keys.
-    let inner_attrs: Vec<String> = filter_keys
-        .iter()
-        .map(|(_, i)| {
-            i.strip_prefix(&format!("{}.", args.inner_alias))
-                .unwrap_or(i)
-                .to_string()
-        })
-        .collect();
-
-    // ---- FilterCost_Rk and the restricted inner stats.
-    let (filter_cost_rk, mut restricted, rk_wire_width) = match &kind {
-        RelationKind::View(_) => {
-            let fit = args
-                .memo
-                .fit(args.catalog, params, args.inner_relation, &inner_attrs)?;
-            let s = fit.selectivity_of(f_rows);
-            let cost = fit.cost(s);
-            let rows = fit.cardinality(s);
-            let mut stats = fit.unrestricted.clone();
-            stats.rows = rows;
-            // The filtered key keeps at most f distinct values.
-            for a in &inner_attrs {
-                if let Some(ce) = stats.cols.get_mut(a) {
-                    ce.distinct = ce.distinct.min(f_rows.max(1.0));
-                }
+    // ---- FilterCost_Rk: cost, cardinality and width of the restricted
+    // inner, and the whole relation's statistics its columns come from.
+    let (filter_cost_rk, restricted_rows, restricted_width, rk_wire_width, whole) =
+        match &inner.kind {
+            RelationKind::View(_) => {
+                let fit = args.memo.fit(
+                    args.catalog,
+                    params,
+                    &inner.relation,
+                    &args.spec.inner_attrs(),
+                )?;
+                let s = fit.selectivity_of(f_rows);
+                let whole = inner
+                    .unrestricted
+                    .get_or_init(|| fit.unrestricted.clone().requalify(&inner.alias));
+                let width = whole.width;
+                let wire = width as f64 + 4.0;
+                (fit.cost(s), fit.cardinality(s), width, wire, Some(whole))
             }
-            let width = stats.width as f64;
-            (cost, stats, width + 4.0)
-        }
-        RelationKind::Base(t) | RelationKind::Remote(t, _) => {
-            let stats = base_table_stats(t);
-            let d: f64 = inner_attrs
-                .iter()
-                .map(|a| stats.distinct(a))
-                .product::<f64>()
-                .max(1.0);
-            let mut frac = (f_rows / d).min(1.0);
-            if args.use_bloom {
-                // False positives let extra tuples through.
-                let fp = 0.02;
-                frac = (frac + fp * (1.0 - frac)).min(1.0);
-            }
-            let scan_pages = stats.pages(&params);
-            let cost = scan_pages + params.cpu(stats.rows + f_rows);
-            let mut out = stats.clone();
-            out.rows = (out.rows * frac).max(0.0);
-            for a in &inner_attrs {
-                if let Some(ce) = out.cols.get_mut(a) {
-                    ce.distinct = ce.distinct.min(f_rows.max(1.0));
-                }
-            }
-            let width = t.schema().row_width() as f64;
-            (cost, out, width + 4.0)
-        }
-        RelationKind::Udf(u) => {
-            // A filter set can drive invocation only when it covers
-            // every argument column of the function.
-            let schema = u.schema();
-            let covered = (0..u.arg_count()).all(|i| {
-                let arg = schema.column(i).base_name();
-                inner_attrs.iter().any(|a| a == arg)
-            });
-            if !covered {
-                return Ok(None);
-            }
-            let cost = f_rows * u.invocation_cost();
-            let rows = f_rows * u.rows_per_call();
-            let stats = EstStats {
-                rows,
-                width: schema.row_width() + 8 + 9 * filter_keys.len(),
-                cols: schema
-                    .columns()
+            RelationKind::Base(t) | RelationKind::Remote(t, _) => {
+                let whole = inner
+                    .unrestricted
+                    .get_or_init(|| base_table_stats(t, &inner.alias));
+                let d: f64 = filter_keys
                     .iter()
-                    .map(|c| {
-                        (
-                            c.name.clone(),
-                            ColEst {
-                                distinct: rows.max(1.0),
-                                ..ColEst::default()
-                            },
-                        )
-                    })
-                    .collect(),
-            };
-            (cost, stats, schema.row_width() as f64 + 4.0)
-        }
-    };
-    restricted = requalify_stats(restricted, args.inner_alias);
+                    .map(|(_, i)| whole.distinct(i))
+                    .product::<f64>()
+                    .max(1.0);
+                let mut frac = (f_rows / d).min(1.0);
+                if use_bloom {
+                    // False positives let extra tuples through.
+                    let fp = 0.02;
+                    frac = (frac + fp * (1.0 - frac)).min(1.0);
+                }
+                let cost = whole.pages(&params) + params.cpu(whole.rows + f_rows);
+                let rows = (whole.rows * frac).max(0.0);
+                let wire = t.schema().row_width() as f64 + 4.0;
+                (cost, rows, whole.width, wire, Some(whole))
+            }
+            RelationKind::Udf(u) => {
+                // A filter set can drive invocation only when it covers
+                // every argument column of the function.
+                let schema = u.schema();
+                let inner_attrs = args.spec.inner_attrs();
+                let covered = (0..u.arg_count()).all(|i| {
+                    let arg = schema.column(i).base_name();
+                    inner_attrs.contains(&arg)
+                });
+                if !covered {
+                    return Ok(None);
+                }
+                let cost = f_rows * u.invocation_cost();
+                let rows = f_rows * u.rows_per_call();
+                let width = schema.row_width();
+                let wire = width as f64 + 4.0;
+                (cost, rows, width + 8 + 9 * filter_keys.len(), wire, None)
+            }
+        };
+    let rk_pages = params.pages(restricted_rows, restricted_width);
 
     // ---- AvailCost_Rk': pipelined locally; shipped home when remote.
     let avail_cost_rk = if remote {
-        params.ship_cost(restricted.rows, rk_wire_width)
+        params.ship_cost(restricted_rows, rk_wire_width)
     } else {
         0.0
     };
 
-    // ---- FinalJoinCost: hash join of P (probe) with R'k (build).
-    let estimator = PlanEstimator::new(args.catalog, params);
-    let key_pred = args
-        .keys
+    // ---- FinalJoinCost: hash join of P (probe) with R'k (build). Its
+    // cardinality is that of [`filter_join_stats`]'s output, from the
+    // same distinct counts: the filtered keys keep at most f values.
+    let restricted_distinct = |column: &str| {
+        let known = whole.and_then(|w| w.cols.get(column)).map(|ce| {
+            let filtered = filter_keys.iter().any(|(_, i)| i == column);
+            if filtered {
+                ce.distinct.min(f_rows.max(1.0))
+            } else {
+                ce.distinct
+            }
+        });
+        known.unwrap_or(restricted_rows).max(1.0)
+    };
+    let key_distincts = keys
         .iter()
-        .map(|(o, i)| col(o.clone()).eq(col(i.clone())))
-        .reduce(|a, b| a.and(b));
-    let output = estimator.join_stats(args.outer, &restricted, key_pred.as_ref(), JoinKind::Inner);
-    let rk_pages = restricted.pages(&params);
-    let final_join_cost =
-        params.hash_join_cost(p_rows, p_pages, restricted.rows, rk_pages, output.rows);
+        .map(|(o, i)| (args.outer.distinct(o), restricted_distinct(i)));
+    let rows = equi_join_rows(p_rows, restricted_rows, key_distincts);
+    let final_join_cost = params.hash_join_cost(p_rows, p_pages, restricted_rows, rk_pages, rows);
 
     let cost = FilterJoinCost {
         join_cost_p: args.outer_cost,
@@ -357,36 +400,67 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
         avail_cost_rk,
         final_join_cost,
         materialize_production,
-        lossy: args.use_bloom,
+        lossy: use_bloom,
     };
 
     Ok(Some(FilterJoinDecision {
         cost,
-        restricted,
-        output,
-        keys: args.keys.to_vec(),
-        filter_keys: filter_keys.to_vec(),
-        inner_alias: args.inner_alias.to_string(),
-        inner_relation: args.inner_relation.to_string(),
-        inner_site,
+        rows,
+        filter_rows: f_rows,
+        restricted_rows,
         bloom_bits,
         bloom_hashes,
     }))
 }
 
-fn requalify_stats(mut stats: EstStats, alias: &str) -> EstStats {
-    if alias.is_empty() {
-        return stats;
-    }
-    stats.cols = stats
-        .cols
-        .into_iter()
-        .map(|(k, v)| {
-            let base = k.rsplit_once('.').map(|(_, b)| b).unwrap_or(&k);
-            (format!("{alias}.{base}"), v)
-        })
-        .collect();
-    stats
+/// Statistics of the output of the Filter Join `decision` describes,
+/// `decision` being what [`cost_filter_join`] returned for `spec` over
+/// `outer`. Costing needs only cardinalities; this is for the
+/// candidate that is kept.
+pub(crate) fn filter_join_stats(
+    estimator: &PlanEstimator<'_>,
+    outer: &EstStats,
+    spec: FilterJoinSpec<'_>,
+    decision: &FilterJoinDecision,
+) -> EstStats {
+    let inner = spec.inner;
+    let mut restricted = match &inner.kind {
+        RelationKind::Udf(u) => {
+            let schema = u.schema();
+            let distinct = decision.restricted_rows.max(1.0);
+            let cols = schema.columns().iter().map(|c| {
+                let ce = ColEst {
+                    distinct,
+                    ..ColEst::default()
+                };
+                (c.name.as_str(), ce)
+            });
+            EstStats {
+                rows: decision.restricted_rows,
+                width: schema.row_width() + 8 + 9 * spec.filter_keys.len(),
+                cols: cols.collect(),
+            }
+            .requalify(&inner.alias)
+        }
+        _ => {
+            // The filtered keys keep at most f distinct values.
+            let whole = inner.unrestricted.get().expect("set when it was costed");
+            let mut stats = whole.clone();
+            let cap = decision.filter_rows.max(1.0);
+            for (_, i) in spec.filter_keys {
+                // Looked up shared first: writing is what copies.
+                if stats.cols.get(i).is_some_and(|ce| ce.distinct > cap) {
+                    stats.cols.get_mut(i).expect("just found").distinct = cap;
+                }
+            }
+            stats
+        }
+    };
+    restricted.rows = decision.restricted_rows;
+    let keys = spec.keys.iter().map(|(o, i)| JoinTerm::Key(o, i));
+    let output = estimator.join_stats_terms(outer, &restricted, keys, JoinKind::Inner);
+    debug_assert_eq!(output.rows.to_bits(), decision.rows.to_bits());
+    output
 }
 
 /// Builds the physical plan for a costed Filter Join.
@@ -403,54 +477,64 @@ fn requalify_stats(mut stats: EstStats, alias: &str) -> EstStats {
 /// Remote inners wrap the filter producer and the restricted inner in
 /// `Ship` nodes (the SDD-1 semi-join of §5.1); Bloom variants replace
 /// the filter materialization with a `BuildBloom` step and the semi-join
-/// with a `BloomProbe`. `production_phys` is the production-set plan
-/// when the decision was costed with a prefix production (`None` keeps
-/// Limitation 2: production = the outer itself).
+/// with a `BloomProbe`. `spec` is the description `decision` was costed
+/// for; `production_phys` is the production-set plan when it was costed
+/// with a prefix production (`None` keeps Limitation 2: production =
+/// the outer itself). The plans are taken by value: only a recomputed
+/// whole-outer production is read twice and so copied.
 pub fn build_filter_join_plan(
     catalog: &Catalog,
-    outer_phys: &PhysPlan,
-    production_phys: Option<&PhysPlan>,
+    outer_phys: PhysPlan,
+    production_phys: Option<PhysPlan>,
+    spec: FilterJoinSpec<'_>,
     decision: &FilterJoinDecision,
     suffix: &str,
 ) -> Result<PhysPlan, OptError> {
+    let FilterJoinSpec {
+        inner,
+        keys,
+        filter_keys,
+        ..
+    } = spec;
     let partial_name = format!("__partial{suffix}");
     let filter_name = format!("__filter{suffix}");
-    let remote = decision.inner_site != SiteId::LOCAL;
-    let src_phys = production_phys.unwrap_or(outer_phys);
+    let inner_site = inner.site();
+    let remote = inner_site != SiteId::LOCAL;
 
+    // The production set is materialized once and scanned, or
+    // recomputed where it is read. With a prefix production the final
+    // join still consumes the *full* outer, pipelined; only the prefix
+    // is materialized.
     let mut steps = Vec::new();
-    let outer_for_body: PhysPlan;
-    let filter_src: PhysPlan;
-    if decision.cost.materialize_production {
-        steps.push(TempStep::Materialize {
-            name: partial_name.clone(),
-            plan: src_phys.clone(),
-        });
-        // With a prefix production the final join still consumes the
-        // *full* outer, pipelined; only the prefix is materialized.
-        outer_for_body = if production_phys.is_some() {
-            outer_phys.clone()
-        } else {
-            PhysPlan::TempScan {
+    let scan_partial = || PhysPlan::TempScan {
+        name: partial_name.clone(),
+        alias: String::new(),
+    };
+    let (outer_for_body, filter_src) = match (decision.cost.materialize_production, production_phys)
+    {
+        (true, Some(prefix)) => {
+            steps.push(TempStep::Materialize {
                 name: partial_name.clone(),
-                alias: String::new(),
-            }
-        };
-        filter_src = PhysPlan::TempScan {
-            name: partial_name,
-            alias: String::new(),
-        };
-    } else {
-        outer_for_body = outer_phys.clone();
-        filter_src = src_phys.clone();
-    }
+                plan: prefix,
+            });
+            (outer_phys, scan_partial())
+        }
+        (true, None) => {
+            steps.push(TempStep::Materialize {
+                name: partial_name.clone(),
+                plan: outer_phys,
+            });
+            (scan_partial(), scan_partial())
+        }
+        (false, Some(prefix)) => (outer_phys, prefix),
+        (false, None) => (outer_phys.clone(), outer_phys),
+    };
 
     // Distinct projection of the production key columns as k0, k1, ...
     let filter_plan = PhysPlan::Distinct {
         input: PhysPlan::Project {
             input: filter_src.boxed(),
-            exprs: decision
-                .filter_keys
+            exprs: filter_keys
                 .iter()
                 .enumerate()
                 .map(|(i, (o, _))| (col(o.clone()), format!("k{i}")))
@@ -459,15 +543,7 @@ pub fn build_filter_join_plan(
         .boxed(),
     };
 
-    let inner_attrs: Vec<String> = decision
-        .filter_keys
-        .iter()
-        .map(|(_, i)| {
-            i.strip_prefix(&format!("{}.", decision.inner_alias))
-                .unwrap_or(i)
-                .to_string()
-        })
-        .collect();
+    let inner_attrs: Vec<String> = spec.inner_attrs().into_iter().map(String::from).collect();
 
     let restricted_phys: PhysPlan = if decision.cost.lossy {
         // Bloom build (with shipping charge when remote), then a probe
@@ -475,26 +551,24 @@ pub fn build_filter_join_plan(
         steps.push(TempStep::BuildBloom {
             name: filter_name.clone(),
             plan: filter_plan,
-            key_cols: (0..decision.filter_keys.len())
-                .map(|i| format!("k{i}"))
-                .collect(),
+            key_cols: (0..filter_keys.len()).map(|i| format!("k{i}")).collect(),
             bits: decision.bloom_bits.max(64),
             hashes: decision.bloom_hashes.max(2),
-            ship: remote.then_some((SiteId::LOCAL, decision.inner_site)),
+            ship: remote.then_some((SiteId::LOCAL, inner_site)),
         });
         let probe = PhysPlan::BloomProbe {
             input: PhysPlan::SeqScan {
-                table: decision.inner_relation.clone(),
-                alias: decision.inner_alias.clone(),
+                table: inner.relation.clone(),
+                alias: inner.alias.clone(),
             }
             .boxed(),
             bloom: filter_name,
-            key_cols: decision.keys.iter().map(|(_, i)| i.clone()).collect(),
+            key_cols: keys.iter().map(|(_, i)| i.clone()).collect(),
         };
         if remote {
             PhysPlan::Ship {
                 input: probe.boxed(),
-                from: decision.inner_site,
+                from: inner_site,
                 to: SiteId::LOCAL,
             }
         } else {
@@ -507,7 +581,7 @@ pub fn build_filter_join_plan(
             PhysPlan::Ship {
                 input: filter_plan.boxed(),
                 from: SiteId::LOCAL,
-                to: decision.inner_site,
+                to: inner_site,
             }
         } else {
             filter_plan
@@ -518,16 +592,16 @@ pub fn build_filter_join_plan(
         });
 
         let filter_schema = Schema::new(
-            (0..decision.filter_keys.len())
+            (0..filter_keys.len())
                 .map(|i| Column::new(format!("k{i}"), DataType::Int))
                 .collect(),
         )?
         .into_ref();
-        let mut phys = match catalog.resolve(&decision.inner_relation)? {
+        let mut phys = match &inner.kind {
             RelationKind::View(_) => {
                 let restricted_logical = magic::restricted_inner(
                     catalog,
-                    &decision.inner_relation,
+                    &inner.relation,
                     &inner_attrs,
                     &filter_name,
                     &filter_schema,
@@ -535,7 +609,7 @@ pub fn build_filter_join_plan(
                 let lowered = lower::lower(&restricted_logical, catalog)?;
                 // View bodies produce unqualified names; requalify under
                 // the inner alias for the final join predicate.
-                let view = catalog.view(&decision.inner_relation)?;
+                let view = catalog.view(&inner.relation)?;
                 PhysPlan::Project {
                     input: lowered.boxed(),
                     exprs: view
@@ -545,7 +619,7 @@ pub fn build_filter_join_plan(
                         .map(|c| {
                             (
                                 col(c.name.clone()),
-                                format!("{}.{}", decision.inner_alias, c.base_name()),
+                                format!("{}.{}", inner.alias, c.base_name()),
                             )
                         })
                         .collect(),
@@ -573,8 +647,8 @@ pub fn build_filter_join_plan(
                         alias: "__F".into(),
                     }
                     .boxed(),
-                    udf: decision.inner_relation.clone(),
-                    alias: decision.inner_alias.clone(),
+                    udf: inner.relation.clone(),
+                    alias: inner.alias.clone(),
                     arg_cols,
                 };
                 PhysPlan::Project {
@@ -583,7 +657,7 @@ pub fn build_filter_join_plan(
                         .columns()
                         .iter()
                         .map(|c| {
-                            let q = format!("{}.{}", decision.inner_alias, c.base_name());
+                            let q = format!("{}.{}", inner.alias, c.base_name());
                             (col(q.clone()), q)
                         })
                         .collect(),
@@ -596,8 +670,8 @@ pub fn build_filter_join_plan(
             // discipline).
             _ => PhysPlan::HashJoin {
                 outer: PhysPlan::SeqScan {
-                    table: decision.inner_relation.clone(),
-                    alias: decision.inner_alias.clone(),
+                    table: inner.relation.clone(),
+                    alias: inner.alias.clone(),
                 }
                 .boxed(),
                 inner: PhysPlan::TempScan {
@@ -605,8 +679,7 @@ pub fn build_filter_join_plan(
                     alias: "__F".into(),
                 }
                 .boxed(),
-                keys: decision
-                    .filter_keys
+                keys: filter_keys
                     .iter()
                     .enumerate()
                     .map(|(i, (_, inner))| (inner.clone(), format!("__F.k{i}")))
@@ -618,7 +691,7 @@ pub fn build_filter_join_plan(
         if remote {
             phys = PhysPlan::Ship {
                 input: phys.boxed(),
-                from: decision.inner_site,
+                from: inner_site,
                 to: SiteId::LOCAL,
             };
         }
@@ -628,7 +701,7 @@ pub fn build_filter_join_plan(
     let body = PhysPlan::HashJoin {
         outer: outer_for_body.boxed(),
         inner: restricted_phys.boxed(),
-        keys: decision.keys.clone(),
+        keys: keys.to_vec(),
         residual: None,
         kind: JoinKind::Inner,
     };
@@ -692,25 +765,45 @@ mod tests {
         vec![("E.did".to_string(), "V.did".to_string())]
     }
 
+    /// Costs `spec` over the outer `(cost, stats)`, whole-outer production.
+    fn cost(
+        cat: &Catalog,
+        params: CostParams,
+        memo: &mut ParametricEstimator,
+        (outer_cost, outer): (f64, &EstStats),
+        spec: FilterJoinSpec<'_>,
+    ) -> Option<FilterJoinDecision> {
+        cost_filter_join(FilterJoinArgs {
+            catalog: cat,
+            params,
+            memo,
+            outer_cost,
+            outer,
+            spec,
+            prefix_production: None,
+        })
+        .unwrap()
+    }
+
     #[test]
     fn costs_are_positive_and_sum() {
         let cat = paper_catalog();
         let mut memo = ParametricEstimator::new(4);
         let (ocost, ostats) = outer_stats(&cat);
-        let d = cost_filter_join(FilterJoinArgs {
-            catalog: &cat,
-            params: CostParams::default(),
-            memo: &mut memo,
-            outer_cost: ocost,
-            outer: &ostats,
+        let inner = FilterJoinInner::new(&cat, "DepAvgSal", "V").unwrap();
+        let spec = FilterJoinSpec {
+            inner: &inner,
             keys: &keys(),
-            inner_alias: "V",
-            inner_relation: "DepAvgSal",
             filter_keys: &keys(),
             use_bloom: false,
-            prefix_production: None,
-        })
-        .unwrap()
+        };
+        let d = cost(
+            &cat,
+            CostParams::default(),
+            &mut memo,
+            (ocost, &ostats),
+            spec,
+        )
         .expect("applicable");
         let c = d.cost;
         assert!(c.total() > 0.0);
@@ -726,20 +819,20 @@ mod tests {
         let cat = paper_catalog();
         let mut memo = ParametricEstimator::new(4);
         let (ocost, ostats) = outer_stats(&cat);
-        let d = cost_filter_join(FilterJoinArgs {
-            catalog: &cat,
-            params: CostParams::default(),
-            memo: &mut memo,
-            outer_cost: ocost,
-            outer: &ostats,
+        let inner = FilterJoinInner::new(&cat, "DepAvgSal", "V").unwrap();
+        let spec = FilterJoinSpec {
+            inner: &inner,
             keys: &[],
-            inner_alias: "V",
-            inner_relation: "DepAvgSal",
             filter_keys: &[],
             use_bloom: false,
-            prefix_production: None,
-        })
-        .unwrap();
+        };
+        let d = cost(
+            &cat,
+            CostParams::default(),
+            &mut memo,
+            (ocost, &ostats),
+            spec,
+        );
         assert!(d.is_none());
     }
 
@@ -748,20 +841,20 @@ mod tests {
         let cat = paper_catalog();
         let mut memo = ParametricEstimator::new(4);
         let (ocost, ostats) = outer_stats(&cat);
-        let d = cost_filter_join(FilterJoinArgs {
-            catalog: &cat,
-            params: CostParams::default(),
-            memo: &mut memo,
-            outer_cost: ocost,
-            outer: &ostats,
+        let inner = FilterJoinInner::new(&cat, "DepAvgSal", "V").unwrap();
+        let spec = FilterJoinSpec {
+            inner: &inner,
             keys: &keys(),
-            inner_alias: "V",
-            inner_relation: "DepAvgSal",
             filter_keys: &keys(),
             use_bloom: true,
-            prefix_production: None,
-        })
-        .unwrap();
+        };
+        let d = cost(
+            &cat,
+            CostParams::default(),
+            &mut memo,
+            (ocost, &ostats),
+            spec,
+        );
         assert!(d.is_none());
     }
 
@@ -770,22 +863,22 @@ mod tests {
         let cat = paper_catalog();
         let mut memo = ParametricEstimator::new(4);
         let (ocost, ostats) = outer_stats(&cat);
-        let d = cost_filter_join(FilterJoinArgs {
-            catalog: &cat,
-            params: CostParams::default(),
-            memo: &mut memo,
-            outer_cost: ocost,
-            outer: &ostats,
+        let inner = FilterJoinInner::new(&cat, "DepAvgSal", "V").unwrap();
+        let spec = FilterJoinSpec {
+            inner: &inner,
             keys: &keys(),
-            inner_alias: "V",
-            inner_relation: "DepAvgSal",
             filter_keys: &keys(),
             use_bloom: false,
-            prefix_production: None,
-        })
-        .unwrap()
+        };
+        let d = cost(
+            &cat,
+            CostParams::default(),
+            &mut memo,
+            (ocost, &ostats),
+            spec,
+        )
         .unwrap();
-        let plan = build_filter_join_plan(&cat, &outer_phys(), None, &d, "_t").unwrap();
+        let plan = build_filter_join_plan(&cat, outer_phys(), None, spec, &d, "_t").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Join output: (E ⨝ D filtered) ⨝ V — 3 young employees in big
@@ -807,20 +900,20 @@ mod tests {
         let eplan = LogicalPlan::scan("Emp", "E").select(col("E.age").lt(lit(30)));
         let (ocost, ostats) = est.cost(&eplan).unwrap();
         let keys = vec![("E.did".to_string(), "D.did".to_string())];
-        let d = cost_filter_join(FilterJoinArgs {
-            catalog: &cat,
-            params: CostParams::default(),
-            memo: &mut memo,
-            outer_cost: ocost,
-            outer: &ostats,
+        let inner = FilterJoinInner::new(&cat, "Dept", "D").unwrap();
+        let spec = FilterJoinSpec {
+            inner: &inner,
             keys: &keys,
-            inner_alias: "D",
-            inner_relation: "Dept",
             filter_keys: &keys,
             use_bloom: false,
-            prefix_production: None,
-        })
-        .unwrap()
+        };
+        let d = cost(
+            &cat,
+            CostParams::default(),
+            &mut memo,
+            (ocost, &ostats),
+            spec,
+        )
         .unwrap();
         let outer = PhysPlan::Filter {
             input: PhysPlan::SeqScan {
@@ -830,7 +923,7 @@ mod tests {
             .boxed(),
             predicate: col("E.age").lt(lit(30)),
         };
-        let plan = build_filter_join_plan(&cat, &outer, None, &d, "_b").unwrap();
+        let plan = build_filter_join_plan(&cat, outer, None, spec, &d, "_b").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Young employees (1,3,4,5) each joined with their department.
@@ -845,20 +938,20 @@ mod tests {
         let eplan = LogicalPlan::scan("Emp", "E").select(col("E.age").lt(lit(30)));
         let (ocost, ostats) = est.cost(&eplan).unwrap();
         let keys = vec![("E.did".to_string(), "D.did".to_string())];
-        let d = cost_filter_join(FilterJoinArgs {
-            catalog: &cat,
-            params: CostParams::default(),
-            memo: &mut memo,
-            outer_cost: ocost,
-            outer: &ostats,
+        let inner = FilterJoinInner::new(&cat, "Dept", "D").unwrap();
+        let spec = FilterJoinSpec {
+            inner: &inner,
             keys: &keys,
-            inner_alias: "D",
-            inner_relation: "Dept",
             filter_keys: &keys,
             use_bloom: true,
-            prefix_production: None,
-        })
-        .unwrap()
+        };
+        let d = cost(
+            &cat,
+            CostParams::default(),
+            &mut memo,
+            (ocost, &ostats),
+            spec,
+        )
         .unwrap();
         assert!(d.cost.lossy);
         let outer = PhysPlan::Filter {
@@ -869,7 +962,7 @@ mod tests {
             .boxed(),
             predicate: col("E.age").lt(lit(30)),
         };
-        let plan = build_filter_join_plan(&cat, &outer, None, &d, "_bl").unwrap();
+        let plan = build_filter_join_plan(&cat, outer, None, spec, &d, "_bl").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // No false negatives: all 4 young-employee joins survive.
@@ -909,28 +1002,26 @@ mod tests {
         let est = PlanEstimator::new(&cat, CostParams::default());
         let (ocost, ostats) = est.cost(&LogicalPlan::scan("L", "l")).unwrap();
         let mut memo = ParametricEstimator::new(4);
-        let d = cost_filter_join(FilterJoinArgs {
-            catalog: &cat,
-            params: CostParams::default(),
-            memo: &mut memo,
-            outer_cost: ocost,
-            outer: &ostats,
+        let inner = FilterJoinInner::new(&cat, "R", "r").unwrap();
+        let spec = FilterJoinSpec {
+            inner: &inner,
             keys: &keys,
-            inner_alias: "r",
-            inner_relation: "R",
             filter_keys: &subset,
             use_bloom: false,
-            prefix_production: None,
-        })
-        .unwrap()
+        };
+        let d = cost(
+            &cat,
+            CostParams::default(),
+            &mut memo,
+            (ocost, &ostats),
+            spec,
+        )
         .unwrap();
-        assert_eq!(d.filter_keys, subset);
-        assert_eq!(d.keys, keys);
         let outer = PhysPlan::SeqScan {
             table: "L".into(),
             alias: "l".into(),
         };
-        let plan = build_filter_join_plan(&cat, &outer, None, &d, "_ss").unwrap();
+        let plan = build_filter_join_plan(&cat, outer, None, spec, &d, "_ss").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Reference: count matches on (a, b).
@@ -963,21 +1054,14 @@ mod tests {
         let eplan = LogicalPlan::scan("Emp", "E");
         let (ocost, ostats) = est.cost(&eplan).unwrap();
         let keys = vec![("E.did".to_string(), "D.did".to_string())];
-        let d = cost_filter_join(FilterJoinArgs {
-            catalog: &cat,
-            params,
-            memo: &mut memo,
-            outer_cost: ocost,
-            outer: &ostats,
+        let inner = FilterJoinInner::new(&cat, "Dept", "D").unwrap();
+        let spec = FilterJoinSpec {
+            inner: &inner,
             keys: &keys,
-            inner_alias: "D",
-            inner_relation: "Dept",
             filter_keys: &keys,
             use_bloom: false,
-            prefix_production: None,
-        })
-        .unwrap()
-        .unwrap();
+        };
+        let d = cost(&cat, params, &mut memo, (ocost, &ostats), spec).unwrap();
         assert!(d.cost.avail_cost_f > 0.0, "filter shipping costed");
         assert!(
             d.cost.avail_cost_rk > 0.0,
@@ -987,7 +1071,7 @@ mod tests {
             table: "Emp".into(),
             alias: "E".into(),
         };
-        let plan = build_filter_join_plan(&cat, &outer, None, &d, "_r").unwrap();
+        let plan = build_filter_join_plan(&cat, outer, None, spec, &d, "_r").unwrap();
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         assert_eq!(rel.rows.len(), 5, "every employee matches a department");

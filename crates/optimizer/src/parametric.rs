@@ -24,7 +24,6 @@ use crate::error::OptError;
 use crate::estimate::{ColEst, EstStats, PlanEstimator};
 use fj_algebra::{magic, Catalog, LogicalPlan};
 use fj_storage::{Column, DataType, Schema};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// CTE name used for the synthetic filter set during fitting.
@@ -192,7 +191,9 @@ pub fn least_squares(points: &[(f64, f64)]) -> (f64, f64) {
 /// shared across the whole optimization (and across queries if reused).
 #[derive(Debug, Default)]
 pub struct ParametricEstimator {
-    fits: HashMap<(String, Vec<String>), Arc<ParametricFit>>,
+    /// A query has a handful of these; a scan finds one without
+    /// building an owned key.
+    fits: Vec<Arc<ParametricFit>>,
     /// Equivalence classes probed per fit — the paper's knob.
     pub classes: usize,
     /// Total nested estimator invocations performed (observability for
@@ -204,7 +205,7 @@ impl ParametricEstimator {
     /// A memo probing `classes` classes per relation/attribute pair.
     pub fn new(classes: usize) -> ParametricEstimator {
         ParametricEstimator {
-            fits: HashMap::new(),
+            fits: Vec::new(),
             classes: classes.clamp(2, 16),
             nested_invocations: 0,
         }
@@ -216,21 +217,22 @@ impl ParametricEstimator {
         catalog: &Catalog,
         params: CostParams,
         relation: &str,
-        attrs: &[String],
+        attrs: &[&str],
     ) -> Result<Arc<ParametricFit>, OptError> {
-        let key = (relation.to_string(), attrs.to_vec());
-        if let Some(f) = self.fits.get(&key) {
+        let memoized = |f: &&Arc<ParametricFit>| f.relation == relation && f.attrs == attrs;
+        if let Some(f) = self.fits.iter().find(memoized) {
             return Ok(Arc::clone(f));
         }
+        let attrs: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
         let fit = Arc::new(ParametricFit::fit(
             catalog,
             params,
             relation,
-            attrs,
+            &attrs,
             self.classes,
             &mut self.nested_invocations,
         )?);
-        self.fits.insert(key, Arc::clone(&fit));
+        self.fits.push(Arc::clone(&fit));
         Ok(fit)
     }
 
@@ -304,7 +306,7 @@ mod tests {
     fn memo_amortizes_nested_invocations() {
         let cat = paper_catalog();
         let mut memo = ParametricEstimator::new(4);
-        let attrs = vec!["did".to_string()];
+        let attrs = ["did"];
         memo.fit(&cat, CostParams::default(), "DepAvgSal", &attrs)
             .unwrap();
         assert_eq!(memo.nested_invocations, 4);

@@ -15,7 +15,7 @@
 //! failing, because an EXPLAIN must never refuse to render.
 
 use crate::cost::CostParams;
-use crate::estimate::{base_table_stats, ColEst, EstStats, PlanEstimator};
+use crate::estimate::{base_table_stats, ColEst, ColMap, EstStats, PlanEstimator};
 use fj_algebra::{Catalog, JoinKind, RelationKind};
 use fj_exec::{PhysPlan, TempStep};
 use fj_expr::{col, Expr};
@@ -74,7 +74,7 @@ impl<'a> PhysEstimator<'a> {
         match plan {
             PhysPlan::SeqScan { table, alias }
             | PhysPlan::IndexOrderedScan { table, alias, .. } => {
-                let stats = self.table_stats(table).requalify(alias);
+                let stats = self.table_stats(table, alias);
                 (leaf(stats.rows), stats)
             }
             PhysPlan::TempScan { name, alias } => {
@@ -115,12 +115,10 @@ impl<'a> PhysEstimator<'a> {
             } => {
                 let (child, os) = self.node(outer);
                 let udf_stats = self.udf_stats(udf, Some(os.rows)).requalify(alias);
-                let mut cols = os.cols.clone();
-                cols.extend(udf_stats.cols);
                 let stats = EstStats {
                     rows: udf_stats.rows,
                     width: os.width + udf_stats.width.saturating_sub(8),
-                    cols,
+                    cols: ColMap::concat(&os.cols, &udf_stats.cols),
                 };
                 (unary(stats.rows, child), stats)
             }
@@ -133,24 +131,21 @@ impl<'a> PhysEstimator<'a> {
             }
             PhysPlan::Project { input, exprs } => {
                 let (child, is) = self.node(input);
-                let mut cols = HashMap::new();
-                for (e, name) in exprs {
+                let unknown = || ColEst {
+                    distinct: is.rows,
+                    ..ColEst::default()
+                };
+                let cols = exprs.iter().map(|(e, name)| {
                     let ce = match e {
-                        Expr::Column(c) => is.cols.get(c).cloned().unwrap_or(ColEst {
-                            distinct: is.rows,
-                            ..ColEst::default()
-                        }),
-                        _ => ColEst {
-                            distinct: is.rows,
-                            ..ColEst::default()
-                        },
+                        Expr::Column(c) => is.cols.get(c).cloned().unwrap_or_else(unknown),
+                        _ => unknown(),
                     };
-                    cols.insert(name.clone(), ce);
-                }
+                    (name.as_str(), ce)
+                });
                 let stats = EstStats {
                     rows: is.rows,
                     width: 8 + 9 * exprs.len(),
-                    cols,
+                    cols: cols.collect(),
                 };
                 (unary(stats.rows, child), stats)
             }
@@ -187,25 +182,22 @@ impl<'a> PhysEstimator<'a> {
                         .min(is.rows)
                         .max(1.0)
                 };
-                let mut cols = HashMap::new();
-                for g in group_by {
+                let grouped = group_by.iter().map(|g| {
                     let mut ce = is.cols.get(g).cloned().unwrap_or_default();
                     ce.distinct = ce.distinct.min(groups).max(1.0);
-                    cols.insert(g.clone(), ce);
-                }
-                for a in aggs {
-                    cols.insert(
-                        a.output.clone(),
-                        ColEst {
-                            distinct: groups,
-                            ..ColEst::default()
-                        },
-                    );
-                }
+                    (g.as_str(), ce)
+                });
+                let aggregated = aggs.iter().map(|a| {
+                    let ce = ColEst {
+                        distinct: groups,
+                        ..ColEst::default()
+                    };
+                    (a.output.as_str(), ce)
+                });
                 let stats = EstStats {
                     rows: groups,
                     width: 8 + 9 * (group_by.len() + aggs.len()),
-                    cols,
+                    cols: grouped.chain(aggregated).collect(),
                 };
                 (unary(stats.rows, child), stats)
             }
@@ -262,7 +254,7 @@ impl<'a> PhysEstimator<'a> {
                 residual,
             } => {
                 let (oc, os) = self.node(outer);
-                let is = self.table_stats(table).requalify(alias);
+                let is = self.table_stats(table, alias);
                 let pred = Some(col(outer_key.clone()).eq(col(format!("{alias}.{inner_col}"))));
                 let mut stats = self
                     .inner
@@ -340,11 +332,13 @@ impl<'a> PhysEstimator<'a> {
         }
     }
 
-    /// Base-table stats with unqualified columns; defaults when the
+    /// Base-table stats qualified under `alias`; defaults when the
     /// name does not resolve to a stored table.
-    fn table_stats(&self, table: &str) -> EstStats {
+    fn table_stats(&self, table: &str, alias: &str) -> EstStats {
         match self.inner.catalog.resolve(table) {
-            Ok(RelationKind::Base(t)) | Ok(RelationKind::Remote(t, _)) => base_table_stats(&t),
+            Ok(RelationKind::Base(t)) | Ok(RelationKind::Remote(t, _)) => {
+                base_table_stats(&t, alias)
+            }
             _ => fallback_stats(),
         }
     }
@@ -387,7 +381,7 @@ fn fallback_stats() -> EstStats {
     EstStats {
         rows: DEFAULT_ROWS,
         width: 8,
-        cols: HashMap::new(),
+        cols: ColMap::default(),
     }
 }
 

@@ -2,11 +2,15 @@
 //! in, a per-query latency histogram, and the snapshot STATS and HEALTH
 //! are rendered from.
 //!
-//! A monotonic counter is a [`Counter`] variant — one slot of
-//! [`MetricsRecorder`]'s atomic array, bumped with one relaxed
-//! `fetch_add` — plus a [`RuntimeMetrics`] field and its row in
-//! [`RuntimeMetrics::entries`], the ordered `(name, value)` list that
-//! *is* the STATS `runtime` object. [`HEALTH_KEYS`] names the subset a
+//! [`stats_rows!`] lists, once and in wire order, the
+//! [`RuntimeMetrics`] fields that are rows of the STATS `runtime`
+//! object ([`RuntimeMetrics::entries`] is that list plus the latency
+//! summary). A row written `@Variant field` is also a monotonic
+//! counter: `Variant` of [`Counter`], one slot of [`MetricsRecorder`]'s
+//! atomic array, bumped with one relaxed `fetch_add`. The enum, its
+//! size and the rows all come from the one list, so a counter cannot
+//! exist without its slot or its row, and the order of the variants is
+//! only the order they print in. [`HEALTH_KEYS`] names the subset a
 //! HEALTH reply carries. Nothing downstream (`fj-net`'s server, codec
 //! and client) spells a counter name again.
 //!
@@ -26,40 +30,90 @@ use std::time::Duration;
 /// days; the last bucket absorbs anything longer).
 pub const LATENCY_BUCKETS: usize = 40;
 
-/// The monotonic counters [`MetricsRecorder`] keeps, one atomic slot
-/// each. The same-named [`RuntimeMetrics`] field documents what each
-/// one counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Successfully completed queries.
-    Completed,
-    /// Queries that returned an error.
-    Errors,
-    /// Stopped by explicit cancellation or deadline expiry.
-    Cancelled,
-    /// Stopped by a memory-page or output-row budget.
-    InterruptedByBudget,
-    /// Workers respawned after a caught panic.
-    WorkersReplaced,
-    /// Distributed query fragments executed to completion.
-    FragmentsServed,
-    /// Semijoin filter sets received and applied.
-    SemijoinSetsShipped,
-    /// Partition payload bytes scattered onto this node.
-    BytesScattered,
-    /// Partial-result payload bytes gathered off this node.
-    BytesGathered,
-    /// Mutations committed.
-    MutationsApplied,
-    /// Operator spill events (each grace recursion level counts once).
-    Spills,
-    /// Temp partitions created by spilling operators.
-    SpillPartitions,
+/// Declares the STATS rows that are fields of [`RuntimeMetrics`], in
+/// wire order, and from the rows marked `@Variant` the [`Counter`]
+/// enum.
+macro_rules! stats_rows {
+    ($( $( $(#[$doc:meta])* @$variant:ident )? $field:ident, )*) => {
+        /// The monotonic counters [`MetricsRecorder`] keeps, one atomic
+        /// slot each. The [`RuntimeMetrics`] field a variant is listed
+        /// with in [`stats_rows!`] documents what it counts.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $( $( $(#[$doc])* $variant, )? )*
+        }
+
+        impl Counter {
+            /// Every counter, in slot order.
+            pub const ALL: &'static [Counter] = &[ $( $( Counter::$variant, )? )* ];
+
+            /// The counter's STATS row (and [`RuntimeMetrics`] field).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $( Counter::$variant => stringify!($field), )? )*
+                }
+            }
+        }
+
+        impl RuntimeMetrics {
+            /// The rows that are fields, in wire order.
+            fn field_rows(&self) -> Vec<(&'static str, Metric)> {
+                vec![ $( (stringify!($field), Metric::from(self.$field)), )* ]
+            }
+        }
+    };
 }
 
-/// Slots in the table: the last variant's index + 1, so new counters
-/// go before `SpillPartitions`.
-const COUNTERS: usize = Counter::SpillPartitions as usize + 1;
+stats_rows! {
+    /// Successfully completed queries.
+    @Completed completed,
+    /// Queries that returned an error.
+    @Errors errors,
+    /// Stopped by explicit cancellation or deadline expiry.
+    @Cancelled cancelled,
+    /// Stopped by a memory-page or output-row budget.
+    @InterruptedByBudget interrupted_by_budget,
+    /// Workers respawned after a caught panic.
+    @WorkersReplaced workers_replaced,
+    workers,
+    in_flight,
+    traces_recorded,
+    pool_hits,
+    pool_misses,
+    pool_evictions,
+    wal_fsyncs,
+    /// Distributed query fragments executed to completion.
+    @FragmentsServed fragments_served,
+    /// Semijoin filter sets received and applied.
+    @SemijoinSetsShipped semijoin_sets_shipped,
+    /// Partition payload bytes scattered onto this node.
+    @BytesScattered bytes_scattered,
+    /// Partial-result payload bytes gathered off this node.
+    @BytesGathered bytes_gathered,
+    /// Mutations committed.
+    @MutationsApplied mutations_applied,
+    wal_deltas,
+    dirty_pages,
+    dirty_writebacks,
+    checkpoints,
+    /// Operator spill events (each grace recursion level counts once).
+    @Spills spills,
+    /// Temp partitions created by spilling operators.
+    @SpillPartitions spill_partitions,
+    spill_bytes_written,
+    spill_bytes_read,
+    peak_temp_bytes,
+    cache_hits,
+    cache_misses,
+    cache_hit_rate,
+    cache_entries,
+    queue_depth,
+    uptime_secs,
+    throughput_qps,
+}
+
+/// Slots in [`MetricsRecorder`]'s table.
+const COUNTERS: usize = Counter::ALL.len();
 
 /// Live counters shared by the workers (interior; see
 /// [`RuntimeMetrics`] for the snapshot type).
@@ -319,50 +373,11 @@ pub const HEALTH_KEYS: [&str; 23] = [
 ];
 
 impl RuntimeMetrics {
-    /// Every reported name with its value, in wire order: the only
-    /// description of the STATS `runtime` object. The key set is a
+    /// Every reported name with its value, in wire order: the
+    /// [`stats_rows!`] list, then the latency summary. The key set is a
     /// wire contract pinned by `to_json_key_set_snapshot`.
     pub fn entries(&self) -> Vec<(&'static str, Metric)> {
-        macro_rules! rows {
-            ($($field:ident),* $(,)?) => {
-                vec![$((stringify!($field), Metric::from(self.$field))),*]
-            };
-        }
-        let mut rows = rows![
-            completed,
-            errors,
-            cancelled,
-            interrupted_by_budget,
-            workers_replaced,
-            workers,
-            in_flight,
-            traces_recorded,
-            pool_hits,
-            pool_misses,
-            pool_evictions,
-            wal_fsyncs,
-            fragments_served,
-            semijoin_sets_shipped,
-            bytes_scattered,
-            bytes_gathered,
-            mutations_applied,
-            wal_deltas,
-            dirty_pages,
-            dirty_writebacks,
-            checkpoints,
-            spills,
-            spill_partitions,
-            spill_bytes_written,
-            spill_bytes_read,
-            peak_temp_bytes,
-            cache_hits,
-            cache_misses,
-            cache_hit_rate,
-            cache_entries,
-            queue_depth,
-            uptime_secs,
-            throughput_qps,
-        ];
+        let mut rows = self.field_rows();
         let latency = &self.latency;
         rows.extend([
             ("latency_mean_micros", latency.mean_micros().into()),
@@ -400,6 +415,46 @@ impl RuntimeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot with every value zero.
+    fn zeros() -> RuntimeMetrics {
+        RuntimeMetrics {
+            completed: 0,
+            errors: 0,
+            cancelled: 0,
+            interrupted_by_budget: 0,
+            workers_replaced: 0,
+            workers: 0,
+            in_flight: 0,
+            traces_recorded: 0,
+            pool_hits: 0,
+            pool_misses: 0,
+            pool_evictions: 0,
+            wal_fsyncs: 0,
+            fragments_served: 0,
+            semijoin_sets_shipped: 0,
+            bytes_scattered: 0,
+            bytes_gathered: 0,
+            mutations_applied: 0,
+            wal_deltas: 0,
+            dirty_pages: 0,
+            dirty_writebacks: 0,
+            checkpoints: 0,
+            spills: 0,
+            spill_partitions: 0,
+            spill_bytes_written: 0,
+            spill_bytes_read: 0,
+            peak_temp_bytes: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_hit_rate: 0.0,
+            cache_entries: 0,
+            queue_depth: 0,
+            uptime_secs: 0.0,
+            throughput_qps: 0.0,
+            latency: MetricsRecorder::default().histogram(),
+        }
+    }
 
     #[test]
     fn bucket_edges() {
@@ -513,43 +568,7 @@ mod tests {
         // scrape it): adding, removing, or reordering a key must be a
         // conscious change to this list. Every value is a bare number,
         // so the quoted tokens are precisely the keys.
-        let j = RuntimeMetrics {
-            completed: 0,
-            errors: 0,
-            cancelled: 0,
-            interrupted_by_budget: 0,
-            workers_replaced: 0,
-            workers: 1,
-            in_flight: 0,
-            traces_recorded: 0,
-            pool_hits: 0,
-            pool_misses: 0,
-            pool_evictions: 0,
-            wal_fsyncs: 0,
-            fragments_served: 0,
-            semijoin_sets_shipped: 0,
-            bytes_scattered: 0,
-            bytes_gathered: 0,
-            mutations_applied: 0,
-            wal_deltas: 0,
-            dirty_pages: 0,
-            dirty_writebacks: 0,
-            checkpoints: 0,
-            spills: 0,
-            spill_partitions: 0,
-            spill_bytes_written: 0,
-            spill_bytes_read: 0,
-            peak_temp_bytes: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_hit_rate: 0.0,
-            cache_entries: 0,
-            queue_depth: 0,
-            uptime_secs: 0.0,
-            throughput_qps: 0.0,
-            latency: MetricsRecorder::default().histogram(),
-        }
-        .to_json();
+        let j = zeros().to_json();
         let keys: Vec<&str> = j.split('"').skip(1).step_by(2).collect();
         assert_eq!(
             keys,
@@ -593,6 +612,23 @@ mod tests {
                 "latency_max_micros",
             ]
         );
+    }
+
+    #[test]
+    fn every_counter_has_a_slot_and_exactly_one_stats_row() {
+        let recorder = MetricsRecorder::default();
+        for (slot, &counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(counter as usize, slot, "{counter:?} indexes its own slot");
+            recorder.add(counter, slot as u64 + 1);
+        }
+        for (slot, &counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(recorder.get(counter), slot as u64 + 1, "{counter:?}");
+        }
+        let rows = zeros().entries();
+        for &counter in Counter::ALL {
+            let named = rows.iter().filter(|(name, _)| *name == counter.name());
+            assert_eq!(named.count(), 1, "{counter:?} has one STATS row");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Number of buckets in equi-depth histograms.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -101,7 +102,8 @@ pub struct ColumnStats {
     /// Largest non-null value.
     pub max: Option<Value>,
     /// Equi-depth histogram, when the column had non-null values.
-    pub histogram: Option<Histogram>,
+    /// Shared: every estimate derived from this column points at it.
+    pub histogram: Option<Arc<Histogram>>,
 }
 
 impl ColumnStats {
@@ -127,7 +129,8 @@ impl ColumnStats {
                 _ => v,
             });
         }
-        let histogram = Histogram::build(rows.iter().map(|t| t.value(col).clone()).collect());
+        let histogram =
+            Histogram::build(rows.iter().map(|t| t.value(col).clone()).collect()).map(Arc::new);
         ColumnStats {
             distinct: distinct.len() as u64,
             null_count,
