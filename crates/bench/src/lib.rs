@@ -21,6 +21,15 @@
 //! | [`repro::bloom`] | §3.2/App. A: lossy (Bloom) filter sets |
 //! | [`repro::soak`] | fj-net: TCP loopback soak with shedding and verified row-sets |
 //! | [`repro::chaos`] | governor: the soak under seeded faults, cancellations, and one induced worker panic |
+//! | [`repro::cluster_chaos`] | fj-cluster: three faulty replicas, one killed and one drained mid-run; hedged p99 |
+//! | [`repro::recovery_chaos`] | fj-store: a disk replica crashed mid-storm, recovered from its WAL and re-admitted |
+//! | [`repro::mutation_chaos`] | write path: crash-point sweep, then a storm with a mutator, checkpoints and a crash-restart |
+//! | [`repro::memory_chaos`] | spilling: over-budget joins under temp-file faults and mid-spill cancels |
+//!
+//! The last six are scenarios over one driver: `repro::storm` (the
+//! client loop, the `Outcome` table, the shared set-up) and
+//! `repro::forwarder` (the restartable replica) — see DESIGN.md,
+//! "Chaos harnesses".
 //!
 //! The `reproduce` binary prints each experiment as a paper-style
 //! table. Wall-clock measurement lives in the standalone `benchmark/`

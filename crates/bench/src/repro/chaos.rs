@@ -10,30 +10,12 @@
 //! serial execution**. After the storm, a full batch against the same
 //! pool proves capacity never degraded.
 
+use super::storm::{self, sorted, Front, Kind, NetFront, Outcome, Storm};
 use crate::report::Report;
-use crate::workloads::{emp_dept, paper_query, EmpDeptConfig};
-use fj_core::{Database, OptimizerConfig, Tuple};
-use fj_net::{Client, ErrorCode, NetError, QueryOptions, RetryPolicy, Server, ServerConfig};
+use crate::workloads::paper_query;
 use fj_runtime::{FaultPlan, ServiceConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
-
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort();
-    rows
-}
-
-/// Per-run tallies accumulated across client threads.
-#[derive(Debug, Default)]
-struct Tally {
-    ok: AtomicU64,
-    deadline_hits: AtomicU64,
-    cancelled: AtomicU64,
-    injected_faults: AtomicU64,
-    worker_panics: AtomicU64,
-}
+use std::time::Duration;
 
 /// Drives `clients` concurrent TCP clients through a server carrying a
 /// seeded [`FaultPlan`] (read errors + latency stalls + one exact-
@@ -43,18 +25,7 @@ struct Tally {
 /// is untyped, any surviving row-set diverges from serial, or the pool
 /// ends below full strength.
 pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: usize) -> Report {
-    let cat = emp_dept(EmpDeptConfig {
-        n_emps,
-        n_depts,
-        frac_big: 0.1,
-        ..Default::default()
-    });
-    let expected = Arc::new(sorted(
-        Database::with_catalog(cat.clone())
-            .execute(&paper_query())
-            .expect("serial reference execution")
-            .rows,
-    ));
+    let (cat, expected) = storm::paper_oracle(n_emps, n_depts);
 
     // Seeded fault schedule: the same seed replays the same faults.
     // Read errors are common enough to show up every run, stalls add
@@ -66,108 +37,31 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
             .with_stalls(64, Duration::from_micros(200))
             .with_panic_at(3),
     );
-    let server = Server::bind(
-        "127.0.0.1:0",
+    let server = storm::replica(
         cat,
-        ServerConfig {
-            max_connections: clients.max(1) * 2,
-            service: ServiceConfig {
-                workers: 4,
-                queue_capacity: 4, // small on purpose: shed/retry stays hot
-                fault_plan: Some(Arc::clone(&faults)),
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
+        ServiceConfig {
+            queue_capacity: 4, // small on purpose: shed/retry stays hot
+            ..storm::faulty(Arc::clone(&faults), None)
         },
-    )
-    .expect("chaos server binds");
+        clients,
+    );
     let addr = server.local_addr();
 
-    let tally = Arc::new(Tally::default());
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let expected = Arc::clone(&expected);
-            let tally = Arc::clone(&tally);
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("client connects");
-                let policy = RetryPolicy {
-                    base: Duration::from_millis(1),
-                    cap: Duration::from_millis(50),
-                    max_attempts: 10_000,
-                    seed: c as u64,
-                };
-                for i in 0..queries_per_client {
-                    // i % 4: 1 → tiny deadline, 3 → mid-flight cancel,
-                    // else plain. The governed queries run the naive
-                    // no-filter-join plan (same rows, materialises the
-                    // whole view) so cancellation has a real window.
-                    let opts = if i % 4 == 1 {
-                        QueryOptions {
-                            deadline: Some(Duration::from_millis(1)),
-                            config: Some(OptimizerConfig::without_filter_join()),
-                            want_trace: false,
-                        }
-                    } else if i % 4 == 3 {
-                        QueryOptions {
-                            deadline: None,
-                            config: Some(OptimizerConfig::without_filter_join()),
-                            want_trace: false,
-                        }
-                    } else {
-                        QueryOptions::default()
-                    };
-                    let killer = (i % 4 == 3).then(|| {
-                        let mut canceller = client.canceller().expect("socket clones");
-                        thread::spawn(move || {
-                            thread::sleep(Duration::from_micros(300));
-                            let _ = canceller.cancel();
-                        })
-                    });
-                    let outcome = client.query_with_retry(&paper_query(), &opts, &policy);
-                    if let Some(k) = killer {
-                        k.join().expect("canceller thread");
-                    }
-                    match outcome {
-                        Ok(reply) => {
-                            assert_eq!(
-                                sorted(reply.rows),
-                                *expected,
-                                "client {c} query {i}: surviving rows diverged from serial"
-                            );
-                            tally.ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(NetError::Remote { code, message }) => match code {
-                            ErrorCode::DeadlineExceeded => {
-                                tally.deadline_hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ErrorCode::Cancelled => {
-                                tally.cancelled.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ErrorCode::QueryFailed if message.contains("injected") => {
-                                tally.injected_faults.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ErrorCode::Internal if message.contains("panicked") => {
-                                tally.worker_panics.fetch_add(1, Ordering::Relaxed);
-                            }
-                            _ => panic!("client {c} query {i}: unexpected [{code}] {message}"),
-                        },
-                        Err(other) => panic!("client {c} query {i}: {other}"),
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("chaos client thread");
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    // Sheds are retried; an injected fault is this storm's to count,
+    // so it ends its query.
+    let storm = Storm::new(
+        paper_query(),
+        &expected,
+        storm::governed_mix,
+        &[Outcome::Shed],
+    );
+    let (tally, secs) = storm.run(clients, queries_per_client, |_| NetFront::connect(addr));
 
-    let ok = tally.ok.load(Ordering::Relaxed);
-    let deadline_hits = tally.deadline_hits.load(Ordering::Relaxed);
-    let cancelled = tally.cancelled.load(Ordering::Relaxed);
-    let injected_faults = tally.injected_faults.load(Ordering::Relaxed);
-    let worker_panics = tally.worker_panics.load(Ordering::Relaxed);
+    let ok = tally[Outcome::Ok];
+    let deadline_hits = tally[Outcome::Deadline];
+    let cancelled = tally[Outcome::Cancelled];
+    let injected_faults = tally[Outcome::Fault];
+    let worker_panics = tally[Outcome::WorkerPanic];
     let total = (clients * queries_per_client) as u64;
     assert_eq!(
         ok + deadline_hits + cancelled + injected_faults + worker_panics,
@@ -187,24 +81,21 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
         metrics.workers_replaced, 1,
         "panicked worker respawned once"
     );
-    let mut closing = Client::connect(addr).expect("closing client connects");
+    let mut closing = NetFront::connect(addr).expect("closing client connects");
     for i in 0..8 {
         let mut attempts = 0u32;
-        let reply = loop {
-            match closing.query(&paper_query()) {
-                Ok(r) => break r,
-                Err(NetError::Remote { code, message })
-                    if code == ErrorCode::QueryFailed && message.contains("injected") =>
-                {
+        let rows = loop {
+            match closing.ask(&paper_query(), Kind::default()) {
+                Ok(rows) => break rows,
+                Err(e) if NetFront::classify(&e) == Some(Outcome::Fault) => {
                     attempts += 1;
                     assert!(attempts < 100, "closing query {i} cannot get past faults");
                 }
                 Err(other) => panic!("closing query {i}: {other}"),
             }
         };
-        assert_eq!(
-            sorted(reply.rows),
-            *expected,
+        assert!(
+            sorted(rows) == expected,
             "closing query {i} diverged after the storm"
         );
     }

@@ -13,265 +13,13 @@
 //! client-observed p99 with one deliberately stalled replica, hedging
 //! off vs on.
 
+use super::storm::{self, ClusterFront, Outcome, Storm};
 use crate::report::Report;
-use crate::workloads::{emp_dept, paper_query, EmpDeptConfig};
-use fj_cluster::{CancelToken, ClusterClient, ClusterConfig, ClusterError, HedgeConfig};
-use fj_core::{fixtures, Database, OptimizerConfig, Tuple};
-use fj_net::{ErrorCode, QueryOptions, Server, ServerConfig};
+use crate::workloads::paper_query;
+use fj_cluster::{ClusterClient, ClusterConfig, HedgeConfig};
+use fj_core::fixtures;
 use fj_runtime::{FaultPlan, ServiceConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
-
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort();
-    rows
-}
-
-/// Per-run tallies accumulated across client threads.
-#[derive(Debug, Default)]
-struct Tally {
-    ok: AtomicU64,
-    deadline_hits: AtomicU64,
-    cancelled: AtomicU64,
-    injected_faults: AtomicU64,
-    reroutes: AtomicU64,
-    budget_stalls: AtomicU64,
-}
-
-/// One replica server over `cat` with the given fault plan.
-fn replica(cat: fj_core::Catalog, faults: Option<Arc<FaultPlan>>, clients: usize) -> Server {
-    Server::bind(
-        "127.0.0.1:0",
-        cat,
-        ServerConfig {
-            max_connections: clients.max(1) * 4,
-            service: ServiceConfig {
-                workers: 4,
-                queue_capacity: 64,
-                fault_plan: faults,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("replica binds")
-}
-
-/// The storm phase: three faulty replicas, one aborted and one drained
-/// mid-run, concurrent clients with deadlines and cancels. Returns
-/// (tally, cluster stats, workers replaced on the panicking replica).
-#[allow(clippy::too_many_lines)]
-fn storm(
-    n_emps: usize,
-    n_depts: usize,
-    clients: usize,
-    queries_per_client: usize,
-) -> (Tally, fj_cluster::ClusterStats, u64) {
-    let cat = emp_dept(EmpDeptConfig {
-        n_emps,
-        n_depts,
-        frac_big: 0.1,
-        ..Default::default()
-    });
-    let expected = Arc::new(sorted(
-        Database::with_catalog(cat.clone())
-            .execute(&paper_query())
-            .expect("serial reference execution")
-            .rows,
-    ));
-
-    // Independent seeded fault schedules per replica: A throws read
-    // errors and stalls, B panics a worker on exactly one page read
-    // (and stalls), C only stalls — then C is hard-killed and A is
-    // drained mid-run, so by the end B carries everything.
-    let server_a = replica(
-        cat.clone(),
-        Some(Arc::new(
-            FaultPlan::new(0xA11CE)
-                .with_read_errors(150)
-                .with_stalls(64, Duration::from_micros(200)),
-        )),
-        clients,
-    );
-    let server_b = replica(
-        cat.clone(),
-        Some(Arc::new(
-            FaultPlan::new(0xB0B)
-                .with_panic_at(3)
-                .with_stalls(80, Duration::from_micros(200)),
-        )),
-        clients,
-    );
-    let server_c = replica(
-        cat,
-        Some(Arc::new(
-            FaultPlan::new(0xCAFE).with_stalls(48, Duration::from_micros(300)),
-        )),
-        clients,
-    );
-    let addrs = vec![
-        server_a.local_addr(),
-        server_b.local_addr(),
-        server_c.local_addr(),
-    ];
-    let cluster = Arc::new(
-        ClusterClient::connect(
-            &addrs,
-            ClusterConfig {
-                probe_interval: Duration::from_millis(10),
-                probe_timeout: Duration::from_millis(500),
-                connect_timeout: Duration::from_millis(500),
-                retry_budget_capacity: 64,
-                retry_deposit_per_success: 0.5,
-                hedge: HedgeConfig {
-                    enabled: true,
-                    quantile: 0.5,
-                    min_delay: Duration::from_millis(2),
-                    min_samples: 16,
-                    // The storm runs hedges in verify mode: the losing
-                    // replica's reply must be byte-identical.
-                    verify: true,
-                },
-                ..ClusterConfig::default()
-            },
-        )
-        .expect("cluster client"),
-    );
-
-    let tally = Arc::new(Tally::default());
-    let done = Arc::new(AtomicU64::new(0));
-    let total = (clients * queries_per_client) as u64;
-    thread::scope(|scope| {
-        // Coordinator: hard-kill C a quarter of the way in, drain A at
-        // the halfway mark. Both are invisible to the clients except as
-        // failovers.
-        {
-            let done = Arc::clone(&done);
-            let server_a = &server_a;
-            scope.spawn(move || {
-                while done.load(Ordering::Relaxed) < total / 4 {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                server_c.abort();
-                while done.load(Ordering::Relaxed) < total / 2 {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                server_a.begin_drain();
-            });
-        }
-        for c in 0..clients {
-            let cluster = Arc::clone(&cluster);
-            let expected = Arc::clone(&expected);
-            let tally = Arc::clone(&tally);
-            let done = Arc::clone(&done);
-            scope.spawn(move || {
-                for i in 0..queries_per_client {
-                    // i % 4: 1 → tiny deadline, 3 → mid-flight cancel,
-                    // else plain. Governed queries run the naive
-                    // no-filter-join plan (same rows, bigger
-                    // intermediate state) so cancellation has a window.
-                    let opts = if i % 4 == 1 {
-                        QueryOptions {
-                            deadline: Some(Duration::from_millis(1)),
-                            config: Some(OptimizerConfig::without_filter_join()),
-                            want_trace: false,
-                        }
-                    } else if i % 4 == 3 {
-                        QueryOptions {
-                            deadline: None,
-                            config: Some(OptimizerConfig::without_filter_join()),
-                            want_trace: false,
-                        }
-                    } else {
-                        QueryOptions::default()
-                    };
-                    // Retry loop: injected faults and transient
-                    // no-candidate windows are re-driven until the
-                    // query lands in a terminal class.
-                    let mut attempts = 0u32;
-                    loop {
-                        attempts += 1;
-                        assert!(
-                            attempts < 1000,
-                            "client {c} query {i} cannot reach a terminal outcome"
-                        );
-                        let token = Arc::new(CancelToken::new());
-                        let killer = (i % 4 == 3).then(|| {
-                            let token = Arc::clone(&token);
-                            thread::spawn(move || {
-                                thread::sleep(Duration::from_micros(300));
-                                token.cancel();
-                            })
-                        });
-                        let outcome = cluster.query_with_token(&paper_query(), &opts, &token);
-                        if let Some(k) = killer {
-                            k.join().expect("canceller thread");
-                        }
-                        match outcome {
-                            Ok(reply) => {
-                                assert_eq!(
-                                    sorted(reply.rows),
-                                    *expected,
-                                    "client {c} query {i}: rows diverged from serial"
-                                );
-                                tally.ok.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(ClusterError::Cancelled) if i % 4 == 3 => {
-                                tally.cancelled.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(ClusterError::Net(e))
-                                if e.error_code() == Some(ErrorCode::DeadlineExceeded)
-                                    && i % 4 == 1 =>
-                            {
-                                tally.deadline_hits.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(ClusterError::Net(e))
-                                if e.error_code() == Some(ErrorCode::QueryFailed) =>
-                            {
-                                // Injected storage fault: typed, and
-                                // the retry is the recovery.
-                                tally.injected_faults.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(ClusterError::NoHealthyReplica { .. }) => {
-                                // Transient: the kill/drain window can
-                                // momentarily leave no routable
-                                // candidate until the prober catches up.
-                                tally.reroutes.fetch_add(1, Ordering::Relaxed);
-                                thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(ClusterError::RetryBudgetExhausted { .. }) => {
-                                // The cluster chose to stop retrying;
-                                // back off and let successes refill it.
-                                tally.budget_stalls.fetch_add(1, Ordering::Relaxed);
-                                thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(other) => {
-                                panic!("client {c} query {i}: unexpected {other:?}")
-                            }
-                        }
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-
-    let stats = cluster.stats();
-    let workers_replaced_b = server_b.metrics().workers_replaced;
-    match Arc::try_unwrap(cluster) {
-        Ok(cluster) => cluster.shutdown(),
-        Err(_) => unreachable!("all client threads joined"),
-    }
-    server_a.shutdown();
-    server_b.shutdown();
-    let tally = Arc::try_unwrap(tally).expect("all client threads joined");
-    (tally, stats, workers_replaced_b)
-}
 
 /// The hedging phase: one healthy and one deliberately stalled replica,
 /// round-robin routing. Returns client-observed (p99 unhedged, p99
@@ -291,14 +39,9 @@ fn hedge_p99(queries: usize) -> ((f64, f64), u64, u64) {
         // value the power-of-2 latency histogram can round the hedge
         // trigger up to — the hedge always fires well before the stall
         // resolves.
-        let slow = replica(
-            fixtures::paper_catalog(),
-            Some(Arc::new(
-                FaultPlan::new(0x51).with_stalls(1, Duration::from_millis(40)),
-            )),
-            4,
-        );
-        let fast = replica(fixtures::paper_catalog(), None, 4);
+        let stalled = FaultPlan::new(0x51).with_stalls(1, Duration::from_millis(40));
+        let slow = storm::replica(fixtures::paper_catalog(), storm::faulty(stalled, None), 4);
+        let fast = storm::replica(fixtures::paper_catalog(), ServiceConfig::default(), 4);
         let addrs = vec![slow.local_addr(), fast.local_addr()];
         let cluster = ClusterClient::connect(
             &addrs,
@@ -359,22 +102,49 @@ fn hedge_p99(queries: usize) -> ((f64, f64), u64, u64) {
 /// a divergence, no failover was exercised, or hedging fails to improve
 /// the measured p99 against a stalled replica.
 pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: usize) -> Report {
-    let (tally, stats, workers_replaced_b) = storm(n_emps, n_depts, clients, queries_per_client);
+    // The storm phase: three faulty replicas, one aborted and one drained
+    // mid-run, concurrent clients with deadlines and cancels.
+    let (cat, expected) = storm::paper_oracle(n_emps, n_depts);
 
-    let ok = tally.ok.load(Ordering::Relaxed);
-    let deadline_hits = tally.deadline_hits.load(Ordering::Relaxed);
-    let cancelled = tally.cancelled.load(Ordering::Relaxed);
-    let injected_faults = tally.injected_faults.load(Ordering::Relaxed);
-    let reroutes = tally.reroutes.load(Ordering::Relaxed);
-    let budget_stalls = tally.budget_stalls.load(Ordering::Relaxed);
-    let total = (clients * queries_per_client) as u64;
-    assert_eq!(
-        ok + deadline_hits + cancelled,
-        total,
-        "every query must terminate as a verified result, a requested \
-         cancellation, or a requested deadline expiry"
-    );
-    assert!(ok >= 1, "the storm must complete some queries");
+    // Independent seeded fault schedules per replica: A throws read
+    // errors and stalls, B panics a worker on exactly one page read
+    // (and stalls), C only stalls — then C is hard-killed and A is
+    // drained mid-run, so by the end B carries everything.
+    let stall = Duration::from_micros(200);
+    let plan_a = FaultPlan::new(0xA11CE)
+        .with_read_errors(150)
+        .with_stalls(64, stall);
+    let plan_b = FaultPlan::new(0xB0B)
+        .with_panic_at(3)
+        .with_stalls(80, stall);
+    let plan_c = FaultPlan::new(0xCAFE).with_stalls(48, Duration::from_micros(300));
+    let server_a = storm::replica(cat.clone(), storm::faulty(plan_a, None), clients);
+    let server_b = storm::replica(cat.clone(), storm::faulty(plan_b, None), clients);
+    let server_c = storm::replica(cat, storm::faulty(plan_c, None), clients);
+    let cluster = storm::cluster(&[
+        server_a.local_addr(),
+        server_b.local_addr(),
+        server_c.local_addr(),
+    ]);
+
+    // Injected faults and transient no-candidate windows are re-driven
+    // until the query lands in a terminal class; the kill and the
+    // drain are invisible to the clients except as failovers.
+    let absorbs = [Outcome::Fault, Outcome::NoCandidate, Outcome::BudgetStall];
+    let (tally, _) = Storm::new(paper_query(), &expected, storm::governed_mix, &absorbs)
+        .milestone(4, move || server_c.abort())
+        .milestone(2, || server_a.begin_drain())
+        .run(clients, queries_per_client, |_| Ok(ClusterFront(&cluster)));
+
+    let stats = cluster.stats();
+    let workers_replaced_b = server_b.metrics().workers_replaced;
+    cluster.shutdown();
+    server_a.shutdown();
+    server_b.shutdown();
+
+    let reroutes = tally[Outcome::NoCandidate];
+    let budget_stalls = tally[Outcome::BudgetStall];
+    tally.assert_only_requested_endings((clients * queries_per_client) as u64);
     assert!(
         stats.failovers >= 1,
         "killing and draining replicas must exercise failover"
@@ -418,10 +188,10 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
     );
     report.row(vec![
         Report::cell(clients),
-        Report::cell(ok),
-        Report::cell(deadline_hits),
-        Report::cell(cancelled),
-        Report::cell(injected_faults),
+        Report::cell(tally[Outcome::Ok]),
+        Report::cell(tally[Outcome::Deadline]),
+        Report::cell(tally[Outcome::Cancelled]),
+        Report::cell(tally[Outcome::Fault]),
         Report::cell(stats.failovers),
         Report::cell(stats.hedges_launched),
         Report::cell(stats.breaker_opens),

@@ -15,6 +15,7 @@
 //! always-magic grows with the filter fraction and eventually exceeds
 //! naive; cost-based tracks the minimum of the two.
 
+use super::storm::sorted;
 use crate::report::Report;
 use crate::workloads::{emp_dept, paper_query, EmpDeptConfig};
 use fj_core::{Database, Sips};
@@ -74,11 +75,6 @@ pub fn sweep(n_emps: usize, n_depts: usize, fracs: &[f64]) -> Vec<Point> {
             }
         })
         .collect()
-}
-
-fn sorted(mut rows: Vec<fj_core::Tuple>) -> Vec<fj_core::Tuple> {
-    rows.sort();
-    rows
 }
 
 /// The printable report.

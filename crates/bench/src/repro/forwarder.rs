@@ -1,39 +1,42 @@
-//! A stable TCP endpoint fronting a restartable backend — the chaos
+//! A disk-backed replica behind a stable TCP endpoint — the chaos
 //! harnesses' stand-in for a service VIP. Accepted connections are
-//! relayed byte-for-byte to the current backend address, and refused
-//! (accept + drop) while no backend is up, so a replica "process" can
-//! die and come back without changing the address probers and clients
-//! watch.
+//! relayed byte-for-byte to the server currently behind the endpoint,
+//! and refused (accept + drop) while none is up, so a replica "process"
+//! can die and come back without changing the address probers and
+//! clients watch.
 
+use fj_net::Server;
+use fj_runtime::RecoveryReport;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// See the module docs. Built by [`Forwarder::start`]; the backend is
-/// swapped (or cleared, modelling a dead process) at any time via
-/// [`Forwarder::set_backend`].
-pub(crate) struct Forwarder {
-    /// The stable address clients connect to.
-    pub(crate) addr: SocketAddr,
-    backend: Arc<Mutex<Option<SocketAddr>>>,
+/// A replica that can be hard-killed and restarted from its data
+/// directory without its address changing. See the module docs.
+pub(crate) struct Restartable<'a> {
+    addr: SocketAddr,
+    server: Arc<Mutex<Option<Server>>>,
+    build: Box<dyn Fn() -> Server + Send + Sync + 'a>,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
-impl Forwarder {
-    pub(crate) fn start() -> Forwarder {
+impl<'a> Restartable<'a> {
+    /// Starts the endpoint with `build()` behind it; every restart
+    /// calls `build` again.
+    pub(crate) fn start(build: impl Fn() -> Server + Send + Sync + 'a) -> Restartable<'a> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("forwarder bind");
         listener
             .set_nonblocking(true)
             .expect("forwarder nonblocking");
         let addr = listener.local_addr().expect("forwarder addr");
-        let backend: Arc<Mutex<Option<SocketAddr>>> = Arc::new(Mutex::new(None));
+        let server = Arc::new(Mutex::new(Some(build())));
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
-            let backend = Arc::clone(&backend);
+            let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
             thread::Builder::new()
                 .name("fj-chaos-fwd".into())
@@ -42,7 +45,11 @@ impl Forwarder {
                     while !stop.load(Ordering::SeqCst) {
                         match listener.accept() {
                             Ok((client, _)) => {
-                                let target = *backend.lock().unwrap();
+                                let target = server
+                                    .lock()
+                                    .expect("replica cell lock")
+                                    .as_ref()
+                                    .map(Server::local_addr);
                                 let upstream = target.and_then(|t| {
                                     TcpStream::connect_timeout(&t, Duration::from_millis(500)).ok()
                                 });
@@ -68,23 +75,55 @@ impl Forwarder {
                 })
                 .expect("spawn forwarder")
         };
-        Forwarder {
+        Restartable {
             addr,
-            backend,
+            server,
+            build: Box::new(build),
             stop,
-            accept: Some(accept),
+            accept,
         }
     }
 
-    pub(crate) fn set_backend(&self, addr: Option<SocketAddr>) {
-        *self.backend.lock().unwrap() = addr;
+    /// The stable address clients and probers connect to.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
     }
 
-    pub(crate) fn stop(mut self) {
+    fn cell(&self) -> MutexGuard<'_, Option<Server>> {
+        self.server.lock().expect("replica cell lock")
+    }
+
+    /// `f` of the server behind the endpoint; `None` between a crash
+    /// and the restart.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&Server) -> R) -> Option<R> {
+        self.cell().as_ref().map(f)
+    }
+
+    /// Hard kill: connections are refused from here on and the server
+    /// dies without a checkpoint.
+    pub(crate) fn crash(&self) {
+        let server = self.cell().take();
+        server.expect("server present").abort();
+    }
+
+    /// Restart ≡ recover: `Store::open` replays the WAL's committed
+    /// work in place, healing every torn page from its logged image.
+    pub(crate) fn restart(&self) -> RecoveryReport {
+        let server = (self.build)();
+        let report = server
+            .recovery_report()
+            .expect("disk replica has a recovery report");
+        *self.cell() = Some(server);
+        report
+    }
+
+    /// Graceful shutdown of the server and the endpoint.
+    pub(crate) fn stop(self) {
+        if let Some(server) = self.cell().take() {
+            server.shutdown();
+        }
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
+        let _ = self.accept.join();
     }
 }
 

@@ -19,18 +19,12 @@
 //! proven by an empty spill directory after the cancel storm), all
 //! broker grants are released, and the pool ends at full strength.
 
+use super::storm::{self, sorted, Kind, Outcome, ServiceFront, Storm};
 use crate::report::Report;
-use fj_core::{col, Catalog, DataType, Database, FromItem, JoinQuery, TableBuilder, Tuple, Value};
+use fj_core::{col, Catalog, DataType, FromItem, JoinQuery, TableBuilder, Value};
 use fj_runtime::{FaultPlan, InterruptReason, QueryService, RuntimeError, ServiceConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
-
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort();
-    rows
-}
+use std::time::Duration;
 
 /// Two tables big enough that either side of the join overflows a
 /// 4-page executor: the storm's whole workload is spill-or-die.
@@ -60,11 +54,13 @@ fn pressure_join() -> JoinQuery {
         .with_predicate(col("f.id").eq(col("d.id")))
 }
 
-/// Per-run tallies accumulated across client threads.
-#[derive(Debug, Default)]
-struct Tally {
-    ok: AtomicU64,
-    cancelled: AtomicU64,
+/// A quarter of the queries are cancelled from a second thread while
+/// they are (most likely) midway through partitioning to temp files.
+fn mix(i: usize) -> Kind {
+    Kind {
+        cancel: i % 4 == 3,
+        ..Kind::default()
+    }
 }
 
 /// Drives `clients` concurrent threads, each issuing
@@ -74,12 +70,7 @@ struct Tally {
 /// file, or a degraded pool.
 pub fn run(n_rows: usize, clients: usize, queries_per_client: usize) -> Report {
     let cat = pressure_catalog(n_rows);
-    let expected = Arc::new(sorted(
-        Database::with_catalog(cat.clone())
-            .execute(&pressure_join())
-            .expect("serial in-memory oracle")
-            .rows,
-    ));
+    let expected = storm::oracle(&cat, &pressure_join());
     let tight = ServiceConfig {
         workers: 4,
         memory_pages: 4,
@@ -108,70 +99,23 @@ pub fn run(n_rows: usize, clients: usize, queries_per_client: usize) -> Report {
             .with_torn_temp_writes(16)
             .with_slow_temp_fsync(32, Duration::from_micros(100)),
     );
-    let service = Arc::new(QueryService::start(
+    let service = QueryService::start(
         cat,
         ServiceConfig {
             spill_soft_watermark_pages: Some(8),
             fault_plan: Some(Arc::clone(&faults)),
             ..tight
         },
-    ));
+    );
 
-    let tally = Arc::new(Tally::default());
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let service = Arc::clone(&service);
-            let expected = Arc::clone(&expected);
-            let tally = Arc::clone(&tally);
-            thread::spawn(move || {
-                for i in 0..queries_per_client {
-                    let ticket = service.submit(pressure_join()).expect("submit");
-                    // A quarter of the queries are cancelled from a
-                    // second thread while they are (most likely) midway
-                    // through partitioning to temp files.
-                    let killer = (i % 4 == 3).then(|| {
-                        let interrupt = ticket.interrupt_handle();
-                        thread::spawn(move || {
-                            thread::sleep(Duration::from_micros(300));
-                            interrupt.trip(InterruptReason::Cancelled);
-                        })
-                    });
-                    let outcome = ticket.wait();
-                    if let Some(k) = killer {
-                        k.join().expect("canceller thread");
-                    }
-                    match outcome {
-                        Ok(reply) => {
-                            assert_eq!(
-                                sorted(reply.rows),
-                                *expected,
-                                "client {c} query {i}: spilled rows diverged from the oracle"
-                            );
-                            tally.ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(RuntimeError::Interrupted(InterruptReason::Cancelled)) => {
-                            assert!(
-                                i % 4 == 3,
-                                "client {c} query {i}: cancelled without a canceller"
-                            );
-                            tally.cancelled.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(other) => {
-                            panic!("client {c} query {i}: client-visible failure: {other}")
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("memory-chaos client thread");
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    // Nothing transient is absorbed: any refusal is a client-visible
+    // failure here.
+    let (tally, secs) =
+        Storm::new(pressure_join(), &expected, mix, &[])
+            .run(clients, queries_per_client, |_| Ok(ServiceFront(&service)));
 
-    let ok = tally.ok.load(Ordering::Relaxed);
-    let cancelled = tally.cancelled.load(Ordering::Relaxed);
+    let ok = tally[Outcome::Ok];
+    let cancelled = tally[Outcome::Cancelled];
     let total = (clients * queries_per_client) as u64;
     assert_eq!(
         ok + cancelled,
@@ -223,9 +167,8 @@ pub fn run(n_rows: usize, clients: usize, queries_per_client: usize) -> Report {
         let reply = service
             .execute(pressure_join())
             .unwrap_or_else(|e| panic!("closing query {i}: {e}"));
-        assert_eq!(
-            sorted(reply.rows),
-            *expected,
+        assert!(
+            sorted(reply.rows) == expected,
             "closing query {i} diverged after the storm"
         );
     }

@@ -20,5 +20,6 @@ pub mod memory_chaos;
 pub mod mutation_chaos;
 pub mod recovery_chaos;
 pub mod soak;
+pub(crate) mod storm;
 pub mod table1_components;
 pub mod udf;

@@ -25,24 +25,19 @@
 //! the crash is resolved by *reading* — never by blind replay, which
 //! would double-apply inserts.
 
-use super::forwarder::Forwarder;
+use super::forwarder::Restartable;
+use super::storm::{self, sorted, Front, Kind, NetFront, Outcome, Storm};
 use crate::report::Report;
-use crate::workloads::{emp_dept, paper_query, EmpDeptConfig};
-use fj_core::{DataType, Database, FromItem, JoinQuery, Schema, Table, TableBuilder, Tuple, Value};
-use fj_net::{Client, ErrorCode, Mutation, QueryOptions, Server, ServerConfig};
-use fj_runtime::{FaultPlan, RecoveryReport, ServiceConfig, StorageMode};
+use crate::workloads::paper_query;
+use fj_core::{DataType, FromItem, JoinQuery, Schema, Table, TableBuilder, Tuple, Value};
+use fj_net::Mutation;
+use fj_runtime::FaultPlan;
 use fj_store::{CheckpointPhase, Store, TempDir};
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort();
-    rows
-}
 
 fn pages_bytes(dir: &Path) -> Vec<u8> {
     std::fs::read(dir.join("pages.fj")).unwrap_or_default()
@@ -307,343 +302,110 @@ fn storm_mutation(i: u64) -> Mutation {
     }
 }
 
-fn storm_faults() -> Arc<FaultPlan> {
-    Arc::new(
-        FaultPlan::new(0x0A57)
-            .with_torn_delta_writes(2)
-            .with_torn_scrub_writes(3)
-            .with_slow_fsync(4, Duration::from_millis(1)),
-    )
+fn storm_faults() -> FaultPlan {
+    FaultPlan::new(0x0A57)
+        .with_torn_delta_writes(2)
+        .with_torn_scrub_writes(3)
+        .with_slow_fsync(4, Duration::from_millis(1))
 }
 
-fn disk_server(cat: fj_core::Catalog, dir: &Path, clients: usize) -> Server {
-    Server::bind(
-        "127.0.0.1:0",
-        cat,
-        ServerConfig {
-            max_connections: clients.max(1) * 4 + 8,
-            service: ServiceConfig {
-                workers: 4,
-                queue_capacity: 64,
-                storage: StorageMode::Disk {
-                    dir: dir.to_path_buf(),
-                    pool_pages: 4096,
-                },
-                fault_plan: Some(storm_faults()),
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("disk server binds")
-}
-
-fn connect_retry(addr: SocketAddr) -> Client {
-    loop {
-        match Client::connect_timeout(&addr, Duration::from_millis(500)) {
-            Ok(c) => return c,
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
+/// Every third query carries a deadline generous for execution but
+/// fatal if a checkpoint were to block the read path.
+fn mix(i: usize) -> Kind {
+    Kind {
+        deadline: (i % 3 == 1).then_some(Duration::from_secs(10)),
+        ..Kind::default()
     }
 }
 
-#[derive(Debug, Default)]
-struct Tally {
-    ok: AtomicU64,
-    deadlined_ok: AtomicU64,
-    transport_retries: AtomicU64,
-    shed_retries: AtomicU64,
-    mutations_ok: AtomicU64,
-    lost_replies_resolved: AtomicU64,
-    checkpoints: AtomicU64,
+/// What the mutator thread did.
+struct Mutated {
+    /// Audit's rows after every committed mutation.
+    oracle: Vec<Tuple>,
+    committed: u64,
+    lost_replies: u64,
+    sheds: u64,
 }
 
-/// Runs the server-level storm. Returns the tally, the restart's
-/// recovery report, the oracle's final Audit rows, and the final
-/// server's (cache hits, store stats, health mutations counter).
-#[allow(clippy::too_many_lines)]
-fn storm(
-    n_emps: usize,
-    n_depts: usize,
-    clients: usize,
-    queries_per_client: usize,
-    n_mutations: u64,
-    dir: &Path,
-) -> (
-    Tally,
-    RecoveryReport,
-    Vec<Tuple>,
-    (u64, fj_runtime::StoreStats, u64),
-) {
-    let mut cat = emp_dept(EmpDeptConfig {
-        n_emps,
-        n_depts,
-        frac_big: 0.1,
-        ..Default::default()
-    });
-    let audit = audit_table();
-    let audit_schema: Schema = audit.schema().as_ref().clone();
-    let audit_rows0 = audit.rows().to_vec();
-    cat.add_table(audit.into_ref());
-
-    let expected = Arc::new(sorted(
-        Database::with_catalog(cat.clone())
-            .execute(&paper_query())
-            .expect("serial reference execution")
-            .rows,
-    ));
-
-    let forwarder = Forwarder::start();
-    let server = disk_server(cat.clone(), dir, clients);
-    forwarder.set_backend(Some(server.local_addr()));
-    let cell: Arc<Mutex<Option<Server>>> = Arc::new(Mutex::new(Some(server)));
-
-    let tally = Arc::new(Tally::default());
-    let done = Arc::new(AtomicU64::new(0));
-    let total = (clients * queries_per_client) as u64;
-    let mutator_done = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
-    let recovery_out: Arc<Mutex<Option<RecoveryReport>>> = Arc::new(Mutex::new(None));
-    let oracle_out: Arc<Mutex<Vec<Tuple>>> = Arc::new(Mutex::new(Vec::new()));
-    let addr = forwarder.addr;
-
-    thread::scope(|scope| {
-        // Coordinator: hard-kill the server a third of the way through
-        // the query storm — mid-mutation-stream, with the checkpoint
-        // loop running — then restart it from the data directory.
-        {
-            let done = Arc::clone(&done);
-            let cell = Arc::clone(&cell);
-            let stop = Arc::clone(&stop);
-            let mutator_done = Arc::clone(&mutator_done);
-            let recovery_out = Arc::clone(&recovery_out);
-            let forwarder = &forwarder;
-            let cat = cat.clone();
-            scope.spawn(move || {
-                while done.load(Ordering::Relaxed) < total / 3 {
-                    thread::sleep(Duration::from_millis(1));
+/// A serial mutation stream into Audit. A lost reply (crash window) is
+/// resolved by reading the table back and comparing against the oracle
+/// with and without the mutation — blind resend would double-apply
+/// inserts.
+fn mutator(addr: SocketAddr, schema: &Schema, rows0: Vec<Tuple>, n_mutations: u64) -> Mutated {
+    let reconnect = || match NetFront::connect(addr) {
+        Ok(front) => front.client,
+        Err(e) => panic!("mutator: {e}"),
+    };
+    let mut client = reconnect();
+    let mut out = Mutated {
+        oracle: rows0,
+        committed: 0,
+        lost_replies: 0,
+        sheds: 0,
+    };
+    for i in 0..n_mutations {
+        let m = storm_mutation(i);
+        let (applied, _) = m
+            .apply(schema, &out.oracle)
+            .expect("storm mutation applies to its oracle");
+        // Set by a transport error: the reply is lost and commit
+        // status unknown until the table has been read.
+        let mut in_doubt = false;
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            assert!(
+                attempts < storm::MAX_ATTEMPTS,
+                "mutation {i} cannot reach a terminal outcome"
+            );
+            if in_doubt {
+                let Ok(reply) = client.query(&audit_query()) else {
+                    client = reconnect();
+                    thread::sleep(Duration::from_millis(2));
+                    continue;
+                };
+                let got = sorted(reply.rows);
+                out.lost_replies += 1;
+                if got == sorted(applied.clone()) {
+                    break;
                 }
-                let server = cell.lock().unwrap().take().expect("server present");
-                forwarder.set_backend(None);
-                server.abort();
-                // Crash window: clients and the mutator see transport
-                // errors and must resolve them without data loss.
-                thread::sleep(Duration::from_millis(100));
-                let server = disk_server(cat, dir, clients);
-                *recovery_out.lock().unwrap() = Some(
-                    server
-                        .recovery_report()
-                        .expect("disk server has a recovery report"),
+                assert_eq!(
+                    got,
+                    sorted(out.oracle.clone()),
+                    "mutation {i}: recovered rows match neither the \
+                     pre- nor post-mutation oracle — partial commit"
                 );
-                forwarder.set_backend(Some(server.local_addr()));
-                *cell.lock().unwrap() = Some(server);
-                while !(done.load(Ordering::Relaxed) >= total
-                    && mutator_done.load(Ordering::Relaxed))
-                {
-                    thread::sleep(Duration::from_millis(1));
+                // Not committed: resend.
+                in_doubt = false;
+            }
+            match client.mutate(&m) {
+                Ok(reply) => {
+                    assert_eq!(
+                        reply.row_count as usize,
+                        applied.len(),
+                        "mutation {i}: committed row count must track the oracle"
+                    );
+                    break;
                 }
-                stop.store(true, Ordering::SeqCst);
-            });
-        }
-
-        // Checkpoint loop: fuzzy checkpoints run concurrently with the
-        // whole storm. Holding the cell lock only pins the server
-        // handle; the checkpoint itself never blocks queries.
-        {
-            let cell = Arc::clone(&cell);
-            let stop = Arc::clone(&stop);
-            let tally = Arc::clone(&tally);
-            scope.spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    if let Some(server) = cell.lock().unwrap().as_ref() {
-                        if server.checkpoint().is_ok() {
-                            tally.checkpoints.fetch_add(1, Ordering::Relaxed);
-                        }
+                Err(e) => match NetFront::classify(&e) {
+                    // Typed refusal at the edge: nothing was
+                    // submitted, safe to resend.
+                    Some(Outcome::Shed) => {
+                        out.sheds += 1;
+                        thread::sleep(Duration::from_millis(2));
                     }
-                    thread::sleep(Duration::from_millis(10));
-                }
-            });
-        }
-
-        // Mutator: a serial mutation stream into Audit. A lost reply
-        // (crash window) is resolved by reading the table back and
-        // comparing against the oracle with and without the mutation —
-        // blind resend would double-apply inserts.
-        {
-            let tally = Arc::clone(&tally);
-            let mutator_done = Arc::clone(&mutator_done);
-            let oracle_out = Arc::clone(&oracle_out);
-            let audit_schema = audit_schema.clone();
-            scope.spawn(move || {
-                let mut client = connect_retry(addr);
-                let mut oracle = audit_rows0;
-                for i in 0..n_mutations {
-                    let m = storm_mutation(i);
-                    let (applied, _) = m
-                        .apply(&audit_schema, &oracle)
-                        .expect("storm mutation applies to its oracle");
-                    loop {
-                        match client.mutate(&m) {
-                            Ok(reply) => {
-                                assert_eq!(
-                                    reply.row_count as usize,
-                                    applied.len(),
-                                    "mutation {i}: committed row count must track the oracle"
-                                );
-                                oracle = applied;
-                                tally.mutations_ok.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(e)
-                                if e.error_code() == Some(ErrorCode::Shed)
-                                    || e.error_code() == Some(ErrorCode::ShuttingDown) =>
-                            {
-                                // Typed refusal at the edge: nothing
-                                // was submitted, safe to resend.
-                                tally.shed_retries.fetch_add(1, Ordering::Relaxed);
-                                thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(e) if e.error_code().is_none() => {
-                                // Transport error: the reply is lost and
-                                // commit status unknown. Read to resolve.
-                                client = connect_retry(addr);
-                                let got = loop {
-                                    match client.query(&audit_query()) {
-                                        Ok(reply) => break sorted(reply.rows),
-                                        Err(_) => {
-                                            client = connect_retry(addr);
-                                            thread::sleep(Duration::from_millis(2));
-                                        }
-                                    }
-                                };
-                                if got == sorted(applied.clone()) {
-                                    oracle = applied;
-                                    tally.mutations_ok.fetch_add(1, Ordering::Relaxed);
-                                    tally.lost_replies_resolved.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                                assert_eq!(
-                                    got,
-                                    sorted(oracle.clone()),
-                                    "mutation {i}: recovered rows match neither the \
-                                     pre- nor post-mutation oracle — partial commit"
-                                );
-                                tally.lost_replies_resolved.fetch_add(1, Ordering::Relaxed);
-                                // Not committed: resend.
-                            }
-                            Err(other) => {
-                                panic!("mutation {i}: unexpected typed error {other:?}")
-                            }
-                        }
+                    Some(Outcome::Transport) => {
+                        client = reconnect();
+                        in_doubt = true;
                     }
-                }
-                *oracle_out.lock().unwrap() = oracle;
-                mutator_done.store(true, Ordering::SeqCst);
-            });
+                    _ => panic!("mutation {i}: unexpected typed error {e:?}"),
+                },
+            }
         }
-
-        // Query clients: plain and deadlined paper queries, verified
-        // byte-identical against serial execution on every success.
-        // Mutations never touch Emp/Dept, so the answer is stable.
-        for c in 0..clients {
-            let tally = Arc::clone(&tally);
-            let done = Arc::clone(&done);
-            let expected = Arc::clone(&expected);
-            scope.spawn(move || {
-                let mut client = connect_retry(addr);
-                for i in 0..queries_per_client {
-                    // Every third query carries a deadline generous for
-                    // execution but fatal if a checkpoint were to block
-                    // the read path.
-                    let deadlined = i % 3 == 1;
-                    let opts = QueryOptions {
-                        deadline: deadlined.then(|| Duration::from_secs(10)),
-                        config: None,
-                        want_trace: false,
-                    };
-                    loop {
-                        match client.query_with(&paper_query(), &opts) {
-                            Ok(reply) => {
-                                assert_eq!(
-                                    sorted(reply.rows),
-                                    *expected,
-                                    "client {c} query {i}: rows diverged from serial"
-                                );
-                                tally.ok.fetch_add(1, Ordering::Relaxed);
-                                if deadlined {
-                                    tally.deadlined_ok.fetch_add(1, Ordering::Relaxed);
-                                }
-                                break;
-                            }
-                            Err(e)
-                                if e.error_code() == Some(ErrorCode::Shed)
-                                    || e.error_code() == Some(ErrorCode::ShuttingDown) =>
-                            {
-                                tally.shed_retries.fetch_add(1, Ordering::Relaxed);
-                                thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(e) if e.error_code().is_none() => {
-                                tally.transport_retries.fetch_add(1, Ordering::Relaxed);
-                                client = connect_retry(addr);
-                            }
-                            Err(e) if e.error_code() == Some(ErrorCode::DeadlineExceeded) => {
-                                panic!(
-                                    "client {c} query {i}: a 10s deadline expired — \
-                                     the checkpoint blocked the read path"
-                                )
-                            }
-                            Err(other) => {
-                                panic!("client {c} query {i}: unexpected {other:?}")
-                            }
-                        }
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-
-    let server = cell
-        .lock()
-        .unwrap()
-        .take()
-        .expect("coordinator restarted the server");
-    let oracle = std::mem::take(&mut *oracle_out.lock().unwrap());
-
-    // Final reads, straight at the recovered server: the paper query
-    // still matches serial, and the mutated table matches the oracle.
-    let mut direct = connect_retry(forwarder.addr);
-    let paper_rows = direct.query(&paper_query()).expect("direct paper query");
-    assert_eq!(sorted(paper_rows.rows), *expected);
-    let audit_rows = direct.query(&audit_query()).expect("direct audit query");
-    assert_eq!(
-        sorted(audit_rows.rows),
-        sorted(oracle.clone()),
-        "recovered Audit rows must equal the committed-mutation oracle"
-    );
-    let health_mutations = direct
-        .health(Duration::from_secs(5))
-        .expect("health after storm")
-        .get("mutations_applied")
-        .expect("HEALTH carries mutations_applied");
-
-    let cache_hits = server.metrics().cache_hits;
-    let store_stats = server.store_stats();
-    let recovery = recovery_out
-        .lock()
-        .unwrap()
-        .take()
-        .expect("restart produced a recovery report");
-    drop(direct);
-    server.shutdown();
-    forwarder.stop();
-    let tally = Arc::try_unwrap(tally).expect("all storm threads joined");
-    (
-        tally,
-        recovery,
-        oracle,
-        (cache_hits, store_stats, health_mutations),
-    )
+        out.oracle = applied;
+        out.committed += 1;
+    }
+    out
 }
 
 /// Drives the full mutation-chaos reproduction. Panics (failing the
@@ -658,28 +420,97 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
 
     let dir = TempDir::new("mutation-chaos");
     let n_mutations = 24u64;
-    let (tally, recovery, oracle, (cache_hits, store_stats, health_mutations)) = storm(
-        n_emps,
-        n_depts,
-        clients,
-        queries_per_client,
-        n_mutations,
-        dir.path(),
-    );
 
-    let ok = tally.ok.load(Ordering::Relaxed);
-    let deadlined_ok = tally.deadlined_ok.load(Ordering::Relaxed);
-    let transport_retries = tally.transport_retries.load(Ordering::Relaxed);
-    let shed_retries = tally.shed_retries.load(Ordering::Relaxed);
-    let mutations_ok = tally.mutations_ok.load(Ordering::Relaxed);
-    let lost_replies = tally.lost_replies_resolved.load(Ordering::Relaxed);
-    let checkpoints = tally.checkpoints.load(Ordering::Relaxed);
+    // Mutations never touch Emp/Dept, so the paper query's answer is
+    // stable through the storm.
+    let (mut cat, expected) = storm::paper_oracle(n_emps, n_depts);
+    let audit = audit_table();
+    let audit_schema: Schema = audit.schema().as_ref().clone();
+    let audit_rows0 = audit.rows().to_vec();
+    cat.add_table(audit.into_ref());
+
+    let service = || storm::faulty(storm_faults(), Some(dir.path()));
+    let replica = Restartable::start(|| storm::replica(cat.clone(), service(), clients));
+    let addr = replica.addr();
+
+    let (mut recovery, mut mutated, mut checkpoints, mut cache_hits) = (None, None, 0u64, 0u64);
+    let absorbs = [Outcome::Shed, Outcome::Transport];
+    let (tally, _) = Storm::new(paper_query(), &expected, mix, &absorbs)
+        // Hard-kill the server a third of the way through the query storm
+        // — mid-mutation-stream, with the checkpoint loop running — then
+        // restart it from the data directory. In the crash window clients
+        // and the mutator see transport errors and must resolve them
+        // without data loss. The plan cache dies with the server, so
+        // its hits are read on both sides of the crash: a fast storm
+        // can outrun the kill and leave the restarted server nothing
+        // to serve.
+        .milestone(3, || {
+            cache_hits += replica.with(|s| s.metrics().cache_hits).unwrap_or(0);
+            replica.crash();
+            thread::sleep(Duration::from_millis(100));
+            recovery = Some(replica.restart());
+        })
+        // Fuzzy checkpoints run concurrently with the whole storm. Holding
+        // the server lock only pins the handle; the checkpoint itself
+        // never blocks queries.
+        .every(Duration::from_millis(10), || {
+            if replica.with(|server| server.checkpoint().is_ok()) == Some(true) {
+                checkpoints += 1;
+            }
+        })
+        .task(|| mutated = Some(mutator(addr, &audit_schema, audit_rows0, n_mutations)))
+        .run(clients, queries_per_client, |_| NetFront::connect(addr));
+    let recovery = recovery.expect("restart produced a recovery report");
+    let mutated = mutated.expect("the mutator ran");
+
+    // Final reads, straight at the recovered server: the paper query
+    // still matches serial, and the mutated table matches the oracle.
+    let mut direct = NetFront::connect(addr).expect("direct client").client;
+    let paper_rows = direct.query(&paper_query()).expect("direct paper query");
+    assert_eq!(sorted(paper_rows.rows), expected);
+    let audit_rows = direct.query(&audit_query()).expect("direct audit query");
+    assert_eq!(
+        sorted(audit_rows.rows),
+        sorted(mutated.oracle.clone()),
+        "recovered Audit rows must equal the committed-mutation oracle"
+    );
+    let health_mutations = direct
+        .health(Duration::from_secs(5))
+        .expect("health after storm")
+        .get("mutations_applied")
+        .expect("HEALTH carries mutations_applied");
+    drop(direct);
+
+    let (hits_since_restart, store_stats) = replica
+        .with(|server| (server.metrics().cache_hits, server.store_stats()))
+        .expect("coordinator restarted the server");
+    cache_hits += hits_since_restart;
+    replica.stop();
+
+    let ok = tally[Outcome::Ok];
+    let transport_retries = tally[Outcome::Transport];
+    let Mutated {
+        oracle,
+        committed: mutations_ok,
+        lost_replies,
+        sheds,
+    } = mutated;
+    let shed_retries = tally[Outcome::Shed] + sheds;
     let total = (clients * queries_per_client) as u64;
 
+    assert_eq!(
+        tally[Outcome::Deadline],
+        0,
+        "a 10s deadline expired — the checkpoint blocked the read path"
+    );
     assert_eq!(
         ok, total,
         "every query must eventually complete with serial-verified rows"
     );
+    // Every query completed, none on an expired deadline: the
+    // deadlined ones all made it.
+    let deadlined_per_client = (0..queries_per_client).filter(|&i| mix(i).deadline.is_some());
+    let deadlined_ok = (clients * deadlined_per_client.count()) as u64;
     assert!(
         deadlined_ok > 0,
         "the storm must complete deadlined queries during checkpoints"

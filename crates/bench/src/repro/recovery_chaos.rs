@@ -18,331 +18,14 @@
 //! restarted server comes back — the same stable-endpoint model a
 //! service VIP gives a real cluster.
 
-use super::forwarder::Forwarder;
+use super::forwarder::Restartable;
+use super::storm::{self, sorted, ClusterFront, Outcome, Storm};
 use crate::report::Report;
-use crate::workloads::{emp_dept, paper_query, EmpDeptConfig};
-use fj_cluster::{CancelToken, ClusterClient, ClusterConfig, ClusterError, HedgeConfig};
-use fj_core::{Database, OptimizerConfig, Tuple};
-use fj_net::{Client, ErrorCode, QueryOptions, Server, ServerConfig};
-use fj_runtime::{FaultPlan, RecoveryReport, ServiceConfig, StorageMode};
+use crate::workloads::paper_query;
+use fj_net::{Client, Server};
+use fj_runtime::FaultPlan;
 use fj_store::{Store, TempDir};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::Duration;
-
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort();
-    rows
-}
-
-/// Per-run tallies accumulated across client threads.
-#[derive(Debug, Default)]
-struct Tally {
-    ok: AtomicU64,
-    deadline_hits: AtomicU64,
-    cancelled: AtomicU64,
-    injected_faults: AtomicU64,
-    reroutes: AtomicU64,
-    budget_stalls: AtomicU64,
-}
-
-/// The disk replica's config: small pool pressure is *not* the point of
-/// this run — the pool must hold the working set so pre-crash queries
-/// never read the torn on-disk pages (the load path warmed the good
-/// images into memory; the disk is only trusted again after recovery
-/// heals it from the WAL).
-fn disk_service(dir: &Path) -> ServiceConfig {
-    ServiceConfig {
-        workers: 4,
-        queue_capacity: 64,
-        storage: StorageMode::Disk {
-            dir: dir.to_path_buf(),
-            pool_pages: 4096,
-        },
-        // Every page write torn, occasional slow fsyncs: the page file
-        // is garbage until recovery, and commits still group-fsync.
-        fault_plan: Some(Arc::new(
-            FaultPlan::new(0xD15C)
-                .with_torn_page_writes(1)
-                .with_slow_fsync(2, Duration::from_millis(1)),
-        )),
-        ..ServiceConfig::default()
-    }
-}
-
-fn disk_replica(cat: fj_core::Catalog, dir: &Path, clients: usize) -> Server {
-    Server::bind(
-        "127.0.0.1:0",
-        cat,
-        ServerConfig {
-            max_connections: clients.max(1) * 4,
-            service: disk_service(dir),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("disk replica binds")
-}
-
-/// The storm: clients hammer the cluster while the disk replica is
-/// crashed and then restarted from its data directory. Returns the
-/// tally, cluster stats, the restart's recovery report, and the
-/// restarted replica's (pool misses, physical reads, completed
-/// queries, rows of a direct post-recovery query).
-#[allow(clippy::too_many_lines)]
-fn storm(
-    n_emps: usize,
-    n_depts: usize,
-    clients: usize,
-    queries_per_client: usize,
-    dir: &Path,
-) -> (
-    Tally,
-    fj_cluster::ClusterStats,
-    RecoveryReport,
-    (u64, u64, u64, Vec<Tuple>),
-) {
-    let cat = emp_dept(EmpDeptConfig {
-        n_emps,
-        n_depts,
-        frac_big: 0.1,
-        ..Default::default()
-    });
-    let expected = Arc::new(sorted(
-        Database::with_catalog(cat.clone())
-            .execute(&paper_query())
-            .expect("serial reference execution")
-            .rows,
-    ));
-
-    // Replica A: in-memory, with read errors and stalls so typed
-    // retries stay exercised while B is down.
-    let server_a = Server::bind(
-        "127.0.0.1:0",
-        cat.clone(),
-        ServerConfig {
-            max_connections: clients.max(1) * 4,
-            service: ServiceConfig {
-                workers: 4,
-                queue_capacity: 64,
-                fault_plan: Some(Arc::new(
-                    FaultPlan::new(0xA11CE)
-                        .with_read_errors(200)
-                        .with_stalls(96, Duration::from_micros(200)),
-                )),
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("replica A binds");
-
-    // Replica B: disk-backed behind the stable forwarder endpoint.
-    let forwarder = Forwarder::start();
-    let server_b = disk_replica(cat.clone(), dir, clients);
-    forwarder.set_backend(Some(server_b.local_addr()));
-
-    let addrs = vec![server_a.local_addr(), forwarder.addr];
-    let cluster = Arc::new(
-        ClusterClient::connect(
-            &addrs,
-            ClusterConfig {
-                probe_interval: Duration::from_millis(10),
-                probe_timeout: Duration::from_millis(500),
-                connect_timeout: Duration::from_millis(500),
-                retry_budget_capacity: 64,
-                retry_deposit_per_success: 0.5,
-                hedge: HedgeConfig {
-                    enabled: true,
-                    quantile: 0.5,
-                    min_delay: Duration::from_millis(2),
-                    min_samples: 16,
-                    // Verify mode: a hedge racing the in-memory and the
-                    // disk-backed replica must see identical bytes.
-                    verify: true,
-                },
-                ..ClusterConfig::default()
-            },
-        )
-        .expect("cluster client"),
-    );
-
-    let tally = Arc::new(Tally::default());
-    let done = Arc::new(AtomicU64::new(0));
-    let total = (clients * queries_per_client) as u64;
-    let restarted: Arc<Mutex<Option<(Server, RecoveryReport)>>> = Arc::new(Mutex::new(None));
-    thread::scope(|scope| {
-        // Coordinator: crash B a quarter of the way in, restart it from
-        // its data directory at the halfway mark. Both transitions are
-        // invisible to the clients except as failovers.
-        {
-            let done = Arc::clone(&done);
-            let restarted = Arc::clone(&restarted);
-            let forwarder = &forwarder;
-            let cat = cat.clone();
-            scope.spawn(move || {
-                while done.load(Ordering::Relaxed) < total / 4 {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                forwarder.set_backend(None);
-                server_b.abort();
-                while done.load(Ordering::Relaxed) < total / 2 {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                // Restart ≡ recover: Store::open replays the WAL's
-                // committed loads in place, healing every torn page
-                // from its logged image.
-                let server = disk_replica(cat, dir, clients);
-                let report = server
-                    .recovery_report()
-                    .expect("disk replica has a recovery report");
-                forwarder.set_backend(Some(server.local_addr()));
-                *restarted.lock().unwrap() = Some((server, report));
-            });
-        }
-        for c in 0..clients {
-            let cluster = Arc::clone(&cluster);
-            let expected = Arc::clone(&expected);
-            let tally = Arc::clone(&tally);
-            let done = Arc::clone(&done);
-            scope.spawn(move || {
-                for i in 0..queries_per_client {
-                    // i % 4: 1 → tiny deadline, 3 → mid-flight cancel,
-                    // else plain. Governed queries run the naive plan
-                    // so cancellation has a window.
-                    let opts = if i % 4 == 1 {
-                        QueryOptions {
-                            deadline: Some(Duration::from_millis(1)),
-                            config: Some(OptimizerConfig::without_filter_join()),
-                            want_trace: false,
-                        }
-                    } else if i % 4 == 3 {
-                        QueryOptions {
-                            deadline: None,
-                            config: Some(OptimizerConfig::without_filter_join()),
-                            want_trace: false,
-                        }
-                    } else {
-                        QueryOptions::default()
-                    };
-                    let mut attempts = 0u32;
-                    loop {
-                        attempts += 1;
-                        assert!(
-                            attempts < 1000,
-                            "client {c} query {i} cannot reach a terminal outcome"
-                        );
-                        let token = Arc::new(CancelToken::new());
-                        let killer = (i % 4 == 3).then(|| {
-                            let token = Arc::clone(&token);
-                            thread::spawn(move || {
-                                thread::sleep(Duration::from_micros(300));
-                                token.cancel();
-                            })
-                        });
-                        let outcome = cluster.query_with_token(&paper_query(), &opts, &token);
-                        if let Some(k) = killer {
-                            k.join().expect("canceller thread");
-                        }
-                        match outcome {
-                            Ok(reply) => {
-                                assert_eq!(
-                                    sorted(reply.rows),
-                                    *expected,
-                                    "client {c} query {i}: rows diverged from serial"
-                                );
-                                tally.ok.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(ClusterError::Cancelled) if i % 4 == 3 => {
-                                tally.cancelled.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(ClusterError::Net(e))
-                                if e.error_code() == Some(ErrorCode::DeadlineExceeded)
-                                    && i % 4 == 1 =>
-                            {
-                                tally.deadline_hits.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(ClusterError::Net(e))
-                                if e.error_code() == Some(ErrorCode::QueryFailed) =>
-                            {
-                                tally.injected_faults.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(ClusterError::NoHealthyReplica { .. }) => {
-                                tally.reroutes.fetch_add(1, Ordering::Relaxed);
-                                thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(ClusterError::RetryBudgetExhausted { .. }) => {
-                                tally.budget_stalls.fetch_add(1, Ordering::Relaxed);
-                                thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(other) => {
-                                panic!("client {c} query {i}: unexpected {other:?}")
-                            }
-                        }
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-
-    let (server, report) = restarted
-        .lock()
-        .unwrap()
-        .take()
-        .expect("coordinator restarted the disk replica");
-
-    // Re-admission proof: probe now, then route cluster queries until
-    // the recovered replica has completed at least one (round-robin
-    // spreads ready replicas, so a handful of queries suffices).
-    cluster.probe_now();
-    let already = server.metrics().completed;
-    for _ in 0..200 {
-        if server.metrics().completed > already {
-            break;
-        }
-        let _ = cluster.query(&paper_query());
-    }
-    let completed_after_rejoin = server.metrics().completed;
-    assert!(
-        completed_after_rejoin > already || already > 0,
-        "the recovered replica must serve cluster queries after re-admission"
-    );
-
-    // Byte-identity proof, straight at the recovered replica: the rows
-    // it serves from its healed page file equal serial execution.
-    let direct_rows = Client::connect(forwarder.addr)
-        .expect("direct client to recovered replica")
-        .query(&paper_query())
-        .expect("direct query on recovered replica")
-        .rows;
-
-    let stats = cluster.stats();
-    match Arc::try_unwrap(cluster) {
-        Ok(cluster) => cluster.shutdown(),
-        Err(_) => unreachable!("all client threads joined"),
-    }
-    let store_stats = server.store_stats();
-    server_a.shutdown();
-    server.shutdown();
-    forwarder.stop();
-    let tally = Arc::try_unwrap(tally).expect("all client threads joined");
-    (
-        tally,
-        stats,
-        report,
-        (
-            store_stats.pool_misses,
-            store_stats.physical_reads,
-            completed_after_rejoin,
-            direct_rows,
-        ),
-    )
-}
 
 /// Drives the full recovery chaos reproduction. Panics (failing the
 /// reproduction) if any query resolves outside the expected classes,
@@ -351,23 +34,82 @@ fn storm(
 /// the post-shutdown store re-open disagrees with the template rows.
 pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: usize) -> Report {
     let dir = TempDir::new("recovery-chaos");
-    let (tally, stats, recovery, (pool_misses, physical_reads, rejoined_completed, direct_rows)) =
-        storm(n_emps, n_depts, clients, queries_per_client, dir.path());
+    let (cat, expected) = storm::paper_oracle(n_emps, n_depts);
+    // Replica A: in-memory, with read errors and stalls so typed
+    // retries stay exercised while B is down.
+    let plan_a = FaultPlan::new(0xA11CE)
+        .with_read_errors(200)
+        .with_stalls(96, Duration::from_micros(200));
+    let server_a = storm::replica(cat.clone(), storm::faulty(plan_a, None), clients);
+    // Replica B: disk-backed behind the stable forwarder endpoint. Every
+    // page write torn, occasional slow fsyncs: the page file is garbage
+    // until recovery, and commits still group-fsync. The pool holds the
+    // working set, so pre-crash queries never read the torn on-disk
+    // pages (the load path warmed the good images into memory; the disk
+    // is only trusted again after recovery heals it from the WAL). A
+    // hedge racing B against A must see identical bytes.
+    let service_b = || {
+        let plan = FaultPlan::new(0xD15C)
+            .with_torn_page_writes(1)
+            .with_slow_fsync(2, Duration::from_millis(1));
+        storm::faulty(plan, Some(dir.path()))
+    };
+    let replica_b = Restartable::start(|| storm::replica(cat.clone(), service_b(), clients));
+    let cluster = storm::cluster(&[server_a.local_addr(), replica_b.addr()]);
 
-    let ok = tally.ok.load(Ordering::Relaxed);
-    let deadline_hits = tally.deadline_hits.load(Ordering::Relaxed);
-    let cancelled = tally.cancelled.load(Ordering::Relaxed);
-    let injected_faults = tally.injected_faults.load(Ordering::Relaxed);
-    let reroutes = tally.reroutes.load(Ordering::Relaxed);
-    let budget_stalls = tally.budget_stalls.load(Ordering::Relaxed);
-    let total = (clients * queries_per_client) as u64;
-    assert_eq!(
-        ok + deadline_hits + cancelled,
-        total,
-        "every query must terminate as a verified result, a requested \
-         cancellation, or a requested deadline expiry"
+    // Crash B a quarter of the way in, restart it from its data
+    // directory at the halfway mark. Both transitions are invisible to
+    // the clients except as failovers.
+    let mut recovery = None;
+    let absorbs = [Outcome::Fault, Outcome::NoCandidate, Outcome::BudgetStall];
+    let (tally, _) = Storm::new(paper_query(), &expected, storm::governed_mix, &absorbs)
+        .milestone(4, || replica_b.crash())
+        .milestone(2, || recovery = Some(replica_b.restart()))
+        .run(clients, queries_per_client, |_| Ok(ClusterFront(&cluster)));
+    let recovery = recovery.expect("coordinator restarted the disk replica");
+
+    // Re-admission proof: probe now, then route cluster queries until
+    // the recovered replica has completed at least one (round-robin
+    // spreads ready replicas, so a handful of queries suffices).
+    let completed = || {
+        replica_b
+            .with(|b| b.metrics().completed)
+            .expect("replica B is up")
+    };
+    cluster.probe_now();
+    let already = completed();
+    for _ in 0..200 {
+        if completed() > already {
+            break;
+        }
+        let _ = cluster.query(&paper_query());
+    }
+    let rejoined_completed = completed();
+    assert!(
+        rejoined_completed > already || already > 0,
+        "the recovered replica must serve cluster queries after re-admission"
     );
-    assert!(ok >= 1, "the storm must complete some queries");
+
+    // Byte-identity proof, straight at the recovered replica: the rows
+    // it serves from its healed page file equal serial execution.
+    let direct_rows = Client::connect(replica_b.addr())
+        .expect("direct client to recovered replica")
+        .query(&paper_query())
+        .expect("direct query on recovered replica")
+        .rows;
+
+    let stats = cluster.stats();
+    cluster.shutdown();
+    let store_stats = replica_b
+        .with(Server::store_stats)
+        .expect("replica B is up");
+    let (pool_misses, physical_reads) = (store_stats.pool_misses, store_stats.physical_reads);
+    server_a.shutdown();
+    replica_b.stop();
+
+    let reroutes = tally[Outcome::NoCandidate];
+    let budget_stalls = tally[Outcome::BudgetStall];
+    tally.assert_only_requested_endings((clients * queries_per_client) as u64);
     assert!(
         stats.failovers >= 1,
         "crashing the disk replica must exercise failover"
@@ -391,18 +133,6 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
 
     // The crashed-and-recovered replica answers byte-identical to
     // serial in-memory execution.
-    let cat = emp_dept(EmpDeptConfig {
-        n_emps,
-        n_depts,
-        frac_big: 0.1,
-        ..Default::default()
-    });
-    let expected = sorted(
-        Database::with_catalog(cat.clone())
-            .execute(&paper_query())
-            .expect("serial reference execution")
-            .rows,
-    );
     assert_eq!(
         sorted(direct_rows),
         expected,
@@ -444,10 +174,10 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
     );
     report.row(vec![
         Report::cell(clients),
-        Report::cell(ok),
-        Report::cell(deadline_hits),
-        Report::cell(cancelled),
-        Report::cell(injected_faults),
+        Report::cell(tally[Outcome::Ok]),
+        Report::cell(tally[Outcome::Deadline]),
+        Report::cell(tally[Outcome::Cancelled]),
+        Report::cell(tally[Outcome::Fault]),
         Report::cell(stats.failovers),
         Report::cell(recovery.replayed_tables),
         Report::cell(recovery.replayed_pages),

@@ -8,27 +8,21 @@
 //! completion, and every row that does come back over the wire is
 //! byte-identical to serial execution.
 
+use super::storm::{self, Kind, NetFront, Outcome, Storm};
 use crate::report::Report;
-use crate::workloads::{emp_dept, paper_query, EmpDeptConfig};
-use fj_core::{Database, Tuple};
-use fj_net::{Client, NetError, QueryOptions, Server, ServerConfig};
+use crate::workloads::paper_query;
 use fj_runtime::ServiceConfig;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort();
-    rows
-}
-
-/// Per-soak tallies accumulated across client threads.
-#[derive(Debug, Default)]
-struct Tally {
-    ok: AtomicU64,
-    shed_retries: AtomicU64,
-    deadline_hits: AtomicU64,
+/// Every third request carries a generous deadline so the deadline
+/// plumbing runs hot even when it rarely expires on an idle machine. A
+/// 30 s budget expiring means a badly overloaded machine, not a bug; it
+/// is noted and the soak moves on.
+fn mix(i: usize) -> Kind {
+    Kind {
+        deadline: i.is_multiple_of(3).then_some(Duration::from_secs(30)),
+        ..Kind::default()
+    }
 }
 
 /// Runs `clients` concurrent TCP clients, each issuing
@@ -37,108 +31,30 @@ struct Tally {
 /// Panics (failing the reproduction) if any reply's row-set diverges
 /// from serial execution or a client exhausts its retry budget.
 pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: usize) -> Report {
-    let cat = emp_dept(EmpDeptConfig {
-        n_emps,
-        n_depts,
-        frac_big: 0.1,
-        ..Default::default()
-    });
-    let expected = Arc::new(sorted(
-        Database::with_catalog(cat.clone())
-            .execute(&paper_query())
-            .expect("serial reference execution")
-            .rows,
-    ));
-
-    let server = Server::bind(
-        "127.0.0.1:0",
+    let (cat, expected) = storm::paper_oracle(n_emps, n_depts);
+    let server = storm::replica(
         cat,
-        ServerConfig {
-            max_connections: clients.max(1) * 2,
-            service: ServiceConfig {
-                workers: 4,
-                // Small on purpose: the burst must overrun it so the
-                // shed/retry path is exercised on every soak run.
-                queue_capacity: 4,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
+        ServiceConfig {
+            // Small on purpose: the burst must overrun it so the
+            // shed/retry path is exercised on every soak run.
+            queue_capacity: 4,
+            ..ServiceConfig::default()
         },
-    )
-    .expect("soak server binds");
+        clients,
+    );
     let addr = server.local_addr();
 
-    let tally = Arc::new(Tally::default());
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let expected = Arc::clone(&expected);
-            let tally = Arc::clone(&tally);
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("client connects");
-                // Every third request carries a generous deadline so
-                // the deadline plumbing runs hot even when it rarely
-                // expires on an idle machine.
-                let deadlined = QueryOptions {
-                    deadline: Some(Duration::from_secs(30)),
-                    config: None,
-                    want_trace: false,
-                };
-                for i in 0..queries_per_client {
-                    let opts = if i % 3 == 0 {
-                        deadlined.clone()
-                    } else {
-                        QueryOptions::default()
-                    };
-                    let mut attempts = 0u32;
-                    loop {
-                        match client.query_with(&paper_query(), &opts) {
-                            Ok(reply) => {
-                                assert_eq!(
-                                    sorted(reply.rows),
-                                    *expected,
-                                    "client {c} query {i}: TCP rows diverged from serial"
-                                );
-                                tally.ok.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(e) if e.is_retryable() => {
-                                tally.shed_retries.fetch_add(1, Ordering::Relaxed);
-                                attempts += 1;
-                                assert!(
-                                    attempts < 10_000,
-                                    "client {c} query {i}: retry budget exhausted"
-                                );
-                                thread::sleep(Duration::from_millis(1 + (attempts as u64 % 5)));
-                            }
-                            Err(NetError::Remote {
-                                code: fj_net::ErrorCode::DeadlineExceeded,
-                                ..
-                            }) => {
-                                // A 30 s budget expiring means a badly
-                                // overloaded machine, not a bug; note
-                                // it and move on.
-                                tally.deadline_hits.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(other) => panic!("client {c} query {i}: {other}"),
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("soak client thread");
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    let (tally, secs) = Storm::new(paper_query(), &expected, mix, &[Outcome::Shed]).run(
+        clients,
+        queries_per_client,
+        |_| NetFront::connect(addr),
+    );
     let stats = server.stats();
     let stats_json = server.stats_json();
     server.shutdown();
 
-    let ok = tally.ok.load(Ordering::Relaxed);
-    let shed_retries = tally.shed_retries.load(Ordering::Relaxed);
-    let deadline_hits = tally.deadline_hits.load(Ordering::Relaxed);
+    let ok = tally[Outcome::Ok];
+    let deadline_hits = tally[Outcome::Deadline];
     let total = (clients * queries_per_client) as u64;
     assert_eq!(
         ok + deadline_hits,
@@ -164,7 +80,7 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
     report.row(vec![
         Report::cell(clients),
         Report::cell(ok),
-        Report::cell(shed_retries),
+        Report::cell(tally[Outcome::Shed]),
         Report::cell(deadline_hits),
         Report::num(ok as f64 / secs),
         Report::num(stats.bytes_in as f64 / 1024.0),

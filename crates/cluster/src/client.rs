@@ -25,7 +25,7 @@ use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::{ClusterConfig, ClusterConfigError};
 use fj_algebra::JoinQuery;
 use fj_net::client::{Canceller, Client, QueryOptions};
-use fj_net::{json, ErrorCode, HealthStatus, NetError, QueryReply, RetryBudget};
+use fj_net::{json, splitmix64, ErrorCode, HealthStatus, NetError, QueryReply, RetryBudget};
 use fj_runtime::MetricsRecorder;
 use std::fmt;
 use std::net::SocketAddr;
@@ -309,15 +309,6 @@ struct Shared {
     latency: MetricsRecorder,
     counters: Counters,
     stop: AtomicBool,
-}
-
-/// SplitMix64 finalizer — the same stream generator the fault plan and
-/// retry jitter use; drives the probe-interval jitter.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One attempt's result: the reply, its raw payload bytes, and the

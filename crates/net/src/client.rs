@@ -14,11 +14,12 @@ use crate::codec::{
 use crate::wire::{self, ErrorCode, FrameReader, FrameType, WireError};
 use fj_algebra::JoinQuery;
 use fj_optimizer::OptimizerConfig;
-use fj_storage::Mutation;
+use fj_storage::{splitmix64, Mutation};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Client-side failures.
@@ -171,15 +172,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 finalizer — the same generator the storage fault plan
-/// uses; good enough to decorrelate backoff schedules.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl RetryPolicy {
     /// The next sleep after `prev`, advancing the jitter state.
     fn next_sleep(&self, state: &mut u64, prev: Duration) -> Duration {
@@ -329,14 +321,27 @@ impl WireBytes {
 #[derive(Debug)]
 pub struct Canceller {
     stream: TcpStream,
+    writing: WriteLock,
+}
+
+/// Held while a frame is written to a connection that a [`Client`] and
+/// its [`Canceller`]s share: a frame is a header write and a payload
+/// write, and a CANCEL landing between the two would corrupt the
+/// request. It guards no data, so a poisoned lock is taken as is.
+type WriteLock = Arc<Mutex<()>>;
+
+fn hold(writing: &WriteLock) -> MutexGuard<'_, ()> {
+    writing.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Canceller {
     /// Sends a CANCEL frame. The server trips the query's interrupt;
     /// the blocked `query*` call returns [`ErrorCode::Cancelled`] (or
     /// the result, if the query won the race). Harmless when no query
-    /// is in flight.
+    /// is in flight, or while the client is still sending one: the
+    /// frame then goes out before or after the request, never inside.
     pub fn cancel(&mut self) -> Result<(), NetError> {
+        let _writing = hold(&self.writing);
         wire::write_frame(&mut self.stream, FrameType::Cancel, &[])?;
         Ok(())
     }
@@ -347,6 +352,7 @@ impl Canceller {
 pub struct Client {
     stream: TcpStream,
     reader: FrameReader,
+    writing: WriteLock,
 }
 
 impl Client {
@@ -358,6 +364,7 @@ impl Client {
         Ok(Client {
             stream,
             reader: FrameReader::new(wire::DEFAULT_MAX_FRAME_BYTES),
+            writing: WriteLock::default(),
         })
     }
 
@@ -375,6 +382,7 @@ impl Client {
         Ok(Client {
             stream,
             reader: FrameReader::new(wire::DEFAULT_MAX_FRAME_BYTES),
+            writing: WriteLock::default(),
         })
     }
 
@@ -438,6 +446,7 @@ impl Client {
     pub fn canceller(&self) -> Result<Canceller, NetError> {
         Ok(Canceller {
             stream: self.stream.try_clone()?,
+            writing: Arc::clone(&self.writing),
         })
     }
 
@@ -598,7 +607,10 @@ impl Client {
         read_timeout: Option<Duration>,
     ) -> Result<(FrameType, Vec<u8>, WireBytes), NetError> {
         self.stream.set_read_timeout(read_timeout)?;
-        let sent = wire::write_frame(&mut self.stream, ty, payload)?;
+        let sent = {
+            let _writing = hold(&self.writing);
+            wire::write_frame(&mut self.stream, ty, payload)?
+        };
         let (reply_ty, body) = self.recv()?;
         let wire = WireBytes::of(sent, body.len());
         Ok((reply_ty, body, wire))

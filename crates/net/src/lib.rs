@@ -52,6 +52,9 @@ pub use codec::{
     SemijoinAck, SemijoinRequest,
 };
 pub use fj_runtime::HEALTH_KEYS;
+/// [`RetryPolicy`]'s jitter stream, for routers that jitter timers of
+/// their own.
+pub use fj_storage::splitmix64;
 pub use fj_storage::Mutation;
 pub use fj_trace::{json, QueryTrace};
 pub use server::{Server, ServerConfig, ServerStats};

@@ -248,6 +248,34 @@ fn graceful_shutdown_drains_every_accepted_query() {
     );
 }
 
+/// A canceller is used from a second thread while the client may still
+/// be sending its request. A frame is two writes (header, payload), so
+/// an unserialised CANCEL can land between them and the server then
+/// decodes garbage (`MALFORMED: bad expr tag`). With the writes
+/// serialised every request ends as a result or a typed cancellation.
+#[test]
+fn a_cancel_racing_the_request_write_never_corrupts_the_request() {
+    let server = Server::bind("127.0.0.1:0", paper_catalog(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut canceller = client.canceller().unwrap();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                canceller.cancel().unwrap();
+            }
+        });
+        for i in 0..300 {
+            match client.query(&paper_query()) {
+                Ok(reply) => assert_eq!(reply.rows.len(), 2, "query {i}"),
+                Err(e) => assert_eq!(e.error_code(), Some(ErrorCode::Cancelled), "query {i}: {e}"),
+            }
+        }
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    });
+    server.shutdown();
+}
+
 #[test]
 fn version_mismatch_is_rejected_in_the_handshake() {
     let server = Server::bind("127.0.0.1:0", paper_catalog(), ServerConfig::default()).unwrap();

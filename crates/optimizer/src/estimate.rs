@@ -15,7 +15,7 @@
 use crate::cost::CostParams;
 use crate::error::OptError;
 use fj_algebra::{Catalog, JoinKind, LogicalPlan, RelationKind};
-use fj_expr::{conjunct_refs, equi_join_key, BinOp, Expr};
+use fj_expr::{conjunct_refs, equi_join_key, AggCall, BinOp, Expr};
 use fj_storage::{yao_distinct, Histogram, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -206,6 +206,76 @@ pub struct PlanEstimator<'a> {
     pub cte_stats: HashMap<String, EstStats>,
 }
 
+/// Output statistics of projecting `input` onto `exprs`: a bare column
+/// keeps its statistics, a computed one is taken to be all-distinct.
+pub(crate) fn project_stats(input: &EstStats, exprs: &[(Expr, String)]) -> EstStats {
+    let unknown = || ColEst {
+        distinct: input.rows,
+        ..ColEst::default()
+    };
+    let cols = exprs.iter().map(|(e, name)| {
+        let ce = match e {
+            Expr::Column(c) => input.cols.get(c).cloned().unwrap_or_else(unknown),
+            _ => unknown(),
+        };
+        (name.as_str(), ce)
+    });
+    EstStats {
+        rows: input.rows,
+        width: 8 + 9 * exprs.len(),
+        cols: cols.collect(),
+    }
+}
+
+/// Output statistics of grouping `input` by `group_by`: one row per
+/// combination of grouping values (independence, capped by the input).
+pub(crate) fn aggregate_stats(input: &EstStats, group_by: &[String], aggs: &[AggCall]) -> EstStats {
+    let groups = if group_by.is_empty() {
+        1.0
+    } else {
+        group_by
+            .iter()
+            .map(|g| input.distinct(g))
+            .product::<f64>()
+            .min(input.rows)
+            .max(1.0)
+    };
+    let grouped = group_by.iter().map(|g| {
+        let mut ce = input.cols.get(g).cloned().unwrap_or_default();
+        ce.distinct = ce.distinct.min(groups).max(1.0);
+        (g.as_str(), ce)
+    });
+    let aggregated = aggs.iter().map(|a| {
+        let ce = ColEst {
+            distinct: groups,
+            ..ColEst::default()
+        };
+        (a.output.as_str(), ce)
+    });
+    EstStats {
+        rows: groups,
+        width: 8 + 9 * (group_by.len() + aggs.len()),
+        cols: grouped.chain(aggregated).collect(),
+    }
+}
+
+/// Statistics of `n_rows` literal rows: every column all-distinct.
+pub(crate) fn values_stats(schema: &Schema, n_rows: usize) -> EstStats {
+    let all_distinct = || ColEst {
+        distinct: n_rows as f64,
+        ..ColEst::default()
+    };
+    EstStats {
+        rows: n_rows as f64,
+        width: schema.row_width(),
+        cols: schema
+            .columns()
+            .iter()
+            .map(|c| (c.name.clone(), all_distinct()))
+            .collect(),
+    }
+}
+
 impl<'a> PlanEstimator<'a> {
     /// A fresh estimator.
     pub fn new(catalog: &'a Catalog, params: CostParams) -> PlanEstimator<'a> {
@@ -302,22 +372,7 @@ impl<'a> PlanEstimator<'a> {
             }
             LogicalPlan::Project { input, exprs } => {
                 let (cost, stats) = self.estimate_inner(input)?;
-                let unknown = || ColEst {
-                    distinct: stats.rows,
-                    ..ColEst::default()
-                };
-                let cols = exprs.iter().map(|(e, name)| {
-                    let ce = match e {
-                        Expr::Column(c) => stats.cols.get(c).cloned().unwrap_or_else(unknown),
-                        _ => unknown(),
-                    };
-                    (name.as_str(), ce)
-                });
-                let out = EstStats {
-                    rows: stats.rows,
-                    width: 8 + 9 * exprs.len(),
-                    cols: cols.collect(),
-                };
+                let out = project_stats(&stats, exprs);
                 Ok((cost + self.params.cpu(stats.rows), out))
             }
             LogicalPlan::Join {
@@ -351,33 +406,7 @@ impl<'a> PlanEstimator<'a> {
                 aggs,
             } => {
                 let (cost, stats) = self.estimate_inner(input)?;
-                let groups = if group_by.is_empty() {
-                    1.0
-                } else {
-                    group_by
-                        .iter()
-                        .map(|g| stats.distinct(g))
-                        .product::<f64>()
-                        .min(stats.rows)
-                        .max(1.0)
-                };
-                let grouped = group_by.iter().map(|g| {
-                    let mut ce = stats.cols.get(g).cloned().unwrap_or_default();
-                    ce.distinct = ce.distinct.min(groups).max(1.0);
-                    (g.as_str(), ce)
-                });
-                let aggregated = aggs.iter().map(|a| {
-                    let ce = ColEst {
-                        distinct: groups,
-                        ..ColEst::default()
-                    };
-                    (a.output.as_str(), ce)
-                });
-                let out = EstStats {
-                    rows: groups,
-                    width: 8 + 9 * (group_by.len() + aggs.len()),
-                    cols: grouped.chain(aggregated).collect(),
-                };
+                let out = aggregate_stats(&stats, group_by, aggs);
                 let agg_cost = self.params.cpu(stats.rows * (1 + aggs.len()) as f64)
                     + self.params.external_sort_io(out.pages(&self.params));
                 Ok((cost + agg_cost, out))
@@ -413,26 +442,7 @@ impl<'a> PlanEstimator<'a> {
                 let (c, s) = nested.estimate_inner(body)?;
                 Ok((total + c, s))
             }
-            LogicalPlan::Values { schema, rows } => {
-                let stats = EstStats {
-                    rows: rows.len() as f64,
-                    width: schema.row_width(),
-                    cols: schema
-                        .columns()
-                        .iter()
-                        .map(|c| {
-                            (
-                                c.name.clone(),
-                                ColEst {
-                                    distinct: rows.len() as f64,
-                                    ..ColEst::default()
-                                },
-                            )
-                        })
-                        .collect(),
-                };
-                Ok((0.0, stats))
-            }
+            LogicalPlan::Values { schema, rows } => Ok((0.0, values_stats(schema, rows.len()))),
         }
     }
 

@@ -15,7 +15,10 @@
 //! failing, because an EXPLAIN must never refuse to render.
 
 use crate::cost::CostParams;
-use crate::estimate::{base_table_stats, ColEst, ColMap, EstStats, PlanEstimator};
+use crate::estimate::{
+    aggregate_stats, base_table_stats, project_stats, values_stats, ColEst, ColMap, EstStats,
+    PlanEstimator,
+};
 use fj_algebra::{Catalog, JoinKind, RelationKind};
 use fj_exec::{PhysPlan, TempStep};
 use fj_expr::{col, Expr};
@@ -87,23 +90,7 @@ impl<'a> PhysEstimator<'a> {
                 (leaf(stats.rows), stats)
             }
             PhysPlan::Values { schema, rows } => {
-                let stats = EstStats {
-                    rows: rows.len() as f64,
-                    width: schema.row_width(),
-                    cols: schema
-                        .columns()
-                        .iter()
-                        .map(|c| {
-                            (
-                                c.name.clone(),
-                                ColEst {
-                                    distinct: rows.len() as f64,
-                                    ..ColEst::default()
-                                },
-                            )
-                        })
-                        .collect(),
-                };
+                let stats = values_stats(schema, rows.len());
                 (leaf(stats.rows), stats)
             }
             PhysPlan::UdfFullScan { udf, alias } => {
@@ -131,22 +118,7 @@ impl<'a> PhysEstimator<'a> {
             }
             PhysPlan::Project { input, exprs } => {
                 let (child, is) = self.node(input);
-                let unknown = || ColEst {
-                    distinct: is.rows,
-                    ..ColEst::default()
-                };
-                let cols = exprs.iter().map(|(e, name)| {
-                    let ce = match e {
-                        Expr::Column(c) => is.cols.get(c).cloned().unwrap_or_else(unknown),
-                        _ => unknown(),
-                    };
-                    (name.as_str(), ce)
-                });
-                let stats = EstStats {
-                    rows: is.rows,
-                    width: 8 + 9 * exprs.len(),
-                    cols: cols.collect(),
-                };
+                let stats = project_stats(&is, exprs);
                 (unary(stats.rows, child), stats)
             }
             PhysPlan::Sort { input, .. } => {
@@ -172,33 +144,7 @@ impl<'a> PhysEstimator<'a> {
                 aggs,
             } => {
                 let (child, is) = self.node(input);
-                let groups = if group_by.is_empty() {
-                    1.0
-                } else {
-                    group_by
-                        .iter()
-                        .map(|g| is.distinct(g))
-                        .product::<f64>()
-                        .min(is.rows)
-                        .max(1.0)
-                };
-                let grouped = group_by.iter().map(|g| {
-                    let mut ce = is.cols.get(g).cloned().unwrap_or_default();
-                    ce.distinct = ce.distinct.min(groups).max(1.0);
-                    (g.as_str(), ce)
-                });
-                let aggregated = aggs.iter().map(|a| {
-                    let ce = ColEst {
-                        distinct: groups,
-                        ..ColEst::default()
-                    };
-                    (a.output.as_str(), ce)
-                });
-                let stats = EstStats {
-                    rows: groups,
-                    width: 8 + 9 * (group_by.len() + aggs.len()),
-                    cols: grouped.chain(aggregated).collect(),
-                };
+                let stats = aggregate_stats(&is, group_by, aggs);
                 (unary(stats.rows, child), stats)
             }
             PhysPlan::NestedLoops {

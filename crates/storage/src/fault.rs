@@ -22,17 +22,9 @@
 //! races, which is exactly the situation a chaos soak wants.
 
 use crate::error::StorageError;
+use crate::value::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// SplitMix64 finalizer: a high-quality 64-bit mix used to turn
-/// `(seed, ordinal)` into an independent pseudo-random draw per event.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A seeded, deterministic schedule of injected page-read faults.
 ///

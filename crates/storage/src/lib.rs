@@ -54,4 +54,4 @@ pub use stats::{ColumnStats, Histogram, TableStats};
 pub use table::{Table, TableRef};
 pub use tempstore::{SpillFile, SpillReader, TempStore, TempStoreStats, TempWriter};
 pub use tuple::Tuple;
-pub use value::{DataType, KeyHasher, Value};
+pub use value::{splitmix64, DataType, KeyHasher, Value};
