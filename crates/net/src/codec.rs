@@ -1,266 +1,31 @@
-//! Hand-rolled binary encoding of values, expressions, queries,
-//! optimizer-config overrides, and query replies.
+//! Wire encodings of expressions, queries, optimizer-config overrides,
+//! requests, replies and the distributed-execution frames.
 //!
-//! Every decoder is **total**: adversarial bytes yield a typed
-//! [`CodecError`], never a panic. Three disciplines make that hold:
-//!
-//! * element counts are never trusted for allocation — vectors grow by
-//!   pushing, and a lying count simply runs the reader into
-//!   [`CodecError::UnexpectedEof`];
-//! * string lengths are checked against the bytes actually remaining
-//!   before any allocation;
-//! * expression trees are depth-limited ([`MAX_EXPR_DEPTH`]) on both
-//!   encode and decode, so recursion cannot overflow the stack.
-//!
-//! All integers are big-endian; doubles travel as IEEE-754 bit
-//! patterns (NaN payloads survive a round trip).
+//! Everything below the frame level is [`fj_storage::codec`]: the
+//! cursors (big-endian on the wire), [`CodecError`], values, rows, and
+//! the rules that keep every decoder **total** — adversarial bytes yield
+//! a typed error, never a panic (DESIGN.md, "Byte formats"). What is
+//! wire-specific lives here; expression trees are depth-limited
+//! ([`MAX_EXPR_DEPTH`]) on both encode and decode, so recursion cannot
+//! overflow the stack.
 
 use fj_algebra::{FromItem, JoinQuery, NetworkModel};
 use fj_core::QueryResult;
 use fj_expr::{BinOp, Expr};
 use fj_optimizer::{CostParams, OptimizerConfig, PlanShape};
 use fj_runtime::HEALTH_KEYS;
+use fj_storage::codec::{self as bytes, decode_rows, encode_rows, narrow, Be};
+pub use fj_storage::codec::{decode_value, encode_value, CodecError, MAX_DEPTH as MAX_EXPR_DEPTH};
 use fj_storage::{BloomFilter, Column, DataType, Mutation, Schema, SchemaRef, Tuple, Value};
 use fj_trace::json;
 use std::fmt;
 use std::sync::Arc;
 
-/// Maximum expression-tree depth accepted on either side of the wire.
-pub const MAX_EXPR_DEPTH: usize = 200;
+/// Cursor over a received wire payload.
+pub type Reader<'a> = bytes::Reader<'a, Be>;
 
-/// Payload-level decode/encode failures.
-#[derive(Debug)]
-pub enum CodecError {
-    /// The payload ended before the structure did.
-    UnexpectedEof,
-    /// The structure ended before the payload did.
-    TrailingBytes(usize),
-    /// An enum discriminant outside its domain.
-    BadTag {
-        /// What was being decoded.
-        what: &'static str,
-        /// The offending byte.
-        tag: u8,
-    },
-    /// A string field was not valid UTF-8.
-    BadUtf8,
-    /// A length field exceeded what the payload can hold.
-    TooLarge {
-        /// What was being decoded.
-        what: &'static str,
-        /// Claimed length.
-        len: u64,
-    },
-    /// An expression nested beyond [`MAX_EXPR_DEPTH`].
-    TooDeep,
-    /// A structurally valid payload that violates an invariant (e.g.
-    /// duplicate schema column names).
-    Invalid(String),
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::UnexpectedEof => f.write_str("payload truncated"),
-            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
-            CodecError::BadTag { what, tag } => write!(f, "bad {what} tag 0x{tag:02x}"),
-            CodecError::BadUtf8 => f.write_str("string field is not UTF-8"),
-            CodecError::TooLarge { what, len } => {
-                write!(f, "{what} length {len} exceeds remaining payload")
-            }
-            CodecError::TooDeep => write!(f, "expression deeper than {MAX_EXPR_DEPTH}"),
-            CodecError::Invalid(msg) => write!(f, "invalid payload: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// Cursor over a received payload.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A reader over `buf`.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Fails unless every byte was consumed — requests with junk
-    /// appended are rejected, not silently half-read.
-    pub fn finish(self) -> Result<(), CodecError> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(CodecError::TrailingBytes(n)),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(CodecError::BadTag { what: "bool", tag }),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(CodecError::TooLarge {
-                what: "string",
-                len: len as u64,
-            });
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
-    }
-}
-
-/// Growable payload buffer.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// An empty writer.
-    pub fn new() -> Writer {
-        Writer::default()
-    }
-
-    /// The finished payload.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    fn string(&mut self, s: &str) -> Result<(), CodecError> {
-        let len: u32 = s.len().try_into().map_err(|_| CodecError::TooLarge {
-            what: "string",
-            len: s.len() as u64,
-        })?;
-        self.u32(len);
-        self.buf.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-
-    fn count(&mut self, what: &'static str, n: usize) -> Result<(), CodecError> {
-        let n: u32 = n.try_into().map_err(|_| CodecError::TooLarge {
-            what,
-            len: n as u64,
-        })?;
-        self.u32(n);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------- values
-
-const VALUE_NULL: u8 = 0;
-const VALUE_INT: u8 = 1;
-const VALUE_DOUBLE: u8 = 2;
-const VALUE_STR: u8 = 3;
-const VALUE_BOOL: u8 = 4;
-
-/// Encodes one [`Value`].
-pub fn encode_value(w: &mut Writer, v: &Value) -> Result<(), CodecError> {
-    match v {
-        Value::Null => w.u8(VALUE_NULL),
-        Value::Int(i) => {
-            w.u8(VALUE_INT);
-            w.i64(*i);
-        }
-        Value::Double(d) => {
-            w.u8(VALUE_DOUBLE);
-            w.f64(*d);
-        }
-        Value::Str(s) => {
-            w.u8(VALUE_STR);
-            w.string(s)?;
-        }
-        Value::Bool(b) => {
-            w.u8(VALUE_BOOL);
-            w.bool(*b);
-        }
-    }
-    Ok(())
-}
-
-/// Decodes one [`Value`].
-pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
-    match r.u8()? {
-        VALUE_NULL => Ok(Value::Null),
-        VALUE_INT => Ok(Value::Int(r.i64()?)),
-        VALUE_DOUBLE => Ok(Value::Double(r.f64()?)),
-        VALUE_STR => Ok(Value::Str(r.string()?)),
-        VALUE_BOOL => Ok(Value::Bool(r.bool()?)),
-        tag => Err(CodecError::BadTag { what: "value", tag }),
-    }
-}
+/// Growable wire payload buffer.
+pub type Writer = bytes::Writer<Be>;
 
 // ----------------------------------------------------------- expressions
 
@@ -288,8 +53,8 @@ fn binop_to_u8(op: BinOp) -> u8 {
     }
 }
 
-fn binop_from_u8(b: u8) -> Option<BinOp> {
-    Some(match b {
+fn binop_from_u8(tag: u8) -> Result<BinOp, CodecError> {
+    Ok(match tag {
         0 => BinOp::Eq,
         1 => BinOp::Ne,
         2 => BinOp::Lt,
@@ -303,7 +68,7 @@ fn binop_from_u8(b: u8) -> Option<BinOp> {
         10 => BinOp::Mul,
         11 => BinOp::Div,
         12 => BinOp::Mod,
-        _ => return None,
+        tag => return Err(CodecError::BadTag { what: "binop", tag }),
     })
 }
 
@@ -345,20 +110,11 @@ fn decode_expr_at(r: &mut Reader<'_>, depth: usize) -> Result<Expr, CodecError> 
     match r.u8()? {
         EXPR_COLUMN => Ok(Expr::Column(r.string()?)),
         EXPR_LITERAL => Ok(Expr::Literal(decode_value(r)?)),
-        EXPR_BINARY => {
-            let op_byte = r.u8()?;
-            let op = binop_from_u8(op_byte).ok_or(CodecError::BadTag {
-                what: "binop",
-                tag: op_byte,
-            })?;
-            let left = decode_expr_at(r, depth + 1)?;
-            let right = decode_expr_at(r, depth + 1)?;
-            Ok(Expr::Binary {
-                op,
-                left: Arc::new(left),
-                right: Arc::new(right),
-            })
-        }
+        EXPR_BINARY => Ok(Expr::Binary {
+            op: binop_from_u8(r.u8()?)?,
+            left: Arc::new(decode_expr_at(r, depth + 1)?),
+            right: Arc::new(decode_expr_at(r, depth + 1)?),
+        }),
         EXPR_NOT => Ok(Expr::Not(Arc::new(decode_expr_at(r, depth + 1)?))),
         EXPR_IS_NULL => Ok(Expr::IsNull(Arc::new(decode_expr_at(r, depth + 1)?))),
         tag => Err(CodecError::BadTag { what: "expr", tag }),
@@ -379,74 +135,27 @@ pub fn decode_expr(r: &mut Reader<'_>) -> Result<Expr, CodecError> {
 
 /// Encodes a [`JoinQuery`].
 pub fn encode_query(w: &mut Writer, q: &JoinQuery) -> Result<(), CodecError> {
-    w.count("from items", q.from.len())?;
-    for item in &q.from {
+    w.list("from items", &q.from, |w, item| {
         w.string(&item.relation)?;
-        w.string(&item.alias)?;
-    }
-    match &q.predicate {
-        None => w.u8(0),
-        Some(p) => {
-            w.u8(1);
-            encode_expr(w, p)?;
-        }
-    }
-    match &q.projection {
-        None => w.u8(0),
-        Some(sel) => {
-            w.u8(1);
-            w.count("projection", sel.len())?;
-            for (e, name) in sel {
-                encode_expr(w, e)?;
-                w.string(name)?;
-            }
-        }
-    }
-    Ok(())
+        w.string(&item.alias)
+    })?;
+    w.option(q.predicate.as_ref(), encode_expr)?;
+    w.option(q.projection.as_ref(), |w, sel| {
+        w.list("projection", sel, |w, (e, name)| {
+            encode_expr(w, e)?;
+            w.string(name)
+        })
+    })
 }
 
 /// Decodes a [`JoinQuery`].
 pub fn decode_query(r: &mut Reader<'_>) -> Result<JoinQuery, CodecError> {
-    let n_from = r.u32()?;
-    let mut from = Vec::new();
-    for _ in 0..n_from {
-        let relation = r.string()?;
-        let alias = r.string()?;
-        from.push(FromItem::new(relation, alias));
-    }
-    let predicate = match r.u8()? {
-        0 => None,
-        1 => Some(decode_expr(r)?),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "predicate option",
-                tag,
-            })
-        }
-    };
-    let projection = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.u32()?;
-            let mut sel = Vec::new();
-            for _ in 0..n {
-                let e = decode_expr(r)?;
-                let name = r.string()?;
-                sel.push((e, name));
-            }
-            Some(sel)
-        }
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "projection option",
-                tag,
-            })
-        }
-    };
     Ok(JoinQuery {
-        from,
-        predicate,
-        projection,
+        from: r.list(|r| Ok(FromItem::new(r.string()?, r.string()?)))?,
+        predicate: r.option("predicate option", decode_expr)?,
+        projection: r.option("projection option", |r| {
+            r.list(|r| Ok((decode_expr(r)?, r.string()?)))
+        })?,
     })
 }
 
@@ -472,11 +181,7 @@ pub fn encode_config(w: &mut Writer, c: &OptimizerConfig) -> Result<(), CodecErr
         }
     }
     w.u8(flags);
-    let eq: u32 = c.eq_classes.try_into().map_err(|_| CodecError::TooLarge {
-        what: "eq_classes",
-        len: c.eq_classes as u64,
-    })?;
-    w.u32(eq);
+    w.u32(narrow("eq_classes", c.eq_classes)?);
     w.f64(c.params.cpu_weight);
     w.u64(c.params.memory_pages);
     w.f64(c.params.network.per_message);
@@ -544,39 +249,20 @@ pub fn encode_request(req: &QueryRequest) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
     w.u64(req.deadline_millis);
     w.bool(req.want_trace);
-    match &req.config {
-        None => w.u8(0),
-        Some(c) => {
-            w.u8(1);
-            encode_config(&mut w, c)?;
-        }
-    }
+    w.option(req.config.as_ref(), encode_config)?;
     encode_query(&mut w, &req.query)?;
     Ok(w.into_bytes())
 }
 
 /// Decodes a QUERY request payload (consuming it fully).
 pub fn decode_request(payload: &[u8]) -> Result<QueryRequest, CodecError> {
-    let mut r = Reader::new(payload);
-    let deadline_millis = r.u64()?;
-    let want_trace = r.bool()?;
-    let config = match r.u8()? {
-        0 => None,
-        1 => Some(decode_config(&mut r)?),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "config option",
-                tag,
-            })
-        }
-    };
-    let query = decode_query(&mut r)?;
-    r.finish()?;
-    Ok(QueryRequest {
-        deadline_millis,
-        want_trace,
-        config,
-        query,
+    Reader::decode_all(payload, |r| {
+        Ok(QueryRequest {
+            deadline_millis: r.u64()?,
+            want_trace: r.bool()?,
+            config: r.option("config option", decode_config)?,
+            query: decode_query(r)?,
+        })
     })
 }
 
@@ -592,13 +278,9 @@ pub fn encode_mutation(w: &mut Writer, m: &Mutation) -> Result<(), CodecError> {
         Mutation::Insert { table, rows } => {
             w.u8(MUTATION_INSERT);
             w.string(table)?;
-            w.count("insert rows", rows.len())?;
-            for row in rows {
-                w.count("insert row values", row.len())?;
-                for v in row {
-                    encode_value(w, v)?;
-                }
-            }
+            w.list("insert rows", rows, |w, row| {
+                w.list("insert row values", row, encode_value)
+            })?;
         }
         Mutation::Update {
             table,
@@ -608,11 +290,10 @@ pub fn encode_mutation(w: &mut Writer, m: &Mutation) -> Result<(), CodecError> {
         } => {
             w.u8(MUTATION_UPDATE);
             w.string(table)?;
-            w.count("set clauses", set.len())?;
-            for (col, v) in set {
+            w.list("set clauses", set, |w, (col, v)| {
                 w.string(col)?;
-                encode_value(w, v)?;
-            }
+                encode_value(w, v)
+            })?;
             w.string(where_col)?;
             encode_value(w, where_value)?;
         }
@@ -633,48 +314,21 @@ pub fn encode_mutation(w: &mut Writer, m: &Mutation) -> Result<(), CodecError> {
 /// Decodes one [`Mutation`].
 pub fn decode_mutation(r: &mut Reader<'_>) -> Result<Mutation, CodecError> {
     match r.u8()? {
-        MUTATION_INSERT => {
-            let table = r.string()?;
-            let nrows = r.u32()?;
-            let mut rows = Vec::new();
-            for _ in 0..nrows {
-                let nvals = r.u32()?;
-                let mut row = Vec::new();
-                for _ in 0..nvals {
-                    row.push(decode_value(r)?);
-                }
-                rows.push(row);
-            }
-            Ok(Mutation::Insert { table, rows })
-        }
-        MUTATION_UPDATE => {
-            let table = r.string()?;
-            let nset = r.u32()?;
-            let mut set = Vec::new();
-            for _ in 0..nset {
-                let col = r.string()?;
-                let v = decode_value(r)?;
-                set.push((col, v));
-            }
-            let where_col = r.string()?;
-            let where_value = decode_value(r)?;
-            Ok(Mutation::Update {
-                table,
-                set,
-                where_col,
-                where_value,
-            })
-        }
-        MUTATION_DELETE => {
-            let table = r.string()?;
-            let where_col = r.string()?;
-            let where_value = decode_value(r)?;
-            Ok(Mutation::Delete {
-                table,
-                where_col,
-                where_value,
-            })
-        }
+        MUTATION_INSERT => Ok(Mutation::Insert {
+            table: r.string()?,
+            rows: r.list(|r| r.list(decode_value))?,
+        }),
+        MUTATION_UPDATE => Ok(Mutation::Update {
+            table: r.string()?,
+            set: r.list(|r| Ok((r.string()?, decode_value(r)?)))?,
+            where_col: r.string()?,
+            where_value: decode_value(r)?,
+        }),
+        MUTATION_DELETE => Ok(Mutation::Delete {
+            table: r.string()?,
+            where_col: r.string()?,
+            where_value: decode_value(r)?,
+        }),
         tag => Err(CodecError::BadTag {
             what: "mutation",
             tag,
@@ -703,13 +357,11 @@ pub fn encode_mutation_request(req: &MutationRequest) -> Result<Vec<u8>, CodecEr
 
 /// Decodes a MUTATE request payload (consuming it fully).
 pub fn decode_mutation_request(payload: &[u8]) -> Result<MutationRequest, CodecError> {
-    let mut r = Reader::new(payload);
-    let deadline_millis = r.u64()?;
-    let mutation = decode_mutation(&mut r)?;
-    r.finish()?;
-    Ok(MutationRequest {
-        deadline_millis,
-        mutation,
+    Reader::decode_all(payload, |r| {
+        Ok(MutationRequest {
+            deadline_millis: r.u64()?,
+            mutation: decode_mutation(r)?,
+        })
     })
 }
 
@@ -736,15 +388,12 @@ pub fn encode_mutation_reply(reply: &MutationReply) -> Result<Vec<u8>, CodecErro
 
 /// Decodes a MUTATE_REPLY payload (consuming it fully).
 pub fn decode_mutation_reply(payload: &[u8]) -> Result<MutationReply, CodecError> {
-    let mut r = Reader::new(payload);
-    let rows_affected = r.u64()?;
-    let row_count = r.u64()?;
-    let version = r.u64()?;
-    r.finish()?;
-    Ok(MutationReply {
-        rows_affected,
-        row_count,
-        version,
+    Reader::decode_all(payload, |r| {
+        Ok(MutationReply {
+            rows_affected: r.u64()?,
+            row_count: r.u64()?,
+            version: r.u64()?,
+        })
     })
 }
 
@@ -782,14 +431,44 @@ fn datatype_to_u8(t: DataType) -> u8 {
     }
 }
 
-fn datatype_from_u8(b: u8) -> Option<DataType> {
-    Some(match b {
+fn datatype_from_u8(tag: u8) -> Result<DataType, CodecError> {
+    Ok(match tag {
         0 => DataType::Int,
         1 => DataType::Double,
         2 => DataType::Str,
         3 => DataType::Bool,
-        _ => return None,
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "data type",
+                tag,
+            })
+        }
     })
+}
+
+/// Encodes a schema as (count, [name, type byte, nullable]...).
+fn encode_schema(w: &mut Writer, schema: &Schema) -> Result<(), CodecError> {
+    w.list("columns", schema.columns(), |w, col| {
+        w.string(&col.name)?;
+        w.u8(datatype_to_u8(col.data_type));
+        w.bool(col.nullable);
+        Ok(())
+    })
+}
+
+fn decode_schema(r: &mut Reader<'_>) -> Result<SchemaRef, CodecError> {
+    let columns = r.list(|r| {
+        let name = r.string()?;
+        let data_type = datatype_from_u8(r.u8()?)?;
+        Ok(if r.bool()? {
+            Column::nullable(name, data_type)
+        } else {
+            Column::new(name, data_type)
+        })
+    })?;
+    Ok(Schema::new(columns)
+        .map_err(|e| CodecError::Invalid(format!("bad schema: {e}")))?
+        .into_ref())
 }
 
 /// Encodes a RESULT payload from its constituent parts.
@@ -802,33 +481,13 @@ pub fn encode_reply_parts(
     latency_micros: u64,
 ) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
-    w.count("columns", schema.arity())?;
-    for col in schema.columns() {
-        w.string(&col.name)?;
-        w.u8(datatype_to_u8(col.data_type));
-        w.bool(col.nullable);
-    }
-    w.count("rows", rows.len())?;
-    for row in rows {
-        if row.arity() != schema.arity() {
-            return Err(CodecError::Invalid(format!(
-                "row arity {} does not match schema arity {}",
-                row.arity(),
-                schema.arity()
-            )));
-        }
-        for v in row.values() {
-            encode_value(&mut w, v)?;
-        }
-    }
+    encode_schema(&mut w, schema)?;
+    encode_rows(&mut w, schema.arity(), rows)?;
     w.f64(measured_cost);
-    match estimated_cost {
-        None => w.u8(0),
-        Some(c) => {
-            w.u8(1);
-            w.f64(c);
-        }
-    }
+    w.option(estimated_cost.as_ref(), |w, c| {
+        w.f64(*c);
+        Ok(())
+    })?;
     w.bool(cache_hit);
     w.u64(latency_micros);
     Ok(w.into_bytes())
@@ -848,49 +507,17 @@ pub fn encode_reply(result: &QueryResult) -> Result<Vec<u8>, CodecError> {
 
 /// Decodes a RESULT payload (consuming it fully).
 pub fn decode_reply(payload: &[u8]) -> Result<QueryReply, CodecError> {
-    let mut r = Reader::new(payload);
-    let ncols = r.u32()?;
-    let mut columns = Vec::new();
-    for _ in 0..ncols {
-        let name = r.string()?;
-        let ty_byte = r.u8()?;
-        let data_type = datatype_from_u8(ty_byte).ok_or(CodecError::BadTag {
-            what: "data type",
-            tag: ty_byte,
-        })?;
-        let nullable = r.bool()?;
-        columns.push(if nullable {
-            Column::nullable(name, data_type)
-        } else {
-            Column::new(name, data_type)
-        });
-    }
-    let schema = Schema::new(columns)
-        .map_err(|e| CodecError::Invalid(format!("bad schema: {e}")))?
-        .into_ref();
-    let rows = decode_rows(&mut r, &schema)?;
-    let measured_cost = r.f64()?;
-    let estimated_cost = match r.u8()? {
-        0 => None,
-        1 => Some(r.f64()?),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "estimate option",
-                tag,
-            })
-        }
-    };
-    let cache_hit = r.bool()?;
-    let latency_micros = r.u64()?;
-    r.finish()?;
-    Ok(QueryReply {
-        schema,
-        rows,
-        measured_cost,
-        estimated_cost,
-        cache_hit,
-        latency_micros,
-        trace: None,
+    Reader::decode_all(payload, |r| {
+        let schema = decode_schema(r)?;
+        Ok(QueryReply {
+            rows: decode_rows(r, schema.arity())?,
+            schema,
+            measured_cost: r.f64()?,
+            estimated_cost: r.option("estimate option", |r| r.f64())?,
+            cache_hit: r.bool()?,
+            latency_micros: r.u64()?,
+            trace: None,
+        })
     })
 }
 
@@ -917,15 +544,14 @@ pub fn encode_error(code: crate::wire::ErrorCode, message: &str) -> Vec<u8> {
 
 /// Decodes an ERROR payload.
 pub fn decode_error(payload: &[u8]) -> Result<(crate::wire::ErrorCode, String), CodecError> {
-    let mut r = Reader::new(payload);
-    let code_byte = r.u8()?;
-    let code = crate::wire::ErrorCode::from_u8(code_byte).ok_or(CodecError::BadTag {
-        what: "error code",
-        tag: code_byte,
-    })?;
-    let message = r.string()?;
-    r.finish()?;
-    Ok((code, message))
+    Reader::decode_all(payload, |r| {
+        let tag = r.u8()?;
+        let code = crate::wire::ErrorCode::from_u8(tag).ok_or(CodecError::BadTag {
+            what: "error code",
+            tag,
+        })?;
+        Ok((code, r.string()?))
+    })
 }
 
 /// Encodes a STATS_REPLY payload: one JSON string, the shape
@@ -938,10 +564,7 @@ pub fn encode_stats_reply(json: &str) -> Result<Vec<u8>, CodecError> {
 
 /// Decodes a STATS_REPLY payload.
 pub fn decode_stats_reply(payload: &[u8]) -> Result<String, CodecError> {
-    let mut r = Reader::new(payload);
-    let json = r.string()?;
-    r.finish()?;
-    Ok(json)
+    Reader::decode_all(payload, |r| r.string())
 }
 
 // ----------------------------------------------------------------- health
@@ -1088,72 +711,6 @@ pub fn decode_health_reply(payload: &[u8]) -> Result<HealthSnapshot, CodecError>
 
 // ------------------------------------------------- distributed execution
 
-/// Encodes a schema as (count, [name, type byte, nullable]...).
-fn encode_schema(w: &mut Writer, schema: &Schema) -> Result<(), CodecError> {
-    w.count("columns", schema.arity())?;
-    for col in schema.columns() {
-        w.string(&col.name)?;
-        w.u8(datatype_to_u8(col.data_type));
-        w.bool(col.nullable);
-    }
-    Ok(())
-}
-
-fn decode_schema(r: &mut Reader<'_>) -> Result<SchemaRef, CodecError> {
-    let ncols = r.u32()?;
-    let mut columns = Vec::new();
-    for _ in 0..ncols {
-        let name = r.string()?;
-        let ty_byte = r.u8()?;
-        let data_type = datatype_from_u8(ty_byte).ok_or(CodecError::BadTag {
-            what: "data type",
-            tag: ty_byte,
-        })?;
-        let nullable = r.bool()?;
-        columns.push(if nullable {
-            Column::nullable(name, data_type)
-        } else {
-            Column::new(name, data_type)
-        });
-    }
-    Ok(Schema::new(columns)
-        .map_err(|e| CodecError::Invalid(format!("bad schema: {e}")))?
-        .into_ref())
-}
-
-/// Encodes rows against `schema`, rejecting arity mismatches.
-fn encode_rows(w: &mut Writer, schema: &Schema, rows: &[Tuple]) -> Result<(), CodecError> {
-    w.count("rows", rows.len())?;
-    for row in rows {
-        if row.arity() != schema.arity() {
-            return Err(CodecError::Invalid(format!(
-                "row arity {} does not match schema arity {}",
-                row.arity(),
-                schema.arity()
-            )));
-        }
-        for v in row.values() {
-            encode_value(w, v)?;
-        }
-    }
-    Ok(())
-}
-
-fn decode_rows(r: &mut Reader<'_>, schema: &Schema) -> Result<Vec<Tuple>, CodecError> {
-    let nrows = r.u32()?;
-    let mut rows = Vec::new();
-    // One scratch vector for every row: draining it into the tuple's
-    // shared storage costs a single exact-size allocation per row.
-    let mut values = Vec::with_capacity(schema.arity());
-    for _ in 0..nrows {
-        for _ in 0..schema.arity() {
-            values.push(decode_value(r)?);
-        }
-        rows.push(values.drain(..).collect());
-    }
-    Ok(rows)
-}
-
 /// A SCATTER payload: one hash partition of a base table, to be
 /// installed into the receiving shard's catalog under `table`.
 #[derive(Debug, Clone)]
@@ -1181,21 +738,20 @@ pub fn encode_scatter(req: &ScatterRequest) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
     w.string(&req.table)?;
     encode_schema(&mut w, &req.schema)?;
-    encode_rows(&mut w, &req.schema, &req.rows)?;
+    encode_rows(&mut w, req.schema.arity(), &req.rows)?;
     Ok(w.into_bytes())
 }
 
 /// Decodes a SCATTER payload (consuming it fully).
 pub fn decode_scatter(payload: &[u8]) -> Result<ScatterRequest, CodecError> {
-    let mut r = Reader::new(payload);
-    let table = r.string()?;
-    let schema = decode_schema(&mut r)?;
-    let rows = decode_rows(&mut r, &schema)?;
-    r.finish()?;
-    Ok(ScatterRequest {
-        table,
-        schema,
-        rows,
+    Reader::decode_all(payload, |r| {
+        let table = r.string()?;
+        let schema = decode_schema(r)?;
+        Ok(ScatterRequest {
+            table,
+            rows: decode_rows(r, schema.arity())?,
+            schema,
+        })
     })
 }
 
@@ -1209,13 +765,11 @@ pub fn encode_scatter_ack(ack: &ScatterAck) -> Result<Vec<u8>, CodecError> {
 
 /// Decodes a SCATTER_ACK payload (consuming it fully).
 pub fn decode_scatter_ack(payload: &[u8]) -> Result<ScatterAck, CodecError> {
-    let mut r = Reader::new(payload);
-    let rows_stored = r.u64()?;
-    let bytes_stored = r.u64()?;
-    r.finish()?;
-    Ok(ScatterAck {
-        rows_stored,
-        bytes_stored,
+    Reader::decode_all(payload, |r| {
+        Ok(ScatterAck {
+            rows_stored: r.u64()?,
+            bytes_stored: r.u64()?,
+        })
     })
 }
 
@@ -1260,10 +814,7 @@ fn encode_key_filter(w: &mut Writer, f: &KeyFilter) -> Result<(), CodecError> {
     match f {
         KeyFilter::Exact(keys) => {
             w.u8(0);
-            w.count("filter keys", keys.len())?;
-            for k in keys {
-                encode_value(w, k)?;
-            }
+            w.list("filter keys", keys, encode_value)?;
         }
         KeyFilter::Bloom(bloom) => {
             w.u8(1);
@@ -1280,14 +831,7 @@ fn encode_key_filter(w: &mut Writer, f: &KeyFilter) -> Result<(), CodecError> {
 
 fn decode_key_filter(r: &mut Reader<'_>) -> Result<KeyFilter, CodecError> {
     match r.u8()? {
-        0 => {
-            let n = r.u32()?;
-            let mut keys = Vec::new();
-            for _ in 0..n {
-                keys.push(decode_value(r)?);
-            }
-            Ok(KeyFilter::Exact(keys))
-        }
+        0 => Ok(KeyFilter::Exact(r.list(decode_value)?)),
         1 => {
             let n_bits = r.u64()?;
             let n_hashes = u32::from(r.u8()?);
@@ -1357,50 +901,24 @@ pub struct SemijoinAck {
 pub fn encode_semijoin(req: &SemijoinRequest) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
     w.string(&req.table)?;
-    w.count("filters", req.filters.len())?;
-    for (column, filter) in &req.filters {
+    w.list("filters", &req.filters, |w, (column, filter)| {
         w.string(column)?;
-        encode_key_filter(&mut w, filter)?;
-    }
+        encode_key_filter(w, filter)
+    })?;
     w.bool(req.want_rows);
-    match &req.keys_of {
-        None => w.u8(0),
-        Some(col) => {
-            w.u8(1);
-            w.string(col)?;
-        }
-    }
+    w.option(req.keys_of.as_deref(), |w, col| w.string(col))?;
     Ok(w.into_bytes())
 }
 
 /// Decodes a SEMIJOIN payload (consuming it fully).
 pub fn decode_semijoin(payload: &[u8]) -> Result<SemijoinRequest, CodecError> {
-    let mut r = Reader::new(payload);
-    let table = r.string()?;
-    let nfilters = r.u32()?;
-    let mut filters = Vec::new();
-    for _ in 0..nfilters {
-        let column = r.string()?;
-        let filter = decode_key_filter(&mut r)?;
-        filters.push((column, filter));
-    }
-    let want_rows = r.bool()?;
-    let keys_of = match r.u8()? {
-        0 => None,
-        1 => Some(r.string()?),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "keys_of option",
-                tag,
-            })
-        }
-    };
-    r.finish()?;
-    Ok(SemijoinRequest {
-        table,
-        filters,
-        want_rows,
-        keys_of,
+    Reader::decode_all(payload, |r| {
+        Ok(SemijoinRequest {
+            table: r.string()?,
+            filters: r.list(|r| Ok((r.string()?, decode_key_filter(r)?)))?,
+            want_rows: r.bool()?,
+            keys_of: r.option("keys_of option", |r| r.string())?,
+        })
     })
 }
 
@@ -1409,69 +927,29 @@ pub fn encode_semijoin_ack(ack: &SemijoinAck) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
     w.u64(ack.rows_before);
     w.u64(ack.rows_after);
-    match &ack.rows {
-        None => w.u8(0),
-        Some((schema, rows)) => {
-            w.u8(1);
-            encode_schema(&mut w, schema)?;
-            encode_rows(&mut w, schema, rows)?;
-        }
-    }
-    match &ack.keys {
-        None => w.u8(0),
-        Some(keys) => {
-            w.u8(1);
-            w.count("keys", keys.len())?;
-            for k in keys {
-                encode_value(&mut w, k)?;
-            }
-        }
-    }
+    w.option(ack.rows.as_ref(), |w, (schema, rows)| {
+        encode_schema(w, schema)?;
+        encode_rows(w, schema.arity(), rows)
+    })?;
+    w.option(ack.keys.as_ref(), |w, keys| {
+        w.list("keys", keys, encode_value)
+    })?;
     Ok(w.into_bytes())
 }
 
 /// Decodes a SEMIJOIN_ACK payload (consuming it fully).
 pub fn decode_semijoin_ack(payload: &[u8]) -> Result<SemijoinAck, CodecError> {
-    let mut r = Reader::new(payload);
-    let rows_before = r.u64()?;
-    let rows_after = r.u64()?;
-    let rows = match r.u8()? {
-        0 => None,
-        1 => {
-            let schema = decode_schema(&mut r)?;
-            let rows = decode_rows(&mut r, &schema)?;
-            Some((schema, rows))
-        }
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "rows option",
-                tag,
-            })
-        }
-    };
-    let keys = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.u32()?;
-            let mut keys = Vec::new();
-            for _ in 0..n {
-                keys.push(decode_value(&mut r)?);
-            }
-            Some(keys)
-        }
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "keys option",
-                tag,
-            })
-        }
-    };
-    r.finish()?;
-    Ok(SemijoinAck {
-        rows_before,
-        rows_after,
-        rows,
-        keys,
+    Reader::decode_all(payload, |r| {
+        Ok(SemijoinAck {
+            rows_before: r.u64()?,
+            rows_after: r.u64()?,
+            rows: r.option("rows option", |r| {
+                let schema = decode_schema(r)?;
+                let rows = decode_rows(r, schema.arity())?;
+                Ok((schema, rows))
+            })?,
+            keys: r.option("keys option", |r| r.list(decode_value))?,
+        })
     })
 }
 
@@ -1495,13 +973,11 @@ pub fn encode_fragment(req: &FragmentRequest) -> Result<Vec<u8>, CodecError> {
 
 /// Decodes a FRAGMENT payload (consuming it fully).
 pub fn decode_fragment(payload: &[u8]) -> Result<FragmentRequest, CodecError> {
-    let mut r = Reader::new(payload);
-    let deadline_millis = r.u64()?;
-    let query = decode_query(&mut r)?;
-    r.finish()?;
-    Ok(FragmentRequest {
-        deadline_millis,
-        query,
+    Reader::decode_all(payload, |r| {
+        Ok(FragmentRequest {
+            deadline_millis: r.u64()?,
+            query: decode_query(r)?,
+        })
     })
 }
 
@@ -1520,21 +996,19 @@ pub struct GatherReply {
 pub fn encode_gather(reply: &GatherReply) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
     encode_schema(&mut w, &reply.schema)?;
-    encode_rows(&mut w, &reply.schema, &reply.rows)?;
+    encode_rows(&mut w, reply.schema.arity(), &reply.rows)?;
     w.u64(reply.latency_micros);
     Ok(w.into_bytes())
 }
 
 /// Decodes a GATHER payload (consuming it fully).
 pub fn decode_gather(payload: &[u8]) -> Result<GatherReply, CodecError> {
-    let mut r = Reader::new(payload);
-    let schema = decode_schema(&mut r)?;
-    let rows = decode_rows(&mut r, &schema)?;
-    let latency_micros = r.u64()?;
-    r.finish()?;
-    Ok(GatherReply {
-        schema,
-        rows,
-        latency_micros,
+    Reader::decode_all(payload, |r| {
+        let schema = decode_schema(r)?;
+        Ok(GatherReply {
+            rows: decode_rows(r, schema.arity())?,
+            schema,
+            latency_micros: r.u64()?,
+        })
     })
 }

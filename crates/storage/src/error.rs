@@ -1,5 +1,6 @@
 //! Error type for the storage layer.
 
+use crate::codec::CodecError;
 use std::fmt;
 
 /// Errors raised by the storage layer.
@@ -87,6 +88,16 @@ impl fmt::Display for StorageError {
 }
 
 impl std::error::Error for StorageError {}
+
+/// The temp store is this crate's only codec user, so a codec failure
+/// here is a spill-file failure.
+impl From<CodecError> for StorageError {
+    fn from(e: CodecError) -> StorageError {
+        StorageError::TempFile {
+            detail: e.to_string(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

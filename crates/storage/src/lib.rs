@@ -14,7 +14,9 @@
 //! * hash and ordered [`index`]es with probe-cost accounting,
 //! * per-column [`stats`] (cardinality, distinct counts, min/max,
 //!   equi-depth histograms) feeding the optimizer's selectivity model,
-//! * [`bloom`] filters implementing the paper's *lossy filter sets*.
+//! * [`bloom`] filters implementing the paper's *lossy filter sets*,
+//! * the byte [`codec`] the wire, page payloads, WAL, manifest and
+//!   spill files share.
 //!
 //! The engine is in-memory but **I/O-accounted**: every operator charges
 //! the ledger for the page reads/writes, tuple operations, and network
@@ -26,6 +28,7 @@
 pub mod backing;
 pub mod bloom;
 pub mod builder;
+pub mod codec;
 pub mod error;
 pub mod fault;
 pub mod index;

@@ -7,9 +7,11 @@
 //! checksummed row frames — but it carries the same reliability
 //! discipline as the WAL and page store:
 //!
-//! * **Checksummed frames.** Every flush writes one frame
-//!   `[len u32][checksum u64][payload]`; a torn write (the device
-//!   persists only a prefix, silently) is detected by the checksum.
+//! * **Checksummed frames.** Every flush writes one frame in the shared
+//!   `[len u32][crc64 u64][body]` layout of [`crate::codec`]; a torn
+//!   write (the device persists only a prefix, silently) is detected by
+//!   the checksum. The body is `[arity u32]` once, then the page
+//!   layout's rows (DESIGN.md, "Byte formats").
 //! * **Write-verify-rewrite.** Unlike WAL records, temp data is still
 //!   in memory when it is flushed, so a torn frame is not a loss: the
 //!   writer reads each frame back, and rewrites it in place (bounded
@@ -23,50 +25,24 @@
 //! * **RAII cleanup.** A [`SpillFile`] deletes its backing file on
 //!   drop, so a query that errors, cancels, or panics mid-spill leaks
 //!   nothing; the store removes its directory when dropped.
-//!
-//! The row codec mirrors the tagged little-endian layout used by the
-//! disk page store in `fj-store` (fj-storage sits below it in the crate
-//! graph, so the codec is restated here rather than imported).
 
+use crate::codec::{self, crc64, CodecError, Le, Reader, Writer, FRAME_HEADER};
 use crate::error::StorageError;
 use crate::fault::{FaultPlan, PageWriteFault};
 use crate::tuple::Tuple;
-use crate::value::Value;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Frame header: `len: u32` + `checksum: u64`.
-const FRAME_HEADER: usize = 12;
-
-/// Upper bound on a single frame payload; a corrupt length prefix must
+/// Upper bound on a single frame body; a corrupt length prefix must
 /// produce a typed error, not a giant allocation.
 const MAX_FRAME_LEN: u32 = 1 << 30;
 
 /// Bounded in-place rewrite attempts for a frame that keeps failing
 /// read-back verification (i.e. the fault plan keeps tearing it).
 const MAX_TORN_REWRITES: u32 = 8;
-
-/// FNV-1a 64-bit checksum — cheap, deterministic, and plenty to detect
-/// prefix truncation and bit damage in temp frames.
-fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 fn corrupt(detail: impl Into<String>) -> StorageError {
     StorageError::TempFile {
@@ -80,128 +56,34 @@ fn io_err(op: &str, err: std::io::Error) -> StorageError {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Fills `buf` from `file` until it is full or the file ends; returns
+/// the bytes read.
+fn read_full(file: &mut File, buf: &mut [u8], op: &str) -> Result<usize, StorageError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match file.read(&mut buf[filled..]).map_err(|e| io_err(op, e))? {
+            0 => break,
+            n => filled += n,
+        }
+    }
+    Ok(filled)
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(corrupt(format!(
-                "truncated payload: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, StorageError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+/// One batch as a frame body: `[arity u32]`, then the rows. Every row
+/// of a batch has the same arity.
+fn encode_batch(rows: &[Tuple]) -> Result<Vec<u8>, CodecError> {
+    let arity = rows.first().map_or(0, Tuple::arity);
+    let mut w = Writer::<Le>::new();
+    w.count("arity", arity)?;
+    codec::encode_rows(&mut w, arity, rows)?;
+    Ok(w.into_bytes())
 }
 
-fn encode_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Double(d) => {
-            out.push(2);
-            out.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_u32(out, s.len() as u32);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Bool(b) => {
-            out.push(4);
-            out.push(u8::from(*b));
-        }
-    }
-}
-
-fn decode_value(c: &mut Cursor<'_>) -> Result<Value, StorageError> {
-    match c.take(1)?[0] {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Int(c.i64()?)),
-        2 => Ok(Value::Double(f64::from_bits(c.u64()?))),
-        3 => {
-            let len = c.u32()? as usize;
-            let bytes = c.take(len)?;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|_| corrupt("string value is not valid UTF-8"))?;
-            Ok(Value::Str(s.to_string()))
-        }
-        4 => match c.take(1)?[0] {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            b => Err(corrupt(format!("invalid bool byte {b}"))),
-        },
-        tag => Err(corrupt(format!("unknown value tag {tag}"))),
-    }
-}
-
-/// Encodes a batch of rows as one frame payload:
-/// `[row_count u32]` then per row `[arity u32][tagged values...]`.
-pub fn encode_rows(rows: &[Tuple]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + rows.len() * 16);
-    put_u32(&mut out, rows.len() as u32);
-    for row in rows {
-        put_u32(&mut out, row.arity() as u32);
-        for v in row.values() {
-            encode_value(&mut out, v);
-        }
-    }
-    out
-}
-
-/// Decodes a frame payload produced by [`encode_rows`]. Total: any byte
-/// string either decodes to exactly the encoded rows or yields a typed
-/// [`StorageError::TempFile`] — never a panic. Trailing bytes are an
-/// error (a frame is exactly one batch).
-pub fn decode_rows(bytes: &[u8]) -> Result<Vec<Tuple>, StorageError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    let n = c.u32()? as usize;
-    if n > bytes.len() {
-        return Err(corrupt(format!("row count {n} exceeds payload size")));
-    }
-    let mut rows = Vec::with_capacity(n);
-    // One scratch vector for every row: draining it into the tuple's
-    // shared storage costs a single exact-size allocation per row.
-    let mut values = Vec::new();
-    for _ in 0..n {
-        let arity = c.u32()? as usize;
-        if arity > bytes.len() {
-            return Err(corrupt(format!("arity {arity} exceeds payload size")));
-        }
-        for _ in 0..arity {
-            values.push(decode_value(&mut c)?);
-        }
-        rows.push(values.drain(..).collect());
-    }
-    if c.pos != bytes.len() {
-        return Err(corrupt(format!(
-            "trailing bytes: {} of {} undecoded",
-            bytes.len() - c.pos,
-            bytes.len()
-        )));
-    }
-    Ok(rows)
+fn decode_batch(body: &[u8]) -> Result<Vec<Tuple>, CodecError> {
+    Reader::<Le>::decode_all(body, |r| {
+        let arity = r.u32()? as usize;
+        codec::decode_rows(r, arity)
+    })
 }
 
 /// A point-in-time snapshot of the store's counters.
@@ -397,11 +279,9 @@ impl TempWriter {
     /// verification and rewritten in place (bounded retries), so an
     /// armed fault plan slows spills down without corrupting them.
     pub fn write_rows(&mut self, rows: &[Tuple]) -> Result<(), StorageError> {
-        let payload = encode_rows(rows);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u64(&mut frame, checksum64(&payload));
-        frame.extend_from_slice(&payload);
+        let mut frame = Writer::<Le>::new();
+        frame.frame(&encode_batch(rows)?)?;
+        let frame = frame.into_bytes();
 
         for attempt in 0..=MAX_TORN_REWRITES {
             let torn = match self.store.faults.as_deref() {
@@ -415,7 +295,7 @@ impl TempWriter {
                 // A torn write persists only a prefix; the tear point is
                 // derived from the frame content so the whole frame —
                 // header included — gets exercised over time.
-                let tear_at = (checksum64(&frame) % frame.len() as u64) as usize;
+                let tear_at = (crc64(&frame) % frame.len() as u64) as usize;
                 self.file
                     .write_all(&frame[..tear_at])
                     .map_err(|e| io_err("write spill frame", e))?;
@@ -451,18 +331,8 @@ impl TempWriter {
             .seek(SeekFrom::Start(self.offset))
             .map_err(|e| io_err("seek spill file", e))?;
         let mut got = vec![0u8; frame.len()];
-        let mut filled = 0;
-        while filled < got.len() {
-            let n = self
-                .file
-                .read(&mut got[filled..])
-                .map_err(|e| io_err("verify spill frame", e))?;
-            if n == 0 {
-                return Ok(false);
-            }
-            filled += n;
-        }
-        Ok(got == frame)
+        let n = read_full(&mut self.file, &mut got, "verify spill frame")?;
+        Ok(n == frame.len() && got == frame)
     }
 
     /// Rows written so far.
@@ -543,52 +413,36 @@ pub struct SpillReader {
 impl SpillReader {
     /// Reads the next frame, or `None` at a clean end of file.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>, StorageError> {
-        let mut header = [0u8; FRAME_HEADER];
-        let mut filled = 0;
-        while filled < header.len() {
-            let n = self
-                .file
-                .read(&mut header[filled..])
-                .map_err(|e| io_err("read spill frame header", e))?;
-            if n == 0 {
-                if filled == 0 {
-                    return Ok(None);
-                }
+        let mut frame = vec![0u8; FRAME_HEADER];
+        match read_full(&mut self.file, &mut frame, "read spill frame header")? {
+            0 => return Ok(None),
+            FRAME_HEADER => {}
+            n => {
                 return Err(corrupt(format!(
-                    "truncated frame header: {filled} of {FRAME_HEADER} bytes"
-                )));
+                    "truncated frame header: {n} of {FRAME_HEADER} bytes"
+                )))
             }
-            filled += n;
         }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let want = u64::from_le_bytes(header[4..12].try_into().unwrap());
+        let len = Reader::<Le>::new(&frame).u32()?;
         if len > MAX_FRAME_LEN {
             return Err(corrupt(format!("frame length {len} exceeds maximum")));
         }
-        let mut payload = vec![0u8; len as usize];
-        let mut filled = 0;
-        while filled < payload.len() {
-            let n = self
-                .file
-                .read(&mut payload[filled..])
-                .map_err(|e| io_err("read spill frame", e))?;
-            if n == 0 {
-                return Err(corrupt(format!(
-                    "truncated frame payload: {filled} of {len} bytes"
-                )));
-            }
-            filled += n;
-        }
-        let got = checksum64(&payload);
-        if got != want {
+        frame.resize(FRAME_HEADER + len as usize, 0);
+        let got = read_full(
+            &mut self.file,
+            &mut frame[FRAME_HEADER..],
+            "read spill frame",
+        )?;
+        if got < len as usize {
             return Err(corrupt(format!(
-                "frame checksum mismatch: stored {want:#x}, computed {got:#x}"
+                "truncated frame payload: {got} of {len} bytes"
             )));
         }
+        let body = Reader::<Le>::decode_all(&frame, |r| r.frame())?;
         self.store
             .bytes_read
-            .fetch_add(FRAME_HEADER as u64 + u64::from(len), Ordering::Relaxed);
-        decode_rows(&payload).map(Some)
+            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        Ok(Some(decode_batch(body)?))
     }
 }
 
@@ -596,6 +450,7 @@ impl SpillReader {
 mod tests {
     use super::*;
     use crate::tuple;
+    use crate::value::Value;
 
     fn sample_rows(n: i64) -> Vec<Tuple> {
         (0..n)
@@ -707,14 +562,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_trailing_bytes_and_bad_tags() {
-        let mut bytes = encode_rows(&sample_rows(3));
+        let mut bytes = encode_batch(&sample_rows(3)).unwrap();
         bytes.push(0);
-        assert!(decode_rows(&bytes).is_err());
+        assert!(decode_batch(&bytes).is_err());
 
         let rows = sample_rows(1);
-        let mut bytes = encode_rows(&rows);
+        let mut bytes = encode_batch(&rows).unwrap();
         bytes[8] = 9; // first value tag → unknown
-        assert!(decode_rows(&bytes).is_err());
+        assert!(decode_batch(&bytes).is_err());
     }
 
     mod properties {
@@ -746,8 +601,9 @@ mod tests {
             if arity == 0 {
                 return words.iter().map(|_| Tuple::new(Vec::new())).collect();
             }
+            // Whole rows only: a spill frame carries one arity.
             words
-                .chunks(arity)
+                .chunks_exact(arity)
                 .map(|chunk| Tuple::new(chunk.iter().map(|&(t, p)| value_from(t, p)).collect()))
                 .collect()
         }
@@ -761,8 +617,8 @@ mod tests {
                 arity in 0usize..6,
             ) {
                 let rows = rows_from(&words, arity);
-                let bytes = encode_rows(&rows);
-                prop_assert_eq!(decode_rows(&bytes).unwrap(), rows);
+                let bytes = encode_batch(&rows).unwrap();
+                prop_assert_eq!(decode_batch(&bytes).unwrap(), rows);
             }
 
             /// Torn-at-any-byte: truncating an encoded spill file at

@@ -1,134 +1,29 @@
-//! On-disk encodings: values, row pages, and table metadata.
+//! Page payloads and table metadata, over the little-endian cursor of
+//! [`fj_storage::codec`] (DESIGN.md, "Byte formats").
 //!
-//! All integers are little-endian. Values are tag-prefixed so a page
-//! payload is self-describing (decode never needs to guess widths) and
-//! a corrupted tag fails loudly instead of misparsing.
+//! A page payload is the shared rows encoding: `[count u32]`, then each
+//! row's tagged values. Tags make the payload self-describing (decode
+//! never guesses widths) and a corrupted tag fail loudly instead of
+//! misparsing.
 
 use crate::error::StoreError;
-use fj_storage::{Column, DataType, Schema, Tuple, Value};
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], StoreError> {
-    let end = pos.checked_add(n).filter(|&e| e <= buf.len());
-    match end {
-        Some(end) => {
-            let slice = &buf[*pos..end];
-            *pos = end;
-            Ok(slice)
-        }
-        None => Err(StoreError::Corrupt {
-            detail: format!("truncated record: wanted {n} bytes at offset {pos}"),
-        }),
-    }
-}
-
-pub(crate) fn get_u16(buf: &[u8], pos: &mut usize) -> Result<u16, StoreError> {
-    Ok(u16::from_le_bytes(take(buf, pos, 2)?.try_into().unwrap()))
-}
-
-pub(crate) fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32, StoreError> {
-    Ok(u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()))
-}
-
-pub(crate) fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
-    Ok(u64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap()))
-}
-
-pub(crate) fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, StoreError> {
-    let len = get_u32(buf, pos)? as usize;
-    let bytes = take(buf, pos, len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Corrupt {
-        detail: format!("non-UTF-8 string at offset {pos}"),
-    })
-}
-
-fn encode_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            put_u64(out, *i as u64);
-        }
-        Value::Double(d) => {
-            out.push(2);
-            put_u64(out, d.to_bits());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-        Value::Bool(b) => {
-            out.push(4);
-            out.push(*b as u8);
-        }
-    }
-}
-
-fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, StoreError> {
-    let tag = take(buf, pos, 1)?[0];
-    Ok(match tag {
-        0 => Value::Null,
-        1 => Value::Int(get_u64(buf, pos)? as i64),
-        2 => Value::Double(f64::from_bits(get_u64(buf, pos)?)),
-        3 => Value::Str(get_str(buf, pos)?),
-        4 => Value::Bool(take(buf, pos, 1)?[0] != 0),
-        other => {
-            return Err(StoreError::Corrupt {
-                detail: format!("unknown value tag {other} at offset {pos}"),
-            })
-        }
-    })
-}
+use fj_storage::codec::{self, CodecError, Le, Reader, Writer};
+use fj_storage::{Column, DataType, Schema, Tuple};
 
 /// Encodes one logical page's rows as a page payload.
-pub fn encode_rows(rows: &[Tuple]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, rows.len() as u32);
-    for row in rows {
-        for v in row.values() {
-            encode_value(&mut out, v);
-        }
-    }
-    out
+pub fn encode_rows(rows: &[Tuple]) -> Result<Vec<u8>, StoreError> {
+    let mut w = Writer::<Le>::new();
+    codec::encode_rows(&mut w, rows.first().map_or(0, Tuple::arity), rows)
+        .map_err(StoreError::unencodable)?;
+    Ok(w.into_bytes())
 }
 
 /// Decodes a page payload of `arity`-wide rows. The whole payload must
 /// be consumed: trailing bytes mean the payload and the schema disagree.
 pub fn decode_rows(buf: &[u8], arity: usize) -> Result<Vec<Tuple>, StoreError> {
-    let mut pos = 0;
-    let n = get_u32(buf, &mut pos)? as usize;
-    let mut rows = Vec::with_capacity(n);
-    // One scratch vector for every row: draining it into the tuple's
-    // shared storage costs a single exact-size allocation per row.
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..n {
-        for _ in 0..arity {
-            values.push(decode_value(buf, &mut pos)?);
-        }
-        rows.push(values.drain(..).collect());
-    }
-    if pos != buf.len() {
-        return Err(StoreError::Corrupt {
-            detail: format!("page payload has {} trailing bytes", buf.len() - pos),
-        });
-    }
-    Ok(rows)
+    Ok(Reader::<Le>::decode_all(buf, |r| {
+        codec::decode_rows(r, arity)
+    })?)
 }
 
 fn datatype_tag(t: DataType) -> u8 {
@@ -140,15 +35,16 @@ fn datatype_tag(t: DataType) -> u8 {
     }
 }
 
-fn datatype_from_tag(tag: u8, pos: usize) -> Result<DataType, StoreError> {
+fn datatype_from_tag(tag: u8) -> Result<DataType, CodecError> {
     Ok(match tag {
         1 => DataType::Int,
         2 => DataType::Double,
         3 => DataType::Str,
         4 => DataType::Bool,
-        other => {
-            return Err(StoreError::Corrupt {
-                detail: format!("unknown datatype tag {other} at offset {pos}"),
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "datatype",
+                tag,
             })
         }
     })
@@ -212,36 +108,40 @@ impl TableMeta {
         })
     }
 
-    /// Serializes the meta.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.table_id);
-        put_str(&mut out, &self.name);
-        put_u64(&mut out, self.row_count);
-        put_u64(&mut out, self.version);
-        put_u16(&mut out, self.columns.len() as u16);
-        for (name, ty, nullable) in &self.columns {
-            put_str(&mut out, name);
-            out.push(datatype_tag(*ty));
-            out.push(*nullable as u8);
-        }
-        out
+    /// Serializes the meta. A table the format cannot describe (more
+    /// than `u16::MAX` columns, a name past `u32::MAX` bytes) is an
+    /// error here, before any byte reaches disk.
+    pub fn encode(&self) -> Result<Vec<u8>, StoreError> {
+        let mut w = Writer::new();
+        self.encode_into(&mut w).map_err(StoreError::unencodable)?;
+        Ok(w.into_bytes())
     }
 
-    /// Deserializes a meta from `buf` starting at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<TableMeta, StoreError> {
-        let table_id = get_u32(buf, pos)?;
-        let name = get_str(buf, pos)?;
-        let row_count = get_u64(buf, pos)?;
-        let version = get_u64(buf, pos)?;
-        let n_cols = get_u16(buf, pos)? as usize;
-        let mut columns = Vec::with_capacity(n_cols);
+    /// Appends the meta to `w` (a WAL body or the manifest).
+    pub fn encode_into(&self, w: &mut Writer<Le>) -> Result<(), CodecError> {
+        w.u32(self.table_id);
+        w.string(&self.name)?;
+        w.u64(self.row_count);
+        w.u64(self.version);
+        w.u16(codec::narrow("columns", self.columns.len())?);
+        for (name, ty, nullable) in &self.columns {
+            w.string(name)?;
+            w.u8(datatype_tag(*ty));
+            w.bool(*nullable);
+        }
+        Ok(())
+    }
+
+    /// Reads one meta off `r`.
+    pub fn decode(r: &mut Reader<'_, Le>) -> Result<TableMeta, CodecError> {
+        let table_id = r.u32()?;
+        let name = r.string()?;
+        let row_count = r.u64()?;
+        let version = r.u64()?;
+        let n_cols = r.u16()?;
+        let mut columns = Vec::new();
         for _ in 0..n_cols {
-            let col_name = get_str(buf, pos)?;
-            let tag = take(buf, pos, 1)?[0];
-            let ty = datatype_from_tag(tag, *pos)?;
-            let nullable = take(buf, pos, 1)?[0] != 0;
-            columns.push((col_name, ty, nullable));
+            columns.push((r.string()?, datatype_from_tag(r.u8()?)?, r.bool()?));
         }
         Ok(TableMeta {
             table_id,
@@ -256,6 +156,7 @@ impl TableMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fj_storage::Value;
 
     fn sample_rows() -> Vec<Tuple> {
         vec![
@@ -276,10 +177,14 @@ mod tests {
         ]
     }
 
+    fn corrupt<T: std::fmt::Debug>(r: Result<T, StoreError>) -> bool {
+        matches!(r, Err(StoreError::Corrupt { .. }))
+    }
+
     #[test]
     fn rows_round_trip() {
         let rows = sample_rows();
-        let buf = encode_rows(&rows);
+        let buf = encode_rows(&rows).unwrap();
         let back = decode_rows(&buf, 5).unwrap();
         assert_eq!(back.len(), 2);
         // NaN != NaN under PartialEq; compare via total order instead.
@@ -289,33 +194,35 @@ mod tests {
 
     #[test]
     fn empty_page_round_trips() {
-        let buf = encode_rows(&[]);
+        let buf = encode_rows(&[]).unwrap();
         assert!(decode_rows(&buf, 3).unwrap().is_empty());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut buf = encode_rows(&sample_rows());
+        let mut buf = encode_rows(&sample_rows()).unwrap();
         buf.push(0xFF);
-        let err = decode_rows(&buf, 5).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }));
+        assert!(corrupt(decode_rows(&buf, 5)));
     }
 
     #[test]
     fn truncation_rejected() {
-        let buf = encode_rows(&sample_rows());
-        let err = decode_rows(&buf[..buf.len() - 3], 5).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }));
+        let buf = encode_rows(&sample_rows()).unwrap();
+        assert!(corrupt(decode_rows(&buf[..buf.len() - 3], 5)));
     }
 
     #[test]
     fn bad_tag_rejected() {
-        let mut buf = encode_rows(&sample_rows());
+        let mut buf = encode_rows(&sample_rows()).unwrap();
         buf[4] = 9; // first value's tag
-        assert!(matches!(
-            decode_rows(&buf, 5),
-            Err(StoreError::Corrupt { .. })
-        ));
+        assert!(corrupt(decode_rows(&buf, 5)));
+    }
+
+    #[test]
+    fn ragged_page_is_refused_at_encode() {
+        let rows = [Tuple::new(vec![Value::Null]), Tuple::new(Vec::new())];
+        let err = encode_rows(&rows).unwrap_err();
+        assert!(matches!(err, StoreError::Unencodable { .. }), "{err}");
     }
 
     #[test]
@@ -327,11 +234,23 @@ mod tests {
             ("active", DataType::Bool),
         ]);
         let meta = TableMeta::describe(3, "Emp", &schema, 1234, 7);
-        let bytes = meta.encode();
-        let mut pos = 0;
-        let back = TableMeta::decode(&bytes, &mut pos).unwrap();
-        assert_eq!(pos, bytes.len());
+        let bytes = meta.encode().unwrap();
+        let back = Reader::decode_all(&bytes, TableMeta::decode).unwrap();
         assert_eq!(back, meta);
         assert_eq!(back.schema().unwrap(), schema);
+    }
+
+    #[test]
+    fn meta_wider_than_u16_columns_is_an_error_not_bytes() {
+        let columns = (0..=u16::MAX as usize)
+            .map(|i| Column::new(format!("c{i}"), DataType::Int))
+            .collect();
+        let schema = Schema::new(columns).unwrap();
+        assert_eq!(schema.arity(), 65_536);
+        let err = TableMeta::describe(0, "Wide", &schema, 0, 1)
+            .encode()
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Unencodable { .. }), "{err}");
+        assert!(err.to_string().contains("columns"), "{err}");
     }
 }

@@ -1,5 +1,6 @@
 //! Error type for the disk-backed store.
 
+use fj_storage::codec::CodecError;
 use fj_storage::StorageError;
 use std::fmt;
 
@@ -33,6 +34,13 @@ pub enum StoreError {
     /// A mutation was cancelled before its commit point. Nothing
     /// reached the WAL or the pool: restart-invisible by construction.
     Cancelled,
+    /// Something the on-disk format cannot represent (a count or length
+    /// past its field width, a ragged page), refused at encode time
+    /// before any byte reached disk.
+    Unencodable {
+        /// What could not be encoded.
+        detail: String,
+    },
 }
 
 impl StoreError {
@@ -41,6 +49,23 @@ impl StoreError {
         StoreError::Io {
             op: op.into(),
             detail: err.to_string(),
+        }
+    }
+
+    /// An encode-side codec failure.
+    pub fn unencodable(e: CodecError) -> StoreError {
+        StoreError::Unencodable {
+            detail: e.to_string(),
+        }
+    }
+}
+
+/// A decode-side codec failure: the bytes on disk are not what the
+/// format allows.
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> StoreError {
+        StoreError::Corrupt {
+            detail: e.to_string(),
         }
     }
 }
@@ -56,6 +81,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::Cancelled => {
                 write!(f, "mutation cancelled before commit; no state changed")
+            }
+            StoreError::Unencodable { detail } => {
+                write!(f, "not representable on disk: {detail}")
             }
         }
     }

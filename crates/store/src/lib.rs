@@ -28,7 +28,6 @@
 //! recovery" for the page format, WAL record layout,
 //! checkpoint/recovery protocol, and eviction policy.
 
-pub mod checksum;
 pub mod codec;
 pub mod error;
 pub mod page_file;
@@ -37,9 +36,9 @@ pub mod store;
 pub mod testutil;
 pub mod wal;
 
-pub use checksum::{crc64, Crc64};
 pub use codec::TableMeta;
 pub use error::StoreError;
+pub use fj_storage::codec::{crc64, Crc64};
 pub use page_file::{PageFile, FRAME_SIZE, RECORD_HEADER};
 pub use pool::{BufferPool, PageKey, PoolStats, WritebackFn};
 pub use store::{CheckpointPhase, MutationResult, RecoveryReport, Store, StoreStats};

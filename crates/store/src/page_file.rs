@@ -30,8 +30,8 @@
 //! are invisible — the WAL, not the page file, is the recovery source
 //! for anything that did not verify.
 
-use crate::checksum::Crc64;
 use crate::error::StoreError;
+use fj_storage::codec::Crc64;
 use fj_storage::{FaultPlan, PageWriteFault};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};

@@ -46,12 +46,12 @@
 //! concurrently: anything committed after the cut stays in the kept
 //! suffix and replays idempotently on recovery.
 
-use crate::checksum::crc64;
-use crate::codec::{decode_rows, encode_rows, get_u32, TableMeta};
+use crate::codec::{decode_rows, encode_rows, TableMeta};
 use crate::error::StoreError;
 use crate::page_file::PageFile;
 use crate::pool::{BufferPool, PageKey, PoolStats};
 use crate::wal::{Wal, WalRecord};
+use fj_storage::codec::{Le, Reader, Writer};
 use fj_storage::{
     FaultPlan, Mutation, PageBacking, PageLayout, PageWriteFault, Schema, StorageError, Table,
     Tuple,
@@ -354,21 +354,21 @@ impl Store {
             table.row_count(),
             version,
         );
-        self.wal.append(&WalRecord::TableMeta(meta.clone()));
+        self.wal.append([&WalRecord::TableMeta(meta.clone())])?;
         let per_page = table.layout().tuples_per_page as usize;
         let faults = self.faults.as_deref();
         for (page_no, chunk) in table.rows().chunks(per_page.max(1)).enumerate() {
-            let payload = encode_rows(chunk);
-            self.wal.append(&WalRecord::PageImage {
+            let payload = encode_rows(chunk)?;
+            self.wal.append([&WalRecord::PageImage {
                 table_id,
                 page_no: page_no as u32,
                 payload: payload.clone(),
-            });
+            }])?;
             self.page_file
                 .write_page(table_id, page_no as u32, &payload, faults)?;
             self.pool.put((table_id, page_no as u32), payload)?;
         }
-        self.wal.append(&WalRecord::LoadCommit { table_id });
+        self.wal.append([&WalRecord::LoadCommit { table_id }])?;
         self.wal.commit(faults)?;
         inner.committed.insert(meta.name.clone(), meta);
         Ok(version)
@@ -479,7 +479,7 @@ impl Store {
         let mut chunks = new_rows.chunks(per_page);
         let new_page_count = layout.pages(new_rows.len() as u64);
         for page_no in 0..new_page_count {
-            let payload = encode_rows(chunks.next().unwrap_or(&[]));
+            let payload = encode_rows(chunks.next().unwrap_or(&[]))?;
             let unchanged = old_payloads
                 .get(page_no as usize)
                 .is_some_and(|old| *old == payload);
@@ -503,17 +503,19 @@ impl Store {
         if cancelled() {
             return Err(StoreError::Cancelled);
         }
-        for (page_no, payload) in &dirty {
-            self.wal.append(&WalRecord::PageDelta {
+        let records: Vec<WalRecord> = dirty
+            .iter()
+            .map(|(page_no, payload)| WalRecord::PageDelta {
                 table_id: meta.table_id,
                 page_no: *page_no,
                 payload: payload.clone(),
-            });
-        }
-        self.wal.append(&WalRecord::MutationCommit {
-            meta: new_meta.clone(),
-            rows_affected,
-        });
+            })
+            .chain([WalRecord::MutationCommit {
+                meta: new_meta.clone(),
+                rows_affected,
+            }])
+            .collect();
+        self.wal.append(&records)?;
         self.wal.commit(self.faults.as_deref())?; // ← the commit point
         self.wal_deltas
             .fetch_add(dirty.len() as u64, Ordering::Relaxed);
@@ -723,40 +725,23 @@ fn read_manifest(path: &Path) -> Result<BTreeMap<String, TableMeta>, StoreError>
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
         Err(e) => return Err(StoreError::io(format!("read {}", path.display()), e)),
     };
-    let mut pos = 0usize;
-    let len = get_u32(&bytes, &mut pos)? as usize;
-    let want = crate::codec::get_u64(&bytes, &mut pos)?;
-    if pos + len != bytes.len() {
-        return Err(StoreError::Corrupt {
-            detail: "manifest length field disagrees with file size".into(),
-        });
-    }
-    let body = &bytes[pos..];
-    if crc64(body) != want {
-        return Err(StoreError::Corrupt {
-            detail: "manifest crc mismatch".into(),
-        });
-    }
-    let mut p = 0usize;
-    let count = get_u32(body, &mut p)? as usize;
-    let mut tables = BTreeMap::new();
-    for _ in 0..count {
-        let meta = TableMeta::decode(body, &mut p)?;
-        tables.insert(meta.name.clone(), meta);
-    }
-    Ok(tables)
+    let tables = Reader::decode_all(&bytes, |r| {
+        Reader::decode_all(r.frame()?, |body| body.list(TableMeta::decode))
+    })
+    .map_err(|e| StoreError::Corrupt {
+        detail: format!("manifest: {e}"),
+    })?;
+    Ok(tables.into_iter().map(|m| (m.name.clone(), m)).collect())
 }
 
 fn write_manifest(dir: &Path, tables: &BTreeMap<String, TableMeta>) -> Result<(), StoreError> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&(tables.len() as u32).to_le_bytes());
-    for meta in tables.values() {
-        body.extend_from_slice(&meta.encode());
-    }
-    let mut framed = Vec::with_capacity(body.len() + 12);
-    framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc64(&body).to_le_bytes());
-    framed.extend_from_slice(&body);
+    let mut body = Writer::new();
+    body.list("tables", tables.values(), |w, meta| meta.encode_into(w))
+        .map_err(StoreError::unencodable)?;
+    let mut framed = Writer::<Le>::new();
+    framed
+        .frame(&body.into_bytes())
+        .map_err(StoreError::unencodable)?;
 
     let tmp = dir.join("manifest.tmp");
     let target = dir.join(MANIFEST);
@@ -764,7 +749,7 @@ fn write_manifest(dir: &Path, tables: &BTreeMap<String, TableMeta>) -> Result<()
         let mut f = std::fs::File::create(&tmp)
             .map_err(|e| StoreError::io(format!("create {}", tmp.display()), e))?;
         use std::io::Write;
-        f.write_all(&framed)
+        f.write_all(&framed.into_bytes())
             .map_err(|e| StoreError::io(format!("write {}", tmp.display()), e))?;
         f.sync_all()
             .map_err(|e| StoreError::io(format!("fsync {}", tmp.display()), e))?;
@@ -938,12 +923,17 @@ mod tests {
             // the WAL but no commit, and never fsync.
             let b = sample_table("B", 50);
             let meta = TableMeta::describe(99, "B", b.schema(), b.row_count(), 1);
-            store.wal.append(&WalRecord::TableMeta(meta));
-            store.wal.append(&WalRecord::PageImage {
-                table_id: 99,
-                page_no: 0,
-                payload: encode_rows(&b.rows()[..10]),
-            });
+            store
+                .wal
+                .append(&[
+                    WalRecord::TableMeta(meta),
+                    WalRecord::PageImage {
+                        table_id: 99,
+                        page_no: 0,
+                        payload: encode_rows(&b.rows()[..10]).unwrap(),
+                    },
+                ])
+                .unwrap();
             store.wal.commit(None).unwrap(); // batch reached disk, commit record did not
         }
         let (store, _) = Store::open(dir.path(), 16, None).unwrap();
@@ -1038,11 +1028,14 @@ mod tests {
             // A mutation that crashed after its delta but before its
             // commit marker: the delta must never be applied.
             let meta = store.meta("T").unwrap();
-            store.wal.append(&WalRecord::PageDelta {
-                table_id: meta.table_id,
-                page_no: 0,
-                payload: encode_rows(&table.rows()[..1]),
-            });
+            store
+                .wal
+                .append([&WalRecord::PageDelta {
+                    table_id: meta.table_id,
+                    page_no: 0,
+                    payload: encode_rows(&table.rows()[..1]).unwrap(),
+                }])
+                .unwrap();
             store.wal.commit(None).unwrap(); // durable, but no MutationCommit
         }
         let (store, report) = Store::open(dir.path(), 16, None).unwrap();

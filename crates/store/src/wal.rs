@@ -7,29 +7,23 @@
 //! reached the log is invisible (its page images are skipped), so the
 //! log needs no undo records.
 //!
-//! Record framing (little-endian):
-//!
-//! ```text
-//! len   u32     body length
-//! crc   u64     crc64(body)
-//! body  bytes   kind u8 ++ kind-specific payload
-//! ```
-//!
+//! Records are frames in the shared `[len u32][crc64 u64][body]` layout
+//! of [`fj_storage::codec`] (little-endian; DESIGN.md, "Byte formats").
 //! Body kinds: `1` table meta ([`TableMeta::encode`]), `2` page image
 //! (`table_id u32, page_no u32, payload`), `3` load commit
 //! (`table_id u32`), `4` page delta (`table_id u32, page_no u32,
 //! payload` — the full new payload of one page dirtied by a mutation),
-//! `5` mutation commit (the post-mutation [`TableMeta`] ++
-//! `rows_affected u64` — carrying the meta inside the commit marker is
-//! what keeps a crash *between* a mutation's records from ever being
+//! `5` mutation commit (`rows_affected u64` ++ the post-mutation
+//! [`TableMeta`] — carrying the meta inside the commit marker is what
+//! keeps a crash *between* a mutation's records from ever being
 //! mistaken for a half-loaded table). A record whose length overruns
 //! the file or whose CRC fails is a torn tail: replay stops there and
 //! the file is truncated to the last valid boundary — detected and
 //! discarded, never replayed.
 
-use crate::checksum::crc64;
-use crate::codec::{get_u32, TableMeta};
+use crate::codec::TableMeta;
 use crate::error::StoreError;
+use fj_storage::codec::{CodecError, Le, Reader, Writer};
 use fj_storage::FaultPlan;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -78,98 +72,71 @@ pub enum WalRecord {
     },
 }
 
-fn encode_body(record: &WalRecord) -> Vec<u8> {
-    let mut body = Vec::new();
+fn encode_body(record: &WalRecord) -> Result<Vec<u8>, CodecError> {
+    let mut w = Writer::<Le>::new();
     match record {
         WalRecord::TableMeta(meta) => {
-            body.push(1);
-            body.extend_from_slice(&meta.encode());
+            w.u8(1);
+            meta.encode_into(&mut w)?;
         }
         WalRecord::PageImage {
             table_id,
             page_no,
             payload,
-        } => {
-            body.push(2);
-            body.extend_from_slice(&table_id.to_le_bytes());
-            body.extend_from_slice(&page_no.to_le_bytes());
-            body.extend_from_slice(payload);
         }
-        WalRecord::LoadCommit { table_id } => {
-            body.push(3);
-            body.extend_from_slice(&table_id.to_le_bytes());
-        }
-        WalRecord::PageDelta {
+        | WalRecord::PageDelta {
             table_id,
             page_no,
             payload,
         } => {
-            body.push(4);
-            body.extend_from_slice(&table_id.to_le_bytes());
-            body.extend_from_slice(&page_no.to_le_bytes());
-            body.extend_from_slice(payload);
+            w.u8(if matches!(record, WalRecord::PageImage { .. }) {
+                2
+            } else {
+                4
+            });
+            w.u32(*table_id);
+            w.u32(*page_no);
+            w.bytes(payload);
+        }
+        WalRecord::LoadCommit { table_id } => {
+            w.u8(3);
+            w.u32(*table_id);
         }
         WalRecord::MutationCommit {
             meta,
             rows_affected,
         } => {
-            body.push(5);
-            body.extend_from_slice(&rows_affected.to_le_bytes());
-            body.extend_from_slice(&meta.encode());
+            w.u8(5);
+            w.u64(*rows_affected);
+            meta.encode_into(&mut w)?;
         }
     }
-    body
+    Ok(w.into_bytes())
 }
 
 fn decode_body(body: &[u8]) -> Result<WalRecord, StoreError> {
-    let kind = *body.first().ok_or_else(|| StoreError::Corrupt {
-        detail: "empty WAL record body".into(),
-    })?;
-    let mut pos = 1usize;
-    match kind {
-        1 => {
-            let meta = TableMeta::decode(body, &mut pos)?;
-            Ok(WalRecord::TableMeta(meta))
-        }
-        2 => {
-            let table_id = get_u32(body, &mut pos)?;
-            let page_no = get_u32(body, &mut pos)?;
-            Ok(WalRecord::PageImage {
-                table_id,
-                page_no,
-                payload: body[pos..].to_vec(),
-            })
-        }
-        3 => {
-            let table_id = get_u32(body, &mut pos)?;
-            Ok(WalRecord::LoadCommit { table_id })
-        }
-        4 => {
-            let table_id = get_u32(body, &mut pos)?;
-            let page_no = get_u32(body, &mut pos)?;
-            Ok(WalRecord::PageDelta {
-                table_id,
-                page_no,
-                payload: body[pos..].to_vec(),
-            })
-        }
-        5 => {
-            let rows_affected = crate::codec::get_u64(body, &mut pos)?;
-            let meta = TableMeta::decode(body, &mut pos)?;
-            if pos != body.len() {
-                return Err(StoreError::Corrupt {
-                    detail: format!("mutation commit has {} trailing bytes", body.len() - pos),
-                });
-            }
-            Ok(WalRecord::MutationCommit {
-                meta,
-                rows_affected,
-            })
-        }
-        other => Err(StoreError::Corrupt {
-            detail: format!("unknown WAL record kind {other}"),
+    Ok(Reader::<Le>::decode_all(body, |r| match r.u8()? {
+        1 => Ok(WalRecord::TableMeta(TableMeta::decode(r)?)),
+        2 => Ok(WalRecord::PageImage {
+            table_id: r.u32()?,
+            page_no: r.u32()?,
+            payload: r.rest().to_vec(),
         }),
-    }
+        3 => Ok(WalRecord::LoadCommit { table_id: r.u32()? }),
+        4 => Ok(WalRecord::PageDelta {
+            table_id: r.u32()?,
+            page_no: r.u32()?,
+            payload: r.rest().to_vec(),
+        }),
+        5 => Ok(WalRecord::MutationCommit {
+            rows_affected: r.u64()?,
+            meta: TableMeta::decode(r)?,
+        }),
+        tag => Err(CodecError::BadTag {
+            what: "WAL record kind",
+            tag,
+        }),
+    })?)
 }
 
 /// Parses framed records from `bytes`, stopping at the first invalid
@@ -177,40 +144,15 @@ fn decode_body(body: &[u8]) -> Result<WalRecord, StoreError> {
 /// boundary, and whether a torn tail was found.
 fn scan_bytes(bytes: &[u8]) -> (Vec<WalRecord>, usize, bool) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    let mut valid_end = 0usize;
-    let mut torn = false;
-    while pos < bytes.len() {
-        let parsed = (|| {
-            let mut p = pos;
-            let len = get_u32(bytes, &mut p)? as usize;
-            let want = crate::codec::get_u64(bytes, &mut p)?;
-            if p + len > bytes.len() {
-                return Err(StoreError::Corrupt {
-                    detail: "record overruns file".into(),
-                });
-            }
-            let body = &bytes[p..p + len];
-            if crc64(body) != want {
-                return Err(StoreError::Corrupt {
-                    detail: "record crc mismatch".into(),
-                });
-            }
-            Ok((decode_body(body)?, p + len))
-        })();
-        match parsed {
-            Ok((record, end)) => {
-                records.push(record);
-                pos = end;
-                valid_end = end;
-            }
-            Err(_) => {
-                torn = true;
-                break;
-            }
+    let mut r = Reader::<Le>::new(bytes);
+    while r.remaining() > 0 {
+        let valid_end = bytes.len() - r.remaining();
+        match r.frame().map_err(StoreError::from).and_then(decode_body) {
+            Ok(record) => records.push(record),
+            Err(_) => return (records, valid_end, true),
         }
     }
-    (records, valid_end, torn)
+    (records, bytes.len(), false)
 }
 
 /// What [`Wal::open`] found on disk.
@@ -258,7 +200,7 @@ impl Wal {
             Wal {
                 path,
                 file: Mutex::new(file),
-                pending: Mutex::new(Vec::new()),
+                pending: Mutex::default(),
                 fsyncs: AtomicU64::new(0),
             },
             WalScan {
@@ -278,14 +220,25 @@ impl Wal {
         self.fsyncs.load(Ordering::Relaxed)
     }
 
-    /// Buffers one record; nothing reaches the file until
-    /// [`Wal::commit`].
-    pub fn append(&self, record: &WalRecord) {
-        let body = encode_body(record);
-        let mut pending = self.pending.lock().unwrap();
-        pending.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        pending.extend_from_slice(&crc64(&body).to_le_bytes());
-        pending.extend_from_slice(&body);
+    /// Buffers `records`, all or none: a record the format cannot
+    /// represent fails the call with nothing buffered, so a mutation's
+    /// deltas never outlive a commit marker that failed to encode.
+    /// Nothing reaches the file until [`Wal::commit`].
+    pub fn append<'r>(
+        &self,
+        records: impl IntoIterator<Item = &'r WalRecord>,
+    ) -> Result<(), StoreError> {
+        let mut frames = Writer::<Le>::new();
+        for record in records {
+            encode_body(record)
+                .and_then(|body| frames.frame(&body))
+                .map_err(StoreError::unencodable)?;
+        }
+        self.pending
+            .lock()
+            .unwrap()
+            .extend_from_slice(&frames.into_bytes());
+        Ok(())
     }
 
     /// Writes all buffered records and issues exactly one fsync — the
@@ -426,7 +379,7 @@ mod tests {
             let (wal, scan) = Wal::open(&path).unwrap();
             assert!(scan.records.is_empty());
             for r in sample_records() {
-                wal.append(&r);
+                wal.append([&r]).unwrap();
             }
             wal.commit(None).unwrap();
             assert_eq!(wal.fsyncs(), 1, "group commit: one fsync per batch");
@@ -441,7 +394,8 @@ mod tests {
         let dir = TempDir::new("wal-pending");
         let path = dir.path().join("wal.fj");
         let (wal, _) = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::LoadCommit { table_id: 9 });
+        wal.append([&WalRecord::LoadCommit { table_id: 9 }])
+            .unwrap();
         // No commit: the file stays empty.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
     }
@@ -453,19 +407,17 @@ mod tests {
         {
             let (wal, _) = Wal::open(&path).unwrap();
             for r in sample_records() {
-                wal.append(&r);
+                wal.append([&r]).unwrap();
             }
             wal.commit(None).unwrap();
         }
         let intact_len = std::fs::metadata(&path).unwrap().len();
         // Simulate a crash mid-append: half of a valid record's bytes.
         let extra = {
-            let body = encode_body(&WalRecord::LoadCommit { table_id: 2 });
-            let mut rec = Vec::new();
-            rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            rec.extend_from_slice(&crc64(&body).to_le_bytes());
-            rec.extend_from_slice(&body);
-            rec
+            let body = encode_body(&WalRecord::LoadCommit { table_id: 2 }).unwrap();
+            let mut rec = Writer::<Le>::new();
+            rec.frame(&body).unwrap();
+            rec.into_bytes()
         };
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&extra[..extra.len() / 2]);
@@ -491,7 +443,7 @@ mod tests {
         {
             let (wal, _) = Wal::open(&path).unwrap();
             for r in sample_records() {
-                wal.append(&r);
+                wal.append([&r]).unwrap();
             }
             wal.commit(None).unwrap();
         }
@@ -511,7 +463,7 @@ mod tests {
         {
             let (wal, _) = Wal::open(&path).unwrap();
             for r in sample_records().iter().chain(mutation_records().iter()) {
-                wal.append(r);
+                wal.append([r]).unwrap();
             }
             wal.commit(None).unwrap();
         }
@@ -528,7 +480,8 @@ mod tests {
         let mut body = encode_body(&WalRecord::MutationCommit {
             meta: TableMeta::describe(1, "T", &schema, 5, 2),
             rows_affected: 3,
-        });
+        })
+        .unwrap();
         body.push(0xAB);
         assert!(matches!(
             decode_body(&body),
@@ -542,19 +495,20 @@ mod tests {
         let path = dir.path().join("wal.fj");
         let (wal, _) = Wal::open(&path).unwrap();
         for r in sample_records() {
-            wal.append(&r);
+            wal.append([&r]).unwrap();
         }
         wal.commit(None).unwrap();
         let cut = wal.durable_len().unwrap();
         // Records committed after the cut was captured must survive.
         for r in mutation_records() {
-            wal.append(&r);
+            wal.append([&r]).unwrap();
         }
         wal.commit(None).unwrap();
         wal.truncate_prefix(cut).unwrap();
         assert_eq!(wal.disk_records().unwrap(), mutation_records());
         // The reopened append handle keeps working.
-        wal.append(&WalRecord::LoadCommit { table_id: 4 });
+        wal.append([&WalRecord::LoadCommit { table_id: 4 }])
+            .unwrap();
         wal.commit(None).unwrap();
         let mut want = mutation_records();
         want.push(WalRecord::LoadCommit { table_id: 4 });
@@ -571,7 +525,7 @@ mod tests {
         let path = dir.path().join("wal.fj");
         let (wal, _) = Wal::open(&path).unwrap();
         for r in sample_records() {
-            wal.append(&r);
+            wal.append([&r]).unwrap();
         }
         wal.commit(None).unwrap();
         let cut = wal.durable_len().unwrap();
@@ -587,7 +541,8 @@ mod tests {
         let dir = TempDir::new("wal-trunc");
         let path = dir.path().join("wal.fj");
         let (wal, _) = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::LoadCommit { table_id: 1 });
+        wal.append([&WalRecord::LoadCommit { table_id: 1 }])
+            .unwrap();
         wal.commit(None).unwrap();
         assert!(wal.size_bytes() > 0);
         wal.truncate().unwrap();

@@ -166,11 +166,12 @@ fn valid_but_uncommitted_suffix_is_ignored() {
     // Hand-append a valid PageImage with no meta and no commit.
     {
         let (wal, _) = fj_store::Wal::open(dir.path().join("wal.fj")).unwrap();
-        wal.append(&WalRecord::PageImage {
+        wal.append([&WalRecord::PageImage {
             table_id: 77,
             page_no: 0,
             payload: vec![1, 2, 3],
-        });
+        }])
+        .unwrap();
         wal.commit(None).unwrap();
     }
     let (store, report) = Store::open(dir.path(), 32, None).unwrap();
@@ -302,7 +303,7 @@ proptest! {
             let (wal, scan) = Wal::open(&path).unwrap();
             prop_assert!(scan.records.is_empty());
             for r in &records {
-                wal.append(r);
+                wal.append([r]).unwrap();
             }
             wal.commit(None).unwrap();
         }
@@ -325,7 +326,7 @@ proptest! {
         {
             let (wal, _) = Wal::open(&path).unwrap();
             for r in &records {
-                wal.append(r);
+                wal.append([r]).unwrap();
             }
             wal.commit(None).unwrap();
         }
@@ -377,7 +378,7 @@ proptest! {
         let path = dir.path().join("wal.fj");
         {
             let (wal, _) = Wal::open(&path).unwrap();
-            wal.append(&good);
+            wal.append([&good]).unwrap();
             wal.commit(None).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
