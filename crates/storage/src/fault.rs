@@ -23,7 +23,7 @@
 
 use crate::error::StorageError;
 use crate::value::splitmix64;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
 /// A seeded, deterministic schedule of injected page-read faults.
@@ -34,25 +34,47 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
-    read_error_one_in: u64,
-    stall_one_in: u64,
-    stall: Duration,
+    /// One stream per [`Class`], indexed by it. The read stream's rate
+    /// and stall are its stalls'.
+    streams: [Stream; 7],
+    /// One in `read_errors` page reads fails, on a second draw from the
+    /// read stream's word (`0`: none).
+    read_errors: u64,
     panic_at: Option<u64>,
-    torn_write_one_in: u64,
-    torn_delta_one_in: u64,
-    torn_scrub_one_in: u64,
-    slow_fsync_one_in: u64,
-    slow_fsync: Duration,
-    torn_temp_one_in: u64,
-    slow_temp_fsync_one_in: u64,
-    slow_temp_fsync: Duration,
+}
+
+/// The fault classes. Each draws on its own ordinal counter, mixed
+/// with its own domain constant, so arming or drawing one never shifts
+/// the schedule of another.
+#[derive(Clone, Copy)]
+enum Class {
+    Read,
+    PageWrite,
+    DeltaWrite,
+    ScrubWrite,
+    Fsync,
+    TempWrite,
+    TempFsync,
+}
+
+/// Domain-separation constants, indexed by [`Class`].
+const DOMAIN: [u64; 7] = [
+    0,
+    0x7f4a_7c15_9e37_79b9,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_e5b9_1ce4,
+    0x1331_11eb_94d0_49bb,
+    0x1ce4_e5b9_bf58_476d,
+    0x49bb_94d0_11eb_1331,
+];
+
+/// One class's schedule: it fires on one in `one_in` draws (`0`: never)
+/// and sleeps for `stall` when it does.
+#[derive(Debug, Default)]
+struct Stream {
+    one_in: u64,
+    stall: Duration,
     ordinal: AtomicU64,
-    write_ordinal: AtomicU64,
-    delta_ordinal: AtomicU64,
-    scrub_ordinal: AtomicU64,
-    fsync_ordinal: AtomicU64,
-    temp_write_ordinal: AtomicU64,
-    temp_fsync_ordinal: AtomicU64,
 }
 
 /// The decision [`FaultPlan::on_page_write`] draws for one page write.
@@ -71,41 +93,29 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            read_error_one_in: 0,
-            stall_one_in: 0,
-            stall: Duration::ZERO,
+            streams: Default::default(),
+            read_errors: 0,
             panic_at: None,
-            torn_write_one_in: 0,
-            torn_delta_one_in: 0,
-            torn_scrub_one_in: 0,
-            slow_fsync_one_in: 0,
-            slow_fsync: Duration::ZERO,
-            torn_temp_one_in: 0,
-            slow_temp_fsync_one_in: 0,
-            slow_temp_fsync: Duration::ZERO,
-            ordinal: AtomicU64::new(0),
-            write_ordinal: AtomicU64::new(0),
-            delta_ordinal: AtomicU64::new(0),
-            scrub_ordinal: AtomicU64::new(0),
-            fsync_ordinal: AtomicU64::new(0),
-            temp_write_ordinal: AtomicU64::new(0),
-            temp_fsync_ordinal: AtomicU64::new(0),
         }
+    }
+
+    fn arm(mut self, class: Class, one_in: u64, stall: Duration) -> FaultPlan {
+        let stream = &mut self.streams[class as usize];
+        (stream.one_in, stream.stall) = (one_in, stall);
+        self
     }
 
     /// Arms injected read errors at a rate of one in `one_in` page
     /// reads (deterministically chosen by the seed; `0` disables).
     pub fn with_read_errors(mut self, one_in: u64) -> FaultPlan {
-        self.read_error_one_in = one_in;
+        self.read_errors = one_in;
         self
     }
 
     /// Arms latency stalls of `stall` at a rate of one in `one_in`
     /// page reads (`0` disables).
-    pub fn with_stalls(mut self, one_in: u64, stall: Duration) -> FaultPlan {
-        self.stall_one_in = one_in;
-        self.stall = stall;
-        self
+    pub fn with_stalls(self, one_in: u64, stall: Duration) -> FaultPlan {
+        self.arm(Class::Read, one_in, stall)
     }
 
     /// Arms a process-local panic on exactly the `ordinal`-th page read
@@ -120,91 +130,94 @@ impl FaultPlan {
     /// (`0` disables). A torn write persists only a prefix of the page;
     /// the writer is not told — detection is the checksum's job at the
     /// next read or recovery.
-    pub fn with_torn_page_writes(mut self, one_in: u64) -> FaultPlan {
-        self.torn_write_one_in = one_in;
-        self
+    pub fn with_torn_page_writes(self, one_in: u64) -> FaultPlan {
+        self.arm(Class::PageWrite, one_in, Duration::ZERO)
     }
 
     /// Arms torn *delta* writes at a rate of one in `one_in` dirty-page
-    /// write-backs (`0` disables). Mutation write-backs and checkpoint
-    /// flushes draw from this class — on its own ordinal counter, so
-    /// arming it never shifts the load-path torn-write schedule.
-    pub fn with_torn_delta_writes(mut self, one_in: u64) -> FaultPlan {
-        self.torn_delta_one_in = one_in;
-        self
+    /// write-backs (`0` disables): mutation write-backs and checkpoint
+    /// flushes.
+    pub fn with_torn_delta_writes(self, one_in: u64) -> FaultPlan {
+        self.arm(Class::DeltaWrite, one_in, Duration::ZERO)
     }
 
     /// Arms torn *scrub* writes at a rate of one in `one_in` checkpoint
-    /// scrub rewrites (`0` disables). The checkpoint's heal-from-WAL
-    /// pass draws from this class on its own ordinal counter.
-    pub fn with_torn_scrub_writes(mut self, one_in: u64) -> FaultPlan {
-        self.torn_scrub_one_in = one_in;
-        self
+    /// scrub rewrites (`0` disables): the checkpoint's heal-from-WAL
+    /// pass.
+    pub fn with_torn_scrub_writes(self, one_in: u64) -> FaultPlan {
+        self.arm(Class::ScrubWrite, one_in, Duration::ZERO)
     }
 
     /// Arms slow fsyncs: one in `one_in` fsync calls stalls for
     /// `stall` before completing (`0` disables). Models a device whose
     /// write cache periodically drains under group commit.
-    pub fn with_slow_fsync(mut self, one_in: u64, stall: Duration) -> FaultPlan {
-        self.slow_fsync_one_in = one_in;
-        self.slow_fsync = stall;
-        self
+    pub fn with_slow_fsync(self, one_in: u64, stall: Duration) -> FaultPlan {
+        self.arm(Class::Fsync, one_in, stall)
     }
 
     /// Arms torn *temp* writes at a rate of one in `one_in` spill-frame
-    /// writes (`0` disables). Spilling operators (grace hash join,
-    /// external sort, spillable aggregate) draw from this class when
-    /// flushing partition frames through [`crate::TempStore`] — on its
-    /// own ordinal counter, so arming it never shifts the page, delta,
-    /// or scrub write schedules.
-    pub fn with_torn_temp_writes(mut self, one_in: u64) -> FaultPlan {
-        self.torn_temp_one_in = one_in;
-        self
+    /// writes (`0` disables): partition frames spilling operators flush
+    /// through [`crate::TempStore`].
+    pub fn with_torn_temp_writes(self, one_in: u64) -> FaultPlan {
+        self.arm(Class::TempWrite, one_in, Duration::ZERO)
     }
 
     /// Arms slow temp fsyncs: one in `one_in` spill-file seals stalls
-    /// for `stall` before completing (`0` disables). Models a device
-    /// whose write cache drains while a spill run is sealed; drawn on
-    /// its own ordinal counter, independent of the WAL fsync schedule.
-    pub fn with_slow_temp_fsync(mut self, one_in: u64, stall: Duration) -> FaultPlan {
-        self.slow_temp_fsync_one_in = one_in;
-        self.slow_temp_fsync = stall;
-        self
+    /// for `stall` before completing (`0` disables).
+    pub fn with_slow_temp_fsync(self, one_in: u64, stall: Duration) -> FaultPlan {
+        self.arm(Class::TempFsync, one_in, stall)
+    }
+
+    /// Draws of `class` so far.
+    fn count(&self, class: Class) -> u64 {
+        self.streams[class as usize].ordinal.load(Relaxed)
     }
 
     /// Page-read events drawn so far.
     pub fn events(&self) -> u64 {
-        self.ordinal.load(Ordering::Relaxed)
-    }
-
-    /// Page-write events drawn so far.
-    pub fn write_events(&self) -> u64 {
-        self.write_ordinal.load(Ordering::Relaxed)
-    }
-
-    /// Delta-write events drawn so far.
-    pub fn delta_events(&self) -> u64 {
-        self.delta_ordinal.load(Ordering::Relaxed)
-    }
-
-    /// Scrub-write events drawn so far.
-    pub fn scrub_events(&self) -> u64 {
-        self.scrub_ordinal.load(Ordering::Relaxed)
-    }
-
-    /// Fsync events drawn so far.
-    pub fn fsync_events(&self) -> u64 {
-        self.fsync_ordinal.load(Ordering::Relaxed)
+        self.count(Class::Read)
     }
 
     /// Temp-write events drawn so far.
     pub fn temp_write_events(&self) -> u64 {
-        self.temp_write_ordinal.load(Ordering::Relaxed)
+        self.count(Class::TempWrite)
     }
 
     /// Temp-fsync events drawn so far.
     pub fn temp_fsync_events(&self) -> u64 {
-        self.temp_fsync_ordinal.load(Ordering::Relaxed)
+        self.count(Class::TempFsync)
+    }
+
+    /// Advances `class`'s ordinal: the ordinal drawn and its word.
+    fn next(&self, class: Class) -> (u64, u64) {
+        let n = self.streams[class as usize].ordinal.fetch_add(1, Relaxed);
+        let mixed = self.seed ^ DOMAIN[class as usize] ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (n, splitmix64(mixed))
+    }
+
+    /// Whether `class` fires on draw `word`, after sleeping for the
+    /// class's stall if so.
+    fn fire(&self, class: Class, word: u64) -> bool {
+        let Stream { one_in, stall, .. } = &self.streams[class as usize];
+        let fired = *one_in > 0 && word.is_multiple_of(*one_in);
+        if fired {
+            std::thread::sleep(*stall);
+        }
+        fired
+    }
+
+    /// Draws the next decision of `class`.
+    fn fires(&self, class: Class) -> bool {
+        let (_, word) = self.next(class);
+        self.fire(class, word)
+    }
+
+    fn torn(&self, class: Class) -> PageWriteFault {
+        if self.fires(class) {
+            PageWriteFault::Torn
+        } else {
+            PageWriteFault::None
+        }
     }
 
     /// Draws the next fault decision. Called once per accounted page
@@ -215,76 +228,37 @@ impl FaultPlan {
     /// slow *and then* fails is the nastier case, so a stall draw does
     /// not shadow an error draw), then the error decision.
     pub fn on_page_read(&self) -> Result<(), StorageError> {
-        let n = self.ordinal.fetch_add(1, Ordering::Relaxed);
+        let (n, word) = self.next(Class::Read);
         if self.panic_at == Some(n) {
             panic!("fault plan: induced panic at page read {n}");
         }
-        let draw = splitmix64(self.seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if self.stall_one_in > 0 && draw.is_multiple_of(self.stall_one_in) {
-            std::thread::sleep(self.stall);
-        }
+        self.fire(Class::Read, word);
         // An independent second draw so stall and error rates don't
         // correlate on the same ordinals.
-        let draw2 = splitmix64(draw);
-        if self.read_error_one_in > 0 && draw2.is_multiple_of(self.read_error_one_in) {
+        if self.read_errors > 0 && splitmix64(word).is_multiple_of(self.read_errors) {
             return Err(StorageError::InjectedFault { ordinal: n });
         }
         Ok(())
     }
 
     /// Draws the next write-path fault decision. Called once per page
-    /// write by the disk-backed page store. The draw stream uses its
-    /// own ordinal counter and a distinct domain-separation constant,
-    /// so arming (or drawing) write faults never shifts the read or
-    /// fsync schedules.
+    /// write by the disk-backed page store.
     pub fn on_page_write(&self) -> PageWriteFault {
-        let n = self.write_ordinal.fetch_add(1, Ordering::Relaxed);
-        if self.torn_write_one_in == 0 {
-            return PageWriteFault::None;
-        }
-        let draw =
-            splitmix64(self.seed ^ 0x7f4a_7c15_9e37_79b9 ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if draw.is_multiple_of(self.torn_write_one_in) {
-            PageWriteFault::Torn
-        } else {
-            PageWriteFault::None
-        }
+        self.torn(Class::PageWrite)
     }
 
     /// Draws the next *delta*-write fault decision. Called once per
     /// dirty-page write-back (mutation flush, eviction write-back, and
-    /// checkpoint dirty flush) by the disk-backed page store. Its own
-    /// ordinal counter and domain constant keep the schedule independent
-    /// of load-path writes, reads, scrubs, and fsyncs.
+    /// checkpoint dirty flush) by the disk-backed page store.
     pub fn on_delta_write(&self) -> PageWriteFault {
-        let n = self.delta_ordinal.fetch_add(1, Ordering::Relaxed);
-        if self.torn_delta_one_in == 0 {
-            return PageWriteFault::None;
-        }
-        let draw =
-            splitmix64(self.seed ^ 0xbf58_476d_1ce4_e5b9 ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if draw.is_multiple_of(self.torn_delta_one_in) {
-            PageWriteFault::Torn
-        } else {
-            PageWriteFault::None
-        }
+        self.torn(Class::DeltaWrite)
     }
 
     /// Draws the next *scrub*-write fault decision. Called once per
     /// checkpoint scrub rewrite (healing a torn on-disk record from its
-    /// logged WAL bytes). Independent ordinal stream, as above.
+    /// logged WAL bytes).
     pub fn on_scrub_write(&self) -> PageWriteFault {
-        let n = self.scrub_ordinal.fetch_add(1, Ordering::Relaxed);
-        if self.torn_scrub_one_in == 0 {
-            return PageWriteFault::None;
-        }
-        let draw =
-            splitmix64(self.seed ^ 0x94d0_49bb_e5b9_1ce4 ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if draw.is_multiple_of(self.torn_scrub_one_in) {
-            PageWriteFault::Torn
-        } else {
-            PageWriteFault::None
-        }
+        self.torn(Class::ScrubWrite)
     }
 
     /// Draws the next fsync fault decision, sleeping for the configured
@@ -292,57 +266,49 @@ impl FaultPlan {
     /// WAL's group-commit path. Returns `true` iff this fsync stalled
     /// (so callers can count slow fsyncs if they care).
     pub fn on_fsync(&self) -> bool {
-        let n = self.fsync_ordinal.fetch_add(1, Ordering::Relaxed);
-        if self.slow_fsync_one_in == 0 {
-            return false;
-        }
-        let draw =
-            splitmix64(self.seed ^ 0x1331_11eb_94d0_49bb ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if draw.is_multiple_of(self.slow_fsync_one_in) {
-            std::thread::sleep(self.slow_fsync);
-            return true;
-        }
-        false
+        self.fires(Class::Fsync)
     }
 
     /// Draws the next *temp*-write fault decision. Called once per
-    /// spill frame flushed by [`crate::TempStore`]. Independent ordinal
-    /// stream and domain constant, as with the other write classes.
+    /// spill frame flushed by [`crate::TempStore`].
     pub fn on_temp_write(&self) -> PageWriteFault {
-        let n = self.temp_write_ordinal.fetch_add(1, Ordering::Relaxed);
-        if self.torn_temp_one_in == 0 {
-            return PageWriteFault::None;
-        }
-        let draw =
-            splitmix64(self.seed ^ 0x1ce4_e5b9_bf58_476d ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if draw.is_multiple_of(self.torn_temp_one_in) {
-            PageWriteFault::Torn
-        } else {
-            PageWriteFault::None
-        }
+        self.torn(Class::TempWrite)
     }
 
     /// Draws the next temp-fsync fault decision, sleeping for the
     /// configured stall when it fires. Called once per spill-file seal
     /// by [`crate::TempStore`]. Returns `true` iff this seal stalled.
     pub fn on_temp_fsync(&self) -> bool {
-        let n = self.temp_fsync_ordinal.fetch_add(1, Ordering::Relaxed);
-        if self.slow_temp_fsync_one_in == 0 {
-            return false;
-        }
-        let draw =
-            splitmix64(self.seed ^ 0x49bb_94d0_11eb_1331 ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if draw.is_multiple_of(self.slow_temp_fsync_one_in) {
-            std::thread::sleep(self.slow_temp_fsync);
-            return true;
-        }
-        false
+        self.fires(Class::TempFsync)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-class counters only these tests read.
+    trait Counters {
+        fn write_events(&self) -> u64;
+        fn delta_events(&self) -> u64;
+        fn scrub_events(&self) -> u64;
+        fn fsync_events(&self) -> u64;
+    }
+
+    impl Counters for FaultPlan {
+        fn write_events(&self) -> u64 {
+            self.count(Class::PageWrite)
+        }
+        fn delta_events(&self) -> u64 {
+            self.count(Class::DeltaWrite)
+        }
+        fn scrub_events(&self) -> u64 {
+            self.count(Class::ScrubWrite)
+        }
+        fn fsync_events(&self) -> u64 {
+            self.count(Class::Fsync)
+        }
+    }
 
     fn fault_ordinals(plan: &FaultPlan, draws: u64) -> Vec<u64> {
         (0..draws)
