@@ -281,14 +281,13 @@ impl Database {
         ratio: f64,
     ) -> Result<String, OptError> {
         let plan = self.optimize(query)?;
-        let est = fj_optimizer::estimate_phys_plan(&self.catalog, self.config.params, &plan.phys);
         let collector = Arc::new(TraceCollector::new());
         let ctx = self.exec_ctx().with_tracer(Arc::clone(&collector));
         plan.phys.execute(&ctx)?;
         let trace = collector
             .finish()
             .ok_or_else(|| OptError::NoPlan("trace collection did not complete".into()))?;
-        Ok(crate::explain::render_analyze(&plan, &est, &trace, ratio))
+        Ok(crate::explain::render_analyze(&plan, &trace, ratio))
     }
 }
 

@@ -174,6 +174,35 @@ pub struct OptimizedPlan {
     pub plans_considered: u64,
     /// Nested estimator invocations spent on parametric fits.
     pub nested_invocations: u64,
+    /// What the dynamic program estimated for each node of `phys`: the
+    /// stamps `EXPLAIN ANALYZE` sets against what execution measured.
+    /// The root's rows are `est_rows`.
+    pub est: EstNode,
+}
+
+/// The rows and pages the dynamic program priced one node of a plan
+/// at, with its children's stamps in [`PhysPlan::children`] order. The
+/// tree stops where the program made no estimate (inside a view's
+/// body), so a node never has more children than the plan node it
+/// stamps, and may have fewer.
+#[derive(Debug, Clone)]
+pub struct EstNode {
+    /// Estimated output rows.
+    pub est_rows: f64,
+    /// Estimated output pages.
+    pub est_pages: f64,
+    /// The children's stamps, in execution order.
+    pub children: Vec<EstNode>,
+}
+
+impl EstNode {
+    pub(crate) fn new(est_rows: f64, est_pages: f64, children: Vec<EstNode>) -> EstNode {
+        EstNode {
+            est_rows,
+            est_pages,
+            children,
+        }
+    }
 }
 
 /// Index of an [`Entry`] in [`Search::arena`]. Entries are never
@@ -791,7 +820,8 @@ impl<'a> Search<'a> {
         }
         let (winner, cost, est_rows) = (winner.0, total(winner.1), winner.1.stats.rows);
         let mut built = Built::default();
-        let phys = self.build(winner, &mut built)?;
+        let (phys, est) = self.build(winner, &mut built)?;
+        let est = self.stamp(winner, vec![est]);
         // The SELECT list: the user's projection, or — `SELECT *`
         // semantics — every column of every FROM item in declaration
         // order (the chosen join order must not leak into the output
@@ -814,6 +844,7 @@ impl<'a> Search<'a> {
             filter_join_costs: built.fj_costs,
             plans_considered: self.plans_considered,
             nested_invocations: self.memo.nested_invocations,
+            est,
         })
     }
 
@@ -827,15 +858,24 @@ impl<'a> Search<'a> {
         conjoin(positions.iter().map(|&k| self.conjuncts[k].0.clone()))
     }
 
+    /// Entry `id`'s estimate as the stamp of a node over `children`.
+    fn stamp(&self, id: EntryId, children: Vec<EstNode>) -> EstNode {
+        let stats = &self.arena[id as usize].stats;
+        EstNode::new(stats.rows, stats.pages(&self.config.params), children)
+    }
+
     /// Materialises the plan of entry `id` by walking its recipe,
     /// appending its leaves, SIPS and Table 1 breakdowns to `out` in
-    /// left-to-right order.
-    fn build(&mut self, id: EntryId, out: &mut Built) -> Result<PhysPlan, OptError> {
+    /// left-to-right order. Each node it emits is stamped with what
+    /// the entry that asked for it estimated.
+    fn build(&mut self, id: EntryId, out: &mut Built) -> Result<(PhysPlan, EstNode), OptError> {
         let first_leaf = out.order.len();
         let (method, outer, inner) = match self.arena[id as usize].recipe {
             Recipe::Leaf { alias, ordered_on } => {
                 out.order.push(alias);
-                return self.leaf_plan(alias, ordered_on);
+                let phys = self.leaf_plan(alias, ordered_on)?;
+                let est = self.leaf_stamps(id, alias, &phys);
+                return Ok((phys, est));
             }
             Recipe::Join {
                 method,
@@ -843,10 +883,12 @@ impl<'a> Search<'a> {
                 inner,
             } => {
                 let split = self.split(outer, inner);
-                let (outer, inner) = (self.build(outer, out)?, self.build(inner, out)?);
+                let (outer, outer_est) = self.build(outer, out)?;
+                let (inner, inner_est) = self.build(inner, out)?;
+                let est = self.stamp(id, vec![outer_est, inner_est]);
                 let (outer, inner) = (outer.boxed(), inner.boxed());
                 let (keys, residual) = (split.keys, self.conjoined(&split.residual));
-                return Ok(match method {
+                let phys = match method {
                     Symmetric::NestedLoops => PhysPlan::NestedLoops {
                         outer,
                         inner,
@@ -866,7 +908,8 @@ impl<'a> Search<'a> {
                         keys,
                         residual,
                     },
-                });
+                };
+                return Ok((phys, est));
             }
             Recipe::Into {
                 method,
@@ -875,7 +918,7 @@ impl<'a> Search<'a> {
             } => (method, outer, inner),
         };
         let split = self.split(outer, inner);
-        let outer_phys = self.build(outer, out)?;
+        let (outer_phys, outer_est) = self.build(outer, out)?;
         let outer_leaves = out.order.len() - first_leaf;
         let leaf = split.leaf.as_ref().expect("costed with a leaf inner");
         let j = leaf.alias;
@@ -885,23 +928,25 @@ impl<'a> Search<'a> {
         Ok(match method {
             Named::IndexNestedLoops => {
                 let probe = leaf.index_probe.as_ref().expect("costed with an index");
-                PhysPlan::IndexNestedLoops {
+                let phys = PhysPlan::IndexNestedLoops {
                     outer: outer_phys.boxed(),
                     table: item.relation.clone(),
                     alias: item.alias.clone(),
                     outer_key: probe.outer_key.clone(),
                     inner_col: probe.inner_col.clone(),
                     residual: restriction,
-                }
+                };
+                (phys, self.stamp(id, vec![outer_est]))
             }
             Named::UdfProbe => {
                 let probe = leaf.udf_probe.as_ref().expect("costed with probe keys");
-                PhysPlan::UdfProbe {
+                let phys = PhysPlan::UdfProbe {
                     outer: outer_phys.boxed(),
                     udf: item.relation.clone(),
                     alias: item.alias.clone(),
                     arg_cols: probe.arg_cols.clone(),
-                }
+                };
+                (phys, self.stamp(id, vec![outer_est]))
             }
             Named::FilterJoin(variant) => {
                 let filter_keys = self.filter_keys(&split, variant, inner).into_owned();
@@ -924,9 +969,10 @@ impl<'a> Search<'a> {
                     .cost_variant(&split, outer, variant, &filter_keys)?
                     .expect("applicable when it was costed");
                 let mask = self.arena[id as usize].mask;
-                let mut phys = build_filter_join_plan(
+                let (mut phys, mut est) = build_filter_join_plan(
                     self.catalog,
-                    outer_phys,
+                    &self.config.params,
+                    (outer_phys, outer_est),
                     production,
                     split.filter_join(&self.aliases, variant, &filter_keys),
                     &d,
@@ -937,6 +983,7 @@ impl<'a> Search<'a> {
                         input: phys.boxed(),
                         predicate: p,
                     };
+                    est = self.stamp(id, vec![est]);
                 }
                 let producers = &out.order[first_leaf..first_leaf + produced];
                 out.sips.push(Sips {
@@ -948,7 +995,7 @@ impl<'a> Search<'a> {
                         .collect(),
                 });
                 out.fj_costs.push(d.cost);
-                phys
+                (phys, est)
             }
         })
     }
@@ -979,6 +1026,25 @@ impl<'a> Search<'a> {
             },
             None => phys,
         })
+    }
+
+    /// Stamps the access path `phys` of leaf entry `id` over FROM item
+    /// `alias`: the nodes down to the scan carry the entry, and the scan
+    /// a filter reads carries the base-table statistics the entry was
+    /// derived from (its rows and width, as `base_table_stats` gives
+    /// them). What a filter reads of a view or a table function, and a
+    /// view's body, carry none.
+    fn leaf_stamps(&self, id: EntryId, alias: usize, phys: &PhysPlan) -> EstNode {
+        let children = match (phys, &self.aliases[alias].rel.kind) {
+            (PhysPlan::Ship { input, .. }, _) => vec![self.leaf_stamps(id, alias, input)],
+            (PhysPlan::Filter { .. }, RelationKind::Base(t) | RelationKind::Remote(t, _)) => {
+                let rows = t.row_count() as f64;
+                let pages = self.config.params.pages(rows, t.schema().row_width());
+                vec![EstNode::new(rows, pages, Vec::new())]
+            }
+            _ => Vec::new(),
+        };
+        self.stamp(id, children)
     }
 
     /// Per-alias neighbor bitmasks of the join graph. Alias `i` is
@@ -1388,7 +1454,7 @@ impl<'a> Search<'a> {
         };
         let mut cost_delta = d.cost.total() - o.cost; // JoinCost_P already in base
         if !leaf.restriction.is_empty() {
-            cost_delta += params.cpu(d.rows);
+            cost_delta += params.cpu(d.output.rows);
         }
         // The leaf's own access cost is replaced by FilterCost_Rk.
         Ok(Some((d, o.cost + cost_delta)))

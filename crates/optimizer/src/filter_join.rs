@@ -32,6 +32,7 @@
 //! description only for a candidate that won.
 
 use crate::cost::CostParams;
+use crate::enumerate::EstNode;
 use crate::error::OptError;
 use crate::estimate::{
     base_table_stats, equi_join_rows, ColEst, EstStats, JoinTerm, PlanEstimator,
@@ -204,19 +205,38 @@ pub struct FilterJoinArgs<'a> {
     pub prefix_production: Option<PrefixProduction<'a>>,
 }
 
+/// Rows and pages of one intermediate result, as costing priced it.
+#[derive(Debug, Clone, Copy)]
+pub struct Priced {
+    /// Estimated rows.
+    pub rows: f64,
+    /// Estimated pages.
+    pub pages: f64,
+}
+
+impl Priced {
+    /// This estimate as the stamp of a plan node over `children`.
+    fn stamp(self, children: Vec<EstNode>) -> EstNode {
+        EstNode::new(self.rows, self.pages, children)
+    }
+}
+
 /// The costed decision: scalars only. Costing builds no statistics;
 /// [`filter_join_stats`] derives the output's from these for a
-/// candidate that is kept.
+/// candidate that is kept, and [`build_filter_join_plan`] stamps the
+/// plan with them.
 #[derive(Debug, Clone, Copy)]
 pub struct FilterJoinDecision {
     /// The Table 1 breakdown.
     pub cost: FilterJoinCost,
-    /// Estimated cardinality of the join output.
-    pub rows: f64,
-    /// Estimated cardinality of the filter set.
-    pub filter_rows: f64,
-    /// Estimated cardinality of the restricted inner.
-    pub restricted_rows: f64,
+    /// The join output.
+    pub output: Priced,
+    /// The production set.
+    pub production: Priced,
+    /// The filter set.
+    pub filter: Priced,
+    /// The restricted inner.
+    pub restricted: Priced,
     /// Bloom bits (when lossy).
     pub bloom_bits: u64,
     /// Bloom hash count (when lossy).
@@ -390,6 +410,7 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
         .map(|(o, i)| (args.outer.distinct(o), restricted_distinct(i)));
     let rows = equi_join_rows(p_rows, restricted_rows, key_distincts);
     let final_join_cost = params.hash_join_cost(p_rows, p_pages, restricted_rows, rk_pages, rows);
+    let output_width = args.outer.width + restricted_width.saturating_sub(8);
 
     let cost = FilterJoinCost {
         join_cost_p: args.outer_cost,
@@ -405,9 +426,22 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
 
     Ok(Some(FilterJoinDecision {
         cost,
-        rows,
-        filter_rows: f_rows,
-        restricted_rows,
+        output: Priced {
+            rows,
+            pages: params.pages(rows, output_width),
+        },
+        production: Priced {
+            rows: src_rows,
+            pages: src_pages,
+        },
+        filter: Priced {
+            rows: f_rows,
+            pages: f_pages,
+        },
+        restricted: Priced {
+            rows: restricted_rows,
+            pages: rk_pages,
+        },
         bloom_bits,
         bloom_hashes,
     }))
@@ -427,7 +461,7 @@ pub(crate) fn filter_join_stats(
     let mut restricted = match &inner.kind {
         RelationKind::Udf(u) => {
             let schema = u.schema();
-            let distinct = decision.restricted_rows.max(1.0);
+            let distinct = decision.restricted.rows.max(1.0);
             let cols = schema.columns().iter().map(|c| {
                 let ce = ColEst {
                     distinct,
@@ -436,7 +470,7 @@ pub(crate) fn filter_join_stats(
                 (c.name.as_str(), ce)
             });
             EstStats {
-                rows: decision.restricted_rows,
+                rows: decision.restricted.rows,
                 width: schema.row_width() + 8 + 9 * spec.filter_keys.len(),
                 cols: cols.collect(),
             }
@@ -446,7 +480,7 @@ pub(crate) fn filter_join_stats(
             // The filtered keys keep at most f distinct values.
             let whole = inner.unrestricted.get().expect("set when it was costed");
             let mut stats = whole.clone();
-            let cap = decision.filter_rows.max(1.0);
+            let cap = decision.filter.rows.max(1.0);
             for (_, i) in spec.filter_keys {
                 // Looked up shared first: writing is what copies.
                 if stats.cols.get(i).is_some_and(|ce| ce.distinct > cap) {
@@ -456,14 +490,14 @@ pub(crate) fn filter_join_stats(
             stats
         }
     };
-    restricted.rows = decision.restricted_rows;
+    restricted.rows = decision.restricted.rows;
     let keys = spec.keys.iter().map(|(o, i)| JoinTerm::Key(o, i));
     let output = estimator.join_stats_terms(outer, &restricted, keys, JoinKind::Inner);
-    debug_assert_eq!(output.rows.to_bits(), decision.rows.to_bits());
+    debug_assert_eq!(output.rows.to_bits(), decision.output.rows.to_bits());
     output
 }
 
-/// Builds the physical plan for a costed Filter Join.
+/// Builds the physical plan for a costed Filter Join, with its stamps.
 ///
 /// Shape (exact filter, materialized production, local inner):
 ///
@@ -478,24 +512,34 @@ pub(crate) fn filter_join_stats(
 /// `Ship` nodes (the SDD-1 semi-join of §5.1); Bloom variants replace
 /// the filter materialization with a `BuildBloom` step and the semi-join
 /// with a `BloomProbe`. `spec` is the description `decision` was costed
-/// for; `production_phys` is the production-set plan when it was costed
+/// for; `production` is the production-set plan when it was costed
 /// with a prefix production (`None` keeps Limitation 2: production =
 /// the outer itself). The plans are taken by value: only a recomputed
 /// whole-outer production is read twice and so copied.
+///
+/// Each plan comes with its stamp tree ([`EstNode`]), and so does the
+/// result: the nodes built here carry what `decision` priced — the
+/// production set's scan and key projection its rows, the filter set
+/// its own, the node producing the restricted inner (and what ships
+/// it) the restricted cardinality, a stored inner's scan the table's
+/// statistics, and the join and `WithTemp` the output. A view's body
+/// carries none.
 pub fn build_filter_join_plan(
     catalog: &Catalog,
-    outer_phys: PhysPlan,
-    production_phys: Option<PhysPlan>,
+    params: &CostParams,
+    outer: (PhysPlan, EstNode),
+    production: Option<(PhysPlan, EstNode)>,
     spec: FilterJoinSpec<'_>,
     decision: &FilterJoinDecision,
     suffix: &str,
-) -> Result<PhysPlan, OptError> {
+) -> Result<(PhysPlan, EstNode), OptError> {
     let FilterJoinSpec {
         inner,
         keys,
         filter_keys,
         ..
     } = spec;
+    let d = decision;
     let partial_name = format!("__partial{suffix}");
     let filter_name = format!("__filter{suffix}");
     let inner_site = inner.site();
@@ -504,36 +548,41 @@ pub fn build_filter_join_plan(
     // The production set is materialized once and scanned, or
     // recomputed where it is read. With a prefix production the final
     // join still consumes the *full* outer, pipelined; only the prefix
-    // is materialized.
+    // is materialized. `stamps` follows `steps`.
     let mut steps = Vec::new();
-    let scan_partial = || PhysPlan::TempScan {
-        name: partial_name.clone(),
-        alias: String::new(),
+    let mut stamps = Vec::new();
+    let scan_partial = || {
+        let scan = PhysPlan::TempScan {
+            name: partial_name.clone(),
+            alias: String::new(),
+        };
+        (scan, d.production.stamp(Vec::new()))
     };
-    let (outer_for_body, filter_src) = match (decision.cost.materialize_production, production_phys)
-    {
-        (true, Some(prefix)) => {
+    let (outer_for_body, filter_src) = match (d.cost.materialize_production, production) {
+        (true, Some((prefix, prefix_est))) => {
             steps.push(TempStep::Materialize {
                 name: partial_name.clone(),
                 plan: prefix,
             });
-            (outer_phys, scan_partial())
+            stamps.push(prefix_est);
+            (outer, scan_partial())
         }
         (true, None) => {
             steps.push(TempStep::Materialize {
                 name: partial_name.clone(),
-                plan: outer_phys,
+                plan: outer.0,
             });
+            stamps.push(outer.1);
             (scan_partial(), scan_partial())
         }
-        (false, Some(prefix)) => (outer_phys, prefix),
-        (false, None) => (outer_phys.clone(), outer_phys),
+        (false, Some(prefix)) => (outer, prefix),
+        (false, None) => (outer.clone(), outer),
     };
 
     // Distinct projection of the production key columns as k0, k1, ...
     let filter_plan = PhysPlan::Distinct {
         input: PhysPlan::Project {
-            input: filter_src.boxed(),
+            input: filter_src.0.boxed(),
             exprs: filter_keys
                 .iter()
                 .enumerate()
@@ -542,54 +591,61 @@ pub fn build_filter_join_plan(
         }
         .boxed(),
     };
+    let filter_est = d.filter.stamp(vec![d.production.stamp(vec![filter_src.1])]);
 
     let inner_attrs: Vec<String> = spec.inner_attrs().into_iter().map(String::from).collect();
+    // A stored inner's scan, stamped with the table's statistics.
+    let scan_inner = || {
+        let scan = PhysPlan::SeqScan {
+            table: inner.relation.clone(),
+            alias: inner.alias.clone(),
+        };
+        let table = inner.unrestricted.get().expect("set when it was costed");
+        let est = EstNode::new(table.rows, table.pages(params), Vec::new());
+        (scan.boxed(), est)
+    };
+    let scan_filter = |name: String| PhysPlan::TempScan {
+        name,
+        alias: "__F".into(),
+    };
 
-    let restricted_phys: PhysPlan = if decision.cost.lossy {
+    let (mut restricted_phys, mut restricted_est) = if d.cost.lossy {
         // Bloom build (with shipping charge when remote), then a probe
         // over the inner scan at the inner's site.
         steps.push(TempStep::BuildBloom {
             name: filter_name.clone(),
             plan: filter_plan,
             key_cols: (0..filter_keys.len()).map(|i| format!("k{i}")).collect(),
-            bits: decision.bloom_bits.max(64),
-            hashes: decision.bloom_hashes.max(2),
+            bits: d.bloom_bits.max(64),
+            hashes: d.bloom_hashes.max(2),
             ship: remote.then_some((SiteId::LOCAL, inner_site)),
         });
+        stamps.push(filter_est);
+        let (scan, scan_est) = scan_inner();
         let probe = PhysPlan::BloomProbe {
-            input: PhysPlan::SeqScan {
-                table: inner.relation.clone(),
-                alias: inner.alias.clone(),
-            }
-            .boxed(),
+            input: scan,
             bloom: filter_name,
             key_cols: keys.iter().map(|(_, i)| i.clone()).collect(),
         };
-        if remote {
-            PhysPlan::Ship {
-                input: probe.boxed(),
-                from: inner_site,
-                to: SiteId::LOCAL,
-            }
-        } else {
-            probe
-        }
+        (probe, d.restricted.stamp(vec![scan_est]))
     } else {
         // Exact filter set: materialize (shipping it to the inner's site
         // when remote), then the restricted inner.
-        let filter_step_plan = if remote {
-            PhysPlan::Ship {
+        let (filter_step_plan, filter_est) = if remote {
+            let ship = PhysPlan::Ship {
                 input: filter_plan.boxed(),
                 from: SiteId::LOCAL,
                 to: inner_site,
-            }
+            };
+            (ship, d.filter.stamp(vec![filter_est]))
         } else {
-            filter_plan
+            (filter_plan, filter_est)
         };
         steps.push(TempStep::Materialize {
             name: filter_name.clone(),
             plan: filter_step_plan,
         });
+        stamps.push(filter_est);
 
         let filter_schema = Schema::new(
             (0..filter_keys.len())
@@ -597,7 +653,7 @@ pub fn build_filter_join_plan(
                 .collect(),
         )?
         .into_ref();
-        let mut phys = match &inner.kind {
+        match &inner.kind {
             RelationKind::View(_) => {
                 let restricted_logical = magic::restricted_inner(
                     catalog,
@@ -610,7 +666,7 @@ pub fn build_filter_join_plan(
                 // View bodies produce unqualified names; requalify under
                 // the inner alias for the final join predicate.
                 let view = catalog.view(&inner.relation)?;
-                PhysPlan::Project {
+                let requalify = PhysPlan::Project {
                     input: lowered.boxed(),
                     exprs: view
                         .schema
@@ -623,7 +679,8 @@ pub fn build_filter_join_plan(
                             )
                         })
                         .collect(),
-                }
+                };
+                (requalify, d.restricted.stamp(Vec::new()))
             }
             // UDF inners: the filter set drives *consecutive procedure
             // calls* (§5.2) — one invocation per distinct filter value.
@@ -642,16 +699,12 @@ pub fn build_filter_join_plan(
                     })
                     .collect();
                 let probe = PhysPlan::UdfProbe {
-                    outer: PhysPlan::TempScan {
-                        name: filter_name,
-                        alias: "__F".into(),
-                    }
-                    .boxed(),
+                    outer: scan_filter(filter_name).boxed(),
                     udf: inner.relation.clone(),
                     alias: inner.alias.clone(),
                     arg_cols,
                 };
-                PhysPlan::Project {
+                let project = PhysPlan::Project {
                     input: probe.boxed(),
                     exprs: schema
                         .columns()
@@ -661,55 +714,56 @@ pub fn build_filter_join_plan(
                             (col(q.clone()), q)
                         })
                         .collect(),
-                }
+                };
+                let probe_est = d.restricted.stamp(vec![d.filter.stamp(Vec::new())]);
+                (project, d.restricted.stamp(vec![probe_est]))
             }
             // Base / remote inners: semi-join the scan directly. Built
             // by hand (not via `lower`) so a *remote* inner's scan is
             // not auto-shipped home — the semi-join runs at the inner's
             // site and only its result ships back (the SDD-1 semi-join
             // discipline).
-            _ => PhysPlan::HashJoin {
-                outer: PhysPlan::SeqScan {
-                    table: inner.relation.clone(),
-                    alias: inner.alias.clone(),
-                }
-                .boxed(),
-                inner: PhysPlan::TempScan {
-                    name: filter_name,
-                    alias: "__F".into(),
-                }
-                .boxed(),
-                keys: filter_keys
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, inner))| (inner.clone(), format!("__F.k{i}")))
-                    .collect(),
-                residual: None,
-                kind: JoinKind::Semi,
-            },
-        };
-        if remote {
-            phys = PhysPlan::Ship {
-                input: phys.boxed(),
-                from: inner_site,
-                to: SiteId::LOCAL,
-            };
+            _ => {
+                let (scan, scan_est) = scan_inner();
+                let semi = PhysPlan::HashJoin {
+                    outer: scan,
+                    inner: scan_filter(filter_name).boxed(),
+                    keys: filter_keys
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (_, inner))| (inner.clone(), format!("__F.k{i}")))
+                        .collect(),
+                    residual: None,
+                    kind: JoinKind::Semi,
+                };
+                let filter_est = d.filter.stamp(Vec::new());
+                (semi, d.restricted.stamp(vec![scan_est, filter_est]))
+            }
         }
-        phys
     };
+    if remote {
+        restricted_phys = PhysPlan::Ship {
+            input: restricted_phys.boxed(),
+            from: inner_site,
+            to: SiteId::LOCAL,
+        };
+        restricted_est = d.restricted.stamp(vec![restricted_est]);
+    }
 
     let body = PhysPlan::HashJoin {
-        outer: outer_for_body.boxed(),
+        outer: outer_for_body.0.boxed(),
         inner: restricted_phys.boxed(),
         keys: keys.to_vec(),
         residual: None,
         kind: JoinKind::Inner,
     };
+    stamps.push(d.output.stamp(vec![outer_for_body.1, restricted_est]));
 
-    Ok(PhysPlan::WithTemp {
+    let plan = PhysPlan::WithTemp {
         steps,
         body: body.boxed(),
-    })
+    };
+    Ok((plan, d.output.stamp(stamps)))
 }
 
 #[cfg(test)]
@@ -783,6 +837,21 @@ mod tests {
             prefix_production: None,
         })
         .unwrap()
+    }
+
+    /// Builds the Filter Join `d` was costed for over `outer`, whose
+    /// stamp is a placeholder.
+    fn build(
+        cat: &Catalog,
+        outer: PhysPlan,
+        spec: FilterJoinSpec<'_>,
+        d: &FilterJoinDecision,
+        suffix: &str,
+    ) -> PhysPlan {
+        let outer = (outer, EstNode::new(0.0, 0.0, Vec::new()));
+        let params = CostParams::default();
+        let built = build_filter_join_plan(cat, &params, outer, None, spec, d, suffix);
+        built.unwrap().0
     }
 
     #[test]
@@ -878,7 +947,7 @@ mod tests {
             spec,
         )
         .unwrap();
-        let plan = build_filter_join_plan(&cat, outer_phys(), None, spec, &d, "_t").unwrap();
+        let plan = build(&cat, outer_phys(), spec, &d, "_t");
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Join output: (E ⨝ D filtered) ⨝ V — 3 young employees in big
@@ -923,7 +992,7 @@ mod tests {
             .boxed(),
             predicate: col("E.age").lt(lit(30)),
         };
-        let plan = build_filter_join_plan(&cat, outer, None, spec, &d, "_b").unwrap();
+        let plan = build(&cat, outer, spec, &d, "_b");
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Young employees (1,3,4,5) each joined with their department.
@@ -962,7 +1031,7 @@ mod tests {
             .boxed(),
             predicate: col("E.age").lt(lit(30)),
         };
-        let plan = build_filter_join_plan(&cat, outer, None, spec, &d, "_bl").unwrap();
+        let plan = build(&cat, outer, spec, &d, "_bl");
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // No false negatives: all 4 young-employee joins survive.
@@ -1021,7 +1090,7 @@ mod tests {
             table: "L".into(),
             alias: "l".into(),
         };
-        let plan = build_filter_join_plan(&cat, outer, None, spec, &d, "_ss").unwrap();
+        let plan = build(&cat, outer, spec, &d, "_ss");
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         // Reference: count matches on (a, b).
@@ -1071,7 +1140,7 @@ mod tests {
             table: "Emp".into(),
             alias: "E".into(),
         };
-        let plan = build_filter_join_plan(&cat, outer, None, spec, &d, "_r").unwrap();
+        let plan = build(&cat, outer, spec, &d, "_r");
         let ctx = ExecCtx::new(Arc::new(cat.clone()));
         let rel = plan.execute(&ctx).unwrap();
         assert_eq!(rel.rows.len(), 5, "every employee matches a department");

@@ -37,13 +37,11 @@ pub mod estimate;
 pub mod filter_join;
 pub mod fingerprint;
 pub mod parametric;
-pub mod phys_estimate;
 
 pub use cost::CostParams;
-pub use enumerate::{OptimizedPlan, Optimizer, OptimizerConfig, PlanShape};
+pub use enumerate::{EstNode, OptimizedPlan, Optimizer, OptimizerConfig, PlanShape};
 pub use error::OptError;
 pub use estimate::{EstStats, PlanEstimator};
 pub use filter_join::FilterJoinCost;
 pub use fingerprint::{fingerprint, Digest};
 pub use parametric::{ParametricEstimator, ParametricFit};
-pub use phys_estimate::{estimate_phys_plan, EstNode};

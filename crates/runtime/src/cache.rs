@@ -134,6 +134,11 @@ mod tests {
             filter_join_costs: Vec::new(),
             plans_considered: 0,
             nested_invocations: 0,
+            est: fj_optimizer::EstNode {
+                est_rows: 0.0,
+                est_pages: 0.0,
+                children: Vec::new(),
+            },
         })
     }
 

@@ -138,8 +138,8 @@ fn main() {
     }
 
     // ---- 4. EXPLAIN ANALYZE: the same plan, executed with
-    // per-operator tracing — estimated vs actual rows and pages on
-    // every node, with gross misestimates flagged.
+    // per-operator tracing — the optimizer's own estimates vs actual
+    // rows and pages, with gross misestimates flagged.
     println!("\n--- EXPLAIN ANALYZE ---");
     println!("{}", db.explain_analyze(&query).expect("analyzes"));
 }
