@@ -26,6 +26,9 @@
 //! | [`repro::mutation_chaos`] | write path: crash-point sweep, then a storm with a mutator, checkpoints and a crash-restart |
 //! | [`repro::memory_chaos`] | spilling: over-budget joins under temp-file faults and mid-spill cancels |
 //!
+//! F6, D1, U1, L1 and B1 build their join plans from one table,
+//! [`repro::technique`]: relation kind × technique → plan.
+//!
 //! The last six are scenarios over one driver: `repro::storm` (the
 //! client loop, the `Outcome` table, the shared set-up) and
 //! `repro::forwarder` (the restartable replica) — see DESIGN.md,

@@ -8,17 +8,21 @@
 //! the cost-based optimizer switching strategies at the right network
 //! weight.
 
+use super::technique::{self, Technique};
 use crate::report::Report;
-use crate::workloads::orders_customers;
-use fj_core::distsim::{run_strategy, DistStrategy, TwoSiteScenario};
+use crate::workloads::{orders_customers, two_site, ORDERS_CUSTOMERS};
+use fj_core::exec::context::DEFAULT_MEMORY_PAGES;
 use fj_core::{col, Database, FromItem, JoinQuery, NetworkModel};
+use std::sync::Arc;
 
 /// One network-weight point: strategy costs plus the optimizer's pick.
 #[derive(Debug, Clone)]
 pub struct DistPoint {
     /// Multiplier over the LAN per-byte cost.
     pub net_scale: f64,
-    /// Measured cost per strategy, in [`DistStrategy::ALL`] order.
+    /// Measured cost of fetch-inner (full computation), fetch-matches
+    /// (repeated probe), the semi-join (filter join) and the Bloom
+    /// semi-join (lossy filter), in that order.
     pub costs: [f64; 4],
     /// What the cost-based optimizer chose ("filter join" or
     /// "fetch inner").
@@ -33,23 +37,25 @@ pub fn sweep(n_orders: usize, n_customers: usize, referenced: usize) -> Vec<Dist
             let (orders, mut customers) = orders_customers(n_orders, n_customers, referenced, 23);
             customers.create_hash_index(0).expect("index on cust");
             let network = NetworkModel {
-                per_message: 1.0 * net_scale,
+                per_message: net_scale,
                 per_byte: (2.0 / 4096.0) * net_scale,
             };
-            let scenario = TwoSiteScenario::new(
-                orders.into_ref(),
-                customers.into_ref(),
-                "cust",
-                "cust",
-                network,
-            );
-            let mut costs = [0.0; 4];
-            for (i, s) in DistStrategy::ALL.iter().enumerate() {
-                costs[i] = run_strategy(&scenario, *s).expect("strategy runs").cost;
-            }
+            let catalog = Arc::new(two_site(orders, customers, network));
+            let strategies = [
+                Technique::Full,
+                Technique::Probe,
+                Technique::FilterJoin,
+                Technique::lossy_for(n_orders),
+            ];
+            let costs = strategies.map(|t| {
+                let m = technique::run(&catalog, ORDERS_CUSTOMERS, t, DEFAULT_MEMORY_PAGES);
+                m.expect("strategy runs")
+                    .expect("applies to a remote table")
+                    .cost
+            });
 
             // The optimizer's verdict on the same join.
-            let mut db = Database::with_catalog((*scenario.catalog).clone());
+            let mut db = Database::with_catalog((*catalog).clone());
             db.set_network(network);
             let q = JoinQuery::new(vec![
                 FromItem::new("Orders", "O"),
@@ -146,7 +152,7 @@ use fj_net::{Server, ServerConfig};
 use std::time::Instant;
 
 /// One shipping strategy run against real shard servers: what the
-/// distsim-style cost model predicted, and what the wire measured.
+/// `fj-dist` cost model predicted, and what the wire measured.
 #[derive(Debug, Clone)]
 pub struct WirePoint {
     /// The strategy measured.
@@ -166,7 +172,7 @@ pub struct WirePoint {
 }
 
 /// Runs every shipping strategy over a real `shards`-server fleet on
-/// loopback and pairs the distsim-style prediction with measured wire
+/// loopback and pairs the `fj-dist` prediction with measured wire
 /// traffic.
 pub fn measure_wire(
     n_orders: usize,

@@ -10,10 +10,11 @@
 //! computation spills) and verify both the ranking and the exact page
 //! pattern of the local semi-join.
 
+use super::technique::{self, Technique};
 use crate::report::Report;
-use crate::workloads::orders_customers;
-use fj_core::storage::CPU_WEIGHT_DEFAULT;
-use fj_core::{col, Catalog, ExecCtx, LedgerSnapshot, PhysPlan};
+use crate::workloads::{orders_customers, ORDERS_CUSTOMERS as JOIN};
+use fj_core::algebra::JoinKind;
+use fj_core::{col, Catalog, PhysPlan};
 use std::sync::Arc;
 
 /// One method's measurements.
@@ -29,118 +30,64 @@ pub struct MethodOutcome {
     pub cost: f64,
 }
 
-fn catalog(n_orders: usize, n_customers: usize, referenced: usize) -> (Catalog, u64, u64) {
-    let (orders, customers) = orders_customers(n_orders, n_customers, referenced, 31);
-    let op = orders.page_count();
-    let ip = customers.page_count();
-    let mut cat = Catalog::new();
-    cat.add_table(orders.into_ref());
-    cat.add_table(customers.into_ref());
-    (cat, op, ip)
-}
-
-fn plans() -> Vec<(&'static str, PhysPlan)> {
-    let outer = PhysPlan::SeqScan {
-        table: "Orders".into(),
-        alias: "O".into(),
-    };
-    let inner = PhysPlan::SeqScan {
-        table: "Customers".into(),
-        alias: "C".into(),
-    };
-    let keys = vec![("O.cust".to_string(), "C.cust".to_string())];
-    let semi = PhysPlan::WithTemp {
-        steps: vec![fj_core::exec::TempStep::Materialize {
-            name: "__f".into(),
-            plan: PhysPlan::Distinct {
-                input: PhysPlan::Project {
-                    input: outer.clone().boxed(),
-                    exprs: vec![(col("O.cust"), "k0".into())],
-                }
-                .boxed(),
-            },
-        }],
-        body: PhysPlan::HashJoin {
-            outer: outer.clone().boxed(),
-            inner: PhysPlan::HashJoin {
-                outer: inner.clone().boxed(),
-                inner: PhysPlan::TempScan {
-                    name: "__f".into(),
-                    alias: "F".into(),
-                }
-                .boxed(),
-                keys: vec![("C.cust".into(), "F.k0".into())],
-                residual: None,
-                kind: fj_core::algebra::JoinKind::Semi,
-            }
-            .boxed(),
-            keys: keys.clone(),
-            residual: None,
-            kind: fj_core::algebra::JoinKind::Inner,
-        }
-        .boxed(),
-    };
-    vec![
-        (
-            "block nested loops",
-            PhysPlan::NestedLoops {
-                outer: outer.clone().boxed(),
-                inner: inner.clone().boxed(),
-                predicate: Some(col("O.cust").eq(col("C.cust"))),
-                kind: fj_core::algebra::JoinKind::Inner,
-            },
-        ),
-        (
-            "hash join",
-            PhysPlan::HashJoin {
-                outer: outer.clone().boxed(),
-                inner: inner.clone().boxed(),
-                keys: keys.clone(),
-                residual: None,
-                kind: fj_core::algebra::JoinKind::Inner,
-            },
-        ),
-        (
-            "sort-merge join",
-            PhysPlan::MergeJoin {
-                outer: outer.boxed(),
-                inner: inner.boxed(),
-                keys,
-                residual: None,
-            },
-        ),
-        ("local semi-join (filter join)", semi),
-    ]
-}
-
-/// Runs all methods under a `memory_pages`-page buffer pool.
+/// Runs all methods under a `memory_pages`-page buffer pool. The hash
+/// join and the local semi-join are Figure 6's full computation and
+/// filter join over a stored relation; the other two are L1's own.
 pub fn methods(
     n_orders: usize,
     n_customers: usize,
     referenced: usize,
     memory_pages: u64,
 ) -> (Vec<MethodOutcome>, u64, u64) {
-    let (cat, op, ip) = catalog(n_orders, n_customers, referenced);
+    let (orders, customers) = orders_customers(n_orders, n_customers, referenced, 31);
+    let (op, ip) = (orders.page_count(), customers.page_count());
+    let mut cat = Catalog::new();
+    cat.add_table(orders.into_ref());
+    cat.add_table(customers.into_ref());
     let cat = Arc::new(cat);
-    let mut out = Vec::new();
-    let mut expected_rows: Option<usize> = None;
-    for (name, plan) in plans() {
-        let ctx = ExecCtx::new(Arc::clone(&cat)).with_memory_pages(memory_pages);
-        let before = ctx.ledger.snapshot();
-        let rel = plan.execute(&ctx).expect("join method runs");
-        match expected_rows {
-            None => expected_rows = Some(rel.rows.len()),
-            Some(n) => assert_eq!(n, rel.rows.len(), "{name} changed the answer"),
+    let matrix = |t| {
+        technique::plan(&cat, JOIN, t)
+            .expect("plans")
+            .expect("applies")
+    };
+    let plans = [
+        (
+            "block nested loops",
+            PhysPlan::NestedLoops {
+                outer: JOIN.outer_scan().boxed(),
+                inner: JOIN.inner_scan().boxed(),
+                predicate: Some(col(JOIN.outer_key()).eq(col(JOIN.inner_key()))),
+                kind: JoinKind::Inner,
+            },
+        ),
+        ("hash join", matrix(Technique::Full)),
+        (
+            "sort-merge join",
+            PhysPlan::MergeJoin {
+                outer: JOIN.outer_scan().boxed(),
+                inner: JOIN.inner_scan().boxed(),
+                keys: JOIN.keys(),
+                residual: None,
+            },
+        ),
+        (
+            "local semi-join (filter join)",
+            matrix(Technique::FilterJoin),
+        ),
+    ];
+    let mut expected_rows = None;
+    let out = plans.into_iter().map(|(method, plan)| {
+        let m = technique::measure(&cat, &plan, memory_pages).expect("join method runs");
+        let rows = *expected_rows.get_or_insert(m.rel.rows.len());
+        assert_eq!(rows, m.rel.rows.len(), "{method} changed the answer");
+        MethodOutcome {
+            method,
+            reads: m.ledger.page_reads,
+            writes: m.ledger.page_writes,
+            cost: m.cost,
         }
-        let d: LedgerSnapshot = ctx.ledger.snapshot().delta(&before);
-        out.push(MethodOutcome {
-            method: name,
-            reads: d.page_reads,
-            writes: d.page_writes,
-            cost: d.weighted(CPU_WEIGHT_DEFAULT, 0.0, 0.0),
-        });
-    }
-    (out, op, ip)
+    });
+    (out.collect(), op, ip)
 }
 
 /// The printable report.

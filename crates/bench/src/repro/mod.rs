@@ -22,4 +22,5 @@ pub mod recovery_chaos;
 pub mod soak;
 pub(crate) mod storm;
 pub mod table1_components;
+pub mod technique;
 pub mod udf;

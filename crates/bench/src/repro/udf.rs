@@ -10,12 +10,10 @@
 //!   invocations, because of the elimination of duplicates in the
 //!   filter set").
 
+use super::technique::{self, Join, Technique};
 use crate::report::Report;
-use fj_core::storage::CPU_WEIGHT_DEFAULT;
-use fj_core::{
-    col, Catalog, CountingUdf, DataType, ExecCtx, MemoUdf, PhysPlan, Schema, TableBuilder,
-    TableFunction, Value,
-};
+use fj_core::exec::context::DEFAULT_MEMORY_PAGES;
+use fj_core::{Catalog, DataType, MemoUdf, Schema, TableBuilder, TableFunction, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -25,7 +23,7 @@ use std::sync::Arc;
 pub struct UdfOutcome {
     /// Strategy name.
     pub strategy: &'static str,
-    /// Actual function invocations performed.
+    /// Actual function invocations performed (the ledger's `udf_calls`).
     pub invocations: u64,
     /// Measured weighted cost.
     pub cost: f64,
@@ -63,107 +61,38 @@ fn outer_catalog(n_outer: usize, distinct_args: usize, seed: u64) -> Catalog {
     cat
 }
 
-/// Runs the three strategies.
+/// Runs the three strategies: the repeated probe over the raw and the
+/// memoized function, and the Filter Join.
 pub fn strategies(n_outer: usize, distinct_args: usize) -> Vec<UdfOutcome> {
-    let mut out = Vec::new();
-    for strategy in ["repeated probe", "memoized probe", "filter join"] {
+    let join = Join {
+        outer: "Txn",
+        inner: "credit",
+        key: "cust",
+    };
+    [
+        ("repeated probe", Technique::Probe, false),
+        ("memoized probe", Technique::Probe, true),
+        ("filter join", Technique::FilterJoin, false),
+    ]
+    .into_iter()
+    .map(|(strategy, t, memo)| {
         let mut cat = outer_catalog(n_outer, distinct_args, 77);
-        let counter = Arc::new(CountingUdf::new(credit_fn()));
-        match strategy {
-            "memoized probe" => {
-                // Count *underlying* invocations beneath the memo.
-                let memo = MemoUdf::new(CountingUdfShared(Arc::clone(&counter)));
-                cat.add_udf("credit", Arc::new(memo));
-            }
-            _ => {
-                cat.add_udf("credit", Arc::new(CountingUdfShared(Arc::clone(&counter))));
-            }
+        if memo {
+            cat.add_udf("credit", Arc::new(MemoUdf::new(credit_fn())));
+        } else {
+            cat.add_udf("credit", Arc::new(credit_fn()));
         }
-
-        let outer = PhysPlan::SeqScan {
-            table: "Txn".into(),
-            alias: "T".into(),
-        };
-        let plan = match strategy {
-            "filter join" => PhysPlan::WithTemp {
-                steps: vec![fj_core::exec::TempStep::Materialize {
-                    name: "__f".into(),
-                    plan: PhysPlan::Distinct {
-                        input: PhysPlan::Project {
-                            input: outer.clone().boxed(),
-                            exprs: vec![(col("T.cust"), "k0".into())],
-                        }
-                        .boxed(),
-                    },
-                }],
-                body: PhysPlan::HashJoin {
-                    outer: outer.boxed(),
-                    inner: PhysPlan::UdfProbe {
-                        outer: PhysPlan::TempScan {
-                            name: "__f".into(),
-                            alias: "F".into(),
-                        }
-                        .boxed(),
-                        udf: "credit".into(),
-                        alias: "C".into(),
-                        arg_cols: vec!["F.k0".into()],
-                    }
-                    .boxed(),
-                    keys: vec![("T.cust".into(), "C.cust".into())],
-                    residual: None,
-                    kind: fj_core::algebra::JoinKind::Inner,
-                }
-                .boxed(),
-            },
-            _ => PhysPlan::UdfProbe {
-                outer: outer.boxed(),
-                udf: "credit".into(),
-                alias: "C".into(),
-                arg_cols: vec!["T.cust".into()],
-            },
-        };
-        let ctx = ExecCtx::new(Arc::new(cat));
-        let before = ctx.ledger.snapshot();
-        let rel = plan.execute(&ctx).expect("udf strategy runs");
-        let cost = ctx
-            .ledger
-            .snapshot()
-            .delta(&before)
-            .weighted(CPU_WEIGHT_DEFAULT, 0.0, 0.0);
-        out.push(UdfOutcome {
+        let m = technique::run(&Arc::new(cat), join, t, DEFAULT_MEMORY_PAGES)
+            .expect("udf strategy runs")
+            .expect("applies to a UDF");
+        UdfOutcome {
             strategy,
-            invocations: counter.calls(),
-            cost,
-            rows: rel.rows.len(),
-        });
-    }
-    out
-}
-
-/// Shares a [`CountingUdf`] behind an `Arc` so the experiment can read
-/// the counter after the catalog takes ownership.
-#[derive(Debug)]
-struct CountingUdfShared(Arc<CountingUdf<TableFunction>>);
-
-impl fj_core::UdfRelation for CountingUdfShared {
-    fn schema(&self) -> fj_core::storage::SchemaRef {
-        self.0.schema()
-    }
-    fn arg_count(&self) -> usize {
-        self.0.arg_count()
-    }
-    fn invoke(&self, args: &[Value], ledger: &fj_core::CostLedger) -> Vec<fj_core::Tuple> {
-        self.0.invoke(args, ledger)
-    }
-    fn invocation_cost(&self) -> f64 {
-        self.0.invocation_cost()
-    }
-    fn rows_per_call(&self) -> f64 {
-        self.0.rows_per_call()
-    }
-    fn domain(&self) -> Option<Vec<Vec<Value>>> {
-        self.0.domain()
-    }
+            invocations: m.ledger.udf_calls,
+            cost: m.cost,
+            rows: m.rel.rows.len(),
+        }
+    })
+    .collect()
 }
 
 /// The printable report.

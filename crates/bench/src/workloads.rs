@@ -1,6 +1,11 @@
 //! Deterministic workload generators for the reproduction experiments.
 
-use fj_core::{col, fixtures, lit, Catalog, DataType, FromItem, JoinQuery, TableBuilder, Value};
+use crate::repro::technique::Join;
+use fj_core::storage::TableRef;
+use fj_core::{
+    col, fixtures, lit, Catalog, DataType, FromItem, JoinQuery, NetworkModel, SiteId, TableBuilder,
+    Value,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -323,6 +328,27 @@ pub fn orders_customers(
         .build()
         .expect("generated Customers conforms");
     (orders, customers)
+}
+
+/// The join [`orders_customers`] is built for.
+pub const ORDERS_CUSTOMERS: Join = Join {
+    outer: "Orders",
+    inner: "Customers",
+    key: "cust",
+};
+
+/// The §5.1 setting: `outer` at the local site, `inner` at site 1, the
+/// link priced by `network`.
+pub fn two_site(
+    outer: impl Into<TableRef>,
+    inner: impl Into<TableRef>,
+    network: NetworkModel,
+) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.add_table(outer.into());
+    catalog.add_remote_table(inner.into(), SiteId(1));
+    catalog.set_network(network);
+    catalog
 }
 
 #[cfg(test)]

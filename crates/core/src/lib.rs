@@ -30,7 +30,6 @@ pub use fj_algebra::{
     fixtures, Catalog, FromItem, JoinQuery, LogicalPlan, NetworkModel, Sips, SiteId, UdfRelation,
     ViewDef,
 };
-pub use fj_distsim as distsim;
 pub use fj_exec as exec;
 pub use fj_exec::{ExecCtx, PhysPlan};
 pub use fj_expr as expr;
@@ -48,4 +47,4 @@ pub use fj_trace::{
     OpStats, QueryTrace, SubtreeIo, TraceCollector, TraceNode, TraceRing, TracedQuery,
 };
 pub use fj_udf as udf;
-pub use fj_udf::{CountingUdf, MemoUdf, TableFunction};
+pub use fj_udf::{MemoUdf, TableFunction};

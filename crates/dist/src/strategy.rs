@@ -1,6 +1,6 @@
 //! The shipping-strategy menu for partitioned execution, with the
 //! predicted network cost of each — the same per-message/per-byte
-//! weighting the paper's §5.1 two-site model (`fj-distsim`) uses, lifted
+//! weighting `NetworkModel` gives the paper's §5.1 two-site model, lifted
 //! to N hash partitions.
 //!
 //! Predictions deliberately mirror the optimizer's assumptions (uniform

@@ -7,11 +7,10 @@ use crate::interrupt::{Interrupt, InterruptReason};
 use fj_algebra::Catalog;
 use fj_storage::{BloomFilter, CostLedger, FaultPlan, PageLayout, SchemaRef, TempStore, Tuple};
 use fj_trace::TraceCollector;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Default buffer memory, in pages (the `M` of the join formulas).
 pub const DEFAULT_MEMORY_PAGES: u64 = 128;
@@ -374,13 +373,17 @@ impl ExecCtx {
         let pages = table.page_count();
         self.ledger.write_pages(pages);
         self.charge_materialized_pages(pages);
-        self.temps.write().insert(name.into(), table);
+        self.temps
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(name.into(), table);
     }
 
     /// Looks up a temp table.
     pub fn temp(&self, name: &str) -> Result<TempTable, ExecError> {
         self.temps
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .cloned()
             .ok_or_else(|| ExecError::MissingRuntimeObject(format!("temp table '{name}'")))
@@ -388,18 +391,25 @@ impl ExecCtx {
 
     /// Removes a temp table (end of a `With` scope).
     pub fn drop_temp(&self, name: &str) {
-        self.temps.write().remove(name);
+        self.temps
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(name);
     }
 
     /// Registers a Bloom filter under `name`.
     pub fn register_bloom(&self, name: impl Into<String>, bloom: BloomFilter) {
-        self.blooms.write().insert(name.into(), Arc::new(bloom));
+        self.blooms
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(name.into(), Arc::new(bloom));
     }
 
     /// Looks up a Bloom filter.
     pub fn bloom(&self, name: &str) -> Result<Arc<BloomFilter>, ExecError> {
         self.blooms
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .cloned()
             .ok_or_else(|| ExecError::MissingRuntimeObject(format!("bloom filter '{name}'")))
@@ -407,7 +417,10 @@ impl ExecCtx {
 
     /// Removes a Bloom filter.
     pub fn drop_bloom(&self, name: &str) {
-        self.blooms.write().remove(name);
+        self.blooms
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(name);
     }
 }
 

@@ -43,7 +43,7 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
 }
 
 /// Reference nested-loops join on the key column, SQL NULL semantics.
-fn reference_join(l: &[(Option<i64>, i64)], r: &[(Option<i64>, i64)]) -> usize {
+fn expected_join_rows(l: &[(Option<i64>, i64)], r: &[(Option<i64>, i64)]) -> usize {
     l.iter()
         .map(|(lk, _)| match lk {
             None => 0,
@@ -70,7 +70,7 @@ proptest! {
             &ctx(), rel("L", &l), rel("R", &r), &keys, None, JoinKind::Inner).unwrap();
         let mj = ops::joins::merge_join(
             &ctx(), rel("L", &l), rel("R", &r), &keys, None).unwrap();
-        let expected = reference_join(&l, &r);
+        let expected = expected_join_rows(&l, &r);
         prop_assert_eq!(nlj.rows.len(), expected);
         prop_assert_eq!(sorted(hj.rows), sorted(nlj.rows.clone()));
         prop_assert_eq!(sorted(mj.rows), sorted(nlj.rows));
@@ -190,7 +190,7 @@ proptest! {
             JoinKind::Inner,
         )
         .unwrap();
-        prop_assert_eq!(via_filter.rows.len(), reference_join(&l, &r));
+        prop_assert_eq!(via_filter.rows.len(), expected_join_rows(&l, &r));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use fj_algebra::UdfRelation;
 use fj_storage::{CostLedger, SchemaRef, Tuple, Value, TUPLE_OPS_PER_PAGE};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The closure type evaluating a UDF: arguments in, result-column rows
@@ -118,52 +117,6 @@ impl UdfRelation for TableFunction {
     }
 }
 
-/// Instrumentation wrapper counting *actual* invocations of an inner
-/// UDF relation. Used to verify the paper's claim that a filter join
-/// performs no duplicate invocations.
-#[derive(Debug)]
-pub struct CountingUdf<U: UdfRelation> {
-    inner: U,
-    calls: AtomicU64,
-}
-
-impl<U: UdfRelation> CountingUdf<U> {
-    /// Wraps `inner`.
-    pub fn new(inner: U) -> CountingUdf<U> {
-        CountingUdf {
-            inner,
-            calls: AtomicU64::new(0),
-        }
-    }
-
-    /// Invocations observed so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-}
-
-impl<U: UdfRelation> UdfRelation for CountingUdf<U> {
-    fn schema(&self) -> SchemaRef {
-        self.inner.schema()
-    }
-    fn arg_count(&self) -> usize {
-        self.inner.arg_count()
-    }
-    fn invoke(&self, args: &[Value], ledger: &CostLedger) -> Vec<Tuple> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.invoke(args, ledger)
-    }
-    fn invocation_cost(&self) -> f64 {
-        self.inner.invocation_cost()
-    }
-    fn rows_per_call(&self) -> f64 {
-        self.inner.rows_per_call()
-    }
-    fn domain(&self) -> Option<Vec<Vec<Value>>> {
-        self.inner.domain()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,16 +171,6 @@ mod tests {
         assert_eq!(f.domain().unwrap().len(), 3);
         assert_eq!(f.arg_count(), 1);
         assert_eq!(f.schema().arity(), 2);
-    }
-
-    #[test]
-    fn counting_wrapper_counts() {
-        let f = CountingUdf::new(distance_fn());
-        let ledger = CostLedger::new();
-        f.invoke(&[Value::Str("madison".into())], &ledger);
-        f.invoke(&[Value::Str("madison".into())], &ledger);
-        assert_eq!(f.calls(), 2);
-        assert_eq!(f.invocation_cost(), 2.0);
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //!   declared invocation cost and optional finite domain;
 //! * [`MemoUdf`] — the *function caching* wrapper: memoizes results per
 //!   argument tuple, so repeated probes with duplicate arguments pay
-//!   the invocation cost once;
-//! * [`CountingUdf`] — an instrumentation wrapper counting invocations
-//!   (used by the U1 experiment to show the filter join's
-//!   no-duplicate-invocation property).
+//!   the invocation cost once.
+//!
+//! Every real invocation charges one `udf_calls` to the ledger, so a
+//! ledger delta counts invocations (under [`MemoUdf`], the misses).
 
 pub mod function;
 pub mod memo;
 
-pub use function::{CountingUdf, TableFunction};
+pub use function::TableFunction;
 pub use memo::MemoUdf;

@@ -8,10 +8,13 @@
 //! cargo run --example distributed_semijoin
 //! ```
 
-use filterjoin::distsim::{reference_join, run_strategy, DistStrategy, TwoSiteScenario};
+use filterjoin::exec::context::DEFAULT_MEMORY_PAGES;
 use filterjoin::{col, DataType, Database, FromItem, JoinQuery, NetworkModel, TableBuilder, Value};
+use fj_bench::repro::technique::{self, Technique};
+use fj_bench::workloads::{two_site, ORDERS_CUSTOMERS as JOIN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn main() {
     // Orders stay local; the big Customers table lives at site 1.
@@ -27,7 +30,8 @@ fn main() {
             ]
         }))
         .build()
-        .expect("Orders builds");
+        .expect("Orders builds")
+        .into_ref();
     let mut customers = TableBuilder::new("Customers")
         .column("cust", DataType::Int)
         .column("region", DataType::Int)
@@ -35,6 +39,7 @@ fn main() {
         .build()
         .expect("Customers builds");
     customers.create_hash_index(0).expect("index on cust");
+    let customers = customers.into_ref();
 
     for (label, network) in [
         (
@@ -47,30 +52,34 @@ fn main() {
             NetworkModel::wan(),
         ),
     ] {
-        let scenario = TwoSiteScenario::new(
-            orders.clone_shallow(),
-            customers.clone_shallow(),
-            "cust",
-            "cust",
+        let catalog = Arc::new(two_site(
+            Arc::clone(&orders),
+            Arc::clone(&customers),
             network,
-        );
+        ));
+        let mut db = Database::with_catalog((*catalog).clone());
+        db.set_network(network);
         println!("=== {label} ===");
-        let expected = reference_join(&scenario).expect("reference join");
-        for s in DistStrategy::ALL {
-            let out = run_strategy(&scenario, s).expect("strategy runs");
-            assert_eq!(out.rows, expected, "all strategies agree");
+        let mut expected = db.run_logical(&JOIN.logical()).expect("oracle join").rows;
+        expected.sort();
+        for (name, t) in [
+            ("fetch-inner (R*)", Technique::Full),
+            ("fetch-matches (R*)", Technique::Probe),
+            ("semi-join (SDD-1)", Technique::FilterJoin),
+            ("bloom semi-join", Technique::lossy_for(1_000)),
+        ] {
+            let mut out = technique::run(&catalog, JOIN, t, DEFAULT_MEMORY_PAGES)
+                .expect("strategy runs")
+                .expect("applies to a remote table");
+            out.rel.rows.sort();
+            assert_eq!(out.rel.rows, expected, "all strategies agree");
             println!(
-                "  {:<22} cost {:>10.1}   shipped {:>9} B in {:>3} msgs",
-                s.name(),
-                out.cost,
-                out.charges.bytes_shipped,
-                out.charges.messages
+                "  {name:<22} cost {:>10.1}   shipped {:>9} B in {:>3} msgs",
+                out.cost, out.ledger.bytes_shipped, out.ledger.messages
             );
         }
 
         // What does the cost-based optimizer do?
-        let mut db = Database::with_catalog((*scenario.catalog).clone());
-        db.set_network(network);
         let q = JoinQuery::new(vec![
             FromItem::new("Orders", "O"),
             FromItem::new("Customers", "C"),
@@ -92,8 +101,8 @@ fn main() {
     // shipping strategy measured on the actual wire.
     println!("=== real wire: 3-shard partitioned execution (fj-dist) ===");
     let mut cat = filterjoin::Catalog::new();
-    cat.add_table(orders.clone_shallow());
-    cat.add_table(customers.clone_shallow());
+    cat.add_table(orders);
+    cat.add_table(customers);
     let servers: Vec<filterjoin::Server> = (0..3)
         .map(|_| {
             filterjoin::Server::bind(
@@ -146,32 +155,4 @@ fn main() {
         auto.predicted.map(|p| p.bytes).unwrap_or(f64::NAN),
         auto.stats.total_bytes()
     );
-}
-
-/// The example reuses the same tables across scenarios; these helpers
-/// paper over `Table` not being `Clone` (tables are immutable, so a
-/// rebuild from rows is equivalent).
-trait TableCloneExt {
-    fn clone_shallow(&self) -> filterjoin::storage::TableRef;
-}
-
-impl TableCloneExt for filterjoin::Table {
-    fn clone_shallow(&self) -> filterjoin::storage::TableRef {
-        let mut t = filterjoin::Table::new(
-            self.name().to_string(),
-            (**self.schema()).clone(),
-            self.rows().to_vec(),
-        )
-        .expect("rows already validated");
-        // Preserve indexes on the copy.
-        for i in 0..self.schema().arity() {
-            if self.hash_index(i).is_some() {
-                t.create_hash_index(i).expect("column exists");
-            }
-            if self.btree_index(i).is_some() {
-                t.create_btree_index(i).expect("column exists");
-            }
-        }
-        t.into_ref()
-    }
 }

@@ -13,8 +13,8 @@
 //! ```
 
 use filterjoin::{
-    col, CountingUdf, DataType, Database, FromItem, JoinQuery, MemoUdf, Schema, TableBuilder,
-    TableFunction, Value,
+    col, DataType, Database, FromItem, JoinQuery, MemoUdf, Schema, TableBuilder, TableFunction,
+    Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,9 +72,9 @@ fn main() {
         (col("C.score"), "score".into()),
     ]);
 
-    // --- 1. Raw function: the optimizer plans the join itself.
-    let counting = Arc::new(CountingUdf::new(credit_score()));
-    let db = build_db(Arc::clone(&counting) as Arc<dyn filterjoin::UdfRelation>);
+    // --- 1. Raw function: the optimizer plans the join itself. Every
+    // real call charges the ledger's `udf_calls`.
+    let db = build_db(Arc::new(credit_score()));
     let result = db.execute(&query).expect("optimizes and runs");
     println!("cost-based plan over the raw function:");
     println!("  join order: {}", result.order.join(" -> "));
@@ -85,47 +85,19 @@ fn main() {
     println!(
         "  rows: {}   invocations: {}   measured cost: {:.1}\n",
         result.rows.len(),
-        counting.calls(),
+        result.charges.udf_calls,
         result.measured_cost
     );
 
-    // --- 2. Same query with a memoized function.
-    let memo_counting = Arc::new(CountingUdf::new(credit_score()));
-    struct Shared(Arc<CountingUdf<TableFunction>>);
-    impl std::fmt::Debug for Shared {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "Shared")
-        }
-    }
-    impl filterjoin::UdfRelation for Shared {
-        fn schema(&self) -> filterjoin::storage::SchemaRef {
-            self.0.schema()
-        }
-        fn arg_count(&self) -> usize {
-            self.0.arg_count()
-        }
-        fn invoke(
-            &self,
-            args: &[Value],
-            ledger: &filterjoin::CostLedger,
-        ) -> Vec<filterjoin::Tuple> {
-            self.0.invoke(args, ledger)
-        }
-        fn invocation_cost(&self) -> f64 {
-            self.0.invocation_cost()
-        }
-        fn domain(&self) -> Option<Vec<Vec<Value>>> {
-            self.0.domain()
-        }
-    }
-    let memo = Arc::new(MemoUdf::new(Shared(Arc::clone(&memo_counting))));
-    let db = build_db(memo);
+    // --- 2. Same query with a memoized function: a cache hit never
+    // reaches the function, so `udf_calls` counts the underlying calls.
+    let db = build_db(Arc::new(MemoUdf::new(credit_score())));
     let result = db.execute(&query).expect("optimizes and runs");
     println!("same plan with function caching (memoing):");
     println!(
         "  rows: {}   underlying invocations: {}   measured cost: {:.1}\n",
         result.rows.len(),
-        memo_counting.calls(),
+        result.charges.udf_calls,
         result.measured_cost
     );
 

@@ -3,11 +3,13 @@
 //! magic-rewriting loop from cost-based SIPS back to an executable
 //! rewritten query.
 
-use filterjoin::distsim::{reference_join, run_strategy, DistStrategy, TwoSiteScenario};
+use filterjoin::exec::context::DEFAULT_MEMORY_PAGES;
 use filterjoin::{
     col, fixtures, lit, DataType, Database, FromItem, JoinQuery, NetworkModel, OptimizerConfig,
     Schema, TableBuilder, TableFunction, Tuple, Value,
 };
+use fj_bench::repro::technique::{self, Technique};
+use fj_bench::workloads::{orders_customers, two_site, ORDERS_CUSTOMERS as JOIN};
 use std::sync::Arc;
 
 fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
@@ -43,27 +45,22 @@ fn chosen_sips_drives_an_equivalent_magic_rewrite() {
 
 #[test]
 fn distributed_two_site_join_all_strategies_and_optimizer() {
-    let (orders, mut customers) = fj_bench::workloads::orders_customers(400, 4_000, 15, 5);
+    let (orders, mut customers) = orders_customers(400, 4_000, 15, 5);
     customers.create_hash_index(0).unwrap();
-    let scenario = TwoSiteScenario::new(
-        orders.into_ref(),
-        customers.into_ref(),
-        "cust",
-        "cust",
-        NetworkModel::wan(),
-    );
-    let expected = reference_join(&scenario).unwrap();
-    for s in DistStrategy::ALL {
-        assert_eq!(
-            run_strategy(&scenario, s).unwrap().rows,
-            expected,
-            "{} must agree",
-            s.name()
-        );
+    let catalog = Arc::new(two_site(orders, customers, NetworkModel::wan()));
+    let mut db = Database::with_catalog((*catalog).clone());
+    db.set_network(NetworkModel::wan());
+    let expected = sorted(db.run_logical(&JOIN.logical()).unwrap().rows);
+    for t in [
+        Technique::Full,
+        Technique::Probe,
+        Technique::FilterJoin,
+        Technique::lossy_for(400),
+    ] {
+        let m = technique::run(&catalog, JOIN, t, DEFAULT_MEMORY_PAGES).unwrap();
+        assert_eq!(sorted(m.unwrap().rel.rows), expected, "{t:?} must agree");
     }
     // The optimizer's own plan over the same catalog also agrees.
-    let mut db = Database::with_catalog((*scenario.catalog).clone());
-    db.set_network(NetworkModel::wan());
     let q = JoinQuery::new(vec![
         FromItem::new("Orders", "O"),
         FromItem::new("Customers", "C"),
