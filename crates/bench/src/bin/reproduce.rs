@@ -8,8 +8,8 @@
 //! `--small` runs reduced instance sizes (used in CI); the default
 //! sizes match `EXPERIMENTS.md`. Wall-clock questions (throughput,
 //! scaling, tracing overhead) belong to the `benchmark/` package, not
-//! to this binary; the one table of timings it does print (C1's) marks
-//! its lines with [`fj_bench::report::WALL_CLOCK_MARK`].
+//! to this binary; the tables of timings it does print (C1's and D1b's)
+//! mark their lines with [`fj_bench::report::WALL_CLOCK_MARK`].
 //!
 //! An experiment that panics is reported where its table would have
 //! been and the rest still run; the exit status is then 1.
@@ -112,11 +112,12 @@ fn experiment(w: &str, small: bool) -> Vec<Report> {
             }
         }
         "dist-wire" => {
-            if small {
+            let (wire, times) = if small {
                 repro::dist::run_wire(500, 5_000, 25, 3)
             } else {
                 repro::dist::run_wire(2_000, 20_000, 100, 3)
-            }
+            };
+            return vec![wire, times];
         }
         "udf" => {
             if small {
