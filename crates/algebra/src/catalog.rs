@@ -6,9 +6,10 @@
 
 use crate::error::AlgebraError;
 use crate::plan::LogicalPlan;
-use fj_storage::{splitmix64, CostLedger, SchemaRef, TableRef, Tuple, Value};
+use fj_storage::{CostLedger, KeyHasher, SchemaRef, TableRef, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Identifies a site in the (simulated) distributed database. Site 0 is
@@ -163,9 +164,10 @@ impl RelationKind {
 }
 
 /// How a base table is hash-partitioned across shards for distributed
-/// execution: rows are routed by a stable hash of one column, modulo
-/// the shard count. Kept in the catalog so the coordinator, the shards,
-/// and the cost model all agree on where a key lives.
+/// execution: rows are routed by the hash of one column, modulo the
+/// shard count. Kept in the catalog so the coordinator, the shards,
+/// and the cost model all agree on where a key lives. Nothing persists
+/// an assignment: a deploy scatters every table afresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionMap {
     /// Index of the partitioning column in the table's schema.
@@ -184,29 +186,14 @@ impl PartitionMap {
         }
     }
 
-    /// The partition a key routes to.
+    /// The partition a key routes to: its hash as a one-column key
+    /// ([`Tuple::key_hash`]), so keys that compare equal, such as
+    /// `Int(42)` and `Double(42.0)`, share a partition.
     pub fn shard_of(&self, key: &Value) -> u32 {
-        (partition_hash(key) % u64::from(self.shards)) as u32
-    }
-}
-
-/// Stable, process-independent hash used for partition routing. Not a
-/// general-purpose hash: it only needs to agree between the coordinator
-/// and every shard, forever, so it is written out explicitly instead of
-/// delegating to `std`'s unspecified `Hasher`.
-pub fn partition_hash(v: &Value) -> u64 {
-    match v {
-        Value::Null => splitmix64(0x6e75_6c6c),
-        Value::Int(i) => splitmix64(1 ^ (*i as u64).rotate_left(17)),
-        Value::Double(d) => splitmix64(2 ^ d.to_bits()),
-        Value::Str(s) => {
-            let mut h = 3u64;
-            for b in s.as_bytes() {
-                h = splitmix64(h ^ u64::from(*b));
-            }
-            h
-        }
-        Value::Bool(b) => splitmix64(4 ^ u64::from(*b)),
+        let mut h = KeyHasher::default();
+        h.write_usize(1);
+        key.hash(&mut h);
+        (h.finish() % u64::from(self.shards)) as u32
     }
 }
 
@@ -371,20 +358,34 @@ mod tests {
     use super::*;
     use fj_storage::{DataType, TableBuilder};
 
-    /// Shard assignment must not move: values generated before the
-    /// four `splitmix64` copies became `fj_storage::splitmix64`.
+    /// Routing is the executor's one-column key hash, and keys that
+    /// compare equal share a shard.
     #[test]
-    fn partition_hash_is_pinned() {
+    fn shard_of_is_pinned() {
+        let map = PartitionMap::new(0, 7);
         let pins = [
-            (Value::Int(42), 0x554b_3fdd_6420_b51d),
-            (Value::Int(-7), 0xa21f_8f57_d68d_3146),
-            (Value::Str("filterjoin".into()), 0x7052_b982_83ad_b2da),
-            (Value::Null, 0x20c5_b486_e458_03db),
-            (Value::Double(2.5), 0xce9a_f72b_21dd_b100),
-            (Value::Bool(true), 0x6303_3b0c_a389_c35a),
+            (Value::Int(42), 2),
+            (Value::Int(-7), 1),
+            (Value::Str("filterjoin".into()), 0),
+            (Value::Null, 6),
+            (Value::Double(2.5), 2),
+            (Value::Bool(true), 0),
         ];
-        for (value, hash) in pins {
-            assert_eq!(partition_hash(&value), hash, "{value}");
+        for (value, shard) in &pins {
+            let row = Tuple::new(vec![value.clone()]);
+            assert_eq!(
+                map.shard_of(value),
+                (row.key_hash(&[0]) % 7) as u32,
+                "{value}"
+            );
+            assert_eq!(map.shard_of(value), *shard, "{value}");
+        }
+        for (a, b) in [
+            (Value::Int(42), Value::Double(42.0)),
+            (Value::Double(0.0), Value::Double(-0.0)),
+        ] {
+            assert_eq!(a, b);
+            assert_eq!(map.shard_of(&a), map.shard_of(&b), "{a} vs {b}");
         }
     }
 

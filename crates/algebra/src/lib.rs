@@ -33,7 +33,7 @@ pub mod query;
 pub mod sql;
 
 pub use catalog::{
-    partition_hash, Catalog, NetworkModel, PartitionMap, RelationKind, SiteId, UdfRelation, ViewDef,
+    Catalog, NetworkModel, PartitionMap, RelationKind, SiteId, UdfRelation, ViewDef,
 };
 pub use error::AlgebraError;
 pub use magic::{restricted_inner, rewrite, rewrite_parts, MagicParts, Sips};

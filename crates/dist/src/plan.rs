@@ -191,40 +191,9 @@ impl DistPlan {
         Ok(DistPlan { aliases, edges })
     }
 
-    /// Edges incident to alias `v`.
-    pub fn edges_of(&self, v: usize) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.a == v || e.b == v)
-    }
-
-    /// Whether the equi-join graph is acyclic (a forest over aliases) —
-    /// the precondition for the Yannakakis full reducer. Each alias
-    /// pair contributes one edge regardless of how many key columns it
-    /// carries.
-    pub fn is_acyclic(&self) -> bool {
-        let n = self.aliases.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], x: usize) -> usize {
-            let mut r = x;
-            while parent[r] != r {
-                r = parent[r];
-            }
-            let mut c = x;
-            while parent[c] != c {
-                let next = parent[c];
-                parent[c] = r;
-                c = next;
-            }
-            r
-        }
-        for e in &self.edges {
-            let ra = find(&mut parent, e.a);
-            let rb = find(&mut parent, e.b);
-            if ra == rb {
-                return false;
-            }
-            parent[ra] = rb;
-        }
-        true
+    /// Indices of the edges incident to alias `v`.
+    pub fn edges_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.edges.len()).filter(move |&e| self.edges[e].a == v || self.edges[e].b == v)
     }
 
     /// The alias with the fewest base-table rows — the reduction
@@ -246,25 +215,26 @@ impl DistPlan {
     }
 
     /// Breadth-first visit order from `start` along equi-join edges:
-    /// each later entry lists the alias plus every edge connecting it
-    /// to an already-visited alias. Aliases unreachable from `start`
-    /// get no edges (they ship whole).
-    pub fn reduction_order(&self, start: usize) -> Vec<(usize, Vec<Edge>)> {
+    /// each later entry lists the alias plus the index (into
+    /// [`DistPlan::edges`]) of every edge connecting it to an
+    /// already-visited alias. Aliases unreachable from `start` come
+    /// last and get no edges.
+    pub fn reduction_order(&self, start: usize) -> Vec<(usize, Vec<usize>)> {
         let n = self.aliases.len();
         let mut visited = vec![false; n];
-        let mut out: Vec<(usize, Vec<Edge>)> = vec![(start, Vec::new())];
+        let mut out: Vec<(usize, Vec<usize>)> = vec![(start, Vec::new())];
         visited[start] = true;
         loop {
             // Deterministic: lowest-index unvisited alias adjacent to
             // the visited set.
-            let next =
-                (0..n).find(|&v| !visited[v] && self.edges_of(v).any(|e| visited[e.other(v)]));
+            let next = (0..n).find(|&v| {
+                !visited[v] && self.edges_of(v).any(|e| visited[self.edges[e].other(v)])
+            });
             match next {
                 Some(v) => {
-                    let incoming: Vec<Edge> = self
+                    let incoming: Vec<usize> = self
                         .edges_of(v)
-                        .filter(|e| visited[e.other(v)])
-                        .cloned()
+                        .filter(|&e| visited[self.edges[e].other(v)])
                         .collect();
                     visited[v] = true;
                     out.push((v, incoming));
@@ -320,6 +290,7 @@ fn pure_equi(e: &Expr, aliases: &[AliasInfo]) -> Option<((usize, String), (usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::ShipStrategy;
     use fj_expr::col;
     use fj_storage::{DataType, TableBuilder, Value};
 
@@ -363,7 +334,9 @@ mod tests {
         assert_eq!(plan.edges.len(), 2);
         assert!(plan.aliases[0].local_pred.is_some());
         assert!(plan.aliases[1].local_pred.is_none());
-        assert!(plan.is_acyclic());
+        assert!(ShipStrategy::FullReducer
+            .program(&plan, &catalog())
+            .is_some());
     }
 
     #[test]
@@ -381,7 +354,9 @@ mod tests {
         );
         let plan = DistPlan::analyze(&q, &catalog(), 2).unwrap();
         assert_eq!(plan.edges.len(), 3);
-        assert!(!plan.is_acyclic());
+        assert!(ShipStrategy::FullReducer
+            .program(&plan, &catalog())
+            .is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use fj_core::Database;
 use fj_dist::{DistConfig, DistCoordinator, DistError, ShipStrategy};
 use fj_expr::{col, lit};
 use fj_net::{Server, ServerConfig};
-use fj_storage::{DataType, TableBuilder, Tuple};
+use fj_storage::{DataType, TableBuilder, Tuple, Value};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -142,6 +142,71 @@ fn auto_picks_the_cheapest_prediction_and_reports_it() {
     let predicted = out.predicted.expect("Auto carries its prediction");
     assert_eq!(predicted.strategy, out.strategy);
     assert!(predicted.cost.is_finite());
+}
+
+#[test]
+fn predicted_messages_are_the_messages_sent() {
+    let cat = chain_catalog(80);
+    let (_servers, addrs) = fleet(3);
+    let coord =
+        DistCoordinator::deploy(cat, ShardMap::new(&addrs, 3, 1), DistConfig::default()).unwrap();
+    for strategy in ShipStrategy::ALL {
+        let out = coord
+            .execute_with_config(&chain_query(), Default::default(), strategy)
+            .unwrap();
+        assert_eq!(out.stats.failovers, 0, "{}", strategy.name());
+        let predicted = out.predicted.expect("every strategy that runs is priced");
+        assert_eq!(
+            predicted.messages,
+            out.stats.messages as f64,
+            "{}",
+            strategy.name()
+        );
+    }
+}
+
+/// Routing and exact-filter pruning must hash a key the way `Value`
+/// compares it: `Double` keys probing an `Int`-keyed table partitioned
+/// on the key find the rows on the shard those rows were scattered to.
+#[test]
+fn numerically_equal_keys_of_different_types_meet_on_one_shard() {
+    let mut cat = Catalog::new();
+    cat.add_table(
+        TableBuilder::new("S")
+            .column("k", DataType::Double)
+            .rows((0..5).map(|i| vec![Value::Double(f64::from(i))]))
+            .build()
+            .unwrap()
+            .into_ref(),
+    );
+    cat.add_table(
+        TableBuilder::new("T")
+            .column("k", DataType::Int)
+            .column("v", DataType::Int)
+            .rows((0..200).map(|i| vec![Value::Int(i % 50), Value::Int(i)]))
+            .build()
+            .unwrap()
+            .into_ref(),
+    );
+    cat.set_partitioning("T", PartitionMap::new(0, 1));
+    let q = JoinQuery::new(vec![FromItem::new("S", "s"), FromItem::new("T", "t")])
+        .with_predicate(col("s.k").eq(col("t.k")));
+    let expected = sorted(
+        Database::with_catalog(cat.clone())
+            .execute(&q)
+            .unwrap()
+            .rows,
+    );
+    assert_eq!(expected.len(), 20, "five keys, four rows each");
+    let (_servers, addrs) = fleet(3);
+    let coord =
+        DistCoordinator::deploy(cat, ShardMap::new(&addrs, 3, 1), DistConfig::default()).unwrap();
+    for strategy in ShipStrategy::ALL {
+        let out = coord
+            .execute_with_config(&q, Default::default(), strategy)
+            .unwrap();
+        assert_eq!(sorted(out.result.rows), expected, "{}", strategy.name());
+    }
 }
 
 #[test]

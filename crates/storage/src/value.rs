@@ -233,9 +233,9 @@ impl Hash for Value {
 }
 
 /// SplitMix64: one step of the generator, equally a 64-bit mixer. The
-/// one seeded stream behind fault schedules, retry and probe jitter,
-/// and partition routing: the same input must give the same bits
-/// forever (shard maps and replayable fault plans depend on it).
+/// one seeded stream behind fault schedules and retry and probe jitter:
+/// the same input must give the same bits forever (replayable fault
+/// plans depend on it).
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -245,9 +245,9 @@ pub fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// The one hasher behind every key-hashing decision in the executor:
-/// hash-join and grouping tables, parallel partition routing, and spill
-/// partitioning all feed borrowed key columns through it (see
-/// [`crate::Tuple::key_hash`]).
+/// hash-join and grouping tables, parallel partition routing, spill
+/// partitioning and shard routing (`PartitionMap::shard_of`) all feed
+/// key columns through it (see [`crate::Tuple::key_hash`]).
 ///
 /// A multiply-rotate word mixer with a splitmix64 finalizer — a few
 /// cycles per column where SipHash costs tens. It is deliberately
