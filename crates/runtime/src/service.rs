@@ -30,13 +30,13 @@ use fj_algebra::{Catalog, JoinQuery, RelationKind, SiteId};
 use fj_core::QueryResult;
 use fj_exec::{ExecCtx, ExecError, Interrupt, InterruptReason, MemoryBroker, PoolProbe, SpillCtx};
 use fj_optimizer::{fingerprint, OptError, Optimizer, OptimizerConfig};
-use fj_storage::{FaultPlan, Mutation, Table, TableRef, TempStore, TempStoreStats};
+use fj_storage::{Applied, FaultPlan, Mutation, Table, TableRef, TempStore, TempStoreStats};
 use fj_store::{RecoveryReport, Store, StoreError, StoreStats};
 use fj_trace::{TraceCollector, TraceRing, TracedQuery};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -324,9 +324,10 @@ struct Shared {
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Monotonic id source for replacement-worker thread names.
     worker_seq: AtomicUsize,
-    /// Serializes mutations against each other across both storage
-    /// modes (the read-apply-install window must not interleave);
-    /// queries and checkpoints are unaffected.
+    /// Serializes catalog writers — mutations and catalog installs —
+    /// across both storage modes: a mutation's read-apply-install
+    /// window must not interleave with another writer's. Queries and
+    /// checkpoints are unaffected.
     mutation_lock: Mutex<()>,
     /// The disk store behind the catalog's page backings
     /// (`None` = in-memory mode).
@@ -665,6 +666,13 @@ impl QueryService {
     /// fail with [`RuntimeError::Storage`]; in-memory installs never
     /// error.
     pub fn try_install_catalog(&self, catalog: Catalog) -> Result<(), RuntimeError> {
+        // A catalog writer like a mutation: an install never lands
+        // between a mutation's read of its table and its swap.
+        let _serialize = self
+            .shared
+            .mutation_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let catalog = match &self.shared.store {
             Some(store) => build_disk_catalog(catalog, store)?,
             None => catalog,
@@ -1035,106 +1043,86 @@ fn execute_query(
 }
 
 /// Applies one mutation end to end: commit it to the storage layer
-/// (WAL-durable in disk mode, pure apply in memory), rebuild the
-/// mutated table fresh — statistics re-analyzed from the new rows,
-/// indexes recreated, the store's buffer pool reattached — and swap it
-/// into the live catalog via [`Catalog::replace_table`]. The plan
-/// cache is *not* cleared: the mutated relation's bumped version
-/// already invalidates exactly the plans that read it.
+/// (WAL-durable in disk mode, pure apply in memory), build the mutated
+/// table's next version from the current one and the commit's delta
+/// ([`Table::next_version`]: statistics merged rather than re-analyzed,
+/// indexes recreated), reattach the store's buffer pool, and swap it
+/// into the live catalog via [`Catalog::replace_table`]. The catalog
+/// write lock covers only the swap, so readers never wait out the
+/// build. The plan cache is *not* cleared: the mutated relation's
+/// bumped version already invalidates exactly the plans that read it.
 fn apply_mutation(
     shared: &Shared,
     mutation: &Mutation,
     interrupt: &Interrupt,
 ) -> Result<MutationStats, RuntimeError> {
-    // Serialize mutations: the read→apply→install window must not
-    // interleave with another mutation's (lost-update hazard).
+    // Serialize catalog writers: mutations and catalog installs both
+    // hold this lock, so the table read here is the one the commit
+    // applies to, and nothing lands between this read and the swap.
     let _serialize = shared
         .mutation_lock
         .lock()
-        .unwrap_or_else(|e| e.into_inner());
+        .unwrap_or_else(PoisonError::into_inner);
     let name = mutation.table();
+    let storage_err = |e: &dyn fmt::Display| RuntimeError::Storage(e.to_string());
     let cancelled = || interrupt.tripped().is_some();
     let interrupted =
         || RuntimeError::Interrupted(interrupt.tripped().unwrap_or(InterruptReason::Cancelled));
 
-    match &shared.store {
+    let catalog = shared.snapshot();
+    let old = catalog.table(name).map_err(|e| storage_err(&e))?;
+    let (applied, store_version) = match &shared.store {
         Some(store) => {
             // Disk mode: the store's WAL commit is the atomic point. A
             // cancellation before it leaves zero state anywhere.
-            let result = store.mutate(mutation, &cancelled).map_err(|e| match e {
-                StoreError::Cancelled => interrupted(),
-                other => RuntimeError::Storage(other.to_string()),
-            })?;
-            let (schema, rows) = store
-                .recovered_rows(name)
-                .map_err(|e| RuntimeError::Storage(e.to_string()))?;
-            debug_assert_eq!(rows.len() as u64, result.row_count);
-            install_mutated_table(shared, name, schema, rows, Some(store))?;
-            Ok(MutationStats {
-                rows_affected: result.rows_affected,
-                row_count: result.row_count,
-                version: result.version,
-            })
+            let (result, applied) =
+                store
+                    .mutate_applied(mutation, &cancelled)
+                    .map_err(|e| match e {
+                        StoreError::Cancelled => interrupted(),
+                        other => storage_err(&other),
+                    })?;
+            (applied, Some(result.version))
         }
         None => {
-            // In-memory mode: pure apply against the current snapshot,
-            // then swap. The final cancel poll sits right before the
-            // install — the in-memory "commit point".
-            let catalog = shared.snapshot();
-            let old = catalog
-                .table(name)
-                .map_err(|e| RuntimeError::Storage(e.to_string()))?;
-            let (rows, rows_affected) = mutation.apply(old.schema(), old.rows()).map_err(|e| {
-                RuntimeError::Storage(format!("{} on '{name}': {e}", mutation.verb()))
-            })?;
+            // In-memory mode: pure apply. The final cancel poll sits
+            // right before the install — the in-memory "commit point".
+            let applied = mutation
+                .apply_delta(old.schema(), old.rows())
+                .map_err(|e| {
+                    RuntimeError::Storage(format!("{} on '{name}': {e}", mutation.verb()))
+                })?;
             if cancelled() {
                 return Err(interrupted());
             }
-            let row_count = rows.len() as u64;
-            let version =
-                install_mutated_table(shared, name, (**old.schema()).clone(), rows, None)?;
-            Ok(MutationStats {
-                rows_affected,
-                row_count,
-                version,
-            })
+            (applied, None)
         }
-    }
-}
-
-/// Swaps a freshly mutated table into the live catalog: rebuilds it
-/// from `rows` (statistics re-analyzed on construction), recreates the
-/// old table's hash/B-tree indexes, reattaches the disk store's buffer
-/// pool when there is one, and installs it with
-/// [`Catalog::replace_table`] under the catalog write lock. Returns
-/// the relation's new catalog data version.
-fn install_mutated_table(
-    shared: &Shared,
-    name: &str,
-    schema: fj_storage::Schema,
-    rows: Vec<fj_storage::Tuple>,
-    store: Option<&Arc<Store>>,
-) -> Result<u64, RuntimeError> {
-    let storage_err = |e: fj_storage::StorageError| RuntimeError::Storage(e.to_string());
-    let mut guard = shared.catalog.write().unwrap_or_else(|e| e.into_inner());
-    let old = guard.table(name).ok();
-    let mut table = Table::new(name, schema, rows).map_err(storage_err)?;
-    if let Some(old) = &old {
-        for col in old.hash_indexed_columns() {
-            table.create_hash_index(col).map_err(storage_err)?;
-        }
-        for col in old.btree_indexed_columns() {
-            table.create_btree_index(col).map_err(storage_err)?;
-        }
-    }
-    if let Some(backing) = store.and_then(|s| s.backing_for(name)) {
+    };
+    let Applied {
+        rows,
+        rows_affected,
+        removed,
+        added,
+    } = applied;
+    let row_count = rows.len() as u64;
+    let table = old
+        .next_version(rows, &removed, &added)
+        .map_err(|e| storage_err(&e))?;
+    if let Some(backing) = shared.store.as_ref().and_then(|s| s.backing_for(name)) {
         table.attach_backing(backing);
     }
-    let mut catalog = (**guard).clone();
-    catalog.replace_table(table.into_ref());
-    let version = catalog.relation_version(name);
-    *guard = Arc::new(catalog);
-    Ok(version)
+    let mut next = (*catalog).clone();
+    next.replace_table(table.into_ref());
+    let version = store_version.unwrap_or_else(|| next.relation_version(name));
+    *shared
+        .catalog
+        .write()
+        .unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
+    Ok(MutationStats {
+        rows_affected,
+        row_count,
+        version,
+    })
 }
 
 /// Reconciles a catalog template with a disk store and returns the

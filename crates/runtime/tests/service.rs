@@ -790,3 +790,62 @@ fn traced_disk_query_attributes_pool_traffic() {
     assert!(misses > 0, "cold pool: the scan must miss");
     service.shutdown();
 }
+
+/// A one-column table `T` of `rows` rows, every value `base + i`.
+fn numbered(base: i64, rows: i64) -> Catalog {
+    let mut cat = Catalog::new();
+    cat.add_table(
+        TableBuilder::new("T")
+            .column("id", DataType::Int)
+            .rows((0..rows).map(|i| vec![Value::Int(base + i)]))
+            .build()
+            .unwrap()
+            .into_ref(),
+    );
+    cat
+}
+
+#[test]
+fn catalog_installs_and_mutations_serialize() {
+    // A mutation inserting into `T` races an install replacing `T`.
+    // Either order is fine: install then insert leaves the new rows
+    // plus the insert, insert then install leaves the new rows. What
+    // must never happen is the mutation reading the old `T` and
+    // swapping "old rows + insert" over the freshly installed catalog.
+    // The install lands after a delay stepped across the mutation's
+    // read-apply-swap window, which a large `T` keeps wide.
+    const ROWS: i64 = 20_000;
+    let inserted = Tuple::new(vec![Value::Int(-1)]);
+    let fresh = numbered(1_000_000, 50);
+    let fresh_rows = fresh.table("T").unwrap().rows().to_vec();
+    for round in 0..24u64 {
+        let service = QueryService::start(
+            numbered(0, ROWS),
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let ticket = service
+            .submit_mutation(fj_runtime::Mutation::Insert {
+                table: "T".into(),
+                rows: vec![inserted.values().to_vec()],
+            })
+            .unwrap();
+        std::thread::sleep(std::time::Duration::from_micros(round * round * 40));
+        service.install_catalog(fresh.clone());
+        ticket.wait().unwrap();
+        let rows = service.catalog().table("T").unwrap().rows().to_vec();
+        let install_last = rows == fresh_rows;
+        let insert_last = rows.len() == fresh_rows.len() + 1
+            && rows[..fresh_rows.len()] == fresh_rows[..]
+            && rows[fresh_rows.len()] == inserted;
+        assert!(
+            install_last || insert_last,
+            "round {round}: {} rows, first {:?} — neither serial order",
+            rows.len(),
+            rows.first()
+        );
+        service.shutdown();
+    }
+}

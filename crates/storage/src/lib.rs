@@ -49,7 +49,7 @@ pub use error::StorageError;
 pub use fault::{FaultPlan, PageWriteFault};
 pub use index::{BTreeIndex, HashIndex, Index};
 pub use ledger::{CostLedger, LedgerSnapshot, CPU_WEIGHT_DEFAULT, TUPLE_OPS_PER_PAGE};
-pub use mutation::Mutation;
+pub use mutation::{Applied, Mutation};
 pub use page::{page_count, PageLayout, PAGE_SIZE};
 pub use schema::{Column, Schema, SchemaRef};
 pub use stats::yao_distinct;

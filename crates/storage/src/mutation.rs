@@ -84,10 +84,20 @@ impl Mutation {
         schema: &Schema,
         rows: &[Tuple],
     ) -> Result<(Vec<Tuple>, u64), StorageError> {
+        let applied = self.apply_delta(schema, rows)?;
+        Ok((applied.rows, applied.rows_affected))
+    }
+
+    /// [`Mutation::apply`], also handing back the delta: the rows the
+    /// mutation took out and the rows it put in. An update's old
+    /// versions are removed and its new versions added; a delete only
+    /// removes, an insert only adds. The delta is what a table's next
+    /// version merges into its statistics
+    /// ([`crate::TableStats::with_delta`]) instead of re-analyzing.
+    pub fn apply_delta(&self, schema: &Schema, rows: &[Tuple]) -> Result<Applied, StorageError> {
         match self {
             Mutation::Insert { table, rows: new } => {
-                let mut out = rows.to_vec();
-                out.reserve(new.len());
+                let mut added = Vec::with_capacity(new.len());
                 for values in new {
                     let t = Tuple::new(values.clone());
                     if !t.conforms_to(schema) {
@@ -96,9 +106,17 @@ impl Mutation {
                             detail: format!("inserted row {t} does not conform to schema {schema}"),
                         });
                     }
-                    out.push(t);
+                    added.push(t);
                 }
-                Ok((out, new.len() as u64))
+                let mut out = Vec::with_capacity(rows.len() + added.len());
+                out.extend_from_slice(rows);
+                out.extend_from_slice(&added);
+                Ok(Applied {
+                    rows: out,
+                    rows_affected: added.len() as u64,
+                    removed: Vec::new(),
+                    added,
+                })
             }
             Mutation::Update {
                 table,
@@ -123,7 +141,7 @@ impl Mutation {
                     assignments.push((i, value.clone()));
                 }
                 let mut out = rows.to_vec();
-                let mut affected = 0u64;
+                let (mut removed, mut added) = (Vec::new(), Vec::new());
                 for row in &mut out {
                     if row.value(pred) != where_value {
                         continue;
@@ -132,10 +150,16 @@ impl Mutation {
                     for (i, v) in &assignments {
                         values[*i] = v.clone();
                     }
-                    *row = Tuple::new(values);
-                    affected += 1;
+                    let new = Tuple::new(values);
+                    removed.push(std::mem::replace(row, new.clone()));
+                    added.push(new);
                 }
-                Ok((out, affected))
+                Ok(Applied {
+                    rows: out,
+                    rows_affected: added.len() as u64,
+                    removed,
+                    added,
+                })
             }
             Mutation::Delete {
                 where_col,
@@ -143,17 +167,35 @@ impl Mutation {
                 ..
             } => {
                 let pred = schema.resolve(where_col)?;
-                let before = rows.len();
-                let out: Vec<Tuple> = rows
+                let (removed, out): (Vec<Tuple>, Vec<Tuple>) = rows
                     .iter()
-                    .filter(|r| r.value(pred) != where_value)
                     .cloned()
-                    .collect();
-                let affected = (before - out.len()) as u64;
-                Ok((out, affected))
+                    .partition(|r| r.value(pred) == where_value);
+                Ok(Applied {
+                    rows: out,
+                    rows_affected: removed.len() as u64,
+                    removed,
+                    added: Vec::new(),
+                })
             }
         }
     }
+}
+
+/// What [`Mutation::apply_delta`] computed: the post-state rows, the
+/// affected count, and the delta between the pre- and post-state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Applied {
+    /// The post-state rows, in [`Mutation::apply`]'s order.
+    pub rows: Vec<Tuple>,
+    /// Rows inserted, updated, or deleted.
+    pub rows_affected: u64,
+    /// Pre-state rows the mutation took out (deleted rows, the old
+    /// versions of updated rows).
+    pub removed: Vec<Tuple>,
+    /// Rows the mutation put in (inserted rows, the new versions of
+    /// updated rows).
+    pub added: Vec<Tuple>,
 }
 
 #[cfg(test)]
@@ -316,6 +358,48 @@ mod tests {
         };
         assert_eq!(replay(), replay());
         assert_eq!(replay().len(), 3);
+    }
+
+    #[test]
+    fn apply_delta_reports_what_left_and_what_arrived() {
+        let schema = emp_schema();
+        let insert = Mutation::Insert {
+            table: "emp".into(),
+            rows: vec![vec![Value::Int(4), Value::Int(30), Value::Double(4.0)]],
+        };
+        let applied = insert.apply_delta(&schema, &emp_rows()).unwrap();
+        assert_eq!(applied.removed, vec![]);
+        assert_eq!(applied.added, vec![tuple![4, 30, 4.0]]);
+
+        let update = Mutation::Update {
+            table: "emp".into(),
+            set: vec![("sal".into(), Value::Double(7.0))],
+            where_col: "did".into(),
+            where_value: Value::Int(10),
+        };
+        let applied = update.apply_delta(&schema, &emp_rows()).unwrap();
+        assert_eq!(
+            applied.removed,
+            vec![emp_rows()[0].clone(), emp_rows()[2].clone()]
+        );
+        assert_eq!(applied.added, vec![tuple![1, 10, 7.0], tuple![3, 10, 7.0]]);
+        assert_eq!(applied.rows_affected, 2);
+
+        let delete = Mutation::Delete {
+            table: "emp".into(),
+            where_col: "eid".into(),
+            where_value: Value::Int(2),
+        };
+        let applied = delete.apply_delta(&schema, &emp_rows()).unwrap();
+        assert_eq!(applied.removed, vec![tuple![2, 20, 200.0]]);
+        assert_eq!(applied.added, vec![]);
+
+        // `apply` is `apply_delta` with the delta dropped.
+        for m in [insert, update, delete] {
+            let applied = m.apply_delta(&schema, &emp_rows()).unwrap();
+            let plain = m.apply(&schema, &emp_rows()).unwrap();
+            assert_eq!(plain, (applied.rows, applied.rows_affected));
+        }
     }
 
     #[test]

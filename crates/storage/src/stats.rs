@@ -7,15 +7,59 @@
 //! `ProjCost_F` / filter-set cardinality ("the optimizer can make an
 //! estimate based on the cardinality of the production set P, and
 //! assumptions about the distributions of values \[Yao77\]").
+//!
+//! A commit keeps these exact without re-reading its table: every
+//! column summary is derived from the column's sorted values, which
+//! [`TableStats::with_delta`] merges a mutation's removed and added
+//! rows into.
 
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::fmt;
 use std::sync::Arc;
 
 /// Number of buckets in equi-depth histograms.
 pub const HISTOGRAM_BUCKETS: usize = 32;
+
+/// The order statistics are derived in: [`Value::cmp`], then the type
+/// tag, then a double's bits. Values `cmp` calls equal (`1` and `1.0`,
+/// `0.0` and `-0.0`) still sort one way only, so the representatives a
+/// summary keeps — min, max, histogram bounds — depend on the rows'
+/// multiset, never on their order. And two values this order calls
+/// equal are the same value, which is what lets a delta be merged out
+/// of a sorted column exactly.
+fn stats_order(a: &Value, b: &Value) -> Ordering {
+    let tag = |v: &Value| match v {
+        Value::Null => 0u8,
+        Value::Bool(_) => 1,
+        Value::Int(_) => 2,
+        Value::Double(_) => 3,
+        Value::Str(_) => 4,
+    };
+    a.cmp(b)
+        .then_with(|| tag(a).cmp(&tag(b)))
+        .then_with(|| match (a, b) {
+            (Value::Double(x), Value::Double(y)) => x.to_bits().cmp(&y.to_bits()),
+            _ => Ordering::Equal,
+        })
+}
+
+/// Column `col` of `rows`: its non-null values in [`stats_order`], and
+/// its null count.
+fn sorted_column(rows: &[Tuple], col: usize) -> (Vec<Value>, u64) {
+    let mut values = Vec::with_capacity(rows.len());
+    for t in rows {
+        match t.value(col) {
+            Value::Null => {}
+            v => values.push(v.clone()),
+        }
+    }
+    let nulls = (rows.len() - values.len()) as u64;
+    values.sort_by(stats_order);
+    (values, nulls)
+}
 
 /// An equi-depth histogram over one column's non-null values.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,25 +74,20 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Builds an equi-depth histogram from (a copy of) the column values.
-    /// Returns `None` when there are no non-null values to summarize.
-    pub fn build(mut values: Vec<Value>) -> Option<Histogram> {
-        values.retain(|v| !v.is_null());
-        if values.is_empty() {
-            return None;
-        }
-        values.sort();
+    /// The histogram of non-null values already in [`stats_order`].
+    fn from_sorted(values: &[Value]) -> Option<Histogram> {
+        let last = values.last()?;
         let total = values.len() as u64;
         let buckets = HISTOGRAM_BUCKETS.min(values.len());
-        let depth = (values.len() as u64).div_ceil(buckets as u64);
-        let mut bounds = Vec::with_capacity(buckets);
-        let mut i = depth as usize;
-        while i <= values.len() {
-            bounds.push(values[i - 1].clone());
-            i += depth as usize;
-        }
-        if bounds.last() != values.last() {
-            bounds.push(values.last().expect("non-empty").clone());
+        let depth = total.div_ceil(buckets as u64);
+        let mut bounds: Vec<Value> = values
+            .iter()
+            .skip(depth as usize - 1)
+            .step_by(depth as usize)
+            .cloned()
+            .collect();
+        if bounds.last() != Some(last) {
+            bounds.push(last.clone());
         }
         Some(Histogram {
             bounds,
@@ -91,7 +130,12 @@ impl Histogram {
 }
 
 /// Statistics for one column.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Every summary is derived from the column's non-null values sorted in
+/// one total order, and that sorted column is kept (shared, one copy
+/// per table version) so the next version's statistics can merge a
+/// delta into it instead of re-reading every row.
+#[derive(Clone, PartialEq, Default)]
 pub struct ColumnStats {
     /// Distinct non-null values.
     pub distinct: u64,
@@ -104,40 +148,83 @@ pub struct ColumnStats {
     /// Equi-depth histogram, when the column had non-null values.
     /// Shared: every estimate derived from this column points at it.
     pub histogram: Option<Arc<Histogram>>,
+    /// The non-null values in [`stats_order`]; the fields above are
+    /// [`ColumnStats::from_sorted`] of it.
+    sorted: Arc<[Value]>,
 }
 
 impl ColumnStats {
     /// Computes stats over one column of `rows`.
     pub fn analyze(rows: &[Tuple], col: usize) -> ColumnStats {
-        let mut distinct: HashSet<&Value> = HashSet::new();
-        let mut null_count = 0u64;
-        let mut min: Option<&Value> = None;
-        let mut max: Option<&Value> = None;
-        for t in rows {
-            let v = t.value(col);
-            if v.is_null() {
-                null_count += 1;
+        let (values, nulls) = sorted_column(rows, col);
+        ColumnStats::from_sorted(values.into(), nulls)
+    }
+
+    /// The one derivation of a column's summaries: distinct values are
+    /// counted between neighbours, min and max are the ends.
+    fn from_sorted(sorted: Arc<[Value]>, null_count: u64) -> ColumnStats {
+        let distinct = sorted.windows(2).filter(|w| w[0] != w[1]).count() as u64
+            + u64::from(!sorted.is_empty());
+        ColumnStats {
+            distinct,
+            null_count,
+            min: sorted.first().cloned(),
+            max: sorted.last().cloned(),
+            histogram: Histogram::from_sorted(&sorted).map(Arc::new),
+            sorted,
+        }
+    }
+
+    /// These stats with column `col` of `removed` merged out and of
+    /// `added` merged in, in one pass over the sorted column.
+    fn with_delta(&self, col: usize, removed: &[Tuple], added: &[Tuple]) -> ColumnStats {
+        let (gone, gone_nulls) = sorted_column(removed, col);
+        let (new, new_nulls) = sorted_column(added, col);
+        let same = |a: &[Value], b: &[Value]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| stats_order(x, y).is_eq())
+        };
+        if gone_nulls == new_nulls && same(&gone, &new) {
+            // The delta leaves this column as it was (an update that
+            // did not assign it).
+            return self.clone();
+        }
+        let mut gone = gone.iter().peekable();
+        let mut new = new.into_iter().peekable();
+        let mut merged = Vec::with_capacity(self.sorted.len() + new.len());
+        for v in self.sorted.iter() {
+            if gone.next_if(|g| stats_order(g, v).is_eq()).is_some() {
                 continue;
             }
-            distinct.insert(v);
-            min = Some(match min {
-                Some(m) if m <= v => m,
-                _ => v,
-            });
-            max = Some(match max {
-                Some(m) if m >= v => m,
-                _ => v,
-            });
+            while let Some(a) = new.next_if(|a| stats_order(a, v).is_lt()) {
+                merged.push(a);
+            }
+            merged.push(v.clone());
         }
-        let histogram =
-            Histogram::build(rows.iter().map(|t| t.value(col).clone()).collect()).map(Arc::new);
-        ColumnStats {
-            distinct: distinct.len() as u64,
-            null_count,
-            min: min.cloned(),
-            max: max.cloned(),
-            histogram,
-        }
+        merged.extend(new);
+        debug_assert!(
+            gone.next().is_none(),
+            "a removed value was never in the column"
+        );
+        ColumnStats::from_sorted(merged.into(), self.null_count + new_nulls - gone_nulls)
+    }
+
+    /// The column's non-null values, in the order the summaries were
+    /// derived in.
+    pub fn values(&self) -> &[Value] {
+        &self.sorted
+    }
+}
+
+/// The summaries only: the sorted column they came from would bury them.
+impl fmt::Debug for ColumnStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ColumnStats")
+            .field("distinct", &self.distinct)
+            .field("null_count", &self.null_count)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .field("histogram", &self.histogram)
+            .finish()
     }
 }
 
@@ -157,6 +244,23 @@ impl TableStats {
             rows: rows.len() as u64,
             columns: (0..schema.arity())
                 .map(|c| ColumnStats::analyze(rows, c))
+                .collect(),
+        }
+    }
+
+    /// The statistics of the rows these were analyzed from, minus
+    /// `removed` plus `added` — equal, representatives included, to
+    /// analyzing the resulting rows, at the cost of sorting the delta
+    /// and one merge pass per column. `removed` must be rows these
+    /// statistics counted.
+    pub fn with_delta(&self, removed: &[Tuple], added: &[Tuple]) -> TableStats {
+        TableStats {
+            rows: self.rows + added.len() as u64 - removed.len() as u64,
+            columns: self
+                .columns
+                .iter()
+                .enumerate()
+                .map(|(c, s)| s.with_delta(c, removed, added))
                 .collect(),
         }
     }
@@ -225,10 +329,15 @@ mod tests {
         assert_eq!(s.min, None);
     }
 
+    fn hist(vals: Vec<Value>) -> Arc<Histogram> {
+        let rows: Vec<Tuple> = vals.into_iter().map(|v| Tuple::new(vec![v])).collect();
+        ColumnStats::analyze(&rows, 0).histogram.unwrap()
+    }
+
     #[test]
     fn histogram_uniform_fractions() {
         let vals: Vec<Value> = (0..1000).map(Value::Int).collect();
-        let h = Histogram::build(vals).unwrap();
+        let h = hist(vals);
         let f = h.fraction_le(&Value::Int(499));
         assert!((f - 0.5).abs() < 0.05, "got {f}");
         assert!(h.fraction_le(&Value::Int(5000)) > 0.99);
@@ -241,13 +350,13 @@ mod tests {
         // 90% of values are 0; equi-depth buckets absorb the skew.
         let mut vals: Vec<Value> = vec![Value::Int(0); 900];
         vals.extend((1..=100).map(Value::Int));
-        let h = Histogram::build(vals).unwrap();
+        let h = hist(vals);
         assert!(h.fraction_le(&Value::Int(0)) > 0.8);
     }
 
     #[test]
     fn histogram_empty_range() {
-        let h = Histogram::build((0..100).map(Value::Int).collect()).unwrap();
+        let h = hist((0..100).map(Value::Int).collect());
         assert_eq!(h.fraction_between(&Value::Int(80), &Value::Int(20)), 0.0);
     }
 
@@ -261,6 +370,55 @@ mod tests {
         assert_eq!(ts.column(0).unwrap().distinct, 2);
         assert_eq!(ts.column(1).unwrap().distinct, 1);
         assert!(ts.column(2).is_none());
+    }
+
+    #[test]
+    fn equal_values_pick_one_representative_whatever_the_row_order() {
+        // 1 and 1.0, 0.0 and -0.0 compare equal; the stats order still
+        // ranks them, so the kept min/max do not depend on which row
+        // came first.
+        let col = |vals: &[Value]| -> Vec<Tuple> {
+            vals.iter().map(|v| Tuple::new(vec![v.clone()])).collect()
+        };
+        let a = [
+            Value::Double(1.0),
+            Value::Int(1),
+            Value::Double(-0.0),
+            Value::Double(0.0),
+        ];
+        let mut b = a.clone();
+        b.reverse();
+        let (sa, sb) = (
+            ColumnStats::analyze(&col(&a), 0),
+            ColumnStats::analyze(&col(&b), 0),
+        );
+        assert_eq!(format!("{sa:?}"), format!("{sb:?}"));
+        assert_eq!(sa.distinct, 2);
+        assert_eq!(
+            sa.min.map(|v| v.as_double().unwrap().to_bits()),
+            Some(0.0f64.to_bits())
+        );
+        assert!(matches!(sa.max, Some(Value::Double(_))));
+    }
+
+    #[test]
+    fn with_delta_equals_reanalysis() {
+        let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Str)]);
+        let rows = vec![tuple![3, "x"], tuple![1, "y"], tuple![3, "z"]];
+        let stats = TableStats::analyze(&schema, &rows);
+        let next = stats.with_delta(&[tuple![3, "x"]], &[tuple![2, "x"], tuple![9, "w"]]);
+        let after = vec![
+            tuple![1, "y"],
+            tuple![3, "z"],
+            tuple![2, "x"],
+            tuple![9, "w"],
+        ];
+        assert_eq!(next, TableStats::analyze(&schema, &after));
+        assert_eq!(next.rows, 4);
+        assert_eq!(
+            next.column(0).unwrap().values(),
+            &[1, 2, 3, 9].map(Value::Int)
+        );
     }
 
     #[test]

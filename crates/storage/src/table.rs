@@ -60,6 +60,47 @@ impl Table {
         })
     }
 
+    /// This table's next version after a mutation: `rows` is the
+    /// post-mutation row vector, `removed` and `added` the delta that
+    /// produced it ([`crate::mutation::Applied`]). Only the added rows
+    /// are checked against the schema — the rest already conformed —
+    /// the layout is reused, and the statistics are this version's with
+    /// the delta merged in ([`TableStats::with_delta`]), equal to what
+    /// [`Table::new`] would analyze from `rows`. Indexes are rebuilt on
+    /// the same columns; a page backing is not carried over.
+    pub fn next_version(
+        &self,
+        rows: Vec<Tuple>,
+        removed: &[Tuple],
+        added: &[Tuple],
+    ) -> Result<Table, StorageError> {
+        if let Some(t) = added.iter().find(|t| !t.conforms_to(&self.schema)) {
+            return Err(StorageError::SchemaMismatch {
+                table: self.name.clone(),
+                detail: format!("added row ({t}) does not conform to {}", self.schema),
+            });
+        }
+        let stats = self.stats.with_delta(removed, added);
+        debug_assert_eq!(stats.rows, rows.len() as u64, "delta does not match rows");
+        let mut table = Table {
+            name: self.name.clone(),
+            schema: Arc::clone(&self.schema),
+            rows,
+            layout: self.layout,
+            stats,
+            hash_indexes: Vec::new(),
+            btree_indexes: Vec::new(),
+            backing: OnceLock::new(),
+        };
+        for col in self.hash_indexed_columns() {
+            table.create_hash_index(col)?;
+        }
+        for col in self.btree_indexed_columns() {
+            table.create_btree_index(col)?;
+        }
+        Ok(table)
+    }
+
     /// Attaches a physical page backing. From here on, the fault-aware
     /// access paths ([`Table::scan_checked`] / [`Table::fetch_checked`]
     /// / [`Table::read_backed_page`]) fetch every logical page they
@@ -391,6 +432,28 @@ mod tests {
         t.create_btree_index(0).unwrap();
         assert_eq!(t.hash_indexed_columns(), vec![0]);
         assert_eq!(t.btree_indexed_columns(), vec![1, 0]);
+    }
+
+    #[test]
+    fn next_version_matches_a_fresh_build_and_keeps_indexes() {
+        let mut t = small_table();
+        t.create_hash_index(0).unwrap();
+        t.create_btree_index(1).unwrap();
+        let added = vec![tuple![4, "a"]];
+        let removed = vec![t.rows()[1].clone()];
+        let rows = vec![t.rows()[0].clone(), t.rows()[2].clone(), added[0].clone()];
+        let next = t.next_version(rows.clone(), &removed, &added).unwrap();
+        let fresh = Table::new("t", (**t.schema()).clone(), rows).unwrap();
+        assert_eq!(next.stats(), fresh.stats());
+        assert_eq!(next.rows(), fresh.rows());
+        assert_eq!(next.hash_indexed_columns(), vec![0]);
+        assert_eq!(next.btree_indexed_columns(), vec![1]);
+        assert!(next.backing().is_none());
+
+        let err = t
+            .next_version(vec![], &[], &[tuple!["not an id", "x"]])
+            .unwrap_err();
+        assert!(matches!(err, StorageError::SchemaMismatch { .. }));
     }
 
     #[test]

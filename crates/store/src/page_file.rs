@@ -31,14 +31,14 @@
 //! for anything that did not verify.
 
 use crate::error::StoreError;
-use fj_storage::codec::Crc64;
+use fj_storage::codec::{Crc64, Le, Reader};
 use fj_storage::{FaultPlan, PageWriteFault};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Physical frame size: records are aligned to this.
 pub const FRAME_SIZE: usize = 4096;
@@ -99,21 +99,23 @@ fn parse_record(bytes: &[u8]) -> Option<(u32, u32, Vec<u8>)> {
     if bytes.len() < RECORD_HEADER || bytes[0..4] != MAGIC {
         return None;
     }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    let frame_count = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
+    let mut header = Reader::<Le>::new(&bytes[4..RECORD_HEADER]);
+    let version = header.u16().ok()?;
+    let frame_count = header.u16().ok()?;
     if version != VERSION || frame_count == 0 {
         return None;
     }
-    let table_id = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let page_no = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    let table_id = header.u32().ok()?;
+    let page_no = header.u32().ok()?;
+    let payload_len = header.u32().ok()? as usize;
     if RECORD_HEADER + payload_len > frame_count as usize * FRAME_SIZE
         || frame_count as usize * FRAME_SIZE > bytes.len()
     {
         return None;
     }
     let payload = &bytes[RECORD_HEADER..RECORD_HEADER + payload_len];
-    let want = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+    header.u32().ok()?; // bytes 20..24: zero padding
+    let want = header.u64().ok()?;
     let got = Crc64::new().update(&bytes[0..24]).update(payload).finish();
     if want != got {
         return None;
@@ -173,9 +175,15 @@ impl PageFile {
         &self.path
     }
 
+    /// The record directory (a poisoned lock is recovered: entries are
+    /// inserted whole).
+    fn directory(&self) -> MutexGuard<'_, Directory> {
+        self.dir.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records currently in the directory.
     pub fn record_count(&self) -> usize {
-        self.dir.lock().unwrap().entries.len()
+        self.directory().entries.len()
     }
 
     /// Physical record reads served so far.
@@ -190,11 +198,7 @@ impl PageFile {
 
     /// True iff a record for `(table_id, page_no)` is in the directory.
     pub fn contains(&self, table_id: u32, page_no: u32) -> bool {
-        self.dir
-            .lock()
-            .unwrap()
-            .entries
-            .contains_key(&(table_id, page_no))
+        self.directory().entries.contains_key(&(table_id, page_no))
     }
 
     /// Writes one logical page's record, in place when a record of the
@@ -231,7 +235,7 @@ impl PageFile {
     ) -> Result<(), StoreError> {
         let record = encode_record(table_id, page_no, payload);
         let frame_count = frames_for(payload.len());
-        let mut dir = self.dir.lock().unwrap();
+        let mut dir = self.directory();
         let offset_frame = match dir.entries.get(&(table_id, page_no)) {
             Some(e) if e.frame_count == frame_count => e.offset_frame,
             _ => {
@@ -278,7 +282,7 @@ impl PageFile {
     /// diffs against the ledger.
     pub fn read_page(&self, table_id: u32, page_no: u32) -> Result<Vec<u8>, StoreError> {
         let entry = {
-            let dir = self.dir.lock().unwrap();
+            let dir = self.directory();
             dir.entries
                 .get(&(table_id, page_no))
                 .copied()
@@ -305,7 +309,7 @@ impl PageFile {
     /// read (this is the checkpoint scrub's probe, not a query read).
     pub fn record_is_valid(&self, table_id: u32, page_no: u32) -> bool {
         let entry = {
-            let dir = self.dir.lock().unwrap();
+            let dir = self.directory();
             match dir.entries.get(&(table_id, page_no)) {
                 Some(e) => *e,
                 None => return false,

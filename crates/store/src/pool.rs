@@ -17,7 +17,7 @@ use crate::error::StoreError;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Key of one cached page: `(table_id, page_no)`.
 pub type PageKey = (u32, u32);
@@ -102,17 +102,21 @@ impl BufferPool {
         self.capacity
     }
 
+    /// The frame table. A panic while it was held is recovered, not
+    /// propagated: every frame update leaves the table consistent.
+    fn frames(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Pages currently resident.
     pub fn resident(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.frames().map.len()
     }
 
     /// Dirty pages currently resident (awaiting checkpoint flush or
     /// eviction write-back).
     pub fn dirty_pages(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
+        self.frames()
             .frames
             .iter()
             .filter(|f| f.key.is_some() && f.dirty)
@@ -123,7 +127,10 @@ impl BufferPool {
     /// a dirty frame is an error (the read-only regime of PR 6 never
     /// dirties frames, so it never trips this).
     pub fn set_writeback(&self, f: WritebackFn) {
-        *self.writeback.lock().unwrap() = Some(f);
+        *self
+            .writeback
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(f);
     }
 
     /// Counter snapshot.
@@ -144,7 +151,7 @@ impl BufferPool {
         key: PageKey,
         fetch: impl FnOnce() -> Result<Vec<u8>, StoreError>,
     ) -> Result<PoolGuard<'a>, StoreError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.frames();
         if let Some(&slot) = inner.map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             let frame = &mut inner.frames[slot];
@@ -188,7 +195,7 @@ impl BufferPool {
     }
 
     fn put_inner(&self, key: PageKey, payload: Vec<u8>, dirty: bool) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.frames();
         if let Some(&slot) = inner.map.get(&key) {
             inner.frames[slot].payload = payload;
             inner.frames[slot].referenced = true;
@@ -213,7 +220,7 @@ impl BufferPool {
     /// committed-read path uses this so a dirty (not-yet-flushed) page
     /// is served from memory instead of the stale page file.
     pub fn peek(&self, key: PageKey) -> Option<Vec<u8>> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.frames();
         inner
             .map
             .get(&key)
@@ -226,7 +233,7 @@ impl BufferPool {
     /// the snapshot is protected by the WAL suffix the checkpoint
     /// keeps.
     pub fn take_dirty(&self) -> Vec<(PageKey, Vec<u8>)> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.frames();
         let mut out = Vec::new();
         for frame in &mut inner.frames {
             if frame.dirty {
@@ -246,7 +253,11 @@ impl BufferPool {
             return Ok(());
         };
         if inner.frames[slot].dirty {
-            let writeback = self.writeback.lock().unwrap().clone();
+            let writeback = self
+                .writeback
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
             let Some(writeback) = writeback else {
                 // Losing a dirty frame silently would make the page
                 // file stale forever (its WAL protection is dropped at
@@ -270,7 +281,7 @@ impl BufferPool {
     /// payloads may not be in the page file yet. Returns how many pages
     /// were dropped.
     pub fn clear(&self) -> usize {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.frames();
         let mut dropped = 0;
         for slot in 0..inner.frames.len() {
             if inner.frames[slot].pins == 0 && !inner.frames[slot].dirty {
@@ -333,14 +344,14 @@ pub struct PoolGuard<'a> {
 impl PoolGuard<'_> {
     /// The pinned page's bytes.
     pub fn with_payload<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let inner = self.pool.inner.lock().unwrap();
+        let inner = self.pool.frames();
         f(&inner.frames[self.slot].payload)
     }
 }
 
 impl Drop for PoolGuard<'_> {
     fn drop(&mut self) {
-        let mut inner = self.pool.inner.lock().unwrap();
+        let mut inner = self.pool.frames();
         let frame = &mut inner.frames[self.slot];
         debug_assert!(frame.pins > 0, "unbalanced unpin");
         frame.pins = frame.pins.saturating_sub(1);

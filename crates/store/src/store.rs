@@ -53,13 +53,13 @@ use crate::pool::{BufferPool, PageKey, PoolStats};
 use crate::wal::{Wal, WalRecord};
 use fj_storage::codec::{Le, Reader, Writer};
 use fj_storage::{
-    FaultPlan, Mutation, PageBacking, PageLayout, PageWriteFault, Schema, StorageError, Table,
-    Tuple,
+    Applied, FaultPlan, Mutation, PageBacking, PageLayout, PageWriteFault, Schema, StorageError,
+    Table, Tuple,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const MANIFEST: &str = "manifest.fj";
 const PAGES: &str = "pages.fj";
@@ -307,6 +307,13 @@ impl Store {
         Store::open(dir, pool_pages, faults)
     }
 
+    /// The committed-table map. A panic while it was held cannot have
+    /// left it half-written (every update is one `insert`), so a
+    /// poisoned lock is recovered, not propagated.
+    fn inner(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The store's data directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -314,23 +321,17 @@ impl Store {
 
     /// Names of committed (recoverable) tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .unwrap()
-            .committed
-            .keys()
-            .cloned()
-            .collect()
+        self.inner().committed.keys().cloned().collect()
     }
 
     /// True iff `name` is committed in this store.
     pub fn has_table(&self, name: &str) -> bool {
-        self.inner.lock().unwrap().committed.contains_key(name)
+        self.inner().committed.contains_key(name)
     }
 
     /// The committed meta for `name`, if any.
     pub fn meta(&self, name: &str) -> Option<TableMeta> {
-        self.inner.lock().unwrap().committed.get(name).cloned()
+        self.inner().committed.get(name).cloned()
     }
 
     /// Loads an in-memory table into the store: WAL images + commit
@@ -340,7 +341,7 @@ impl Store {
     /// the name's `version + 1`, and replay order makes it
     /// authoritative.
     pub fn load_table(&self, table: &Table) -> Result<u64, StoreError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         let version = inner
             .committed
             .get(table.name())
@@ -437,7 +438,23 @@ impl Store {
         mutation: &Mutation,
         cancelled: &dyn Fn() -> bool,
     ) -> Result<MutationResult, StoreError> {
-        let _serialize = self.mutation_lock.lock().unwrap();
+        self.mutate_applied(mutation, cancelled)
+            .map(|(result, _)| result)
+    }
+
+    /// [`Store::mutate`], also handing back what the commit computed
+    /// on the way: the post-state rows and the delta
+    /// ([`Mutation::apply_delta`]), so the caller can install the
+    /// table's next version without reading it back.
+    pub fn mutate_applied(
+        &self,
+        mutation: &Mutation,
+        cancelled: &dyn Fn() -> bool,
+    ) -> Result<(MutationResult, Applied), StoreError> {
+        let _serialize = self
+            .mutation_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if cancelled() {
             return Err(StoreError::Cancelled);
         }
@@ -464,12 +481,12 @@ impl Store {
             old_payloads.push(payload);
         }
 
-        let (new_rows, rows_affected) =
-            mutation
-                .apply(&schema, &old_rows)
-                .map_err(|e| StoreError::Meta {
-                    detail: format!("{} on '{name}': {e}", mutation.verb()),
-                })?;
+        let applied = mutation
+            .apply_delta(&schema, &old_rows)
+            .map_err(|e| StoreError::Meta {
+                detail: format!("{} on '{name}': {e}", mutation.verb()),
+            })?;
+        let (new_rows, rows_affected) = (&applied.rows, applied.rows_affected);
 
         // Diff old vs new page payloads: only changed pages become
         // deltas. A shrink leaves stale trailing records in the page
@@ -526,17 +543,16 @@ impl Store {
         for (page_no, payload) in dirty {
             self.pool.put_dirty((meta.table_id, page_no), payload)?;
         }
-        self.inner
-            .lock()
-            .unwrap()
+        self.inner()
             .committed
             .insert(name.to_string(), new_meta.clone());
         self.mutations_applied.fetch_add(1, Ordering::Relaxed);
-        Ok(MutationResult {
+        let result = MutationResult {
             rows_affected,
             row_count: new_meta.row_count,
             version: new_meta.version,
-        })
+        };
+        Ok((result, applied))
     }
 
     /// Fuzzy checkpoint: flush dirty pages, scrub, fsync, publish the
@@ -562,7 +578,10 @@ impl Store {
         //    or whose meta step 5 never saw. Mutations wait only for
         //    these two reads, never for the checkpoint's I/O.
         let (cut, dirty) = {
-            let _no_mutation_in_flight = self.mutation_lock.lock().unwrap();
+            let _no_mutation_in_flight = self
+                .mutation_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             (self.wal.durable_len()?, self.pool.take_dirty())
         };
 
@@ -631,7 +650,7 @@ impl Store {
         //    cut, so every commit the truncate will drop is in it;
         //    commits newer than the cut may also be in it, which is
         //    fine — their WAL records replay idempotently.
-        let snapshot = self.inner.lock().unwrap().committed.clone();
+        let snapshot = self.inner().committed.clone();
         write_manifest(&self.dir, &snapshot)?;
         if phase == CheckpointPhase::Manifest {
             return Ok(());
@@ -1000,6 +1019,19 @@ mod tests {
             let (_, rows) = store.recovered_rows("T").unwrap();
             assert_eq!(rows, oracle_rows);
         }
+    }
+
+    #[test]
+    fn mutate_applied_hands_back_the_rows_a_read_back_would_decode() {
+        let dir = TempDir::new("store-applied");
+        let (store, _) = Store::open(dir.path(), 4, None).unwrap();
+        store.load_table(&sample_table("T", 300)).unwrap();
+        let (result, applied) = store.mutate_applied(&delete_even("T"), &NEVER).unwrap();
+        let (_, rows) = store.recovered_rows("T").unwrap();
+        assert_eq!(format!("{:?}", applied.rows), format!("{rows:?}"));
+        assert_eq!(result.row_count, rows.len() as u64);
+        assert_eq!(applied.removed.len() as u64, result.rows_affected);
+        assert!(applied.added.is_empty());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,9 +236,15 @@ impl Wal {
         }
         self.pending
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .extend_from_slice(&frames.into_bytes());
         Ok(())
+    }
+
+    /// The append handle (a poisoned lock is recovered: the handle itself
+    /// is never left half-changed).
+    fn file(&self) -> MutexGuard<'_, File> {
+        self.file.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Writes all buffered records and issues exactly one fsync — the
@@ -247,10 +253,10 @@ impl Wal {
     /// acknowledged, as on real hardware.
     pub fn commit(&self, faults: Option<&FaultPlan>) -> Result<(), StoreError> {
         let batch = {
-            let mut pending = self.pending.lock().unwrap();
+            let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *pending)
         };
-        let mut file = self.file.lock().unwrap();
+        let mut file = self.file();
         file.write_all(&batch)
             .map_err(|e| StoreError::io(format!("append {}", self.path.display()), e))?;
         if let Some(plan) = faults {
@@ -265,7 +271,7 @@ impl Wal {
     /// Empties the log (the checkpoint's final step: everything the log
     /// protected is now durable in the page file and manifest).
     pub fn truncate(&self) -> Result<(), StoreError> {
-        let file = self.file.lock().unwrap();
+        let file = self.file();
         file.set_len(0)
             .map_err(|e| StoreError::io(format!("truncate {}", self.path.display()), e))?;
         file.sync_all()
@@ -279,7 +285,7 @@ impl Wal {
     /// checkpoint captures this before flushing and later truncates
     /// exactly `[0, cut)`.
     pub fn durable_len(&self) -> Result<u64, StoreError> {
-        let file = self.file.lock().unwrap();
+        let file = self.file();
         file.metadata()
             .map(|m| m.len())
             .map_err(|e| StoreError::io(format!("stat {}", self.path.display()), e))
@@ -292,7 +298,7 @@ impl Wal {
     /// reopened on the new file. Concurrent commits are excluded by
     /// the file lock for the duration.
     pub fn truncate_prefix(&self, cut: u64) -> Result<(), StoreError> {
-        let mut file = self.file.lock().unwrap();
+        let mut file = self.file();
         let bytes = std::fs::read(&self.path)
             .map_err(|e| StoreError::io(format!("scan {}", self.path.display()), e))?;
         let cut = (cut as usize).min(bytes.len());
@@ -329,7 +335,7 @@ impl Wal {
     pub fn disk_records(&self) -> Result<Vec<WalRecord>, StoreError> {
         // Hold the file lock so a concurrent commit can't interleave
         // a half-written batch under the read.
-        let _file = self.file.lock().unwrap();
+        let _file = self.file();
         let bytes = std::fs::read(&self.path)
             .map_err(|e| StoreError::io(format!("scan {}", self.path.display()), e))?;
         let (records, _, _) = scan_bytes(&bytes);
