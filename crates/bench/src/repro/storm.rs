@@ -69,7 +69,6 @@ pub(crate) fn replica(cat: Catalog, service: ServiceConfig, clients: usize) -> S
         ServerConfig {
             max_connections: clients.max(1) * 4 + 8,
             service,
-            ..ServerConfig::default()
         },
     )
     .expect("replica binds")
@@ -342,7 +341,7 @@ impl Front for ServiceFront<'_> {
 
     fn ask(&mut self, query: &JoinQuery, kind: Kind) -> Result<Vec<Tuple>, RuntimeError> {
         let ticket = match kind.config() {
-            Some(config) => self.0.submit_with_config(query.clone(), config),
+            Some(config) => self.0.submit_with_options(query.clone(), config, false),
             None => self.0.submit(query.clone()),
         }?;
         let cancel = kind.cancel.then(|| {

@@ -13,7 +13,7 @@
 //! tests can replay a transition schedule without sleeping.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Sizing knobs for one [`CircuitBreaker`].
@@ -95,6 +95,12 @@ impl CircuitBreaker {
         }
     }
 
+    /// The state, locked. Every transition is a single assignment, so
+    /// a poisoned lock still holds a valid state.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether a request may be sent through this breaker right now.
     /// An open breaker whose cooldown has elapsed transitions to
     /// half-open and admits the request as a probe.
@@ -104,7 +110,7 @@ impl CircuitBreaker {
 
     /// [`CircuitBreaker::try_acquire`] with an explicit clock reading.
     pub fn try_acquire_at(&self, now: Instant) -> bool {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         match *state {
             State::Closed { .. } | State::HalfOpen { .. } => true,
             State::Open { until } => {
@@ -122,7 +128,7 @@ impl CircuitBreaker {
     /// Half-open: counts toward closing. Open: ignored (a late reply
     /// from before the trip).
     pub fn record_success(&self) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         match *state {
             State::Closed { .. } => {
                 *state = State::Closed {
@@ -153,7 +159,7 @@ impl CircuitBreaker {
     /// [`CircuitBreaker::record_failure`] with an explicit clock
     /// reading (the cooldown deadline is `now + cooldown`).
     pub fn record_failure_at(&self, now: Instant) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         match *state {
             State::Closed {
                 consecutive_failures,
@@ -182,7 +188,7 @@ impl CircuitBreaker {
     /// The observable state (open breakers stay "open" here until a
     /// `try_acquire` actually transitions them).
     pub fn state(&self) -> BreakerState {
-        match *self.state.lock().unwrap() {
+        match *self.lock() {
             State::Closed { .. } => BreakerState::Closed,
             State::Open { .. } => BreakerState::Open,
             State::HalfOpen { .. } => BreakerState::HalfOpen,

@@ -22,7 +22,7 @@
 //! [`HedgeConfig::verify`]: crate::HedgeConfig
 
 use crate::breaker::{BreakerState, CircuitBreaker};
-use crate::config::{ClusterConfig, ClusterConfigError};
+use crate::config::{ClusterConfig, ClusterConfigError, PROBE_JITTER, PROBE_JITTER_SEED};
 use fj_algebra::JoinQuery;
 use fj_net::client::{Canceller, Client, QueryOptions};
 use fj_net::{json, splitmix64, ErrorCode, HealthStatus, NetError, QueryReply, RetryBudget};
@@ -30,7 +30,7 @@ use fj_runtime::MetricsRecorder;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -69,6 +69,12 @@ pub enum ClusterError {
     /// A non-failover server error (bad request, query failed,
     /// deadline exceeded, …), passed through typed.
     Net(NetError),
+    /// The client could not start a thread it needs (the health prober
+    /// at connect time).
+    Spawn(std::io::Error),
+    /// A hedged query's attempt threads all ended without reporting an
+    /// outcome (each one panicked).
+    AttemptLost,
 }
 
 impl fmt::Display for ClusterError {
@@ -92,6 +98,8 @@ impl fmt::Display for ClusterError {
                 "replica divergence: {winner} and {loser} returned different result bytes"
             ),
             ClusterError::Net(e) => write!(f, "{e}"),
+            ClusterError::Spawn(e) => write!(f, "cluster client could not spawn a thread: {e}"),
+            ClusterError::AttemptLost => f.write_str("every hedged attempt ended without a reply"),
         }
     }
 }
@@ -266,10 +274,10 @@ impl CancelToken {
     /// too. Idempotent.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
-        for mut canceller in self.cancellers.lock().unwrap().drain(..) {
+        for mut canceller in locked(&self.cancellers).drain(..) {
             let _ = canceller.cancel();
         }
-        for child in self.children.lock().unwrap().drain(..) {
+        for child in locked(&self.children).drain(..) {
             child.cancel();
         }
     }
@@ -281,10 +289,10 @@ impl CancelToken {
             let _ = canceller.cancel();
             return;
         }
-        self.cancellers.lock().unwrap().push(canceller);
+        locked(&self.cancellers).push(canceller);
         if self.is_cancelled() {
             // cancel() may have drained between the check and the push.
-            for mut c in self.cancellers.lock().unwrap().drain(..) {
+            for mut c in locked(&self.cancellers).drain(..) {
                 let _ = c.cancel();
             }
         }
@@ -297,7 +305,7 @@ impl CancelToken {
             child.cancel();
             return;
         }
-        self.children.lock().unwrap().push(child);
+        locked(&self.children).push(child);
     }
 }
 
@@ -413,7 +421,7 @@ impl ClusterClient {
             thread::Builder::new()
                 .name("fj-cluster-prober".into())
                 .spawn(move || prober_loop(&shared))
-                .expect("spawn prober")
+                .map_err(ClusterError::Spawn)?
         };
         Ok(ClusterClient {
             shared,
@@ -584,7 +592,7 @@ impl ClusterClient {
                     });
                 }
                 drop(tx);
-                let (winner_is_hedge, winner) = rx.recv().expect("both hedge attempts vanished");
+                let (winner_is_hedge, winner) = rx.recv().map_err(|_| ClusterError::AttemptLost)?;
                 if winner_is_hedge {
                     self.shared
                         .counters
@@ -599,9 +607,7 @@ impl ClusterClient {
                     &hedge_token,
                 );
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                unreachable!("primary attempt thread dropped its channel without sending")
-            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(ClusterError::AttemptLost),
         };
         first
             .1
@@ -692,7 +698,7 @@ impl ClusterClient {
                 .iter()
                 .map(|r| ReplicaStatus {
                     addr: r.addr,
-                    health: *r.health.lock().unwrap(),
+                    health: *locked(&r.health),
                     breaker: r.breaker.state(),
                 })
                 .collect(),
@@ -714,22 +720,24 @@ impl ClusterClient {
         }
     }
 
-    /// Stops the prober and waits for it to exit.
-    pub fn shutdown(self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.prober.lock().unwrap().take() {
-            let _ = handle.join();
-        }
-    }
+    /// Stops the prober and waits for it to exit (what dropping the
+    /// client does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ClusterClient {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.prober.lock().unwrap().take() {
+        if let Some(handle) = locked(&self.prober).take() {
             let _ = handle.join();
         }
     }
+}
+
+/// Locks `m`, recovering a poisoned lock: every value behind these
+/// locks is replaced or drained in one step, so it is never torn.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// When both hedge attempts fail, prefer the more meaningful error:
@@ -794,14 +802,16 @@ fn failover_query(
         if !replica.breaker.try_acquire() {
             continue;
         }
-        // Every hop past the first is a retry the cluster must afford.
-        if attempted > 0 {
-            if !shared.budget.try_withdraw() {
-                return Err(ClusterError::RetryBudgetExhausted {
-                    last: last.expect("a failover hop implies a prior error"),
-                });
+        // Every hop past the first — each follows a replica-local
+        // failure — is a retry the cluster must afford.
+        match last {
+            Some(last) if !shared.budget.try_withdraw() => {
+                return Err(ClusterError::RetryBudgetExhausted { last });
             }
-            shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
+            Some(_) => {
+                shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {}
         }
         attempted += 1;
         if let Some(slot) = report_replica {
@@ -848,7 +858,7 @@ fn candidate_order(shared: &Shared, advance: bool) -> Vec<usize> {
     let mut ranked: Vec<(u8, usize)> = (0..n)
         .filter_map(|offset| {
             let idx = (start + offset) % n;
-            let health = *shared.replicas[idx].health.lock().unwrap();
+            let health = *locked(&shared.replicas[idx].health);
             health.rank().map(|rank| (rank, idx))
         })
         .collect();
@@ -876,14 +886,15 @@ fn probe_one(shared: &Shared, idx: usize) {
             ReplicaHealth::Dead
         }
     };
-    *replica.health.lock().unwrap() = health;
+    *locked(&replica.health) = health;
 }
 
 /// Prober thread: probe every replica, sleep a jittered interval,
-/// repeat until shutdown. The jitter stream is seeded, so a given
-/// config replays the same probe schedule.
+/// repeat until shutdown. The jitter stream is seeded
+/// ([`PROBE_JITTER_SEED`]), so a given interval replays the same probe
+/// schedule.
 fn prober_loop(shared: &Shared) {
-    let mut jitter_state = splitmix64(shared.cfg.seed);
+    let mut jitter_state = splitmix64(PROBE_JITTER_SEED);
     while !shared.stop.load(Ordering::SeqCst) {
         for idx in 0..shared.replicas.len() {
             if shared.stop.load(Ordering::SeqCst) {
@@ -894,8 +905,8 @@ fn prober_loop(shared: &Shared) {
         let base = shared.cfg.probe_interval.as_micros() as u64;
         jitter_state = splitmix64(jitter_state);
         // factor in [1-j, 1+j], from a uniform draw in [0, 2j).
-        let spread = (2.0 * shared.cfg.probe_jitter * base as f64) as u64;
-        let low = base - (shared.cfg.probe_jitter * base as f64) as u64;
+        let spread = (2.0 * PROBE_JITTER * base as f64) as u64;
+        let low = base - (PROBE_JITTER * base as f64) as u64;
         let sleep_micros = low + if spread > 0 { jitter_state % spread } else { 0 };
         let deadline = Instant::now() + Duration::from_micros(sleep_micros);
         // Sleep in slices so shutdown stays prompt.

@@ -6,7 +6,6 @@
 //! still yields a working client rather than a wedged one.
 
 use crate::breaker::BreakerConfig;
-use fj_net::RetryPolicy;
 use std::fmt;
 use std::time::Duration;
 
@@ -49,24 +48,28 @@ impl Default for HedgeConfig {
     }
 }
 
+/// Jitter applied to each probe sleep as a fraction of
+/// [`ClusterConfig::probe_interval`]: probes are spread across
+/// `[interval·(1−jitter), interval·(1+jitter)]` by a seeded stream so
+/// replicas are never probed in lockstep.
+pub const PROBE_JITTER: f64 = 0.2;
+
+/// Seed of the probe-jitter stream, so a given interval replays the
+/// same probe schedule.
+pub const PROBE_JITTER_SEED: u64 = 0xc1a5;
+
 /// Everything the replica-aware [`crate::ClusterClient`] needs to know.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Base interval between health-probe rounds.
+    /// Base interval between health-probe rounds, jittered by
+    /// [`PROBE_JITTER`].
     pub probe_interval: Duration,
-    /// Jitter applied to each probe sleep as a fraction of the
-    /// interval, in `[0, 1]` — probes are spread across
-    /// `[interval·(1−jitter), interval·(1+jitter)]` by a seeded stream
-    /// so replicas are never probed in lockstep.
-    pub probe_jitter: f64,
     /// Per-probe I/O timeout (connect, handshake, and reply each).
     pub probe_timeout: Duration,
     /// TCP connect timeout for query connections.
     pub connect_timeout: Duration,
     /// Per-replica circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Backoff schedule for same-replica retries of retryable refusals.
-    pub retry: RetryPolicy,
     /// Capacity of the shared retry budget (tokens). Retries and
     /// failovers both draw from it; successes deposit
     /// [`ClusterConfig::retry_deposit_per_success`] back.
@@ -75,23 +78,18 @@ pub struct ClusterConfig {
     pub retry_deposit_per_success: f64,
     /// Hedged-request knobs.
     pub hedge: HedgeConfig,
-    /// Seed for the probe-jitter stream.
-    pub seed: u64,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             probe_interval: Duration::from_millis(50),
-            probe_jitter: 0.2,
             probe_timeout: Duration::from_millis(250),
             connect_timeout: Duration::from_millis(500),
             breaker: BreakerConfig::default(),
-            retry: RetryPolicy::default(),
             retry_budget_capacity: 32,
             retry_deposit_per_success: 0.1,
             hedge: HedgeConfig::default(),
-            seed: 0xc1a5,
         }
     }
 }
@@ -129,9 +127,6 @@ impl ClusterConfig {
         if self.probe_interval.is_zero() {
             return reject("probe_interval", "positive");
         }
-        if !(0.0..=1.0).contains(&self.probe_jitter) {
-            return reject("probe_jitter", "in [0, 1]");
-        }
         if self.probe_timeout.is_zero() {
             return reject("probe_timeout", "positive");
         }
@@ -161,11 +156,6 @@ impl ClusterConfig {
         if self.probe_interval.is_zero() {
             self.probe_interval = Duration::from_millis(1);
         }
-        self.probe_jitter = if self.probe_jitter.is_finite() {
-            self.probe_jitter.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
         if self.probe_timeout.is_zero() {
             self.probe_timeout = Duration::from_millis(1);
         }
@@ -206,13 +196,6 @@ mod tests {
                     ..ClusterConfig::default()
                 },
                 "probe_interval",
-            ),
-            (
-                ClusterConfig {
-                    probe_jitter: 1.5,
-                    ..ClusterConfig::default()
-                },
-                "probe_jitter",
             ),
             (
                 ClusterConfig {
@@ -273,7 +256,6 @@ mod tests {
     fn normalized_fixes_every_rejected_knob() {
         let cfg = ClusterConfig {
             probe_interval: Duration::ZERO,
-            probe_jitter: f64::NAN,
             probe_timeout: Duration::ZERO,
             connect_timeout: Duration::ZERO,
             retry_budget_capacity: 0,
@@ -293,13 +275,13 @@ mod tests {
     fn normalized_preserves_in_range_knobs() {
         let cfg = ClusterConfig {
             probe_interval: Duration::from_millis(77),
-            probe_jitter: 0.33,
+            retry_deposit_per_success: 0.33,
             retry_budget_capacity: 9,
             ..ClusterConfig::default()
         }
         .normalized();
         assert_eq!(cfg.probe_interval, Duration::from_millis(77));
-        assert_eq!(cfg.probe_jitter, 0.33);
+        assert_eq!(cfg.retry_deposit_per_success, 0.33);
         assert_eq!(cfg.retry_budget_capacity, 9);
     }
 }

@@ -44,9 +44,9 @@ pub struct QueryResult {
     /// calls leave it 0).
     pub latency_micros: u64,
     /// Per-operator execution trace, present only when the query ran
-    /// through a traced entry point (`execute_traced*`) or a service
-    /// configured to collect traces. `None` means tracing was off and
-    /// execution took the zero-overhead path.
+    /// through a traced entry point ([`Database::execute_traced`], or a
+    /// service submission that asked for a trace). `None` means tracing
+    /// was off and execution took the zero-overhead path.
     pub trace: Option<QueryTrace>,
 }
 
@@ -55,7 +55,6 @@ pub struct QueryResult {
 pub struct Database {
     catalog: Catalog,
     config: OptimizerConfig,
-    memory_pages: u64,
 }
 
 impl Default for Database {
@@ -70,7 +69,6 @@ impl Database {
         Database {
             catalog: Catalog::new(),
             config: OptimizerConfig::default(),
-            memory_pages: fj_exec::context::DEFAULT_MEMORY_PAGES,
         }
     }
 
@@ -129,16 +127,16 @@ impl Database {
         &mut self.config
     }
 
-    /// Sets the executor's buffer memory (pages), kept consistent with
-    /// the cost model's `M`.
+    /// Sets the buffer memory `M` in pages (at least 3): the cost
+    /// model prices plans with it and the executor runs them with it.
     pub fn set_memory_pages(&mut self, pages: u64) -> &mut Self {
-        self.memory_pages = pages.max(3);
-        self.config.params.memory_pages = self.memory_pages;
+        self.config.params.memory_pages = pages.max(3);
         self
     }
 
-    fn exec_ctx(&self) -> ExecCtx {
-        ExecCtx::new(Arc::new(self.catalog.clone())).with_memory_pages(self.memory_pages)
+    /// An executor context whose `M` is the one `config` prices with.
+    fn exec_ctx(&self, config: &OptimizerConfig) -> ExecCtx {
+        ExecCtx::new(Arc::new(self.catalog.clone())).with_memory_pages(config.params.memory_pages)
     }
 
     fn weighted(&self, charges: &LedgerSnapshot) -> f64 {
@@ -156,7 +154,7 @@ impl Database {
 
     /// Optimizes and executes under an overridden configuration (used
     /// by the benchmarks to compare never-magic / always-magic /
-    /// cost-based policies).
+    /// cost-based policies). The plan runs with `config`'s `M`.
     pub fn execute_with_config(
         &self,
         query: &JoinQuery,
@@ -171,16 +169,6 @@ impl Database {
         self.execute_inner(query, self.config, true)
     }
 
-    /// Like [`Database::execute_with_config`], but records a
-    /// per-operator [`QueryTrace`] into the result's `trace` field.
-    pub fn execute_traced_with_config(
-        &self,
-        query: &JoinQuery,
-        config: OptimizerConfig,
-    ) -> Result<QueryResult, OptError> {
-        self.execute_inner(query, config, true)
-    }
-
     fn execute_inner(
         &self,
         query: &JoinQuery,
@@ -189,7 +177,7 @@ impl Database {
     ) -> Result<QueryResult, OptError> {
         let optimizer = Optimizer::new(Arc::new(self.catalog.clone()), config);
         let plan = optimizer.optimize(query)?;
-        let mut ctx = self.exec_ctx();
+        let mut ctx = self.exec_ctx(&config);
         let collector = traced.then(|| Arc::new(TraceCollector::new()));
         if let Some(c) = &collector {
             ctx = ctx.with_tracer(Arc::clone(c));
@@ -223,7 +211,7 @@ impl Database {
     /// magic-rewritten plan verbatim.
     pub fn run_logical(&self, plan: &LogicalPlan) -> Result<QueryResult, OptError> {
         let phys = lower::lower(plan, &self.catalog)?;
-        let ctx = self.exec_ctx();
+        let ctx = self.exec_ctx(&self.config);
         let before = ctx.ledger.snapshot();
         let rel = phys.execute(&ctx)?;
         let charges = ctx.ledger.snapshot().delta(&before);
@@ -282,7 +270,9 @@ impl Database {
     ) -> Result<String, OptError> {
         let plan = self.optimize(query)?;
         let collector = Arc::new(TraceCollector::new());
-        let ctx = self.exec_ctx().with_tracer(Arc::clone(&collector));
+        let ctx = self
+            .exec_ctx(&self.config)
+            .with_tracer(Arc::clone(&collector));
         plan.phys.execute(&ctx)?;
         let trace = collector
             .finish()

@@ -110,7 +110,7 @@ impl SpillCtx {
 }
 
 /// Per-query spill activity counters, shared by all operators of one
-/// execution (and its intra-query worker threads).
+/// execution.
 #[derive(Debug, Default)]
 pub struct SpillStats {
     /// Operator invocations that spilled (one per spilling operator,
@@ -147,12 +147,6 @@ pub struct ExecCtx {
     pub ledger: Arc<CostLedger>,
     /// Buffer memory in pages — `M` in the BNLJ/hash/sort formulas.
     pub memory_pages: u64,
-    /// Intra-query parallelism: worker threads available to parallel
-    /// scans and partitioned hash joins. `1` (the default) keeps every
-    /// operator on its serial code path. Parallelism never changes the
-    /// ledger charges or the output row multiset — only wall-clock time
-    /// (see [`crate::ops::parallel`]).
-    pub threads: usize,
     /// The query's cooperative interrupt flag. Cloned handles (e.g. a
     /// runtime `Ticket`) can trip it; operators poll it at bounded
     /// intervals via [`ExecCtx::check_interrupt`].
@@ -191,7 +185,6 @@ impl ExecCtx {
             catalog,
             ledger: CostLedger::new(),
             memory_pages: DEFAULT_MEMORY_PAGES,
-            threads: 1,
             interrupt: Interrupt::new(),
             faults: None,
             tracer: None,
@@ -210,12 +203,6 @@ impl ExecCtx {
     /// Overrides the buffer memory size.
     pub fn with_memory_pages(mut self, pages: u64) -> ExecCtx {
         self.memory_pages = pages.max(3); // joins need ≥3 buffer pages
-        self
-    }
-
-    /// Overrides the intra-query worker-thread count (clamped to ≥1).
-    pub fn with_threads(mut self, threads: usize) -> ExecCtx {
-        self.threads = threads.max(1);
         self
     }
 

@@ -9,7 +9,6 @@ use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::ops::key_index::KeyIndex;
-use crate::ops::parallel::{route, PARALLEL_ROW_THRESHOLD};
 use crate::ops::sort::charge_external_sort as charge_external_sort_pages;
 use crate::physical::{maybe_qualify, Rel};
 use fj_algebra::JoinKind;
@@ -246,24 +245,18 @@ pub fn hash_join(
     ctx.ledger
         .tuple_ops(inner.rows.len() as u64 + outer.rows.len() as u64);
 
-    let parts = ctx.threads.max(1);
-    if parts > 1 && outer.rows.len() + inner.rows.len() >= PARALLEL_ROW_THRESHOLD {
-        let rows = partitioned_hash_probe(ctx, &outer, &inner, &okeys, &ikeys, &pred, kind, parts)?;
-        return Ok(Rel::new(out_schema, rows));
-    }
-
     let rows = hash_probe(ctx, &outer.rows, &inner.rows, &okeys, &ikeys, &pred, kind)?;
     Ok(Rel::new(out_schema, rows))
 }
 
-/// The serial build+probe kernel shared by the single-threaded hash
-/// join and each partition of the parallel one. Charges one tuple op
-/// per emitted row (the build/probe per-row ops are charged by the
-/// caller, once, over the full inputs).
-pub(crate) fn hash_probe<I: std::borrow::Borrow<Tuple> + Sync>(
+/// The build+probe kernel shared by the in-memory hash join and each
+/// grace partition of the spilled one. Charges one tuple op per
+/// emitted row (the build/probe per-row ops are charged by the caller,
+/// once, over the full inputs).
+pub(crate) fn hash_probe(
     ctx: &ExecCtx,
-    outer_rows: &[I],
-    inner_rows: &[I],
+    outer_rows: &[Tuple],
+    inner_rows: &[Tuple],
     okeys: &[usize],
     ikeys: &[usize],
     pred: &Option<BoundExpr>,
@@ -276,7 +269,6 @@ pub(crate) fn hash_probe<I: std::borrow::Borrow<Tuple> + Sync>(
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
-        let i = i.borrow();
         if !i.key_has_null(ikeys) {
             index.insert(i.key_hash(ikeys), n);
         }
@@ -287,13 +279,12 @@ pub(crate) fn hash_probe<I: std::borrow::Borrow<Tuple> + Sync>(
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
-        let o = o.borrow();
         if o.key_has_null(okeys) {
             continue;
         }
         let matches = index
             .candidates(o.key_hash(okeys))
-            .map(|c| inner_rows[c].borrow())
+            .map(|c| &inner_rows[c])
             .filter(|i| o.key_eq(okeys, i, ikeys));
         match kind {
             JoinKind::Inner => {
@@ -322,61 +313,6 @@ pub(crate) fn hash_probe<I: std::borrow::Borrow<Tuple> + Sync>(
                 }
             }
         }
-    }
-    Ok(rows)
-}
-
-/// Parallel partitioned hash join: routes both inputs to `parts` hash
-/// partitions on their join keys, then runs the serial build+probe
-/// kernel for each partition on its own scoped thread. Matching rows
-/// always share a key hash, so partitions are independent and the
-/// union of the partition outputs equals the serial output multiset.
-/// Ledger totals are identical to the serial join: the per-row charges
-/// are made by the same kernel against the same atomic ledger.
-#[allow(clippy::too_many_arguments)]
-fn partitioned_hash_probe(
-    ctx: &ExecCtx,
-    outer: &Rel,
-    inner: &Rel,
-    okeys: &[usize],
-    ikeys: &[usize],
-    pred: &Option<BoundExpr>,
-    kind: JoinKind,
-    parts: usize,
-) -> Result<Vec<Tuple>, ExecError> {
-    let mut inner_parts: Vec<Vec<&Tuple>> = vec![Vec::new(); parts];
-    for i in &inner.rows {
-        if i.key_has_null(ikeys) {
-            continue; // NULL keys never match; routing them is pointless
-        }
-        inner_parts[route(i, ikeys, parts)].push(i);
-    }
-    let mut outer_parts: Vec<Vec<&Tuple>> = vec![Vec::new(); parts];
-    for o in &outer.rows {
-        if o.key_has_null(okeys) {
-            continue;
-        }
-        outer_parts[route(o, okeys, parts)].push(o);
-    }
-
-    let results: Vec<Result<Vec<Tuple>, ExecError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = outer_parts
-            .iter()
-            .zip(&inner_parts)
-            .map(|(op, ip)| s.spawn(move || hash_probe(ctx, op, ip, okeys, ikeys, pred, kind)))
-            .collect();
-        handles
-            .into_iter()
-            // A panicking partition worker re-raises on the coordinating
-            // thread with its original payload, so the runtime's
-            // catch_unwind sees the real panic, not a synthesized one.
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-
-    let mut rows = Vec::new();
-    for r in results {
-        rows.extend(r?);
     }
     Ok(rows)
 }

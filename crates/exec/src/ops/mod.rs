@@ -11,7 +11,6 @@ pub mod exchange;
 pub mod filter;
 pub mod joins;
 mod key_index;
-pub mod parallel;
 pub mod scan;
 pub mod ship;
 pub mod sort;

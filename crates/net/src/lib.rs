@@ -18,8 +18,8 @@
 //!   the socket for CANCEL → success frame or one `RuntimeError` →
 //!   [`ErrorCode`] table. Deadlines **cancel** the work server-side on
 //!   expiry, as does a CANCEL frame or a vanished peer. Plus graceful
-//!   drain, and a STATS request + periodic JSON log line over server
-//!   counters;
+//!   drain, and a STATS request answered with one JSON line over the
+//!   server and runtime counters;
 //! * [`client`] — one blocking connection per [`Client`], every request
 //!   one private `exchange` (arm timeout, write frame, read reply),
 //!   with [`NetError::is_retryable`] marking shed/drain replies,

@@ -11,7 +11,7 @@
 //! MUTATE handlers are decode + submit + encode-success around those
 //! pieces; SCATTER and SEMIJOIN share `admit` and run inline.
 //!
-//! * **Load shedding** — `try_submit` maps a full submission queue to
+//! * **Load shedding** — `try_submit_*` maps a full submission queue to
 //!   a retryable [`ErrorCode::Shed`] reply instead of blocking the
 //!   connection handler, and the connection cap sheds the same way at
 //!   accept time;
@@ -47,18 +47,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`Server::bind`].
+/// How long a handler mid-request-frame at shutdown may keep reading
+/// before its connection is dropped.
+const DRAIN_GRACE: Duration = Duration::from_secs(2);
+
+/// Tuning knobs for [`Server::bind`]. Request frames are capped at
+/// [`wire::DEFAULT_MAX_FRAME_BYTES`], the same cap the client reads
+/// replies with.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Concurrent connections accepted before shedding at the edge.
     pub max_connections: usize,
-    /// Per-frame payload cap in bytes.
-    pub max_frame_bytes: u32,
-    /// Emit a JSON stats line to stderr this often (`None` = never).
-    pub stats_log_every: Option<Duration>,
-    /// How long a handler mid-request-frame at shutdown may keep
-    /// reading before its connection is dropped.
-    pub drain_grace: Duration,
     /// The query-service pool fronted by this server.
     pub service: ServiceConfig,
 }
@@ -67,9 +66,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            max_frame_bytes: wire::DEFAULT_MAX_FRAME_BYTES,
-            stats_log_every: None,
-            drain_grace: Duration::from_secs(2),
             service: ServiceConfig::default(),
         }
     }
@@ -137,8 +133,6 @@ struct Shared {
     /// mid-query — without replies, and tear their queries down. Models
     /// a crashed replica for the cluster chaos harness.
     aborting: AtomicBool,
-    max_frame_bytes: u32,
-    drain_grace: Duration,
     /// The fronted service's submission-queue capacity (the shed
     /// threshold), reported by HEALTH.
     queue_capacity: usize,
@@ -193,7 +187,7 @@ impl Shared {
     }
 
     /// Server counters + runtime metrics as one stable-key JSON line —
-    /// the STATS reply body and the periodic log line. `state` and
+    /// the STATS reply body and [`Server::stats_json`]. `state` and
     /// `runtime` come from the same metrics snapshot.
     fn stats_json(&self) -> String {
         let s = self.stats();
@@ -225,7 +219,6 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    logger: Option<JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -271,8 +264,6 @@ impl Server {
             draining: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
             aborting: AtomicBool::new(false),
-            max_frame_bytes: config.max_frame_bytes,
-            drain_grace: config.drain_grace,
             queue_capacity: config.service.queue_capacity,
         });
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -287,19 +278,10 @@ impl Server {
                 .expect("spawn fj-net accept thread")
         };
 
-        let logger = config.stats_log_every.map(|every| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("fj-net-stats".into())
-                .spawn(move || stats_logger_loop(&shared, every))
-                .expect("spawn fj-net stats thread")
-        });
-
         Ok(Server {
             shared,
             local_addr,
             accept: Some(accept),
-            logger: Some(logger).flatten(),
             handlers,
         })
     }
@@ -392,9 +374,6 @@ impl Server {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.logger.take() {
-            let _ = t.join();
-        }
         let drained: Vec<JoinHandle<()>> = {
             let mut guard = self.handlers.lock().unwrap_or_else(|e| e.into_inner());
             guard.drain(..).collect()
@@ -463,17 +442,6 @@ fn accept_loop(
     }
 }
 
-fn stats_logger_loop(shared: &Shared, every: Duration) {
-    let mut last = Instant::now();
-    while !shared.shutting_down.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50).min(every));
-        if last.elapsed() >= every {
-            eprintln!("fj-net stats {}", shared.stats_json());
-            last = Instant::now();
-        }
-    }
-}
-
 /// One connection's handler state: the socket, its incremental frame
 /// reader, and whether the connection is still worth keeping — `open`
 /// goes false when the peer is gone (a write failed) or the protocol
@@ -495,7 +463,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
     let mut conn = Conn {
         shared,
         stream,
-        reader: FrameReader::new(shared.max_frame_bytes),
+        reader: FrameReader::new(wire::DEFAULT_MAX_FRAME_BYTES),
         open: true,
     };
     if over_cap {
@@ -521,7 +489,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
             // Mid-frame at drain time: the request is partially on the
             // wire, so grant a grace window to finish receiving it.
             let started = *drain_started.get_or_insert_with(Instant::now);
-            started.elapsed() >= shared.drain_grace
+            started.elapsed() >= DRAIN_GRACE
         });
         let frame = match polled {
             Ok(Some(frame)) => frame,

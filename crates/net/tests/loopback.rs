@@ -1217,3 +1217,29 @@ fn a_draining_node_answers_shutting_down_before_it_decodes() {
         conn.expect_error(ErrorCode::ShuttingDown, "server draining");
     }
 }
+
+#[test]
+fn an_over_cap_frame_is_refused_typed_and_the_connection_closes() {
+    let server = Server::bind("127.0.0.1:0", paper_catalog(), ServerConfig::default()).unwrap();
+    let errors_before = server.stats().errors_sent;
+    let mut conn = Raw::connect(&server);
+    // Only the header goes out: the server must refuse on the announced
+    // length, before it waits for (or allocates) the payload.
+    let len = fj_net::wire::DEFAULT_MAX_FRAME_BYTES + 1;
+    let mut header = vec![fj_net::FrameType::Query as u8];
+    header.extend_from_slice(&len.to_be_bytes());
+    conn.stream.write_all(&header).unwrap();
+    let max = fj_net::wire::DEFAULT_MAX_FRAME_BYTES;
+    let message = format!("frame of {len} bytes exceeds cap of {max}");
+    conn.expect_error(ErrorCode::FrameTooLarge, &message);
+    assert!(
+        conn.recv().is_none(),
+        "the connection closes after the refusal"
+    );
+    assert_eq!(server.stats().errors_sent, errors_before + 1);
+
+    // The refusal cost one connection, not the server.
+    let mut next = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(next.query(&paper_query()).unwrap().rows.len(), 2);
+    server.shutdown();
+}

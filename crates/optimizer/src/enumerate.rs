@@ -2,12 +2,12 @@
 //! extended with the Filter Join as a join method (§3.2–3.3).
 //!
 //! There is one DP. `best[S]` holds a small frontier of the cheapest
-//! plans joining the alias subset `S`; [`Search::run`] visits a list of
+//! plans joining the alias subset `S`; `Search::run` visits a list of
 //! subset masks and, for each, asks a *split generator* for
 //! `(outer, inner)` sub-masks, joins every retained outer entry with
 //! every retained inner entry under every applicable method
-//! ([`Search::join_pair`]) and keeps the survivors of
-//! [`Search::offer`]. The three search spaces differ only in which
+//! (`Search::join_pair`) and keeps the survivors of
+//! `Search::offer`. The three search spaces differ only in which
 //! masks are visited and how each is split:
 //!
 //! * [`PlanShape::LeftDeep`] (the default, and the shape of every
@@ -31,21 +31,21 @@
 //! UDF probes and the Filter Join — are offered when the inner side is
 //! a single leaf; block nested loops, hash and sort-merge accept any
 //! subtree on either side. The Filter Join itself is one method with a
-//! list of variants ([`Search::whole_outer_variants`]): Limitations 1–3
+//! list of variants (`Search::whole_outer_variants`): Limitations 1–3
 //! of §3.3 bound that list to a small constant per join.
 //!
-//! A candidate is *costed*, not built. An [`Entry`] is a small record
+//! A candidate is *costed*, not built. An `Entry` is a small record
 //! in an arena: cost, output statistics (a shared handle), sort-order
-//! id and a [`Recipe`] naming the method and the two sub-entries by id.
+//! id and a `Recipe` naming the method and the two sub-entries by id.
 //! What every pair of entries across one split has in common — the
 //! conjuncts the join binds, its keys, what an index probe or a UDF
-//! call costs — is derived once per split ([`Split`]), and what every
-//! join into one FROM item has in common once per query ([`Alias`]).
+//! call costs — is derived once per split (`Split`), and what every
+//! join into one FROM item has in common once per query (`Alias`).
 //! One set of output statistics serves every method's entry for a pair
 //! of inputs; a Filter Join, whose output differs, is costed from
 //! cardinalities alone and its statistics derived only if the frontier
 //! will keep it. The physical plan, leaf order, SIPS and Table 1
-//! breakdowns exist only for the winner: [`Search::finish`] walks its
+//! breakdowns exist only for the winner: `Search::finish` walks its
 //! recipe. DESIGN.md ("How the DP stores plans") has the rationale and
 //! why the order candidates are offered in must not change.
 

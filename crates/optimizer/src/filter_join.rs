@@ -222,7 +222,7 @@ impl Priced {
 }
 
 /// The costed decision: scalars only. Costing builds no statistics;
-/// [`filter_join_stats`] derives the output's from these for a
+/// `filter_join_stats` derives the output's from these for a
 /// candidate that is kept, and [`build_filter_join_plan`] stamps the
 /// plan with them.
 #[derive(Debug, Clone, Copy)]

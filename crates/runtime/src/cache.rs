@@ -1,7 +1,7 @@
 //! The plan cache: fingerprint → optimized plan, with hit/miss
 //! accounting and insertion-order eviction.
 //!
-//! Keys come from [`fj_optimizer::fingerprint`], which folds in the
+//! Keys come from [`fj_optimizer::fingerprint()`], which folds in the
 //! catalog epoch *and* the data version of every relation the query
 //! reads — a structural catalog change strands every old key, while a
 //! data mutation (INSERT/UPDATE/DELETE) strands only the keys of plans

@@ -9,13 +9,9 @@
 //!   rather than buffering without limit. Queries and mutations share
 //!   the queue, one generic [`Ticket`], and one job runner.
 //! * [`PlanCache`] — optimized plans keyed by the canonical
-//!   [`fj_optimizer::fingerprint`] of (catalog epoch, logical query,
+//!   [`fj_optimizer::fingerprint()`] of (catalog epoch, logical query,
 //!   optimizer config), with hit/miss accounting. Catalog mutations
 //!   bump the epoch, so a stale plan can never be served.
-//! * **Intra-query parallelism** — each worker can execute its query
-//!   with parallel heap scans and hash-partitioned joins
-//!   (`fj_exec::ops::parallel`); the atomic cost ledger keeps measured
-//!   charges identical to serial execution.
 //! * [`RuntimeMetrics`] — per-query latency histogram, throughput,
 //!   cache hit rate, and queue depth.
 //! * **Query governor** — every submission carries a shared
@@ -76,4 +72,5 @@ pub use metrics::{
 pub use queue::{BoundedQueue, PushError};
 pub use service::{
     MutationStats, MutationTicket, QueryService, RuntimeError, ServiceConfig, StorageMode, Ticket,
+    PLAN_CACHE_CAPACITY, TRACE_RING_CAPACITY,
 };

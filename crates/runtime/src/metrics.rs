@@ -2,7 +2,7 @@
 //! in, a per-query latency histogram, and the snapshot STATS and HEALTH
 //! are rendered from.
 //!
-//! [`stats_rows!`] lists, once and in wire order, the
+//! `stats_rows!` lists, once and in wire order, the
 //! [`RuntimeMetrics`] fields that are rows of the STATS `runtime`
 //! object ([`RuntimeMetrics::entries`] is that list plus the latency
 //! summary). A row written `@Variant field` is also a monotonic
@@ -37,7 +37,7 @@ macro_rules! stats_rows {
     ($( $( $(#[$doc:meta])* @$variant:ident )? $field:ident, )*) => {
         /// The monotonic counters [`MetricsRecorder`] keeps, one atomic
         /// slot each. The [`RuntimeMetrics`] field a variant is listed
-        /// with in [`stats_rows!`] documents what it counts.
+        /// with in `stats_rows!` documents what it counts.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum Counter {
             $( $( $(#[$doc])* $variant, )? )*
@@ -374,7 +374,7 @@ pub const HEALTH_KEYS: [&str; 23] = [
 
 impl RuntimeMetrics {
     /// Every reported name with its value, in wire order: the
-    /// [`stats_rows!`] list, then the latency summary. The key set is a
+    /// `stats_rows!` list, then the latency summary. The key set is a
     /// wire contract pinned by `to_json_key_set_snapshot`.
     pub fn entries(&self) -> Vec<(&'static str, Metric)> {
         let mut rows = self.field_rows();

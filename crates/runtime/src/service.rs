@@ -15,13 +15,15 @@
 //!   worker clones the `Arc` once per query, so queries in flight keep
 //!   executing against the snapshot they started with even while a new
 //!   catalog is installed;
-//! * plans are cached under the [`fj_optimizer::fingerprint`] of
+//! * plans are cached under the [`fj_optimizer::fingerprint()`] of
 //!   (catalog epoch, query, optimizer config) — installing a catalog
 //!   bumps the epoch, so stale plans can never be served;
 //! * the cost ledger is per-query (a fresh [`ExecCtx`] per job), so
 //!   measured charges reconcile with the System-R formulas exactly as
-//!   in serial execution, even with intra-query parallel operators
-//!   charging from several threads.
+//!   in a direct `Database` call;
+//! * one buffer size `M` per service: [`ServiceConfig::memory_pages`]
+//!   is written into every query's optimizer config before the plan is
+//!   fingerprinted, so a plan is priced with the `M` it runs with.
 
 use crate::cache::PlanCache;
 use crate::metrics::{Counter, MetricsRecorder, RuntimeMetrics};
@@ -50,7 +52,7 @@ pub enum RuntimeError {
     /// or stopped by a governor budget. The worker that ran it is free
     /// and accepting new work.
     Interrupted(InterruptReason),
-    /// `try_submit` found the queue at capacity.
+    /// A non-blocking submit found the queue at capacity.
     QueueFull,
     /// The service is shutting down and accepts no new queries.
     ShuttingDown,
@@ -135,6 +137,12 @@ impl StorageMode {
     }
 }
 
+/// Plans the service's plan cache holds.
+pub const PLAN_CACHE_CAPACITY: usize = 1024;
+
+/// Recent per-query traces [`QueryService::recent_traces`] keeps.
+pub const TRACE_RING_CAPACITY: usize = 16;
+
 /// Tuning knobs for [`QueryService::start`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -142,15 +150,12 @@ pub struct ServiceConfig {
     /// parallelism). Clamped to ≥1.
     pub workers: usize,
     /// Bounded submission-queue capacity; a full queue blocks
-    /// `submit` (backpressure) and fails `try_submit`.
+    /// `submit` (backpressure) and fails `try_submit_with_options`.
     pub queue_capacity: usize,
-    /// Threads each query may use internally (partitioned hash
-    /// joins). 1 = serial operators.
-    pub intra_query_threads: usize,
-    /// Executor buffer memory in pages (the cost model's `M`).
+    /// Buffer memory in pages: the cost model's `M` and the executor's.
+    /// It overrides `params.memory_pages` of every submitted optimizer
+    /// config, so plans are priced with the memory they run with.
     pub memory_pages: u64,
-    /// Plan-cache capacity in plans.
-    pub plan_cache_capacity: usize,
     /// Default optimizer configuration for submitted queries.
     pub optimizer: OptimizerConfig,
     /// Governor: per-query cap on rows emitted across all plan nodes
@@ -164,14 +169,6 @@ pub struct ServiceConfig {
     /// Seeded fault plan injected into every query's storage access
     /// paths (`None` = no injection). Test/chaos tooling only.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Whether queries record a per-operator [`fj_trace::QueryTrace`]
-    /// by default. Off by default — tracing off takes the executor's
-    /// zero-overhead path. Per-submission opt-in/out via
-    /// [`QueryService::submit_with_options`].
-    pub collect_trace: bool,
-    /// Capacity of the bounded ring of recent traces
-    /// ([`QueryService::recent_traces`]). Clamped to ≥1.
-    pub trace_ring_capacity: usize,
     /// Physical storage mode: in-memory (the default) or disk-backed
     /// with a data directory and buffer pool (see [`StorageMode`]).
     pub storage: StorageMode,
@@ -197,15 +194,11 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_capacity: 64,
-            intra_query_threads: 1,
             memory_pages: fj_exec::context::DEFAULT_MEMORY_PAGES,
-            plan_cache_capacity: 1024,
             optimizer: OptimizerConfig::default(),
             row_budget: None,
             memory_budget_pages: None,
             fault_plan: None,
-            collect_trace: false,
-            trace_ring_capacity: 16,
             storage: StorageMode::InMemory,
             spill_soft_watermark_pages: None,
             spill_dir: None,
@@ -226,17 +219,8 @@ impl ServiceConfig {
         if self.queue_capacity == 0 {
             return reject("queue_capacity");
         }
-        if self.intra_query_threads == 0 {
-            return reject("intra_query_threads");
-        }
-        if self.plan_cache_capacity == 0 {
-            return reject("plan_cache_capacity");
-        }
         if self.memory_pages == 0 {
             return reject("memory_pages");
-        }
-        if self.trace_ring_capacity == 0 {
-            return reject("trace_ring_capacity");
         }
         if let StorageMode::Disk { pool_pages, .. } = &self.storage {
             if *pool_pages == 0 {
@@ -260,10 +244,7 @@ impl ServiceConfig {
     pub fn normalized(mut self) -> ServiceConfig {
         self.workers = self.workers.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
-        self.intra_query_threads = self.intra_query_threads.max(1);
-        self.plan_cache_capacity = self.plan_cache_capacity.max(1);
         self.memory_pages = self.memory_pages.max(1);
-        self.trace_ring_capacity = self.trace_ring_capacity.max(1);
         if let StorageMode::Disk { pool_pages, .. } = &mut self.storage {
             *pool_pages = (*pool_pages).max(1);
         }
@@ -502,9 +483,9 @@ impl QueryService {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             catalog: RwLock::new(Arc::new(catalog)),
-            cache: PlanCache::new(config.plan_cache_capacity),
+            cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             metrics: MetricsRecorder::default(),
-            traces: TraceRing::new(config.trace_ring_capacity),
+            traces: TraceRing::new(TRACE_RING_CAPACITY),
             in_flight: AtomicUsize::new(0),
             worker_handles: Mutex::new(Vec::new()),
             worker_seq: AtomicUsize::new(config.workers),
@@ -524,22 +505,14 @@ impl QueryService {
     /// Enqueues a query under the service's default optimizer config.
     /// Blocks while the queue is full — that is the backpressure.
     pub fn submit(&self, query: JoinQuery) -> Result<Ticket, RuntimeError> {
-        self.submit_with_config(query, self.shared.cfg.optimizer)
+        self.submit_with_options(query, self.shared.cfg.optimizer, false)
     }
 
-    /// Enqueues under an overridden optimizer config (cached separately:
-    /// the config is part of the plan fingerprint).
-    pub fn submit_with_config(
-        &self,
-        query: JoinQuery,
-        config: OptimizerConfig,
-    ) -> Result<Ticket, RuntimeError> {
-        self.submit_with_options(query, config, self.shared.cfg.collect_trace)
-    }
-
-    /// Fully explicit blocking submit: optimizer config and whether
-    /// this query records a per-operator trace (overriding
-    /// [`ServiceConfig::collect_trace`] either way).
+    /// Blocking submit under an overridden optimizer config (cached
+    /// separately: the config is part of the plan fingerprint), and
+    /// whether this query records a per-operator trace. Tracing is off
+    /// unless a submission asks for it; an untraced query takes the
+    /// executor's zero-overhead path.
     pub fn submit_with_options(
         &self,
         query: JoinQuery,
@@ -558,25 +531,10 @@ impl QueryService {
     }
 
     /// Non-blocking submit: fails with [`RuntimeError::QueueFull`]
-    /// instead of applying backpressure.
-    pub fn try_submit(&self, query: JoinQuery) -> Result<Ticket, RuntimeError> {
-        self.try_submit_with_config(query, self.shared.cfg.optimizer)
-    }
-
-    /// Non-blocking submit under an overridden optimizer config — the
-    /// admission-control path network front ends use: a full queue is
-    /// reported as a retryable error at the edge instead of blocking a
-    /// connection handler.
-    pub fn try_submit_with_config(
-        &self,
-        query: JoinQuery,
-        config: OptimizerConfig,
-    ) -> Result<Ticket, RuntimeError> {
-        self.try_submit_with_options(query, config, self.shared.cfg.collect_trace)
-    }
-
-    /// Fully explicit non-blocking submit — the path the `fj-net`
-    /// server uses when a client sets the TRACE flag on one query.
+    /// instead of applying backpressure — the admission-control path
+    /// network front ends use, so a full queue is reported as a
+    /// retryable error at the edge instead of blocking a connection
+    /// handler. `collect_trace` is the query's TRACE flag.
     pub fn try_submit_with_options(
         &self,
         query: JoinQuery,
@@ -753,9 +711,9 @@ impl QueryService {
         }
     }
 
-    /// The most recent per-query traces (oldest first, bounded by
-    /// [`ServiceConfig::trace_ring_capacity`]). Only queries that ran
-    /// with tracing on appear here.
+    /// The most recent per-query traces (oldest first, at most
+    /// [`TRACE_RING_CAPACITY`]). Only queries that ran with tracing on
+    /// appear here.
     pub fn recent_traces(&self) -> Vec<TracedQuery> {
         self.shared.traces.recent()
     }
@@ -959,7 +917,8 @@ fn execute_query(
     interrupt: &Interrupt,
 ) -> Result<QueryResult, RuntimeError> {
     let query = &spec.query;
-    let config = spec.config;
+    let mut config = spec.config;
+    config.params.memory_pages = shared.cfg.memory_pages;
     let catalog = shared.snapshot();
     let key = fingerprint(&catalog, query, &config);
     let (plan, cache_hit) = match shared.cache.get(key) {
@@ -972,8 +931,7 @@ fn execute_query(
     };
 
     let mut ctx = ExecCtx::new(catalog)
-        .with_memory_pages(shared.cfg.memory_pages)
-        .with_threads(shared.cfg.intra_query_threads)
+        .with_memory_pages(config.params.memory_pages)
         .with_interrupt(interrupt.clone());
     if let Some(rows) = shared.cfg.row_budget {
         ctx = ctx.with_row_budget(rows);
@@ -1242,10 +1200,7 @@ mod tests {
         for mutate in [
             (|c: &mut ServiceConfig| c.workers = 0) as fn(&mut ServiceConfig),
             |c| c.queue_capacity = 0,
-            |c| c.intra_query_threads = 0,
-            |c| c.plan_cache_capacity = 0,
             |c| c.memory_pages = 0,
-            |c| c.trace_ring_capacity = 0,
             |c| c.spill_soft_watermark_pages = Some(0),
             |c| c.spill_max_recursion_depth = 0,
         ] {
@@ -1263,10 +1218,7 @@ mod tests {
         let cfg = ServiceConfig {
             workers: 0,
             queue_capacity: 0,
-            intra_query_threads: 0,
             memory_pages: 0,
-            plan_cache_capacity: 0,
-            trace_ring_capacity: 0,
             spill_soft_watermark_pages: Some(0),
             spill_max_recursion_depth: 0,
             ..ServiceConfig::default()
@@ -1274,10 +1226,7 @@ mod tests {
         .normalized();
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.queue_capacity, 1);
-        assert_eq!(cfg.intra_query_threads, 1);
-        assert_eq!(cfg.plan_cache_capacity, 1);
         assert_eq!(cfg.memory_pages, 1);
-        assert_eq!(cfg.trace_ring_capacity, 1);
         assert_eq!(cfg.spill_soft_watermark_pages, Some(1));
         assert_eq!(cfg.spill_max_recursion_depth, 1);
         cfg.validate().unwrap();

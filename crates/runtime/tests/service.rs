@@ -1,13 +1,13 @@
 //! Integration tests for the concurrent query service: concurrent
 //! correctness vs serial execution, plan-cache semantics, catalog
-//! invalidation, and ledger reconciliation under intra-query
-//! parallelism.
+//! invalidation, and one buffer size `M` for pricing and execution.
 
 use fj_algebra::fixtures::{paper_catalog, paper_query};
 use fj_algebra::{Catalog, FromItem, JoinQuery};
 use fj_core::Database;
 use fj_expr::{col, lit};
-use fj_runtime::{InterruptReason, QueryService, RuntimeError, ServiceConfig};
+use fj_optimizer::OptimizerConfig;
+use fj_runtime::{InterruptReason, QueryService, RuntimeError, ServiceConfig, TRACE_RING_CAPACITY};
 use fj_storage::{DataType, TableBuilder, Tuple, Value};
 
 fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
@@ -176,8 +176,8 @@ fn fingerprint_distinguishes_predicate_constants() {
 
 #[test]
 fn try_submit_reports_queue_full_or_executes() {
-    // Deterministic part of the backpressure contract: try_submit never
-    // blocks, and every accepted ticket resolves. (Blocking-push
+    // Deterministic part of the backpressure contract: a non-blocking
+    // submit never blocks, and every accepted ticket resolves. (Blocking-push
     // semantics are unit-tested on BoundedQueue directly.)
     let service = QueryService::start(
         paper_catalog(),
@@ -190,7 +190,7 @@ fn try_submit_reports_queue_full_or_executes() {
     let mut accepted = Vec::new();
     let mut full = 0;
     for _ in 0..50 {
-        match service.try_submit(paper_query()) {
+        match service.try_submit_with_options(paper_query(), OptimizerConfig::default(), false) {
             Ok(t) => accepted.push(t),
             Err(RuntimeError::QueueFull) => full += 1,
             Err(e) => panic!("unexpected error: {e}"),
@@ -228,8 +228,7 @@ fn shutdown_completes_accepted_queries() {
     }
 }
 
-/// A two-table equijoin large enough to cross the parallel-operator
-/// row threshold (1024) in both scan and hash-join inputs.
+/// A two-table equijoin big enough to keep a worker busy for a while.
 fn big_catalog_and_query(rows: i64) -> (Catalog, JoinQuery) {
     let mut cat = Catalog::new();
     cat.add_table(
@@ -253,29 +252,6 @@ fn big_catalog_and_query(rows: i64) -> (Catalog, JoinQuery) {
     let q = JoinQuery::new(vec![FromItem::new("L", "A"), FromItem::new("R", "B")])
         .with_predicate(col("A.k").eq(col("B.k")));
     (cat, q)
-}
-
-#[test]
-fn parallel_execution_preserves_rows_and_ledger_charges() {
-    let (cat, q) = big_catalog_and_query(3000);
-    let serial = Database::with_catalog(cat.clone()).execute(&q).unwrap();
-
-    let service = QueryService::start(
-        cat,
-        ServiceConfig {
-            workers: 1,
-            intra_query_threads: 4,
-            ..ServiceConfig::default()
-        },
-    );
-    let parallel = service.execute(q).unwrap();
-    assert_eq!(sorted(parallel.rows.clone()), sorted(serial.rows));
-    assert_eq!(
-        parallel.charges, serial.charges,
-        "intra-query parallelism must not change measured ledger charges"
-    );
-    assert_eq!(parallel.measured_cost, serial.measured_cost);
-    service.shutdown();
 }
 
 #[test]
@@ -489,7 +465,7 @@ fn wait_timeout_returns_result_when_fast_enough() {
 }
 
 #[test]
-fn try_submit_with_config_overrides_and_sheds() {
+fn try_submit_with_options_overrides_and_sheds() {
     let service = QueryService::start(
         paper_catalog(),
         ServiceConfig {
@@ -498,9 +474,9 @@ fn try_submit_with_config_overrides_and_sheds() {
             ..ServiceConfig::default()
         },
     );
-    let no_fj = fj_optimizer::OptimizerConfig::without_filter_join();
+    let no_fj = OptimizerConfig::without_filter_join();
     let ok = service
-        .try_submit_with_config(paper_query(), no_fj)
+        .try_submit_with_options(paper_query(), no_fj, false)
         .unwrap()
         .wait()
         .unwrap();
@@ -509,8 +485,8 @@ fn try_submit_with_config_overrides_and_sheds() {
     service.shutdown();
 
     // With slow queries, one executing + one queued fills the 1-slot
-    // queue, so the next try_submit must shed with QueueFull instead
-    // of blocking.
+    // queue, so the next non-blocking submit must shed with QueueFull
+    // instead of blocking.
     let (cat, q) = big_catalog_and_query(3000);
     let service = QueryService::start(
         cat,
@@ -521,12 +497,13 @@ fn try_submit_with_config_overrides_and_sheds() {
         },
     );
     let first = service.submit(q.clone()).unwrap();
-    // Keep refilling the queue slot until a try_submit observes it
-    // full (the worker may drain between our two submissions).
+    // Keep refilling the queue slot until a non-blocking submit
+    // observes it full (the worker may drain between our two
+    // submissions).
     let mut queued = vec![service.submit(q.clone()).unwrap()];
     let mut shed = false;
     for _ in 0..32 {
-        match service.try_submit(q.clone()) {
+        match service.try_submit_with_options(q.clone(), OptimizerConfig::default(), false) {
             Err(RuntimeError::QueueFull) => {
                 shed = true;
                 break;
@@ -549,23 +526,26 @@ fn traced_service_records_trace_and_fills_the_ring() {
         paper_catalog(),
         ServiceConfig {
             workers: 1,
-            collect_trace: true,
-            trace_ring_capacity: 2,
             ..ServiceConfig::default()
         },
     );
-    for _ in 0..3 {
-        let r = service.execute(paper_query()).unwrap();
-        let trace = r.trace.expect("collect_trace service attaches a trace");
+    let traced = TRACE_RING_CAPACITY as u64 + 1;
+    for _ in 0..traced {
+        let r = service
+            .submit_with_options(paper_query(), OptimizerConfig::default(), true)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let trace = r.trace.expect("a traced submission attaches a trace");
         assert_eq!(trace.rows_out(), r.rows.len() as u64);
         assert!(trace.node_count() >= 3);
     }
-    // Ring keeps only the most recent `trace_ring_capacity` traces,
+    // Ring keeps only the most recent `TRACE_RING_CAPACITY` traces,
     // but the lifetime counter sees all of them.
     let recent = service.recent_traces();
-    assert_eq!(recent.len(), 2);
+    assert_eq!(recent.len(), TRACE_RING_CAPACITY);
     assert!(recent[0].query.contains("Emp AS E"));
-    assert_eq!(service.metrics().traces_recorded, 3);
+    assert_eq!(service.metrics().traces_recorded, traced);
     // The JSON rendering round-trips through the strict trace parser.
     let json = service.recent_traces_json();
     assert!(json.starts_with('['));
@@ -590,9 +570,9 @@ fn untraced_service_attaches_no_trace() {
 }
 
 #[test]
-fn per_submission_trace_flag_overrides_service_default() {
+fn the_trace_flag_is_per_submission() {
     let service = QueryService::start(paper_catalog(), ServiceConfig::default());
-    let cfg = fj_optimizer::OptimizerConfig::default();
+    let cfg = OptimizerConfig::default();
     let traced = service
         .submit_with_options(paper_query(), cfg, true)
         .unwrap()
@@ -606,6 +586,63 @@ fn per_submission_trace_flag_overrides_service_default() {
         .unwrap();
     assert!(untraced.trace.is_none());
     assert_eq!(service.metrics().traces_recorded, 1);
+    service.shutdown();
+}
+
+/// Two string-padded join sides, each several times a 4-page buffer,
+/// with every Fact key appearing twice.
+fn spill_catalog_and_query(n_rows: i64) -> (Catalog, JoinQuery) {
+    let table = |name: &str, key_mod: i64| {
+        TableBuilder::new(name)
+            .column("id", DataType::Int)
+            .column("pad", DataType::Str)
+            .rows((0..n_rows).map(|i| {
+                vec![
+                    Value::Int(i % key_mod),
+                    Value::Str(format!("{name}-pad-{i}")),
+                ]
+            }))
+            .build()
+            .unwrap()
+            .into_ref()
+    };
+    let mut cat = Catalog::new();
+    cat.add_table(table("Fact", n_rows / 2));
+    cat.add_table(table("Dim", n_rows));
+    let q = JoinQuery::new(vec![FromItem::new("Fact", "f"), FromItem::new("Dim", "d")])
+        .with_predicate(col("f.id").eq(col("d.id")));
+    (cat, q)
+}
+
+#[test]
+fn a_tight_memory_service_prices_plans_with_the_m_it_runs_with() {
+    let (cat, q) = spill_catalog_and_query(600);
+    let mut db = Database::with_catalog(cat.clone());
+    db.set_memory_pages(4);
+    let direct = db.execute(&q).unwrap();
+
+    let service = QueryService::start(
+        cat,
+        ServiceConfig {
+            workers: 1,
+            memory_pages: 4,
+            ..ServiceConfig::default()
+        },
+    );
+    // The submitted config still says M = 128; the service's M wins.
+    let served = service
+        .submit_with_options(q, OptimizerConfig::default(), false)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(
+        served.estimated_cost.map(f64::to_bits),
+        direct.estimated_cost.map(f64::to_bits),
+        "the service must price with its own M = 4"
+    );
+    assert_eq!(served.plan, direct.plan);
+    assert_eq!(served.charges, direct.charges);
+    assert_eq!(sorted(served.rows), sorted(direct.rows));
     service.shutdown();
 }
 

@@ -245,9 +245,9 @@ pub fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// The one hasher behind every key-hashing decision in the executor:
-/// hash-join and grouping tables, parallel partition routing, spill
-/// partitioning and shard routing (`PartitionMap::shard_of`) all feed
-/// key columns through it (see [`crate::Tuple::key_hash`]).
+/// hash-join and grouping tables, spill partitioning and shard routing
+/// (`PartitionMap::shard_of`) all feed key columns through it (see
+/// [`crate::Tuple::key_hash`]).
 ///
 /// A multiply-rotate word mixer with a splitmix64 finalizer — a few
 /// cycles per column where SipHash costs tens. It is deliberately

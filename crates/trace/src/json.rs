@@ -14,7 +14,7 @@ pub const MAX_DEPTH: usize = 200;
 
 /// Builds one line of JSON with a stable key order: the caller emits
 /// tokens in order and the writer places the commas. Start one with
-/// [`object`] or [`array`]; brackets are closed by construction.
+/// [`object()`] or [`array()`]; brackets are closed by construction.
 ///
 /// ```
 /// let json = fj_trace::json::object(|w| {

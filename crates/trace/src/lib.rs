@@ -17,14 +17,12 @@
 //!
 //! ## Collection model
 //!
-//! Plan interpretation in `fj-exec` is a single-threaded recursion
-//! (intra-operator parallelism chunks *inside* operators and never
-//! re-enters the plan), so the collector is a simple frame stack:
-//! `enter` at node entry, `exit` at node exit (on both success and
-//! error paths, keeping the stack balanced). Interrupt polls are
-//! counted globally through an atomic — operator loops may poll from
-//! worker threads — and attributed to the node on the stack when the
-//! poll happened, minus whatever its children consumed.
+//! Plan interpretation in `fj-exec` is a single-threaded recursion,
+//! so the collector is a simple frame stack: `enter` at node entry,
+//! `exit` at node exit (on both success and error paths, keeping the
+//! stack balanced). Interrupt polls are counted globally through an
+//! atomic and attributed to the node on the stack when the poll
+//! happened, minus whatever its children consumed.
 
 pub mod json;
 

@@ -21,7 +21,6 @@ fn main() {
         ServiceConfig {
             workers: 4,
             queue_capacity: 8,
-            intra_query_threads: 2,
             ..ServiceConfig::default()
         },
     );

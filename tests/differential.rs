@@ -361,7 +361,7 @@ fn disk_mode_matches_oracle_across_config_matrix() {
     for config in config_matrix() {
         let got = sorted(
             service
-                .submit_with_config(q.clone(), config)
+                .submit_with_options(q.clone(), config, false)
                 .expect("submit")
                 .wait()
                 .expect("disk-mode query runs")
@@ -551,7 +551,7 @@ fn disk_mode_after_mutations_matches_post_mutation_oracle() {
     for config in config_matrix() {
         let got = sorted(
             service
-                .submit_with_config(q.clone(), config)
+                .submit_with_options(q.clone(), config, false)
                 .expect("submit")
                 .wait()
                 .expect("disk-mode query runs")
@@ -667,7 +667,7 @@ fn crash_mid_checkpoint_regression_seed() {
     for config in config_matrix() {
         let got = sorted(
             service
-                .submit_with_config(q.clone(), config)
+                .submit_with_options(q.clone(), config, false)
                 .expect("submit")
                 .wait()
                 .expect("post-crash query runs")
@@ -945,7 +945,7 @@ fn check_spilling_matrix(cat: Catalog, q: &JoinQuery, config: ServiceConfig) {
     for config in config_matrix() {
         let got = sorted(
             service
-                .submit_with_config(q.clone(), config)
+                .submit_with_options(q.clone(), config, false)
                 .expect("submit")
                 .wait()
                 .expect("tight-memory spilling query runs")
@@ -981,16 +981,24 @@ fn check_spilling_matrix(cat: Catalog, q: &JoinQuery, config: ServiceConfig) {
 }
 
 /// The memory-pressure differential: at the seed configuration the
-/// governor kills the workload join (the pressure is real); the same
-/// configuration with spilling on must then agree with the in-memory
-/// oracle across the whole optimizer config matrix.
+/// governor kills the workload's plain hash join (the pressure is
+/// real); the same configuration with spilling on must then agree with
+/// the in-memory oracle across the whole optimizer config matrix.
+///
+/// The control pins the no-filter-join policy. Priced with the 4 pages
+/// it runs with, the cost-based default picks a Bloom filter join that
+/// stays inside the 5-page budget, so it is not killed.
 #[test]
 fn spilling_mode_matches_oracle_across_config_matrix() {
     let cat = spill_catalog(600);
     let q = spill_query();
 
     let control = QueryService::start(cat.clone(), tight_config());
-    let err = control.execute(q.clone()).expect_err("control join");
+    let err = control
+        .submit_with_options(q.clone(), OptimizerConfig::without_filter_join(), false)
+        .expect("submit")
+        .wait()
+        .expect_err("control join");
     assert!(
         matches!(
             err,
@@ -1133,7 +1141,7 @@ fn star_disk_mode_matches_oracle_in_both_shapes() {
     for config in shaped_matrix() {
         let got = sorted(
             service
-                .submit_with_config(q.clone(), config)
+                .submit_with_options(q.clone(), config, false)
                 .expect("submit")
                 .wait()
                 .expect("disk-mode star query runs")
