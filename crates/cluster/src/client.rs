@@ -705,12 +705,6 @@ impl ClusterClient {
         }
     }
 
-    /// The shared retry budget (shared with any co-operating plain
-    /// [`Client`] retry loops the caller runs next to the cluster).
-    pub fn retry_budget(&self) -> &RetryBudget {
-        &self.shared.budget
-    }
-
     /// Runs one health-probe round right now, on the caller's thread —
     /// lets tests (and impatient routers) refresh the health view
     /// without waiting out the probe interval.

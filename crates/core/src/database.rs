@@ -85,12 +85,6 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable access to the catalog (register tables, views, UDFs,
-    /// sites, network model).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Registers a local table.
     pub fn create_table(&mut self, table: Table) -> &mut Self {
         self.catalog.add_table(table.into_ref());

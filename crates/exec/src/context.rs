@@ -162,9 +162,6 @@ pub struct ExecCtx {
     /// Buffer-pool counter probe for trace attribution (disk-backed
     /// mode only; `None` leaves every trace's pool counters at 0).
     pub(crate) pool_probe: Option<PoolProbe>,
-    /// Governor: maximum rows any execution may emit, summed across
-    /// all plan nodes (`u64::MAX` = unlimited).
-    row_budget: u64,
     /// Governor: maximum pages the query may materialize (temp tables,
     /// sort runs, grace-hash partitions; `u64::MAX` = unlimited).
     memory_budget_pages: u64,
@@ -172,7 +169,6 @@ pub struct ExecCtx {
     /// its seed in-memory code path with simulated spill charges.
     spill: Option<SpillCtx>,
     spill_stats: Arc<SpillStats>,
-    rows_emitted: Arc<AtomicU64>,
     pages_materialized: Arc<AtomicU64>,
     temps: Arc<RwLock<HashMap<String, TempTable>>>,
     blooms: Arc<RwLock<HashMap<String, Arc<BloomFilter>>>>,
@@ -189,11 +185,9 @@ impl ExecCtx {
             faults: None,
             tracer: None,
             pool_probe: None,
-            row_budget: u64::MAX,
             memory_budget_pages: u64::MAX,
             spill: None,
             spill_stats: Arc::new(SpillStats::default()),
-            rows_emitted: Arc::new(AtomicU64::new(0)),
             pages_materialized: Arc::new(AtomicU64::new(0)),
             temps: Arc::new(RwLock::new(HashMap::new())),
             blooms: Arc::new(RwLock::new(HashMap::new())),
@@ -241,12 +235,6 @@ impl ExecCtx {
     /// The attached pool probe, if the service is disk-backed.
     pub fn pool_probe(&self) -> Option<&PoolProbe> {
         self.pool_probe.as_ref()
-    }
-
-    /// Caps the total rows the query may emit across all plan nodes.
-    pub fn with_row_budget(mut self, rows: u64) -> ExecCtx {
-        self.row_budget = rows;
-        self
     }
 
     /// Caps the pages the query may materialize (temps, sort runs,
@@ -319,34 +307,17 @@ impl ExecCtx {
         }
     }
 
-    /// Governor accounting: `n` rows emitted by a plan node. Trips the
-    /// interrupt with [`InterruptReason::RowLimit`] when the cumulative
-    /// count crosses the row budget and reports the trip immediately.
-    pub fn charge_output_rows(&self, n: u64) -> Result<(), ExecError> {
-        let total = self.rows_emitted.fetch_add(n, Ordering::Relaxed) + n;
-        if total > self.row_budget {
-            self.interrupt.trip(InterruptReason::RowLimit);
-            return self.check_interrupt();
-        }
-        Ok(())
-    }
-
     /// Governor accounting: `pages` materialized (spooled temp, sort
     /// run, grace partition). Trips the interrupt with
-    /// [`InterruptReason::MemoryBudget`] past the budget. Unlike
-    /// [`ExecCtx::charge_output_rows`] this does not return an error —
-    /// call sites are mid-materialization and the next bounded poll
-    /// surfaces the trip — so infallible paths stay infallible.
+    /// [`InterruptReason::MemoryBudget`] past the budget. This does not
+    /// return an error — call sites are mid-materialization and the
+    /// next bounded poll surfaces the trip — so infallible paths stay
+    /// infallible.
     pub fn charge_materialized_pages(&self, pages: u64) {
         let total = self.pages_materialized.fetch_add(pages, Ordering::Relaxed) + pages;
         if total > self.memory_budget_pages {
             self.interrupt.trip(InterruptReason::MemoryBudget);
         }
-    }
-
-    /// Total rows emitted so far across all plan nodes.
-    pub fn rows_emitted(&self) -> u64 {
-        self.rows_emitted.load(Ordering::Relaxed)
     }
 
     /// Total pages materialized so far.
@@ -470,17 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn row_budget_trips_row_limit() {
-        let c = ctx().with_row_budget(100);
-        assert!(c.charge_output_rows(60).is_ok());
-        assert_eq!(
-            c.charge_output_rows(41),
-            Err(ExecError::Interrupted(InterruptReason::RowLimit))
-        );
-        assert_eq!(c.rows_emitted(), 101);
-    }
-
-    #[test]
     fn memory_budget_trips_on_temp_registration() {
         let c = ctx().with_memory_budget_pages(0);
         let schema = Schema::from_pairs(&[("x", DataType::Int)]).into_ref();
@@ -495,7 +455,6 @@ mod tests {
     #[test]
     fn unlimited_budgets_never_trip() {
         let c = ctx();
-        assert!(c.charge_output_rows(u64::MAX / 2).is_ok());
         c.charge_materialized_pages(u64::MAX / 2);
         assert!(c.check_interrupt().is_ok());
     }

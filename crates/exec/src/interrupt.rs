@@ -11,8 +11,8 @@
 //! worker to completion.
 //!
 //! The first trip wins: once a reason is recorded, later trips are
-//! no-ops, so a query that blows its row budget in the same instant it
-//! is cancelled reports exactly one reason.
+//! no-ops, so a query that blows its memory budget in the same instant
+//! it is cancelled reports exactly one reason.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -35,9 +35,6 @@ pub enum InterruptReason {
     Cancelled,
     /// The query materialized more pages than its memory budget.
     MemoryBudget,
-    /// The query produced more output rows (across all plan nodes)
-    /// than its row budget.
-    RowLimit,
 }
 
 impl InterruptReason {
@@ -46,7 +43,6 @@ impl InterruptReason {
             1 => Some(InterruptReason::Deadline),
             2 => Some(InterruptReason::Cancelled),
             3 => Some(InterruptReason::MemoryBudget),
-            4 => Some(InterruptReason::RowLimit),
             _ => None,
         }
     }
@@ -56,7 +52,6 @@ impl InterruptReason {
             InterruptReason::Deadline => 1,
             InterruptReason::Cancelled => 2,
             InterruptReason::MemoryBudget => 3,
-            InterruptReason::RowLimit => 4,
         }
     }
 }
@@ -67,7 +62,6 @@ impl fmt::Display for InterruptReason {
             InterruptReason::Deadline => write!(f, "deadline expired"),
             InterruptReason::Cancelled => write!(f, "cancelled"),
             InterruptReason::MemoryBudget => write!(f, "memory budget exceeded"),
-            InterruptReason::RowLimit => write!(f, "output row budget exceeded"),
         }
     }
 }
@@ -126,8 +120,8 @@ mod tests {
     fn clones_share_the_flag() {
         let i = Interrupt::new();
         let j = i.clone();
-        i.trip(InterruptReason::RowLimit);
-        assert_eq!(j.tripped(), Some(InterruptReason::RowLimit));
+        i.trip(InterruptReason::MemoryBudget);
+        assert_eq!(j.tripped(), Some(InterruptReason::MemoryBudget));
     }
 
     #[test]
@@ -136,7 +130,6 @@ mod tests {
             InterruptReason::Deadline,
             InterruptReason::Cancelled,
             InterruptReason::MemoryBudget,
-            InterruptReason::RowLimit,
         ] {
             assert_eq!(InterruptReason::from_u8(r.as_u8()), Some(r));
             assert!(!r.to_string().is_empty());

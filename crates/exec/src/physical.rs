@@ -258,21 +258,15 @@ impl PhysPlan {
 
     /// Executes the plan, charging the context's ledger.
     ///
-    /// Governor hooks: the interrupt flag is polled at every plan-node
+    /// Governor hook: the interrupt flag is polled at every plan-node
     /// entry (operators additionally poll inside their tuple loops at
-    /// [`crate::INTERRUPT_CHECK_INTERVAL`]), and every node's output
-    /// cardinality is charged against the context's row budget, so a
-    /// runaway intermediate result trips
-    /// [`crate::InterruptReason::RowLimit`] within one node of
-    /// appearing.
+    /// [`crate::INTERRUPT_CHECK_INTERVAL`]).
     pub fn execute(&self, ctx: &ExecCtx) -> Result<Rel, ExecError> {
         let Some(tracer) = ctx.tracer() else {
             // Tracing off: the zero-cost fast path — no label
             // formatting, no ledger snapshots, no clock reads.
             ctx.check_interrupt()?;
-            let rel = self.execute_node(ctx)?;
-            ctx.charge_output_rows(rel.rows.len() as u64)?;
-            return Ok(rel);
+            return self.execute_node(ctx);
         };
         let tracer = Arc::clone(tracer);
         let pages_before = ctx.ledger.snapshot().page_reads;
@@ -282,11 +276,7 @@ impl PhysPlan {
         // Everything between enter and exit — the entry poll included —
         // is attributed to this node's subtree; exit runs on the error
         // path too, keeping the collector's stack balanced.
-        let result = ctx.check_interrupt().and_then(|()| {
-            let rel = self.execute_node(ctx)?;
-            ctx.charge_output_rows(rel.rows.len() as u64)?;
-            Ok(rel)
-        });
+        let result = ctx.check_interrupt().and_then(|()| self.execute_node(ctx));
         let mut io = SubtreeIo::pages(
             ctx.ledger
                 .snapshot()

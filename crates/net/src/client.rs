@@ -14,7 +14,7 @@ use crate::codec::{
 use crate::wire::{self, ErrorCode, FrameReader, FrameType, WireError};
 use fj_algebra::JoinQuery;
 use fj_optimizer::OptimizerConfig;
-use fj_storage::{splitmix64, Mutation};
+use fj_storage::Mutation;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -42,13 +42,6 @@ pub enum NetError {
     ConnectionClosed,
     /// The server replied with a frame type that makes no sense here.
     Protocol(&'static str),
-    /// The shared [`RetryBudget`] ran dry before a retryable refusal
-    /// could be retried — the typed "we gave up on purpose" outcome,
-    /// distinct from whatever transport or server error happened last.
-    RetryBudgetExhausted {
-        /// The retryable error that could not be retried.
-        last: Box<NetError>,
-    },
 }
 
 impl NetError {
@@ -101,9 +94,6 @@ impl fmt::Display for NetError {
             NetError::Remote { code, message } => write!(f, "server error [{code}]: {message}"),
             NetError::ConnectionClosed => f.write_str("server closed the connection"),
             NetError::Protocol(what) => write!(f, "protocol violation: {what}"),
-            NetError::RetryBudgetExhausted { last } => {
-                write!(f, "retry budget exhausted; last error: {last}")
-            }
         }
     }
 }
@@ -142,49 +132,8 @@ pub struct QueryOptions {
     pub want_trace: bool,
 }
 
-/// Bounded-retry policy: exponential backoff with decorrelated jitter
-/// (`sleep = min(cap, uniform(base, prev_sleep * 3))`), driven by the
-/// server's retryability classification — only [`ErrorCode::Shed`] and
-/// [`ErrorCode::ShuttingDown`] replies are retried.
-///
-/// The jitter stream is seeded, so a test (or a reproduce run) can
-/// replay the exact backoff schedule.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Smallest sleep between attempts.
-    pub base: Duration,
-    /// Largest sleep between attempts.
-    pub cap: Duration,
-    /// Total tries, first included (so `1` disables retries).
-    pub max_attempts: u32,
-    /// Seed for the jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(500),
-            max_attempts: 5,
-            seed: 0x5eed,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The next sleep after `prev`, advancing the jitter state.
-    fn next_sleep(&self, state: &mut u64, prev: Duration) -> Duration {
-        *state = splitmix64(*state);
-        let lo = self.base.as_micros() as u64;
-        let hi = (prev.as_micros() as u64).saturating_mul(3).max(lo + 1);
-        let picked = lo + *state % (hi - lo);
-        Duration::from_micros(picked.min(self.cap.as_micros() as u64))
-    }
-}
-
 /// A shared **retry budget**: a token bucket that bounds the total
-/// retry volume a client (or a whole replica-aware cluster client) may
+/// retry volume a replica-aware router (`fj-cluster`'s failover) may
 /// generate, so a dying server cannot trigger a retry storm.
 ///
 /// Every retry or failover attempt withdraws one token
@@ -450,59 +399,6 @@ impl Client {
         })
     }
 
-    /// Executes `query`, retrying retryable refusals ([`ErrorCode::Shed`],
-    /// [`ErrorCode::ShuttingDown`]) up to `policy.max_attempts` total
-    /// tries with decorrelated-jitter backoff. Non-retryable errors and
-    /// results return immediately.
-    pub fn query_with_retry(
-        &mut self,
-        query: &JoinQuery,
-        opts: &QueryOptions,
-        policy: &RetryPolicy,
-    ) -> Result<QueryReply, NetError> {
-        // An ad-hoc per-call budget large enough to never bind: the
-        // attempt cap alone governs, preserving the original contract.
-        let budget = RetryBudget::new(policy.max_attempts.max(1), 0.0);
-        self.query_with_retry_budgeted(query, opts, policy, &budget)
-    }
-
-    /// Like [`Client::query_with_retry`], but every retry must also
-    /// withdraw a token from the shared `budget`. When the budget is
-    /// dry the call gives up immediately with the typed
-    /// [`NetError::RetryBudgetExhausted`] instead of sleeping — under a
-    /// sustained outage the whole fleet of callers sharing the budget
-    /// stops retrying together rather than storming the server.
-    ///
-    /// Successful replies deposit back into the budget.
-    pub fn query_with_retry_budgeted(
-        &mut self,
-        query: &JoinQuery,
-        opts: &QueryOptions,
-        policy: &RetryPolicy,
-        budget: &RetryBudget,
-    ) -> Result<QueryReply, NetError> {
-        let mut state = splitmix64(policy.seed);
-        let mut prev = policy.base;
-        let mut attempt = 1;
-        loop {
-            match self.query_with(query, opts) {
-                Ok(reply) => {
-                    budget.record_success();
-                    return Ok(reply);
-                }
-                Err(e) if e.is_retryable() && attempt < policy.max_attempts.max(1) => {
-                    if !budget.try_withdraw() {
-                        return Err(NetError::RetryBudgetExhausted { last: Box::new(e) });
-                    }
-                    attempt += 1;
-                    prev = policy.next_sleep(&mut state, prev);
-                    std::thread::sleep(prev);
-                }
-                other => return other,
-            }
-        }
-    }
-
     /// Fetches the server's combined stats JSON line.
     pub fn stats_json(&mut self) -> Result<String, NetError> {
         let (ty, body, _) = self.exchange(FrameType::Stats, &[], None)?;
@@ -679,55 +575,6 @@ mod tests {
             !remote(ErrorCode::DeadlineExceeded).is_replica_local(),
             "the deadline is global"
         );
-    }
-
-    fn schedule(policy: &RetryPolicy, n: usize) -> Vec<Duration> {
-        let mut state = splitmix64(policy.seed);
-        let mut prev = policy.base;
-        (0..n)
-            .map(|_| {
-                prev = policy.next_sleep(&mut state, prev);
-                prev
-            })
-            .collect()
-    }
-
-    #[test]
-    fn backoff_stays_within_base_and_cap() {
-        let policy = RetryPolicy::default();
-        for sleep in schedule(&policy, 64) {
-            assert!(sleep >= policy.base, "sleep {sleep:?} below base");
-            assert!(sleep <= policy.cap, "sleep {sleep:?} above cap");
-        }
-    }
-
-    #[test]
-    fn backoff_schedule_is_seeded_and_decorrelated() {
-        let policy = RetryPolicy::default();
-        assert_eq!(schedule(&policy, 16), schedule(&policy, 16), "replayable");
-        let other = RetryPolicy {
-            seed: policy.seed + 1,
-            ..policy.clone()
-        };
-        assert_ne!(
-            schedule(&policy, 16),
-            schedule(&other, 16),
-            "different seeds must produce different jitter"
-        );
-    }
-
-    #[test]
-    fn backoff_grows_from_the_previous_sleep() {
-        // Decorrelated jitter draws from [base, prev*3): starting at
-        // base, the second sleep can exceed base but never 3×base.
-        let policy = RetryPolicy {
-            base: Duration::from_millis(10),
-            cap: Duration::from_secs(10),
-            max_attempts: 5,
-            seed: 42,
-        };
-        let s = schedule(&policy, 1);
-        assert!(s[0] < Duration::from_millis(30));
     }
 
     #[test]

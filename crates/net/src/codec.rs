@@ -5,9 +5,9 @@
 //! cursors (big-endian on the wire), [`CodecError`], values, rows, and
 //! the rules that keep every decoder **total** — adversarial bytes yield
 //! a typed error, never a panic (DESIGN.md, "Byte formats"). What is
-//! wire-specific lives here; expression trees are depth-limited
-//! ([`MAX_EXPR_DEPTH`]) on both encode and decode, so recursion cannot
-//! overflow the stack.
+//! wire-specific lives here; expression trees and trace trees are
+//! depth-limited ([`MAX_EXPR_DEPTH`]) on both encode and decode, so
+//! recursion cannot overflow the stack.
 
 use fj_algebra::{FromItem, JoinQuery, NetworkModel};
 use fj_core::QueryResult;
@@ -17,7 +17,7 @@ use fj_runtime::HEALTH_KEYS;
 use fj_storage::codec::{self as bytes, decode_rows, encode_rows, narrow, Be};
 pub use fj_storage::codec::{decode_value, encode_value, CodecError, MAX_DEPTH as MAX_EXPR_DEPTH};
 use fj_storage::{BloomFilter, Column, DataType, Mutation, Schema, SchemaRef, Tuple, Value};
-use fj_trace::json;
+use fj_trace::{OpStats, QueryTrace, TraceNode};
 use std::fmt;
 use std::sync::Arc;
 
@@ -419,7 +419,7 @@ pub struct QueryReply {
     /// (which stays byte-comparable across replicas); the client fills
     /// this in from the separate TRACE_REPLY frame when it requested
     /// one.
-    pub trace: Option<fj_trace::QueryTrace>,
+    pub trace: Option<QueryTrace>,
 }
 
 fn datatype_to_u8(t: DataType) -> u8 {
@@ -554,8 +554,7 @@ pub fn decode_error(payload: &[u8]) -> Result<(crate::wire::ErrorCode, String), 
     })
 }
 
-/// Encodes a STATS_REPLY payload: one JSON string, the shape
-/// TRACE_REPLY and HEALTH_REPLY payloads share.
+/// Encodes a STATS_REPLY payload: one JSON string.
 pub fn encode_stats_reply(json: &str) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
     w.string(json)?;
@@ -575,37 +574,29 @@ pub fn decode_stats_reply(payload: &[u8]) -> Result<String, CodecError> {
 /// queries (`Degraded` is deprioritized), `Draining` replicas finish
 /// accepted work but refuse new queries, and a replica that cannot be
 /// reached at all is *dead* — a state the replica cannot report, which
-/// is why it is not a variant here.
+/// is why it is not a variant here. The discriminant is the status
+/// byte of a HEALTH_REPLY.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum HealthStatus {
     /// Full pool strength, queue below capacity, accepting work.
-    Ready,
+    Ready = 0,
     /// Accepting work, but the pool has replaced workers after panics
     /// or the submission queue is at capacity (sheds likely).
-    Degraded,
+    Degraded = 1,
     /// Finishing accepted work; new queries are refused with
     /// [`crate::wire::ErrorCode::ShuttingDown`].
-    Draining,
+    Draining = 2,
 }
 
 impl HealthStatus {
-    /// The status word HEALTH and STATS report.
+    /// The status word STATS reports.
     pub fn as_str(self) -> &'static str {
         match self {
             HealthStatus::Ready => "ready",
             HealthStatus::Degraded => "degraded",
             HealthStatus::Draining => "draining",
         }
-    }
-
-    fn from_str(s: &str) -> Option<HealthStatus> {
-        [
-            HealthStatus::Ready,
-            HealthStatus::Degraded,
-            HealthStatus::Draining,
-        ]
-        .into_iter()
-        .find(|status| status.as_str() == s)
     }
 }
 
@@ -615,10 +606,10 @@ impl fmt::Display for HealthStatus {
     }
 }
 
-/// One replica's health report: the HEALTH reply payload, carried on
-/// the wire as a flat JSON object so operators can read it off a
-/// tcpdump and other tooling can scrape it without our codec. The
-/// object is `status` followed by the counters [`HEALTH_KEYS`] names.
+/// One replica's health report: the HEALTH reply payload. On the wire
+/// it is the status byte followed by one `u64` per [`HEALTH_KEYS`]
+/// entry, in that order; operators read the same counters, named, in
+/// STATS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthSnapshot {
     /// Readiness classification (see [`HealthStatus`]).
@@ -643,70 +634,91 @@ impl HealthSnapshot {
         let slot = HEALTH_KEYS.iter().position(|k| *k == name)?;
         Some(self.counters[slot])
     }
-
-    /// Renders the snapshot as its wire JSON: one flat object with a
-    /// stable key order.
-    pub fn to_json(&self) -> String {
-        json::object(|w| {
-            w.key("status").string(self.status.as_str());
-            for (key, v) in HEALTH_KEYS.iter().zip(self.counters) {
-                w.key(key).uint(v);
-            }
-        })
-    }
-
-    /// Parses the wire JSON back into a snapshot. The parser is total
-    /// and strict: a flat object with exactly the expected keys (any
-    /// order, each exactly once), unsigned-integer counters, and a
-    /// known status string. Anything else — junk bytes, duplicate or
-    /// unknown keys, nested values, numeric overflow — is a typed
-    /// [`CodecError`], never a panic.
-    pub fn from_json(text: &str) -> Result<HealthSnapshot, CodecError> {
-        let mut keys = vec!["status"];
-        keys.extend(HEALTH_KEYS);
-        let mut status = String::new();
-        let mut counters = [0; HEALTH_KEYS.len()];
-        let mut r = json::Reader::new(text);
-        r.object(&keys, |r, slot| {
-            match slot {
-                0 => status = r.string()?,
-                n => counters[n - 1] = r.u64()?,
-            }
-            Ok(())
-        })
-        .and_then(|()| r.end())
-        .map_err(|e| CodecError::Invalid(format!("health json: {e}")))?;
-        let status = HealthStatus::from_str(&status)
-            .ok_or_else(|| CodecError::Invalid(format!("health: unknown status {status:?}")))?;
-        Ok(HealthSnapshot { status, counters })
-    }
 }
 
-// ------------------------------------------------------------------ traces
-
-/// Encodes a TRACE_REPLY payload (the trace's JSON as one string).
-pub fn encode_trace_reply(trace: &fj_trace::QueryTrace) -> Result<Vec<u8>, CodecError> {
-    encode_stats_reply(&trace.to_json())
-}
-
-/// Decodes a TRACE_REPLY payload (consuming it fully). The embedded
-/// JSON goes through [`fj_trace::QueryTrace::from_json`], which is
-/// strict and total like the HEALTH parser: truncations, duplicate or
-/// unknown keys, depth bombs, and malformed numbers are all typed
-/// errors, never panics.
-pub fn decode_trace_reply(payload: &[u8]) -> Result<fj_trace::QueryTrace, CodecError> {
-    fj_trace::QueryTrace::from_json(&decode_stats_reply(payload)?)
-        .map_err(|e| CodecError::Invalid(format!("trace json: {e}")))
-}
-
-/// Encodes a HEALTH_REPLY payload (the snapshot's JSON as one string).
+/// Encodes a HEALTH_REPLY payload: `[status u8][u64; HEALTH_KEYS.len()]`.
 pub fn encode_health_reply(health: &HealthSnapshot) -> Result<Vec<u8>, CodecError> {
-    encode_stats_reply(&health.to_json())
+    let mut w = Writer::new();
+    w.u8(health.status as u8);
+    for v in health.counters {
+        w.u64(v);
+    }
+    Ok(w.into_bytes())
 }
 
 /// Decodes a HEALTH_REPLY payload (consuming it fully).
 pub fn decode_health_reply(payload: &[u8]) -> Result<HealthSnapshot, CodecError> {
-    HealthSnapshot::from_json(&decode_stats_reply(payload)?)
+    Reader::decode_all(payload, |r| {
+        let tag = r.u8()?;
+        let status = [
+            HealthStatus::Ready,
+            HealthStatus::Degraded,
+            HealthStatus::Draining,
+        ]
+        .into_iter()
+        .find(|s| *s as u8 == tag)
+        .ok_or(CodecError::BadTag {
+            what: "health status",
+            tag,
+        })?;
+        let mut counters = [0; HEALTH_KEYS.len()];
+        for v in &mut counters {
+            *v = r.u64()?;
+        }
+        Ok(HealthSnapshot { status, counters })
+    })
+}
+
+// ------------------------------------------------------------------ traces
+
+fn encode_trace_node(w: &mut Writer, node: &TraceNode, depth: usize) -> Result<(), CodecError> {
+    if depth >= MAX_EXPR_DEPTH {
+        return Err(CodecError::TooDeep);
+    }
+    w.string(&node.stats.label)?;
+    for v in node.stats.counters() {
+        w.u64(v);
+    }
+    w.list("trace children", &node.children, |w, child| {
+        encode_trace_node(w, child, depth + 1)
+    })
+}
+
+fn decode_trace_node(r: &mut Reader<'_>, depth: usize) -> Result<TraceNode, CodecError> {
+    if depth >= MAX_EXPR_DEPTH {
+        return Err(CodecError::TooDeep);
+    }
+    let label = r.string()?;
+    let mut counters = [0; 11];
+    for v in &mut counters {
+        *v = r.u64()?;
+    }
+    Ok(TraceNode {
+        stats: OpStats::from_counters(label, counters),
+        children: r.list(|r| decode_trace_node(r, depth + 1))?,
+    })
+}
+
+/// Encodes a TRACE_REPLY payload: `total_wall_micros`, then the root
+/// node. A node is its label, the eleven [`OpStats::counters`] and its
+/// children as a list; a tree more than [`MAX_EXPR_DEPTH`] levels deep
+/// is [`CodecError::TooDeep`].
+pub fn encode_trace_reply(trace: &QueryTrace) -> Result<Vec<u8>, CodecError> {
+    let mut w = Writer::new();
+    w.u64(trace.total_wall_micros);
+    encode_trace_node(&mut w, &trace.root, 0)?;
+    Ok(w.into_bytes())
+}
+
+/// Decodes a TRACE_REPLY payload (consuming it fully; depth-limited
+/// like the encoder).
+pub fn decode_trace_reply(payload: &[u8]) -> Result<QueryTrace, CodecError> {
+    Reader::decode_all(payload, |r| {
+        Ok(QueryTrace {
+            total_wall_micros: r.u64()?,
+            root: decode_trace_node(r, 0)?,
+        })
+    })
 }
 
 // ------------------------------------------------- distributed execution

@@ -8,8 +8,9 @@
 //!   frames, typed [`ErrorCode`]s (SHED, DEADLINE, SHUTTING_DOWN, …);
 //! * [`codec`] — hand-rolled (serde-free) encoding of values,
 //!   expressions, [`fj_algebra::JoinQuery`], optimizer-config
-//!   overrides, and result rows; total decoders — adversarial bytes
-//!   produce typed errors, never panics;
+//!   overrides, result rows, traces and health reports, all on
+//!   `fj_storage::codec`; total decoders — adversarial bytes produce
+//!   typed errors, never panics;
 //! * [`server`] — accept loop + per-connection handler threads with a
 //!   connection cap, and **one request lifecycle** for every frame
 //!   kind that queues work (QUERY, FRAGMENT, MUTATE): admit (count,
@@ -24,10 +25,9 @@
 //!   one private `exchange` (arm timeout, write frame, read reply),
 //!   with [`NetError::is_retryable`] marking shed/drain replies,
 //!   [`NetError::is_replica_local`] — the one failover predicate
-//!   replica routers share —, a [`Canceller`] handle to abort an
-//!   in-flight request from another thread, and
-//!   [`Client::query_with_retry`] — bounded retries with exponential
-//!   backoff and decorrelated jitter.
+//!   replica routers share —, the [`RetryBudget`] their failover
+//!   spends, and a [`Canceller`] handle to abort an in-flight request
+//!   from another thread.
 //!
 //! ```
 //! use fj_algebra::fixtures::{paper_catalog, paper_query};
@@ -45,15 +45,14 @@ pub mod codec;
 pub mod server;
 pub mod wire;
 
-pub use client::{Canceller, Client, NetError, QueryOptions, RetryBudget, RetryPolicy, WireBytes};
+pub use client::{Canceller, Client, NetError, QueryOptions, RetryBudget, WireBytes};
 pub use codec::{
     CodecError, FragmentRequest, GatherReply, HealthSnapshot, HealthStatus, KeyFilter,
     MutationReply, MutationRequest, QueryReply, QueryRequest, ScatterAck, ScatterRequest,
     SemijoinAck, SemijoinRequest,
 };
 pub use fj_runtime::HEALTH_KEYS;
-/// [`RetryPolicy`]'s jitter stream, for routers that jitter timers of
-/// their own.
+/// A seeded jitter stream, for routers that jitter timers of their own.
 pub use fj_storage::splitmix64;
 pub use fj_storage::Mutation;
 pub use fj_trace::{json, QueryTrace};

@@ -21,8 +21,10 @@ use std::io::{self, Read, Write};
 /// Protocol magic: the first four bytes on every connection.
 pub const MAGIC: [u8; 4] = *b"FJNT";
 
-/// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+/// Protocol version spoken by this build. Version 2 carries
+/// TRACE_REPLY and HEALTH_REPLY payloads in the byte codec (version 1
+/// sent them as JSON strings).
+pub const VERSION: u16 = 2;
 
 /// Version value the server echoes to refuse a handshake.
 pub const VERSION_REJECTED: u16 = 0xFFFF;
@@ -75,12 +77,12 @@ pub enum FrameType {
     Result = 0x81,
     /// Server → client: stats reply (payload: one JSON string).
     StatsReply = 0x82,
-    /// Server → client: health reply (payload: one JSON object — see
-    /// [`crate::codec::HealthSnapshot`]).
+    /// Server → client: health reply (payload: a status byte and the
+    /// HEALTH counters — see [`crate::codec::encode_health_reply`]).
     HealthReply = 0x83,
     /// Server → client: the per-operator execution trace of the query
-    /// just answered with [`FrameType::Result`] (payload: one JSON
-    /// object — see [`fj_trace::QueryTrace`]). Sent only when the
+    /// just answered with [`FrameType::Result`] (payload: the trace
+    /// tree — see [`crate::codec::encode_trace_reply`]). Sent only when the
     /// request set its trace flag, always immediately after the RESULT
     /// frame, so the reply encoding itself stays byte-comparable
     /// across replicas.

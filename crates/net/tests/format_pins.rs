@@ -1,17 +1,21 @@
-//! Exact wire bytes of four frame payloads, recorded before the byte
-//! codec moved into `fj_storage::codec`. A change to any of them breaks
-//! every peer running the old code, so a mismatch here is a protocol
-//! break, not a test to regenerate: the failure prints the bytes the
-//! encoder produces now, for diagnosis only.
+//! Exact wire bytes of six frame payloads. The first four were recorded
+//! before the byte codec moved into `fj_storage::codec`, the TRACE_REPLY
+//! and HEALTH_REPLY rows when those payloads moved onto it (protocol
+//! version 2). A change to any of them breaks every peer running the
+//! old code, so a mismatch here is a protocol break, not a test to
+//! regenerate: the failure prints the bytes the encoder produces now,
+//! for diagnosis only.
 
 use fj_algebra::fixtures::paper_query;
 use fj_algebra::NetworkModel;
 use fj_net::codec::{
-    encode_mutation_request, encode_reply_parts, encode_request, encode_semijoin, KeyFilter,
-    MutationRequest, QueryRequest, SemijoinRequest,
+    encode_health_reply, encode_mutation_request, encode_reply_parts, encode_request,
+    encode_semijoin, encode_trace_reply, HealthSnapshot, HealthStatus, KeyFilter, MutationRequest,
+    QueryRequest, SemijoinRequest,
 };
 use fj_optimizer::{CostParams, OptimizerConfig, PlanShape};
 use fj_storage::{BloomFilter, Column, DataType, Mutation, Schema, Tuple, Value};
+use fj_trace::{OpStats, QueryTrace, TraceNode};
 
 type Pin = (&'static str, fn() -> Vec<u8>, &'static str);
 
@@ -110,7 +114,32 @@ fn mutate_insert() -> Vec<u8> {
     .unwrap()
 }
 
-const PINS: [Pin; 4] = [
+/// TRACE_REPLY for a join over one scan; node counters count up from
+/// 1 and 101, and the root's label is non-ASCII and quoted.
+fn trace_reply() -> Vec<u8> {
+    let node = |label: &str, first: u64, children| TraceNode {
+        stats: OpStats::from_counters(label.into(), std::array::from_fn(|i| first + i as u64)),
+        children,
+    };
+    encode_trace_reply(&QueryTrace {
+        total_wall_micros: 1234,
+        root: node("HashJoin \"é\"", 1, vec![node("SeqScan Emp", 101, vec![])]),
+    })
+    .unwrap()
+}
+
+/// HEALTH_REPLY from a degraded replica; counter `i` of `HEALTH_KEYS`
+/// reports `i + 1`.
+fn health_reply() -> Vec<u8> {
+    let mut next = 0;
+    encode_health_reply(&HealthSnapshot::new(HealthStatus::Degraded, |_| {
+        next += 1;
+        next
+    }))
+    .unwrap()
+}
+
+const PINS: [Pin; 6] = [
     (
         "QUERY",
         query,
@@ -130,6 +159,16 @@ const PINS: [Pin; 4] = [
         "MUTATE insert",
         mutate_insert,
         "00000000000000fa0000000003456d7000000002000000030100000000000003840240edc9000000000001000000000000001c0000000301000000000000038500030000000178",
+    ),
+    (
+        "TRACE_REPLY",
+        trace_reply,
+        "00000000000004d20000000d486173684a6f696e2022c3a922000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000010000000b5365715363616e20456d7000000000000000650000000000000066000000000000006700000000000000680000000000000069000000000000006a000000000000006b000000000000006c000000000000006d000000000000006e000000000000006f00000000",
+    ),
+    (
+        "HEALTH_REPLY",
+        health_reply,
+        "01000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000011000000000000001200000000000000130000000000000014000000000000001500000000000000160000000000000017",
     ),
 ];
 

@@ -139,56 +139,6 @@ fn per_request_config_override_changes_the_plan_not_the_rows() {
 }
 
 #[test]
-fn query_with_retry_rides_out_load_shedding() {
-    use fj_net::RetryPolicy;
-
-    let (cat, query) = big_catalog_and_query(1500);
-    let server = Server::bind(
-        "127.0.0.1:0",
-        cat,
-        ServerConfig {
-            service: ServiceConfig {
-                workers: 1,
-                queue_capacity: 1,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr();
-
-    // The same burst that sheds plain `query` calls resolves fully when
-    // every client retries with backoff.
-    let handles: Vec<_> = (0..8)
-        .map(|i| {
-            let query = query.clone();
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                let policy = RetryPolicy {
-                    base: Duration::from_millis(2),
-                    cap: Duration::from_millis(100),
-                    max_attempts: 200,
-                    seed: i,
-                };
-                client
-                    .query_with_retry(&query, &QueryOptions::default(), &policy)
-                    .map(|r| r.rows.len())
-            })
-        })
-        .collect();
-    for h in handles {
-        let nrows = h.join().unwrap().expect("retries must ride out SHED");
-        assert!(nrows > 0);
-    }
-    assert!(
-        server.stats().sheds > 0,
-        "the burst must actually have shed (otherwise this test proves nothing)"
-    );
-    server.shutdown();
-}
-
-#[test]
 fn graceful_shutdown_drains_every_accepted_query() {
     let (cat, query) = big_catalog_and_query(1200);
     let expected = sorted(

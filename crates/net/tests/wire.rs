@@ -122,8 +122,8 @@ fn query_from(
 }
 
 /// Deterministic trace tree from a word stream: fan-out and counters
-/// all derive from the words, and some labels carry characters the
-/// JSON encoder must escape.
+/// all derive from the words, and some labels carry quotes,
+/// backslashes and non-ASCII characters.
 fn trace_node_from(words: &mut dyn Iterator<Item = u64>, depth: usize) -> fj_trace::TraceNode {
     let w = words.next().unwrap_or(0);
     let label = match w % 4 {
@@ -308,8 +308,7 @@ proptest! {
         let _ = decode_mutation_reply(&payload);
     }
 
-    /// Every health snapshot survives the encode → decode round trip —
-    /// both the framed payload and the JSON body inside it.
+    /// Every health snapshot survives the encode → decode round trip.
     #[test]
     fn health_reply_round_trip(
         status_word in 0u64..3,
@@ -323,27 +322,6 @@ proptest! {
         }
         let payload = encode_health_reply(&health).unwrap();
         prop_assert_eq!(decode_health_reply(&payload).unwrap(), health);
-        prop_assert_eq!(HealthSnapshot::from_json(&health.to_json()).unwrap(), health);
-    }
-
-    /// The health JSON parser accepts any key order (it is a wire
-    /// format other tooling may re-serialize).
-    #[test]
-    fn health_json_accepts_any_key_order(shift in 0usize..24, ws in 0u64..2) {
-        let values: Vec<u64> = (1..=HEALTH_KEYS.len() as u64).map(|i| i * 37).collect();
-        let health = health_from(HealthStatus::Degraded, &values);
-        let mut pairs = vec![("status", "\"degraded\"".to_string())];
-        pairs.extend(HEALTH_KEYS.iter().zip(&values).map(|(k, v)| (*k, v.to_string())));
-        let sep = if ws == 1 { " " } else { "" };
-        let body = (0..pairs.len())
-            .map(|i| {
-                let (k, v) = &pairs[(i + shift) % pairs.len()];
-                format!("\"{k}\"{sep}:{sep}{v}")
-            })
-            .collect::<Vec<_>>()
-            .join(&format!(",{sep}"));
-        let json = format!("{{{sep}{body}{sep}}}");
-        prop_assert_eq!(HealthSnapshot::from_json(&json).unwrap(), health);
     }
 
     /// Truncations and single-byte mutations of a valid health reply
@@ -370,17 +348,9 @@ proptest! {
         let _ = decode_health_reply(&payload);
     }
 
-    /// Random strings never panic the strict JSON parser.
-    #[test]
-    fn health_json_fuzz_never_panics(bytes in prop::collection::vec(0u64..256, 0..120)) {
-        let raw: Vec<u8> = bytes.iter().map(|b| *b as u8).collect();
-        let s = String::from_utf8_lossy(&raw);
-        let _ = HealthSnapshot::from_json(&s);
-    }
-
     /// Every generated trace tree survives the framed encode → decode
-    /// round trip — including labels with characters the JSON encoder
-    /// must escape.
+    /// round trip — including labels with quotes, backslashes and
+    /// non-ASCII characters.
     #[test]
     fn trace_reply_round_trip(
         words in prop::collection::vec(0u64..u64::MAX, 1..40),
@@ -391,11 +361,7 @@ proptest! {
             total_wall_micros: total,
         };
         let payload = encode_trace_reply(&trace).unwrap();
-        prop_assert_eq!(decode_trace_reply(&payload).unwrap(), trace.clone());
-        prop_assert_eq!(
-            fj_trace::QueryTrace::from_json(&trace.to_json()).unwrap(),
-            trace
-        );
+        prop_assert_eq!(decode_trace_reply(&payload).unwrap(), trace);
     }
 
     /// Truncations of a valid trace reply are typed errors and
@@ -418,14 +384,6 @@ proptest! {
         let pos = (pos_word as usize) % payload.len();
         payload[pos] = new_byte as u8;
         let _ = decode_trace_reply(&payload);
-    }
-
-    /// Random strings never panic the strict trace JSON parser.
-    #[test]
-    fn trace_json_fuzz_never_panics(bytes in prop::collection::vec(0u64..256, 0..120)) {
-        let raw: Vec<u8> = bytes.iter().map(|b| *b as u8).collect();
-        let s = String::from_utf8_lossy(&raw);
-        let _ = fj_trace::QueryTrace::from_json(&s);
     }
 
     /// Every truncation of a valid request is a typed error (or, only
@@ -540,132 +498,45 @@ fn trailing_bytes_are_rejected() {
 }
 
 #[test]
-fn adversarial_health_json_is_typed_not_panic() {
-    let valid = concat!(
-        "{\"status\":\"ready\",\"workers\":4,\"workers_replaced\":0,",
-        "\"queued\":0,\"in_flight\":0,\"queue_capacity\":64,",
-        "\"connections_active\":1,\"pool_hits\":0,\"pool_misses\":0,",
-        "\"pool_evictions\":0,\"wal_fsyncs\":0,\"fragments_served\":0,",
-        "\"semijoin_sets_shipped\":0,\"bytes_scattered\":0,",
-        "\"bytes_gathered\":0,\"mutations_applied\":0,",
-        "\"wal_deltas\":0,\"dirty_pages\":0,\"checkpoints\":0,",
-        "\"spills\":0,\"spill_partitions\":0,\"spill_bytes_written\":0,",
-        "\"spill_bytes_read\":0,\"peak_temp_bytes\":0}"
-    );
-    // The pinned body parses, and renders back byte for byte.
-    assert_eq!(HealthSnapshot::from_json(valid).unwrap().to_json(), valid);
-    let cases: &[&str] = &[
-        "",
-        "{",
-        "{}",
-        "null",
-        "[1,2]",
-        // unknown status
-        &valid.replace("ready", "sideways"),
-        // status must be a string
-        &valid.replace("\"ready\"", "3"),
-        // duplicate key
-        &valid.replace("\"workers\":4", "\"workers\":4,\"workers\":4"),
-        // unknown key
-        &valid.replace("\"workers\"", "\"sockets\""),
-        // missing key
-        &valid.replace(",\"connections_active\":1", ""),
-        // nested value
-        &valid.replace("\"workers\":4", "\"workers\":{\"n\":4}"),
-        // negative / float / boolean counters
-        &valid.replace("\"workers\":4", "\"workers\":-4"),
-        &valid.replace("\"workers\":4", "\"workers\":4.5"),
-        &valid.replace("\"workers\":4", "\"workers\":true"),
-        // u64 overflow
-        &valid.replace("\"workers\":4", "\"workers\":18446744073709551616"),
-        // leading zeros (the trace parser's rule: one tokenizer, one rule)
-        &valid.replace("\"workers\":4", "\"workers\":007"),
-        // trailing bytes
-        &format!("{valid}x"),
-    ];
-    for case in cases {
-        assert!(
-            HealthSnapshot::from_json(case).is_err(),
-            "accepted adversarial health json: {case:?}"
-        );
-    }
-}
-
-#[test]
-fn adversarial_trace_json_is_typed_not_panic() {
-    let valid = concat!(
-        "{\"total_wall_micros\":5,\"root\":{\"op\":\"seq scan Emp\",",
-        "\"rows_in\":0,\"rows_out\":3,\"build_rows\":0,\"probe_rows\":0,",
-        "\"pages_read\":1,\"pool_hits\":1,\"pool_misses\":1,",
-        "\"wall_micros\":4,\"interrupt_polls\":2,",
-        "\"spills\":1,\"spill_pages\":6,",
-        "\"children\":[]}}"
-    );
-    fj_trace::QueryTrace::from_json(valid).unwrap();
-    let cases: &[&str] = &[
-        "",
-        "{",
-        "{}",
-        "null",
-        "[1]",
-        // duplicate top-level and per-node keys
-        &valid.replace(
-            "\"total_wall_micros\":5",
-            "\"total_wall_micros\":5,\"total_wall_micros\":5",
-        ),
-        &valid.replace("\"rows_out\":3", "\"rows_out\":3,\"rows_out\":3"),
-        // unknown and missing keys
-        &valid.replace("\"rows_out\"", "\"cols_out\""),
-        &valid.replace("\"rows_in\":0,", ""),
-        &valid.replace(",\"root\":{", ",\"root2\":{"),
-        // counters must be unsigned integers that fit a u64
-        &valid.replace("\"rows_out\":3", "\"rows_out\":-3"),
-        &valid.replace("\"rows_out\":3", "\"rows_out\":3.5"),
-        &valid.replace("\"rows_out\":3", "\"rows_out\":true"),
-        &valid.replace("\"rows_out\":3", "\"rows_out\":18446744073709551616"),
-        // op must be a string with only \" and \\ escapes
-        &valid.replace("\"seq scan Emp\"", "7"),
-        &valid.replace("seq scan Emp", "seq\\nscan"),
-        // children must be an array of nodes
-        &valid.replace("\"children\":[]", "\"children\":{}"),
-        &valid.replace("\"children\":[]", "\"children\":[7]"),
-        // trailing bytes
-        &format!("{valid}x"),
-    ];
-    for case in cases {
-        assert!(
-            fj_trace::QueryTrace::from_json(case).is_err(),
-            "accepted adversarial trace json: {case:?}"
-        );
-    }
-}
-
-#[test]
 fn trace_depth_bomb_is_too_deep_not_a_stack_overflow() {
-    // Nest children far past MAX_TRACE_DEPTH: the parser must stop
-    // with a typed error instead of recursing away.
-    let node_open = concat!(
-        "{\"op\":\"x\",\"rows_in\":0,\"rows_out\":0,\"build_rows\":0,",
-        "\"probe_rows\":0,\"pages_read\":0,\"pool_hits\":0,",
-        "\"pool_misses\":0,\"wall_micros\":0,",
-        "\"interrupt_polls\":0,\"children\":["
-    );
-    let mut json = String::from("{\"total_wall_micros\":0,\"root\":");
-    for _ in 0..(fj_trace::MAX_TRACE_DEPTH + 50) {
-        json.push_str(node_open);
+    // A hand-built TRACE_REPLY nesting one child per node far past
+    // MAX_EXPR_DEPTH: decoding must stop with a typed error instead of
+    // recursing away.
+    let levels = MAX_EXPR_DEPTH + 50;
+    let mut payload = 0u64.to_be_bytes().to_vec(); // total_wall_micros
+    for level in 0..levels {
+        payload.extend_from_slice(&1u32.to_be_bytes()); // label "x"
+        payload.push(b'x');
+        payload.extend_from_slice(&[0; 11 * 8]); // the eleven counters
+        let children = u32::from(level + 1 < levels); // the last has none
+        payload.extend_from_slice(&children.to_be_bytes());
     }
-    assert!(matches!(
-        fj_trace::QueryTrace::from_json(&json),
-        Err(fj_trace::TraceError::TooDeep)
-    ));
-    // And the framed decoder surfaces it as a typed codec error.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(json.len() as u32).to_be_bytes());
-    payload.extend_from_slice(json.as_bytes());
     assert!(matches!(
         decode_trace_reply(&payload),
-        Err(CodecError::Invalid(_))
+        Err(CodecError::TooDeep)
     ));
+    // The encoder refuses one level past the limit; a tree at the limit
+    // round-trips.
+    let chain = |levels: usize| {
+        let mut node = trace_node_from(&mut std::iter::empty(), 5);
+        for _ in 1..levels {
+            node = fj_trace::TraceNode {
+                stats: node.stats.clone(),
+                children: vec![node],
+            };
+        }
+        fj_trace::QueryTrace {
+            root: node,
+            total_wall_micros: 0,
+        }
+    };
+    assert!(matches!(
+        encode_trace_reply(&chain(MAX_EXPR_DEPTH + 1)),
+        Err(CodecError::TooDeep)
+    ));
+    let deepest = chain(MAX_EXPR_DEPTH);
+    let payload = encode_trace_reply(&deepest).unwrap();
+    assert_eq!(decode_trace_reply(&payload).unwrap(), deepest);
 }
 
 #[test]

@@ -98,26 +98,6 @@ impl CostParams {
         grace + self.cpu(outer_rows + inner_rows + out_rows)
     }
 
-    /// Sort-merge join cost beyond producing the inputs.
-    pub fn merge_join_cost(
-        &self,
-        outer_rows: f64,
-        outer_pages: f64,
-        inner_rows: f64,
-        inner_pages: f64,
-        out_rows: f64,
-    ) -> f64 {
-        self.merge_join_cost_with_orders(
-            outer_rows,
-            outer_pages,
-            inner_rows,
-            inner_pages,
-            out_rows,
-            false,
-            false,
-        )
-    }
-
     /// Sort-merge join cost with *interesting orders* (§3.1): a side
     /// that already arrives sorted by its join keys skips its sort
     /// (paying only the linear sortedness check the executor performs).

@@ -71,7 +71,7 @@ stats_rows! {
     @Errors errors,
     /// Stopped by explicit cancellation or deadline expiry.
     @Cancelled cancelled,
-    /// Stopped by a memory-page or output-row budget.
+    /// Stopped by the memory-page budget.
     @InterruptedByBudget interrupted_by_budget,
     /// Workers respawned after a caught panic.
     @WorkersReplaced workers_replaced,
@@ -169,9 +169,7 @@ impl MetricsRecorder {
     pub fn record_interrupt(&self, reason: InterruptReason) {
         let counter = match reason {
             InterruptReason::Deadline | InterruptReason::Cancelled => Counter::Cancelled,
-            InterruptReason::MemoryBudget | InterruptReason::RowLimit => {
-                Counter::InterruptedByBudget
-            }
+            InterruptReason::MemoryBudget => Counter::InterruptedByBudget,
         };
         self.add(counter, 1);
     }
@@ -242,7 +240,7 @@ pub struct RuntimeMetrics {
     pub errors: u64,
     /// Queries stopped by explicit cancellation or deadline expiry.
     pub cancelled: u64,
-    /// Queries stopped by a memory-page or output-row budget.
+    /// Queries stopped by the memory-page budget.
     pub interrupted_by_budget: u64,
     /// Workers respawned after a caught panic (pool stays at size).
     pub workers_replaced: u64,
@@ -482,6 +480,16 @@ mod tests {
         // p50 falls in the 100µs bucket: [64,128) → upper bound 128.
         assert_eq!(h.quantile_micros(0.5), 128);
         assert!(h.quantile_micros(1.0) >= 1024);
+    }
+
+    #[test]
+    fn interrupts_count_as_cancelled_or_budget_by_reason() {
+        let m = MetricsRecorder::default();
+        m.record_interrupt(InterruptReason::Deadline);
+        m.record_interrupt(InterruptReason::Cancelled);
+        m.record_interrupt(InterruptReason::MemoryBudget);
+        assert_eq!(m.get(Counter::Cancelled), 2);
+        assert_eq!(m.get(Counter::InterruptedByBudget), 1);
     }
 
     #[test]

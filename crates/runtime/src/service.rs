@@ -158,10 +158,6 @@ pub struct ServiceConfig {
     pub memory_pages: u64,
     /// Default optimizer configuration for submitted queries.
     pub optimizer: OptimizerConfig,
-    /// Governor: per-query cap on rows emitted across all plan nodes
-    /// (`None` = unlimited). A breach interrupts the query with
-    /// [`InterruptReason::RowLimit`].
-    pub row_budget: Option<u64>,
     /// Governor: per-query cap on materialized pages (temps, sort
     /// runs, grace partitions; `None` = unlimited). A breach interrupts
     /// with [`InterruptReason::MemoryBudget`].
@@ -196,7 +192,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             memory_pages: fj_exec::context::DEFAULT_MEMORY_PAGES,
             optimizer: OptimizerConfig::default(),
-            row_budget: None,
             memory_budget_pages: None,
             fault_plan: None,
             storage: StorageMode::InMemory,
@@ -933,9 +928,6 @@ fn execute_query(
     let mut ctx = ExecCtx::new(catalog)
         .with_memory_pages(config.params.memory_pages)
         .with_interrupt(interrupt.clone());
-    if let Some(rows) = shared.cfg.row_budget {
-        ctx = ctx.with_row_budget(rows);
-    }
     if let Some(pages) = shared.cfg.memory_budget_pages {
         ctx = ctx.with_memory_budget_pages(pages);
     }

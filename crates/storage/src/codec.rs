@@ -26,8 +26,9 @@ use crate::{Tuple, Value};
 use std::fmt;
 use std::marker::PhantomData;
 
-/// Nesting bound for recursive encodings (fj-net's expression trees),
-/// enforced on encode and decode so recursion cannot overflow the stack.
+/// Nesting bound for recursive encodings (fj-net's expression and trace
+/// trees), enforced on encode and decode so recursion cannot overflow
+/// the stack.
 pub const MAX_DEPTH: usize = 200;
 
 /// Most zero-width rows one rows encoding may claim: they carry no
@@ -85,7 +86,7 @@ impl fmt::Display for CodecError {
             CodecError::TooLarge { what, len } => {
                 write!(f, "{what} length {len} exceeds its field or the payload")
             }
-            CodecError::TooDeep => write!(f, "expression deeper than {MAX_DEPTH}"),
+            CodecError::TooDeep => write!(f, "nested deeper than {MAX_DEPTH}"),
             CodecError::Checksum { stored, computed } => write!(
                 f,
                 "frame checksum mismatch: stored {stored:#x}, computed {computed:#x}"

@@ -122,11 +122,6 @@ impl Histogram {
         }
         (self.fraction_le(hi) - self.fraction_le(lo)).max(0.0)
     }
-
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.bounds.len()
-    }
 }
 
 /// Statistics for one column.

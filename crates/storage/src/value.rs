@@ -117,14 +117,6 @@ impl Value {
         }
     }
 
-    /// Boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Checks this value can be stored in a column of type `ty`
     /// (NULL fits everywhere; `Int` widens into `Double` columns).
     pub fn fits(&self, ty: DataType) -> bool {

@@ -181,11 +181,6 @@ impl PageFile {
         self.dir.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records currently in the directory.
-    pub fn record_count(&self) -> usize {
-        self.directory().entries.len()
-    }
-
     /// Physical record reads served so far.
     pub fn physical_reads(&self) -> u64 {
         self.physical_reads.load(Ordering::Relaxed)

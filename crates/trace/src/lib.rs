@@ -8,12 +8,11 @@
 //! [`TraceCollector`] during plan interpretation, `fj-core` renders
 //! `EXPLAIN ANALYZE` from the finished tree, `fj-runtime` keeps a
 //! bounded [`TraceRing`] of recent traces, and `fj-net` ships traces in
-//! a dedicated frame as the stable-key JSON produced by
-//! [`QueryTrace::to_json`] and re-parsed by the **strict, total**
-//! [`QueryTrace::from_json`] (typed errors on adversarial bytes, never
-//! panics). Both go through [`json`], the one JSON writer and strict
-//! reader every JSON body in the workspace (STATS, HEALTH, traces)
-//! shares — which is why it lives in this dependency-free crate.
+//! a dedicated frame through its byte codec. [`json`] is the one JSON
+//! writer every JSON body in the workspace (STATS, the recent-trace
+//! ring, [`QueryTrace::to_json`]) shares — which is why it lives in
+//! this dependency-free crate. Nothing in the workspace reads JSON
+//! back.
 //!
 //! ## Collection model
 //!
@@ -31,14 +30,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Typed failures of [`QueryTrace::from_json`].
-pub use json::Error as TraceError;
-
-/// Maximum nesting depth [`QueryTrace::from_json`] accepts — bounds
-/// recursion on adversarial inputs (same guard idea as the wire codec's
-/// expression-depth cap).
-pub const MAX_TRACE_DEPTH: usize = json::MAX_DEPTH;
 
 /// What one physical operator did during one execution.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -139,32 +130,10 @@ impl QueryTrace {
             write_node(&self.root, w.key("root"));
         })
     }
-
-    /// Strict, total parse of [`QueryTrace::to_json`] output: accepts
-    /// keys in any order, rejects duplicate/unknown/missing keys,
-    /// non-integer counters, over-deep nesting and trailing bytes with
-    /// typed errors. Never panics on adversarial input.
-    pub fn from_json(s: &str) -> Result<QueryTrace, TraceError> {
-        let mut r = json::Reader::new(s);
-        let (mut total, mut root) = (0, None);
-        r.object(&["total_wall_micros", "root"], |r, slot| {
-            match slot {
-                0 => total = r.u64()?,
-                _ => root = Some(read_node(r, 0)?),
-            }
-            Ok(())
-        })?;
-        r.end()?;
-        Ok(QueryTrace {
-            total_wall_micros: total,
-            root: root.ok_or(TraceError::MissingKey("root"))?,
-        })
-    }
 }
 
-/// A node's JSON keys: `op`, one per [`OpStats`] counter, `children`.
-const NODE_KEYS: [&str; 13] = [
-    "op",
+/// The JSON key of each [`OpStats::counters`] slot.
+const COUNTER_KEYS: [&str; 11] = [
     "rows_in",
     "rows_out",
     "build_rows",
@@ -176,13 +145,13 @@ const NODE_KEYS: [&str; 13] = [
     "interrupt_polls",
     "spills",
     "spill_pages",
-    "children",
 ];
 
 impl OpStats {
-    /// The counters in `NODE_KEYS` order (between `op` and
-    /// `children`).
-    fn counters(&self) -> [u64; 11] {
+    /// The eleven counters in declaration order (`rows_in` through
+    /// `spill_pages`) — the order [`QueryTrace::to_json`] writes them
+    /// and `fj-net`'s TRACE_REPLY encoding carries them.
+    pub fn counters(&self) -> [u64; 11] {
         [
             self.rows_in,
             self.rows_out,
@@ -197,43 +166,10 @@ impl OpStats {
             self.spill_pages,
         ]
     }
-}
 
-fn write_node(node: &TraceNode, w: &mut json::Writer) {
-    w.object(|w| {
-        w.key("op").string(&node.stats.label);
-        for (key, v) in NODE_KEYS[1..].iter().zip(node.stats.counters()) {
-            w.key(key).uint(v);
-        }
-        w.key("children").array(|w| {
-            for c in &node.children {
-                write_node(c, w);
-            }
-        });
-    });
-}
-
-/// One trace node object; `depth` guards recursion.
-fn read_node(r: &mut json::Reader<'_>, depth: usize) -> Result<TraceNode, TraceError> {
-    if depth >= MAX_TRACE_DEPTH {
-        return Err(TraceError::TooDeep);
-    }
-    let mut label = String::new();
-    let mut c = [0u64; 11];
-    let mut children = Vec::new();
-    r.object(&NODE_KEYS, |r, slot| {
-        match slot {
-            0 => label = r.string()?,
-            12 => r.array(|r| {
-                children.push(read_node(r, depth + 1)?);
-                Ok(())
-            })?,
-            n => c[n - 1] = r.u64()?,
-        }
-        Ok(())
-    })?;
-    Ok(TraceNode {
-        stats: OpStats {
+    /// The inverse of [`OpStats::counters`].
+    pub fn from_counters(label: String, c: [u64; 11]) -> OpStats {
+        OpStats {
             label,
             rows_in: c[0],
             rows_out: c[1],
@@ -246,9 +182,22 @@ fn read_node(r: &mut json::Reader<'_>, depth: usize) -> Result<TraceNode, TraceE
             interrupt_polls: c[8],
             spills: c[9],
             spill_pages: c[10],
-        },
-        children,
-    })
+        }
+    }
+}
+
+fn write_node(node: &TraceNode, w: &mut json::Writer) {
+    w.object(|w| {
+        w.key("op").string(&node.stats.label);
+        for (key, v) in COUNTER_KEYS.iter().zip(node.stats.counters()) {
+            w.key(key).uint(v);
+        }
+        w.key("children").array(|w| {
+            for c in &node.children {
+                write_node(c, w);
+            }
+        });
+    });
 }
 
 /// I/O observed across one plan node's subtree, as measured by the
@@ -606,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_the_tree() {
+    fn to_json_pins_the_tree_with_a_stable_key_order() {
         let trace = QueryTrace {
             total_wall_micros: 1234,
             root: TraceNode {
@@ -627,90 +576,24 @@ mod tests {
                 children: vec![leaf("SeqScan Emp AS E", 100), leaf("SeqScan Dept AS D", 40)],
             },
         };
-        let json = trace.to_json();
-        assert_eq!(QueryTrace::from_json(&json).unwrap(), trace);
-    }
-
-    #[test]
-    fn from_json_accepts_any_key_order() {
-        let json = concat!(
-            "{\"root\":{\"children\":[],\"spill_pages\":11,\"spills\":10,",
-            "\"op\":\"x\",\"interrupt_polls\":7,",
-            "\"wall_micros\":6,\"pool_misses\":9,\"pool_hits\":8,",
-            "\"pages_read\":5,\"probe_rows\":4,\"build_rows\":3,",
-            "\"rows_out\":2,\"rows_in\":1},\"total_wall_micros\":6}"
+        let want = concat!(
+            r#"{"total_wall_micros":1234,"root":{"op":"HashJoin on \"E.did\" = D\\did","#,
+            r#""rows_in":140,"rows_out":60,"build_rows":40,"probe_rows":100,"pages_read":6,"#,
+            r#""pool_hits":5,"pool_misses":1,"wall_micros":1234,"interrupt_polls":1,"spills":1,"#,
+            r#""spill_pages":44,"children":["#,
+            r#"{"op":"SeqScan Emp AS E","rows_in":0,"rows_out":100,"build_rows":0,"probe_rows":0,"#,
+            r#""pages_read":0,"pool_hits":0,"pool_misses":0,"wall_micros":0,"interrupt_polls":0,"#,
+            r#""spills":0,"spill_pages":0,"children":[]},"#,
+            r#"{"op":"SeqScan Dept AS D","rows_in":0,"rows_out":40,"build_rows":0,"probe_rows":0,"#,
+            r#""pages_read":0,"pool_hits":0,"pool_misses":0,"wall_micros":0,"interrupt_polls":0,"#,
+            r#""spills":0,"spill_pages":0,"children":[]}]}}"#,
         );
-        let t = QueryTrace::from_json(json).unwrap();
-        assert_eq!(t.root.stats.rows_in, 1);
-        assert_eq!(t.root.stats.pool_hits, 8);
-        assert_eq!(t.root.stats.pool_misses, 9);
-        assert_eq!(t.root.stats.interrupt_polls, 7);
-        assert_eq!(t.root.stats.spills, 10);
-        assert_eq!(t.root.stats.spill_pages, 11);
-    }
-
-    #[test]
-    fn strict_parser_rejects_typed() {
-        let good = QueryTrace {
-            total_wall_micros: 0,
-            root: leaf("x", 1),
-        }
-        .to_json();
-        // Truncations are typed, never panics.
-        for cut in 0..good.len() {
-            assert!(QueryTrace::from_json(&good[..cut]).is_err(), "cut at {cut}");
-        }
-        // Trailing bytes.
+        assert_eq!(trace.to_json(), want);
+        let stats = &trace.root.stats;
         assert_eq!(
-            QueryTrace::from_json(&format!("{good}x")),
-            Err(TraceError::TrailingBytes(1))
+            OpStats::from_counters(stats.label.clone(), stats.counters()),
+            *stats
         );
-        // Duplicate key.
-        let dup = good.replace("\"rows_in\":0", "\"rows_in\":0,\"rows_in\":0");
-        assert_eq!(
-            QueryTrace::from_json(&dup),
-            Err(TraceError::DuplicateKey("rows_in".into()))
-        );
-        // Unknown key.
-        let unk = good.replace("\"rows_in\"", "\"rows_zin\"");
-        assert_eq!(
-            QueryTrace::from_json(&unk),
-            Err(TraceError::UnknownKey("rows_zin".into()))
-        );
-        // Missing key.
-        let miss = good.replace(",\"rows_out\":1", "");
-        assert_eq!(
-            QueryTrace::from_json(&miss),
-            Err(TraceError::MissingKey("rows_out"))
-        );
-        // Bad numbers: signs, leading zeros, overflow.
-        for bad in ["-1", "01", "99999999999999999999999999"] {
-            let j = good.replace("\"rows_in\":0", &format!("\"rows_in\":{bad}"));
-            assert_eq!(QueryTrace::from_json(&j), Err(TraceError::BadNumber));
-        }
-        // Bad escape.
-        let esc = good.replace("\"op\":\"x\"", "\"op\":\"\\n\"");
-        assert_eq!(QueryTrace::from_json(&esc), Err(TraceError::BadEscape));
-    }
-
-    #[test]
-    fn depth_bomb_is_too_deep_not_a_stack_overflow() {
-        let mut t = leaf("deep", 0);
-        for _ in 0..(MAX_TRACE_DEPTH + 8) {
-            t = TraceNode {
-                stats: OpStats {
-                    label: "deep".into(),
-                    ..OpStats::default()
-                },
-                children: vec![t],
-            };
-        }
-        let json = QueryTrace {
-            total_wall_micros: 0,
-            root: t,
-        }
-        .to_json();
-        assert_eq!(QueryTrace::from_json(&json), Err(TraceError::TooDeep));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `fj-net` subsystem end to end on a loopback socket: a TCP
 //! server fronting the query service, clients with per-request
 //! deadlines and optimizer overrides, mid-flight cancellation, load
-//! shedding answered by retry-with-backoff, the STATS request, and a
+//! shedding answered with a typed, retryable SHED, the STATS request, and a
 //! graceful drain — then the `fj-cluster` tier: three replicas behind
 //! one cluster client, with health probes, a hard kill, a drain, and
 //! failover hiding both. (This is the README's network example,
@@ -12,8 +12,8 @@
 //! ```
 
 use filterjoin::{
-    fixtures, Client, ClusterClient, ClusterConfig, ErrorCode, NetError, QueryOptions, RetryPolicy,
-    Server, ServerConfig, ServiceConfig,
+    fixtures, Client, ClusterClient, ClusterConfig, ErrorCode, NetError, QueryOptions, Server,
+    ServerConfig, ServiceConfig,
 };
 use std::thread;
 use std::time::Duration;
@@ -115,27 +115,19 @@ fn main() {
     }
     killer.join().unwrap();
 
-    // A burst from many clients overruns the queue; the server answers
-    // typed, retryable SHED errors. `query_with_retry` rides them out
-    // with seeded exponential backoff (decorrelated jitter), so every
-    // burst client eventually gets its rows.
+    // A burst from many clients can overrun the two-slot queue; the
+    // server then refuses the excess with a typed SHED error instead of
+    // queueing without bound. SHED is retryable (`is_retryable()`): the
+    // node is busy, the request is fine, so the caller may back off and
+    // resend or try another replica — the cluster tier below does that
+    // for you under a shared retry budget.
     let handles: Vec<_> = (0..8)
-        .map(|i| {
+        .map(|_| {
             thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
-                let policy = RetryPolicy {
-                    base: Duration::from_millis(2),
-                    cap: Duration::from_millis(100),
-                    max_attempts: 100,
-                    seed: i as u64,
-                };
-                match c.query_with_retry(
-                    &fixtures::paper_query(),
-                    &QueryOptions::default(),
-                    &policy,
-                ) {
-                    Ok(_) => "ok (after any retries)",
-                    Err(e) if e.is_retryable() => "still shed after retries",
+                match c.query(&fixtures::paper_query()) {
+                    Ok(_) => "ok",
+                    Err(e) if e.is_retryable() => "shed: typed and retryable",
                     Err(NetError::Remote { .. }) => "other remote error",
                     Err(_) => "transport error",
                 }

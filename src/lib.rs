@@ -35,12 +35,11 @@ pub use fj_runtime::{
 };
 
 /// The network boundary: TCP query server + blocking client over a
-/// versioned binary wire protocol, with deadlines, cancellation, load
-/// shedding, retry with backoff, and graceful drain. See [`fj_net`].
+/// versioned binary wire protocol, with deadlines, cancellation, typed
+/// retryable load shedding, and graceful drain. See [`fj_net`].
 pub use fj_net;
 pub use fj_net::{
-    Canceller, Client, ErrorCode, NetError, QueryOptions, RetryBudget, RetryPolicy, Server,
-    ServerConfig,
+    Canceller, Client, ErrorCode, NetError, QueryOptions, RetryBudget, Server, ServerConfig,
 };
 
 /// The replica tier: a cluster client fronting several servers with
