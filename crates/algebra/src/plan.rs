@@ -334,40 +334,6 @@ impl LogicalPlan {
             }
         }
     }
-
-    /// All relation aliases scanned anywhere in the plan (including CTE
-    /// bodies), in preorder.
-    pub fn scanned_aliases(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.visit(&mut |p| {
-            if let LogicalPlan::Scan { alias, .. } = p {
-                out.push(alias.clone());
-            }
-        });
-        out
-    }
-
-    /// Preorder traversal.
-    pub fn visit(&self, f: &mut dyn FnMut(&LogicalPlan)) {
-        f(self);
-        match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::CteRef { .. } | LogicalPlan::Values { .. } => {}
-            LogicalPlan::Select { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Distinct { input } => input.visit(f),
-            LogicalPlan::Join { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            LogicalPlan::With { ctes, body } => {
-                for (_, cte) in ctes {
-                    cte.visit(f);
-                }
-                body.visit(f);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -530,12 +496,6 @@ mod tests {
         assert!(s.contains("Select"));
         assert!(s.contains("  Join on"));
         assert!(s.contains("    Scan Emp AS E"));
-    }
-
-    #[test]
-    fn scanned_aliases_preorder() {
-        let plan = LogicalPlan::scan("Emp", "E").join(LogicalPlan::scan("Dept", "D"), None);
-        assert_eq!(plan.scanned_aliases(), vec!["E", "D"]);
     }
 
     #[test]

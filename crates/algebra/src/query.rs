@@ -6,7 +6,7 @@
 //! remote table, or a user-defined relation — the paper's uniform
 //! treatment of "virtual relations" (§1).
 
-use crate::catalog::{Catalog, RelationKind};
+use crate::catalog::Catalog;
 use crate::error::AlgebraError;
 use crate::plan::LogicalPlan;
 use fj_expr::{columns_of, split_conjuncts, Expr};
@@ -122,14 +122,6 @@ impl JoinQuery {
             .with_qualifier(alias))
     }
 
-    /// Relation kind of the FROM item `alias`.
-    pub fn alias_kind(&self, catalog: &Catalog, alias: &str) -> Result<RelationKind, AlgebraError> {
-        let item = self
-            .item(alias)
-            .ok_or_else(|| AlgebraError::UnknownRelation(alias.to_string()))?;
-        catalog.resolve(&item.relation)
-    }
-
     /// The predicate conjuncts whose column references all fall inside
     /// the given set of aliases (the conjuncts applicable once exactly
     /// those relations are joined).
@@ -192,7 +184,6 @@ mod tests {
         assert!(s.starts_with("Project"));
         assert!(s.contains("Select"));
         assert!(s.contains("Scan DepAvgSal AS V"));
-        assert_eq!(plan.scanned_aliases(), vec!["E", "D", "V"]);
     }
 
     #[test]
@@ -214,13 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn alias_schema_and_kind() {
+    fn alias_schema() {
         let cat = paper_catalog();
         let q = paper_query();
         let s = q.alias_schema(&cat, "V").unwrap();
         assert!(s.contains("V.avgsal"));
-        assert!(q.alias_kind(&cat, "V").unwrap().is_virtual());
-        assert!(!q.alias_kind(&cat, "E").unwrap().is_virtual());
         assert!(q.alias_schema(&cat, "Z").is_err());
     }
 }

@@ -121,10 +121,11 @@ impl Database {
         &mut self.config
     }
 
-    /// Sets the buffer memory `M` in pages (at least 3): the cost
-    /// model prices plans with it and the executor runs them with it.
+    /// Sets the buffer memory `M` in pages (at least
+    /// [`fj_exec::MIN_MEMORY_PAGES`]): the cost model prices plans with
+    /// it and the executor runs them with it.
     pub fn set_memory_pages(&mut self, pages: u64) -> &mut Self {
-        self.config.params.memory_pages = pages.max(3);
+        self.config.params.memory_pages = pages.max(fj_exec::MIN_MEMORY_PAGES);
         self
     }
 

@@ -27,7 +27,6 @@ pub struct MemoryBroker {
     in_use: AtomicU64,
     granted: AtomicU64,
     denied: AtomicU64,
-    peak_in_use: AtomicU64,
 }
 
 impl MemoryBroker {
@@ -39,7 +38,6 @@ impl MemoryBroker {
             in_use: AtomicU64::new(0),
             granted: AtomicU64::new(0),
             denied: AtomicU64::new(0),
-            peak_in_use: AtomicU64::new(0),
         })
     }
 
@@ -61,8 +59,6 @@ impl MemoryBroker {
             ) {
                 Ok(_) => {
                     self.granted.fetch_add(1, Ordering::Relaxed);
-                    self.peak_in_use
-                        .fetch_max(current + pages, Ordering::Relaxed);
                     return Some(MemoryGrant {
                         broker: Arc::clone(self),
                         pages,
@@ -71,11 +67,6 @@ impl MemoryBroker {
                 Err(seen) => current = seen,
             }
         }
-    }
-
-    /// The soft watermark, in pages.
-    pub fn soft_limit_pages(&self) -> u64 {
-        self.soft_limit_pages
     }
 
     /// Pages currently reserved.
@@ -91,11 +82,6 @@ impl MemoryBroker {
     /// Reservations denied so far (each denial is one spill signal).
     pub fn denials(&self) -> u64 {
         self.denied.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of reserved pages.
-    pub fn peak_in_use_pages(&self) -> u64 {
-        self.peak_in_use.load(Ordering::Relaxed)
     }
 }
 
@@ -137,7 +123,6 @@ mod tests {
         drop(g2);
         assert_eq!(b.in_use_pages(), 0);
         assert_eq!(b.grants(), 2);
-        assert_eq!(b.peak_in_use_pages(), 10);
     }
 
     #[test]
@@ -150,8 +135,8 @@ mod tests {
     #[test]
     fn watermark_clamped_to_one() {
         let b = MemoryBroker::new(0);
-        assert_eq!(b.soft_limit_pages(), 1);
-        assert!(b.try_reserve(1).is_some());
+        let _one = b.try_reserve(1).unwrap();
+        assert!(b.try_reserve(1).is_none());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! registries for temp tables and Bloom filters.
 
 use crate::broker::{MemoryBroker, MemoryGrant};
+use crate::charge::{self, Charge};
 use crate::error::ExecError;
 use crate::interrupt::{Interrupt, InterruptReason};
 use fj_algebra::Catalog;
@@ -14,6 +15,12 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 /// Default buffer memory, in pages (the `M` of the join formulas).
 pub const DEFAULT_MEMORY_PAGES: u64 = 128;
+
+/// The least buffer memory anything runs or is priced with: a join
+/// needs an input page per side and an output page. Every place that
+/// takes an `M` — [`ExecCtx::with_memory_pages`], the optimizer, the
+/// service and `Database` configs — clamps to it.
+pub const MIN_MEMORY_PAGES: u64 = 3;
 
 /// A materialized temporary relation (a CTE result: production set,
 /// filter set, spooled inner, ...).
@@ -67,11 +74,7 @@ impl PoolProbe {
 
 impl fmt::Debug for PoolProbe {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (hits, misses) = self.read();
-        f.debug_struct("PoolProbe")
-            .field("hits", &hits)
-            .field("misses", &misses)
-            .finish()
+        f.debug_struct("PoolProbe").finish_non_exhaustive()
     }
 }
 
@@ -107,6 +110,15 @@ impl SpillCtx {
         self.max_depth = depth.max(1);
         self
     }
+}
+
+/// Where [`ExecCtx::spill_decision`] puts an operator's state.
+pub enum Placement {
+    /// In memory, holding the broker's grant (if spilling is enabled)
+    /// for the operator's lifetime.
+    Memory(Option<MemoryGrant>),
+    /// On temp files through this spilling runtime.
+    Spill(SpillCtx),
 }
 
 /// Per-query spill activity counters, shared by all operators of one
@@ -196,7 +208,7 @@ impl ExecCtx {
 
     /// Overrides the buffer memory size.
     pub fn with_memory_pages(mut self, pages: u64) -> ExecCtx {
-        self.memory_pages = pages.max(3); // joins need ≥3 buffer pages
+        self.memory_pages = pages.max(MIN_MEMORY_PAGES);
         self
     }
 
@@ -220,21 +232,11 @@ impl ExecCtx {
         self
     }
 
-    /// The attached trace collector, when tracing is on.
-    pub fn tracer(&self) -> Option<&Arc<TraceCollector>> {
-        self.tracer.as_ref()
-    }
-
     /// Attaches a buffer-pool counter probe so traces in disk-backed
     /// mode report per-operator pool hits and misses.
     pub fn with_pool_probe(mut self, probe: PoolProbe) -> ExecCtx {
         self.pool_probe = Some(probe);
         self
-    }
-
-    /// The attached pool probe, if the service is disk-backed.
-    pub fn pool_probe(&self) -> Option<&PoolProbe> {
-        self.pool_probe.as_ref()
     }
 
     /// Caps the pages the query may materialize (temps, sort runs,
@@ -252,29 +254,22 @@ impl ExecCtx {
         self
     }
 
-    /// The spilling runtime, when enabled.
-    pub fn spill_ctx(&self) -> Option<&SpillCtx> {
-        self.spill.as_ref()
-    }
-
-    /// Decides whether an operator about to pin `pages` of state should
-    /// spill. `None` when spilling is disabled (seed behaviour: run in
-    /// memory with simulated charges). Otherwise:
-    ///
-    /// * `Err(())`-like `(true, None)` — spill: either the state
-    ///   exceeds buffer memory (`M`, the same trigger the cost model's
-    ///   simulated grace/sort charges key on) or the broker denied the
-    ///   grant (service-wide soft watermark).
-    /// * `(false, Some(grant))` — run in memory, holding the grant for
-    ///   the operator's lifetime.
-    pub fn spill_decision(&self, pages: u64) -> Option<(bool, Option<MemoryGrant>)> {
-        let spill = self.spill.as_ref()?;
-        if pages > self.memory_pages {
-            return Some((true, None));
-        }
-        match spill.broker.try_reserve(pages) {
-            Some(grant) => Some((false, Some(grant))),
-            None => Some((true, None)),
+    /// Decides where an operator about to pin `pages` of state runs:
+    /// in memory when spilling is disabled (seed behaviour: simulated
+    /// charges); otherwise on temp files when the state exceeds buffer
+    /// memory (`M`, the same trigger the simulated grace/sort charges
+    /// key on) or the broker denies the grant (service-wide soft
+    /// watermark), and in memory holding the grant if not.
+    pub fn spill_decision(&self, pages: u64) -> Placement {
+        let Some(spill) = &self.spill else {
+            return Placement::Memory(None);
+        };
+        match pages > self.memory_pages {
+            true => Placement::Spill(spill.clone()),
+            false => match spill.broker.try_reserve(pages) {
+                Some(grant) => Placement::Memory(Some(grant)),
+                None => Placement::Spill(spill.clone()),
+            },
         }
     }
 
@@ -320,16 +315,19 @@ impl ExecCtx {
         }
     }
 
-    /// Total pages materialized so far.
-    pub fn pages_materialized(&self) -> u64 {
-        self.pages_materialized.load(Ordering::Relaxed)
+    /// Books `charge` to the ledger: the one way operators charge
+    /// page I/O and tuple ops (see [`crate::charge`]).
+    pub fn book(&self, charge: Charge) {
+        self.ledger.read_pages(charge.read);
+        self.ledger.write_pages(charge.written);
+        self.ledger.tuple_ops(charge.tuple_ops);
     }
 
     /// Registers (or replaces) a temp table. Charges the page writes of
     /// materialization to the ledger and the governor's memory budget.
     pub fn register_temp(&self, name: impl Into<String>, table: TempTable) {
         let pages = table.page_count();
-        self.ledger.write_pages(pages);
+        self.book(charge::writes(pages));
         self.charge_materialized_pages(pages);
         self.temps
             .write()
@@ -449,7 +447,6 @@ mod tests {
             c.check_interrupt(),
             Err(ExecError::Interrupted(InterruptReason::MemoryBudget))
         );
-        assert_eq!(c.pages_materialized(), 1);
     }
 
     #[test]

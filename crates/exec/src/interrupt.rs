@@ -92,13 +92,6 @@ impl Interrupt {
     pub fn tripped(&self) -> Option<InterruptReason> {
         InterruptReason::from_u8(self.flag.load(Ordering::Acquire))
     }
-
-    /// True iff some reason has been recorded. A single relaxed-ish
-    /// load — this is the thing hot loops poll.
-    #[inline]
-    pub fn is_tripped(&self) -> bool {
-        self.flag.load(Ordering::Relaxed) != 0
-    }
 }
 
 #[cfg(test)]
@@ -109,11 +102,9 @@ mod tests {
     fn first_trip_wins() {
         let i = Interrupt::new();
         assert_eq!(i.tripped(), None);
-        assert!(!i.is_tripped());
         assert!(i.trip(InterruptReason::Cancelled));
         assert!(!i.trip(InterruptReason::Deadline));
         assert_eq!(i.tripped(), Some(InterruptReason::Cancelled));
-        assert!(i.is_tripped());
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!
 //! The crate provides:
 //!
+//! * [`charge`] — every ledger charge an operator makes, as a pure
+//!   function of its shapes (rows, pages, `M`); the optimizer's cost
+//!   model evaluates the same functions at estimated shapes;
 //! * [`context::ExecCtx`] — catalog + cost ledger + temp-table registry
 //!   (the runtime home of materialized production sets and filter sets)
 //!   + the buffer-memory parameter that drives join/sort I/O formulas;
@@ -28,6 +31,7 @@
 //! directly comparable with the optimizer's predictions.
 
 pub mod broker;
+pub mod charge;
 pub mod context;
 pub mod error;
 pub mod interrupt;
@@ -36,8 +40,10 @@ pub mod ops;
 pub mod physical;
 
 pub use broker::{MemoryBroker, MemoryGrant};
+pub use charge::Charge;
 pub use context::{
-    ExecCtx, PoolProbe, SpillCtx, SpillSnapshot, SpillStats, TempTable, DEFAULT_SPILL_MAX_DEPTH,
+    ExecCtx, Placement, PoolProbe, SpillCtx, SpillSnapshot, SpillStats, TempTable,
+    DEFAULT_SPILL_MAX_DEPTH, MIN_MEMORY_PAGES,
 };
 pub use error::ExecError;
 pub use interrupt::{Interrupt, InterruptReason, INTERRUPT_CHECK_INTERVAL};

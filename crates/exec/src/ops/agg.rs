@@ -1,14 +1,15 @@
 //! Hash-based duplicate elimination and aggregation.
 
-use crate::context::ExecCtx;
+use crate::charge;
+use crate::context::{ExecCtx, Placement};
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::ops::key_index::KeyIndex;
 use crate::ops::sort::charge_external_sort;
+use crate::ops::spill::partitionwise;
 use crate::physical::Rel;
 use fj_expr::{Accumulator, AggCall};
 use fj_storage::{Column, PageLayout, Schema, Tuple, Value};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Hash-based DISTINCT — the paper's `ProjCost_F` workhorse (the filter
@@ -24,27 +25,17 @@ use std::sync::Arc;
 /// deduplication yields the same distinct multiset, emitted
 /// partition-major (duplicate elimination is order-agnostic).
 pub fn distinct(ctx: &ExecCtx, input: Rel) -> Result<Rel, ExecError> {
-    ctx.ledger.tuple_ops(input.rows.len() as u64);
+    ctx.book(charge::ops(input.rows.len() as u64));
     let all_idx: Vec<usize> = (0..input.schema.arity()).collect();
     let _grant = match ctx.spill_decision(input.page_count()) {
-        Some((true, _)) => {
-            let spill = ctx.spill_ctx().expect("spill decision implies ctx").clone();
-            ctx.spill_stats().spills.fetch_add(1, Ordering::Relaxed);
+        Placement::Spill(spill) => {
             let layout = PageLayout::for_schema(&input.schema);
-            let fanout = super::spill::spill_fanout(ctx);
-            let files =
-                super::spill::partition_to_files(ctx, &spill, input.rows, layout, fanout, |t| {
-                    Some(super::spill::route_salted(t, &all_idx, 0, fanout))
-                })?;
-            let mut rows = Vec::new();
-            for f in &files {
-                let part = super::spill::read_spill(ctx, f, layout)?;
-                rows.extend(dedup(ctx, part, &all_idx)?);
-            }
+            let rows = partitionwise(ctx, &spill, input.rows, layout, &all_idx, |p| {
+                dedup(ctx, p, &all_idx)
+            })?;
             return Ok(Rel::new(input.schema, rows));
         }
-        Some((false, grant)) => grant,
-        None => None,
+        Placement::Memory(grant) => grant,
     };
     let out = Rel::new(input.schema, dedup(ctx, input.rows, &all_idx)?);
     charge_external_sort(ctx, out.page_count());
@@ -175,35 +166,20 @@ pub fn hash_aggregate(
     }
     let schema = Arc::new(Schema::new(cols)?);
 
-    ctx.ledger
-        .tuple_ops(input.rows.len() as u64 * (1 + aggs.len()) as u64);
+    ctx.book(charge::aggregate(input.rows.len() as u64, aggs.len()));
 
     let _grant = if group_idx.is_empty() {
         None
     } else {
         match ctx.spill_decision(input.page_count()) {
-            Some((true, _)) => {
-                let spill = ctx.spill_ctx().expect("spill decision implies ctx").clone();
-                ctx.spill_stats().spills.fetch_add(1, Ordering::Relaxed);
+            Placement::Spill(spill) => {
                 let layout = PageLayout::for_schema(&input.schema);
-                let fanout = super::spill::spill_fanout(ctx);
-                let files = super::spill::partition_to_files(
-                    ctx,
-                    &spill,
-                    input.rows,
-                    layout,
-                    fanout,
-                    |t| Some(super::spill::route_salted(t, &group_idx, 0, fanout)),
-                )?;
-                let mut rows = Vec::new();
-                for f in &files {
-                    let part = super::spill::read_spill(ctx, f, layout)?;
-                    rows.extend(accumulate_groups(ctx, &part, &group_idx, &agg_idx, aggs)?);
-                }
+                let rows = partitionwise(ctx, &spill, input.rows, layout, &group_idx, |p| {
+                    accumulate_groups(ctx, &p, &group_idx, &agg_idx, aggs)
+                })?;
                 return Ok(Rel::new(schema, rows));
             }
-            Some((false, grant)) => grant,
-            None => None,
+            Placement::Memory(grant) => grant,
         }
     };
 

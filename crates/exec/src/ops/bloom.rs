@@ -37,7 +37,7 @@ pub fn build_bloom(
         .map(|c| input.schema.resolve(c))
         .collect::<Result<_, _>>()?;
     let mut bloom = BloomFilter::new(bits, hashes);
-    ctx.ledger.tuple_ops(input.rows.len() as u64);
+    ctx.book(crate::charge::ops(input.rows.len() as u64));
     for (n, t) in input.rows.iter().enumerate() {
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
@@ -65,7 +65,7 @@ pub fn bloom_probe(
         .iter()
         .map(|c| input.schema.resolve(c))
         .collect::<Result<_, _>>()?;
-    ctx.ledger.tuple_ops(input.rows.len() as u64);
+    ctx.book(crate::charge::ops(input.rows.len() as u64));
     let mut rows = Vec::new();
     for (n, t) in input.rows.into_iter().enumerate() {
         if n % INTERRUPT_CHECK_INTERVAL == 0 {

@@ -1,43 +1,16 @@
-//! Exchange operators for partitioned (distributed) execution: hash
-//! partitioning on the way out of a coordinator and ordinal merge on
-//! the way back in.
+//! The exchange operator for partitioned (distributed) execution: the
+//! ordinal merge on the way back into a coordinator.
 //!
-//! Both sides charge the ledger so a distributed run's model-unit costs
-//! stay reconcilable with the serial oracle: partitioning and merging
-//! charge one tuple operation per row moved (the hash / comparison),
-//! exactly as the local operators do, and nothing else — shipping
-//! itself is charged by whoever puts the rows on a wire.
+//! It charges the ledger so a distributed run's model-unit costs stay
+//! reconcilable with the serial oracle: one tuple operation per row
+//! merged (the comparison), exactly as the local operators do, and
+//! nothing else — shipping itself is charged by whoever puts the rows
+//! on a wire.
 
 use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::physical::Rel;
-use fj_algebra::PartitionMap;
 use fj_storage::Tuple;
-
-/// Splits `rel` into `map.shards` partitions by the stable partition
-/// hash of the mapped column. Row order within each partition preserves
-/// the input order, so partitioning then concatenating in partition
-/// order is a deterministic permutation. Charges one tuple op per row.
-pub fn hash_partition(ctx: &ExecCtx, rel: &Rel, map: PartitionMap) -> Result<Vec<Rel>, ExecError> {
-    ctx.check_interrupt()?;
-    if map.column >= rel.schema.arity() {
-        return Err(ExecError::InvalidPhysicalPlan(format!(
-            "partition column {} out of range for arity {}",
-            map.column,
-            rel.schema.arity()
-        )));
-    }
-    let mut parts: Vec<Vec<Tuple>> = (0..map.shards).map(|_| Vec::new()).collect();
-    for row in &rel.rows {
-        let shard = map.shard_of(row.value(map.column)) as usize;
-        parts[shard].push(row.clone());
-    }
-    ctx.ledger.tuple_ops(rel.rows.len() as u64);
-    Ok(parts
-        .into_iter()
-        .map(|rows| Rel::new(rel.schema.clone(), rows))
-        .collect())
-}
 
 /// Merges gathered partitions back into one relation ordered by the
 /// integer ordinal column at index `ord_col` (the coordinator's hidden
@@ -68,7 +41,7 @@ pub fn merge_by_ordinal(
             merged.entry(key).or_insert(row);
         }
     }
-    ctx.ledger.tuple_ops(n);
+    ctx.book(crate::charge::ops(n));
     Ok(Rel::new(schema, merged.into_values().collect()))
 }
 
@@ -87,37 +60,15 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_a_permutation_and_routes_by_hash() {
-        let ctx = ExecCtx::new(Arc::new(Catalog::new()));
-        let r = rel();
-        let map = PartitionMap::new(0, 3);
-        let parts = hash_partition(&ctx, &r, map).unwrap();
-        assert_eq!(parts.len(), 3);
-        let total: usize = parts.iter().map(|p| p.rows.len()).sum();
-        assert_eq!(total, r.rows.len());
-        for (i, p) in parts.iter().enumerate() {
-            for row in &p.rows {
-                assert_eq!(map.shard_of(row.value(0)) as usize, i);
-            }
-        }
-        assert_eq!(ctx.ledger.snapshot().tuple_ops, 100);
-    }
-
-    #[test]
     fn merge_restores_ordinal_order_and_dedups_replicas() {
         let ctx = ExecCtx::new(Arc::new(Catalog::new()));
         let r = rel();
-        let parts = hash_partition(&ctx, &r, PartitionMap::new(0, 4)).unwrap();
-        let mut gathered: Vec<Vec<Tuple>> = parts.into_iter().map(|p| p.rows).collect();
+        let mut gathered: Vec<Vec<Tuple>> = (0..4)
+            .map(|p| r.rows.iter().skip(p).step_by(4).cloned().collect())
+            .collect();
         // Simulate a replica double-gather of partition 0.
         gathered.push(gathered[0].clone());
         let merged = merge_by_ordinal(&ctx, r.schema.clone(), gathered, 1).unwrap();
         assert_eq!(merged.rows, r.rows);
-    }
-
-    #[test]
-    fn partition_column_out_of_range_is_typed() {
-        let ctx = ExecCtx::new(Arc::new(Catalog::new()));
-        assert!(hash_partition(&ctx, &rel(), PartitionMap::new(9, 2)).is_err());
     }
 }

@@ -5,11 +5,12 @@
 //!
 //! All joins implement SQL equality semantics: NULL keys never match.
 
-use crate::context::ExecCtx;
+use crate::charge;
+use crate::context::{ExecCtx, Placement};
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::ops::key_index::KeyIndex;
-use crate::ops::sort::charge_external_sort as charge_external_sort_pages;
+use crate::ops::sort::charge_external_sort;
 use crate::physical::{maybe_qualify, Rel};
 use fj_algebra::JoinKind;
 use fj_expr::{BoundExpr, Expr};
@@ -42,21 +43,27 @@ fn bind_residual(
         .map_err(Into::into)
 }
 
-/// True iff the joined row `o ⊕ i` passes the residual. The joined row
-/// is only built when there is a residual to evaluate against it.
-fn passes_residual(pred: &Option<BoundExpr>, o: &Tuple, i: &Tuple) -> Result<bool, ExecError> {
+/// True iff `joined` passes the residual (every row does when there is
+/// none).
+fn passes(pred: &Option<BoundExpr>, joined: &Tuple) -> Result<bool, ExecError> {
     match pred {
-        Some(p) => Ok(p.eval_predicate(&o.concat(i))?),
+        Some(p) => Ok(p.eval_predicate(joined)?),
         None => Ok(true),
     }
 }
 
+/// True iff the joined row `o ⊕ i` passes the residual. The joined row
+/// is only built when there is a residual to evaluate against it.
+fn passes_residual(pred: &Option<BoundExpr>, o: &Tuple, i: &Tuple) -> Result<bool, ExecError> {
+    Ok(pred.is_none() || passes(pred, &o.concat(i))?)
+}
+
 /// Block nested-loops join.
 ///
-/// Charges `(⌈P_outer/(M−2)⌉ − 1)·P_inner` *re-scan* page reads (the
-/// first inner scan was charged by the inner plan itself), plus one
-/// tuple op per compared pair — the dominant CPU term that makes BNLJ
-/// genuinely quadratic in wall time too.
+/// Charges [`charge::bnl`]: `(⌈P_outer/(M−2)⌉ − 1)·P_inner` *re-scan*
+/// page reads (the first inner scan was charged by the inner plan
+/// itself), plus one tuple op per compared pair — the dominant CPU term
+/// that makes BNLJ genuinely quadratic in wall time too.
 pub fn block_nested_loops(
     ctx: &ExecCtx,
     outer: Rel,
@@ -73,42 +80,27 @@ pub fn block_nested_loops(
     // outer columns are emitted.
     let pred = bind_residual(predicate, &full_schema)?;
 
-    // Re-scan charge.
-    let blocks = outer
-        .page_count()
-        .div_ceil(ctx.memory_pages.saturating_sub(2).max(1))
-        .max(1);
-    ctx.ledger.read_pages((blocks - 1) * inner.page_count());
-    ctx.ledger
-        .tuple_ops(outer.rows.len() as u64 * inner.rows.len().max(1) as u64);
+    let (no, ni) = (outer.rows.len() as u64, inner.rows.len() as u64);
+    let (op, ip) = (outer.page_count(), inner.page_count());
+    ctx.book(charge::bnl(no, op, ni, ip, ctx.memory_pages));
 
     let mut rows = Vec::new();
     let mut since_check = 0usize;
     for o in &outer.rows {
-        match kind {
-            JoinKind::Inner => {
-                for i in &inner.rows {
-                    since_check += 1;
-                    if since_check >= INTERRUPT_CHECK_INTERVAL {
-                        since_check = 0;
-                        ctx.check_interrupt()?;
-                    }
+        for i in &inner.rows {
+            since_check += 1;
+            if since_check >= INTERRUPT_CHECK_INTERVAL {
+                since_check = 0;
+                ctx.check_interrupt()?;
+            }
+            match kind {
+                JoinKind::Inner => {
                     let joined = o.concat(i);
-                    if match &pred {
-                        Some(p) => p.eval_predicate(&joined)?,
-                        None => true,
-                    } {
+                    if passes(&pred, &joined)? {
                         rows.push(joined);
                     }
                 }
-            }
-            JoinKind::Semi => {
-                for i in &inner.rows {
-                    since_check += 1;
-                    if since_check >= INTERRUPT_CHECK_INTERVAL {
-                        since_check = 0;
-                        ctx.check_interrupt()?;
-                    }
+                JoinKind::Semi => {
                     if passes_residual(&pred, o, i)? {
                         rows.push(o.clone());
                         break;
@@ -140,21 +132,17 @@ pub fn index_nested_loops(
     let out_schema = Arc::new(outer.schema.join(&inner_schema)?);
     let pred = bind_residual(residual, &out_schema)?;
 
-    enum Idx<'a> {
-        Hash(&'a fj_storage::HashIndex),
-        BTree(&'a fj_storage::BTreeIndex),
-    }
-    let idx = if let Some(h) = t.hash_index(col) {
-        Idx::Hash(h)
-    } else if let Some(b) = t.btree_index(col) {
-        Idx::BTree(b)
-    } else {
-        return Err(ExecError::InvalidPhysicalPlan(format!(
-            "index nested loops requires an index on {table}.{inner_col}"
-        )));
+    let idx: &dyn Index = match (t.hash_index(col), t.btree_index(col)) {
+        (Some(h), _) => h,
+        (None, Some(b)) => b,
+        (None, None) => {
+            return Err(ExecError::InvalidPhysicalPlan(format!(
+                "index nested loops requires an index on {table}.{inner_col}"
+            )))
+        }
     };
 
-    ctx.ledger.tuple_ops(outer.rows.len() as u64);
+    ctx.book(charge::ops(outer.rows.len() as u64));
     let mut rows = Vec::new();
     let mut since_check = 0usize;
     for o in &outer.rows {
@@ -167,19 +155,12 @@ pub fn index_nested_loops(
         if key.is_null() {
             continue;
         }
-        let ids = match &idx {
-            Idx::Hash(h) => h.probe(key, &ctx.ledger),
-            Idx::BTree(b) => b.probe(key, &ctx.ledger),
-        };
-        for &rid in ids {
+        for &rid in idx.probe(key, &ctx.ledger) {
             let fetched = t
                 .fetch_checked(rid, &ctx.ledger, ctx.faults.as_deref())
                 .map_err(ExecError::Storage)?;
             let joined = o.concat(fetched);
-            if match &pred {
-                Some(p) => p.eval_predicate(&joined)?,
-                None => true,
-            } {
+            if passes(&pred, &joined)? {
                 rows.push(joined);
             }
         }
@@ -189,9 +170,9 @@ pub fn index_nested_loops(
 
 /// Hash join: builds on `inner`, probes with `outer`.
 ///
-/// Charges one tuple op per build row, probe row, and output row. When
-/// the build side exceeds buffer memory, charges the Grace partition
-/// pass: one write + one read of *both* inputs.
+/// Charges [`charge::join`] (one tuple op per build row, probe row, and
+/// output row) and, when the build side exceeds buffer memory,
+/// [`charge::grace_partition`]: one write + one read of *both* inputs.
 pub fn hash_join(
     ctx: &ExecCtx,
     outer: Rel,
@@ -220,39 +201,27 @@ pub fn hash_join(
     // and read back — and the partitions live on disk, not against the
     // governor's memory budget. Without it (seed behaviour), the same
     // pass is simulated: charged up front and counted as materialized.
-    let _grant = match ctx.spill_decision(inner.page_count()) {
-        Some((true, _)) => {
-            ctx.ledger
-                .tuple_ops(inner.rows.len() as u64 + outer.rows.len() as u64);
-            let spill = ctx.spill_ctx().expect("spill decision implies ctx").clone();
-            let rows = super::spill::grace_hash_join(
-                ctx, &spill, outer, inner, &okeys, &ikeys, &pred, kind,
-            )?;
-            return Ok(Rel::new(out_schema, rows));
+    let (no, ni) = (outer.rows.len() as u64, inner.rows.len() as u64);
+    let (op, ip) = (outer.page_count(), inner.page_count());
+    let rows = match ctx.spill_decision(ip) {
+        Placement::Spill(spill) => {
+            super::spill::grace_hash_join(ctx, &spill, outer, inner, &okeys, &ikeys, &pred, kind)?
         }
-        Some((false, grant)) => grant,
-        None => {
-            if inner.page_count() > ctx.memory_pages {
-                let p = inner.page_count() + outer.page_count();
-                ctx.ledger.write_pages(p);
-                ctx.ledger.read_pages(p);
-                ctx.charge_materialized_pages(p);
+        Placement::Memory(_grant) => {
+            ctx.book(charge::grace_partition(op, ip, ctx.memory_pages));
+            if ip > ctx.memory_pages {
+                ctx.charge_materialized_pages(op + ip);
             }
-            None
+            hash_probe(ctx, &outer.rows, &inner.rows, &okeys, &ikeys, &pred, kind)?
         }
     };
-
-    ctx.ledger
-        .tuple_ops(inner.rows.len() as u64 + outer.rows.len() as u64);
-
-    let rows = hash_probe(ctx, &outer.rows, &inner.rows, &okeys, &ikeys, &pred, kind)?;
+    ctx.book(charge::join(no, ni, rows.len() as u64));
     Ok(Rel::new(out_schema, rows))
 }
 
 /// The build+probe kernel shared by the in-memory hash join and each
-/// grace partition of the spilled one. Charges one tuple op per
-/// emitted row (the build/probe per-row ops are charged by the caller,
-/// once, over the full inputs).
+/// grace partition of the spilled one. Charges nothing: the caller
+/// books the join's tuple ops, once, over the full inputs and output.
 pub(crate) fn hash_probe(
     ctx: &ExecCtx,
     outer_rows: &[Tuple],
@@ -290,26 +259,17 @@ pub(crate) fn hash_probe(
             JoinKind::Inner => {
                 for i in matches {
                     let joined = o.concat(i);
-                    if match pred {
-                        Some(p) => p.eval_predicate(&joined)?,
-                        None => true,
-                    } {
-                        ctx.ledger.tuple_ops(1);
+                    if passes(pred, &joined)? {
                         rows.push(joined);
                     }
                 }
             }
             JoinKind::Semi => {
-                let mut hit = false;
                 for i in matches {
                     if passes_residual(pred, o, i)? {
-                        hit = true;
+                        rows.push(o.clone());
                         break;
                     }
-                }
-                if hit {
-                    ctx.ledger.tuple_ops(1);
-                    rows.push(o.clone());
                 }
             }
         }
@@ -317,42 +277,40 @@ pub(crate) fn hash_probe(
     Ok(rows)
 }
 
-/// Sorts one merge-join input that did not arrive in its join-key
-/// order, degrading to the external merge sort when memory governance
-/// says to (same decision rule as the standalone sort operator). The
-/// in-memory path keeps the seed's simulated external-sort charge.
-fn sort_unsorted_side(
+/// One merge-join input in its join-key order. The sortedness check
+/// charges one tuple op per comparison (the detection pass a real
+/// engine's sort operator performs before deciding to spill) — `n − 1`,
+/// where the cost model prices `n` (a gap, DESIGN.md "One set of
+/// charges"). An unsorted side is sorted, degrading to the external
+/// merge sort when memory governance says to (same decision rule as the
+/// standalone sort operator); the in-memory path keeps the seed's
+/// simulated external-sort charge.
+fn sorted_side(
     ctx: &ExecCtx,
     mut rows: Vec<Tuple>,
     keys: &[usize],
-    layout: fj_storage::PageLayout,
+    schema: &fj_storage::Schema,
 ) -> Result<Vec<Tuple>, ExecError> {
     let n = rows.len() as u64;
-    if n > 1 {
-        ctx.ledger
-            .tuple_ops(n * (64 - (n - 1).leading_zeros() as u64));
+    ctx.book(charge::ops(n.saturating_sub(1)));
+    if rows
+        .windows(2)
+        .all(|w| w[0].key_cmp(keys, &w[1], keys).is_le())
+    {
+        return Ok(rows);
     }
+    ctx.book(charge::compares(n));
+    let layout = fj_storage::PageLayout::for_schema(schema);
     let pages = layout.pages(n);
     let _grant = match ctx.spill_decision(pages) {
-        Some((true, _)) => {
-            let spill = ctx.spill_ctx().expect("spill decision implies ctx").clone();
+        Placement::Spill(spill) => {
             return super::spill::external_sort_rows(ctx, &spill, layout, rows, keys);
         }
-        Some((false, grant)) => grant,
-        None => None,
+        Placement::Memory(grant) => grant,
     };
-    charge_external_sort_pages(ctx, pages);
+    charge_external_sort(ctx, pages);
     rows.sort_by(|a, b| a.key_cmp(keys, b, keys));
     Ok(rows)
-}
-
-/// True iff `rows` is already sorted by the key positions. Charges one
-/// tuple op per comparison (the detection pass a real engine's sort
-/// operator performs before deciding to spill).
-fn is_sorted_by(ctx: &ExecCtx, rows: &[Tuple], keys: &[usize]) -> bool {
-    ctx.ledger.tuple_ops(rows.len().saturating_sub(1) as u64);
-    rows.windows(2)
-        .all(|w| w[0].key_cmp(keys, &w[1], keys).is_le())
 }
 
 /// Sort-merge join. Inputs that already arrive sorted by their join
@@ -379,20 +337,9 @@ pub fn merge_join(
     let pred = bind_residual(residual, &out_schema)?;
 
     // Sort whichever sides need it.
-    let no = outer.rows.len() as u64;
-    let ni = inner.rows.len() as u64;
-    let mut left = outer.rows;
-    let outer_layout = fj_storage::PageLayout::for_schema(&outer.schema);
-    if !is_sorted_by(ctx, &left, &okeys) {
-        left = sort_unsorted_side(ctx, left, &okeys, outer_layout)?;
-    }
-    let mut right = inner.rows;
-    let inner_layout = fj_storage::PageLayout::for_schema(&inner.schema);
-    if !is_sorted_by(ctx, &right, &ikeys) {
-        right = sort_unsorted_side(ctx, right, &ikeys, inner_layout)?;
-    }
-
-    ctx.ledger.tuple_ops(no + ni);
+    let (no, ni) = (outer.rows.len() as u64, inner.rows.len() as u64);
+    let left = sorted_side(ctx, outer.rows, &okeys, &outer.schema)?;
+    let right = sorted_side(ctx, inner.rows, &ikeys, &inner.schema)?;
 
     let mut rows = Vec::new();
     let (mut li, mut ri) = (0usize, 0usize);
@@ -424,11 +371,7 @@ pub fn merge_join(
                 while li < left.len() && left[li].key_eq(&okeys, &left[l_start], &okeys) {
                     for r in &right[r_start..r_end] {
                         let joined = left[li].concat(r);
-                        if match &pred {
-                            Some(p) => p.eval_predicate(&joined)?,
-                            None => true,
-                        } {
-                            ctx.ledger.tuple_ops(1);
+                        if passes(&pred, &joined)? {
                             rows.push(joined);
                         }
                     }
@@ -438,6 +381,7 @@ pub fn merge_join(
             }
         }
     }
+    ctx.book(charge::join(no, ni, rows.len() as u64));
     Ok(Rel::new(out_schema, rows))
 }
 

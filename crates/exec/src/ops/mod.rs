@@ -2,8 +2,9 @@
 //!
 //! Each module implements one family of operators as free functions
 //! `(ctx, inputs...) -> Result<Rel>`; [`crate::physical::PhysPlan`]
-//! dispatches to them. Cost charges follow the System-R formulas — see
-//! each function's docs for the exact charge.
+//! dispatches to them. Cost charges follow the System-R formulas: each
+//! operator books a [`crate::charge`] function evaluated at the shapes
+//! it actually ran on (see each function's docs for which).
 
 pub mod agg;
 pub mod bloom;

@@ -20,7 +20,7 @@ pub fn seq_scan(ctx: &ExecCtx, table: &str, alias: &str) -> Result<Rel, ExecErro
 /// Scan of a registered temp table. Charges its page count as reads.
 pub fn temp_scan(ctx: &ExecCtx, name: &str, alias: &str) -> Result<Rel, ExecError> {
     let t = ctx.temp(name)?;
-    ctx.ledger.read_pages(t.page_count());
+    ctx.book(crate::charge::reads(t.page_count()));
     Ok(Rel::new(maybe_qualify(&t.schema, alias), t.rows.to_vec()))
 }
 
@@ -50,7 +50,7 @@ pub fn index_ordered_scan(
             "ordered scan requires a B-tree index on {table}.{col}"
         )));
     };
-    ctx.ledger.read_pages(t.page_count());
+    ctx.book(crate::charge::reads(t.page_count()));
     // Disk mode: fetch every heap page through the backing explicitly
     // (this path charges the ledger directly rather than going through
     // `scan_checked`, which would add fault draws the in-memory fault
@@ -70,7 +70,7 @@ pub fn index_ordered_scan(
     for rid in idx.scan_all_ordered(&ctx.ledger) {
         rows.push(t.rows()[rid].clone());
     }
-    ctx.ledger.tuple_ops(rows.len() as u64);
+    ctx.book(crate::charge::ops(rows.len() as u64));
     Ok(Rel::new(maybe_qualify(t.schema(), alias), rows))
 }
 

@@ -1,17 +1,16 @@
 //! Sorting with external-sort cost accounting.
 
-use crate::context::ExecCtx;
+use crate::charge;
+use crate::context::{ExecCtx, Placement};
 use crate::error::ExecError;
 use crate::physical::Rel;
+use fj_storage::PageLayout;
 
 /// Sorts ascending by `keys` (NULLs first, per [`fj_storage::Value`]'s
 /// total order).
 ///
-/// Charges `n·⌈log₂ n⌉` tuple ops, plus external merge-sort I/O when the
-/// input exceeds buffer memory: with `P` input pages and `M` buffer
-/// pages, initial runs take one read+write pass and each of the
-/// `⌈log_{M−1}(⌈P/M⌉)⌉` merge passes another — `2P·(1+passes)` page I/Os
-/// total, the standard formula.
+/// Charges [`charge::compares`] (`n·⌈log₂ n⌉` tuple ops), plus
+/// [`charge::external_sort`] when the input exceeds buffer memory.
 pub fn sort(ctx: &ExecCtx, input: Rel, keys: &[String]) -> Result<Rel, ExecError> {
     // The comparison sort itself is a library call and cannot poll the
     // interrupt mid-run; bracket it instead — the run is bounded by
@@ -21,22 +20,18 @@ pub fn sort(ctx: &ExecCtx, input: Rel, keys: &[String]) -> Result<Rel, ExecError
         .iter()
         .map(|k| input.schema.resolve(k))
         .collect::<Result<_, _>>()?;
-    let n = input.rows.len() as u64;
-    if n > 1 {
-        ctx.ledger
-            .tuple_ops(n * (64 - (n - 1).leading_zeros() as u64));
-    }
+    ctx.book(charge::compares(input.rows.len() as u64));
     // Memory governance: a physical external merge sort when the input
     // exceeds buffer memory or the broker denies the grant; otherwise
     // hold the grant (if any) for the in-memory sort below, which keeps
     // the seed's simulated external-sort charge.
     let _grant = match ctx.spill_decision(input.page_count()) {
-        Some((true, _)) => {
-            let spill = ctx.spill_ctx().expect("spill decision implies ctx").clone();
-            return super::spill::external_sort(ctx, &spill, input, &key_idx);
+        Placement::Spill(spill) => {
+            let layout = PageLayout::for_schema(&input.schema);
+            let rows = super::spill::external_sort_rows(ctx, &spill, layout, input.rows, &key_idx)?;
+            return Ok(Rel::new(input.schema, rows));
         }
-        Some((false, grant)) => grant,
-        None => None,
+        Placement::Memory(grant) => grant,
     };
     charge_external_sort(ctx, input.page_count());
     let mut rows = input.rows;
@@ -45,32 +40,14 @@ pub fn sort(ctx: &ExecCtx, input: Rel, keys: &[String]) -> Result<Rel, ExecError
     Ok(Rel::new(input.schema, rows))
 }
 
-/// Charges the external-sort page I/O for sorting `pages` pages under the
-/// context's buffer memory (no charge when the input fits in memory).
-/// Spilled runs count against the governor's memory budget.
-pub fn charge_external_sort(ctx: &ExecCtx, pages: u64) {
-    let m = ctx.memory_pages;
-    if pages <= m {
-        return;
+/// Books the simulated external sort of `pages` pages under the
+/// context's buffer memory (nothing when they fit). Spilled runs count
+/// against the governor's memory budget.
+pub(crate) fn charge_external_sort(ctx: &ExecCtx, pages: u64) {
+    ctx.book(charge::external_sort(pages, ctx.memory_pages));
+    if pages > ctx.memory_pages {
+        ctx.charge_materialized_pages(pages);
     }
-    let passes = merge_passes(pages, m);
-    // Run formation: read + write every page; each merge pass: the same.
-    ctx.ledger.read_pages(pages * (1 + passes));
-    ctx.ledger.write_pages(pages * (1 + passes));
-    ctx.charge_materialized_pages(pages);
-}
-
-/// Number of merge passes to sort `pages` with `m` buffers:
-/// `⌈log_{m−1}(⌈pages/m⌉)⌉`.
-pub fn merge_passes(pages: u64, m: u64) -> u64 {
-    let mut runs = pages.div_ceil(m);
-    let fan_in = (m - 1).max(2);
-    let mut passes = 0;
-    while runs > 1 {
-        runs = runs.div_ceil(fan_in);
-        passes += 1;
-    }
-    passes
 }
 
 #[cfg(test)]
@@ -143,16 +120,9 @@ mod tests {
         let pages = rel.page_count();
         assert!(pages > 4);
         sort(&c, rel, &["a".into()]).unwrap();
-        let expected_passes = merge_passes(pages, 4);
+        let expected_passes = charge::merge_passes(pages, 4);
         let s = c.ledger.snapshot();
         assert_eq!(s.page_reads, pages * (1 + expected_passes));
         assert_eq!(s.page_writes, pages * (1 + expected_passes));
-    }
-
-    #[test]
-    fn merge_pass_counts() {
-        assert_eq!(merge_passes(10, 100), 0); // fits after run formation
-        assert_eq!(merge_passes(100, 10), 2); // 10 runs, fan-in 9 → 2 passes
-        assert_eq!(merge_passes(1000, 10), 3);
     }
 }

@@ -39,7 +39,7 @@ const MAX_FANOUT: usize = 32;
 /// Partition fanout for the context's buffer memory: one buffer page
 /// per output partition, one reserved for input — the classic grace
 /// layout — bounded to keep file handles sane.
-pub(crate) fn spill_fanout(ctx: &ExecCtx) -> usize {
+fn spill_fanout(ctx: &ExecCtx) -> usize {
     (ctx.memory_pages.saturating_sub(1) as usize).clamp(2, MAX_FANOUT)
 }
 
@@ -47,7 +47,7 @@ pub(crate) fn spill_fanout(ctx: &ExecCtx) -> usize {
 /// in place, the same [`Tuple::key_hash`] the in-memory operators use),
 /// salted by recursion depth so a skewed partition re-splits on
 /// different boundaries at the next level.
-pub(crate) fn route_salted(row: &Tuple, key_idx: &[usize], depth: usize, fanout: usize) -> usize {
+fn route_salted(row: &Tuple, key_idx: &[usize], depth: usize, fanout: usize) -> usize {
     let mut h = KeyHasher::default();
     h.write_usize(depth);
     h.write_u64(row.key_hash(key_idx));
@@ -75,7 +75,7 @@ fn flush_frame(
 /// returns `None` to drop a row (NULL join keys never match, so
 /// spilling them is pointless). Charges one page write per flushed
 /// frame.
-pub(crate) fn partition_to_files(
+fn partition_to_files(
     ctx: &ExecCtx,
     spill: &SpillCtx,
     rows: Vec<Tuple>,
@@ -110,9 +110,33 @@ pub(crate) fn partition_to_files(
     Ok(files)
 }
 
+/// Hash-partitions `rows` to temp files on the columns at `key_idx`
+/// and runs `each` over every partition read back, concatenating the
+/// outputs partition-major. Each key lands in exactly one partition,
+/// so a per-partition deduplication or grouping is exact.
+pub(crate) fn partitionwise(
+    ctx: &ExecCtx,
+    spill: &SpillCtx,
+    rows: Vec<Tuple>,
+    layout: PageLayout,
+    key_idx: &[usize],
+    mut each: impl FnMut(Vec<Tuple>) -> Result<Vec<Tuple>, ExecError>,
+) -> Result<Vec<Tuple>, ExecError> {
+    ctx.spill_stats().spills.fetch_add(1, Ordering::Relaxed);
+    let fanout = spill_fanout(ctx);
+    let files = partition_to_files(ctx, spill, rows, layout, fanout, |t| {
+        Some(route_salted(t, key_idx, 0, fanout))
+    })?;
+    let mut out = Vec::new();
+    for f in &files {
+        out.extend(each(read_spill(ctx, f, layout)?)?);
+    }
+    Ok(out)
+}
+
 /// Reads a sealed partition back into memory, charging one page read
 /// per page it occupies.
-pub(crate) fn read_spill(
+fn read_spill(
     ctx: &ExecCtx,
     file: &SpillFile,
     layout: PageLayout,
@@ -204,18 +228,6 @@ fn grace_recurse(
         }
     }
     Ok(out)
-}
-
-/// External merge sort over a whole relation.
-pub(crate) fn external_sort(
-    ctx: &ExecCtx,
-    spill: &SpillCtx,
-    input: Rel,
-    key_idx: &[usize],
-) -> Result<Rel, ExecError> {
-    let layout = PageLayout::for_schema(&input.schema);
-    let rows = external_sort_rows(ctx, spill, layout, input.rows, key_idx)?;
-    Ok(Rel::new(input.schema, rows))
 }
 
 /// External merge sort: memory-sized sorted runs spilled to temp files,
@@ -377,9 +389,9 @@ fn merge_runs(
 mod tests {
     use super::*;
     use crate::broker::MemoryBroker;
+    use crate::charge::merge_passes;
     use crate::context::SpillCtx;
     use crate::interrupt::InterruptReason;
-    use crate::ops::sort::merge_passes;
     use crate::ops::{agg, joins, sort as sort_op};
     use fj_algebra::Catalog;
     use fj_expr::{AggCall, AggFunc};
@@ -591,7 +603,10 @@ mod tests {
         let oracle = sort_op::sort(&base_ctx(128), sort_input(4800), &["a".into()]).unwrap();
         // Plenty of buffer memory, but a 1-page service watermark: the
         // broker denies the grant and the sort degrades to disk.
-        let (c, temp) = spilling_ctx(128, 1);
+        let temp = Arc::new(TempStore::open_scratch().unwrap());
+        let broker = MemoryBroker::new(1);
+        let spill = SpillCtx::new(Arc::clone(&temp), Arc::clone(&broker));
+        let c = base_ctx(128).with_spill(spill);
         let input = sort_input(4800);
         let pages = input.page_count();
         let spilled = sort_op::sort(&c, input, &["a".into()]).unwrap();
@@ -601,7 +616,7 @@ mod tests {
         // One memory-sized run (it fit), written and read back once.
         assert_eq!(snap.pages_written, pages);
         assert_eq!(snap.pages_read, pages);
-        assert_eq!(c.spill_ctx().unwrap().broker.denials(), 1);
+        assert_eq!(broker.denials(), 1);
         assert_eq!(temp.live_files_on_disk().unwrap(), 0);
     }
 

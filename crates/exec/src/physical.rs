@@ -262,7 +262,7 @@ impl PhysPlan {
     /// entry (operators additionally poll inside their tuple loops at
     /// [`crate::INTERRUPT_CHECK_INTERVAL`]).
     pub fn execute(&self, ctx: &ExecCtx) -> Result<Rel, ExecError> {
-        let Some(tracer) = ctx.tracer() else {
+        let Some(tracer) = ctx.tracer.as_ref() else {
             // Tracing off: the zero-cost fast path — no label
             // formatting, no ledger snapshots, no clock reads.
             ctx.check_interrupt()?;
@@ -270,7 +270,7 @@ impl PhysPlan {
         };
         let tracer = Arc::clone(tracer);
         let pages_before = ctx.ledger.snapshot().page_reads;
-        let pool_before = ctx.pool_probe().map(|p| p.read());
+        let pool_before = ctx.pool_probe.as_ref().map(|p| p.read());
         let spill_before = ctx.spill_snapshot();
         tracer.enter(self.node_label());
         // Everything between enter and exit — the entry poll included —
@@ -283,7 +283,7 @@ impl PhysPlan {
                 .page_reads
                 .saturating_sub(pages_before),
         );
-        if let (Some(probe), Some((hits0, misses0))) = (ctx.pool_probe(), pool_before) {
+        if let (Some(probe), Some((hits0, misses0))) = (ctx.pool_probe.as_ref(), pool_before) {
             let (hits, misses) = probe.read();
             io.pool_hits = hits.saturating_sub(hits0);
             io.pool_misses = misses.saturating_sub(misses0);

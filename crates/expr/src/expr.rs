@@ -173,23 +173,6 @@ impl Expr {
     pub fn is_null(self) -> Expr {
         Expr::IsNull(Arc::new(self))
     }
-
-    /// Rewrites every column reference through `f` (used when inlining a
-    /// view body under new qualifiers, and by the magic rewriting when it
-    /// redirects references to the materialized production set).
-    pub fn rename_columns(&self, f: &dyn Fn(&str) -> String) -> Expr {
-        match self {
-            Expr::Column(name) => Expr::Column(f(name)),
-            Expr::Literal(v) => Expr::Literal(v.clone()),
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op: *op,
-                left: Arc::new(left.rename_columns(f)),
-                right: Arc::new(right.rename_columns(f)),
-            },
-            Expr::Not(e) => Expr::Not(Arc::new(e.rename_columns(f))),
-            Expr::IsNull(e) => Expr::IsNull(Arc::new(e.rename_columns(f))),
-        }
-    }
 }
 
 impl fmt::Display for Expr {
@@ -216,13 +199,6 @@ mod tests {
             .lt(lit(30))
             .and(col("D.budget").gt(lit(100_000)));
         assert_eq!(e.to_string(), "((E.age < 30) AND (D.budget > 100000))");
-    }
-
-    #[test]
-    fn rename_columns_rewrites_leaves_only() {
-        let e = col("a").eq(col("b")).or(lit(1).lt(col("a")));
-        let renamed = e.rename_columns(&|n| format!("T.{n}"));
-        assert_eq!(renamed.to_string(), "((T.a = T.b) OR (1 < T.a))");
     }
 
     #[test]

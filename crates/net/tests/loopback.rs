@@ -659,7 +659,8 @@ fn health_and_stats_report_the_same_counters() {
                     dir: dir.0.clone(),
                     pool_pages: 6,
                 },
-                memory_pages: 1,
+                // The least M a service accepts (`MIN_MEMORY_PAGES`).
+                memory_pages: 3,
                 spill_soft_watermark_pages: Some(8),
                 ..ServiceConfig::default()
             },

@@ -1,11 +1,25 @@
-//! Cost parameters and the elementary cost formulas.
+//! Cost parameters, and the weighing of executor charges into costs.
 //!
-//! All costs are in **page-I/O-equivalent units**. The formulas here are
-//! kept deliberately identical to the charges the executor makes (see
-//! `fj-exec::ops`), so predicted costs and measured ledger costs can be
-//! compared one-to-one — the property the Table 1 reproduction checks.
+//! All costs are in **page-I/O-equivalent units**. The charge formulas
+//! themselves live in one place, [`fj_exec::charge`]: the executor books
+//! them at the shapes it actually ran on, and [`CostParams`] evaluates
+//! the same functions at *estimated* shapes and weighs each resulting
+//! [`Charge`] as `(read + written) + cpu_weight · tuple_ops` — the
+//! weighting `LedgerSnapshot::weighted` applies to a measured ledger. So
+//! predicted and measured costs compare one-to-one, the property the
+//! Table 1 reproduction checks, and differ only where an estimated shape
+//! is wrong or where a formula here deliberately prices something else
+//! (DESIGN.md, "One set of charges", lists those gaps).
+//!
+//! What stays here is estimation: page counts from row widths and the
+//! shipping term. (Yao's distinct-value formula, the parametric fit,
+//! Bloom sizing and index-probe pages live with their users.) Each
+//! composite weighs its elementary charges one at a time, in a fixed
+//! order: `f64` addition does not associate, and `plan_pins.rs` pins
+//! cost bits.
 
 use fj_algebra::NetworkModel;
+use fj_exec::charge::{self, Charge};
 use fj_storage::{PageLayout, CPU_WEIGHT_DEFAULT};
 
 /// Cost-model parameters.
@@ -44,30 +58,24 @@ impl CostParams {
         self.cpu_weight * n.max(0.0)
     }
 
-    /// External-sort / hash-partition page I/O for `pages` pages (zero
-    /// when the input fits in memory) — mirrors
-    /// `fj_exec::ops::sort::charge_external_sort`.
-    pub fn external_sort_io(&self, pages: f64) -> f64 {
-        let m = self.memory_pages as f64;
-        if pages <= m {
-            return 0.0;
-        }
-        let passes = fj_exec::ops::sort::merge_passes(pages.ceil() as u64, self.memory_pages);
-        2.0 * pages * (1 + passes) as f64
+    /// The cost of `c`: its page I/Os plus its weighted tuple ops.
+    pub fn weigh(&self, c: Charge<f64>) -> f64 {
+        c.read + c.written + self.cpu(c.tuple_ops)
     }
 
-    /// Sort cost: `n·⌈log₂n⌉` CPU plus external I/O.
+    /// External-sort / hash-partition page I/O for `pages` pages (zero
+    /// when the input fits in memory): [`charge::external_sort`].
+    pub fn external_sort_io(&self, pages: f64) -> f64 {
+        self.weigh(charge::external_sort(pages, self.memory_pages))
+    }
+
+    /// Sort cost: [`charge::compares`] plus external I/O.
     pub fn sort_cost(&self, rows: f64, pages: f64) -> f64 {
-        let cmp = if rows > 1.0 {
-            rows * rows.log2().ceil()
-        } else {
-            0.0
-        };
-        self.cpu(cmp) + self.external_sort_io(pages)
+        self.weigh(charge::compares(rows)) + self.external_sort_io(pages)
     }
 
     /// Block-nested-loops join cost *beyond* producing the inputs:
-    /// `(⌈P_outer/(M−2)⌉−1)·P_inner` rescan I/O + one CPU op per pair.
+    /// [`charge::bnl`].
     pub fn bnl_cost(
         &self,
         outer_rows: f64,
@@ -75,13 +83,13 @@ impl CostParams {
         inner_rows: f64,
         inner_pages: f64,
     ) -> f64 {
-        let m = (self.memory_pages.saturating_sub(2)).max(1) as f64;
-        let blocks = (outer_pages / m).ceil().max(1.0);
-        (blocks - 1.0) * inner_pages + self.cpu(outer_rows * inner_rows.max(1.0))
+        let m = self.memory_pages;
+        let bnl = charge::bnl(outer_rows, outer_pages, inner_rows, inner_pages, m);
+        self.weigh(bnl)
     }
 
-    /// Hash join cost beyond producing the inputs: build+probe+output
-    /// CPU, plus a Grace partition pass when the build side spills.
+    /// Hash join cost beyond producing the inputs: a Grace partition
+    /// pass when the build side spills, then build+probe+output CPU.
     pub fn hash_join_cost(
         &self,
         outer_rows: f64,
@@ -90,17 +98,15 @@ impl CostParams {
         inner_pages: f64,
         out_rows: f64,
     ) -> f64 {
-        let grace = if inner_pages > self.memory_pages as f64 {
-            2.0 * (outer_pages + inner_pages)
-        } else {
-            0.0
-        };
-        grace + self.cpu(outer_rows + inner_rows + out_rows)
+        let grace = charge::grace_partition(outer_pages, inner_pages, self.memory_pages);
+        self.weigh(grace) + self.weigh(charge::join(outer_rows, inner_rows, out_rows))
     }
 
     /// Sort-merge join cost with *interesting orders* (§3.1): a side
-    /// that already arrives sorted by its join keys skips its sort
-    /// (paying only the linear sortedness check the executor performs).
+    /// that already arrives sorted by its join keys skips its sort,
+    /// paying only the linear sortedness check the executor performs.
+    /// The check is priced `rows` ops where the executor charges
+    /// `rows − 1` comparisons (a gap, DESIGN.md "One set of charges").
     #[allow(clippy::too_many_arguments)]
     pub fn merge_join_cost_with_orders(
         &self,
@@ -112,23 +118,13 @@ impl CostParams {
         outer_sorted: bool,
         inner_sorted: bool,
     ) -> f64 {
-        let outer_sort = if outer_sorted {
-            self.cpu(outer_rows)
-        } else {
-            self.cpu(outer_rows) + self.sort_cost(outer_rows, outer_pages)
+        let side = |rows: f64, pages: f64, sorted: bool| match sorted {
+            true => self.cpu(rows),
+            false => self.cpu(rows) + self.sort_cost(rows, pages),
         };
-        let inner_sort = if inner_sorted {
-            self.cpu(inner_rows)
-        } else {
-            self.cpu(inner_rows) + self.sort_cost(inner_rows, inner_pages)
-        };
-        outer_sort + inner_sort + self.cpu(outer_rows + inner_rows + out_rows)
-    }
-
-    /// Index-nested-loops cost: per outer row, one CPU op plus
-    /// `probe_pages` index I/O plus one heap page per matching row.
-    pub fn inl_cost(&self, outer_rows: f64, probe_pages: f64, matches_per_probe: f64) -> f64 {
-        outer_rows * (probe_pages + matches_per_probe) + self.cpu(outer_rows)
+        side(outer_rows, outer_pages, outer_sorted)
+            + side(inner_rows, inner_pages, inner_sorted)
+            + self.weigh(charge::join(outer_rows, inner_rows, out_rows))
     }
 
     /// Cost of shipping `rows` rows of `wire_width` bytes each in one
@@ -140,10 +136,10 @@ impl CostParams {
         self.network.per_message + self.network.per_byte * rows * wire_width
     }
 
-    /// Cost of materializing `pages` pages (the writes; readers pay
-    /// reads separately).
+    /// Cost of materializing `pages` pages: [`charge::writes`] (readers
+    /// pay [`charge::reads`] separately).
     pub fn materialize_cost(&self, pages: f64) -> f64 {
-        pages
+        self.weigh(charge::writes(pages))
     }
 }
 

@@ -302,8 +302,11 @@ pub struct Optimizer {
 }
 
 impl Optimizer {
-    /// An optimizer over `catalog` with `config`.
-    pub fn new(catalog: Arc<Catalog>, config: OptimizerConfig) -> Optimizer {
+    /// An optimizer over `catalog` with `config`, its buffer memory `M`
+    /// raised to [`fj_exec::MIN_MEMORY_PAGES`] — the least the executor
+    /// runs with, so a plan is priced with the `M` it runs with.
+    pub fn new(catalog: Arc<Catalog>, mut config: OptimizerConfig) -> Optimizer {
+        config.params.memory_pages = config.params.memory_pages.max(fj_exec::MIN_MEMORY_PAGES);
         Optimizer { catalog, config }
     }
 
@@ -1310,7 +1313,10 @@ impl<'a> Search<'a> {
         // 4. Index nested loops. The leaf scan is not performed.
         if let Some(probe) = &leaf.index_probe {
             self.plans_considered += 1;
-            let cost = both + (params.inl_cost(o_rows, probe.pages, probe.rows) - i_cost);
+            // Per outer row: the probe's pages, one heap page per match
+            // and one op (`index_nested_loops`' charge).
+            let inl = o_rows * (probe.pages + probe.rows) + params.cpu(o_rows);
+            let cost = both + (inl - i_cost);
             self.offer(
                 frontier,
                 entry(into(Named::IndexNestedLoops), cost, &out_stats, o_order),

@@ -15,6 +15,7 @@
 use crate::cost::CostParams;
 use crate::error::OptError;
 use fj_algebra::{Catalog, JoinKind, LogicalPlan, RelationKind};
+use fj_exec::charge;
 use fj_expr::{conjunct_refs, equi_join_key, AggCall, BinOp, Expr};
 use fj_storage::{yao_distinct, Histogram, Schema, Value};
 use std::collections::HashMap;
@@ -407,7 +408,7 @@ impl<'a> PlanEstimator<'a> {
             } => {
                 let (cost, stats) = self.estimate_inner(input)?;
                 let out = aggregate_stats(&stats, group_by, aggs);
-                let agg_cost = self.params.cpu(stats.rows * (1 + aggs.len()) as f64)
+                let agg_cost = self.params.weigh(charge::aggregate(stats.rows, aggs.len()))
                     + self.params.external_sort_io(out.pages(&self.params));
                 Ok((cost + agg_cost, out))
             }

@@ -283,7 +283,10 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
     let src_rows = src_stats.rows;
     let src_pages = src_stats.pages(&params);
 
-    // ---- ProductionCost_P: materialize vs recompute.
+    // ---- ProductionCost_P: materialize vs recompute. The reads of the
+    // materialized set are priced here; a trace books each under the
+    // node that consumes it (a gap in Table 1's split, not its total:
+    // DESIGN.md, "One set of charges").
     let mat_cost = params.materialize_cost(src_pages) + reads * src_pages;
     let recompute_cost = src_cost;
     let (production_cost_p, materialize_production) = if mat_cost <= recompute_cost {
@@ -301,6 +304,9 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
     let f_rows = yao_distinct(src_rows.round() as u64, key_domain.round() as u64);
     let f_width = 8 + 9 * filter_keys.len();
     let f_pages = params.pages(f_rows, f_width);
+    // Prices the distinct (one op per row, then its external sort); the
+    // executor's projection under it charges another op per row (a gap,
+    // DESIGN.md "One set of charges").
     let proj_cost_f = params.cpu(src_rows) + params.external_sort_io(f_pages);
     let (avail_cost_f, bloom_bits, bloom_hashes) = if use_bloom {
         // Fixed-size bit vector; sized (analytically — no allocation
@@ -358,6 +364,11 @@ pub fn cost_filter_join(args: FilterJoinArgs<'_>) -> Result<Option<FilterJoinDec
                     let fp = 0.02;
                     frac = (frac + fp * (1.0 - frac)).min(1.0);
                 }
+                // The scan, and `|R| + |F|` ops. Two gaps (DESIGN.md, "One
+                // set of charges"): the exact semi-join also charges an op
+                // per output row (and a Grace pass when F exceeds M), and
+                // a Bloom probe charges only `|R|`, the `|F|` being the
+                // build's, already in AvailCost_F.
                 let cost = whole.pages(&params) + params.cpu(whole.rows + f_rows);
                 let rows = (whole.rows * frac).max(0.0);
                 let wire = t.schema().row_width() as f64 + 4.0;

@@ -235,11 +235,6 @@ impl ParametricEstimator {
         self.fits.push(Arc::clone(&fit));
         Ok(fit)
     }
-
-    /// Number of distinct fits computed.
-    pub fn fit_count(&self) -> usize {
-        self.fits.len()
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +314,7 @@ mod tests {
             let _ = f.cost(0.37);
         }
         assert_eq!(memo.nested_invocations, 4);
-        assert_eq!(memo.fit_count(), 1);
+        assert_eq!(memo.fits.len(), 1);
     }
 
     #[test]

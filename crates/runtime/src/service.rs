@@ -130,13 +130,6 @@ pub enum StorageMode {
     },
 }
 
-impl StorageMode {
-    /// Whether this is the disk-backed mode.
-    pub fn is_disk(&self) -> bool {
-        matches!(self, StorageMode::Disk { .. })
-    }
-}
-
 /// Plans the service's plan cache holds.
 pub const PLAN_CACHE_CAPACITY: usize = 1024;
 
@@ -154,7 +147,8 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Buffer memory in pages: the cost model's `M` and the executor's.
     /// It overrides `params.memory_pages` of every submitted optimizer
-    /// config, so plans are priced with the memory they run with.
+    /// config, so plans are priced with the memory they run with. At
+    /// least [`fj_exec::MIN_MEMORY_PAGES`].
     pub memory_pages: u64,
     /// Default optimizer configuration for submitted queries.
     pub optimizer: OptimizerConfig,
@@ -203,7 +197,8 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Strict validation: every sizing knob must be non-zero. This is
+    /// Strict validation: every sizing knob must be non-zero, and
+    /// `memory_pages` at least [`fj_exec::MIN_MEMORY_PAGES`]. This is
     /// the check front ends (e.g. `fj-net`) should run on
     /// operator-supplied configuration before starting a service.
     pub fn validate(&self) -> Result<(), RuntimeError> {
@@ -214,8 +209,11 @@ impl ServiceConfig {
         if self.queue_capacity == 0 {
             return reject("queue_capacity");
         }
-        if self.memory_pages == 0 {
-            return reject("memory_pages");
+        if self.memory_pages < fj_exec::MIN_MEMORY_PAGES {
+            return Err(RuntimeError::InvalidConfig(format!(
+                "memory_pages must be ≥ {}",
+                fj_exec::MIN_MEMORY_PAGES
+            )));
         }
         if let StorageMode::Disk { pool_pages, .. } = &self.storage {
             if *pool_pages == 0 {
@@ -232,14 +230,15 @@ impl ServiceConfig {
     }
 
     /// The lenient counterpart of [`ServiceConfig::validate`]: clamps
-    /// every zero-sized knob up to 1. [`QueryService::start`] applies
+    /// every zero-sized knob up to 1, and `memory_pages` up to
+    /// [`fj_exec::MIN_MEMORY_PAGES`]. [`QueryService::start`] applies
     /// this — it is the one place where clamping happens, so a
     /// `ServiceConfig { workers: 0, .. }` still yields a working
     /// single-worker service rather than a deadlocked one.
     pub fn normalized(mut self) -> ServiceConfig {
         self.workers = self.workers.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
-        self.memory_pages = self.memory_pages.max(1);
+        self.memory_pages = self.memory_pages.max(fj_exec::MIN_MEMORY_PAGES);
         if let StorageMode::Disk { pool_pages, .. } = &mut self.storage {
             *pool_pages = (*pool_pages).max(1);
         }
@@ -1193,6 +1192,7 @@ mod tests {
             (|c: &mut ServiceConfig| c.workers = 0) as fn(&mut ServiceConfig),
             |c| c.queue_capacity = 0,
             |c| c.memory_pages = 0,
+            |c| c.memory_pages = fj_exec::MIN_MEMORY_PAGES - 1,
             |c| c.spill_soft_watermark_pages = Some(0),
             |c| c.spill_max_recursion_depth = 0,
         ] {
@@ -1206,7 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn normalized_clamps_every_zero_knob_to_one() {
+    fn normalized_clamps_every_zero_knob_to_its_floor() {
         let cfg = ServiceConfig {
             workers: 0,
             queue_capacity: 0,
@@ -1218,7 +1218,7 @@ mod tests {
         .normalized();
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.queue_capacity, 1);
-        assert_eq!(cfg.memory_pages, 1);
+        assert_eq!(cfg.memory_pages, fj_exec::MIN_MEMORY_PAGES);
         assert_eq!(cfg.spill_soft_watermark_pages, Some(1));
         assert_eq!(cfg.spill_max_recursion_depth, 1);
         cfg.validate().unwrap();

@@ -596,33 +596,57 @@ fn spill_catalog_and_query(n_rows: i64) -> (Catalog, JoinQuery) {
 #[test]
 fn a_tight_memory_service_prices_plans_with_the_m_it_runs_with() {
     let (cat, q) = spill_catalog_and_query(600);
-    let mut db = Database::with_catalog(cat.clone());
-    db.set_memory_pages(4);
-    let direct = db.execute(&q).unwrap();
+    // M = 2 is below the least M anything runs with: the service must
+    // price with the M = 3 its executor runs with, as `Database` does.
+    for m in [4, 2] {
+        let mut db = Database::with_catalog(cat.clone());
+        db.set_memory_pages(m);
+        let direct = db.execute(&q).unwrap();
 
-    let service = QueryService::start(
-        cat,
-        ServiceConfig {
-            workers: 1,
-            memory_pages: 4,
-            ..ServiceConfig::default()
-        },
-    );
-    // The submitted config still says M = 128; the service's M wins.
-    let served = service
-        .submit_with_options(q, OptimizerConfig::default(), false)
-        .unwrap()
-        .wait()
-        .unwrap();
+        let service = QueryService::start(
+            cat.clone(),
+            ServiceConfig {
+                workers: 1,
+                memory_pages: m,
+                ..ServiceConfig::default()
+            },
+        );
+        // The submitted config still says M = 128; the service's M wins.
+        let served = service
+            .submit_with_options(q.clone(), OptimizerConfig::default(), false)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(
+            served.estimated_cost.map(f64::to_bits),
+            direct.estimated_cost.map(f64::to_bits),
+            "the service must price with the M it runs with (asked for M = {m})"
+        );
+        assert_eq!(served.plan, direct.plan);
+        assert_eq!(served.charges, direct.charges);
+        assert_eq!(sorted(served.rows), sorted(direct.rows));
+        service.shutdown();
+    }
+}
+
+/// An optimizer config with M = 0 is priced and run with the least M
+/// instead of dividing by zero in the merge-pass count.
+#[test]
+fn a_zero_memory_config_runs_with_the_least_m() {
+    let (cat, q) = spill_catalog_and_query(600);
+    let db = Database::with_catalog(cat);
+    let with_m = |m| {
+        let mut config = OptimizerConfig::default();
+        config.params.memory_pages = m;
+        db.execute_with_config(&q, config).unwrap()
+    };
+    let (zero, least) = (with_m(0), with_m(fj_exec::MIN_MEMORY_PAGES));
     assert_eq!(
-        served.estimated_cost.map(f64::to_bits),
-        direct.estimated_cost.map(f64::to_bits),
-        "the service must price with its own M = 4"
+        zero.estimated_cost.map(f64::to_bits),
+        least.estimated_cost.map(f64::to_bits)
     );
-    assert_eq!(served.plan, direct.plan);
-    assert_eq!(served.charges, direct.charges);
-    assert_eq!(sorted(served.rows), sorted(direct.rows));
-    service.shutdown();
+    assert_eq!(zero.charges, least.charges);
+    assert_eq!(sorted(zero.rows), sorted(least.rows));
 }
 
 // ---------------------------------------------------------------------------

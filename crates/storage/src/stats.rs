@@ -114,14 +114,6 @@ impl Histogram {
         .min(self.total as f64);
         selected / self.total as f64
     }
-
-    /// Estimated fraction of values in `[lo, hi]`.
-    pub fn fraction_between(&self, lo: &Value, hi: &Value) -> f64 {
-        if lo > hi {
-            return 0.0;
-        }
-        (self.fraction_le(hi) - self.fraction_le(lo)).max(0.0)
-    }
 }
 
 /// Statistics for one column.
@@ -336,8 +328,6 @@ mod tests {
         let f = h.fraction_le(&Value::Int(499));
         assert!((f - 0.5).abs() < 0.05, "got {f}");
         assert!(h.fraction_le(&Value::Int(5000)) > 0.99);
-        let f = h.fraction_between(&Value::Int(250), &Value::Int(750));
-        assert!((f - 0.5).abs() < 0.08, "got {f}");
     }
 
     #[test]
@@ -347,12 +337,6 @@ mod tests {
         vals.extend((1..=100).map(Value::Int));
         let h = hist(vals);
         assert!(h.fraction_le(&Value::Int(0)) > 0.8);
-    }
-
-    #[test]
-    fn histogram_empty_range() {
-        let h = hist((0..100).map(Value::Int).collect());
-        assert_eq!(h.fraction_between(&Value::Int(80), &Value::Int(20)), 0.0);
     }
 
     #[test]

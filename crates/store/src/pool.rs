@@ -341,14 +341,6 @@ pub struct PoolGuard<'a> {
     slot: usize,
 }
 
-impl PoolGuard<'_> {
-    /// The pinned page's bytes.
-    pub fn with_payload<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let inner = self.pool.frames();
-        f(&inner.frames[self.slot].payload)
-    }
-}
-
 impl Drop for PoolGuard<'_> {
     fn drop(&mut self) {
         let mut inner = self.pool.frames();
@@ -366,6 +358,11 @@ mod tests {
         move || Ok(vec![byte; 8])
     }
 
+    /// The bytes of the page `g` pins.
+    fn payload(g: &PoolGuard) -> Vec<u8> {
+        g.pool.frames().frames[g.slot].payload.clone()
+    }
+
     fn fail() -> Result<Vec<u8>, StoreError> {
         Err(StoreError::Corrupt {
             detail: "should not fetch".into(),
@@ -377,7 +374,7 @@ mod tests {
         let pool = BufferPool::new(4);
         drop(pool.get((1, 0), fetch(7)).unwrap());
         let g = pool.get((1, 0), fail).unwrap();
-        g.with_payload(|p| assert_eq!(p, vec![7u8; 8]));
+        assert_eq!(payload(&g), vec![7u8; 8]);
         drop(g);
         assert_eq!(
             pool.stats(),
@@ -509,7 +506,7 @@ mod tests {
         // The dirty page is still intact and resident.
         assert_eq!(pool.dirty_pages(), 1);
         let g = pool.get((1, 0), fail).unwrap();
-        g.with_payload(|p| assert_eq!(p, vec![7u8; 4]));
+        assert_eq!(payload(&g), vec![7u8; 4]);
         drop(g);
     }
 

@@ -58,13 +58,6 @@ impl TableFunction {
         self
     }
 
-    /// Declares the expected result rows per invocation (estimation
-    /// hint; default 1).
-    pub fn with_rows_per_call(mut self, rows: f64) -> Self {
-        self.rows_per_call = rows.max(0.0);
-        self
-    }
-
     /// The function's name.
     pub fn name(&self) -> &str {
         &self.name

@@ -32,11 +32,6 @@ impl<U: UdfRelation> MemoUdf<U> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Distinct argument tuples cached.
-    pub fn cached_entries(&self) -> usize {
-        self.cache().len()
-    }
-
     /// Drops all cached entries.
     pub fn clear(&self) {
         self.cache().clear();
@@ -114,7 +109,7 @@ mod tests {
         // Ten real calls at 100 ops each, and no lookup hit.
         assert_eq!(ledger.snapshot().udf_calls, 10);
         assert_eq!(ledger.snapshot().tuple_ops, 10 * 100);
-        assert_eq!(m.cached_entries(), 10);
+        assert_eq!(m.cache().len(), 10);
     }
 
     #[test]
@@ -125,7 +120,7 @@ mod tests {
         m.clear();
         m.invoke(&[Value::Int(1)], &ledger);
         assert_eq!(ledger.snapshot().udf_calls, 2);
-        assert_eq!(m.cached_entries(), 1);
+        assert_eq!(m.cache().len(), 1);
     }
 
     #[test]
