@@ -185,6 +185,16 @@ impl CircuitBreaker {
         }
     }
 
+    /// A health probe found the replica answering again: an open
+    /// breaker skips the rest of its cooldown and goes half-open, so the
+    /// next request is the trial that decides it.
+    pub fn readmit(&self) {
+        let mut state = self.lock();
+        if let State::Open { .. } = *state {
+            *state = State::HalfOpen { successes: 0 };
+        }
+    }
+
     /// The observable state (open breakers stay "open" here until a
     /// `try_acquire` actually transitions them).
     pub fn state(&self) -> BreakerState {
@@ -285,6 +295,23 @@ mod tests {
         assert_eq!(b.opens(), 2);
         assert!(!b.try_acquire_at(probe_at + Duration::from_secs(9)));
         assert!(b.try_acquire_at(probe_at + Duration::from_secs(10)));
+    }
+
+    #[test]
+    fn readmit_turns_an_open_breaker_half_open_and_leaves_others_alone() {
+        let b = breaker();
+        b.readmit();
+        assert_eq!(b.state(), BreakerState::Closed);
+        let now = Instant::now();
+        for _ in 0..3 {
+            b.record_failure_at(now);
+        }
+        b.readmit();
+        assert_eq!(b.state(), BreakerState::HalfOpen, "no cooldown wait");
+        assert!(b.try_acquire_at(now));
+        b.record_failure_at(now);
+        assert_eq!(b.state(), BreakerState::Open, "the trial still decides");
+        assert_eq!(b.opens(), 2);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! catalog. A background prober keeps a per-replica health view
 //! (ready / degraded / draining / dead) fresh via the HEALTH frame;
 //! queries are routed round-robin across the healthiest tier, skipping
-//! draining and dead replicas and replicas whose [`CircuitBreaker`] is
-//! open. A failed attempt fails over to the next candidate, but every
-//! hop must withdraw a token from the shared [`RetryBudget`] — when the
-//! budget runs dry the client gives up with the typed
+//! draining and dead replicas and replicas whose
+//! [`CircuitBreaker`](crate::CircuitBreaker) is open. A failed attempt
+//! fails over to the next candidate, but every hop must withdraw a token
+//! from the shared [`RetryBudget`](crate::RetryBudget) — when the budget
+//! runs dry the client gives up with the typed
 //! [`ClusterError::RetryBudgetExhausted`] instead of amplifying an
-//! outage into a retry storm.
+//! outage into a retry storm. Routing, connections and failover live in
+//! the [`Replicas`] router; this module adds the prober and hedging.
 //!
 //! With [`HedgeConfig::enabled`], a query that has not answered within
 //! the observed latency quantile is re-issued against a different
@@ -21,16 +23,16 @@
 //! [`HedgeConfig::enabled`]: crate::HedgeConfig
 //! [`HedgeConfig::verify`]: crate::HedgeConfig
 
-use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::{ClusterConfig, ClusterConfigError, PROBE_JITTER, PROBE_JITTER_SEED};
+use crate::replicas::{locked, CancelToken, ReplicaStatus, Replicas};
 use fj_algebra::JoinQuery;
-use fj_net::client::{Canceller, Client, QueryOptions};
-use fj_net::{json, splitmix64, ErrorCode, HealthStatus, NetError, QueryReply, RetryBudget};
+use fj_net::client::QueryOptions;
+use fj_net::{json, splitmix64, NetError, QueryReply};
 use fj_runtime::MetricsRecorder;
 use std::fmt;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -112,79 +114,17 @@ impl From<ClusterConfigError> for ClusterError {
     }
 }
 
-/// The prober's view of one replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaHealth {
-    /// Not probed yet — routable (the first queries race the prober).
-    Unknown,
-    /// Probe succeeded, server reports ready.
-    Ready,
-    /// Probe succeeded, server reports degraded (replaced workers or a
-    /// saturated queue) — routable, but after ready replicas.
-    Degraded,
-    /// Server reports draining: it answers probes but refuses queries.
-    /// Not routable; distinct from dead so the router stops sending
-    /// work *before* the drain refusals would bounce it.
-    Draining,
-    /// Probe failed (connect/timeout/protocol): presumed crashed.
-    Dead,
-}
-
-impl ReplicaHealth {
-    /// Lower-case name, for JSON/state dumps.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ReplicaHealth::Unknown => "unknown",
-            ReplicaHealth::Ready => "ready",
-            ReplicaHealth::Degraded => "degraded",
-            ReplicaHealth::Draining => "draining",
-            ReplicaHealth::Dead => "dead",
-        }
-    }
-
-    /// Routing preference tier; lower routes first. `None` = skip.
-    fn rank(self) -> Option<u8> {
-        match self {
-            ReplicaHealth::Ready => Some(0),
-            ReplicaHealth::Unknown => Some(1),
-            ReplicaHealth::Degraded => Some(2),
-            ReplicaHealth::Draining | ReplicaHealth::Dead => None,
-        }
-    }
-}
-
-/// One replica's address, prober view, and breaker state — the
-/// observable routing inputs, surfaced through [`ClusterStats`].
-#[derive(Debug, Clone)]
-pub struct ReplicaStatus {
-    /// The replica's address.
-    pub addr: SocketAddr,
-    /// Latest probe result.
-    pub health: ReplicaHealth,
-    /// Circuit-breaker state.
-    pub breaker: BreakerState,
-}
-
-struct Replica {
-    addr: SocketAddr,
-    breaker: CircuitBreaker,
-    health: Mutex<ReplicaHealth>,
-}
-
 #[derive(Debug, Default)]
 struct Counters {
     queries: AtomicU64,
-    failovers: AtomicU64,
     hedges_launched: AtomicU64,
     hedges_won: AtomicU64,
     hedge_mismatches: AtomicU64,
-    probes: AtomicU64,
-    probe_failures: AtomicU64,
 }
 
 /// Counter snapshot plus per-replica status, from
 /// [`ClusterClient::stats`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
     /// Cluster-level queries issued.
     pub queries: u64,
@@ -245,78 +185,11 @@ impl ClusterStats {
     }
 }
 
-/// Cancels a cluster query from another thread: trips a flag the
-/// routing loop polls between attempts, and sends CANCEL frames on
-/// every connection the query currently has in flight.
-///
-/// One token is for one logical query; share it via [`Arc`].
-#[derive(Debug, Default)]
-pub struct CancelToken {
-    cancelled: AtomicBool,
-    cancellers: Mutex<Vec<Canceller>>,
-    children: Mutex<Vec<Arc<CancelToken>>>,
-}
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Whether [`CancelToken::cancel`] has fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::SeqCst)
-    }
-
-    /// Cancels the query: every registered in-flight connection gets a
-    /// CANCEL frame (best-effort — a dead connection is already
-    /// cancelled), and hedge attempts sharing this token are cancelled
-    /// too. Idempotent.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
-        for mut canceller in locked(&self.cancellers).drain(..) {
-            let _ = canceller.cancel();
-        }
-        for child in locked(&self.children).drain(..) {
-            child.cancel();
-        }
-    }
-
-    /// Registers an in-flight connection; cancels it on the spot when
-    /// the token already fired (closing the register/cancel race).
-    fn register(&self, mut canceller: Canceller) {
-        if self.is_cancelled() {
-            let _ = canceller.cancel();
-            return;
-        }
-        locked(&self.cancellers).push(canceller);
-        if self.is_cancelled() {
-            // cancel() may have drained between the check and the push.
-            for mut c in locked(&self.cancellers).drain(..) {
-                let _ = c.cancel();
-            }
-        }
-    }
-
-    /// Links a child token (a hedge attempt) so cancelling the parent
-    /// cancels it.
-    fn adopt(&self, child: Arc<CancelToken>) {
-        if self.is_cancelled() {
-            child.cancel();
-            return;
-        }
-        locked(&self.children).push(child);
-    }
-}
-
 struct Shared {
     cfg: ClusterConfig,
-    replicas: Vec<Replica>,
-    budget: RetryBudget,
-    rr: AtomicUsize,
+    replicas: Replicas,
     latency: MetricsRecorder,
     counters: Counters,
-    stop: AtomicBool,
 }
 
 /// One attempt's result: the reply, its raw payload bytes, and the
@@ -375,7 +248,8 @@ impl TaggedTrace {
 /// A replica-aware client for a fleet of `fj-net` servers.
 pub struct ClusterClient {
     shared: Arc<Shared>,
-    prober: Mutex<Option<thread::JoinHandle<()>>>,
+    /// The prober thread, and the sender whose drop stops it.
+    prober: Mutex<Option<(mpsc::Sender<()>, thread::JoinHandle<()>)>>,
 }
 
 impl fmt::Debug for ClusterClient {
@@ -398,34 +272,23 @@ impl ClusterClient {
             return Err(ClusterError::NoReplicas);
         }
         let cfg = config.normalized();
-        let replicas = addrs
-            .iter()
-            .map(|&addr| Replica {
-                addr,
-                breaker: CircuitBreaker::new(cfg.breaker.clone()),
-                health: Mutex::new(ReplicaHealth::Unknown),
-            })
-            .collect();
-        let budget = RetryBudget::new(cfg.retry_budget_capacity, cfg.retry_deposit_per_success);
         let shared = Arc::new(Shared {
+            replicas: Replicas::new(addrs, &cfg, cfg.connect_timeout),
             cfg,
-            replicas,
-            budget,
-            rr: AtomicUsize::new(0),
             latency: MetricsRecorder::default(),
             counters: Counters::default(),
-            stop: AtomicBool::new(false),
         });
+        let (stop, stopped) = mpsc::channel();
         let prober = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name("fj-cluster-prober".into())
-                .spawn(move || prober_loop(&shared))
+                .spawn(move || prober_loop(&shared, &stopped))
                 .map_err(ClusterError::Spawn)?
         };
         Ok(ClusterClient {
             shared,
-            prober: Mutex::new(Some(prober)),
+            prober: Mutex::new(Some((stop, prober))),
         })
     }
 
@@ -476,16 +339,10 @@ impl ClusterClient {
         let mut opts = opts.clone();
         opts.want_trace = true;
         let (reply, idx, hedge) = self.query_full(query, &opts, &Arc::new(CancelToken::new()))?;
-        let trace = match reply.trace.clone() {
-            Some(t) => t,
-            None => {
-                return Err(ClusterError::Net(NetError::Protocol(
-                    "traced reply carried no trace",
-                )))
-            }
-        };
+        let missing = NetError::Protocol("traced reply carried no trace");
+        let trace = reply.trace.clone().ok_or(ClusterError::Net(missing))?;
         let tagged = TaggedTrace {
-            replica: self.shared.replicas[idx].addr,
+            replica: self.shared.replicas.addr(idx),
             hedge,
             trace,
         };
@@ -505,7 +362,7 @@ impl ClusterClient {
         let started = Instant::now();
         let result = match self.hedge_delay() {
             Some(delay) => self.hedged_query(query, opts, token, delay),
-            None => failover_query(&self.shared, query, opts, token, None, None)
+            None => failover_query(&self.shared, query, opts, token, None, &AtomicUsize::new(0))
                 .map(|(reply, _, idx)| (reply, idx, HedgeOutcome::NotHedged)),
         };
         if result.is_ok() {
@@ -537,112 +394,73 @@ impl ClusterClient {
         &self,
         query: &JoinQuery,
         opts: &QueryOptions,
-        token: &Arc<CancelToken>,
+        token: &CancelToken,
         delay: Duration,
     ) -> Result<(QueryReply, usize, HedgeOutcome), ClusterError> {
         let (tx, rx) = mpsc::channel();
         // Which replica the primary attempt is on (index + 1; 0 = not
         // yet chosen), so the hedge can avoid doubling onto it.
-        let primary_on = Arc::new(AtomicUsize::new(0));
-        let primary_token = Arc::new(CancelToken::new());
-        token.adopt(Arc::clone(&primary_token));
-        {
-            let shared = Arc::clone(&self.shared);
-            let query = query.clone();
-            let opts = opts.clone();
-            let token = Arc::clone(&primary_token);
-            let primary_on = Arc::clone(&primary_on);
-            let tx = tx.clone();
+        let on = Arc::new(AtomicUsize::new(0));
+        // One attempt on its own thread, under a child of `token`, which
+        // it returns; the outcome goes to `tx` tagged with `role`.
+        let spawn = |role: HedgeOutcome, exclude: Option<usize>| {
+            let child = Arc::new(CancelToken::new());
+            token.adopt(Arc::clone(&child));
+            let (shared, token) = (Arc::clone(&self.shared), Arc::clone(&child));
+            let (query, opts, on, tx) = (query.clone(), opts.clone(), Arc::clone(&on), tx.clone());
             thread::spawn(move || {
-                let result =
-                    failover_query(&shared, &query, &opts, &token, None, Some(&primary_on));
-                let _ = tx.send((false, result));
+                let result = failover_query(&shared, &query, &opts, &token, exclude, &on);
+                let _ = tx.send((role, result));
             });
-        }
-        let first = match rx.recv_timeout(delay) {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Primary is slow: launch the hedge and take whichever
-                // answers first.
-                self.shared
-                    .counters
-                    .hedges_launched
-                    .fetch_add(1, Ordering::Relaxed);
-                let hedge_token = Arc::new(CancelToken::new());
-                token.adopt(Arc::clone(&hedge_token));
-                // Give the primary a beat to publish which replica it
-                // landed on — hedging onto the same replica would race
-                // it against itself and forfeit the latency win.
-                let publish_wait = Instant::now();
-                while primary_on.load(Ordering::Relaxed) == 0
-                    && publish_wait.elapsed() < Duration::from_millis(2)
-                {
-                    thread::yield_now();
-                }
-                {
-                    let shared = Arc::clone(&self.shared);
-                    let query = query.clone();
-                    let opts = opts.clone();
-                    let htoken = Arc::clone(&hedge_token);
-                    let exclude = primary_on.load(Ordering::Relaxed).checked_sub(1);
-                    let tx = tx.clone();
-                    thread::spawn(move || {
-                        let result = failover_query(&shared, &query, &opts, &htoken, exclude, None);
-                        let _ = tx.send((true, result));
-                    });
-                }
-                drop(tx);
-                let (winner_is_hedge, winner) = rx.recv().map_err(|_| ClusterError::AttemptLost)?;
-                if winner_is_hedge {
-                    self.shared
-                        .counters
-                        .hedges_won
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return self.settle_hedge(
-                    winner_is_hedge,
-                    winner,
-                    rx,
-                    &primary_token,
-                    &hedge_token,
-                );
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(ClusterError::AttemptLost),
+            child
         };
-        first
-            .1
-            .map(|(reply, _, idx)| (reply, idx, HedgeOutcome::NotHedged))
+        let primary = spawn(HedgeOutcome::Primary, None);
+        match rx.recv_timeout(delay) {
+            Ok((_, first)) => return first.map(|(r, _, idx)| (r, idx, HedgeOutcome::NotHedged)),
+            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(ClusterError::AttemptLost),
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+        }
+        // Primary is slow: launch the hedge and take whichever answers
+        // first.
+        let counters = &self.shared.counters;
+        counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
+        // Give the primary a beat to publish which replica it landed on —
+        // hedging onto the same replica would race it against itself and
+        // forfeit the latency win.
+        let publish_wait = Instant::now();
+        while on.load(Ordering::Relaxed) == 0 && publish_wait.elapsed() < Duration::from_millis(2) {
+            thread::yield_now();
+        }
+        let exclude = on.load(Ordering::Relaxed).checked_sub(1);
+        let hedge = spawn(HedgeOutcome::Hedge, exclude);
+        drop(tx);
+        let (role, winner) = rx.recv().map_err(|_| ClusterError::AttemptLost)?;
+        let loser = if role == HedgeOutcome::Hedge {
+            counters.hedges_won.fetch_add(1, Ordering::Relaxed);
+            primary
+        } else {
+            hedge
+        };
+        self.settle_hedge(role, winner, rx, &loser)
     }
 
-    /// Resolves a hedge race: verify the loser against the winner
-    /// (when configured and the winner succeeded), or cancel it.
+    /// Resolves a hedge race won by `role`: verify the loser against
+    /// the winner (when configured and the winner succeeded), or cancel
+    /// it.
     fn settle_hedge(
         &self,
-        winner_is_hedge: bool,
+        role: HedgeOutcome,
         winner: AttemptOutcome,
-        rx: mpsc::Receiver<(bool, AttemptOutcome)>,
-        primary_token: &Arc<CancelToken>,
-        hedge_token: &Arc<CancelToken>,
+        rx: mpsc::Receiver<(HedgeOutcome, AttemptOutcome)>,
+        loser: &CancelToken,
     ) -> Result<(QueryReply, usize, HedgeOutcome), ClusterError> {
-        let loser_token = if winner_is_hedge {
-            primary_token
-        } else {
-            hedge_token
-        };
         let (reply, winner_raw, winner_idx) = match winner {
             Ok(parts) => parts,
             Err(e) => {
                 // The first finisher failed; the race is now just the
                 // other attempt. Wait it out.
                 return match rx.recv() {
-                    Ok((late_is_hedge, Ok((reply, _, idx)))) => {
-                        let outcome = if late_is_hedge {
-                            HedgeOutcome::Hedge
-                        } else {
-                            HedgeOutcome::Primary
-                        };
-                        Ok((reply, idx, outcome))
-                    }
+                    Ok((late, Ok((reply, _, idx)))) => Ok((reply, idx, late)),
                     Ok((_, Err(other))) => Err(pick_hedge_error(e, other)),
                     Err(_) => Err(e),
                 };
@@ -661,20 +479,15 @@ impl ClusterClient {
                         .hedge_mismatches
                         .fetch_add(1, Ordering::Relaxed);
                     return Err(ClusterError::Mismatch {
-                        winner: self.shared.replicas[winner_idx].addr,
-                        loser: self.shared.replicas[loser_idx].addr,
+                        winner: self.shared.replicas.addr(winner_idx),
+                        loser: self.shared.replicas.addr(loser_idx),
                     });
                 }
             }
         } else {
-            loser_token.cancel();
+            loser.cancel();
         }
-        let outcome = if winner_is_hedge {
-            HedgeOutcome::Hedge
-        } else {
-            HedgeOutcome::Primary
-        };
-        Ok((reply, winner_idx, outcome))
+        Ok((reply, winner_idx, role))
     }
 
     /// Counter snapshot plus per-replica status.
@@ -682,26 +495,10 @@ impl ClusterClient {
         let c = &self.shared.counters;
         ClusterStats {
             queries: c.queries.load(Ordering::Relaxed),
-            failovers: c.failovers.load(Ordering::Relaxed),
             hedges_launched: c.hedges_launched.load(Ordering::Relaxed),
             hedges_won: c.hedges_won.load(Ordering::Relaxed),
             hedge_mismatches: c.hedge_mismatches.load(Ordering::Relaxed),
-            probes: c.probes.load(Ordering::Relaxed),
-            probe_failures: c.probe_failures.load(Ordering::Relaxed),
-            breaker_opens: self.shared.replicas.iter().map(|r| r.breaker.opens()).sum(),
-            budget_available: self.shared.budget.available(),
-            budget_withdrawals: self.shared.budget.withdrawals(),
-            budget_exhaustions: self.shared.budget.exhaustions(),
-            replicas: self
-                .shared
-                .replicas
-                .iter()
-                .map(|r| ReplicaStatus {
-                    addr: r.addr,
-                    health: *locked(&r.health),
-                    breaker: r.breaker.state(),
-                })
-                .collect(),
+            ..self.shared.replicas.stats()
         }
     }
 
@@ -710,7 +507,9 @@ impl ClusterClient {
     /// without waiting out the probe interval.
     pub fn probe_now(&self) {
         for idx in 0..self.shared.replicas.len() {
-            probe_one(&self.shared, idx);
+            self.shared
+                .replicas
+                .probe(idx, self.shared.cfg.probe_timeout);
         }
     }
 
@@ -721,17 +520,11 @@ impl ClusterClient {
 
 impl Drop for ClusterClient {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = locked(&self.prober).take() {
+        if let Some((stop, handle)) = locked(&self.prober).take() {
+            drop(stop);
             let _ = handle.join();
         }
     }
-}
-
-/// Locks `m`, recovering a poisoned lock: every value behind these
-/// locks is replaced or drained in one step, so it is never torn.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// When both hedge attempts fail, prefer the more meaningful error:
@@ -752,149 +545,45 @@ fn comparable_reply_bytes(raw: &[u8]) -> &[u8] {
     &raw[..raw.len().saturating_sub(9)]
 }
 
-/// One query attempt against replica `idx`, registering the connection
-/// with the cancel token for the duration.
-fn attempt_on(
-    shared: &Shared,
-    idx: usize,
-    query: &JoinQuery,
-    opts: &QueryOptions,
-    token: &CancelToken,
-) -> Result<(QueryReply, Vec<u8>), NetError> {
-    let replica = &shared.replicas[idx];
-    let mut client = Client::connect_timeout(&replica.addr, shared.cfg.connect_timeout)?;
-    token.register(client.canceller()?);
-    client.query_with_raw(query, opts)
-}
-
-/// The routing core: walk the candidate replicas (healthiest tier
-/// first, round-robin within a tier), failing over on replica-local
-/// errors, charging every hop after the first to the shared budget.
-/// Returns the reply, its raw payload, and the winning replica index.
+/// The query core under hedging: routes `query` over the replicas in
+/// health order, minus `exclude` (the replica a primary attempt is on),
+/// and publishes the replica each attempt lands on into `on` (index + 1)
+/// for a hedge to avoid. Returns the reply, its raw payload, and the
+/// winning replica index.
 fn failover_query(
     shared: &Shared,
     query: &JoinQuery,
     opts: &QueryOptions,
     token: &CancelToken,
     exclude: Option<usize>,
-    report_replica: Option<&AtomicUsize>,
+    on: &AtomicUsize,
 ) -> AttemptOutcome {
     // A hedge (exclude is set) is a side-car of a primary attempt that
     // already advanced the rotation: advancing again would lock the
     // round-robin parity and pin every primary onto the same replica.
-    let order = candidate_order(shared, exclude.is_none());
-    let mut last: Option<NetError> = None;
-    let mut attempted = 0usize;
-    for idx in order {
-        if exclude == Some(idx) {
-            continue;
-        }
-        if token.is_cancelled() {
-            return Err(ClusterError::Cancelled);
-        }
-        let replica = &shared.replicas[idx];
-        if !replica.breaker.try_acquire() {
-            continue;
-        }
-        // Every hop past the first — each follows a replica-local
-        // failure — is a retry the cluster must afford.
-        match last {
-            Some(last) if !shared.budget.try_withdraw() => {
-                return Err(ClusterError::RetryBudgetExhausted { last });
-            }
-            Some(_) => {
-                shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        attempted += 1;
-        if let Some(slot) = report_replica {
-            slot.store(idx + 1, Ordering::Relaxed);
-        }
-        match attempt_on(shared, idx, query, opts, token) {
-            Ok((reply, raw)) => {
-                replica.breaker.record_success();
-                shared.budget.record_success();
-                return Ok((reply, raw, idx));
-            }
-            Err(e) => {
-                if token.is_cancelled() || e.error_code() == Some(ErrorCode::Cancelled) {
-                    return Err(ClusterError::Cancelled);
-                }
-                if e.is_replica_local() {
-                    replica.breaker.record_failure();
-                    last = Some(e);
-                    continue;
-                }
-                // The replica answered decisively (query failed,
-                // deadline, malformed): its health is fine and no other
-                // replica would answer differently.
-                replica.breaker.record_success();
-                return Err(ClusterError::Net(e));
-            }
-        }
-    }
-    Err(ClusterError::NoHealthyReplica { attempted, last })
+    let mut order = shared.replicas.ranked(exclude.is_none());
+    order.retain(|&idx| Some(idx) != exclude);
+    let routed = shared.replicas.call(&order, token, |idx, client| {
+        on.store(idx + 1, Ordering::Relaxed);
+        let (reply, raw) = client.query_with_raw(query, opts)?;
+        Ok((reply, raw, idx))
+    })?;
+    Ok(routed.value)
 }
 
-/// Candidate replica indices: rotate round-robin, then stable-sort by
-/// health tier (ready < unknown < degraded); draining and dead replicas
-/// are dropped. The rotation survives the stable sort, so load spreads
-/// within each tier. `advance` rotates the shared counter; peeking
-/// callers (hedges) see the current rotation without consuming a turn.
-fn candidate_order(shared: &Shared, advance: bool) -> Vec<usize> {
-    let n = shared.replicas.len();
-    let start = if advance {
-        shared.rr.fetch_add(1, Ordering::Relaxed)
-    } else {
-        shared.rr.load(Ordering::Relaxed)
-    } % n;
-    let mut ranked: Vec<(u8, usize)> = (0..n)
-        .filter_map(|offset| {
-            let idx = (start + offset) % n;
-            let health = *locked(&shared.replicas[idx].health);
-            health.rank().map(|rank| (rank, idx))
-        })
-        .collect();
-    ranked.sort_by_key(|&(rank, _)| rank);
-    ranked.into_iter().map(|(_, idx)| idx).collect()
-}
-
-/// One health probe against replica `idx`, updating its health slot.
-fn probe_one(shared: &Shared, idx: usize) {
-    let replica = &shared.replicas[idx];
-    shared.counters.probes.fetch_add(1, Ordering::Relaxed);
-    let outcome = Client::connect_timeout(&replica.addr, shared.cfg.probe_timeout)
-        .and_then(|mut client| client.health(shared.cfg.probe_timeout));
-    let health = match outcome {
-        Ok(snapshot) => match snapshot.status {
-            HealthStatus::Ready => ReplicaHealth::Ready,
-            HealthStatus::Degraded => ReplicaHealth::Degraded,
-            HealthStatus::Draining => ReplicaHealth::Draining,
-        },
-        Err(_) => {
-            shared
-                .counters
-                .probe_failures
-                .fetch_add(1, Ordering::Relaxed);
-            ReplicaHealth::Dead
-        }
-    };
-    *locked(&replica.health) = health;
-}
-
-/// Prober thread: probe every replica, sleep a jittered interval,
-/// repeat until shutdown. The jitter stream is seeded
-/// ([`PROBE_JITTER_SEED`]), so a given interval replays the same probe
-/// schedule.
-fn prober_loop(shared: &Shared) {
+/// Prober thread: probe every replica, wait a jittered interval, repeat
+/// until `stop`'s sender is dropped (which also cuts the wait short).
+/// The jitter stream is seeded ([`PROBE_JITTER_SEED`]), so a given
+/// interval replays the same probe schedule.
+fn prober_loop(shared: &Shared, stop: &mpsc::Receiver<()>) {
     let mut jitter_state = splitmix64(PROBE_JITTER_SEED);
-    while !shared.stop.load(Ordering::SeqCst) {
+    let mut wait = Duration::ZERO;
+    while stop.recv_timeout(wait) == Err(mpsc::RecvTimeoutError::Timeout) {
         for idx in 0..shared.replicas.len() {
-            if shared.stop.load(Ordering::SeqCst) {
+            if stop.try_recv() != Err(mpsc::TryRecvError::Empty) {
                 return;
             }
-            probe_one(shared, idx);
+            shared.replicas.probe(idx, shared.cfg.probe_timeout);
         }
         let base = shared.cfg.probe_interval.as_micros() as u64;
         jitter_state = splitmix64(jitter_state);
@@ -902,14 +591,7 @@ fn prober_loop(shared: &Shared) {
         let spread = (2.0 * PROBE_JITTER * base as f64) as u64;
         let low = base - (PROBE_JITTER * base as f64) as u64;
         let sleep_micros = low + if spread > 0 { jitter_state % spread } else { 0 };
-        let deadline = Instant::now() + Duration::from_micros(sleep_micros);
-        // Sleep in slices so shutdown stays prompt.
-        while Instant::now() < deadline {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
+        wait = Duration::from_micros(sleep_micros);
     }
 }
 

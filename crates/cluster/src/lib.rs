@@ -43,13 +43,12 @@
 pub mod breaker;
 pub mod client;
 pub mod config;
+pub mod replicas;
 pub mod shard;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use client::{
-    CancelToken, ClusterClient, ClusterError, ClusterStats, HedgeOutcome, ReplicaHealth,
-    ReplicaStatus, TaggedTrace,
-};
+pub use client::{ClusterClient, ClusterError, ClusterStats, HedgeOutcome, TaggedTrace};
 pub use config::{ClusterConfig, ClusterConfigError, HedgeConfig};
 pub use fj_net::RetryBudget;
+pub use replicas::{CancelToken, ReplicaHealth, ReplicaStatus, Replicas, Routed};
 pub use shard::ShardMap;

@@ -7,8 +7,8 @@
 use fj_algebra::fixtures::{paper_catalog, paper_query};
 use fj_algebra::{Catalog, FromItem, JoinQuery};
 use fj_cluster::{
-    BreakerConfig, CancelToken, ClusterClient, ClusterConfig, ClusterError, HedgeConfig,
-    ReplicaHealth,
+    BreakerConfig, BreakerState, CancelToken, ClusterClient, ClusterConfig, ClusterError,
+    HedgeConfig, ReplicaHealth,
 };
 use fj_core::Database;
 use fj_expr::col;
@@ -515,4 +515,148 @@ fn traced_cluster_query_tags_replica_and_hedge_outcome() {
     for s in servers {
         s.shutdown();
     }
+}
+
+#[test]
+fn kept_alive_connections_serve_probes_and_queries() {
+    // Hedging off, so each replica sees at most two callers at once:
+    // this thread and the background prober.
+    let (servers, addrs) = fleet(2, ServerConfig::default());
+    let cluster = ClusterClient::connect(&addrs, quick_config()).unwrap();
+    for _ in 0..5 {
+        cluster.probe_now();
+    }
+    for _ in 0..20 {
+        assert_eq!(cluster.query(&paper_query()).unwrap().rows.len(), 2);
+    }
+    for server in &servers {
+        let stats = server.stats();
+        assert!(stats.requests >= 1, "round-robin skipped a replica");
+        assert!(
+            stats.connections_total <= 2,
+            "{} connections for 5 probe rounds and 10 queries",
+            stats.connections_total
+        );
+    }
+    cluster.shutdown();
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+#[test]
+fn a_stale_connection_is_replayed_not_failed_over() {
+    // One replica whose idle connection dies with its server; a new
+    // server comes up on the same port before the next query. The query
+    // must succeed over a fresh dial and count nothing: a breaker that
+    // opens on the first failure stays closed, and no token is spent.
+    let server = Server::bind("127.0.0.1:0", paper_catalog(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let cluster = ClusterClient::connect(
+        &[addr],
+        ClusterConfig {
+            probe_interval: Duration::from_secs(600),
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                ..BreakerConfig::default()
+            },
+            ..quick_config()
+        },
+    )
+    .unwrap();
+    wait_first_probe_round(&cluster, 1);
+    cluster.query(&paper_query()).unwrap();
+    server.shutdown();
+    let server = Server::bind(addr, paper_catalog(), ServerConfig::default()).unwrap();
+    assert_eq!(cluster.query(&paper_query()).unwrap().rows.len(), 2);
+    let stats = cluster.stats();
+    assert_eq!(stats.failovers, 0);
+    assert_eq!(stats.budget_withdrawals, 0);
+    assert_eq!(stats.replicas[0].breaker, BreakerState::Closed);
+    cluster.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn cancelled_hedge_losers_leave_no_cancel_behind_on_reused_connections() {
+    // Cancel mode: every hedge race sends CANCEL to its loser. A CANCEL
+    // that outlived its request on a kept-alive connection would cancel
+    // a later query over the same socket.
+    let slow = Server::bind(
+        "127.0.0.1:0",
+        paper_catalog(),
+        ServerConfig {
+            service: ServiceConfig {
+                fault_plan: Some(Arc::new(
+                    FaultPlan::new(11).with_stalls(1, Duration::from_millis(30)),
+                )),
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let fast = Server::bind("127.0.0.1:0", paper_catalog(), ServerConfig::default()).unwrap();
+    let cluster = ClusterClient::connect(
+        &[slow.local_addr(), fast.local_addr()],
+        ClusterConfig {
+            hedge: HedgeConfig {
+                enabled: true,
+                quantile: 0.5,
+                min_delay: Duration::from_millis(5),
+                min_samples: 1,
+                verify: false,
+            },
+            ..quick_config()
+        },
+    )
+    .unwrap();
+    for i in 0..60 {
+        match cluster.query(&paper_query()) {
+            Ok(reply) => assert_eq!(reply.rows.len(), 2),
+            Err(e) => panic!("query {i} ended {e:?}"),
+        }
+    }
+    assert!(cluster.stats().hedges_launched >= 1, "no race was run");
+    cluster.shutdown();
+    slow.shutdown();
+    fast.shutdown();
+}
+
+#[test]
+fn a_late_cancel_never_reaches_the_next_query_on_a_reused_connection() {
+    // One slow replica, so the second query reuses the first one's
+    // connection and is still running when the first query's token is
+    // cancelled. The finished query must have left nothing registered.
+    let slow = Server::bind(
+        "127.0.0.1:0",
+        paper_catalog(),
+        ServerConfig {
+            service: ServiceConfig {
+                fault_plan: Some(Arc::new(
+                    FaultPlan::new(11).with_stalls(1, Duration::from_millis(30)),
+                )),
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let cluster = ClusterClient::connect(&[slow.local_addr()], quick_config()).unwrap();
+    for _ in 0..3 {
+        let first = Arc::new(CancelToken::new());
+        let opts = QueryOptions::default();
+        cluster
+            .query_with_token(&paper_query(), &opts, &first)
+            .unwrap();
+        let late = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(10));
+            first.cancel();
+        });
+        let second = cluster.query(&paper_query());
+        late.join().unwrap();
+        assert_eq!(second.unwrap().rows.len(), 2);
+    }
+    cluster.shutdown();
+    slow.shutdown();
 }

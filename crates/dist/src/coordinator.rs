@@ -5,13 +5,19 @@
 //! the final join through the ordinary optimizer — so a partitioned run
 //! is byte-identical (as a sorted row multiset) to the serial oracle.
 //!
-//! Fault model: every per-partition exchange walks the partition's
-//! replica list in [`ShardMap`] order and fails over on retryable
-//! refusals (drain, shed) and transport failures. Shards are stateless
-//! after scatter — a replica holds identical partition rows forever —
-//! so replaying a request verbatim against the next replica is always
-//! safe, and one shard entering `begin_drain` mid-query is invisible to
-//! the client.
+//! Fault model: every request — the deploy-time scatter and each
+//! per-partition exchange — is a call on one [`Replicas`] router over
+//! [`ShardMap::servers`], the one `fj-cluster`'s client routes through.
+//! An exchange walks the partition's replica list in [`ShardMap`] order
+//! and fails over on replica-local failures (drain, shed, transport),
+//! gated by per-server circuit breakers and charged to a shared retry
+//! budget, both sized by [`ClusterConfig::default`]. Connections are
+//! kept alive between exchanges. Shards are stateless after scatter — a
+//! replica holds identical partition rows forever — so replaying a
+//! request verbatim against the next replica, or against the same one
+//! over a fresh connection when a kept-alive one turns out closed, is
+//! always safe, and one shard entering `begin_drain` mid-query is
+//! invisible to the client.
 
 use crate::error::DistError;
 use crate::plan::{partition_table_name, AliasInfo, DistPlan, Edge, ORD_COLUMN};
@@ -19,19 +25,20 @@ use crate::strategy::{
     predict_all, CostPrediction, Exchange, Filter, KeySource, Program, ShipStrategy,
 };
 use fj_algebra::{Catalog, FromItem, JoinQuery, PartitionMap};
-use fj_cluster::ShardMap;
+use fj_cluster::{CancelToken, ClusterConfig, ClusterError, Replicas, ShardMap};
 use fj_core::{Database, QueryResult};
 use fj_exec::ops::exchange::merge_by_ordinal;
-use fj_exec::{ExecCtx, Interrupt, InterruptReason};
+use fj_exec::{ExecCtx, InterruptReason};
 use fj_expr::{col, Expr};
 use fj_net::{
-    Canceller, Client, FragmentRequest, KeyFilter, NetError, ScatterRequest, SemijoinAck,
-    SemijoinRequest, WireBytes,
+    Client, FragmentRequest, KeyFilter, NetError, ScatterRequest, SemijoinAck, SemijoinRequest,
+    WireBytes,
 };
 use fj_optimizer::OptimizerConfig;
 use fj_storage::{BloomFilter, Column, DataType, Schema, SchemaRef, Table, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Coordinator tuning knobs.
@@ -39,7 +46,8 @@ use std::time::Duration;
 pub struct DistConfig {
     /// Shard-side deadline for each fragment.
     pub fragment_deadline: Duration,
-    /// Client-side wait bound for scatter/semijoin exchanges.
+    /// Client-side bound on each dial (connect and handshake) and on the
+    /// wait for a scatter/semijoin reply.
     pub io_timeout: Duration,
     /// Target false-positive rate for shipped Bloom filters.
     pub bloom_fp: f64,
@@ -101,25 +109,18 @@ pub struct DistResult {
 }
 
 /// A handle that tears a distributed query down from another thread:
-/// trips the coordinator's interrupt (stopping it between exchanges)
-/// and cancels every fragment currently in flight on a shard.
+/// cancels the coordinator's token, which stops it between exchanges
+/// and sends CANCEL on every exchange currently in flight on a shard.
+/// Sticky: the coordinator stays cancelled.
 #[derive(Clone)]
 pub struct DistHandle {
-    interrupt: Arc<Interrupt>,
-    cancellers: Arc<Mutex<Vec<Canceller>>>,
+    token: Arc<CancelToken>,
 }
 
 impl DistHandle {
-    /// Trips the interrupt and cancels in-flight fragments.
+    /// Cancels the coordinator and its in-flight exchanges.
     pub fn cancel(&self) {
-        self.interrupt.trip(InterruptReason::Cancelled);
-        let mut in_flight = self
-            .cancellers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for c in in_flight.iter_mut() {
-            let _ = c.cancel();
-        }
+        self.token.cancel();
     }
 }
 
@@ -133,8 +134,11 @@ pub struct DistCoordinator {
     map: ShardMap,
     catalog: Arc<Catalog>,
     config: DistConfig,
-    interrupt: Arc<Interrupt>,
-    cancellers: Arc<Mutex<Vec<Canceller>>>,
+    replicas: Replicas,
+    /// `routes[p]`: partition `p`'s replicas as router indices, in
+    /// [`ShardMap`] order.
+    routes: Vec<Vec<usize>>,
+    token: Arc<CancelToken>,
     phase_hook: Option<PhaseHook>,
     /// Wire accounting for the deploy-time scatter.
     pub deploy_stats: DistStats,
@@ -175,15 +179,22 @@ impl DistCoordinator {
                 tables.push((name, t, pmap));
             }
         }
+        let servers = map.servers();
+        let index = |addr: &SocketAddr| servers.iter().position(|s| s == addr);
+        let routes = (0..map.shards())
+            .map(|p| map.replicas(p).iter().filter_map(index).collect())
+            .collect();
         let mut coordinator = DistCoordinator {
             map,
             catalog: Arc::new(catalog),
+            replicas: Replicas::new(&servers, &ClusterConfig::default(), config.io_timeout),
             config,
-            interrupt: Arc::new(Interrupt::new()),
-            cancellers: Arc::new(Mutex::new(Vec::new())),
+            routes,
+            token: Arc::new(CancelToken::new()),
             phase_hook: None,
             deploy_stats: DistStats::default(),
         };
+        let mut deploy_stats = DistStats::default();
         for (name, table, pmap) in tables {
             let part_schema = part_schema(table.schema())?;
             let mut parts: Vec<Vec<Tuple>> =
@@ -203,15 +214,14 @@ impl DistCoordinator {
                 };
                 // Deploy writes to *every* replica: that is what makes
                 // per-query failover safe later.
-                for addr in coordinator.map.replicas(p as u32) {
-                    let mut client = Client::connect(addr).map_err(DistError::Net)?;
-                    let (_ack, wire) = client
-                        .scatter(&req, coordinator.config.io_timeout)
-                        .map_err(DistError::Net)?;
-                    coordinator.deploy_stats.add_wire(wire);
+                for &idx in &coordinator.routes[p] {
+                    coordinator.call_shard(&mut deploy_stats, p as u32, &[idx], |client| {
+                        client.scatter(&req, coordinator.config.io_timeout)
+                    })?;
                 }
             }
         }
+        coordinator.deploy_stats = deploy_stats;
         Ok(coordinator)
     }
 
@@ -223,8 +233,7 @@ impl DistCoordinator {
     /// A teardown handle for this coordinator's queries.
     pub fn handle(&self) -> DistHandle {
         DistHandle {
-            interrupt: self.interrupt.clone(),
-            cancellers: self.cancellers.clone(),
+            token: Arc::clone(&self.token),
         }
     }
 
@@ -244,10 +253,10 @@ impl DistCoordinator {
     }
 
     fn check_interrupt(&self) -> Result<(), DistError> {
-        match self.interrupt.tripped() {
-            Some(reason) => Err(DistError::Interrupted(reason)),
-            None => Ok(()),
+        if self.token.is_cancelled() {
+            return Err(DistError::Interrupted(InterruptReason::Cancelled));
         }
+        Ok(())
     }
 
     /// Executes `query` with the default optimizer config and automatic
@@ -439,7 +448,12 @@ impl DistCoordinator {
                 if let Some(pred) = pred {
                     query = query.with_predicate(pred.clone());
                 }
-                let reply = self.fragment(stats, p, query)?;
+                let req = FragmentRequest {
+                    deadline_millis: self.config.fragment_deadline.as_millis() as u64,
+                    query,
+                };
+                let route = &self.routes[p as usize];
+                let reply = self.call_shard(stats, p, route, |client| client.fragment(&req))?;
                 stats.rows_gathered += reply.rows.len() as u64;
                 Ok(reply.rows)
             })
@@ -456,7 +470,6 @@ impl DistCoordinator {
         filters: &[(String, KeyFilter)],
         keys_of: Option<&str>,
     ) -> Result<Vec<SemijoinAck>, DistError> {
-        let timeout = self.config.io_timeout;
         (0..self.map.shards())
             .map(|p| {
                 let req = SemijoinRequest {
@@ -465,85 +478,45 @@ impl DistCoordinator {
                     want_rows: keys_of.is_none(),
                     keys_of: keys_of.map(|c| AliasInfo::base_col(c).to_string()),
                 };
-                self.call_shard(stats, p, |client| client.semijoin(&req, timeout))
+                self.call_shard(stats, p, &self.routes[p as usize], |c| {
+                    c.semijoin(&req, self.config.io_timeout)
+                })
             })
             .collect()
     }
 
     // ------------------------------------------------- transport
 
-    /// Runs `f` against partition `p`'s replicas in failover order.
-    /// Replica-local failures ([`NetError::is_replica_local`]: a
-    /// crashed, shedding, or draining replica must be invisible when
-    /// another one holds the partition) move to the next replica;
-    /// anything else is final.
+    /// Runs `f` on partition `p`'s replicas in `order` (router indices)
+    /// through the router, which fails over on replica-local failures
+    /// ([`NetError::is_replica_local`]: a crashed, shedding, or draining
+    /// replica must be invisible when another one holds the partition).
+    /// Charges the reply's wire bytes, and every failed request and
+    /// failover hop, to `stats`.
     fn call_shard<T>(
         &self,
         stats: &mut DistStats,
         p: u32,
-        f: impl Fn(&mut Client) -> Result<(T, WireBytes), NetError>,
+        order: &[usize],
+        mut f: impl FnMut(&mut Client) -> Result<(T, WireBytes), NetError>,
     ) -> Result<T, DistError> {
-        let replicas = self.map.replicas(p);
-        let mut last = String::from("no replicas configured");
-        for (i, addr) in replicas.iter().enumerate() {
-            self.check_interrupt()?;
-            if i > 0 {
-                stats.failovers += 1;
-            }
-            let mut client = match Client::connect_timeout(addr, self.config.io_timeout) {
-                Ok(c) => c,
-                Err(e) => {
-                    last = format!("{addr}: {e}");
-                    continue;
-                }
-            };
-            match f(&mut client) {
-                Ok((value, wire)) => {
-                    stats.add_wire(wire);
-                    return Ok(value);
-                }
-                Err(e) if e.is_replica_local() => {
-                    // The request frame still went out.
-                    stats.messages += 1;
-                    last = format!("{addr}: {e}");
-                }
-                Err(e) => {
-                    self.check_interrupt()?;
-                    return Err(DistError::Net(e));
-                }
-            }
-        }
-        Err(DistError::NoHealthyReplica {
-            shard: p,
-            detail: last,
-        })
-    }
-
-    /// One FRAGMENT exchange with partition `p`, registered for
-    /// teardown while in flight.
-    fn fragment(
-        &self,
-        stats: &mut DistStats,
-        p: u32,
-        query: JoinQuery,
-    ) -> Result<fj_net::GatherReply, DistError> {
-        let req = FragmentRequest {
-            deadline_millis: self.config.fragment_deadline.as_millis() as u64,
-            query,
-        };
-        let in_flight = || {
-            self.cancellers
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-        };
-        self.call_shard(stats, p, |client| {
-            if let Ok(c) = client.canceller() {
-                in_flight().push(c);
-            }
-            let out = client.fragment(&req);
-            in_flight().pop();
-            out
-        })
+        let routed = self
+            .replicas
+            .call(order, &self.token, |_, client| f(client));
+        let routed = routed.map_err(|e| match e {
+            ClusterError::Cancelled => DistError::Interrupted(InterruptReason::Cancelled),
+            ClusterError::Net(e) => DistError::Net(e),
+            e => DistError::NoHealthyReplica {
+                shard: p,
+                detail: e.to_string(),
+            },
+        })?;
+        let (value, wire) = routed.value;
+        stats.add_wire(wire);
+        // A failed request's frame still went out.
+        stats.messages += routed.failed_requests;
+        stats.failovers += routed.failovers;
+        Ok(value)
     }
 
     // ------------------------------------------------- rebuild

@@ -350,3 +350,37 @@ fn fragment_deadline_is_enforced() {
         Err(e) => panic!("unexpected error class: {e}"),
     }
 }
+
+#[test]
+fn one_kept_alive_connection_serves_deploy_and_every_query() {
+    let cat = chain_catalog(80);
+    let (servers, addrs) = fleet(1);
+    let coord =
+        DistCoordinator::deploy(cat, ShardMap::new(&addrs, 3, 1), DistConfig::default()).unwrap();
+    for _ in 0..20 {
+        coord.execute(&chain_query()).unwrap();
+    }
+    assert_eq!(servers[0].stats().connections_total, 1);
+}
+
+#[test]
+fn deploy_to_a_shard_that_never_handshakes_fails_typed() {
+    // A port that accepts and then says nothing: every dial must give up
+    // after `io_timeout`, not wait for a handshake forever.
+    let mute = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let map = ShardMap::new(&[mute.local_addr().unwrap()], 2, 1);
+    let config = DistConfig {
+        io_timeout: Duration::from_millis(200),
+        ..DistConfig::default()
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let deployed = DistCoordinator::deploy(chain_catalog(10), map, config);
+        let _ = tx.send(deployed.map(|_| ()));
+    });
+    match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(Err(DistError::NoHealthyReplica { .. })) => {}
+        Ok(other) => panic!("expected NoHealthyReplica, got {other:?}"),
+        Err(_) => panic!("deploy still waiting on a mute shard after 5 s"),
+    }
+}
