@@ -13,7 +13,7 @@
 //! page file (via [`fj_storage::PageBacking`]), so simulated and
 //! physical page counts can be diffed, cold starts genuinely read the
 //! disk, and a crashed replica can rebuild its catalog from its data
-//! directory ([`Store::recover`]) and rejoin a cluster with
+//! directory ([`Store::open`]) and rejoin a cluster with
 //! byte-identical answers.
 //!
 //! The write path mirrors the read path's discipline: mutations
