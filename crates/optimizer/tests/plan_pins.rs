@@ -85,6 +85,8 @@ const PINS: &[Pin<'static>] = &[
     ("remote/wan", 0x4075f3a7ffb3d113, 0x40a76fffff3df4da, 10, 0, "O C", "{O}->C[O.cust=C.cust]", 0xf11782ec2cb06f29), // cost 351.2285, rows 3000.00
     ("btree-merge/default", 0x4093c80000000000, 0x40b7700000000000, 188, 0, "a c b", "", 0x30b1b9bdaf658079), // cost 1266.0000, rows 6000.00
     ("btree-merge/forced-abc", 0x409e600000000000, 0x40b7700000000000, 15, 0, "a b c", "", 0xddb644111efcc57d), // cost 1944.0000, rows 6000.00
+    ("index-nl/hash", 0x40736bbbbbbbbbbc, 0x4070aaaaaaaaaaab, 11, 0, "O C", "", 0xd390cc56b75b50ee), // cost 310.7333, rows 266.67
+    ("index-nl/btree", 0x4075ebbbbbbbbbbd, 0x4070aaaaaaaaaaab, 22, 0, "O C", "", 0xd390cc56b75b50ee), // cost 350.7333, rows 266.67
     ("bench-star/lt8/left-deep", 0x4050c2d0e5604188, 0x402c000000000000, 1730, 0, "d3 d2 f d0 d4 d1", "", 0xa7d00361505f26a2), // cost 67.0440, rows 14.00
     ("bench-star/lt8/bushy", 0x4050c2d0e5604188, 0x402c000000000000, 4838, 0, "f d2 d3 d0 d4 d1", "", 0x062d750123ea3638), // cost 67.0440, rows 14.00
     ("bench-star/lt25/left-deep", 0x405806be55ef2875, 0x40518c47bc5733c3, 1730, 0, "d0 f d4 d3 d2 d1", "", 0xf324f5eda2345220), // cost 96.1054, rows 70.19
@@ -326,6 +328,43 @@ fn btree_merge_chain() -> (Catalog, JoinQuery, OptimizerConfig) {
     (cat, q, cfg)
 }
 
+/// A small outer joined to a large inner with a hash or B-tree index
+/// on the join key and no NULL keys: index nested loops beats scanning
+/// the inner.
+fn indexed_inner(btree: bool) -> (Catalog, JoinQuery) {
+    let mut cat = Catalog::new();
+    cat.add_table(
+        TableBuilder::new("Orders")
+            .column("oid", DataType::Int)
+            .column("cust", DataType::Int)
+            .rows((0..40i64).map(|i| vec![i.into(), ((i * 37) % 3000).into()]))
+            .build()
+            .unwrap()
+            .into_ref(),
+    );
+    let mut customers = TableBuilder::new("Customers")
+        .column("cust", DataType::Int)
+        .column("region", DataType::Int)
+        .column("name", DataType::Str)
+        .rows((0..20_000i64).map(|i| {
+            let name = Value::Str(format!("customer {i}"));
+            vec![(i % 3000).into(), (i % 9).into(), name]
+        }))
+        .build()
+        .unwrap();
+    match btree {
+        true => customers.create_btree_index(0).unwrap(),
+        false => customers.create_hash_index(0).unwrap(),
+    }
+    cat.add_table(customers.into_ref());
+    let q = JoinQuery::new(vec![
+        FromItem::new("Orders", "O"),
+        FromItem::new("Customers", "C"),
+    ])
+    .with_predicate(col("O.cust").eq(col("C.cust")));
+    (cat, q)
+}
+
 fn actual_rows() -> Vec<(String, OptimizedPlan)> {
     let mut rows = Rows(Vec::new());
 
@@ -420,6 +459,15 @@ fn actual_rows() -> Vec<(String, OptimizedPlan)> {
         cfg,
         &["a", "b", "c"],
     );
+    for (tag, btree) in [("hash", false), ("btree", true)] {
+        let (cat, q) = indexed_inner(btree);
+        rows.optimize(
+            format!("index-nl/{tag}"),
+            &Arc::new(cat),
+            &q,
+            OptimizerConfig::default(),
+        );
+    }
 
     // The shape the wall-clock benchmark's `adhoc_plan` runs: a fact
     // and five filtered dimensions at its sizes, three selectivities.
