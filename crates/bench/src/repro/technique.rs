@@ -29,7 +29,7 @@
 use fj_core::algebra::{magic, JoinKind, RelationKind};
 use fj_core::exec::physical::Rel;
 use fj_core::exec::{lower::lower, ExecError, TempStep};
-use fj_core::storage::{Index, CPU_WEIGHT_DEFAULT};
+use fj_core::storage::{charge, CPU_WEIGHT_DEFAULT};
 use fj_core::{
     col, BloomFilter, Catalog, CostLedger, ExecCtx, LedgerSnapshot, LogicalPlan, PhysPlan,
     QueryTrace, Schema, SiteId, TraceCollector,
@@ -337,30 +337,30 @@ fn fetch_matches(catalog: &Catalog, join: Join) -> Result<Measured, ExecError> {
     let inner = catalog.table(join.inner)?;
     let okey = outer.schema().resolve(join.key)?;
     let ikey = inner.schema().resolve(join.key)?;
-    let index: &dyn Index = match (inner.hash_index(ikey), inner.btree_index(ikey)) {
-        (Some(h), _) => h,
-        (None, Some(b)) => b,
-        (None, None) => {
-            let why = format!(
-                "fetch-matches needs an index on {}.{}",
-                join.inner, join.key
-            );
-            return Err(ExecError::InvalidPhysicalPlan(why));
-        }
+    let Some(index) = inner.probe_index(ikey) else {
+        let why = format!(
+            "fetch-matches needs an index on {}.{}",
+            join.inner, join.key
+        );
+        return Err(ExecError::InvalidPhysicalPlan(why));
     };
     let schema = (outer.schema().with_qualifier(OUTER))
         .join(&inner.schema().with_qualifier(INNER))?
         .into_ref();
     let mut rows = Vec::new();
-    for o in outer.scan(&ledger) {
+    let outer_rows = outer.scan_checked(None).map_err(ExecError::Storage)?;
+    ledger.book(charge::reads(outer.page_count()));
+    for o in outer_rows {
         let key = o.value(okey);
         if key.is_null() {
             continue;
         }
         ledger.ship(key.wire_width() as u64 + 4);
         let mut bytes = 4u64;
-        for &rid in index.probe(key, &ledger) {
-            let t = inner.fetch(rid, &ledger);
+        let matches = index.probe(key);
+        ledger.book(charge::probe(index.probe_pages(), matches.len() as u64));
+        for &rid in matches {
+            let t = inner.fetch_checked(rid, None).map_err(ExecError::Storage)?;
             bytes += t.wire_width() as u64;
             rows.push(o.concat(t));
         }

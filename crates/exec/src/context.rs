@@ -2,11 +2,12 @@
 //! registries for temp tables and Bloom filters.
 
 use crate::broker::{MemoryBroker, MemoryGrant};
-use crate::charge::{self, Charge};
 use crate::error::ExecError;
 use crate::interrupt::{Interrupt, InterruptReason};
 use fj_algebra::Catalog;
-use fj_storage::{BloomFilter, CostLedger, FaultPlan, PageLayout, SchemaRef, TempStore, Tuple};
+use fj_storage::{
+    charge, BloomFilter, CostLedger, FaultPlan, PageLayout, SchemaRef, TempStore, Tuple,
+};
 use fj_trace::TraceCollector;
 use std::collections::HashMap;
 use std::fmt;
@@ -315,19 +316,11 @@ impl ExecCtx {
         }
     }
 
-    /// Books `charge` to the ledger: the one way operators charge
-    /// page I/O and tuple ops (see [`crate::charge`]).
-    pub fn book(&self, charge: Charge) {
-        self.ledger.read_pages(charge.read);
-        self.ledger.write_pages(charge.written);
-        self.ledger.tuple_ops(charge.tuple_ops);
-    }
-
     /// Registers (or replaces) a temp table. Charges the page writes of
     /// materialization to the ledger and the governor's memory budget.
     pub fn register_temp(&self, name: impl Into<String>, table: TempTable) {
         let pages = table.page_count();
-        self.book(charge::writes(pages));
+        self.ledger.book(charge::writes(pages));
         self.charge_materialized_pages(pages);
         self.temps
             .write()

@@ -7,9 +7,6 @@
 //!
 //! The crate provides:
 //!
-//! * [`charge`] — every ledger charge an operator makes, as a pure
-//!   function of its shapes (rows, pages, `M`); the optimizer's cost
-//!   model evaluates the same functions at estimated shapes;
 //! * [`context::ExecCtx`] — catalog + cost ledger + temp-table registry
 //!   (the runtime home of materialized production sets and filter sets)
 //!   + the buffer-memory parameter that drives join/sort I/O formulas;
@@ -24,14 +21,16 @@
 //!   bodies and magic-rewritten plans directly; the cost-based System-R
 //!   planner in `fj-optimizer` emits `PhysPlan`s itself.
 //!
-//! The engine executes in memory but charges the
+//! The engine executes in memory but books on the
 //! [`fj_storage::CostLedger`] exactly the page I/Os the System-R cost
 //! formulas prescribe (e.g. a block-nested-loops join really charges
-//! `P_outer + ⌈P_outer/(M−2)⌉·P_inner`), so measured ledger costs are
-//! directly comparable with the optimizer's predictions.
+//! `P_outer + ⌈P_outer/(M−2)⌉·P_inner`): each operator books a
+//! [`fj_storage::charge`] function at the shapes it ran on, the same
+//! function the optimizer's cost model evaluates at estimated shapes,
+//! so measured ledger costs are directly comparable with its
+//! predictions.
 
 pub mod broker;
-pub mod charge;
 pub mod context;
 pub mod error;
 pub mod interrupt;
@@ -40,7 +39,6 @@ pub mod ops;
 pub mod physical;
 
 pub use broker::{MemoryBroker, MemoryGrant};
-pub use charge::Charge;
 pub use context::{
     ExecCtx, Placement, PoolProbe, SpillCtx, SpillSnapshot, SpillStats, TempTable,
     DEFAULT_SPILL_MAX_DEPTH, MIN_MEMORY_PAGES,

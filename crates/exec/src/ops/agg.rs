@@ -1,6 +1,5 @@
 //! Hash-based duplicate elimination and aggregation.
 
-use crate::charge;
 use crate::context::{ExecCtx, Placement};
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
@@ -9,7 +8,7 @@ use crate::ops::sort::charge_external_sort;
 use crate::ops::spill::partitionwise;
 use crate::physical::Rel;
 use fj_expr::{Accumulator, AggCall};
-use fj_storage::{Column, PageLayout, Schema, Tuple, Value};
+use fj_storage::{charge, Column, PageLayout, Schema, Tuple, Value};
 use std::sync::Arc;
 
 /// Hash-based DISTINCT — the paper's `ProjCost_F` workhorse (the filter
@@ -25,7 +24,7 @@ use std::sync::Arc;
 /// deduplication yields the same distinct multiset, emitted
 /// partition-major (duplicate elimination is order-agnostic).
 pub fn distinct(ctx: &ExecCtx, input: Rel) -> Result<Rel, ExecError> {
-    ctx.book(charge::ops(input.rows.len() as u64));
+    ctx.ledger.book(charge::ops(input.rows.len() as u64));
     let all_idx: Vec<usize> = (0..input.schema.arity()).collect();
     let _grant = match ctx.spill_decision(input.page_count()) {
         Placement::Spill(spill) => {
@@ -166,7 +165,8 @@ pub fn hash_aggregate(
     }
     let schema = Arc::new(Schema::new(cols)?);
 
-    ctx.book(charge::aggregate(input.rows.len() as u64, aggs.len()));
+    ctx.ledger
+        .book(charge::aggregate(input.rows.len() as u64, aggs.len()));
 
     let _grant = if group_idx.is_empty() {
         None

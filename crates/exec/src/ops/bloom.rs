@@ -4,7 +4,7 @@ use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::physical::Rel;
-use fj_storage::{BloomFilter, Value};
+use fj_storage::{charge, BloomFilter, Value};
 use std::hash::{Hash, Hasher};
 
 /// Folds a multi-column key into a single [`Value`] for Bloom
@@ -37,7 +37,7 @@ pub fn build_bloom(
         .map(|c| input.schema.resolve(c))
         .collect::<Result<_, _>>()?;
     let mut bloom = BloomFilter::new(bits, hashes);
-    ctx.book(crate::charge::ops(input.rows.len() as u64));
+    ctx.ledger.book(charge::ops(input.rows.len() as u64));
     for (n, t) in input.rows.iter().enumerate() {
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
@@ -65,7 +65,7 @@ pub fn bloom_probe(
         .iter()
         .map(|c| input.schema.resolve(c))
         .collect::<Result<_, _>>()?;
-    ctx.book(crate::charge::ops(input.rows.len() as u64));
+    ctx.ledger.book(charge::ops(input.rows.len() as u64));
     let mut rows = Vec::new();
     for (n, t) in input.rows.into_iter().enumerate() {
         if n % INTERRUPT_CHECK_INTERVAL == 0 {

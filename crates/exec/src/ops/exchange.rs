@@ -10,7 +10,7 @@
 use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::physical::Rel;
-use fj_storage::Tuple;
+use fj_storage::{charge, Tuple};
 
 /// Merges gathered partitions back into one relation ordered by the
 /// integer ordinal column at index `ord_col` (the coordinator's hidden
@@ -41,7 +41,7 @@ pub fn merge_by_ordinal(
             merged.entry(key).or_insert(row);
         }
     }
-    ctx.book(crate::charge::ops(n));
+    ctx.ledger.book(charge::ops(n));
     Ok(Rel::new(schema, merged.into_values().collect()))
 }
 

@@ -5,14 +5,14 @@ use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::physical::Rel;
 use fj_expr::{BoundExpr, Expr};
-use fj_storage::{Column, Schema, Tuple};
+use fj_storage::{charge, Column, Schema, Tuple};
 use std::sync::Arc;
 
 /// Row filter: keeps rows whose predicate evaluates to TRUE. Charges one
 /// tuple op per input row.
 pub fn filter(ctx: &ExecCtx, input: Rel, predicate: &Expr) -> Result<Rel, ExecError> {
     let bound = BoundExpr::bind(predicate, &input.schema)?;
-    ctx.book(crate::charge::ops(input.rows.len() as u64));
+    ctx.ledger.book(charge::ops(input.rows.len() as u64));
     let mut rows = Vec::new();
     for (i, t) in input.rows.into_iter().enumerate() {
         if i % INTERRUPT_CHECK_INTERVAL == 0 {
@@ -38,7 +38,7 @@ pub fn project(ctx: &ExecCtx, input: Rel, exprs: &[(Expr, String)]) -> Result<Re
             .map(|(b, n)| Column::nullable((*n).clone(), b.result_type(&input.schema)))
             .collect(),
     )?;
-    ctx.book(crate::charge::ops(input.rows.len() as u64));
+    ctx.ledger.book(charge::ops(input.rows.len() as u64));
     let mut rows = Vec::with_capacity(input.rows.len());
     for (i, t) in input.rows.iter().enumerate() {
         if i % INTERRUPT_CHECK_INTERVAL == 0 {

@@ -5,7 +5,6 @@
 //!
 //! All joins implement SQL equality semantics: NULL keys never match.
 
-use crate::charge;
 use crate::context::{ExecCtx, Placement};
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
@@ -14,7 +13,7 @@ use crate::ops::sort::charge_external_sort;
 use crate::physical::{maybe_qualify, Rel};
 use fj_algebra::JoinKind;
 use fj_expr::{BoundExpr, Expr};
-use fj_storage::{Index, Tuple, Value};
+use fj_storage::{charge, Tuple, Value};
 use std::sync::Arc;
 
 /// Resolves `(outer_col, inner_col)` key pairs to index pairs.
@@ -82,7 +81,8 @@ pub fn block_nested_loops(
 
     let (no, ni) = (outer.rows.len() as u64, inner.rows.len() as u64);
     let (op, ip) = (outer.page_count(), inner.page_count());
-    ctx.book(charge::bnl(no, op, ni, ip, ctx.memory_pages));
+    ctx.ledger
+        .book(charge::bnl(no, op, ni, ip, ctx.memory_pages));
 
     let mut rows = Vec::new();
     let mut since_check = 0usize;
@@ -113,9 +113,10 @@ pub fn block_nested_loops(
 }
 
 /// Index nested-loops join: the *repeated probe* strategy for stored
-/// relations. Requires an index (hash preferred, else B-tree) on
-/// `inner_col` of `table`. Charges the index probe I/O per outer row
-/// (via the index) plus one heap page per matching row.
+/// relations, through the index [`fj_storage::Table::probe_index`]
+/// picks on `inner_col` of `table`. Books one op per outer row up
+/// front and a [`charge::probe`] per probe (together
+/// [`charge::index_nested_loops`]).
 pub fn index_nested_loops(
     ctx: &ExecCtx,
     outer: Rel,
@@ -132,17 +133,14 @@ pub fn index_nested_loops(
     let out_schema = Arc::new(outer.schema.join(&inner_schema)?);
     let pred = bind_residual(residual, &out_schema)?;
 
-    let idx: &dyn Index = match (t.hash_index(col), t.btree_index(col)) {
-        (Some(h), _) => h,
-        (None, Some(b)) => b,
-        (None, None) => {
-            return Err(ExecError::InvalidPhysicalPlan(format!(
-                "index nested loops requires an index on {table}.{inner_col}"
-            )))
-        }
+    let Some(idx) = t.probe_index(col) else {
+        return Err(ExecError::InvalidPhysicalPlan(format!(
+            "index nested loops requires an index on {table}.{inner_col}"
+        )));
     };
 
-    ctx.book(charge::ops(outer.rows.len() as u64));
+    ctx.ledger.book(charge::ops(outer.rows.len() as u64));
+    let probe_pages = idx.probe_pages();
     let mut rows = Vec::new();
     let mut since_check = 0usize;
     for o in &outer.rows {
@@ -155,9 +153,12 @@ pub fn index_nested_loops(
         if key.is_null() {
             continue;
         }
-        for &rid in idx.probe(key, &ctx.ledger) {
+        let matches = idx.probe(key);
+        ctx.ledger
+            .book(charge::probe(probe_pages, matches.len() as u64));
+        for &rid in matches {
             let fetched = t
-                .fetch_checked(rid, &ctx.ledger, ctx.faults.as_deref())
+                .fetch_checked(rid, ctx.faults.as_deref())
                 .map_err(ExecError::Storage)?;
             let joined = o.concat(fetched);
             if passes(&pred, &joined)? {
@@ -208,14 +209,15 @@ pub fn hash_join(
             super::spill::grace_hash_join(ctx, &spill, outer, inner, &okeys, &ikeys, &pred, kind)?
         }
         Placement::Memory(_grant) => {
-            ctx.book(charge::grace_partition(op, ip, ctx.memory_pages));
+            ctx.ledger
+                .book(charge::grace_partition(op, ip, ctx.memory_pages));
             if ip > ctx.memory_pages {
                 ctx.charge_materialized_pages(op + ip);
             }
             hash_probe(ctx, &outer.rows, &inner.rows, &okeys, &ikeys, &pred, kind)?
         }
     };
-    ctx.book(charge::join(no, ni, rows.len() as u64));
+    ctx.ledger.book(charge::join(no, ni, rows.len() as u64));
     Ok(Rel::new(out_schema, rows))
 }
 
@@ -292,14 +294,14 @@ fn sorted_side(
     schema: &fj_storage::Schema,
 ) -> Result<Vec<Tuple>, ExecError> {
     let n = rows.len() as u64;
-    ctx.book(charge::ops(n.saturating_sub(1)));
+    ctx.ledger.book(charge::ops(n.saturating_sub(1)));
     if rows
         .windows(2)
         .all(|w| w[0].key_cmp(keys, &w[1], keys).is_le())
     {
         return Ok(rows);
     }
-    ctx.book(charge::compares(n));
+    ctx.ledger.book(charge::compares(n));
     let layout = fj_storage::PageLayout::for_schema(schema);
     let pages = layout.pages(n);
     let _grant = match ctx.spill_decision(pages) {
@@ -381,7 +383,7 @@ pub fn merge_join(
             }
         }
     }
-    ctx.book(charge::join(no, ni, rows.len() as u64));
+    ctx.ledger.book(charge::join(no, ni, rows.len() as u64));
     Ok(Rel::new(out_schema, rows))
 }
 

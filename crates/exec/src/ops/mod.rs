@@ -3,7 +3,7 @@
 //! Each module implements one family of operators as free functions
 //! `(ctx, inputs...) -> Result<Rel>`; [`crate::physical::PhysPlan`]
 //! dispatches to them. Cost charges follow the System-R formulas: each
-//! operator books a [`crate::charge`] function evaluated at the shapes
+//! operator books a [`fj_storage::charge`] function evaluated at the shapes
 //! it actually ran on (see each function's docs for which).
 
 pub mod agg;

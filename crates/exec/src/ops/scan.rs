@@ -3,7 +3,7 @@
 use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::physical::{maybe_qualify, Rel};
-use fj_storage::{SchemaRef, Tuple, Value};
+use fj_storage::{charge, Index, SchemaRef, Tuple, Value};
 
 /// Sequential scan of a base table. Charges one read per table page.
 /// The output rows *are* the table's rows (shared, not copied). Page
@@ -12,15 +12,16 @@ pub fn seq_scan(ctx: &ExecCtx, table: &str, alias: &str) -> Result<Rel, ExecErro
     ctx.check_interrupt()?;
     let t = ctx.catalog.table(table)?;
     let src = t
-        .scan_checked(&ctx.ledger, ctx.faults.as_deref())
+        .scan_checked(ctx.faults.as_deref())
         .map_err(ExecError::Storage)?;
+    ctx.ledger.book(charge::reads(t.page_count()));
     Ok(Rel::new(maybe_qualify(t.schema(), alias), src.to_vec()))
 }
 
 /// Scan of a registered temp table. Charges its page count as reads.
 pub fn temp_scan(ctx: &ExecCtx, name: &str, alias: &str) -> Result<Rel, ExecError> {
     let t = ctx.temp(name)?;
-    ctx.book(crate::charge::reads(t.page_count()));
+    ctx.ledger.book(charge::reads(t.page_count()));
     Ok(Rel::new(maybe_qualify(&t.schema, alias), t.rows.to_vec()))
 }
 
@@ -35,8 +36,9 @@ pub fn values(schema: &SchemaRef, rows: &[Vec<Value>]) -> Result<Rel, ExecError>
 /// Ordered full scan of a base table through its B-tree index on
 /// `col`: rows come out sorted by that column (NULL keys first, matching
 /// the engine's sort convention) — the classic *interesting orders*
-/// access path (§3.1). Charges the index's leaf pages plus the heap
-/// pages (a clustered-scan assumption; see DESIGN.md).
+/// access path (§3.1). Books the heap pages (a clustered-scan
+/// assumption; see DESIGN.md), the index's leaf pages, and one op per
+/// row.
 pub fn index_ordered_scan(
     ctx: &ExecCtx,
     table: &str,
@@ -50,13 +52,12 @@ pub fn index_ordered_scan(
             "ordered scan requires a B-tree index on {table}.{col}"
         )));
     };
-    ctx.book(crate::charge::reads(t.page_count()));
+    ctx.ledger.book(charge::reads(t.page_count()));
     // Disk mode: fetch every heap page through the backing explicitly
-    // (this path charges the ledger directly rather than going through
-    // `scan_checked`, which would add fault draws the in-memory fault
-    // schedule never saw). Index leaf pages have no physical shadow —
-    // only heap pages are stored — an intentional, documented
-    // divergence between simulated and physical counts.
+    // (not through `scan_checked`, which would add fault draws the
+    // in-memory fault schedule never saw). Index leaf pages have no
+    // physical shadow — only heap pages are stored — an intentional,
+    // documented divergence between simulated and physical counts.
     for page_no in 0..t.page_count() {
         t.read_backed_page(page_no).map_err(ExecError::Storage)?;
     }
@@ -67,17 +68,18 @@ pub fn index_ordered_scan(
         .filter(|r| r.value(ci).is_null())
         .cloned()
         .collect();
-    for rid in idx.scan_all_ordered(&ctx.ledger) {
+    for rid in idx.scan_all_ordered() {
         rows.push(t.rows()[rid].clone());
     }
-    ctx.book(crate::charge::ops(rows.len() as u64));
+    ctx.ledger.book(charge::reads(idx.page_count()));
+    ctx.ledger.book(charge::ops(rows.len() as u64));
     Ok(Rel::new(maybe_qualify(t.schema(), alias), rows))
 }
 
 /// Full enumeration of a user-defined relation over its finite domain —
 /// Figure 6's "full computation" column for UDFs. Each domain point is
-/// one invocation (the UDF implementation charges its own invocation
-/// cost).
+/// one invocation (the UDF implementation books its own
+/// [`charge::invocation`]).
 pub fn udf_full_scan(ctx: &ExecCtx, udf: &str, alias: &str) -> Result<Rel, ExecError> {
     let u = ctx.catalog.udf(udf)?;
     let domain = u

@@ -1,10 +1,9 @@
 //! Sorting with external-sort cost accounting.
 
-use crate::charge;
 use crate::context::{ExecCtx, Placement};
 use crate::error::ExecError;
 use crate::physical::Rel;
-use fj_storage::PageLayout;
+use fj_storage::{charge, PageLayout};
 
 /// Sorts ascending by `keys` (NULLs first, per [`fj_storage::Value`]'s
 /// total order).
@@ -20,7 +19,7 @@ pub fn sort(ctx: &ExecCtx, input: Rel, keys: &[String]) -> Result<Rel, ExecError
         .iter()
         .map(|k| input.schema.resolve(k))
         .collect::<Result<_, _>>()?;
-    ctx.book(charge::compares(input.rows.len() as u64));
+    ctx.ledger.book(charge::compares(input.rows.len() as u64));
     // Memory governance: a physical external merge sort when the input
     // exceeds buffer memory or the broker denies the grant; otherwise
     // hold the grant (if any) for the in-memory sort below, which keeps
@@ -44,7 +43,8 @@ pub fn sort(ctx: &ExecCtx, input: Rel, keys: &[String]) -> Result<Rel, ExecError
 /// context's buffer memory (nothing when they fit). Spilled runs count
 /// against the governor's memory budget.
 pub(crate) fn charge_external_sort(ctx: &ExecCtx, pages: u64) {
-    ctx.book(charge::external_sort(pages, ctx.memory_pages));
+    ctx.ledger
+        .book(charge::external_sort(pages, ctx.memory_pages));
     if pages > ctx.memory_pages {
         ctx.charge_materialized_pages(pages);
     }

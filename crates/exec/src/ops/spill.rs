@@ -8,15 +8,18 @@
 //! simulated grace/sort charges key on), or the service-wide
 //! [`crate::broker::MemoryBroker`] denied the grant. They write
 //! checksummed temp partition files through [`fj_storage::TempStore`],
-//! poll the interrupt on every partition flush, and charge the ledger
-//! the *physical* page I/O they perform — by the same
-//! [`PageLayout`] accounting the optimizer's formulas use, so spill
-//! charges reconcile with the simulated grace charges up to
-//! per-partition ceiling fragmentation (asserted by the cost-parity
-//! tests, documented in `DESIGN.md`).
+//! poll the interrupt on every partition flush, and book the
+//! *physical* page I/O they perform — [`charge::writes`] of each frame
+//! flushed, [`charge::reads`] of each page read back — by the same
+//! [`PageLayout`] accounting the optimizer's formulas use. The cost
+//! model prices the simulated [`charge::grace_partition`] and
+//! [`charge::external_sort`] instead; the two reconcile up to
+//! per-partition ceiling fragmentation and the passes a physical sort
+//! skips (asserted by the cost-parity tests below, a gap row in
+//! DESIGN.md's "One set of charges").
 //!
 //! Frames are written one logical page at a time (`tuples_per_page`
-//! rows per frame), which makes the ledger charge, the spill-stats
+//! rows per frame), which makes the ledger booking, the spill-stats
 //! counters, and the temp store's byte counters all derive from the
 //! same flush events.
 
@@ -27,7 +30,7 @@ use crate::ops::joins::hash_probe;
 use crate::physical::Rel;
 use fj_algebra::JoinKind;
 use fj_expr::BoundExpr;
-use fj_storage::{KeyHasher, PageLayout, SpillFile, SpillReader, TempWriter, Tuple, Value};
+use fj_storage::{charge, KeyHasher, PageLayout, SpillFile, SpillReader, TempWriter, Tuple, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::Hasher;
@@ -64,7 +67,7 @@ fn flush_frame(
     ctx.check_interrupt()?;
     writer.write_rows(pending).map_err(ExecError::Storage)?;
     pending.clear();
-    ctx.ledger.write_pages(1);
+    ctx.ledger.book(charge::writes(1));
     ctx.spill_stats()
         .pages_written
         .fetch_add(1, Ordering::Relaxed);
@@ -144,7 +147,7 @@ fn read_spill(
     ctx.check_interrupt()?;
     let rows = file.read_all().map_err(ExecError::Storage)?;
     let pages = layout.pages(rows.len() as u64);
-    ctx.ledger.read_pages(pages);
+    ctx.ledger.book(charge::reads(pages));
     ctx.spill_stats()
         .pages_read
         .fetch_add(pages, Ordering::Relaxed);
@@ -333,7 +336,7 @@ impl RunCursor {
             ctx.check_interrupt()?;
             match self.reader.next_batch().map_err(ExecError::Storage)? {
                 Some(b) => {
-                    ctx.ledger.read_pages(1);
+                    ctx.ledger.book(charge::reads(1));
                     ctx.spill_stats().pages_read.fetch_add(1, Ordering::Relaxed);
                     self.batch = b.into_iter();
                 }
@@ -389,12 +392,12 @@ fn merge_runs(
 mod tests {
     use super::*;
     use crate::broker::MemoryBroker;
-    use crate::charge::merge_passes;
     use crate::context::SpillCtx;
     use crate::interrupt::InterruptReason;
     use crate::ops::{agg, joins, sort as sort_op};
     use fj_algebra::Catalog;
     use fj_expr::{AggCall, AggFunc};
+    use fj_storage::charge::merge_passes;
     use fj_storage::{tuple, DataType, Schema, TempStore};
     use std::sync::Arc;
 

@@ -1,26 +1,53 @@
-//! Cost parameters, and the weighing of executor charges into costs.
+//! Cost parameters, and the weighing of ledger charges into costs.
 //!
 //! All costs are in **page-I/O-equivalent units**. The charge formulas
-//! themselves live in one place, [`fj_exec::charge`]: the executor books
-//! them at the shapes it actually ran on, and [`CostParams`] evaluates
-//! the same functions at *estimated* shapes and weighs each resulting
-//! [`Charge`] as `(read + written) + cpu_weight · tuple_ops` — the
-//! weighting `LedgerSnapshot::weighted` applies to a measured ledger. So
+//! themselves live in one place, [`fj_storage::charge`]: the executor,
+//! its access paths and its spill paths book them at the shapes they
+//! actually ran on, and [`CostParams`] evaluates the same functions at
+//! *estimated* shapes and weighs each resulting [`Charge`] as
+//! `(read + written) + cpu_weight · tuple_ops` — the weighting
+//! `LedgerSnapshot::weighted` applies to a measured ledger. So
 //! predicted and measured costs compare one-to-one, the property the
 //! Table 1 reproduction checks, and differ only where an estimated shape
 //! is wrong or where a formula here deliberately prices something else
 //! (DESIGN.md, "One set of charges", lists those gaps).
 //!
-//! What stays here is estimation: page counts from row widths and the
-//! shipping term. (Yao's distinct-value formula, the parametric fit,
-//! Bloom sizing and index-probe pages live with their users.) Each
-//! composite weighs its elementary charges one at a time, in a fixed
-//! order: `f64` addition does not associate, and `plan_pins.rs` pins
-//! cost bits.
+//! What stays here is estimation: page counts from row widths, the
+//! shape of an index probe ([`ProbeShape`]) and the shipping term.
+//! (Yao's distinct-value formula, the parametric fit and Bloom sizing
+//! live with their users.) Each composite weighs its elementary charges
+//! one at a time, in a fixed order: `f64` addition does not associate,
+//! and `plan_pins.rs` pins cost bits.
 
 use fj_algebra::NetworkModel;
-use fj_exec::charge::{self, Charge};
-use fj_storage::{PageLayout, CPU_WEIGHT_DEFAULT};
+use fj_storage::charge::{self, Charge};
+use fj_storage::{PageLayout, Table, CPU_WEIGHT_DEFAULT};
+
+/// One equality probe of an index, as the cost model sees it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbeShape {
+    /// Index pages one probe reads ([`fj_storage::Index::probe_pages`]).
+    pub pages: f64,
+    /// Heap rows one probe matches.
+    pub matches: f64,
+}
+
+impl ProbeShape {
+    /// A probe of the index [`Table::probe_index`] picks on column
+    /// `col`, or `None` without one. Neither index stores NULL keys and
+    /// a column's `distinct` counts only non-NULL values, so a probe
+    /// matches `(rows − nulls) / distinct` heap rows.
+    pub fn of(table: &Table, col: usize) -> Option<ProbeShape> {
+        let index = table.probe_index(col)?;
+        let stats = table.stats().column(col);
+        let keyed = table.row_count() - stats.map_or(0, |s| s.null_count);
+        let distinct = stats.map(|s| s.distinct as f64);
+        Some(ProbeShape {
+            pages: index.probe_pages() as f64,
+            matches: keyed as f64 / distinct.unwrap_or(1.0).max(1.0),
+        })
+    }
+}
 
 /// Cost-model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

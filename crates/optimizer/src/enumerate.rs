@@ -49,7 +49,7 @@
 //! recipe. DESIGN.md ("How the DP stores plans") has the rationale and
 //! why the order candidates are offered in must not change.
 
-use crate::cost::CostParams;
+use crate::cost::{CostParams, ProbeShape};
 use crate::error::OptError;
 use crate::estimate::{ColEst, EstStats, JoinTerm, PlanEstimator};
 use crate::filter_join::{
@@ -60,7 +60,7 @@ use crate::parametric::ParametricEstimator;
 use fj_algebra::{Catalog, JoinKind, JoinQuery, LogicalPlan, RelationKind, Sips};
 use fj_exec::{lower, PhysPlan};
 use fj_expr::{col, conjoin, conjunct_refs, equi_join_key, for_each_column, EquiJoinKey, Expr};
-use fj_storage::{Index as _, Schema};
+use fj_storage::{charge, Index as _, Schema};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -490,10 +490,8 @@ struct LeafInner {
 struct IndexProbe {
     outer_key: String,
     inner_col: String,
-    /// Index pages read per probe.
-    pages: f64,
-    /// Unfiltered heap rows a probe returns.
-    rows: f64,
+    /// One probe of the unfiltered heap.
+    shape: ProbeShape,
 }
 
 /// A table function invoked once per outer row.
@@ -662,10 +660,12 @@ impl<'a> Search<'a> {
                     continue;
                 };
                 let sorted_on = format!("{}.{}", self.aliases[i].rel.alias, column.base_name());
+                let (pages, rows) = (index.page_count() as f64, t.row_count() as f64);
+                let params = &self.config.params;
                 let ordered = Entry {
                     cost: leaf.cost
-                        + index.page_count() as f64
-                        + self.config.params.cpu(t.row_count() as f64),
+                        + params.weigh(charge::reads(pages))
+                        + params.weigh(charge::ops(rows)),
                     order_by: self.intern_order([sorted_on.as_str()].into_iter()),
                     recipe: Recipe::Leaf {
                         alias: i,
@@ -1136,21 +1136,14 @@ impl<'a> Search<'a> {
             (self.config.enable_index_nl, keys, &rel.kind)
         {
             let inner_col = rel.attr(inner_key);
-            let indexed = t.schema().resolve(inner_col).ok();
-            if let Some(ci) = indexed.filter(|&ci| t.has_index(ci)) {
-                let pages = if t.hash_index(ci).is_some() {
-                    1.0
-                } else {
-                    t.btree_index(ci).map(|b| b.height() as f64).unwrap_or(1.0)
-                };
-                let distinct = t.stats().column(ci).map(|s| s.distinct as f64);
-                index_probe = Some(IndexProbe {
+            let resolved = t.schema().resolve(inner_col).ok();
+            index_probe = resolved
+                .and_then(|ci| ProbeShape::of(t, ci))
+                .map(|shape| IndexProbe {
                     outer_key: outer_key.clone(),
                     inner_col: inner_col.to_string(),
-                    pages,
-                    rows: t.row_count() as f64 / distinct.unwrap_or(1.0).max(1.0),
+                    shape,
                 });
-            }
         }
         // Keys cover the UDF's argument columns.
         let mut udf_probe = None;
@@ -1313,9 +1306,8 @@ impl<'a> Search<'a> {
         // 4. Index nested loops. The leaf scan is not performed.
         if let Some(probe) = &leaf.index_probe {
             self.plans_considered += 1;
-            // Per outer row: the probe's pages, one heap page per match
-            // and one op (`index_nested_loops`' charge).
-            let inl = o_rows * (probe.pages + probe.rows) + params.cpu(o_rows);
+            let ProbeShape { pages, matches } = probe.shape;
+            let inl = params.weigh(charge::index_nested_loops(o_rows, pages, matches));
             let cost = both + (inl - i_cost);
             self.offer(
                 frontier,

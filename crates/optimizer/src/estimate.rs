@@ -15,9 +15,8 @@
 use crate::cost::CostParams;
 use crate::error::OptError;
 use fj_algebra::{Catalog, JoinKind, LogicalPlan, RelationKind};
-use fj_exec::charge;
 use fj_expr::{conjunct_refs, equi_join_key, AggCall, BinOp, Expr};
-use fj_storage::{yao_distinct, Histogram, Schema, Value};
+use fj_storage::{charge, yao_distinct, Histogram, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -313,7 +312,7 @@ impl<'a> PlanEstimator<'a> {
                     RelationKind::Base(t) | RelationKind::Remote(t, _) => {
                         let stats = base_table_stats(&t, alias);
                         let pages = stats.pages(&self.params);
-                        let mut cost = pages;
+                        let mut cost = self.params.weigh(charge::reads(pages));
                         if remote {
                             cost += self
                                 .params

@@ -38,7 +38,7 @@ pub mod filter_join;
 pub mod fingerprint;
 pub mod parametric;
 
-pub use cost::CostParams;
+pub use cost::{CostParams, ProbeShape};
 pub use enumerate::{EstNode, OptimizedPlan, Optimizer, OptimizerConfig, PlanShape};
 pub use error::OptError;
 pub use estimate::{EstStats, PlanEstimator};

@@ -1,10 +1,11 @@
 //! Charge parity: every operator's executor charge against the
 //! optimizer's price for it, at the operator's *actual* shapes.
 //!
-//! Each row runs one fj-exec operator on in-memory inputs over an
-//! `ExecCtx` with no spill context, weighs the ledger delta with the
-//! default CPU weight, and prices the same operator through
-//! `CostParams` at the rows and pages it really saw and produced. Sizes
+//! Each row runs one fj-exec operator on in-memory inputs (or, for the
+//! access paths, a base table) over an `ExecCtx` with no spill
+//! context, weighs the ledger delta with the default CPU weight, and
+//! prices the same operator through `CostParams` at the rows and pages
+//! it really saw and produced. Sizes
 //! sit under (at) and over buffer memory for M ∈ {3, 8, 128}, so the
 //! in-memory and the simulated external-sort / Grace / rescan branches
 //! are all crossed.
@@ -20,8 +21,10 @@ use fj_exec::ops::{agg, bloom, filter, joins, scan, sort};
 use fj_exec::physical::Rel;
 use fj_exec::{ExecCtx, TempTable};
 use fj_expr::{col, lit, AggCall};
-use fj_optimizer::CostParams;
-use fj_storage::{DataType, Schema, Tuple, Value, CPU_WEIGHT_DEFAULT};
+use fj_optimizer::{CostParams, ProbeShape};
+use fj_storage::{
+    charge, DataType, Index, Schema, Table, TableBuilder, Tuple, Value, CPU_WEIGHT_DEFAULT,
+};
 use std::sync::Arc;
 
 const W: f64 = CPU_WEIGHT_DEFAULT;
@@ -97,6 +100,25 @@ fn filter_set(keys: impl Iterator<Item = i64>) -> Rel {
     )
 }
 
+/// A base table `I(k, v)` holding every key in `0..keys` four times,
+/// then `nulls` rows with a NULL key, indexed on `k` by a B-tree or a
+/// hash index.
+fn indexed(keys: i64, nulls: usize, btree: bool) -> Table {
+    let keyed = (0..4 * keys).map(|i| vec![Value::Int(i % keys), Value::Int(i)]);
+    let null = (0..nulls).map(|i| vec![Value::Null, Value::Int(i as i64)]);
+    let mut t = TableBuilder::new("I")
+        .nullable_column("k", DataType::Int)
+        .column("v", DataType::Int)
+        .rows(keyed.chain(null))
+        .build()
+        .unwrap();
+    match btree {
+        true => t.create_btree_index(0).unwrap(),
+        false => t.create_hash_index(0).unwrap(),
+    }
+    t
+}
+
 fn keys(outer: &str, inner: &str) -> Vec<(String, String)> {
     vec![(outer.to_string(), inner.to_string())]
 }
@@ -126,6 +148,13 @@ impl Parity {
 
     fn ctx(&self) -> ExecCtx {
         ExecCtx::new(Arc::new(Catalog::new())).with_memory_pages(self.m)
+    }
+
+    /// A context whose catalog holds `table`.
+    fn ctx_with(&self, table: Table) -> ExecCtx {
+        let mut catalog = Catalog::new();
+        catalog.add_table(table.into_ref());
+        ExecCtx::new(Arc::new(catalog)).with_memory_pages(self.m)
     }
 
     fn check(&mut self, op: &str, shape: Shape, price: f64, charge: f64) {
@@ -265,6 +294,42 @@ impl Parity {
         let (charge, out) = charged(&ctx, |x| filter::project(x, input.clone(), &exprs));
         let s = Shape::of(&input, None, &out.unwrap());
         self.check("project", s, c.cpu(s.outer), charge);
+
+        // Index nested loops into a hash- and a B-tree-indexed inner,
+        // and into an inner whose key has NULLs (no index stores them,
+        // so no probe matches them), priced as the DP prices it: one
+        // probe of `ProbeShape::of` per outer row.
+        let outer = wide("L", 0..n);
+        for (op, nulls, btree) in [
+            ("index nested loops, hash", 0, false),
+            ("index nested loops, B-tree", 0, true),
+            ("index nested loops, NULL inner keys", self.rows, false),
+        ] {
+            let table = indexed(n, nulls, btree);
+            let probe = ProbeShape::of(&table, 0).unwrap();
+            let ctx = self.ctx_with(table);
+            let (charge, out) = charged(&ctx, |x| {
+                joins::index_nested_loops(x, outer.clone(), "I", "", "L.k", "k", None)
+            });
+            let s = Shape::of(&outer, None, &out.unwrap());
+            let inl = charge::index_nested_loops(s.outer, probe.pages, probe.matches);
+            self.check(op, s, c.weigh(inl), charge);
+        }
+
+        // The index-ordered scan (NULL keys included): the heap, the
+        // B-tree's leaves and one op per row, weighed as the DP adds
+        // them onto the heap scan.
+        let table = indexed(n, self.rows, true);
+        let heap_pages = table.page_count() as f64;
+        let index_pages = table.btree_index(0).unwrap().page_count() as f64;
+        let ctx = self.ctx_with(table);
+        let (charge, out) = charged(&ctx, |x| scan::index_ordered_scan(x, "I", "", "k"));
+        let out = out.unwrap();
+        let s = Shape::of(&out, None, &out);
+        let price = c.weigh(charge::reads(heap_pages))
+            + c.weigh(charge::reads(index_pages))
+            + c.weigh(charge::ops(s.outer));
+        self.check("index-ordered scan", s, price, charge);
 
         // The Filter Join's restricted inner, priced as FilterCost_Rk
         // prices its CPU (`cpu(|R| + |F|)`, filter_join.rs) next to what

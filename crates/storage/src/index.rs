@@ -1,31 +1,30 @@
-//! Single-column indexes with probe-cost accounting.
+//! Single-column indexes.
 //!
 //! Two access methods, matching what a System-R optimizer distinguishes:
 //! a [`HashIndex`] (O(1) equality probes) and a [`BTreeIndex`] (ordered,
-//! supporting range scans). Probes charge the ledger for the index pages
-//! touched; fetching the matching heap rows is charged by the caller via
-//! [`crate::Table::fetch`].
+//! with an ordered full scan). Neither touches the ledger: the caller
+//! books [`charge::probe`](crate::charge::probe) at
+//! [`Index::probe_pages`] and the heap rows it fetched, and the
+//! optimizer prices a probe with the same function.
 
-use crate::ledger::CostLedger;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
 
 /// Common behaviour of both index kinds.
 pub trait Index {
-    /// Row ids whose key equals `key`; charges probe I/O to `ledger`.
-    fn probe(&self, key: &Value, ledger: &CostLedger) -> &[usize];
-    /// Number of distinct keys.
-    fn key_count(&self) -> usize;
-    /// Pages this index would occupy (used by the optimizer to cost
-    /// probes); a leaf holds [`ENTRIES_PER_PAGE`] entries.
+    /// Row ids whose key equals `key`.
+    fn probe(&self, key: &Value) -> &[usize];
+    /// Index pages one probe reads: a hash bucket page, or a B-tree's
+    /// height.
+    fn probe_pages(&self) -> u64;
+    /// Pages this index occupies; a leaf holds 256 entries.
     fn page_count(&self) -> u64;
 }
 
 /// Index entries per logical page: an entry is a (key, row-id) pair of
 /// roughly 16 bytes in a 4 KiB page.
-pub const ENTRIES_PER_PAGE: u64 = 256;
+const ENTRIES_PER_PAGE: u64 = 256;
 
 fn index_pages(entries: usize) -> u64 {
     (entries as u64).div_ceil(ENTRIES_PER_PAGE).max(1)
@@ -57,14 +56,12 @@ impl HashIndex {
 }
 
 impl Index for HashIndex {
-    fn probe(&self, key: &Value, ledger: &CostLedger) -> &[usize] {
-        // One bucket-page read per probe.
-        ledger.read_pages(1);
+    fn probe(&self, key: &Value) -> &[usize] {
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    fn key_count(&self) -> usize {
-        self.map.len()
+    fn probe_pages(&self) -> u64 {
+        1
     }
 
     fn page_count(&self) -> u64 {
@@ -73,7 +70,7 @@ impl Index for HashIndex {
 }
 
 /// Ordered index: probes cost the tree height in page reads; supports
-/// range scans.
+/// an ordered full scan.
 #[derive(Debug)]
 pub struct BTreeIndex {
     map: BTreeMap<Value, Vec<usize>>,
@@ -98,7 +95,7 @@ impl BTreeIndex {
 
     /// Height of the tree in pages (⌈log_fanout(leaves)⌉ + 1, minimum 1),
     /// the per-probe page-read charge.
-    pub fn height(&self) -> u64 {
+    fn height(&self) -> u64 {
         let leaves = index_pages(self.entries);
         let mut h = 1u64;
         let mut n = leaves;
@@ -110,35 +107,20 @@ impl BTreeIndex {
     }
 
     /// Every indexed row id in key order — the ordered full scan behind
-    /// the *interesting orders* access path. Charges all leaf pages.
-    pub fn scan_all_ordered(&self, ledger: &CostLedger) -> Vec<usize> {
-        ledger.read_pages(self.page_count());
+    /// the *interesting orders* access path, which reads all
+    /// [`Index::page_count`] leaf pages.
+    pub fn scan_all_ordered(&self) -> Vec<usize> {
         self.map.values().flatten().copied().collect()
-    }
-
-    /// Row ids with keys in `[lo, hi]` (inclusive), charging tree height
-    /// plus one leaf page per [`ENTRIES_PER_PAGE`] qualifying entries.
-    pub fn range(&self, lo: &Value, hi: &Value, ledger: &CostLedger) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (_, ids) in self
-            .map
-            .range((Bound::Included(lo.clone()), Bound::Included(hi.clone())))
-        {
-            out.extend_from_slice(ids);
-        }
-        ledger.read_pages(self.height() + (out.len() as u64) / ENTRIES_PER_PAGE);
-        out
     }
 }
 
 impl Index for BTreeIndex {
-    fn probe(&self, key: &Value, ledger: &CostLedger) -> &[usize] {
-        ledger.read_pages(self.height());
+    fn probe(&self, key: &Value) -> &[usize] {
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    fn key_count(&self) -> usize {
-        self.map.len()
+    fn probe_pages(&self) -> u64 {
+        self.height()
     }
 
     fn page_count(&self) -> u64 {
@@ -163,40 +145,28 @@ mod tests {
     #[test]
     fn hash_probe_finds_all_matches() {
         let idx = HashIndex::build(&rows(), 0);
-        let ledger = CostLedger::new();
-        assert_eq!(idx.probe(&Value::Int(10), &ledger), &[0, 2]);
-        assert_eq!(idx.probe(&Value::Int(99), &ledger), &[] as &[usize]);
-        assert_eq!(ledger.snapshot().page_reads, 2);
-        assert_eq!(idx.key_count(), 3);
+        assert_eq!(idx.probe(&Value::Int(10)), &[0, 2]);
+        assert_eq!(idx.probe(&Value::Int(99)), &[] as &[usize]);
+        assert_eq!(idx.probe_pages(), 1);
     }
 
     #[test]
     fn nulls_not_indexed() {
         let rows = vec![Tuple::new(vec![Value::Null]), tuple![1]];
         let h = HashIndex::build(&rows, 0);
-        let ledger = CostLedger::new();
-        assert!(h.probe(&Value::Null, &ledger).is_empty());
-        assert_eq!(h.key_count(), 1);
+        assert!(h.probe(&Value::Null).is_empty());
+        assert_eq!(h.entries, 1);
         let b = BTreeIndex::build(&rows, 0);
-        assert_eq!(b.key_count(), 1);
+        assert!(b.probe(&Value::Null).is_empty());
+        assert_eq!(b.scan_all_ordered(), vec![1]);
     }
 
     #[test]
-    fn btree_probe_charges_height() {
+    fn btree_probe_reads_its_height() {
         let idx = BTreeIndex::build(&rows(), 0);
-        assert_eq!(idx.height(), 1);
-        let ledger = CostLedger::new();
-        assert_eq!(idx.probe(&Value::Int(20), &ledger), &[1]);
-        assert_eq!(ledger.snapshot().page_reads, 1);
-    }
-
-    #[test]
-    fn btree_range_scan() {
-        let idx = BTreeIndex::build(&rows(), 0);
-        let ledger = CostLedger::new();
-        let ids = idx.range(&Value::Int(10), &Value::Int(20), &ledger);
-        assert_eq!(ids, vec![0, 2, 1]);
-        assert!(ledger.snapshot().page_reads >= 1);
+        assert_eq!(idx.probe(&Value::Int(20)), &[1]);
+        assert_eq!(idx.probe_pages(), 1);
+        assert_eq!(idx.scan_all_ordered(), vec![0, 2, 1, 3]);
     }
 
     #[test]
@@ -204,7 +174,7 @@ mod tests {
         let rows: Vec<Tuple> = (0..200_000i64).map(|i| tuple![i]).collect();
         let idx = BTreeIndex::build(&rows, 0);
         // 200k entries / 256 per page = 782 leaves → height 3
-        assert_eq!(idx.height(), 3);
+        assert_eq!(idx.probe_pages(), 3);
         assert_eq!(idx.page_count(), 782);
     }
 
@@ -217,7 +187,6 @@ mod tests {
     #[test]
     fn string_keys_work() {
         let idx = HashIndex::build(&rows(), 1);
-        let ledger = CostLedger::new();
-        assert_eq!(idx.probe(&Value::Str("c".into()), &ledger), &[2]);
+        assert_eq!(idx.probe(&Value::Str("c".into())), &[2]);
     }
 }

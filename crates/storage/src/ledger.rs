@@ -1,13 +1,15 @@
 //! The cost ledger: deterministic accounting of the quantities the
 //! paper's cost formulas are written in.
 //!
-//! Every operator charges its page I/Os, tuple operations, shipped bytes
-//! and messages, and user-function invocations here. Benchmarks read the
+//! Every operator books its page I/Os and tuple operations here as a
+//! [`Charge`], and counts its shipped bytes, messages and user-function
+//! invocations. Benchmarks read the
 //! ledger to report *model-unit* costs (stable across machines) next to
 //! wall-clock time, and integration tests assert exact counts — e.g. the
 //! §5.3 claim that a local semi-join needs "two scans of the outer and
 //! one scan of the inner".
 
+use crate::charge::Charge;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,20 +43,19 @@ impl CostLedger {
         Arc::new(CostLedger::default())
     }
 
-    /// Charges `n` page reads.
-    pub fn read_pages(&self, n: u64) {
-        self.page_reads.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Charges `n` page writes.
-    pub fn write_pages(&self, n: u64) {
-        self.page_writes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Charges `n` tuple operations (comparisons, hashes, moves). The
-    /// cost model weighs these against page I/Os with a CPU weight.
-    pub fn tuple_ops(&self, n: u64) {
-        self.tuple_ops.fetch_add(n, Ordering::Relaxed);
+    /// Books `charge`: the one way page I/O and tuple ops reach the
+    /// ledger (see [`crate::charge`]). Only the non-zero fields are
+    /// added, so a one-page booking is one atomic add.
+    pub fn book(&self, charge: Charge) {
+        for (counter, n) in [
+            (&self.page_reads, charge.read),
+            (&self.page_writes, charge.written),
+            (&self.tuple_ops, charge.tuple_ops),
+        ] {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Charges `bytes` shipped across the network in one message.
@@ -146,14 +147,15 @@ impl fmt::Display for LedgerSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::charge;
 
     #[test]
     fn counters_accumulate() {
         let l = CostLedger::new();
-        l.read_pages(3);
-        l.read_pages(2);
-        l.write_pages(1);
-        l.tuple_ops(10);
+        l.book(charge::reads(3));
+        l.book(charge::reads(2));
+        l.book(charge::writes(1));
+        l.book(charge::ops(10));
         l.ship(100);
         l.ship(50);
         l.udf_call();
@@ -170,10 +172,10 @@ mod tests {
     #[test]
     fn delta_between_snapshots() {
         let l = CostLedger::new();
-        l.read_pages(4);
+        l.book(charge::reads(4));
         let before = l.snapshot();
-        l.read_pages(6);
-        l.tuple_ops(2);
+        l.book(charge::reads(6));
+        l.book(charge::ops(2));
         let d = l.snapshot().delta(&before);
         assert_eq!(d.page_reads, 6);
         assert_eq!(d.tuple_ops, 2);
@@ -198,8 +200,8 @@ mod tests {
     fn ledger_is_shareable_across_threads() {
         let l = CostLedger::new();
         let l2 = Arc::clone(&l);
-        let h = std::thread::spawn(move || l2.read_pages(7));
-        l.read_pages(3);
+        let h = std::thread::spawn(move || l2.book(charge::reads(7)));
+        l.book(charge::reads(3));
         h.join().unwrap();
         assert_eq!(l.snapshot().page_reads, 10);
     }
@@ -218,9 +220,11 @@ mod tests {
                 let l = Arc::clone(&l);
                 std::thread::spawn(move || {
                     for _ in 0..PER_THREAD {
-                        l.read_pages(1);
-                        l.write_pages(2);
-                        l.tuple_ops(3);
+                        l.book(Charge {
+                            read: 1,
+                            written: 2,
+                            tuple_ops: 3,
+                        });
                         l.ship(4);
                         l.udf_call();
                     }

@@ -9,9 +9,11 @@
 //! underneath the optimizer:
 //!
 //! * typed [`Value`]s, [`Schema`]s and [`Tuple`]s,
-//! * paged in-memory heap [`Table`]s whose scans charge a shared
-//!   [`CostLedger`] with deterministic page-I/O counts,
-//! * hash and ordered [`index`]es with probe-cost accounting,
+//! * paged in-memory heap [`Table`]s and their hash and ordered
+//!   indexes ([`HashIndex`], [`BTreeIndex`]),
+//! * the ledger [`charge`]s — every page-I/O and tuple-op charge as a
+//!   pure function of its shapes — and the shared [`CostLedger`] that
+//!   books them with deterministic counts,
 //! * per-column [`stats`] (cardinality, distinct counts, min/max,
 //!   equi-depth histograms) feeding the optimizer's selectivity model,
 //! * [`bloom`] filters implementing the paper's *lossy filter sets*,
@@ -28,16 +30,17 @@
 pub mod backing;
 pub mod bloom;
 pub mod builder;
+pub mod charge;
 pub mod codec;
 pub mod error;
 pub mod fault;
-pub mod index;
-pub mod ledger;
+mod index;
+mod ledger;
 pub mod mutation;
 pub mod page;
 pub mod schema;
 pub mod stats;
-pub mod table;
+mod table;
 pub mod tempstore;
 pub mod tuple;
 pub mod value;

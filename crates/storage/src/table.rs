@@ -1,10 +1,13 @@
 //! In-memory, page-accounted heap tables.
+//!
+//! The access paths do the physical work — fault draws and, for a
+//! backed table, page reads — and leave the ledger to their caller,
+//! which books the [`crate::charge`] function of what it read.
 
 use crate::backing::PageBacking;
 use crate::error::StorageError;
 use crate::fault::FaultPlan;
-use crate::index::{BTreeIndex, HashIndex};
-use crate::ledger::CostLedger;
+use crate::index::{BTreeIndex, HashIndex, Index};
 use crate::page::PageLayout;
 use crate::schema::{Schema, SchemaRef};
 use crate::stats::TableStats;
@@ -101,10 +104,10 @@ impl Table {
         Ok(table)
     }
 
-    /// Attaches a physical page backing. From here on, the fault-aware
-    /// access paths ([`Table::scan_checked`] / [`Table::fetch_checked`]
-    /// / [`Table::read_backed_page`]) fetch every logical page they
-    /// charge through the backing as well, so ledger counts and
+    /// Attaches a physical page backing. From here on, the access paths
+    /// ([`Table::scan_checked`] / [`Table::fetch_checked`] /
+    /// [`Table::read_backed_page`]) fetch every logical page their
+    /// callers book through the backing as well, so ledger counts and
     /// physical reads can be diffed. A second attach is ignored: a
     /// table is backed exactly once, when the disk-backed catalog is
     /// built.
@@ -112,21 +115,16 @@ impl Table {
         let _ = self.backing.set(backing);
     }
 
-    /// The attached physical backing, if any.
-    pub fn backing(&self) -> Option<&Arc<dyn PageBacking>> {
-        self.backing.get()
-    }
-
     /// Logical page holding row `row_id`.
-    pub fn page_of_row(&self, row_id: usize) -> u64 {
+    fn page_of_row(&self, row_id: usize) -> u64 {
         row_id as u64 / self.layout.tuples_per_page
     }
 
     /// Fetches logical page `page_no` through the attached backing, a
-    /// no-op for unbacked (pure in-memory) tables. Access paths that
-    /// charge the ledger directly — the ordered index scan — call this
-    /// per fetched page so disk mode stays physically honest without
-    /// adding fault draws the in-memory fault schedule never saw.
+    /// no-op for unbacked (pure in-memory) tables. The ordered index
+    /// scan calls this per heap page so disk mode stays physically
+    /// honest without adding fault draws the in-memory fault schedule
+    /// never saw.
     pub fn read_backed_page(&self, page_no: u64) -> Result<(), StorageError> {
         match self.backing.get() {
             Some(b) => b.read_page(page_no),
@@ -164,29 +162,19 @@ impl Table {
         &self.stats
     }
 
-    /// Raw row access *without* cost accounting — for index builds,
-    /// statistics, and test assertions. Query operators must use
-    /// [`Table::scan`].
+    /// Raw row access *without* fault draws or backed page reads — for
+    /// index builds, statistics, and test assertions. Query operators
+    /// use [`Table::scan_checked`].
     pub fn rows(&self) -> &[Tuple] {
         &self.rows
     }
 
-    /// A full scan: charges one read per page to `ledger` and returns the
-    /// rows.
-    pub fn scan<'a>(&'a self, ledger: &CostLedger) -> &'a [Tuple] {
-        ledger.read_pages(self.page_count());
-        &self.rows
-    }
-
-    /// [`Table::scan`] through an optional [`FaultPlan`]: draws one
-    /// fault decision per page the scan touches, so a seeded plan can
-    /// fail or stall the scan deterministically. With `faults` `None`
-    /// this is exactly `scan`.
-    pub fn scan_checked<'a>(
-        &'a self,
-        ledger: &CostLedger,
-        faults: Option<&FaultPlan>,
-    ) -> Result<&'a [Tuple], StorageError> {
+    /// A full scan through an optional [`FaultPlan`]: draws one fault
+    /// decision per page the scan touches, so a seeded plan can fail or
+    /// stall the scan deterministically, then reads every page through
+    /// the backing, if any. The caller books
+    /// [`charge::reads`](crate::charge::reads) of [`Table::page_count`].
+    pub fn scan_checked(&self, faults: Option<&FaultPlan>) -> Result<&[Tuple], StorageError> {
         if let Some(plan) = faults {
             for _ in 0..self.page_count() {
                 plan.on_page_read()?;
@@ -197,7 +185,7 @@ impl Table {
                 backing.read_page(page_no)?;
             }
         }
-        Ok(self.scan(ledger))
+        Ok(&self.rows)
     }
 
     /// Adds a hash index on column `col`.
@@ -229,7 +217,7 @@ impl Table {
     }
 
     /// Hash index on `col`, if one exists.
-    pub fn hash_index(&self, col: usize) -> Option<&HashIndex> {
+    fn hash_index(&self, col: usize) -> Option<&HashIndex> {
         self.hash_indexes
             .iter()
             .find(|(c, _)| *c == col)
@@ -244,9 +232,14 @@ impl Table {
             .map(|(_, i)| i)
     }
 
-    /// True iff any index (hash or btree) exists on `col`.
-    pub fn has_index(&self, col: usize) -> bool {
-        self.hash_index(col).is_some() || self.btree_index(col).is_some()
+    /// The index an equality probe on `col` uses: the hash index if
+    /// there is one, else the B-tree. Index nested loops, fetch-matches
+    /// and the optimizer's price for both choose through here.
+    pub fn probe_index(&self, col: usize) -> Option<&dyn Index> {
+        match self.hash_index(col) {
+            Some(h) => Some(h),
+            None => self.btree_index(col).map(|b| b as &dyn Index),
+        }
     }
 
     /// Columns with a hash index, in creation order. Lets a disk-backed
@@ -260,27 +253,20 @@ impl Table {
         self.btree_indexes.iter().map(|(c, _)| *c).collect()
     }
 
-    /// Row by position (for index lookups). Charges the page containing
-    /// the row as one read.
-    pub fn fetch(&self, row_id: usize, ledger: &CostLedger) -> &Tuple {
-        ledger.read_pages(1);
-        &self.rows[row_id]
-    }
-
-    /// [`Table::fetch`] through an optional [`FaultPlan`]: one fault
-    /// decision for the single page read. With `faults` `None` this is
-    /// exactly `fetch`.
+    /// Row `row_id` (for index lookups) through an optional
+    /// [`FaultPlan`]: one fault decision for its page, then that page
+    /// through the backing, if any. The caller books the page read as
+    /// part of [`charge::probe`](crate::charge::probe).
     pub fn fetch_checked(
         &self,
         row_id: usize,
-        ledger: &CostLedger,
         faults: Option<&FaultPlan>,
     ) -> Result<&Tuple, StorageError> {
         if let Some(plan) = faults {
             plan.on_page_read()?;
         }
         self.read_backed_page(self.page_of_row(row_id))?;
-        Ok(self.fetch(row_id, ledger))
+        Ok(&self.rows[row_id])
     }
 
     /// Wraps in an [`Arc`].
@@ -313,12 +299,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_charges_page_reads() {
+    fn scan_returns_every_row() {
         let t = small_table();
-        let ledger = CostLedger::new();
-        let rows = t.scan(&ledger);
+        let rows = t.scan_checked(None).unwrap();
         assert_eq!(rows.len(), 3);
-        assert_eq!(ledger.snapshot().page_reads, t.page_count());
         assert_eq!(t.page_count(), 1);
     }
 
@@ -341,23 +325,26 @@ mod tests {
     #[test]
     fn index_lifecycle() {
         let mut t = small_table();
-        assert!(!t.has_index(0));
+        assert!(t.probe_index(0).is_none());
         t.create_hash_index(0).unwrap();
-        assert!(t.has_index(0));
         assert!(t.hash_index(0).is_some());
         assert!(t.btree_index(0).is_none());
         t.create_btree_index(1).unwrap();
         assert!(t.btree_index(1).is_some());
         assert!(t.create_hash_index(7).is_err());
+        // A probe prefers the hash index: one bucket page.
+        t.create_btree_index(0).unwrap();
+        assert_eq!(t.probe_index(0).unwrap().probe_pages(), 1);
+        let b = crate::value::Value::Str("b".into());
+        assert_eq!(t.probe_index(1).unwrap().probe(&b), &[1]);
+        assert!(t.probe_index(2).is_none());
     }
 
     #[test]
-    fn fetch_charges_one_page() {
+    fn fetch_returns_the_row() {
         let t = small_table();
-        let ledger = CostLedger::new();
-        let row = t.fetch(1, &ledger);
+        let row = t.fetch_checked(1, None).unwrap();
         assert_eq!(row, &tuple![2, "b"]);
-        assert_eq!(ledger.snapshot().page_reads, 1);
     }
 
     #[derive(Debug, Default)]
@@ -386,12 +373,10 @@ mod tests {
         assert!(t.page_count() > 1);
         let backing = Arc::new(CountingBacking::default());
         t.attach_backing(backing.clone());
-        let ledger = CostLedger::new();
-        t.scan_checked(&ledger, None).unwrap();
+        t.scan_checked(None).unwrap();
         let touched = backing.touched.lock().unwrap().clone();
+        // Exactly the pages a caller books for the scan.
         assert_eq!(touched, (0..t.page_count()).collect::<Vec<_>>());
-        // Physical touches and ledger charges agree exactly.
-        assert_eq!(touched.len() as u64, ledger.snapshot().page_reads);
     }
 
     #[test]
@@ -401,9 +386,8 @@ mod tests {
         let t = Table::new("b", schema, rows).unwrap();
         let backing = Arc::new(CountingBacking::default());
         t.attach_backing(backing.clone());
-        let ledger = CostLedger::new();
         let row_id = t.layout().tuples_per_page as usize + 3; // second page
-        t.fetch_checked(row_id, &ledger, None).unwrap();
+        t.fetch_checked(row_id, None).unwrap();
         assert_eq!(*backing.touched.lock().unwrap(), vec![1]);
     }
 
@@ -416,8 +400,7 @@ mod tests {
         }));
         // Second attach must not replace the first.
         t.attach_backing(Arc::new(CountingBacking::default()));
-        let ledger = CostLedger::new();
-        let err = t.scan_checked(&ledger, None).unwrap_err();
+        let err = t.scan_checked(None).unwrap_err();
         assert!(matches!(err, StorageError::Backing { .. }));
         // Unbacked read helper is a no-op.
         let plain = small_table();
@@ -448,7 +431,7 @@ mod tests {
         assert_eq!(next.rows(), fresh.rows());
         assert_eq!(next.hash_indexed_columns(), vec![0]);
         assert_eq!(next.btree_indexed_columns(), vec![1]);
-        assert!(next.backing().is_none());
+        assert!(next.backing.get().is_none());
 
         let err = t
             .next_version(vec![], &[], &[tuple!["not an id", "x"]])
@@ -461,8 +444,6 @@ mod tests {
         let schema = Schema::from_pairs(&[("id", DataType::Int)]);
         let t = Table::new("empty", schema, vec![]).unwrap();
         assert_eq!(t.page_count(), 0);
-        let ledger = CostLedger::new();
-        assert!(t.scan(&ledger).is_empty());
-        assert_eq!(ledger.snapshot().page_reads, 0);
+        assert!(t.scan_checked(None).unwrap().is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Closure-backed user-defined relations.
 
 use fj_algebra::UdfRelation;
-use fj_storage::{CostLedger, SchemaRef, Tuple, Value, TUPLE_OPS_PER_PAGE};
+use fj_storage::{charge, CostLedger, SchemaRef, Tuple, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -26,9 +26,8 @@ impl TableFunction {
     ///
     /// * `schema`: argument columns first, then result columns;
     /// * `arg_count`: how many leading columns are arguments;
-    /// * `invocation_cost`: page-unit cost per call (charged as tuple
-    ///   ops at runtime via the workspace `TUPLE_OPS_PER_PAGE`
-    ///   convention);
+    /// * `invocation_cost`: page-unit cost per call (booked as
+    ///   [`charge::invocation`] at runtime);
     /// * `body`: computes result columns from argument values.
     pub fn new(
         name: impl Into<String>,
@@ -86,7 +85,7 @@ impl UdfRelation for TableFunction {
 
     fn invoke(&self, args: &[Value], ledger: &CostLedger) -> Vec<Tuple> {
         ledger.udf_call();
-        ledger.tuple_ops((self.invocation_cost * TUPLE_OPS_PER_PAGE as f64).round() as u64);
+        ledger.book(charge::invocation(self.invocation_cost));
         (self.body)(args)
             .into_iter()
             .map(|results| {

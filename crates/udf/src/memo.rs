@@ -3,7 +3,7 @@
 //! once.
 
 use fj_algebra::UdfRelation;
-use fj_storage::{CostLedger, SchemaRef, Tuple, Value};
+use fj_storage::{charge, CostLedger, SchemaRef, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -49,7 +49,7 @@ impl<U: UdfRelation> UdfRelation for MemoUdf<U> {
 
     fn invoke(&self, args: &[Value], ledger: &CostLedger) -> Vec<Tuple> {
         if let Some(cached) = self.cache().get(args) {
-            ledger.tuple_ops(1);
+            ledger.book(charge::ops(1));
             return cached.as_ref().clone();
         }
         let rows = self.inner.invoke(args, ledger);
