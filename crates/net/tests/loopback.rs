@@ -1194,3 +1194,50 @@ fn an_over_cap_frame_is_refused_typed_and_the_connection_closes() {
     assert_eq!(next.query(&paper_query()).unwrap().rows.len(), 2);
     server.shutdown();
 }
+
+/// A reply leaves when the work finishes. The one page of the table
+/// stalls `STALL` on every read, so each QUERY outlasts any short first
+/// wait the server might make before it falls back to a timer; the
+/// median round trip on an idle server must stay within `STALL` of the
+/// work itself, not on a timer grid.
+#[test]
+fn replies_are_not_held_to_a_timer() {
+    const STALL: Duration = Duration::from_millis(3);
+    let mut catalog = Catalog::new();
+    catalog.add_table(
+        TableBuilder::new("T")
+            .column("k", DataType::Int)
+            .column("v", DataType::Int)
+            .rows((0..4).map(|i| vec![i.into(), (10 * i).into()]))
+            .build()
+            .unwrap()
+            .into_ref(),
+    );
+    let service = ServiceConfig {
+        fault_plan: Some(fj_runtime::FaultPlan::new(1).with_stalls(1, STALL).into()),
+        ..ServiceConfig::default()
+    };
+    let config = ServerConfig {
+        service,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", catalog, config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let query = JoinQuery::new(vec![FromItem::new("T", "T")]);
+    // Warm the plan cache, then time the steady state.
+    assert_eq!(client.query(&query).unwrap().rows.len(), 4);
+    let mut round_trips: Vec<Duration> = (0..21)
+        .map(|_| {
+            let started = Instant::now();
+            assert_eq!(client.query(&query).unwrap().rows.len(), 4);
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < STALL + STALL,
+        "median round trip {median:?} for {STALL:?} of work (all: {round_trips:?})"
+    );
+    server.shutdown();
+}
