@@ -60,7 +60,7 @@ use crate::parametric::ParametricEstimator;
 use fj_algebra::{Catalog, JoinKind, JoinQuery, LogicalPlan, RelationKind, Sips};
 use fj_exec::{lower, PhysPlan};
 use fj_expr::{col, conjoin, conjunct_refs, equi_join_key, for_each_column, EquiJoinKey, Expr};
-use fj_storage::{charge, Index as _, Schema};
+use fj_storage::{charge, ColumnStats, Index as _, Schema};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -489,6 +489,9 @@ struct LeafInner {
 /// Index nested loops into a local base table.
 struct IndexProbe {
     outer_key: String,
+    /// The fraction of outer rows that probe: those whose key is not
+    /// NULL.
+    outer_keyed: f64,
     inner_col: String,
     /// One probe of the unfiltered heap.
     shape: ProbeShape,
@@ -1141,6 +1144,7 @@ impl<'a> Search<'a> {
                 .and_then(|ci| ProbeShape::of(t, ci))
                 .map(|shape| IndexProbe {
                     outer_key: outer_key.clone(),
+                    outer_keyed: self.non_null_fraction(outer_key),
                     inner_col: inner_col.to_string(),
                     shape,
                 });
@@ -1169,6 +1173,22 @@ impl<'a> Search<'a> {
             udf_probe,
             variants: self.whole_outer_variants(&rel.kind, keys.len()),
         }
+    }
+
+    /// The fraction of qualified column `col`'s rows that are not NULL,
+    /// from its base table's statistics; 1 for a column of any other
+    /// relation or without statistics.
+    fn non_null_fraction(&self, col: &str) -> f64 {
+        let Some(Alias { rel, .. }) = alias_of(&self.schemas, col).map(|k| &self.aliases[k]) else {
+            return 1.0;
+        };
+        let RelationKind::Base(t) = &rel.kind else {
+            return 1.0;
+        };
+        let stats = t.schema().resolve(rel.attr(col)).ok();
+        stats
+            .and_then(|ci| t.stats().column(ci))
+            .map_or(1.0, ColumnStats::non_null_fraction)
     }
 
     /// The Filter Join alternatives for a join on `keys` keys into an
@@ -1307,7 +1327,8 @@ impl<'a> Search<'a> {
         if let Some(probe) = &leaf.index_probe {
             self.plans_considered += 1;
             let ProbeShape { pages, matches } = probe.shape;
-            let inl = params.weigh(charge::index_nested_loops(o_rows, pages, matches));
+            let keyed = o_rows * probe.outer_keyed;
+            let inl = params.weigh(charge::index_nested_loops(o_rows, keyed, pages, matches));
             let cost = both + (inl - i_cost);
             self.offer(
                 frontier,

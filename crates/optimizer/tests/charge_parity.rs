@@ -23,7 +23,8 @@ use fj_exec::{ExecCtx, TempTable};
 use fj_expr::{col, lit, AggCall};
 use fj_optimizer::{CostParams, ProbeShape};
 use fj_storage::{
-    charge, DataType, Index, Schema, Table, TableBuilder, Tuple, Value, CPU_WEIGHT_DEFAULT,
+    charge, ColumnStats, DataType, Index, Schema, Table, TableBuilder, Tuple, Value,
+    CPU_WEIGHT_DEFAULT,
 };
 use std::sync::Arc;
 
@@ -89,6 +90,18 @@ fn wide(alias: &str, keys: impl Iterator<Item = i64>) -> Rel {
         })
         .collect();
     Rel::new(schema, rows)
+}
+
+/// `rel` with the key (its first column) of every fourth row NULL.
+fn every_fourth_key_null(rel: &Rel) -> Rel {
+    let rows = rel.rows.iter().enumerate().map(|(i, row)| {
+        let mut values = row.values().to_vec();
+        if i % 4 == 3 {
+            values[0] = Value::Null;
+        }
+        Tuple::new(values)
+    });
+    Rel::new(rel.schema.clone(), rows.collect())
 }
 
 /// A one-column filter set `__F(k0)` holding `keys`.
@@ -296,23 +309,37 @@ impl Parity {
         self.check("project", s, c.cpu(s.outer), charge);
 
         // Index nested loops into a hash- and a B-tree-indexed inner,
-        // and into an inner whose key has NULLs (no index stores them,
-        // so no probe matches them), priced as the DP prices it: one
-        // probe of `ProbeShape::of` per outer row.
+        // into an inner whose key has NULLs (no index stores them, so
+        // no probe matches them), and from an outer whose key has NULLs
+        // (a NULL key probes nothing), priced as the DP prices it: one
+        // probe of `ProbeShape::of` per outer row whose key is not NULL,
+        // the key column's `non_null_fraction` of them.
         let outer = wide("L", 0..n);
-        for (op, nulls, btree) in [
-            ("index nested loops, hash", 0, false),
-            ("index nested loops, B-tree", 0, true),
-            ("index nested loops, NULL inner keys", self.rows, false),
+        for (op, probing, nulls, btree) in [
+            ("index nested loops, hash", &outer, 0, false),
+            ("index nested loops, B-tree", &outer, 0, true),
+            (
+                "index nested loops, NULL inner keys",
+                &outer,
+                self.rows,
+                false,
+            ),
+            (
+                "index nested loops, NULL outer keys",
+                &every_fourth_key_null(&outer),
+                0,
+                false,
+            ),
         ] {
             let table = indexed(n, nulls, btree);
             let probe = ProbeShape::of(&table, 0).unwrap();
             let ctx = self.ctx_with(table);
             let (charge, out) = charged(&ctx, |x| {
-                joins::index_nested_loops(x, outer.clone(), "I", "", "L.k", "k", None)
+                joins::index_nested_loops(x, probing.clone(), "I", "", "L.k", "k", None)
             });
-            let s = Shape::of(&outer, None, &out.unwrap());
-            let inl = charge::index_nested_loops(s.outer, probe.pages, probe.matches);
+            let s = Shape::of(probing, None, &out.unwrap());
+            let keyed = s.outer * ColumnStats::analyze(&probing.rows, 0).non_null_fraction();
+            let inl = charge::index_nested_loops(s.outer, keyed, probe.pages, probe.matches);
             self.check(op, s, c.weigh(inl), charge);
         }
 

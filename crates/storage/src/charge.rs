@@ -210,11 +210,18 @@ pub fn probe<Q: Quantity>(probe_pages: Q, matches: Q) -> Charge<Q> {
 }
 
 /// Index nested loops beyond producing the outer: per outer row one
-/// tuple op and a [`probe`] matching `matches` rows. The executor books
-/// the [`ops`] once and each probe as it makes it.
-pub fn index_nested_loops<Q: Quantity>(outer_rows: Q, probe_pages: Q, matches: Q) -> Charge<Q> {
+/// tuple op, and per outer row with a non-NULL key (`keyed_rows` of
+/// them; no index stores NULL, so a NULL key probes nothing) a
+/// [`probe`] matching `matches` rows. The executor books the [`ops`]
+/// once and each probe as it makes it.
+pub fn index_nested_loops<Q: Quantity>(
+    outer_rows: Q,
+    keyed_rows: Q,
+    probe_pages: Q,
+    matches: Q,
+) -> Charge<Q> {
     Charge {
-        read: outer_rows * probe(probe_pages, matches).read,
+        read: keyed_rows * probe(probe_pages, matches).read,
         ..ops(outer_rows)
     }
 }
@@ -266,8 +273,14 @@ mod tests {
                 ..c
             }
         });
-        assert_eq!(probes, index_nested_loops(3u64, 2, 4));
-        assert_eq!(index_nested_loops(2.0, 1.0, 0.5).read, 3.0);
+        assert_eq!(probes, index_nested_loops(3u64, 3, 2, 4));
+        assert_eq!(index_nested_loops(2.0, 2.0, 1.0, 0.5).read, 3.0);
+        // A NULL-key outer row costs its op and no probe.
+        let one_null = Charge {
+            tuple_ops: probes.tuple_ops + 1,
+            ..probes
+        };
+        assert_eq!(index_nested_loops(4u64, 3, 2, 4), one_null);
         assert_eq!(invocation(2.0), ops(200));
     }
 

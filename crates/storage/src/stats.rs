@@ -200,6 +200,16 @@ impl ColumnStats {
     pub fn values(&self) -> &[Value] {
         &self.sorted
     }
+
+    /// The fraction of the column's rows that are not NULL (exactly 1
+    /// when none is).
+    pub fn non_null_fraction(&self) -> f64 {
+        if self.null_count == 0 {
+            return 1.0;
+        }
+        let keyed = self.sorted.len() as f64;
+        keyed / (keyed + self.null_count as f64)
+    }
 }
 
 /// The summaries only: the sorted column they came from would bury them.
