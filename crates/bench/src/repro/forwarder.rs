@@ -7,7 +7,7 @@
 
 use fj_net::Server;
 use fj_runtime::RecoveryReport;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -29,9 +29,6 @@ impl<'a> Restartable<'a> {
     /// calls `build` again.
     pub(crate) fn start(build: impl Fn() -> Server + Send + Sync + 'a) -> Restartable<'a> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("forwarder bind");
-        listener
-            .set_nonblocking(true)
-            .expect("forwarder nonblocking");
         let addr = listener.local_addr().expect("forwarder addr");
         let server = Arc::new(Mutex::new(Some(build())));
         let stop = Arc::new(AtomicBool::new(false));
@@ -42,31 +39,28 @@ impl<'a> Restartable<'a> {
                 .name("fj-chaos-fwd".into())
                 .spawn(move || {
                     let mut relays: Vec<JoinHandle<()>> = Vec::new();
-                    while !stop.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((client, _)) => {
-                                let target = server
-                                    .lock()
-                                    .expect("replica cell lock")
-                                    .as_ref()
-                                    .map(Server::local_addr);
-                                let upstream = target.and_then(|t| {
-                                    TcpStream::connect_timeout(&t, Duration::from_millis(500)).ok()
-                                });
-                                match upstream {
-                                    // A dead backend is a dead replica:
-                                    // drop the connection so the caller
-                                    // sees a transport error.
-                                    None => drop(client),
-                                    Some(upstream) => {
-                                        relays.push(spawn_relay(client, upstream, &stop));
-                                    }
-                                }
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(_) => break,
+                    for accepted in listener.incoming() {
+                        // `stop` wakes this blocking accept by connecting.
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let Ok(client) = accepted else {
+                            break;
+                        };
+                        let target = server
+                            .lock()
+                            .expect("replica cell lock")
+                            .as_ref()
+                            .map(Server::local_addr);
+                        let upstream = target.and_then(|t| {
+                            TcpStream::connect_timeout(&t, Duration::from_millis(500)).ok()
+                        });
+                        match upstream {
+                            // A dead backend is a dead replica: drop the
+                            // connection so the caller sees a transport
+                            // error.
+                            None => drop(client),
+                            Some(upstream) => relays.push(spawn_relay(client, upstream)),
                         }
                     }
                     for r in relays {
@@ -123,33 +117,25 @@ impl<'a> Restartable<'a> {
             server.shutdown();
         }
         self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
         let _ = self.accept.join();
     }
 }
 
-/// One half-duplex pump: bytes from `from` to `to` until EOF, error, or
-/// the stop flag. Read timeouts keep the thread responsive to `stop`
-/// without killing live-but-idle connections.
-fn pump(from: &TcpStream, to: &TcpStream, stop: &AtomicBool) {
-    let mut from = from.try_clone().expect("clone relay stream");
-    let mut to = to.try_clone().expect("clone relay stream");
-    from.set_read_timeout(Some(Duration::from_millis(50)))
-        .expect("relay read timeout");
+/// One half-duplex pump: bytes from `from` to `to` until EOF or an
+/// error. It then shuts both sockets down, which ends the opposite
+/// pump's read as well, so a relay lasts exactly as long as both of its
+/// connections.
+fn pump(mut from: &TcpStream, mut to: &TcpStream) {
     let mut buf = [0u8; 16 * 1024];
     loop {
         match from.read(&mut buf) {
-            Ok(0) => break,
+            Ok(0) | Err(_) => break,
             Ok(n) => {
                 if to.write_all(&buf[..n]).is_err() {
                     break;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => break,
         }
     }
     let _ = to.shutdown(Shutdown::Both);
@@ -157,20 +143,16 @@ fn pump(from: &TcpStream, to: &TcpStream, stop: &AtomicBool) {
 }
 
 /// Full-duplex relay between `client` and `upstream`: one thread per
-/// direction, both torn down when either side closes.
-fn spawn_relay(client: TcpStream, upstream: TcpStream, stop: &Arc<AtomicBool>) -> JoinHandle<()> {
-    let stop = Arc::clone(stop);
+/// direction, both torn down when either side closes. A server that
+/// shuts down or is killed closes its side, so no relay outlives it.
+fn spawn_relay(client: TcpStream, upstream: TcpStream) -> JoinHandle<()> {
     thread::Builder::new()
         .name("fj-chaos-relay".into())
         .spawn(move || {
-            let back = {
-                let client = client.try_clone().expect("clone relay stream");
-                let upstream = upstream.try_clone().expect("clone relay stream");
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || pump(&upstream, &client, &stop))
-            };
-            pump(&client, &upstream, &stop);
-            let _ = back.join();
+            thread::scope(|scope| {
+                scope.spawn(|| pump(&upstream, &client));
+                pump(&client, &upstream);
+            });
         })
         .expect("spawn relay")
 }

@@ -302,6 +302,9 @@ pub struct Client {
     stream: TcpStream,
     reader: FrameReader,
     writing: WriteLock,
+    /// The read timeout last armed on `stream`, so an exchange pays the
+    /// `setsockopt` only when its timeout differs.
+    read_timeout: Option<Duration>,
 }
 
 impl Client {
@@ -314,6 +317,7 @@ impl Client {
             stream,
             reader: FrameReader::new(wire::DEFAULT_MAX_FRAME_BYTES),
             writing: WriteLock::default(),
+            read_timeout: None,
         })
     }
 
@@ -332,6 +336,7 @@ impl Client {
             stream,
             reader: FrameReader::new(wire::DEFAULT_MAX_FRAME_BYTES),
             writing: WriteLock::default(),
+            read_timeout: None,
         })
     }
 
@@ -492,17 +497,20 @@ impl Client {
     }
 
     /// One request/response round trip, the only place a request frame
-    /// is written: arm the read timeout (every reply read on this
-    /// connection happens under the timeout of the exchange it belongs
-    /// to), send the request, read the reply frame. Also reports the
-    /// exact wire bytes exchanged.
+    /// is written: arm the read timeout if it changed (every reply read
+    /// on this connection happens under the timeout of the exchange it
+    /// belongs to), send the request, read the reply frame. Also
+    /// reports the exact wire bytes exchanged.
     fn exchange(
         &mut self,
         ty: FrameType,
         payload: &[u8],
         read_timeout: Option<Duration>,
     ) -> Result<(FrameType, Vec<u8>, WireBytes), NetError> {
-        self.stream.set_read_timeout(read_timeout)?;
+        if read_timeout != self.read_timeout {
+            self.stream.set_read_timeout(read_timeout)?;
+            self.read_timeout = read_timeout;
+        }
         let sent = {
             let _writing = hold(&self.writing);
             wire::write_frame(&mut self.stream, ty, payload)?

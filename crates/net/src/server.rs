@@ -1,15 +1,20 @@
-//! The TCP query server: an accept loop feeding per-connection handler
-//! threads that decode framed requests, run them through
-//! [`fj_runtime::QueryService`] admission control, and reply with
-//! results or typed errors.
+//! The TCP query server: a blocking accept thread feeding two threads
+//! per connection. The read side decodes framed requests and runs them
+//! through [`fj_runtime::QueryService`] admission control; the reply
+//! side waits on each queued request's ticket and replies with its
+//! result or a typed error.
 //!
 //! Every request takes one lifecycle, written once (see `DESIGN.md`,
 //! "Network service & wire protocol"): `admit` (count, drain refusal,
-//! decode) → the service's queue (`try_submit*`) → `await_reply` (the
-//! only wait loop) → the success frame, or `send_runtime_error` (the
-//! only `RuntimeError` → [`ErrorCode`] table). QUERY, FRAGMENT and
-//! MUTATE handlers are decode + submit + encode-success around those
-//! pieces; SCATTER and SEMIJOIN share `admit` and run inline.
+//! decode) → the service's queue (`try_submit*`) → `complete` (the only
+//! wait: the reply side blocks on the ticket alone, bounded by the
+//! request's deadline) → the success frame, or `send_runtime_error`
+//! (the only `RuntimeError` → [`ErrorCode`] table). QUERY, FRAGMENT
+//! and MUTATE handlers are decode + submit + encode-success around
+//! those pieces; SCATTER and SEMIJOIN share `admit` and run inline on
+//! the read side. No reply waits on a timer: the worker's completion
+//! wakes the thread that writes, and the read side, blocked in a read,
+//! wakes on the next frame.
 //!
 //! * **Load shedding** — `try_submit_*` maps a full submission queue to
 //!   a retryable [`ErrorCode::Shed`] reply instead of blocking the
@@ -17,12 +22,12 @@
 //!   accept time;
 //! * **Deadlines** — a request's `deadline_millis` is measured from the
 //!   instant its frame was received; expiry **tears the work down**:
-//!   the handler trips its interrupt with
+//!   the reply side trips its interrupt with
 //!   [`fj_runtime::InterruptReason::Deadline`], the worker stops within
 //!   a bounded number of tuples, and the client gets
 //!   [`ErrorCode::DeadlineExceeded`];
-//! * **Cancellation** — a [`FrameType::Cancel`] frame received while a
-//!   request is in flight trips its interrupt with
+//! * **Cancellation** — a [`FrameType::Cancel`] frame the read side
+//!   receives while a request is in flight trips its interrupt with
 //!   [`fj_runtime::InterruptReason::Cancelled`]; the reply is an
 //!   [`ErrorCode::Cancelled`] error (or the result, if the work won
 //!   the race). A stale CANCEL between requests is a no-op. A peer
@@ -37,13 +42,14 @@ use crate::wire::{self, ErrorCode, Frame, FrameReader, FrameType, WireError};
 use fj_algebra::Catalog;
 use fj_optimizer::OptimizerConfig;
 use fj_runtime::{
-    Counter, InterruptReason, QueryService, RuntimeError, RuntimeMetrics, ServiceConfig, Ticket,
+    Counter, Interrupt, InterruptReason, QueryService, RuntimeError, RuntimeMetrics, ServiceConfig,
+    Ticket,
 };
 use fj_trace::json;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -254,7 +260,6 @@ impl Server {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {
@@ -372,6 +377,9 @@ impl Server {
     fn stop(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept.take() {
+            // The accept thread blocks in `accept`: one connection wakes
+            // it to see the flag.
+            let _ = TcpStream::connect(wake_addr(self.local_addr));
             let _ = t.join();
         }
         let drained: Vec<JoinHandle<()>> = {
@@ -390,69 +398,113 @@ impl Drop for Server {
     }
 }
 
+/// Where [`Server::stop`] connects to wake the accept thread: the bound
+/// address, or loopback when that is unspecified.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
     max_conns: usize,
 ) {
-    while !shared.shutting_down.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let c = &shared.counters;
-                c.connections_total.fetch_add(1, Ordering::Relaxed);
-                let active = c.connections_active.fetch_add(1, Ordering::Relaxed);
-                let over_cap = active >= max_conns;
-                if over_cap {
-                    c.connections_shed.fetch_add(1, Ordering::Relaxed);
-                }
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("fj-net-conn".into())
-                    .spawn(move || {
-                        handle_connection(stream, &conn_shared, over_cap);
-                        conn_shared
-                            .counters
-                            .connections_active
-                            .fetch_sub(1, Ordering::Relaxed);
-                    });
-                match spawned {
-                    Ok(handle) => {
-                        let mut guard = handlers.lock().unwrap_or_else(|e| e.into_inner());
-                        // Reap finished handlers so long-lived servers
-                        // don't accumulate handles.
-                        guard.retain(|h| !h.is_finished());
-                        guard.push(handle);
-                    }
-                    Err(_) => {
-                        // Spawn failure: undo the active count; the
-                        // stream drops (connection refused).
-                        shared
-                            .counters
-                            .connections_active
-                            .fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
+    for accepted in listener.incoming() {
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok(stream) = accepted else {
+            continue;
+        };
+        let c = &shared.counters;
+        c.connections_total.fetch_add(1, Ordering::Relaxed);
+        let active = c.connections_active.fetch_add(1, Ordering::Relaxed);
+        let over_cap = active >= max_conns;
+        if over_cap {
+            c.connections_shed.fetch_add(1, Ordering::Relaxed);
+        }
+        let conn_shared = Arc::clone(shared);
+        let spawned = std::thread::Builder::new()
+            .name("fj-net-conn".into())
+            .spawn(move || {
+                handle_connection(stream, &conn_shared, over_cap);
+                conn_shared
+                    .counters
+                    .connections_active
+                    .fetch_sub(1, Ordering::Relaxed);
+            });
+        match spawned {
+            Ok(handle) => {
+                let mut guard = handlers.lock().unwrap_or_else(|e| e.into_inner());
+                // Reap finished handlers so long-lived servers don't
+                // accumulate handles.
+                guard.retain(|h| !h.is_finished());
+                guard.push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+            Err(_) => {
+                // Spawn failure: undo the active count; the stream drops
+                // (connection refused).
+                c.connections_active.fetch_sub(1, Ordering::Relaxed);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
-/// One connection's handler state: the socket, its incremental frame
-/// reader, and whether the connection is still worth keeping — `open`
-/// goes false when the peer is gone (a write failed) or the protocol
-/// says to close, and the handler loop exits on it.
+/// How long a read between requests blocks before it re-checks the
+/// drain and kill flags. A read returns as soon as bytes arrive, so
+/// this bounds only how late an idle connection notices a drain; it
+/// holds back no reply.
+const DRAIN_NOTICE: Duration = Duration::from_millis(50);
+
+/// What a connection's two threads share, behind one lock: the socket's
+/// write half, the queued request in flight, and whether the connection
+/// is still worth keeping — `open` goes false when the peer is gone (a
+/// write failed) or the protocol says to close. Both threads write
+/// through it, so a reply and the read side's own answers never
+/// interleave on the wire, and the read side judges each frame against
+/// the flight as the reply side last left it.
 struct Conn<'a> {
     shared: &'a Shared,
     stream: TcpStream,
-    reader: FrameReader,
+    flight: Flight,
     open: bool,
 }
 
+/// The queued request a connection is serving, if any.
+enum Flight {
+    /// Nothing in flight: a CANCEL is stale, any other frame is served.
+    Idle,
+    /// Submitted and not yet answered. The read side trips this
+    /// interrupt when a CANCEL arrives.
+    Running(Interrupt),
+    /// The read side ended the wait: a frame other than CANCEL arrived.
+    Violated,
+    /// The read side ended the wait: the peer closed, the socket
+    /// failed, or the server is being killed.
+    Gone,
+}
+
+/// The rest of one queued request, run on the reply side: wait out its
+/// ticket, then answer it.
+type Job<'a> = Box<dyn FnOnce(&Mutex<Conn<'a>>) + Send + 'a>;
+
+fn lock<'c, 'a>(conn: &'c Mutex<Conn<'a>>) -> MutexGuard<'c, Conn<'a>> {
+    conn.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Serves one connection with two threads. The read side (this thread)
+/// owns the socket's read half: it reads every frame, answers those no
+/// worker runs, and admits and submits queued requests. The reply side
+/// waits on each submitted request's ticket alone and writes its reply,
+/// so the thread the worker wakes is the thread that writes.
 fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
     let _ = stream.set_nodelay(true);
     // Generous handshake window; a silent peer cannot pin the handler.
@@ -460,27 +512,50 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
     if wire::server_handshake(&mut stream).is_err() {
         return;
     }
-    let mut conn = Conn {
-        shared,
-        stream,
-        reader: FrameReader::new(wire::DEFAULT_MAX_FRAME_BYTES),
-        open: true,
+    let Ok(write_half) = stream.try_clone() else {
+        return;
     };
+    let conn = Mutex::new(Conn {
+        shared,
+        stream: write_half,
+        flight: Flight::Idle,
+        open: true,
+    });
     if over_cap {
-        return conn.send_error(ErrorCode::Shed, "connection limit reached; retry later");
+        return lock(&conn).send_error(ErrorCode::Shed, "connection limit reached; retry later");
     }
-    // Short poll timeout so the handler notices a drain promptly.
-    let _ = conn
-        .stream
-        .set_read_timeout(Some(Duration::from_millis(50)));
+    let _ = stream.set_read_timeout(Some(DRAIN_NOTICE));
+    let (replies, jobs) = mpsc::channel::<Job>();
+    std::thread::scope(|scope| {
+        let conn = &conn;
+        let reply_side = std::thread::Builder::new()
+            .name("fj-net-reply".into())
+            .spawn_scoped(scope, move || jobs.into_iter().for_each(|job| job(conn)));
+        if reply_side.is_ok() {
+            read_side(conn, stream, replies);
+        }
+        // `replies` is dropped: the reply side answers the request in
+        // flight, if any, and the scope joins it.
+    });
+}
 
+/// The read side of one connection (see [`handle_connection`]). While
+/// a request is in flight it still reads: a CANCEL trips the request's
+/// interrupt, and any other frame, a peer close or a hard kill trips it
+/// and ends the wait, which the reply side then answers.
+fn read_side<'a>(conn: &Mutex<Conn<'a>>, mut stream: TcpStream, replies: mpsc::Sender<Job<'a>>) {
+    let shared = lock(conn).shared;
+    let mut reader = FrameReader::new(wire::DEFAULT_MAX_FRAME_BYTES);
     let mut drain_started: Option<Instant> = None;
-    while conn.open {
-        let polled = conn.reader.read_frame(&mut conn.stream, |mid_frame| {
+    loop {
+        let polled = reader.read_frame(&mut stream, |mid_frame| {
             if shared.aborting.load(Ordering::SeqCst) {
                 return true; // hard kill: drop the connection as-is
             }
-            if !shared.shutting_down.load(Ordering::SeqCst) {
+            // A drain lets the request in flight finish, still watched.
+            if !shared.shutting_down.load(Ordering::SeqCst)
+                || matches!(lock(conn).flight, Flight::Running(_))
+            {
                 return false;
             }
             if !mid_frame {
@@ -491,6 +566,31 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
             let started = *drain_started.get_or_insert_with(Instant::now);
             started.elapsed() >= DRAIN_GRACE
         });
+        let mut conn = lock(conn);
+        if let Flight::Running(interrupt) = &conn.flight {
+            let interrupt = interrupt.clone();
+            conn.flight = match polled {
+                Ok(Some(f)) if f.ty == FrameType::Cancel => {
+                    shared
+                        .counters
+                        .bytes_in
+                        .fetch_add(f.wire_bytes as u64, Ordering::Relaxed);
+                    interrupt.trip(InterruptReason::Cancelled);
+                    continue;
+                }
+                Ok(Some(_)) => Flight::Violated,
+                // End of stream, a socket error, or the kill flag.
+                _ => {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    Flight::Gone
+                }
+            };
+            interrupt.trip(InterruptReason::Cancelled);
+            return;
+        }
+        if !conn.open {
+            return;
+        }
         let frame = match polled {
             Ok(Some(frame)) => frame,
             Ok(None) => return, // clean close or drain between frames
@@ -509,15 +609,21 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
             .bytes_in
             .fetch_add(frame.wire_bytes as u64, Ordering::Relaxed);
 
-        match frame.ty {
+        let queued = match frame.ty {
             FrameType::Query => conn.handle_query(&frame),
             FrameType::Fragment => conn.handle_fragment(&frame),
             FrameType::Mutate => conn.handle_mutate(&frame),
-            FrameType::Scatter => conn.handle_scatter(&frame),
-            FrameType::Semijoin => conn.handle_semijoin(&frame),
+            FrameType::Scatter => {
+                conn.handle_scatter(&frame);
+                None
+            }
+            FrameType::Semijoin => {
+                conn.handle_semijoin(&frame);
+                None
+            }
             // A CANCEL with no request in flight lost the race against
             // the reply; it is a harmless no-op.
-            FrameType::Cancel => {}
+            FrameType::Cancel => None,
             FrameType::Health => {
                 shared
                     .counters
@@ -527,11 +633,15 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
                     Ok(payload) => conn.send_frame(FrameType::HealthReply, &payload),
                     Err(_) => return,
                 }
+                None
             }
-            FrameType::Stats => match codec::encode_stats_reply(&shared.stats_json()) {
-                Ok(payload) => conn.send_frame(FrameType::StatsReply, &payload),
-                Err(_) => return,
-            },
+            FrameType::Stats => {
+                match codec::encode_stats_reply(&shared.stats_json()) {
+                    Ok(payload) => conn.send_frame(FrameType::StatsReply, &payload),
+                    Err(_) => return,
+                }
+                None
+            }
             FrameType::Result
             | FrameType::StatsReply
             | FrameType::HealthReply
@@ -542,6 +652,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, over_cap: bool) {
             | FrameType::MutateReply
             | FrameType::Error => {
                 return conn.send_error(ErrorCode::Malformed, "response frame sent to server");
+            }
+        };
+        drop(conn);
+        if let Some(job) = queued {
+            if replies.send(job).is_err() {
+                return;
             }
         }
     }
@@ -582,7 +698,7 @@ enum Waited<T> {
     ConnectionGone,
 }
 
-impl Conn<'_> {
+impl<'a> Conn<'a> {
     /// Sends one frame, charging the byte counter; a failed write means
     /// the peer is gone.
     fn send_frame(&mut self, ty: FrameType, payload: &[u8]) {
@@ -686,67 +802,32 @@ impl Conn<'_> {
         }
     }
 
-    /// Waits for `ticket`'s reply, alternating 2 ms ticket polls with
-    /// bounded socket reads — a short read timeout keeps each read pass
-    /// from delaying result delivery by more than ~2ms — so a
-    /// mid-flight CANCEL frame trips the request's interrupt. The
-    /// deadline runs from `received`.
-    fn await_reply<T>(
-        &mut self,
-        ticket: &Ticket<T>,
-        deadline: Option<Duration>,
-        received: Instant,
-    ) -> Waited<T> {
-        let _ = self.stream.set_read_timeout(Some(Duration::from_millis(2)));
-        let waited = loop {
-            if self.shared.aborting.load(Ordering::SeqCst) {
-                break Waited::ConnectionGone;
-            }
-            if let Some(reply) = ticket.poll(Duration::from_millis(2)) {
-                break Waited::Reply(reply);
-            }
-            if deadline.is_some_and(|d| received.elapsed() >= d) {
-                break Waited::DeadlineExpired;
-            }
-            // One bounded read pass looking for a mid-flight CANCEL frame.
-            let mut passes = 0;
-            match self.reader.read_frame(&mut self.stream, |_| {
-                passes += 1;
-                passes > 1
-            }) {
-                Ok(Some(f)) if f.ty == FrameType::Cancel => {
-                    self.shared
-                        .counters
-                        .bytes_in
-                        .fetch_add(f.wire_bytes as u64, Ordering::Relaxed);
-                    ticket.cancel();
-                }
-                Ok(Some(_)) => break Waited::ProtocolViolation,
-                // `read_frame` gave up before the stop condition ever
-                // fired: the read hit end-of-stream — the peer closed.
-                Ok(None) if passes < 2 => break Waited::ConnectionGone,
-                Ok(None) => {} // nothing (or only a partial frame) buffered
-                Err(_) => break Waited::ConnectionGone,
-            }
-        };
-        // Back to the between-requests poll cadence.
-        let _ = self
-            .stream
-            .set_read_timeout(Some(Duration::from_millis(50)));
-        waited
+    /// How the wait for the request in flight ended, given what its
+    /// ticket delivered (`None`: the deadline expired first) and what
+    /// the read side saw meanwhile. The flight is over either way.
+    fn settle<T>(&mut self, reply: Option<Result<T, RuntimeError>>) -> Waited<T> {
+        match (std::mem::replace(&mut self.flight, Flight::Idle), reply) {
+            (Flight::Violated, _) => Waited::ProtocolViolation,
+            (Flight::Gone, _) => Waited::ConnectionGone,
+            _ if self.shared.aborting.load(Ordering::SeqCst) => Waited::ConnectionGone,
+            (_, Some(reply)) => Waited::Reply(reply),
+            (_, None) => Waited::DeadlineExpired,
+        }
     }
 
-    /// Takes an admitted request from submission to its outcome: maps
-    /// a refused submission, waits out the ticket, and answers every
-    /// non-success ending. `Some` is the value the handler still has to
-    /// encode; `None` means the request is over.
-    fn complete<T>(
+    /// Takes an admitted request from submission to its outcome. A
+    /// refused submission is answered here, on the read side. An
+    /// accepted one becomes the connection's flight, and the returned
+    /// job, run on the reply side, waits out the ticket, answers every
+    /// non-success ending, and hands a success to `finish` to encode.
+    fn complete<T: Send + 'a>(
         &mut self,
-        kind: &Kind,
+        kind: &'static Kind,
         submitted: Result<Ticket<T>, RuntimeError>,
         deadline_millis: u64,
         received: Instant,
-    ) -> Option<T> {
+        finish: impl FnOnce(&mut Conn<'a>, T) + Send + 'a,
+    ) -> Option<Job<'a>> {
         let ticket = match submitted {
             Ok(ticket) => ticket,
             Err(e) => {
@@ -759,97 +840,113 @@ impl Conn<'_> {
             ms => Some(Duration::from_millis(ms)),
         };
         let interrupt = ticket.interrupt_handle();
-        match self.await_reply(&ticket, deadline, received) {
-            Waited::Reply(Ok(value)) => return Some(value),
-            Waited::Reply(Err(e)) => self.send_runtime_error(kind, e),
-            Waited::DeadlineExpired => {
-                // Expiry cancels: the worker stops within a bounded
-                // number of tuples (its Interrupted reply goes to the
-                // dropped ticket), and the client hears immediately.
-                interrupt.trip(InterruptReason::Deadline);
-                self.send_runtime_error(kind, RuntimeError::DeadlineExceeded);
+        self.flight = Flight::Running(interrupt.clone());
+        Some(Box::new(move |conn: &Mutex<Conn<'a>>| {
+            // Nothing but the ticket wakes this wait; the deadline runs
+            // from `received`.
+            let reply = match deadline {
+                None => Some(ticket.wait()),
+                Some(d) => ticket.poll(d.saturating_sub(received.elapsed())),
+            };
+            let mut conn = lock(conn);
+            match conn.settle(reply) {
+                Waited::Reply(Ok(value)) => finish(&mut conn, value),
+                Waited::Reply(Err(e)) => conn.send_runtime_error(kind, e),
+                Waited::DeadlineExpired => {
+                    // Expiry cancels: the worker stops within a bounded
+                    // number of tuples (its Interrupted reply goes to the
+                    // dropped ticket), and the client hears immediately.
+                    interrupt.trip(InterruptReason::Deadline);
+                    conn.send_runtime_error(kind, RuntimeError::DeadlineExceeded);
+                }
+                Waited::ProtocolViolation => {
+                    // Any other frame while a request is in flight is a
+                    // protocol violation: the work is torn down (the read
+                    // side tripped it), and the connection closes.
+                    let noun = kind.noun;
+                    let message = format!("only CANCEL may be sent while a {noun} is in flight");
+                    conn.send_error(ErrorCode::Malformed, &message);
+                    conn.open = false;
+                }
+                Waited::ConnectionGone => {
+                    // Tear the work down and vanish without a reply, as a
+                    // crashed process would. For a mutation, crash safety
+                    // does the rest — either the commit fsync already
+                    // happened (it survives restart) or it did not (no
+                    // trace of it survives).
+                    interrupt.trip(InterruptReason::Cancelled);
+                    conn.open = false;
+                }
             }
-            Waited::ProtocolViolation => {
-                // Any other frame while a request is in flight is a
-                // protocol violation: tear the work down and close.
-                interrupt.trip(InterruptReason::Cancelled);
-                let noun = kind.noun;
-                let message = format!("only CANCEL may be sent while a {noun} is in flight");
-                self.send_error(ErrorCode::Malformed, &message);
-                self.open = false;
-            }
-            Waited::ConnectionGone => {
-                // Tear the work down and vanish without a reply, as a
-                // crashed process would. For a mutation, crash safety
-                // does the rest — either the commit fsync already
-                // happened (it survives restart) or it did not (no
-                // trace of it survives).
-                interrupt.trip(InterruptReason::Cancelled);
-                self.open = false;
-            }
-        }
-        None
+        }))
     }
 
     /// Serves one QUERY frame.
-    fn handle_query(&mut self, frame: &Frame) {
+    fn handle_query(&mut self, frame: &Frame) -> Option<Job<'a>> {
         let received = Instant::now();
-        let Some(request) = self.admit(frame, codec::decode_request) else {
-            return;
-        };
+        let request = self.admit(frame, codec::decode_request)?;
         let config = request.config.unwrap_or(self.shared.default_config);
         let want_trace = request.want_trace;
         let service = &self.shared.service;
         let submitted = service.try_submit_with_options(request.query, config, want_trace);
-        let Some(result) = self.complete(&QUERY, submitted, request.deadline_millis, received)
-        else {
-            return;
-        };
-        let encoded = codec::encode_reply(&result);
-        let replied = encoded.is_ok();
-        self.send_result(FrameType::Result, encoded);
-        if !(want_trace && replied && self.open) {
-            return;
-        }
-        // The trace rides in its own frame after the RESULT so the
-        // result encoding stays byte-comparable across replicas
-        // whether or not tracing was requested.
-        match &result.trace {
-            Some(trace) => self.send_reply(FrameType::TraceReply, codec::encode_trace_reply(trace)),
-            // A client that asked for a trace is waiting on a second
-            // frame; never leave it hanging.
-            None => self.send_error(ErrorCode::Internal, "trace unavailable"),
-        }
+        let deadline_millis = request.deadline_millis;
+        self.complete(
+            &QUERY,
+            submitted,
+            deadline_millis,
+            received,
+            move |conn, result| {
+                let encoded = codec::encode_reply(&result);
+                let replied = encoded.is_ok();
+                conn.send_result(FrameType::Result, encoded);
+                if !(want_trace && replied && conn.open) {
+                    return;
+                }
+                // The trace rides in its own frame after the RESULT so the
+                // result encoding stays byte-comparable across replicas
+                // whether or not tracing was requested.
+                match &result.trace {
+                    Some(trace) => {
+                        conn.send_reply(FrameType::TraceReply, codec::encode_trace_reply(trace))
+                    }
+                    // A client that asked for a trace is waiting on a second
+                    // frame; never leave it hanging.
+                    None => conn.send_error(ErrorCode::Internal, "trace unavailable"),
+                }
+            },
+        )
     }
 
     /// Serves one FRAGMENT frame: the fragment query runs through the
     /// shard's query service — the same lifecycle as a QUERY frame —
     /// and the partial result returns as a GATHER frame.
-    fn handle_fragment(&mut self, frame: &Frame) {
+    fn handle_fragment(&mut self, frame: &Frame) -> Option<Job<'a>> {
         let received = Instant::now();
-        let Some(req) = self.admit(frame, codec::decode_fragment) else {
-            return;
-        };
+        let req = self.admit(frame, codec::decode_fragment)?;
         let shared = self.shared;
         let submitted =
             shared
                 .service
                 .try_submit_with_options(req.query, shared.default_config, false);
-        let Some(result) = self.complete(&FRAGMENT, submitted, req.deadline_millis, received)
-        else {
-            return;
-        };
-        let encoded = codec::encode_gather(&codec::GatherReply {
-            schema: result.schema,
-            rows: result.rows,
-            latency_micros: result.latency_micros,
-        });
-        if let Ok(payload) = &encoded {
-            let recorder = shared.service.metrics_recorder();
-            recorder.add(Counter::FragmentsServed, 1);
-            recorder.add(Counter::BytesGathered, payload.len() as u64);
-        }
-        self.send_result(FrameType::Gather, encoded);
+        self.complete(
+            &FRAGMENT,
+            submitted,
+            req.deadline_millis,
+            received,
+            move |conn, result| {
+                let encoded = codec::encode_gather(&codec::GatherReply {
+                    schema: result.schema,
+                    rows: result.rows,
+                    latency_micros: result.latency_micros,
+                });
+                if let Ok(payload) = &encoded {
+                    let recorder = shared.service.metrics_recorder();
+                    recorder.add(Counter::FragmentsServed, 1);
+                    recorder.add(Counter::BytesGathered, payload.len() as u64);
+                }
+                conn.send_result(FrameType::Gather, encoded);
+            },
+        )
     }
 
     /// Serves one MUTATE frame through the service's mutation path —
@@ -857,21 +954,24 @@ impl Conn<'_> {
     /// that wins the race against the WAL commit aborts the mutation
     /// with **no state change**; one that loses it gets the committed
     /// result.
-    fn handle_mutate(&mut self, frame: &Frame) {
+    fn handle_mutate(&mut self, frame: &Frame) -> Option<Job<'a>> {
         let received = Instant::now();
-        let Some(req) = self.admit(frame, codec::decode_mutation_request) else {
-            return;
-        };
+        let req = self.admit(frame, codec::decode_mutation_request)?;
         let submitted = self.shared.service.try_submit_mutation(req.mutation);
-        let Some(stats) = self.complete(&MUTATION, submitted, req.deadline_millis, received) else {
-            return;
-        };
-        let reply = codec::MutationReply {
-            rows_affected: stats.rows_affected,
-            row_count: stats.row_count,
-            version: stats.version,
-        };
-        self.send_result(FrameType::MutateReply, codec::encode_mutation_reply(&reply));
+        self.complete(
+            &MUTATION,
+            submitted,
+            req.deadline_millis,
+            received,
+            |conn, stats| {
+                let reply = codec::MutationReply {
+                    rows_affected: stats.rows_affected,
+                    row_count: stats.row_count,
+                    version: stats.version,
+                };
+                conn.send_result(FrameType::MutateReply, codec::encode_mutation_reply(&reply));
+            },
+        )
     }
 
     /// Serves one SCATTER frame: installs a partition table into the

@@ -320,7 +320,10 @@ impl FrameReader {
     /// Reads until one frame is complete, the peer closes cleanly
     /// between frames (`Ok(None)`), or `should_stop(mid_frame)` says to
     /// give up. Timeout-flavoured read errors re-check `should_stop`
-    /// instead of failing, so servers poll with short socket timeouts.
+    /// instead of failing, so a socket read timeout bounds how late the
+    /// caller notices its stop condition (the server's read side uses
+    /// it to notice a drain) without delaying a frame: a read returns
+    /// as soon as bytes arrive.
     pub fn read_frame<R: Read>(
         &mut self,
         r: &mut R,
