@@ -350,7 +350,7 @@ fn fetch_matches(catalog: &Catalog, join: Join) -> Result<Measured, ExecError> {
     let mut rows = Vec::new();
     let outer_rows = outer.scan_checked(None).map_err(ExecError::Storage)?;
     ledger.book(charge::reads(outer.page_count()));
-    for o in outer_rows {
+    for o in outer_rows.iter() {
         let key = o.value(okey);
         if key.is_null() {
             continue;
@@ -476,7 +476,11 @@ mod tests {
             Technique::FilterJoin,
             Technique::lossy_for(200),
         ] {
-            assert_eq!(sorted(strategy(&s, t).rel.rows), expected, "{t:?}");
+            assert_eq!(
+                sorted(strategy(&s, t).rel.rows.into_vec()),
+                expected,
+                "{t:?}"
+            );
         }
     }
 

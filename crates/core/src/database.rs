@@ -182,7 +182,7 @@ impl Database {
         let charges = ctx.ledger.snapshot().delta(&before);
         Ok(QueryResult {
             schema: rel.schema,
-            rows: rel.rows,
+            rows: rel.rows.into_vec(),
             measured_cost: self.weighted(&charges),
             charges,
             estimated_cost: Some(plan.cost),
@@ -212,7 +212,7 @@ impl Database {
         let charges = ctx.ledger.snapshot().delta(&before);
         Ok(QueryResult {
             schema: rel.schema,
-            rows: rel.rows,
+            rows: rel.rows.into_vec(),
             measured_cost: self.weighted(&charges),
             charges,
             estimated_cost: None,

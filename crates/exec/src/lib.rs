@@ -45,4 +45,4 @@ pub use context::{
 };
 pub use error::ExecError;
 pub use interrupt::{Interrupt, InterruptReason, INTERRUPT_CHECK_INTERVAL};
-pub use physical::{PhysPlan, TempStep};
+pub use physical::{PhysPlan, Rows, TempStep};

@@ -276,7 +276,7 @@ mod tests {
     fn run(plan: &LogicalPlan, catalog: &Catalog) -> Vec<Tuple> {
         let phys = lower(plan, catalog).unwrap();
         let ctx = ExecCtx::new(Arc::new(catalog.clone()));
-        let mut rows = phys.execute(&ctx).unwrap().rows;
+        let mut rows = phys.execute(&ctx).unwrap().rows.into_vec();
         rows.sort();
         rows
     }

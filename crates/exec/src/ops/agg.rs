@@ -36,7 +36,7 @@ pub fn distinct(ctx: &ExecCtx, input: Rel) -> Result<Rel, ExecError> {
         }
         Placement::Memory(grant) => grant,
     };
-    let out = Rel::new(input.schema, dedup(ctx, input.rows, &all_idx)?);
+    let out = Rel::new(input.schema, dedup(ctx, input.rows.into_vec(), &all_idx)?);
     charge_external_sort(ctx, out.page_count());
     Ok(out)
 }

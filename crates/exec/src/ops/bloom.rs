@@ -4,23 +4,28 @@ use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::physical::Rel;
-use fj_storage::{charge, BloomFilter, Value};
+use fj_storage::{charge, BloomFilter, Tuple, Value};
+use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 
-/// Folds a multi-column key into a single [`Value`] for Bloom
-/// membership: single columns pass through, composites hash-fold (the
-/// fold loses information — acceptable for a structure that is lossy by
-/// design and never produces false negatives for the true key).
-pub fn fold_key(values: &[&Value]) -> Value {
-    if values.len() == 1 {
-        values[0].clone()
-    } else {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for v in values {
-            v.hash(&mut h);
-        }
-        Value::Int(h.finish() as i64)
+/// The Bloom membership key of `row`'s columns at `idx`, or `None` when
+/// one of them is NULL (a NULL key never equi-joins). A single column is
+/// the row's own value, borrowed; a composite hash-folds its columns in
+/// place into one `Int` (the fold loses information — acceptable for a
+/// structure that is lossy by design and never produces false negatives
+/// for the true key).
+pub fn fold_key<'a>(row: &'a Tuple, idx: &[usize]) -> Option<Cow<'a, Value>> {
+    if row.key_has_null(idx) {
+        return None;
     }
+    if let [i] = idx {
+        return Some(Cow::Borrowed(row.value(*i)));
+    }
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for &i in idx {
+        row.value(i).hash(&mut h);
+    }
+    Some(Cow::Owned(Value::Int(h.finish() as i64)))
 }
 
 /// Builds a Bloom filter over `key_cols` of `input`. Charges one tuple
@@ -42,11 +47,9 @@ pub fn build_bloom(
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
-        let vals: Vec<&Value> = idx.iter().map(|&i| t.value(i)).collect();
-        if vals.iter().any(|v| v.is_null()) {
-            continue;
+        if let Some(key) = fold_key(t, &idx) {
+            bloom.insert(&key);
         }
-        bloom.insert(&fold_key(&vals));
     }
     Ok(bloom)
 }
@@ -66,19 +69,12 @@ pub fn bloom_probe(
         .map(|c| input.schema.resolve(c))
         .collect::<Result<_, _>>()?;
     ctx.ledger.book(charge::ops(input.rows.len() as u64));
-    let mut rows = Vec::new();
-    for (n, t) in input.rows.into_iter().enumerate() {
+    let rows = input.rows.keep(|n, t| {
         if n % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
-        let vals: Vec<&Value> = idx.iter().map(|&i| t.value(i)).collect();
-        if vals.iter().any(|v| v.is_null()) {
-            continue;
-        }
-        if filter.contains(&fold_key(&vals)) {
-            rows.push(t);
-        }
-    }
+        Ok(fold_key(t, &idx).is_some_and(|key| filter.contains(&key)))
+    })?;
     Ok(Rel::new(input.schema, rows))
 }
 
@@ -140,6 +136,26 @@ mod tests {
             bloom_probe(&ctx(), rel(&[1]), "ghost", &["k".into()]),
             Err(ExecError::MissingRuntimeObject(_))
         ));
+    }
+
+    #[test]
+    fn fold_borrows_one_column_and_hashes_a_composite_in_column_order() {
+        let row = tuple![3, 4];
+        match fold_key(&row, &[1]) {
+            Some(Cow::Borrowed(v)) => assert!(std::ptr::eq(v, row.value(1))),
+            other => panic!("single column not borrowed: {other:?}"),
+        }
+        // The composite fold is `DefaultHasher` over each column in key
+        // order, as it was when every row collected a `Vec<&Value>`:
+        // another order or hasher would move every false positive.
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        Value::Int(3).hash(&mut h);
+        Value::Int(4).hash(&mut h);
+        let folded = Value::Int(h.finish() as i64);
+        assert_eq!(fold_key(&row, &[0, 1]).as_deref(), Some(&folded));
+        let with_null = Tuple::new(vec![Value::Int(3), Value::Null]);
+        assert_eq!(fold_key(&with_null, &[0, 1]), None);
+        assert_eq!(fold_key(&with_null, &[1]), None);
     }
 
     #[test]

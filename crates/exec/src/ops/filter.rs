@@ -13,15 +13,12 @@ use std::sync::Arc;
 pub fn filter(ctx: &ExecCtx, input: Rel, predicate: &Expr) -> Result<Rel, ExecError> {
     let bound = BoundExpr::bind(predicate, &input.schema)?;
     ctx.ledger.book(charge::ops(input.rows.len() as u64));
-    let mut rows = Vec::new();
-    for (i, t) in input.rows.into_iter().enumerate() {
+    let rows = input.rows.keep(|i, t| {
         if i % INTERRUPT_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
-        if bound.eval_predicate(&t)? {
-            rows.push(t);
-        }
-    }
+        Ok(bound.eval_predicate(t)?)
+    })?;
     Ok(Rel::new(input.schema, rows))
 }
 

@@ -10,7 +10,7 @@ use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::ops::key_index::KeyIndex;
 use crate::ops::sort::charge_external_sort;
-use crate::physical::{maybe_qualify, Rel};
+use crate::physical::{maybe_qualify, Rel, Rows};
 use fj_algebra::JoinKind;
 use fj_expr::{BoundExpr, Expr};
 use fj_storage::{charge, Tuple, Value};
@@ -214,7 +214,7 @@ pub fn hash_join(
             if ip > ctx.memory_pages {
                 ctx.charge_materialized_pages(op + ip);
             }
-            hash_probe(ctx, &outer.rows, &inner.rows, &okeys, &ikeys, &pred, kind)?
+            hash_probe(ctx, outer.rows, &inner.rows, &okeys, &ikeys, &pred, kind)?
         }
     };
     ctx.ledger.book(charge::join(no, ni, rows.len() as u64));
@@ -222,11 +222,12 @@ pub fn hash_join(
 }
 
 /// The build+probe kernel shared by the in-memory hash join and each
-/// grace partition of the spilled one. Charges nothing: the caller
-/// books the join's tuple ops, once, over the full inputs and output.
+/// grace partition of the spilled one. A semi-join keeps its outer rows
+/// with [`Rows::keep`]. Charges nothing: the caller books the join's
+/// tuple ops, once, over the full inputs and output.
 pub(crate) fn hash_probe(
     ctx: &ExecCtx,
-    outer_rows: &[Tuple],
+    outer_rows: Rows,
     inner_rows: &[Tuple],
     okeys: &[usize],
     ikeys: &[usize],
@@ -245,38 +246,55 @@ pub(crate) fn hash_probe(
         }
     }
 
-    let mut rows = Vec::new();
-    for (n, o) in outer_rows.iter().enumerate() {
-        if n % INTERRUPT_CHECK_INTERVAL == 0 {
-            ctx.check_interrupt()?;
-        }
-        if o.key_has_null(okeys) {
-            continue;
-        }
-        let matches = index
-            .candidates(o.key_hash(okeys))
-            .map(|c| &inner_rows[c])
-            .filter(|i| o.key_eq(okeys, i, ikeys));
-        match kind {
-            JoinKind::Inner => {
-                for i in matches {
+    match kind {
+        JoinKind::Inner => {
+            let mut rows = Vec::new();
+            for (n, o) in outer_rows.iter().enumerate() {
+                if n % INTERRUPT_CHECK_INTERVAL == 0 {
+                    ctx.check_interrupt()?;
+                }
+                if o.key_has_null(okeys) {
+                    continue;
+                }
+                for i in build_matches(&index, inner_rows, ikeys, o, okeys) {
                     let joined = o.concat(i);
                     if passes(pred, &joined)? {
                         rows.push(joined);
                     }
                 }
             }
-            JoinKind::Semi => {
-                for i in matches {
-                    if passes_residual(pred, o, i)? {
-                        rows.push(o.clone());
-                        break;
-                    }
+            Ok(rows)
+        }
+        JoinKind::Semi => outer_rows.keep(|n, o| {
+            if n % INTERRUPT_CHECK_INTERVAL == 0 {
+                ctx.check_interrupt()?;
+            }
+            if o.key_has_null(okeys) {
+                return Ok(false);
+            }
+            for i in build_matches(&index, inner_rows, ikeys, o, okeys) {
+                if passes_residual(pred, o, i)? {
+                    return Ok(true);
                 }
             }
-        }
+            Ok(false)
+        }),
     }
-    Ok(rows)
+}
+
+/// The rows filed in `index` over `inner_rows` whose key columns at
+/// `ikeys` equal `o`'s at `okeys`, in build order.
+fn build_matches<'a>(
+    index: &'a KeyIndex,
+    inner_rows: &'a [Tuple],
+    ikeys: &'a [usize],
+    o: &'a Tuple,
+    okeys: &'a [usize],
+) -> impl Iterator<Item = &'a Tuple> + 'a {
+    index
+        .candidates(o.key_hash(okeys))
+        .map(|c| &inner_rows[c])
+        .filter(move |i| o.key_eq(okeys, i, ikeys))
 }
 
 /// One merge-join input in its join-key order. The sortedness check
@@ -286,13 +304,14 @@ pub(crate) fn hash_probe(
 /// charges"). An unsorted side is sorted, degrading to the external
 /// merge sort when memory governance says to (same decision rule as the
 /// standalone sort operator); the in-memory path keeps the seed's
-/// simulated external-sort charge.
+/// simulated external-sort charge. A side already in order is returned
+/// as it came, shared or owned.
 fn sorted_side(
     ctx: &ExecCtx,
-    mut rows: Vec<Tuple>,
+    rows: Rows,
     keys: &[usize],
     schema: &fj_storage::Schema,
-) -> Result<Vec<Tuple>, ExecError> {
+) -> Result<Rows, ExecError> {
     let n = rows.len() as u64;
     ctx.ledger.book(charge::ops(n.saturating_sub(1)));
     if rows
@@ -306,13 +325,15 @@ fn sorted_side(
     let pages = layout.pages(n);
     let _grant = match ctx.spill_decision(pages) {
         Placement::Spill(spill) => {
-            return super::spill::external_sort_rows(ctx, &spill, layout, rows, keys);
+            return super::spill::external_sort_rows(ctx, &spill, layout, rows, keys)
+                .map(Rows::Owned);
         }
         Placement::Memory(grant) => grant,
     };
     charge_external_sort(ctx, pages);
+    let mut rows = rows.into_vec();
     rows.sort_by(|a, b| a.key_cmp(keys, b, keys));
-    Ok(rows)
+    Ok(Rows::Owned(rows))
 }
 
 /// Sort-merge join. Inputs that already arrive sorted by their join
@@ -484,9 +505,9 @@ mod tests {
         let hj = hash_join(&ctx(), left(), right(), &keys, None, JoinKind::Inner).unwrap();
         let mj = merge_join(&ctx(), left(), right(), &keys, None).unwrap();
 
-        assert_eq!(sorted(nlj.rows), sorted(expected_inner()));
-        assert_eq!(sorted(hj.rows), sorted(expected_inner()));
-        assert_eq!(sorted(mj.rows), sorted(expected_inner()));
+        assert_eq!(sorted(nlj.rows.into_vec()), sorted(expected_inner()));
+        assert_eq!(sorted(hj.rows.into_vec()), sorted(expected_inner()));
+        assert_eq!(sorted(mj.rows.into_vec()), sorted(expected_inner()));
     }
 
     #[test]
@@ -497,8 +518,8 @@ mod tests {
 
         let nlj = block_nested_loops(&ctx(), left(), right(), Some(&pred), JoinKind::Semi).unwrap();
         let hj = hash_join(&ctx(), left(), right(), &keys, None, JoinKind::Semi).unwrap();
-        assert_eq!(sorted(nlj.rows), sorted(expect.clone()));
-        assert_eq!(sorted(hj.rows), sorted(expect));
+        assert_eq!(sorted(nlj.rows.into_vec()), sorted(expect.clone()));
+        assert_eq!(sorted(hj.rows.into_vec()), sorted(expect));
         assert_eq!(nlj.schema.arity(), 2, "semi join keeps outer schema");
     }
 
@@ -574,7 +595,7 @@ mod tests {
             JoinKind::Inner,
         )
         .unwrap();
-        assert_eq!(sorted(hj.rows), vec![tuple![3, 300, 3, -33]]);
+        assert_eq!(sorted(hj.rows.into_vec()), vec![tuple![3, 300, 3, -33]]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub fn sort(ctx: &ExecCtx, input: Rel, keys: &[String]) -> Result<Rel, ExecError
         Placement::Memory(grant) => grant,
     };
     charge_external_sort(ctx, input.page_count());
-    let mut rows = input.rows;
+    let mut rows = input.rows.into_vec();
     rows.sort_by(|a, b| a.key_cmp(&key_idx, b, &key_idx));
     ctx.check_interrupt()?;
     Ok(Rel::new(input.schema, rows))

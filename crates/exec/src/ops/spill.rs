@@ -27,7 +27,7 @@ use crate::context::{ExecCtx, SpillCtx};
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::ops::joins::hash_probe;
-use crate::physical::Rel;
+use crate::physical::{Rel, Rows};
 use fj_algebra::JoinKind;
 use fj_expr::BoundExpr;
 use fj_storage::{charge, KeyHasher, PageLayout, SpillFile, SpillReader, TempWriter, Tuple, Value};
@@ -120,14 +120,14 @@ fn partition_to_files(
 pub(crate) fn partitionwise(
     ctx: &ExecCtx,
     spill: &SpillCtx,
-    rows: Vec<Tuple>,
+    rows: Rows,
     layout: PageLayout,
     key_idx: &[usize],
     mut each: impl FnMut(Vec<Tuple>) -> Result<Vec<Tuple>, ExecError>,
 ) -> Result<Vec<Tuple>, ExecError> {
     ctx.spill_stats().spills.fetch_add(1, Ordering::Relaxed);
     let fanout = spill_fanout(ctx);
-    let files = partition_to_files(ctx, spill, rows, layout, fanout, |t| {
+    let files = partition_to_files(ctx, spill, rows.into_vec(), layout, fanout, |t| {
         Some(route_salted(t, key_idx, 0, fanout))
     })?;
     let mut out = Vec::new();
@@ -173,8 +173,9 @@ pub(crate) fn grace_hash_join(
 ) -> Result<Vec<Tuple>, ExecError> {
     let olayout = PageLayout::for_schema(&outer.schema);
     let ilayout = PageLayout::for_schema(&inner.schema);
+    let (outer_rows, inner_rows) = (outer.rows.into_vec(), inner.rows.into_vec());
     grace_recurse(
-        ctx, spill, outer.rows, inner.rows, olayout, ilayout, okeys, ikeys, pred, kind, 0,
+        ctx, spill, outer_rows, inner_rows, olayout, ilayout, okeys, ikeys, pred, kind, 0,
     )
 }
 
@@ -227,7 +228,7 @@ fn grace_recurse(
             // partition; a denial no longer changes the plan — the
             // inputs are already on disk and partition-sized.
             let _grant = spill.broker.try_reserve(build_pages);
-            out.extend(hash_probe(ctx, &op, &ip, okeys, ikeys, pred, kind)?);
+            out.extend(hash_probe(ctx, op.into(), &ip, okeys, ikeys, pred, kind)?);
         }
     }
     Ok(out)
@@ -243,11 +244,11 @@ pub(crate) fn external_sort_rows(
     ctx: &ExecCtx,
     spill: &SpillCtx,
     layout: PageLayout,
-    rows: Vec<Tuple>,
+    rows: Rows,
     key_idx: &[usize],
 ) -> Result<Vec<Tuple>, ExecError> {
     if rows.is_empty() {
-        return Ok(rows);
+        return Ok(Vec::new());
     }
     ctx.spill_stats().spills.fetch_add(1, Ordering::Relaxed);
     let run_rows = (ctx.memory_pages * layout.tuples_per_page).max(1) as usize;
@@ -489,7 +490,10 @@ mod tests {
         assert!(r.page_count() > 5, "test needs an over-memory build side");
         let before = c.ledger.snapshot();
         let spilled = joins::hash_join(&c, l, r, &join_keys(), None, JoinKind::Inner).unwrap();
-        assert_eq!(sorted(spilled.rows), sorted(oracle.rows));
+        assert_eq!(
+            sorted(spilled.rows.into_vec()),
+            sorted(oracle.rows.into_vec())
+        );
 
         // Cost parity: the ledger was charged exactly the physical temp
         // I/O, everything written was read back, and the physical total
@@ -533,7 +537,10 @@ mod tests {
             JoinKind::Inner,
         )
         .unwrap();
-        assert_eq!(sorted(spilled.rows), sorted(oracle.rows));
+        assert_eq!(
+            sorted(spilled.rows.into_vec()),
+            sorted(oracle.rows.into_vec())
+        );
         // Fanout 2 over >3-page partitions forces recursive re-partitioning.
         assert!(c.spill_snapshot().spills > 1, "expected recursion");
         assert_eq!(temp.live_files_on_disk().unwrap(), 0);
@@ -560,7 +567,10 @@ mod tests {
             JoinKind::Semi,
         )
         .unwrap();
-        assert_eq!(sorted(spilled.rows), sorted(oracle.rows));
+        assert_eq!(
+            sorted(spilled.rows.into_vec()),
+            sorted(oracle.rows.into_vec())
+        );
         assert!(c.spill_snapshot().spills >= 1);
     }
 
@@ -633,7 +643,10 @@ mod tests {
             agg::hash_aggregate(&base_ctx(128), sort_input(9600), &["a".into()], &aggs).unwrap();
         let (c, temp) = spilling_ctx(4, 1 << 20);
         let spilled_agg = agg::hash_aggregate(&c, sort_input(9600), &["a".into()], &aggs).unwrap();
-        assert_eq!(sorted(spilled_agg.rows), sorted(oracle_agg.rows));
+        assert_eq!(
+            sorted(spilled_agg.rows.into_vec()),
+            sorted(oracle_agg.rows.into_vec())
+        );
         assert!(c.spill_snapshot().spills >= 1);
 
         let dup = |n: i64| {
@@ -645,7 +658,10 @@ mod tests {
         let oracle_d = agg::distinct(&base_ctx(128), dup(9600)).unwrap();
         let (c2, temp2) = spilling_ctx(4, 1 << 20);
         let spilled_d = agg::distinct(&c2, dup(9600)).unwrap();
-        assert_eq!(sorted(spilled_d.rows), sorted(oracle_d.rows));
+        assert_eq!(
+            sorted(spilled_d.rows.into_vec()),
+            sorted(oracle_d.rows.into_vec())
+        );
         assert!(c2.spill_snapshot().spills >= 1);
         assert_eq!(temp.live_files_on_disk().unwrap(), 0);
         assert_eq!(temp2.live_files_on_disk().unwrap(), 0);
@@ -706,7 +722,10 @@ mod tests {
             joins::merge_join(&base_ctx(128), left(1200), right(1200), &join_keys(), None).unwrap();
         let (c, temp) = spilling_ctx(4, 1 << 20);
         let spilled = joins::merge_join(&c, left(1200), right(1200), &join_keys(), None).unwrap();
-        assert_eq!(sorted(spilled.rows), sorted(oracle.rows));
+        assert_eq!(
+            sorted(spilled.rows.into_vec()),
+            sorted(oracle.rows.into_vec())
+        );
         assert!(c.spill_snapshot().spills >= 2, "both sides sort externally");
         assert_eq!(temp.live_files_on_disk().unwrap(), 0);
     }

@@ -1644,7 +1644,7 @@ mod tests {
 
     fn run(phys: &PhysPlan, catalog: &Catalog) -> Vec<fj_storage::Tuple> {
         let ctx = ExecCtx::new(Arc::new(catalog.clone()));
-        let mut rows = phys.execute(&ctx).unwrap().rows;
+        let mut rows = phys.execute(&ctx).unwrap().rows.into_vec();
         rows.sort();
         rows
     }

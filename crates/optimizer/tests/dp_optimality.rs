@@ -64,7 +64,7 @@ fn build_catalog(tables: &[Vec<(i64, i64)>]) -> (Catalog, JoinQuery) {
 
 fn run(opt_phys: &fj_exec::PhysPlan, cat: &Arc<Catalog>) -> Vec<Tuple> {
     let ctx = ExecCtx::new(Arc::clone(cat));
-    let mut rows = opt_phys.execute(&ctx).expect("plan runs").rows;
+    let mut rows = opt_phys.execute(&ctx).expect("plan runs").rows.into_vec();
     rows.sort();
     rows
 }

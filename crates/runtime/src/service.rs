@@ -977,7 +977,7 @@ fn execute_query(
     );
     Ok(QueryResult {
         schema: rel.schema,
-        rows: rel.rows,
+        rows: rel.rows.into_vec(),
         charges,
         measured_cost,
         estimated_cost: Some(plan.cost),

@@ -58,7 +58,11 @@ fn distributed_two_site_join_all_strategies_and_optimizer() {
         Technique::lossy_for(400),
     ] {
         let m = technique::run(&catalog, JOIN, t, DEFAULT_MEMORY_PAGES).unwrap();
-        assert_eq!(sorted(m.unwrap().rel.rows), expected, "{t:?} must agree");
+        assert_eq!(
+            sorted(m.unwrap().rel.rows.into_vec()),
+            expected,
+            "{t:?} must agree"
+        );
     }
     // The optimizer's own plan over the same catalog also agrees.
     let q = JoinQuery::new(vec![
