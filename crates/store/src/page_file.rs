@@ -93,9 +93,10 @@ fn encode_record(table_id: u32, page_no: u32, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Parses and verifies one record at `bytes` (which must start at the
-/// header). Returns `(table_id, page_no, payload)` or `None` if the
-/// bytes are not a valid record.
-fn parse_record(bytes: &[u8]) -> Option<(u32, u32, Vec<u8>)> {
+/// header), in place. Returns `(table_id, page_no, payload_len)` — the
+/// payload is `bytes[RECORD_HEADER..][..payload_len]` — or `None` if
+/// the bytes are not a valid record.
+fn parse_record(bytes: &[u8]) -> Option<(u32, u32, usize)> {
     if bytes.len() < RECORD_HEADER || bytes[0..4] != MAGIC {
         return None;
     }
@@ -120,7 +121,7 @@ fn parse_record(bytes: &[u8]) -> Option<(u32, u32, Vec<u8>)> {
     if want != got {
         return None;
     }
-    Some((table_id, page_no, payload.to_vec()))
+    Some((table_id, page_no, payload_len))
 }
 
 impl PageFile {
@@ -144,8 +145,8 @@ impl PageFile {
         while frame < total_frames {
             let at = (frame as usize) * FRAME_SIZE;
             match parse_record(&bytes[at..]) {
-                Some((table_id, page_no, payload)) => {
-                    let frame_count = frames_for(payload.len());
+                Some((table_id, page_no, payload_len)) => {
+                    let frame_count = frames_for(payload_len);
                     entries.insert(
                         (table_id, page_no),
                         DirEntry {
@@ -255,7 +256,11 @@ impl PageFile {
             .write_all_at(persisted, base)
             .map_err(|e| StoreError::io(format!("write page {table_id}/{page_no}"), e))?;
         let span_end = base + record.len() as u64;
-        let cur_len = self.file.metadata().map(|m| m.len()).unwrap_or(0);
+        let cur_len = self
+            .file
+            .metadata()
+            .map_err(|e| StoreError::io(format!("stat for page {table_id}/{page_no}"), e))?
+            .len();
         if cur_len < span_end {
             self.file
                 .set_len(span_end)
@@ -290,7 +295,9 @@ impl PageFile {
             .map_err(|e| StoreError::io(format!("read page {table_id}/{page_no}"), e))?;
         self.physical_reads.fetch_add(1, Ordering::Relaxed);
         match parse_record(&bytes) {
-            Some((tid, pno, payload)) if tid == table_id && pno == page_no => Ok(payload),
+            Some((tid, pno, len)) if tid == table_id && pno == page_no => {
+                Ok(bytes[RECORD_HEADER..RECORD_HEADER + len].to_vec())
+            }
             _ => Err(StoreError::Corrupt {
                 detail: format!(
                     "record for table {table_id} page {page_no} failed verification (torn write?)"
