@@ -1241,3 +1241,25 @@ fn replies_are_not_held_to_a_timer() {
     );
     server.shutdown();
 }
+
+/// A data directory that cannot be opened — here a regular file — is
+/// an error from `bind`, not a panic in the service underneath it.
+#[test]
+fn bind_on_an_unopenable_disk_store_is_an_error() {
+    use fj_runtime::StorageMode;
+    let file = std::env::temp_dir().join(format!("fj-net-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, b"not a data directory").unwrap();
+    let config = ServerConfig {
+        service: ServiceConfig {
+            storage: StorageMode::Disk {
+                dir: file.clone(),
+                pool_pages: 8,
+            },
+            ..ServiceConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let bound = Server::bind("127.0.0.1:0", paper_catalog(), config);
+    let _ = std::fs::remove_file(&file);
+    assert!(bound.is_err(), "bind over a regular file must fail");
+}
