@@ -243,7 +243,8 @@ impl Server {
     ///
     /// The service config is validated strictly — a zero-sized knob is
     /// an error here, not a clamp: a network server with a silently
-    /// resized queue would lie to its operators.
+    /// resized queue would lie to its operators. A disk store that
+    /// cannot be opened or recovered is an error too.
     pub fn bind(
         addr: impl ToSocketAddrs,
         catalog: Catalog,
@@ -262,8 +263,15 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
 
+        let service = QueryService::try_start(catalog, config.service.clone()).map_err(|e| {
+            let kind = match e {
+                RuntimeError::InvalidConfig(_) => io::ErrorKind::InvalidInput,
+                _ => io::ErrorKind::Other,
+            };
+            io::Error::new(kind, e.to_string())
+        })?;
         let shared = Arc::new(Shared {
-            service: QueryService::start(catalog, config.service.clone()),
+            service,
             default_config: config.service.optimizer,
             counters: Counters::default(),
             draining: AtomicBool::new(false),
