@@ -402,6 +402,20 @@ mod tests {
     }
 
     #[test]
+    fn measured_cost_is_weighed_with_the_config_that_ran() {
+        let mut config = OptimizerConfig::default();
+        config.params.cpu_weight *= 10.0;
+        let r = db().execute_with_config(&paper_query(), config).unwrap();
+        assert!(r.charges.tuple_ops > 0, "the CPU weight must matter");
+        let p = config.params;
+        assert_eq!(
+            r.measured_cost,
+            r.charges
+                .weighted(p.cpu_weight, p.network.per_byte, p.network.per_message)
+        );
+    }
+
+    #[test]
     fn memory_setting_propagates() {
         let mut d = db();
         d.set_memory_pages(0);
