@@ -1,8 +1,8 @@
 //! The `Database` facade.
 
 use fj_algebra::{Catalog, JoinQuery, LogicalPlan, NetworkModel, Sips, UdfRelation, ViewDef};
-use fj_exec::{lower, ExecCtx, PhysPlan};
-use fj_optimizer::{FilterJoinCost, OptError, Optimizer, OptimizerConfig};
+use fj_exec::{lower, ExecCtx, PhysPlan, Rel};
+use fj_optimizer::{FilterJoinCost, OptError, OptimizedPlan, Optimizer, OptimizerConfig};
 use fj_storage::{LedgerSnapshot, SchemaRef, Table, Tuple};
 use fj_trace::{QueryTrace, TraceCollector};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ pub struct QueryResult {
     /// Measured ledger charges of the execution.
     pub charges: LedgerSnapshot,
     /// Measured scalar cost in page units (ledger charges weighted with
-    /// the database's cost parameters).
+    /// the cost parameters of the config the query ran under).
     pub measured_cost: f64,
     /// Optimizer's estimated cost (page units); `None` when the query
     /// was run through the heuristic lowering instead of the optimizer.
@@ -48,6 +48,43 @@ pub struct QueryResult {
     /// service submission that asked for a trace). `None` means tracing
     /// was off and execution took the zero-overhead path.
     pub trace: Option<QueryTrace>,
+}
+
+impl QueryResult {
+    /// The result of executing `plan`, optimized under `config`, into
+    /// `rel` at a ledger cost of `charges`. `measured_cost` weighs the
+    /// charges with `config`'s cost parameters. `Database` and
+    /// `fj-runtime`'s query service both assemble results here.
+    pub fn from_run(
+        plan: &OptimizedPlan,
+        config: &OptimizerConfig,
+        rel: Rel,
+        charges: LedgerSnapshot,
+        cache_hit: bool,
+        trace: Option<QueryTrace>,
+    ) -> QueryResult {
+        QueryResult {
+            schema: rel.schema,
+            rows: rel.rows.into_vec(),
+            measured_cost: measured_cost(&charges, config),
+            charges,
+            estimated_cost: Some(plan.cost),
+            plan: plan.phys.clone(),
+            order: plan.order.clone(),
+            sips: plan.sips.clone(),
+            filter_join_costs: plan.filter_join_costs.clone(),
+            cache_hit,
+            latency_micros: 0,
+            trace,
+        }
+    }
+}
+
+/// Ledger charges weighted with `config`'s cost parameters, in page
+/// units.
+fn measured_cost(charges: &LedgerSnapshot, config: &OptimizerConfig) -> f64 {
+    let p = &config.params;
+    charges.weighted(p.cpu_weight, p.network.per_byte, p.network.per_message)
 }
 
 /// The engine facade: catalog + optimizer + executor.
@@ -134,14 +171,6 @@ impl Database {
         ExecCtx::new(Arc::new(self.catalog.clone())).with_memory_pages(config.params.memory_pages)
     }
 
-    fn weighted(&self, charges: &LedgerSnapshot) -> f64 {
-        charges.weighted(
-            self.config.params.cpu_weight,
-            self.config.params.network.per_byte,
-            self.config.params.network.per_message,
-        )
-    }
-
     /// Optimizes and executes a join query.
     pub fn execute(&self, query: &JoinQuery) -> Result<QueryResult, OptError> {
         self.execute_with_config(query, self.config)
@@ -180,20 +209,10 @@ impl Database {
         let before = ctx.ledger.snapshot();
         let rel = plan.phys.execute(&ctx)?;
         let charges = ctx.ledger.snapshot().delta(&before);
-        Ok(QueryResult {
-            schema: rel.schema,
-            rows: rel.rows.into_vec(),
-            measured_cost: self.weighted(&charges),
-            charges,
-            estimated_cost: Some(plan.cost),
-            plan: plan.phys,
-            order: plan.order,
-            sips: plan.sips,
-            filter_join_costs: plan.filter_join_costs,
-            cache_hit: false,
-            latency_micros: 0,
-            trace: collector.and_then(|c| c.finish()),
-        })
+        let trace = collector.and_then(|c| c.finish());
+        Ok(QueryResult::from_run(
+            &plan, &config, rel, charges, false, trace,
+        ))
     }
 
     /// Optimizes without executing.
@@ -213,7 +232,7 @@ impl Database {
         Ok(QueryResult {
             schema: rel.schema,
             rows: rel.rows.into_vec(),
-            measured_cost: self.weighted(&charges),
+            measured_cost: measured_cost(&charges, &self.config),
             charges,
             estimated_cost: None,
             plan: phys,

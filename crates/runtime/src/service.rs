@@ -903,8 +903,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Optimize (through the cache) + execute one query against the current
-/// snapshot. Mirrors `Database::execute_with_config`, with the catalog
-/// shared instead of cloned per call.
+/// snapshot, with the catalog shared instead of cloned per call.
 fn execute_query(
     shared: &Shared,
     spec: &QuerySpec,
@@ -970,25 +969,9 @@ fn execute_query(
             trace: t.clone(),
         });
     }
-    let measured_cost = charges.weighted(
-        config.params.cpu_weight,
-        config.params.network.per_byte,
-        config.params.network.per_message,
-    );
-    Ok(QueryResult {
-        schema: rel.schema,
-        rows: rel.rows.into_vec(),
-        charges,
-        measured_cost,
-        estimated_cost: Some(plan.cost),
-        plan: plan.phys.clone(),
-        order: plan.order.clone(),
-        sips: plan.sips.clone(),
-        filter_join_costs: plan.filter_join_costs.clone(),
-        cache_hit,
-        latency_micros: 0,
-        trace,
-    })
+    Ok(QueryResult::from_run(
+        &plan, &config, rel, charges, cache_hit, trace,
+    ))
 }
 
 /// Applies one mutation end to end: commit it to the storage layer
