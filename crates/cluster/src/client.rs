@@ -608,6 +608,19 @@ mod tests {
     }
 
     #[test]
+    fn connect_rejects_an_out_of_range_config_by_knob() {
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let config = ClusterConfig {
+            probe_interval: Duration::ZERO,
+            ..ClusterConfig::default()
+        };
+        match ClusterClient::connect(&[addr], config) {
+            Err(ClusterError::Config(e)) => assert_eq!(e.knob, "probe_interval"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn cancel_token_is_idempotent_and_sticky() {
         let token = CancelToken::new();
         assert!(!token.is_cancelled());

@@ -1189,6 +1189,18 @@ mod tests {
     }
 
     #[test]
+    fn try_start_rejects_an_out_of_range_config() {
+        let config = ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        };
+        assert!(matches!(
+            QueryService::try_start(fj_algebra::fixtures::paper_catalog(), config),
+            Err(RuntimeError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
     fn normalized_clamps_every_zero_knob_to_its_floor() {
         let cfg = ServiceConfig {
             workers: 0,
