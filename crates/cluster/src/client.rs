@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 /// [`ClusterClient::query`] beyond a successful reply.
 #[derive(Debug)]
 pub enum ClusterError {
-    /// The configuration was rejected (strict [`ClusterConfig::validate`]).
+    /// [`ClusterConfig::validate`] rejected the configuration.
     Config(ClusterConfigError),
     /// The client was built with an empty replica list.
     NoReplicas,
@@ -261,8 +261,9 @@ impl fmt::Debug for ClusterClient {
 }
 
 impl ClusterClient {
-    /// Builds a client over `addrs` (normalizing `config`) and starts
-    /// the background health prober. No connection is made up front —
+    /// Builds a client over `addrs` and starts the background health
+    /// prober. A config that [`ClusterConfig::validate`] rejects is
+    /// [`ClusterError::Config`]. No connection is made up front —
     /// replicas start `Unknown` and the first queries race the prober.
     pub fn connect(
         addrs: &[SocketAddr],
@@ -271,10 +272,10 @@ impl ClusterClient {
         if addrs.is_empty() {
             return Err(ClusterError::NoReplicas);
         }
-        let cfg = config.normalized();
+        config.validate().map_err(ClusterError::Config)?;
         let shared = Arc::new(Shared {
-            replicas: Replicas::new(addrs, &cfg, cfg.connect_timeout),
-            cfg,
+            replicas: Replicas::new(addrs, &config, config.connect_timeout),
+            cfg: config,
             latency: MetricsRecorder::default(),
             counters: Counters::default(),
         });

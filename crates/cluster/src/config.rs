@@ -1,9 +1,7 @@
-//! Cluster-client configuration, with the same strict/lenient split the
-//! runtime's `ServiceConfig` uses: [`ClusterConfig::validate`] rejects
-//! nonsense knobs with a typed error (run it on operator-supplied
-//! config), while [`ClusterConfig::normalized`] clamps them into range
-//! — `ClusterClient::connect` applies the latter, so a sloppy config
-//! still yields a working client rather than a wedged one.
+//! Cluster-client configuration, with one range rule as the runtime's
+//! `ServiceConfig` has: [`ClusterConfig::validate`] rejects an
+//! out-of-range knob with a typed error, and `ClusterClient::connect`
+//! runs it, so a sloppy config is an error rather than a wedged client.
 
 use crate::breaker::BreakerConfig;
 use std::fmt;
@@ -120,9 +118,8 @@ fn reject(knob: &'static str, expected: &'static str) -> Result<(), ClusterConfi
 }
 
 impl ClusterConfig {
-    /// Strict validation — every knob must already be in range. This is
-    /// the check to run on operator-supplied configuration; the
-    /// constructor itself uses [`ClusterConfig::normalized`].
+    /// The one range rule: every knob must be in range.
+    /// `ClusterClient::connect` runs it.
     pub fn validate(&self) -> Result<(), ClusterConfigError> {
         if self.probe_interval.is_zero() {
             return reject("probe_interval", "positive");
@@ -146,35 +143,6 @@ impl ClusterConfig {
             return reject("hedge.min_samples", "≥ 1");
         }
         Ok(())
-    }
-
-    /// The lenient counterpart of [`ClusterConfig::validate`]: clamps
-    /// every out-of-range knob into range instead of failing.
-    /// `ClusterClient::connect` applies this, the one place where
-    /// clamping happens.
-    pub fn normalized(mut self) -> ClusterConfig {
-        if self.probe_interval.is_zero() {
-            self.probe_interval = Duration::from_millis(1);
-        }
-        if self.probe_timeout.is_zero() {
-            self.probe_timeout = Duration::from_millis(1);
-        }
-        if self.connect_timeout.is_zero() {
-            self.connect_timeout = Duration::from_millis(1);
-        }
-        self.retry_budget_capacity = self.retry_budget_capacity.max(1);
-        self.retry_deposit_per_success = if self.retry_deposit_per_success.is_finite() {
-            self.retry_deposit_per_success.clamp(0.0, 1000.0)
-        } else {
-            0.0
-        };
-        self.hedge.quantile = if self.hedge.quantile.is_finite() && self.hedge.quantile > 0.0 {
-            self.hedge.quantile.min(1.0)
-        } else {
-            0.95
-        };
-        self.hedge.min_samples = self.hedge.min_samples.max(1);
-        self
     }
 }
 
@@ -250,38 +218,5 @@ mod tests {
             let err = cfg.validate().expect_err(knob);
             assert_eq!(err.knob, knob);
         }
-    }
-
-    #[test]
-    fn normalized_fixes_every_rejected_knob() {
-        let cfg = ClusterConfig {
-            probe_interval: Duration::ZERO,
-            probe_timeout: Duration::ZERO,
-            connect_timeout: Duration::ZERO,
-            retry_budget_capacity: 0,
-            retry_deposit_per_success: f64::INFINITY,
-            hedge: HedgeConfig {
-                quantile: -1.0,
-                min_samples: 0,
-                ..HedgeConfig::default()
-            },
-            ..ClusterConfig::default()
-        }
-        .normalized();
-        cfg.validate().expect("normalized config must validate");
-    }
-
-    #[test]
-    fn normalized_preserves_in_range_knobs() {
-        let cfg = ClusterConfig {
-            probe_interval: Duration::from_millis(77),
-            retry_deposit_per_success: 0.33,
-            retry_budget_capacity: 9,
-            ..ClusterConfig::default()
-        }
-        .normalized();
-        assert_eq!(cfg.probe_interval, Duration::from_millis(77));
-        assert_eq!(cfg.retry_deposit_per_success, 0.33);
-        assert_eq!(cfg.retry_budget_capacity, 9);
     }
 }

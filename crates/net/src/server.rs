@@ -250,10 +250,6 @@ impl Server {
         catalog: Catalog,
         config: ServerConfig,
     ) -> io::Result<Server> {
-        config
-            .service
-            .validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         if config.max_connections == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,

@@ -125,7 +125,7 @@ pub enum StorageMode {
     Disk {
         /// The data directory (created on first use).
         dir: PathBuf,
-        /// Buffer-pool capacity in pages. Clamped to ≥ 1.
+        /// Buffer-pool capacity in pages. At least 1.
         pool_pages: usize,
     },
 }
@@ -140,7 +140,7 @@ pub const TRACE_RING_CAPACITY: usize = 16;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads draining the submission queue (inter-query
-    /// parallelism). Clamped to ≥1.
+    /// parallelism). At least 1.
     pub workers: usize,
     /// Bounded submission-queue capacity; a full queue blocks
     /// `submit` (backpressure) and fails `try_submit_with_options`.
@@ -197,10 +197,10 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Strict validation: every sizing knob must be non-zero, and
-    /// `memory_pages` at least [`fj_exec::MIN_MEMORY_PAGES`]. This is
-    /// the check front ends (e.g. `fj-net`) should run on
-    /// operator-supplied configuration before starting a service.
+    /// The one range rule: every sizing knob must be non-zero, and
+    /// `memory_pages` at least [`fj_exec::MIN_MEMORY_PAGES`].
+    /// [`QueryService::try_start`] runs it, so an out-of-range config
+    /// is an error, never a silently resized service.
     pub fn validate(&self) -> Result<(), RuntimeError> {
         let reject = |what: &str| Err(RuntimeError::InvalidConfig(format!("{what} must be ≥ 1")));
         if self.workers == 0 {
@@ -227,26 +227,6 @@ impl ServiceConfig {
             return reject("spill_max_recursion_depth");
         }
         Ok(())
-    }
-
-    /// The lenient counterpart of [`ServiceConfig::validate`]: clamps
-    /// every zero-sized knob up to 1, and `memory_pages` up to
-    /// [`fj_exec::MIN_MEMORY_PAGES`]. [`QueryService::start`] applies
-    /// this — it is the one place where clamping happens, so a
-    /// `ServiceConfig { workers: 0, .. }` still yields a working
-    /// single-worker service rather than a deadlocked one.
-    pub fn normalized(mut self) -> ServiceConfig {
-        self.workers = self.workers.max(1);
-        self.queue_capacity = self.queue_capacity.max(1);
-        self.memory_pages = self.memory_pages.max(fj_exec::MIN_MEMORY_PAGES);
-        if let StorageMode::Disk { pool_pages, .. } = &mut self.storage {
-            *pool_pages = (*pool_pages).max(1);
-        }
-        if let Some(w) = &mut self.spill_soft_watermark_pages {
-            *w = (*w).max(1);
-        }
-        self.spill_max_recursion_depth = self.spill_max_recursion_depth.max(1);
-        self
     }
 }
 
@@ -419,10 +399,8 @@ impl fmt::Debug for QueryService {
 }
 
 impl QueryService {
-    /// Starts the worker pool over `catalog`. The config is passed
-    /// through [`ServiceConfig::normalized`] first, so zero-sized knobs
-    /// are clamped to 1 (use [`ServiceConfig::validate`] beforehand to
-    /// reject them instead).
+    /// Starts the worker pool over `catalog`, panicking where
+    /// [`QueryService::try_start`] returns an error.
     pub fn start(catalog: Catalog, config: ServiceConfig) -> QueryService {
         match QueryService::try_start(catalog, config) {
             Ok(service) => service,
@@ -430,10 +408,10 @@ impl QueryService {
         }
     }
 
-    /// Fallible counterpart of [`QueryService::start`] — the path for
-    /// disk-backed services, where opening or recovering the data
-    /// directory can fail ([`RuntimeError::Storage`]). In-memory
-    /// startup never errors.
+    /// Fallible counterpart of [`QueryService::start`]: a config that
+    /// [`ServiceConfig::validate`] rejects is
+    /// [`RuntimeError::InvalidConfig`], and a disk store that cannot be
+    /// opened or recovered is [`RuntimeError::Storage`].
     ///
     /// In [`StorageMode::Disk`], `catalog` acts as a *template*: tables
     /// already committed in the data directory are recovered from disk
@@ -445,7 +423,7 @@ impl QueryService {
         catalog: Catalog,
         config: ServiceConfig,
     ) -> Result<QueryService, RuntimeError> {
-        let config = config.normalized();
+        config.validate()?;
         let (catalog, store, recovery) = match &config.storage {
             StorageMode::InMemory => (catalog, None, None),
             StorageMode::Disk { dir, pool_pages } => {
@@ -1201,25 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn normalized_clamps_every_zero_knob_to_its_floor() {
-        let cfg = ServiceConfig {
-            workers: 0,
-            queue_capacity: 0,
-            memory_pages: 0,
-            spill_soft_watermark_pages: Some(0),
-            spill_max_recursion_depth: 0,
-            ..ServiceConfig::default()
-        }
-        .normalized();
-        assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.queue_capacity, 1);
-        assert_eq!(cfg.memory_pages, fj_exec::MIN_MEMORY_PAGES);
-        assert_eq!(cfg.spill_soft_watermark_pages, Some(1));
-        assert_eq!(cfg.spill_max_recursion_depth, 1);
-        cfg.validate().unwrap();
-    }
-
-    #[test]
     fn spilling_off_is_the_default_and_validates() {
         let cfg = ServiceConfig::default();
         assert_eq!(cfg.spill_soft_watermark_pages, None);
@@ -1227,9 +1186,6 @@ mod tests {
             cfg.spill_max_recursion_depth,
             fj_exec::DEFAULT_SPILL_MAX_DEPTH
         );
-        // `None` watermark stays `None` through normalization: spilling
-        // never turns itself on.
-        assert_eq!(cfg.normalized().spill_soft_watermark_pages, None);
     }
 
     #[test]
@@ -1470,17 +1426,5 @@ mod tests {
         let broker = service.memory_broker().unwrap();
         assert_eq!(broker.in_use_pages(), 0, "all grants released");
         service.shutdown();
-    }
-
-    #[test]
-    fn normalized_preserves_non_zero_knobs() {
-        let cfg = ServiceConfig {
-            workers: 7,
-            queue_capacity: 9,
-            ..ServiceConfig::default()
-        }
-        .normalized();
-        assert_eq!(cfg.workers, 7);
-        assert_eq!(cfg.queue_capacity, 9);
     }
 }

@@ -596,9 +596,9 @@ fn spill_catalog_and_query(n_rows: i64) -> (Catalog, JoinQuery) {
 #[test]
 fn a_tight_memory_service_prices_plans_with_the_m_it_runs_with() {
     let (cat, q) = spill_catalog_and_query(600);
-    // M = 2 is below the least M anything runs with: the service must
-    // price with the M = 3 its executor runs with, as `Database` does.
-    for m in [4, 2] {
+    // M = 3 is the least M anything runs with: the service must price
+    // with the M its executor runs with, as `Database` does.
+    for m in [4, 3] {
         let mut db = Database::with_catalog(cat.clone());
         db.set_memory_pages(m);
         let direct = db.execute(&q).unwrap();
