@@ -97,7 +97,6 @@ pub(crate) fn cluster(addrs: &[SocketAddr]) -> ClusterClient {
         ClusterConfig {
             probe_interval: Duration::from_millis(10),
             probe_timeout: Duration::from_millis(500),
-            connect_timeout: Duration::from_millis(500),
             retry_budget_capacity: 64,
             retry_deposit_per_success: 0.5,
             hedge: HedgeConfig {

@@ -23,7 +23,9 @@
 //! [`HedgeConfig::enabled`]: crate::HedgeConfig
 //! [`HedgeConfig::verify`]: crate::HedgeConfig
 
-use crate::config::{ClusterConfig, ClusterConfigError, PROBE_JITTER, PROBE_JITTER_SEED};
+use crate::config::{
+    ClusterConfig, ClusterConfigError, CONNECT_TIMEOUT, PROBE_JITTER, PROBE_JITTER_SEED,
+};
 use crate::replicas::{locked, CancelToken, ReplicaStatus, Replicas};
 use fj_algebra::JoinQuery;
 use fj_net::client::QueryOptions;
@@ -274,7 +276,7 @@ impl ClusterClient {
         }
         config.validate().map_err(ClusterError::Config)?;
         let shared = Arc::new(Shared {
-            replicas: Replicas::new(addrs, &config, config.connect_timeout),
+            replicas: Replicas::new(addrs, &config, CONNECT_TIMEOUT),
             cfg: config,
             latency: MetricsRecorder::default(),
             counters: Counters::default(),

@@ -56,6 +56,9 @@ pub const PROBE_JITTER: f64 = 0.2;
 /// same probe schedule.
 pub const PROBE_JITTER_SEED: u64 = 0xc1a5;
 
+/// TCP connect timeout for query connections.
+pub const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Everything the replica-aware [`crate::ClusterClient`] needs to know.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -64,8 +67,6 @@ pub struct ClusterConfig {
     pub probe_interval: Duration,
     /// Per-probe I/O timeout (connect, handshake, and reply each).
     pub probe_timeout: Duration,
-    /// TCP connect timeout for query connections.
-    pub connect_timeout: Duration,
     /// Per-replica circuit-breaker thresholds.
     pub breaker: BreakerConfig,
     /// Capacity of the shared retry budget (tokens). Retries and
@@ -83,7 +84,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             probe_interval: Duration::from_millis(50),
             probe_timeout: Duration::from_millis(250),
-            connect_timeout: Duration::from_millis(500),
             breaker: BreakerConfig::default(),
             retry_budget_capacity: 32,
             retry_deposit_per_success: 0.1,
@@ -127,9 +127,6 @@ impl ClusterConfig {
         if self.probe_timeout.is_zero() {
             return reject("probe_timeout", "positive");
         }
-        if self.connect_timeout.is_zero() {
-            return reject("connect_timeout", "positive");
-        }
         if self.retry_budget_capacity == 0 {
             return reject("retry_budget_capacity", "≥ 1");
         }
@@ -171,13 +168,6 @@ mod tests {
                     ..ClusterConfig::default()
                 },
                 "probe_timeout",
-            ),
-            (
-                ClusterConfig {
-                    connect_timeout: Duration::ZERO,
-                    ..ClusterConfig::default()
-                },
-                "connect_timeout",
             ),
             (
                 ClusterConfig {

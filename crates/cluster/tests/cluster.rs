@@ -66,7 +66,6 @@ fn quick_config() -> ClusterConfig {
     ClusterConfig {
         probe_interval: Duration::from_millis(10),
         probe_timeout: Duration::from_millis(500),
-        connect_timeout: Duration::from_millis(500),
         ..ClusterConfig::default()
     }
 }

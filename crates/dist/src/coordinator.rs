@@ -22,7 +22,7 @@
 use crate::error::DistError;
 use crate::plan::{partition_table_name, AliasInfo, DistPlan, Edge, ORD_COLUMN};
 use crate::strategy::{
-    predict_all, CostPrediction, Exchange, Filter, KeySource, Program, ShipStrategy,
+    predict_all, CostPrediction, Exchange, Filter, KeySource, Program, ShipStrategy, BLOOM_FP,
 };
 use fj_algebra::{Catalog, FromItem, JoinQuery, PartitionMap};
 use fj_cluster::{CancelToken, ClusterConfig, ClusterError, Replicas, ShardMap};
@@ -49,8 +49,6 @@ pub struct DistConfig {
     /// Client-side bound on each dial (connect and handshake) and on the
     /// wait for a scatter/semijoin reply.
     pub io_timeout: Duration,
-    /// Target false-positive rate for shipped Bloom filters.
-    pub bloom_fp: f64,
 }
 
 impl Default for DistConfig {
@@ -58,7 +56,6 @@ impl Default for DistConfig {
         DistConfig {
             fragment_deadline: Duration::from_secs(30),
             io_timeout: Duration::from_secs(30),
-            bloom_fp: 0.01,
         }
     }
 }
@@ -276,12 +273,7 @@ impl DistCoordinator {
     ) -> Result<DistResult, DistError> {
         self.check_interrupt()?;
         let plan = DistPlan::analyze(query, &self.catalog, self.map.shards())?;
-        let predictions = predict_all(
-            &plan,
-            &self.catalog,
-            self.map.shards(),
-            self.config.bloom_fp,
-        );
+        let predictions = predict_all(&plan, &self.catalog, self.map.shards());
         let effective = match strategy {
             ShipStrategy::Auto => predictions
                 .first()
@@ -326,7 +318,6 @@ impl DistCoordinator {
         program: &Program,
     ) -> Result<Vec<Vec<Vec<Tuple>>>, DistError> {
         let shards = self.map.shards();
-        let fp = self.config.bloom_fp;
         let mut gathered: Vec<Option<Vec<Vec<Tuple>>>> = vec![None; plan.aliases.len()];
         let mut slots: Vec<Vec<Value>> = Vec::new();
         for exchange in &program.0 {
@@ -340,7 +331,7 @@ impl DistCoordinator {
                 Exchange::Gather(v, filters) => {
                     let info = &plan.aliases[*v];
                     self.phase(&format!("reduce:{}", info.alias));
-                    let filters = key_filters(plan, &gathered, &slots, filters, fp)?;
+                    let filters = key_filters(plan, &gathered, &slots, filters)?;
                     let rows: Vec<Vec<Tuple>> = self
                         .semijoins(stats, info, &filters, None)?
                         .into_iter()
@@ -352,7 +343,7 @@ impl DistCoordinator {
                 Exchange::Keys(v, col, filters) => {
                     let info = &plan.aliases[*v];
                     self.phase(&format!("reduce:{}", info.alias));
-                    let filters = key_filters(plan, &gathered, &slots, filters, fp)?;
+                    let filters = key_filters(plan, &gathered, &slots, filters)?;
                     let keys: BTreeSet<Value> = self
                         .semijoins(stats, info, &filters, Some(col))?
                         .into_iter()
@@ -631,7 +622,6 @@ fn key_filters(
     gathered: &[Option<Vec<Vec<Tuple>>>],
     slots: &[Vec<Value>],
     filters: &[Filter],
-    bloom_fp: f64,
 ) -> Result<Vec<(String, KeyFilter)>, DistError> {
     filters
         .iter()
@@ -651,7 +641,7 @@ fn key_filters(
                 })?,
             };
             let filter = if f.bloom {
-                let mut bloom = BloomFilter::with_capacity(keys.len().max(1) as u64, bloom_fp);
+                let mut bloom = BloomFilter::with_capacity(keys.len().max(1) as u64, BLOOM_FP);
                 for k in &keys {
                     bloom.insert(k);
                 }

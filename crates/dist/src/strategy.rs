@@ -14,6 +14,9 @@ use crate::plan::DistPlan;
 use fj_algebra::Catalog;
 use fj_storage::BloomFilter;
 
+/// Target false-positive rate of every shipped Bloom filter.
+pub(crate) const BLOOM_FP: f64 = 0.01;
+
 /// How reduction filters move between shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShipStrategy {
@@ -302,7 +305,6 @@ struct Walk<'a> {
     facts: Vec<AliasFacts>,
     slots: Vec<(f64, f64)>,
     shards: f64,
-    bloom_fp: f64,
 }
 
 impl Walk<'_> {
@@ -342,9 +344,9 @@ impl Walk<'_> {
             let (d, w) = self.keys(&f.source);
             let sel = (d / self.distinct(v, &f.col)).min(1.0);
             if f.bloom {
-                let (n_bits, _) = BloomFilter::sizing(d as u64, self.bloom_fp);
+                let (n_bits, _) = BloomFilter::sizing(d as u64, BLOOM_FP);
                 bytes += self.shards * (n_bits / 8) as f64;
-                pass = pass.min(sel + self.bloom_fp * (1.0 - sel));
+                pass = pass.min(sel + BLOOM_FP * (1.0 - sel));
             } else {
                 bytes += self.shards * d * w;
                 pass = pass.min(sel);
@@ -418,12 +420,7 @@ impl Walk<'_> {
 /// cyclic join graph. A Gather or Keys exchange sends one request per
 /// partition and a Fetch one per distinct key and target partition, so
 /// the predicted messages are the requests the coordinator sends.
-pub fn predict_all(
-    plan: &DistPlan,
-    catalog: &Catalog,
-    shards: u32,
-    bloom_fp: f64,
-) -> Vec<CostPrediction> {
+pub fn predict_all(plan: &DistPlan, catalog: &Catalog, shards: u32) -> Vec<CostPrediction> {
     let f = facts(plan, catalog);
     // A catalog defaults to the free network of the purely-local
     // setting, but shipping over real shards is never free: weight by
@@ -441,7 +438,6 @@ pub fn predict_all(
                 facts: f.clone(),
                 slots: Vec::new(),
                 shards: shards as f64,
-                bloom_fp,
             };
             let (messages, bytes) = walk.run(&program);
             Some(CostPrediction {

@@ -11,7 +11,7 @@
 use fj_algebra::{Catalog, FromItem, JoinQuery};
 use fj_bench::repro::dist::wire_catalog;
 use fj_bench::workloads::{snowflake, star_selective};
-use fj_dist::{predict_all, DistConfig, DistPlan};
+use fj_dist::{predict_all, DistPlan};
 use fj_expr::{col, lit};
 use fj_storage::{DataType, TableBuilder, Value};
 
@@ -203,12 +203,11 @@ fn cases() -> Vec<(&'static str, Catalog, JoinQuery)> {
 
 #[test]
 fn predictions_are_pinned() {
-    let bloom_fp = DistConfig::default().bloom_fp;
     let mut rows = Vec::new();
     let mut picks = Vec::new();
     for (case, cat, q) in cases() {
         let plan = DistPlan::analyze(&q, &cat, SHARDS).unwrap();
-        let predictions = predict_all(&plan, &cat, SHARDS, bloom_fp);
+        let predictions = predict_all(&plan, &cat, SHARDS);
         picks.push(format!(
             "    ({case:?}, {:?}),",
             predictions[0].strategy.name()

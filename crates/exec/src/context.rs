@@ -81,37 +81,24 @@ impl fmt::Debug for PoolProbe {
     }
 }
 
-/// Default bound on grace-hash recursive re-partitioning depth.
+/// Bound on grace-hash recursive re-partitioning depth.
 pub const DEFAULT_SPILL_MAX_DEPTH: usize = 4;
 
 /// The spilling runtime attached to a context when memory governance is
-/// enabled: where to put temp partitions, who arbitrates memory grants,
-/// and how deep grace-hash recursion may go on skewed partitions.
+/// enabled: where to put temp partitions and who arbitrates memory
+/// grants.
 #[derive(Debug, Clone)]
 pub struct SpillCtx {
     /// The fault-injectable temp partition store.
     pub temp: Arc<TempStore>,
     /// The service-wide soft-watermark broker.
     pub broker: Arc<MemoryBroker>,
-    /// Bound on grace-hash recursive re-partitioning depth.
-    pub max_depth: usize,
 }
 
 impl SpillCtx {
-    /// A spill context over `temp` and `broker` with the default
-    /// recursion bound.
+    /// A spill context over `temp` and `broker`.
     pub fn new(temp: Arc<TempStore>, broker: Arc<MemoryBroker>) -> SpillCtx {
-        SpillCtx {
-            temp,
-            broker,
-            max_depth: DEFAULT_SPILL_MAX_DEPTH,
-        }
-    }
-
-    /// Overrides the recursion bound (clamped to ≥1).
-    pub fn with_max_depth(mut self, depth: usize) -> SpillCtx {
-        self.max_depth = depth.max(1);
-        self
+        SpillCtx { temp, broker }
     }
 }
 

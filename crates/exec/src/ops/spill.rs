@@ -23,7 +23,7 @@
 //! counters, and the temp store's byte counters all derive from the
 //! same flush events.
 
-use crate::context::{ExecCtx, SpillCtx};
+use crate::context::{ExecCtx, SpillCtx, DEFAULT_SPILL_MAX_DEPTH};
 use crate::error::ExecError;
 use crate::interrupt::INTERRUPT_CHECK_INTERVAL;
 use crate::ops::joins::hash_probe;
@@ -206,7 +206,7 @@ fn grace_recurse(
         let ip = read_spill(ctx, inf, ilayout)?;
         let op = read_spill(ctx, of, olayout)?;
         let build_pages = ilayout.pages(ip.len() as u64);
-        if build_pages > ctx.memory_pages && depth + 1 < spill.max_depth {
+        if build_pages > ctx.memory_pages && depth + 1 < DEFAULT_SPILL_MAX_DEPTH {
             // Skewed partition: re-split with a different salt. A
             // single-key partition can never split further — the depth
             // bound stops the recursion and the probe below absorbs it.
@@ -543,6 +543,59 @@ mod tests {
         );
         // Fanout 2 over >3-page partitions forces recursive re-partitioning.
         assert!(c.spill_snapshot().spills > 1, "expected recursion");
+        assert_eq!(temp.live_files_on_disk().unwrap(), 0);
+    }
+
+    /// Every row of both sides carries one key, so each level routes
+    /// them all to one partition that never fits `M`: the recursion
+    /// spills once per level until the depth bound, and the last level
+    /// probes the whole partition in memory.
+    #[test]
+    fn grace_join_on_one_key_stops_at_the_depth_bound() {
+        let one_key = |side: &str, n: usize| {
+            let names: Vec<String> = std::iter::once(format!("{side}.k"))
+                .chain((0..8).map(|p| format!("{side}.pad{p}")))
+                .collect();
+            let columns: Vec<(&str, DataType)> = names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| {
+                    (
+                        name.as_str(),
+                        if i == 0 { DataType::Int } else { DataType::Str },
+                    )
+                })
+                .collect();
+            let rows = (0..n)
+                .map(|i| {
+                    let pads = (0..8).map(|p| Value::Str(format!("{side}{i}-{p}")));
+                    Tuple::new(std::iter::once(Value::Int(0)).chain(pads).collect())
+                })
+                .collect();
+            Rel::new(Schema::from_pairs(&columns).into_ref(), rows)
+        };
+        let oracle = joins::hash_join(
+            &base_ctx(128),
+            one_key("L", 80),
+            one_key("R", 80),
+            &join_keys(),
+            None,
+            JoinKind::Inner,
+        )
+        .unwrap();
+        let (c, temp) = spilling_ctx(3, 1 << 20);
+        let (l, r) = (one_key("L", 80), one_key("R", 80));
+        assert!(
+            l.page_count() > 3 && r.page_count() > 3,
+            "both sides exceed M"
+        );
+        let spilled = joins::hash_join(&c, l, r, &join_keys(), None, JoinKind::Inner).unwrap();
+        assert_eq!(spilled.rows.len(), 80 * 80);
+        assert_eq!(
+            sorted(spilled.rows.into_vec()),
+            sorted(oracle.rows.into_vec())
+        );
+        assert_eq!(c.spill_snapshot().spills, DEFAULT_SPILL_MAX_DEPTH as u64);
         assert_eq!(temp.live_files_on_disk().unwrap(), 0);
     }
 

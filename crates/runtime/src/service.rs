@@ -174,9 +174,6 @@ pub struct ServiceConfig {
     /// directory, removed when the service stops). Only meaningful
     /// when spilling is on.
     pub spill_dir: Option<PathBuf>,
-    /// Bound on recursive grace-join repartitioning depth. Clamped to
-    /// ≥ 1. Only meaningful when spilling is on.
-    pub spill_max_recursion_depth: usize,
 }
 
 impl Default for ServiceConfig {
@@ -191,7 +188,6 @@ impl Default for ServiceConfig {
             storage: StorageMode::InMemory,
             spill_soft_watermark_pages: None,
             spill_dir: None,
-            spill_max_recursion_depth: fj_exec::DEFAULT_SPILL_MAX_DEPTH,
         }
     }
 }
@@ -222,9 +218,6 @@ impl ServiceConfig {
         }
         if self.spill_soft_watermark_pages == Some(0) {
             return reject("spill_soft_watermark_pages");
-        }
-        if self.spill_max_recursion_depth == 0 {
-            return reject("spill_max_recursion_depth");
         }
         Ok(())
     }
@@ -911,10 +904,10 @@ fn execute_query(
         ctx = ctx.with_faults(Arc::clone(faults));
     }
     if let Some(spill) = &shared.spill {
-        ctx = ctx.with_spill(
-            SpillCtx::new(Arc::clone(&spill.temp), Arc::clone(&spill.broker))
-                .with_max_depth(shared.cfg.spill_max_recursion_depth),
-        );
+        ctx = ctx.with_spill(SpillCtx::new(
+            Arc::clone(&spill.temp),
+            Arc::clone(&spill.broker),
+        ));
     }
     if let Some(store) = &shared.store {
         let store = Arc::clone(store);
@@ -1155,7 +1148,6 @@ mod tests {
             |c| c.memory_pages = 0,
             |c| c.memory_pages = fj_exec::MIN_MEMORY_PAGES - 1,
             |c| c.spill_soft_watermark_pages = Some(0),
-            |c| c.spill_max_recursion_depth = 0,
         ] {
             let mut cfg = ServiceConfig::default();
             mutate(&mut cfg);
@@ -1182,10 +1174,6 @@ mod tests {
     fn spilling_off_is_the_default_and_validates() {
         let cfg = ServiceConfig::default();
         assert_eq!(cfg.spill_soft_watermark_pages, None);
-        assert_eq!(
-            cfg.spill_max_recursion_depth,
-            fj_exec::DEFAULT_SPILL_MAX_DEPTH
-        );
     }
 
     #[test]

@@ -1020,10 +1020,11 @@ fn spilling_mode_matches_oracle_across_config_matrix() {
 
 /// Pinned regression seed: knob extremes at heavy key skew. One hot key
 /// owns a block of rows on both sides — a grace partition that
-/// repartitioning can never shrink — exercised once with the recursion
-/// bound floored at 1 (immediate fallback for oversized partitions) and
-/// once with a 1-page watermark (the broker denies everything, so every
-/// operator spills). Both must agree with the oracle across the matrix.
+/// repartitioning can never shrink, so it recurses to
+/// `fj_exec::DEFAULT_SPILL_MAX_DEPTH` — exercised once with an 8-page
+/// watermark and once with a 1-page watermark (the broker denies
+/// everything, so every operator spills). Both must agree with the
+/// oracle across the matrix.
 #[test]
 fn spill_skew_and_knob_extremes_regression_seed() {
     let skewed = |name: &str, hot: usize, base: i64| {
@@ -1048,7 +1049,6 @@ fn spill_skew_and_knob_extremes_regression_seed() {
         &q,
         ServiceConfig {
             spill_soft_watermark_pages: Some(8),
-            spill_max_recursion_depth: 1,
             ..tight_config()
         },
     );
