@@ -24,13 +24,13 @@
 //!   attributes chosen by the optimizer), emits the rewritten query of
 //!   Figure 2 as a plain logical plan.
 
-pub mod catalog;
-pub mod error;
+mod catalog;
+mod error;
 pub mod fixtures;
-pub mod magic;
-pub mod plan;
-pub mod query;
-pub mod sql;
+mod magic;
+mod plan;
+mod query;
+mod sql;
 
 pub use catalog::{
     Catalog, NetworkModel, PartitionMap, RelationKind, SiteId, UdfRelation, ViewDef,

@@ -10,7 +10,7 @@
 use crate::report::Report;
 use crate::workloads::{emp_dept, EmpDeptConfig};
 use fj_core::exec::context::TempTable;
-use fj_core::optimizer::parametric::ParametricFit;
+use fj_core::optimizer::ParametricFit;
 use fj_core::storage::{Schema, Tuple};
 use fj_core::{CostParams, DataType, ExecCtx, Value};
 use std::sync::Arc;
@@ -56,7 +56,7 @@ pub fn traced_cardinality(
         .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
         .collect();
     ctx.register_temp("__f4", TempTable::new(filter_schema.clone(), rows));
-    let restricted = fj_core::algebra::magic::restricted_inner(
+    let restricted = fj_core::algebra::restricted_inner(
         catalog,
         "DepAvgSal",
         &["did".to_string()],
@@ -84,7 +84,7 @@ pub fn actual_cost(catalog: &Arc<fj_core::Catalog>, n_depts: usize, selectivity:
         .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
         .collect();
     ctx.register_temp("__f4", TempTable::new(filter_schema.clone(), rows));
-    let restricted = fj_core::algebra::magic::restricted_inner(
+    let restricted = fj_core::algebra::restricted_inner(
         catalog,
         "DepAvgSal",
         &["did".to_string()],

@@ -12,7 +12,7 @@
 use crate::report::Report;
 use crate::repro::fig4_cardinality::actual_cost;
 use crate::workloads::{emp_dept, EmpDeptConfig};
-use fj_core::optimizer::parametric::ParametricFit;
+use fj_core::optimizer::ParametricFit;
 use fj_core::CostParams;
 use std::sync::Arc;
 use std::time::Instant;

@@ -11,13 +11,12 @@
 use crate::report::Report;
 use crate::workloads::{emp_dept, EmpDeptConfig};
 use fj_core::exec::context::TempTable;
-use fj_core::exec::physical::Rel;
+use fj_core::exec::Rel;
 use fj_core::expr::col;
-use fj_core::optimizer::estimate::PlanEstimator;
 use fj_core::optimizer::filter_join::{
     cost_filter_join, FilterJoinArgs, FilterJoinInner, FilterJoinSpec,
 };
-use fj_core::optimizer::parametric::ParametricEstimator;
+use fj_core::optimizer::{ParametricEstimator, PlanEstimator};
 use fj_core::storage::CPU_WEIGHT_DEFAULT;
 use fj_core::{lit, CostParams, ExecCtx, LedgerSnapshot, LogicalPlan, PhysPlan};
 use std::sync::Arc;
@@ -119,7 +118,7 @@ pub fn staged(n_emps: usize, n_depts: usize, frac_big: f64) -> Vec<ComponentRow>
     // Phase 5: FilterCost_Rk (restricted view).
     let s4 = snap(&ctx);
     let filter_schema = f.schema.clone();
-    let restricted_logical = fj_core::algebra::magic::restricted_inner(
+    let restricted_logical = fj_core::algebra::restricted_inner(
         &cat,
         "DepAvgSal",
         &["did".to_string()],

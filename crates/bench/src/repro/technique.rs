@@ -26,9 +26,8 @@
 //! and function caching is the repeated probe over a `MemoUdf`, a catalog
 //! choice.
 
-use fj_core::algebra::{magic, JoinKind, RelationKind};
-use fj_core::exec::physical::Rel;
-use fj_core::exec::{lower::lower, ExecError, TempStep};
+use fj_core::algebra::{restricted_inner, JoinKind, RelationKind};
+use fj_core::exec::{lower::lower, ExecError, Rel, TempStep};
 use fj_core::storage::{charge, CPU_WEIGHT_DEFAULT};
 use fj_core::{
     col, BloomFilter, Catalog, CostLedger, ExecCtx, LedgerSnapshot, LogicalPlan, PhysPlan,
@@ -228,7 +227,7 @@ pub(crate) fn filter_join(
                     let outer = catalog.table(join.outer)?.schema().clone();
                     let key_type = outer.column(outer.resolve(join.key)?).data_type;
                     let filter_schema = Schema::from_pairs(&[("k0", key_type)]).into_ref();
-                    let body = magic::restricted_inner(
+                    let body = restricted_inner(
                         catalog,
                         join.inner,
                         &[join.key.to_string()],

@@ -28,8 +28,7 @@ use crate::config::{
 };
 use crate::replicas::{locked, CancelToken, ReplicaStatus, Replicas};
 use fj_algebra::JoinQuery;
-use fj_net::client::QueryOptions;
-use fj_net::{json, splitmix64, NetError, QueryReply};
+use fj_net::{json, splitmix64, NetError, QueryOptions, QueryReply};
 use fj_runtime::MetricsRecorder;
 use std::fmt;
 use std::net::SocketAddr;

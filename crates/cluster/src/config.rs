@@ -63,7 +63,7 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Base interval between health-probe rounds, jittered by
-    /// [`PROBE_JITTER`].
+    /// `PROBE_JITTER`.
     pub probe_interval: Duration,
     /// Per-probe I/O timeout (connect, handshake, and reply each).
     pub probe_timeout: Duration,

@@ -40,11 +40,11 @@
 //! }
 //! ```
 
-pub mod breaker;
-pub mod client;
-pub mod config;
-pub mod replicas;
-pub mod shard;
+mod breaker;
+mod client;
+mod config;
+mod replicas;
+mod shard;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClusterClient, ClusterError, ClusterStats, HedgeOutcome, TaggedTrace};

@@ -249,7 +249,7 @@ impl Database {
     /// rewritten query (the "query transformation" road, for comparison
     /// with the optimizer's integrated Filter Join road).
     pub fn run_magic(&self, query: &JoinQuery, sips: &Sips) -> Result<QueryResult, OptError> {
-        let rewritten = fj_algebra::magic::rewrite(&self.catalog, query, sips)?;
+        let rewritten = fj_algebra::rewrite(&self.catalog, query, sips)?;
         self.run_logical(&rewritten)
     }
 
@@ -257,7 +257,7 @@ impl Database {
     /// induces on `query` (CREATE VIEW PartialResult / Filter /
     /// `Restricted<View>` + the final query).
     pub fn render_magic_sql(&self, query: &JoinQuery, sips: &Sips) -> Result<String, OptError> {
-        Ok(fj_algebra::sql::render_figure2(&self.catalog, query, sips)?)
+        Ok(fj_algebra::render_figure2(&self.catalog, query, sips)?)
     }
 
     /// EXPLAIN: the chosen physical plan with costs, order and SIPS.

@@ -18,8 +18,8 @@
 //! println!("{}", db.explain(&fixtures::paper_query()).unwrap());
 //! ```
 
-pub mod database;
-pub mod explain;
+mod database;
+mod explain;
 
 pub use database::{Database, QueryResult, DEFAULT_MISESTIMATE_RATIO};
 

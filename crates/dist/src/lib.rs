@@ -24,10 +24,10 @@
 //! list on drain/shed/transport failures — one shard draining mid-query
 //! is invisible to the client.
 
-pub mod coordinator;
-pub mod error;
-pub mod plan;
-pub mod strategy;
+mod coordinator;
+mod error;
+mod plan;
+mod strategy;
 
 pub use coordinator::{DistConfig, DistCoordinator, DistHandle, DistResult, DistStats, PhaseHook};
 pub use error::DistError;

@@ -5,7 +5,7 @@
 
 use crate::error::DistError;
 use fj_algebra::{Catalog, JoinQuery, PartitionMap, RelationKind};
-use fj_expr::{analysis, BinOp, Expr};
+use fj_expr::{columns_of, split_conjuncts, BinOp, Expr};
 use fj_storage::SchemaRef;
 use std::collections::BTreeSet;
 
@@ -140,7 +140,7 @@ impl DistPlan {
 
         let mut edges: Vec<Edge> = Vec::new();
         if let Some(pred) = &query.predicate {
-            for conjunct in analysis::split_conjuncts(pred) {
+            for conjunct in split_conjuncts(pred) {
                 let referenced = referenced_aliases(&conjunct, &aliases);
                 match referenced.len() {
                     0 | 1 => {
@@ -253,7 +253,7 @@ impl DistPlan {
 
 /// Alias indices whose columns appear in `e`.
 fn referenced_aliases(e: &Expr, aliases: &[AliasInfo]) -> BTreeSet<usize> {
-    analysis::columns_of(e)
+    columns_of(e)
         .iter()
         .filter_map(|c| {
             let prefix = c.split_once('.').map(|(a, _)| a).unwrap_or(c);

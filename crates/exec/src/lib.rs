@@ -30,13 +30,13 @@
 //! so measured ledger costs are directly comparable with its
 //! predictions.
 
-pub mod broker;
+mod broker;
 pub mod context;
-pub mod error;
-pub mod interrupt;
+mod error;
+mod interrupt;
 pub mod lower;
 pub mod ops;
-pub mod physical;
+mod physical;
 
 pub use broker::{MemoryBroker, MemoryGrant};
 pub use context::{

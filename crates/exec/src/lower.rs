@@ -269,7 +269,7 @@ mod tests {
     use super::*;
     use crate::context::ExecCtx;
     use fj_algebra::fixtures::{paper_catalog, paper_query};
-    use fj_algebra::{magic, Sips};
+    use fj_algebra::{rewrite, Sips};
     use fj_storage::{tuple, Tuple};
     use std::sync::Arc;
 
@@ -313,7 +313,7 @@ mod tests {
             vec!["E".to_string()],
         ] {
             let sips = Sips::derive(&cat, &q, &production, "V").unwrap();
-            let rewritten = magic::rewrite(&cat, &q, &sips).unwrap();
+            let rewritten = rewrite(&cat, &q, &sips).unwrap();
             let got = run(&rewritten, &cat);
             assert_eq!(got, original, "production={production:?}");
         }
@@ -330,7 +330,7 @@ mod tests {
         lower(&q.to_plan(), &cat).unwrap().execute(&ctx1).unwrap();
 
         let sips = Sips::derive(&cat, &q, &["E".to_string(), "D".to_string()], "V").unwrap();
-        let rewritten = magic::rewrite(&cat, &q, &sips).unwrap();
+        let rewritten = rewrite(&cat, &q, &sips).unwrap();
         let ctx2 = ExecCtx::new(Arc::new(cat.clone()));
         lower(&rewritten, &cat).unwrap().execute(&ctx2).unwrap();
 

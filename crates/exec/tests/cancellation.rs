@@ -6,8 +6,7 @@
 //! undisturbed run charges.
 
 use fj_algebra::{Catalog, JoinKind};
-use fj_exec::physical::Rel;
-use fj_exec::{ops, ExecCtx, ExecError, Interrupt, InterruptReason};
+use fj_exec::{ops, ExecCtx, ExecError, Interrupt, InterruptReason, Rel};
 use fj_storage::{Column, DataType, LedgerSnapshot, Schema, Tuple, Value};
 use std::sync::Arc;
 use std::thread;

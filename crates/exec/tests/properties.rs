@@ -6,8 +6,7 @@
 //! scan's shared rows from owned ones.
 
 use fj_algebra::{Catalog, JoinKind, SiteId};
-use fj_exec::physical::{PhysPlan, Rel};
-use fj_exec::{ops, ExecCtx, ExecError, MemoryBroker, SpillCtx, TempTable};
+use fj_exec::{ops, ExecCtx, ExecError, MemoryBroker, PhysPlan, Rel, SpillCtx, TempTable};
 use fj_expr::{col, lit, AggCall, AggFunc};
 use fj_storage::{
     Column, DataType, FaultPlan, Schema, StorageError, TableBuilder, TempStore, Tuple, Value,

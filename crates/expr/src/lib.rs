@@ -8,16 +8,16 @@
 //! [`fj_storage::Schema`] into index-resolved [`BoundExpr`]s that
 //! evaluate against tuples with SQL three-valued logic.
 //!
-//! The [`analysis`] module provides the predicate introspection the
+//! The `analysis` module provides the predicate introspection the
 //! optimizer needs: conjunct splitting, column-reference extraction, and
 //! equi-join detection — the machinery behind choosing filter-set
 //! attributes for a Filter Join.
 
-pub mod agg;
-pub mod analysis;
-pub mod bound;
-pub mod error;
-pub mod expr;
+mod agg;
+mod analysis;
+mod bound;
+mod error;
+mod expr;
 
 pub use agg::{Accumulator, AggCall, AggFunc};
 pub use analysis::{

@@ -11,7 +11,7 @@
 //!   overrides, result rows, traces and health reports, all on
 //!   `fj_storage::codec`; total decoders — adversarial bytes produce
 //!   typed errors, never panics;
-//! * [`server`] — accept loop + per-connection handler threads with a
+//! * `server` — accept loop + per-connection handler threads with a
 //!   connection cap, and **one request lifecycle** for every frame
 //!   kind that queues work (QUERY, FRAGMENT, MUTATE): admit (count,
 //!   drain refusal, decode) → enqueue (`try_submit*` → retryable SHED
@@ -21,7 +21,7 @@
 //!   expiry, as does a CANCEL frame or a vanished peer. Plus graceful
 //!   drain, and a STATS request answered with one JSON line over the
 //!   server and runtime counters;
-//! * [`client`] — one blocking connection per [`Client`], every request
+//! * `client` — one blocking connection per [`Client`], every request
 //!   one private `exchange` (arm timeout, write frame, read reply),
 //!   with [`NetError::is_retryable`] marking shed/drain replies,
 //!   [`NetError::is_replica_local`] — the one failover predicate
@@ -40,9 +40,9 @@
 //! server.shutdown(); // drains in-flight queries, then closes
 //! ```
 
-pub mod client;
+mod client;
 pub mod codec;
-pub mod server;
+mod server;
 pub mod wire;
 
 pub use client::{Canceller, Client, NetError, QueryOptions, RetryBudget, WireBytes};

@@ -38,7 +38,7 @@ use crate::estimate::{
     base_table_stats, equi_join_rows, ColEst, EstStats, JoinTerm, PlanEstimator,
 };
 use crate::parametric::ParametricEstimator;
-use fj_algebra::{magic, Catalog, JoinKind, RelationKind, SiteId};
+use fj_algebra::{restricted_inner, Catalog, JoinKind, RelationKind, SiteId};
 use fj_exec::{lower, PhysPlan, TempStep};
 use fj_expr::col;
 use fj_storage::{yao_distinct, Column, DataType, Schema};
@@ -666,7 +666,7 @@ pub fn build_filter_join_plan(
         .into_ref();
         match &inner.kind {
             RelationKind::View(_) => {
-                let restricted_logical = magic::restricted_inner(
+                let restricted_logical = restricted_inner(
                     catalog,
                     &inner.relation,
                     &inner_attrs,

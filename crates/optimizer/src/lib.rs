@@ -4,7 +4,7 @@
 //! reproduced in full:
 //!
 //! * a **System-R bottom-up dynamic-programming enumerator**
-//!   ([`enumerate`], §3.1) over left-deep join orders by default, or —
+//!   (`enumerate`, §3.1) over left-deep join orders by default, or —
 //!   under [`PlanShape::Bushy`] — the full bushy space via DPccp-style
 //!   connected subgraph–complement splits of the join graph, choosing
 //!   among block nested loops, index nested loops, hash join,
@@ -20,7 +20,7 @@
 //!   prefixes for the ablation), and a small constant number of filter
 //!   sets per join (Limitation 3);
 //! * the **parametric inner-restriction approximator** of §4.1–4.2
-//!   ([`parametric`]): a small number of *equivalence classes* over
+//!   (`parametric`): a small number of *equivalence classes* over
 //!   filter-set selectivity, each probed once with a nested estimator
 //!   invocation, then a straight-line fit for cardinality and a step
 //!   table for cost — discharging Assumption 1 ("O(1) to estimate the
@@ -30,18 +30,18 @@
 //! chosen SIPS so callers can also obtain the textual magic rewriting
 //! (`fj_algebra::magic`) that the plan corresponds to.
 
-pub mod cost;
-pub mod enumerate;
-pub mod error;
-pub mod estimate;
+mod cost;
+mod enumerate;
+mod error;
+mod estimate;
 pub mod filter_join;
-pub mod fingerprint;
-pub mod parametric;
+mod fingerprint;
+mod parametric;
 
 pub use cost::{CostParams, ProbeShape};
 pub use enumerate::{EstNode, OptimizedPlan, Optimizer, OptimizerConfig, PlanShape};
 pub use error::OptError;
-pub use estimate::{EstStats, PlanEstimator};
+pub use estimate::{base_table_stats, EstStats, PlanEstimator};
 pub use filter_join::FilterJoinCost;
 pub use fingerprint::{fingerprint, Digest};
 pub use parametric::{ParametricEstimator, ParametricFit};

@@ -22,7 +22,7 @@
 use crate::cost::CostParams;
 use crate::error::OptError;
 use crate::estimate::{ColEst, EstStats, PlanEstimator};
-use fj_algebra::{magic, Catalog, LogicalPlan};
+use fj_algebra::{restricted_inner, Catalog, LogicalPlan};
 use fj_storage::{Column, DataType, Schema};
 use std::sync::Arc;
 
@@ -88,8 +88,7 @@ impl ParametricFit {
                 .collect(),
         )?
         .into_ref();
-        let restricted =
-            magic::restricted_inner(catalog, relation, attrs, FIT_CTE, &filter_schema)?;
+        let restricted = restricted_inner(catalog, relation, attrs, FIT_CTE, &filter_schema)?;
 
         let mut points = Vec::with_capacity(classes);
         for i in 0..classes {

@@ -18,8 +18,7 @@
 
 use fj_algebra::{Catalog, JoinKind, NetworkModel};
 use fj_exec::ops::{agg, bloom, filter, joins, scan, sort};
-use fj_exec::physical::Rel;
-use fj_exec::{ExecCtx, TempTable};
+use fj_exec::{ExecCtx, Rel, TempTable};
 use fj_expr::{col, lit, AggCall};
 use fj_optimizer::{CostParams, ProbeShape};
 use fj_storage::{

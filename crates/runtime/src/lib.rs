@@ -53,10 +53,10 @@
 //! service.shutdown();
 //! ```
 
-pub mod cache;
-pub mod metrics;
-pub mod queue;
-pub mod service;
+mod cache;
+mod metrics;
+mod queue;
+mod service;
 
 pub use cache::{CacheStats, PlanCache};
 pub use fj_exec::{Interrupt, InterruptReason, MemoryBroker, MemoryGrant, SpillSnapshot};

@@ -14,7 +14,7 @@
 //! * the ledger [`charge`]s — every page-I/O and tuple-op charge as a
 //!   pure function of its shapes — and the shared [`CostLedger`] that
 //!   books them with deterministic counts,
-//! * per-column [`stats`] (cardinality, distinct counts, min/max,
+//! * per-column `stats` (cardinality, distinct counts, min/max,
 //!   equi-depth histograms) feeding the optimizer's selectivity model,
 //! * [`bloom`] filters implementing the paper's *lossy filter sets*,
 //! * the byte [`codec`] the wire, page payloads, WAL, manifest and
@@ -27,21 +27,21 @@
 //! formulas, so a deterministic cost ledger reproduces exactly the
 //! quantities the formulas reason about (see `DESIGN.md`, substitutions).
 
-pub mod backing;
+mod backing;
 pub mod bloom;
-pub mod builder;
+mod builder;
 pub mod charge;
 pub mod codec;
-pub mod error;
-pub mod fault;
+mod error;
+mod fault;
 mod index;
 mod ledger;
-pub mod mutation;
-pub mod page;
-pub mod schema;
-pub mod stats;
+mod mutation;
+mod page;
+mod schema;
+mod stats;
 mod table;
-pub mod tempstore;
+mod tempstore;
 pub mod tuple;
 pub mod value;
 

@@ -29,12 +29,12 @@
 //! checkpoint/recovery protocol, and eviction policy.
 
 pub mod codec;
-pub mod error;
-pub mod page_file;
-pub mod pool;
-pub mod store;
-pub mod testutil;
-pub mod wal;
+mod error;
+mod page_file;
+mod pool;
+mod store;
+mod testutil;
+mod wal;
 
 pub use codec::TableMeta;
 pub use error::StoreError;

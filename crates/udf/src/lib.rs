@@ -22,8 +22,8 @@
 //! Every real invocation charges one `udf_calls` to the ledger, so a
 //! ledger delta counts invocations (under [`MemoUdf`], the misses).
 
-pub mod function;
-pub mod memo;
+mod function;
+mod memo;
 
 pub use function::TableFunction;
 pub use memo::MemoUdf;

@@ -3,7 +3,7 @@
 //! (`OptimizedPlan::est`), so a misestimate flag is a cost-model error,
 //! never a disagreement between two estimators.
 
-use filterjoin::optimizer::estimate::base_table_stats;
+use filterjoin::optimizer::base_table_stats;
 use filterjoin::optimizer::EstNode;
 use filterjoin::udf::TableFunction;
 use filterjoin::{
