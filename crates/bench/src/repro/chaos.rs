@@ -117,7 +117,8 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
             "workers replaced",
             "queries/s",
         ],
-    );
+    )
+    .wall_clock();
     report.row(vec![
         Report::cell(clients),
         Report::cell(ok),

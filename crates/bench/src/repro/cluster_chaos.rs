@@ -185,7 +185,8 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
             "p99 on (ms)",
             "p99 gain",
         ],
-    );
+    )
+    .wall_clock();
     report.row(vec![
         Report::cell(clients),
         Report::cell(tally[Outcome::Ok]),

@@ -76,7 +76,8 @@ pub fn run(n_emps: usize, n_depts: usize, clients: usize, queries_per_client: us
             "KiB in",
             "KiB out",
         ],
-    );
+    )
+    .wall_clock();
     report.row(vec![
         Report::cell(clients),
         Report::cell(ok),
