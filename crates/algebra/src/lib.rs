@@ -36,7 +36,7 @@ pub use catalog::{
     Catalog, NetworkModel, PartitionMap, RelationKind, SiteId, UdfRelation, ViewDef,
 };
 pub use error::AlgebraError;
-pub use magic::{restricted_inner, rewrite, rewrite_parts, MagicParts, Sips};
-pub use plan::{JoinKind, LogicalPlan, PlanRef};
+pub use magic::{restricted_inner, rewrite, Sips};
+pub use plan::{JoinKind, LogicalPlan};
 pub use query::{FromItem, JoinQuery};
-pub use sql::{render_figure2, render_plan};
+pub use sql::render_figure2;

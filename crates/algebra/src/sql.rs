@@ -56,21 +56,6 @@ impl Block {
     }
 }
 
-/// Renders a logical plan as a SQL-ish query string.
-pub fn render_plan(plan: &LogicalPlan) -> String {
-    match plan {
-        LogicalPlan::With { ctes, body } => {
-            let mut out = String::new();
-            for (name, cte) in ctes {
-                let _ = writeln!(out, "CREATE VIEW {name} AS\n({});\n", render_query(cte));
-            }
-            let _ = write!(out, "{};", render_query(body));
-            out
-        }
-        other => format!("{};", render_query(other)),
-    }
-}
-
 fn render_query(plan: &LogicalPlan) -> String {
     let mut block = Block::default();
     if extract(plan, &mut block) {
@@ -363,11 +348,10 @@ mod tests {
 
     #[test]
     fn plain_query_renders_as_single_block() {
-        let sql = render_plan(&paper_query().to_plan());
+        let sql = render_query(&paper_query().to_plan());
         assert!(sql.starts_with("SELECT "));
         assert!(sql.contains("FROM Emp E, Dept D, DepAvgSal V"));
         assert!(sql.contains("WHERE"));
-        assert!(!sql.contains("CREATE VIEW"));
     }
 
     #[test]
@@ -376,7 +360,7 @@ mod tests {
             schema: fj_storage::Schema::from_pairs(&[("x", fj_storage::DataType::Int)]).into_ref(),
             rows: vec![],
         };
-        let sql = render_plan(&plan);
+        let sql = render_query(&plan);
         assert!(sql.contains("non-SQL shape"));
     }
 }

@@ -7,7 +7,7 @@
 //! draining and dead replicas and replicas whose
 //! [`CircuitBreaker`](crate::CircuitBreaker) is open. A failed attempt
 //! fails over to the next candidate, but every hop must withdraw a token
-//! from the shared [`RetryBudget`](crate::RetryBudget) — when the budget
+//! from the shared retry budget — when the budget
 //! runs dry the client gives up with the typed
 //! [`ClusterError::RetryBudgetExhausted`] instead of amplifying an
 //! outage into a retry storm. Routing, connections and failover live in
@@ -28,8 +28,10 @@ use crate::config::{
 };
 use crate::replicas::{locked, CancelToken, ReplicaStatus, Replicas};
 use fj_algebra::JoinQuery;
-use fj_net::{json, splitmix64, NetError, QueryOptions, QueryReply};
+use fj_net::{NetError, QueryOptions, QueryReply};
 use fj_runtime::MetricsRecorder;
+use fj_storage::splitmix64;
+use fj_trace::json;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -12,7 +12,7 @@
 //! * **Circuit breakers** — a per-replica three-state breaker
 //!   ([`CircuitBreaker`]: closed → open → half-open) stops repeated
 //!   attempts against a failing replica between probe rounds.
-//! * **Failover with a shared [`RetryBudget`]** — replica-local
+//! * **Failover with a shared retry budget** — replica-local
 //!   failures (transport errors, SHED, SHUTTING_DOWN, INTERNAL) fail
 //!   over to the next candidate; every hop withdraws from a shared
 //!   token bucket, and a dry bucket surfaces as the typed
@@ -49,6 +49,5 @@ mod shard;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClusterClient, ClusterError, ClusterStats, HedgeOutcome, TaggedTrace};
 pub use config::{ClusterConfig, ClusterConfigError, HedgeConfig};
-pub use fj_net::RetryBudget;
 pub use replicas::{CancelToken, ReplicaHealth, ReplicaStatus, Replicas, Routed};
 pub use shard::ShardMap;

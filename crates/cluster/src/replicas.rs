@@ -31,7 +31,7 @@
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::client::{ClusterError, ClusterStats};
 use crate::config::ClusterConfig;
-use fj_net::{Canceller, Client, ErrorCode, HealthStatus, NetError, RetryBudget, WireError};
+use fj_net::{Canceller, Client, ErrorCode, HealthStatus, NetError, WireError};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -424,4 +424,165 @@ fn closed_by_peer(e: &NetError) -> bool {
 /// locks is replaced or drained in one step, so it is never torn.
 pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A shared **retry budget**: a token bucket that bounds the total
+/// retry volume the replica router's failover may
+/// generate, so a dying server cannot trigger a retry storm.
+///
+/// Every retry or failover attempt withdraws one token
+/// ([`RetryBudget::try_withdraw`]); every successful request deposits a
+/// configurable fraction of a token ([`RetryBudget::record_success`]).
+/// In steady state the budget therefore caps the retry rate at
+/// `deposit_per_success` retries per successful request, with a burst
+/// allowance of `capacity` tokens. All state is atomic — one budget is
+/// meant to be shared across threads and connections.
+///
+/// Tokens are tracked in integer **millitokens** so deposits like 0.1
+/// accumulate exactly; the arithmetic is saturating and lock-free.
+#[derive(Debug)]
+pub(crate) struct RetryBudget {
+    millitokens: AtomicU64,
+    capacity_milli: u64,
+    deposit_milli: u64,
+    exhausted: AtomicU64,
+    withdrawn: AtomicU64,
+}
+
+/// One withdrawal in millitokens.
+const WITHDRAW_MILLI: u64 = 1000;
+
+impl RetryBudget {
+    /// A budget holding `capacity` tokens (starts full), depositing
+    /// `deposit_per_success` tokens per recorded success. Fractions
+    /// below a millitoken round to zero (no replenishment).
+    pub(crate) fn new(capacity: u32, deposit_per_success: f64) -> RetryBudget {
+        let capacity_milli = u64::from(capacity) * WITHDRAW_MILLI;
+        RetryBudget {
+            millitokens: AtomicU64::new(capacity_milli),
+            capacity_milli,
+            deposit_milli: (deposit_per_success.clamp(0.0, 1000.0) * WITHDRAW_MILLI as f64) as u64,
+            exhausted: AtomicU64::new(0),
+            withdrawn: AtomicU64::new(0),
+        }
+    }
+
+    /// Deposits the per-success fraction, saturating at capacity.
+    pub(crate) fn record_success(&self) {
+        let mut cur = self.millitokens.load(Ordering::Relaxed);
+        loop {
+            let next = cur
+                .saturating_add(self.deposit_milli)
+                .min(self.capacity_milli);
+            match self.millitokens.compare_exchange_weak(
+                cur,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// Withdraws one retry token. `false` means the budget is dry —
+    /// the caller must give up (typed) instead of retrying.
+    pub(crate) fn try_withdraw(&self) -> bool {
+        let mut cur = self.millitokens.load(Ordering::Relaxed);
+        loop {
+            if cur < WITHDRAW_MILLI {
+                self.exhausted.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
+            match self.millitokens.compare_exchange_weak(
+                cur,
+                cur - WITHDRAW_MILLI,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    self.withdrawn.fetch_add(1, Ordering::Relaxed);
+                    return true;
+                }
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// Whole tokens currently available.
+    pub(crate) fn available(&self) -> u64 {
+        self.millitokens.load(Ordering::Relaxed) / WITHDRAW_MILLI
+    }
+
+    /// Times a withdrawal was refused (budget dry).
+    pub(crate) fn exhaustions(&self) -> u64 {
+        self.exhausted.load(Ordering::Relaxed)
+    }
+
+    /// Retry tokens successfully withdrawn so far.
+    pub(crate) fn withdrawals(&self) -> u64 {
+        self.withdrawn.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_budget_withdraws_until_dry_then_refuses() {
+        let budget = RetryBudget::new(3, 0.0);
+        assert_eq!(budget.available(), 3);
+        assert!(budget.try_withdraw());
+        assert!(budget.try_withdraw());
+        assert!(budget.try_withdraw());
+        assert!(!budget.try_withdraw(), "fourth withdrawal must fail");
+        assert!(!budget.try_withdraw(), "stays dry without deposits");
+        assert_eq!(budget.available(), 0);
+        assert_eq!(budget.withdrawals(), 3);
+        assert_eq!(budget.exhaustions(), 2);
+    }
+
+    #[test]
+    fn retry_budget_fractional_deposits_accumulate_exactly() {
+        // 0.1 token per success: ten successes buy one retry.
+        let budget = RetryBudget::new(1, 0.1);
+        assert!(budget.try_withdraw());
+        assert!(!budget.try_withdraw());
+        for _ in 0..9 {
+            budget.record_success();
+            assert!(!budget.try_withdraw(), "9 deposits of 0.1 are not enough");
+        }
+        budget.record_success();
+        assert!(budget.try_withdraw(), "10 × 0.1 must buy exactly one token");
+        assert!(!budget.try_withdraw());
+    }
+
+    #[test]
+    fn retry_budget_deposits_saturate_at_capacity() {
+        let budget = RetryBudget::new(2, 1.0);
+        for _ in 0..100 {
+            budget.record_success();
+        }
+        assert_eq!(budget.available(), 2, "deposits must cap at capacity");
+        assert!(budget.try_withdraw());
+        assert!(budget.try_withdraw());
+        assert!(!budget.try_withdraw());
+    }
+
+    #[test]
+    fn retry_budget_is_shared_across_threads() {
+        use std::sync::Arc;
+        let budget = Arc::new(RetryBudget::new(64, 0.0));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let b = Arc::clone(&budget);
+                std::thread::spawn(move || (0..16).filter(|_| b.try_withdraw()).count())
+            })
+            .collect();
+        let granted: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(granted, 64, "exactly capacity tokens may be granted");
+        assert_eq!(budget.exhaustions(), 8 * 16 - 64);
+    }
 }

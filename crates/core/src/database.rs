@@ -269,7 +269,7 @@ impl Database {
     /// EXPLAIN ANALYZE: optimizes, executes with tracing on, and
     /// renders the plan with *estimated vs actual* cardinality and cost
     /// per operator. Nodes whose estimate and actual differ by more
-    /// than [`DEFAULT_MISESTIMATE_RATIO`]× are flagged.
+    /// than `DEFAULT_MISESTIMATE_RATIO` (4×) are flagged.
     pub fn explain_analyze(&self, query: &JoinQuery) -> Result<String, OptError> {
         self.explain_analyze_with_ratio(query, DEFAULT_MISESTIMATE_RATIO)
     }

@@ -21,7 +21,7 @@
 mod database;
 mod explain;
 
-pub use database::{Database, QueryResult, DEFAULT_MISESTIMATE_RATIO};
+pub use database::{Database, QueryResult};
 
 // Re-export the full stack so downstream users need only one
 // dependency.
@@ -33,18 +33,14 @@ pub use fj_algebra::{
 pub use fj_exec as exec;
 pub use fj_exec::{ExecCtx, PhysPlan};
 pub use fj_expr as expr;
-pub use fj_expr::{col, lit, AggCall, AggFunc, Expr};
+pub use fj_expr::{col, lit, AggCall, AggFunc};
 pub use fj_optimizer as optimizer;
-pub use fj_optimizer::{
-    CostParams, FilterJoinCost, OptimizedPlan, Optimizer, OptimizerConfig, PlanShape,
-};
+pub use fj_optimizer::{CostParams, OptimizedPlan, Optimizer, OptimizerConfig, PlanShape};
 pub use fj_storage as storage;
 pub use fj_storage::{
     BloomFilter, CostLedger, DataType, LedgerSnapshot, Schema, Table, TableBuilder, Tuple, Value,
 };
 pub use fj_trace as trace;
-pub use fj_trace::{
-    OpStats, QueryTrace, SubtreeIo, TraceCollector, TraceNode, TraceRing, TracedQuery,
-};
+pub use fj_trace::{QueryTrace, TraceCollector};
 pub use fj_udf as udf;
 pub use fj_udf::{MemoUdf, TableFunction};

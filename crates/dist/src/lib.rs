@@ -29,9 +29,8 @@ mod error;
 mod plan;
 mod strategy;
 
-pub use coordinator::{DistConfig, DistCoordinator, DistHandle, DistResult, DistStats, PhaseHook};
+pub use coordinator::{DistConfig, DistCoordinator, DistHandle, DistResult, DistStats};
 pub use error::DistError;
-pub use plan::{partition_table_name, DistPlan, ORD_COLUMN};
-pub use strategy::{predict_all, CostPrediction, ShipStrategy};
-
 pub use fj_cluster::ShardMap;
+pub use plan::DistPlan;
+pub use strategy::{predict_all, CostPrediction, ShipStrategy};

@@ -97,10 +97,10 @@ impl Edge {
 #[derive(Debug, Clone)]
 pub struct DistPlan {
     /// One entry per FROM item, in query order.
-    pub aliases: Vec<AliasInfo>,
+    pub(crate) aliases: Vec<AliasInfo>,
     /// Pure equi-join edges between aliases (at most one edge per alias
     /// pair; multi-column joins carry several key pairs on one edge).
-    pub edges: Vec<Edge>,
+    pub(crate) edges: Vec<Edge>,
 }
 
 impl DistPlan {
@@ -216,7 +216,7 @@ impl DistPlan {
 
     /// Breadth-first visit order from `start` along equi-join edges:
     /// each later entry lists the alias plus the index (into
-    /// [`DistPlan::edges`]) of every edge connecting it to an
+    /// `DistPlan::edges`) of every edge connecting it to an
     /// already-visited alias. Aliases unreachable from `start` come
     /// last and get no edges.
     pub fn reduction_order(&self, start: usize) -> Vec<(usize, Vec<usize>)> {

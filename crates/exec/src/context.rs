@@ -280,7 +280,7 @@ impl ExecCtx {
 
     /// Polls the interrupt flag: `Err(Interrupted)` once any holder has
     /// tripped it. Operators call this once per plan node and every
-    /// [`crate::INTERRUPT_CHECK_INTERVAL`] tuples inside hot loops.
+    /// `INTERRUPT_CHECK_INTERVAL` tuples inside hot loops.
     #[inline]
     pub fn check_interrupt(&self) -> Result<(), ExecError> {
         if let Some(t) = &self.tracer {

@@ -39,10 +39,7 @@ pub mod ops;
 mod physical;
 
 pub use broker::{MemoryBroker, MemoryGrant};
-pub use context::{
-    ExecCtx, Placement, PoolProbe, SpillCtx, SpillSnapshot, SpillStats, TempTable,
-    DEFAULT_SPILL_MAX_DEPTH, MIN_MEMORY_PAGES,
-};
+pub use context::{ExecCtx, PoolProbe, SpillCtx, SpillSnapshot, TempTable, MIN_MEMORY_PAGES};
 pub use error::ExecError;
-pub use interrupt::{Interrupt, InterruptReason, INTERRUPT_CHECK_INTERVAL};
+pub use interrupt::{Interrupt, InterruptReason};
 pub use physical::{PhysPlan, Rel, Rows, TempStep};

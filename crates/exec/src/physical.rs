@@ -375,7 +375,7 @@ impl PhysPlan {
     ///
     /// Governor hook: the interrupt flag is polled at every plan-node
     /// entry (operators additionally poll inside their tuple loops at
-    /// [`crate::INTERRUPT_CHECK_INTERVAL`]).
+    /// `INTERRUPT_CHECK_INTERVAL`).
     pub fn execute(&self, ctx: &ExecCtx) -> Result<Rel, ExecError> {
         let Some(tracer) = ctx.tracer.as_ref() else {
             // Tracing off: the zero-cost fast path — no label

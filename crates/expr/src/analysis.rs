@@ -124,25 +124,6 @@ pub fn equi_join_keys(
         .collect()
 }
 
-/// Partitions conjuncts into (those referencing only columns accepted by
-/// `available`, the rest). Used to push selections down and to decide
-/// which predicates apply at each DP level.
-pub fn separable_conjuncts(
-    pred: &Expr,
-    available: &dyn Fn(&str) -> bool,
-) -> (Vec<Expr>, Vec<Expr>) {
-    let mut applicable = Vec::new();
-    let mut deferred = Vec::new();
-    for c in split_conjuncts(pred) {
-        if columns_of(&c).iter().all(|col| available(col)) {
-            applicable.push(c);
-        } else {
-            deferred.push(c);
-        }
-    }
-    (applicable, deferred)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,13 +202,5 @@ mod tests {
         let is_e = |c: &str| c.starts_with("E.");
         let is_v = |c: &str| c.starts_with("V.");
         assert!(equi_join_keys(&pred, &is_e, &is_v).is_empty());
-    }
-
-    #[test]
-    fn separable_partition() {
-        let avail = |c: &str| c.starts_with("E.") || c.starts_with("D.");
-        let (now, later) = separable_conjuncts(&paper_predicate(), &avail);
-        assert_eq!(now.len(), 3); // E.did=D.did, E.age<30, D.budget>100000
-        assert_eq!(later.len(), 2); // the two conjuncts touching V
     }
 }

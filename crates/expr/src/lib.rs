@@ -22,7 +22,7 @@ mod expr;
 pub use agg::{Accumulator, AggCall, AggFunc};
 pub use analysis::{
     columns_of, conjoin, conjunct_refs, equi_join_key, equi_join_keys, for_each_column,
-    separable_conjuncts, split_conjuncts, EquiJoinKey,
+    split_conjuncts, EquiJoinKey,
 };
 pub use bound::BoundExpr;
 pub use error::ExprError;

@@ -25,9 +25,8 @@
 //!   one private `exchange` (arm timeout, write frame, read reply),
 //!   with [`NetError::is_retryable`] marking shed/drain replies,
 //!   [`NetError::is_replica_local`] — the one failover predicate
-//!   replica routers share —, the [`RetryBudget`] their failover
-//!   spends, and a [`Canceller`] handle to abort an in-flight request
-//!   from another thread.
+//!   replica routers share —, and a [`Canceller`] handle to abort an
+//!   in-flight request from another thread.
 //!
 //! ```
 //! use fj_algebra::fixtures::{paper_catalog, paper_query};
@@ -45,16 +44,14 @@ pub mod codec;
 mod server;
 pub mod wire;
 
-pub use client::{Canceller, Client, NetError, QueryOptions, RetryBudget, WireBytes};
+pub use client::{Canceller, Client, NetError, QueryOptions, WireBytes};
 pub use codec::{
-    CodecError, FragmentRequest, GatherReply, HealthSnapshot, HealthStatus, KeyFilter,
-    MutationReply, MutationRequest, QueryReply, QueryRequest, ScatterAck, ScatterRequest,
-    SemijoinAck, SemijoinRequest,
+    FragmentRequest, HealthStatus, KeyFilter, MutationRequest, QueryReply, QueryRequest,
+    ScatterRequest, SemijoinAck, SemijoinRequest,
 };
 pub use fj_runtime::HEALTH_KEYS;
 /// A seeded jitter stream, for routers that jitter timers of their own.
-pub use fj_storage::splitmix64;
 pub use fj_storage::Mutation;
-pub use fj_trace::{json, QueryTrace};
+pub use fj_trace::QueryTrace;
 pub use server::{Server, ServerConfig, ServerStats};
-pub use wire::{ErrorCode, FrameType, WireError, VERSION};
+pub use wire::{ErrorCode, FrameType, WireError};

@@ -56,16 +56,6 @@ impl Default for ColMap {
 }
 
 impl ColMap {
-    /// Number of columns.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when there are no columns.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     fn position(&self, name: &str) -> Option<usize> {
         self.0.iter().position(|(n, _)| &**n == name)
     }
@@ -145,7 +135,7 @@ pub struct EstStats {
     /// Row width in bytes.
     pub width: usize,
     /// Per-column estimates, keyed by qualified output column name.
-    pub cols: ColMap,
+    pub(crate) cols: ColMap,
 }
 
 /// One condition of a join, as [`PlanEstimator::join_stats_terms`]
@@ -861,7 +851,7 @@ mod tests {
         let (cost, stats) = e.cost(&paper_query().to_plan()).unwrap();
         assert!(cost > 0.0);
         assert!(stats.rows >= 0.0);
-        assert_eq!(stats.cols.len(), 3);
+        assert_eq!(stats.cols.iter().count(), 3);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub struct ParametricFit {
     /// machinery).
     pub unrestricted: EstStats,
     /// The probed classes, in increasing selectivity.
-    pub points: Vec<ClassPoint>,
+    pub(crate) points: Vec<ClassPoint>,
     /// Straight-line fit `rows(s) = slope·s + intercept`.
     pub card_slope: f64,
     /// Intercept of the cardinality line.

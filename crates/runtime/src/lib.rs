@@ -59,18 +59,13 @@ mod queue;
 mod service;
 
 pub use cache::{CacheStats, PlanCache};
-pub use fj_exec::{Interrupt, InterruptReason, MemoryBroker, MemoryGrant, SpillSnapshot};
-pub use fj_storage::FaultPlan;
-pub use fj_storage::Mutation;
-pub use fj_storage::{TempStore, TempStoreStats};
+pub use fj_exec::{Interrupt, InterruptReason, MemoryBroker, MemoryGrant};
+pub use fj_storage::{FaultPlan, Mutation, TempStore, TempStoreStats};
 pub use fj_store::{CheckpointPhase, RecoveryReport, Store, StoreStats};
-pub use fj_trace::{QueryTrace, TraceRing, TracedQuery};
 pub use metrics::{
     Counter, LatencyHistogram, Metric, MetricsRecorder, RuntimeMetrics, HEALTH_KEYS,
-    LATENCY_BUCKETS,
 };
-pub use queue::{BoundedQueue, PushError};
 pub use service::{
     MutationStats, MutationTicket, QueryService, RuntimeError, ServiceConfig, StorageMode, Ticket,
-    PLAN_CACHE_CAPACITY, TRACE_RING_CAPACITY,
+    TRACE_RING_CAPACITY,
 };

@@ -60,11 +60,6 @@ impl<T> BoundedQueue<T> {
         self.lock().items.len()
     }
 
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Blocks until there is room, then enqueues `item`. Fails only
     /// when the queue is closed.
     pub fn push(&self, item: T) -> Result<(), PushError> {

@@ -228,7 +228,7 @@ pub fn index_nested_loops<Q: Quantity>(
 
 /// One invocation of a user-defined function whose cost is
 /// `cost_pages` page units, booked as that many pages' worth of tuple
-/// ops ([`TUPLE_OPS_PER_PAGE`] each, rounded).
+/// ops (`TUPLE_OPS_PER_PAGE` each, rounded).
 pub fn invocation(cost_pages: f64) -> Charge {
     ops((cost_pages * TUPLE_OPS_PER_PAGE as f64).round() as u64)
 }

@@ -10,7 +10,7 @@
 //!
 //! * typed [`Value`]s, [`Schema`]s and [`Tuple`]s,
 //! * paged in-memory heap [`Table`]s and their hash and ordered
-//!   indexes ([`HashIndex`], [`BTreeIndex`]),
+//!   indexes ([`Index`]),
 //! * the ledger [`charge`]s — every page-I/O and tuple-op charge as a
 //!   pure function of its shapes — and the shared [`CostLedger`] that
 //!   books them with deterministic counts,
@@ -50,13 +50,12 @@ pub use bloom::BloomFilter;
 pub use builder::TableBuilder;
 pub use error::StorageError;
 pub use fault::{FaultPlan, PageWriteFault};
-pub use index::{BTreeIndex, HashIndex, Index};
-pub use ledger::{CostLedger, LedgerSnapshot, CPU_WEIGHT_DEFAULT, TUPLE_OPS_PER_PAGE};
+pub use index::{BTreeIndex, Index};
+pub use ledger::{CostLedger, LedgerSnapshot, CPU_WEIGHT_DEFAULT};
 pub use mutation::{Applied, Mutation};
-pub use page::{page_count, PageLayout, PAGE_SIZE};
+pub use page::PageLayout;
 pub use schema::{Column, Schema, SchemaRef};
-pub use stats::yao_distinct;
-pub use stats::{ColumnStats, Histogram, TableStats};
+pub use stats::{yao_distinct, ColumnStats, Histogram, TableStats};
 pub use table::{Table, TableRef};
 pub use tempstore::{SpillFile, SpillReader, TempStore, TempStoreStats, TempWriter};
 pub use tuple::Tuple;

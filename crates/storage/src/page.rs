@@ -10,18 +10,6 @@ use crate::schema::Schema;
 /// Logical page size in bytes. 4 KiB, the System-R-era default.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Number of pages needed to hold `rows` rows of `row_width` bytes.
-///
-/// Zero rows occupy zero pages; a non-empty relation always occupies at
-/// least one page.
-pub fn page_count(rows: u64, row_width: usize) -> u64 {
-    if rows == 0 {
-        return 0;
-    }
-    let per_page = tuples_per_page(row_width);
-    rows.div_ceil(per_page)
-}
-
 /// Rows that fit on one page (at least 1, even for jumbo rows, which
 /// simply overflow their page as in real slotted-page engines).
 pub fn tuples_per_page(row_width: usize) -> u64 {
@@ -79,28 +67,28 @@ mod tests {
 
     #[test]
     fn zero_rows_zero_pages() {
-        assert_eq!(page_count(0, 100), 0);
         let l = PageLayout::for_row_width(100);
         assert_eq!(l.pages(0), 0);
     }
 
     #[test]
     fn one_row_one_page() {
-        assert_eq!(page_count(1, 100), 1);
+        assert_eq!(PageLayout::for_row_width(100).pages(1), 1);
     }
 
     #[test]
     fn pages_round_up() {
         // 40 tuples of 100B fit per 4096B page.
         assert_eq!(tuples_per_page(100), 40);
-        assert_eq!(page_count(40, 100), 1);
-        assert_eq!(page_count(41, 100), 2);
+        let l = PageLayout::for_row_width(100);
+        assert_eq!(l.pages(40), 1);
+        assert_eq!(l.pages(41), 2);
     }
 
     #[test]
     fn jumbo_rows_one_per_page() {
         assert_eq!(tuples_per_page(10_000), 1);
-        assert_eq!(page_count(7, 10_000), 7);
+        assert_eq!(PageLayout::for_row_width(10_000).pages(7), 7);
     }
 
     #[test]

@@ -38,9 +38,7 @@ mod wal;
 
 pub use codec::TableMeta;
 pub use error::StoreError;
-pub use fj_storage::codec::{crc64, Crc64};
-pub use page_file::{PageFile, FRAME_SIZE, RECORD_HEADER};
-pub use pool::{BufferPool, PageKey, PoolStats, WritebackFn};
+pub use fj_storage::codec::crc64;
 pub use store::{CheckpointPhase, MutationResult, RecoveryReport, Store, StoreStats};
 pub use testutil::TempDir;
 pub use wal::{Wal, WalRecord, WalScan};

@@ -171,11 +171,6 @@ impl PageFile {
         })
     }
 
-    /// Filesystem path of the underlying file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// The record directory (a poisoned lock is recovered: entries are
     /// inserted whole).
     fn directory(&self) -> MutexGuard<'_, Directory> {
@@ -190,11 +185,6 @@ impl PageFile {
     /// Physical record writes performed so far.
     pub fn physical_writes(&self) -> u64 {
         self.physical_writes.load(Ordering::Relaxed)
-    }
-
-    /// True iff a record for `(table_id, page_no)` is in the directory.
-    pub fn contains(&self, table_id: u32, page_no: u32) -> bool {
-        self.directory().entries.contains_key(&(table_id, page_no))
     }
 
     /// Writes one logical page's record, in place when a record of the
@@ -357,6 +347,11 @@ mod tests {
     use super::*;
     use crate::testutil::TempDir;
 
+    /// True iff a record for `(table_id, page_no)` is in the directory.
+    fn contains(pf: &PageFile, table_id: u32, page_no: u32) -> bool {
+        pf.directory().entries.contains_key(&(table_id, page_no))
+    }
+
     #[test]
     fn write_read_round_trip() {
         let dir = TempDir::new("pagefile-rt");
@@ -380,7 +375,7 @@ mod tests {
             pf.sync().unwrap();
         }
         let pf = PageFile::open(&path).unwrap();
-        assert!(pf.contains(7, 3));
+        assert!(contains(&pf, 7, 3));
         assert_eq!(pf.read_page(7, 3).unwrap(), b"persisted");
     }
 
@@ -424,9 +419,9 @@ mod tests {
             pf.write_page(1, 2, &[3u8; 100], None).unwrap();
         }
         let pf = PageFile::open(&path).unwrap();
-        assert!(pf.contains(1, 0));
-        assert!(!pf.contains(1, 1), "torn record must not verify");
-        assert!(pf.contains(1, 2));
+        assert!(contains(&pf, 1, 0));
+        assert!(!contains(&pf, 1, 1), "torn record must not verify");
+        assert!(contains(&pf, 1, 2));
     }
 
     #[test]

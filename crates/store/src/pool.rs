@@ -100,20 +100,10 @@ impl BufferPool {
         }
     }
 
-    /// Configured capacity in frames.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The frame table. A panic while it was held is recovered, not
     /// propagated: every frame update leaves the table consistent.
     fn frames(&self) -> MutexGuard<'_, PoolInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Pages currently resident.
-    pub fn resident(&self) -> usize {
-        self.frames().map.len()
     }
 
     /// Dirty pages currently resident (awaiting checkpoint flush or
@@ -366,6 +356,11 @@ mod tests {
         move || Ok(vec![byte; 8])
     }
 
+    /// Pages currently resident.
+    fn resident(pool: &BufferPool) -> usize {
+        pool.frames().map.len()
+    }
+
     /// The bytes of the page `g` pins.
     fn payload(g: &PoolGuard) -> Vec<u8> {
         g.pool.frames().frames[g.slot].payload.clone()
@@ -401,7 +396,7 @@ mod tests {
         drop(pool.get((1, 0), fetch(0)).unwrap());
         drop(pool.get((1, 1), fetch(1)).unwrap());
         drop(pool.get((1, 2), fetch(2)).unwrap());
-        assert_eq!(pool.resident(), 2);
+        assert_eq!(resident(&pool), 2);
         assert_eq!(pool.stats().evictions, 1);
         // The evicted page misses again.
         let before = pool.stats().misses;
@@ -437,9 +432,9 @@ mod tests {
     fn fetch_error_propagates_and_pool_stays_clean() {
         let pool = BufferPool::new(2);
         assert!(pool.get((1, 0), fail).is_err());
-        assert_eq!(pool.resident(), 0);
+        assert_eq!(resident(&pool), 0);
         drop(pool.get((1, 0), fetch(5)).unwrap());
-        assert_eq!(pool.resident(), 1);
+        assert_eq!(resident(&pool), 1);
     }
 
     #[test]
@@ -458,7 +453,7 @@ mod tests {
         pool.put((1, 0), vec![1; 4]).unwrap();
         pool.put((1, 1), vec![2; 4]).unwrap();
         assert_eq!(pool.clear(), 2);
-        assert_eq!(pool.resident(), 0);
+        assert_eq!(resident(&pool), 0);
         drop(pool.get((1, 0), fetch(1)).unwrap());
         assert_eq!(pool.stats().misses, 1);
     }
@@ -501,7 +496,7 @@ mod tests {
         );
         assert_eq!(pool.dirty_pages(), 0);
         // Pages stay resident (warm); a flush is no eviction.
-        assert_eq!(pool.resident(), 3);
+        assert_eq!(resident(&pool), 3);
         assert_eq!(pool.stats().dirty_writebacks, 0);
         pool.flush_dirty().unwrap();
         assert_eq!(
@@ -582,7 +577,7 @@ mod tests {
         pool.put((1, 0), vec![1; 4]).unwrap();
         pool.put_dirty((1, 1), vec![2; 4]).unwrap();
         assert_eq!(pool.clear(), 1);
-        assert_eq!(pool.resident(), 1);
+        assert_eq!(resident(&pool), 1);
         assert_eq!(pool.dirty_pages(), 1);
     }
 

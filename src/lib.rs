@@ -29,27 +29,21 @@ pub use fj_core::*;
 /// [`fj_runtime`].
 pub use fj_runtime;
 pub use fj_runtime::{
-    CheckpointPhase, FaultPlan, Interrupt, InterruptReason, MemoryBroker, MemoryGrant, Mutation,
-    MutationStats, MutationTicket, QueryService, RecoveryReport, RuntimeError, RuntimeMetrics,
-    ServiceConfig, StorageMode, Store, StoreStats, TempStore, TempStoreStats,
+    CheckpointPhase, FaultPlan, InterruptReason, Mutation, QueryService, RuntimeError,
+    ServiceConfig, StorageMode, Store,
 };
 
 /// The network boundary: TCP query server + blocking client over a
 /// versioned binary wire protocol, with deadlines, cancellation, typed
 /// retryable load shedding, and graceful drain. See [`fj_net`].
 pub use fj_net;
-pub use fj_net::{
-    Canceller, Client, ErrorCode, NetError, QueryOptions, RetryBudget, Server, ServerConfig,
-};
+pub use fj_net::{Client, ErrorCode, NetError, QueryOptions, Server, ServerConfig};
 
 /// The replica tier: a cluster client fronting several servers with
 /// health probes, per-replica circuit breakers, failover under a shared
 /// retry budget, and hedged requests. See [`fj_cluster`].
 pub use fj_cluster;
-pub use fj_cluster::{
-    BreakerConfig, CancelToken, CircuitBreaker, ClusterClient, ClusterConfig, ClusterError,
-    ClusterStats, HedgeConfig, ReplicaHealth, ShardMap,
-};
+pub use fj_cluster::{ClusterClient, ClusterConfig, ShardMap};
 
 /// Partitioned distributed execution: a coordinator that
 /// hash-partitions base tables over `fj-net` shards, reduces them per
@@ -57,6 +51,4 @@ pub use fj_cluster::{
 /// programs, Bloom filters, a Yannakakis full reducer), and gathers a
 /// result byte-identical to the serial oracle. See [`fj_dist`].
 pub use fj_dist;
-pub use fj_dist::{
-    CostPrediction, DistConfig, DistCoordinator, DistError, DistResult, DistStats, ShipStrategy,
-};
+pub use fj_dist::{DistConfig, DistCoordinator, DistError, ShipStrategy};
