@@ -427,8 +427,8 @@ pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A shared **retry budget**: a token bucket that bounds the total
-/// retry volume the replica router's failover may
-/// generate, so a dying server cannot trigger a retry storm.
+/// retry volume the router's failover may generate, so a dying server
+/// cannot trigger a retry storm.
 ///
 /// Every retry or failover attempt withdraws one token
 /// ([`RetryBudget::try_withdraw`]); every successful request deposits a
@@ -441,7 +441,7 @@ pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Tokens are tracked in integer **millitokens** so deposits like 0.1
 /// accumulate exactly; the arithmetic is saturating and lock-free.
 #[derive(Debug)]
-pub(crate) struct RetryBudget {
+struct RetryBudget {
     millitokens: AtomicU64,
     capacity_milli: u64,
     deposit_milli: u64,
@@ -456,7 +456,7 @@ impl RetryBudget {
     /// A budget holding `capacity` tokens (starts full), depositing
     /// `deposit_per_success` tokens per recorded success. Fractions
     /// below a millitoken round to zero (no replenishment).
-    pub(crate) fn new(capacity: u32, deposit_per_success: f64) -> RetryBudget {
+    fn new(capacity: u32, deposit_per_success: f64) -> RetryBudget {
         let capacity_milli = u64::from(capacity) * WITHDRAW_MILLI;
         RetryBudget {
             millitokens: AtomicU64::new(capacity_milli),
@@ -468,7 +468,7 @@ impl RetryBudget {
     }
 
     /// Deposits the per-success fraction, saturating at capacity.
-    pub(crate) fn record_success(&self) {
+    fn record_success(&self) {
         let mut cur = self.millitokens.load(Ordering::Relaxed);
         loop {
             let next = cur
@@ -488,7 +488,7 @@ impl RetryBudget {
 
     /// Withdraws one retry token. `false` means the budget is dry —
     /// the caller must give up (typed) instead of retrying.
-    pub(crate) fn try_withdraw(&self) -> bool {
+    fn try_withdraw(&self) -> bool {
         let mut cur = self.millitokens.load(Ordering::Relaxed);
         loop {
             if cur < WITHDRAW_MILLI {
@@ -511,17 +511,17 @@ impl RetryBudget {
     }
 
     /// Whole tokens currently available.
-    pub(crate) fn available(&self) -> u64 {
+    fn available(&self) -> u64 {
         self.millitokens.load(Ordering::Relaxed) / WITHDRAW_MILLI
     }
 
     /// Times a withdrawal was refused (budget dry).
-    pub(crate) fn exhaustions(&self) -> u64 {
+    fn exhaustions(&self) -> u64 {
         self.exhausted.load(Ordering::Relaxed)
     }
 
     /// Retry tokens successfully withdrawn so far.
-    pub(crate) fn withdrawals(&self) -> u64 {
+    fn withdrawals(&self) -> u64 {
         self.withdrawn.load(Ordering::Relaxed)
     }
 }
