@@ -212,9 +212,9 @@ pub fn run(n_rows: usize, clients: usize, queries_per_client: usize) -> Report {
          full strength",
     );
     report.note(
-        "queries ok, cancelled, spills, partitions, temp KiB written, torn rewrites and \
-         the broker's grants and denials depend on when the 1-in-4 cancellations land \
-         (before, during or after a query's spill), so they differ run to run",
+        "spills, partitions, temp KiB written, torn rewrites and the broker's grants and \
+         denials depend on how far each 1-in-4 cancelled query spilled before its cancel \
+         landed, so they differ run to run",
     );
     report.note(format!("fault-plan events fired: {}", faults.events()));
     report.note(format!("service metrics: {metrics_json}"));
