@@ -42,8 +42,8 @@ mod schema;
 mod stats;
 mod table;
 mod tempstore;
-pub mod tuple;
-pub mod value;
+mod tuple;
+mod value;
 
 pub use backing::PageBacking;
 pub use bloom::BloomFilter;

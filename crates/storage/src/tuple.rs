@@ -181,7 +181,7 @@ impl From<Vec<Value>> for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::tuple::Tuple::new(vec![$($crate::value::Value::from($v)),*])
+        $crate::Tuple::new(vec![$($crate::Value::from($v)),*])
     };
 }
 
