@@ -78,14 +78,8 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given thresholds (zeroes are clamped
-    /// to 1 so the breaker can always make progress).
+    /// A closed breaker with the given thresholds.
     pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
-        let cfg = BreakerConfig {
-            failure_threshold: cfg.failure_threshold.max(1),
-            half_open_successes: cfg.half_open_successes.max(1),
-            ..cfg
-        };
         CircuitBreaker {
             cfg,
             state: Mutex::new(State::Closed {
@@ -312,20 +306,5 @@ mod tests {
         b.record_failure_at(now);
         assert_eq!(b.state(), BreakerState::Open, "the trial still decides");
         assert_eq!(b.opens(), 2);
-    }
-
-    #[test]
-    fn zero_thresholds_are_clamped() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 0,
-            cooldown: Duration::from_secs(1),
-            half_open_successes: 0,
-        });
-        let now = Instant::now();
-        b.record_failure_at(now);
-        assert_eq!(b.state(), BreakerState::Open, "threshold clamps to 1");
-        assert!(b.try_acquire_at(now + Duration::from_secs(1)));
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed, "successes clamp to 1");
     }
 }

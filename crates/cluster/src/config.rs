@@ -127,6 +127,12 @@ impl ClusterConfig {
         if self.probe_timeout.is_zero() {
             return reject("probe_timeout", "positive");
         }
+        if self.breaker.failure_threshold == 0 {
+            return reject("breaker.failure_threshold", "≥ 1");
+        }
+        if self.breaker.half_open_successes == 0 {
+            return reject("breaker.half_open_successes", "≥ 1");
+        }
         if self.retry_budget_capacity == 0 {
             return reject("retry_budget_capacity", "≥ 1");
         }
@@ -168,6 +174,26 @@ mod tests {
                     ..ClusterConfig::default()
                 },
                 "probe_timeout",
+            ),
+            (
+                ClusterConfig {
+                    breaker: BreakerConfig {
+                        failure_threshold: 0,
+                        ..BreakerConfig::default()
+                    },
+                    ..ClusterConfig::default()
+                },
+                "breaker.failure_threshold",
+            ),
+            (
+                ClusterConfig {
+                    breaker: BreakerConfig {
+                        half_open_successes: 0,
+                        ..BreakerConfig::default()
+                    },
+                    ..ClusterConfig::default()
+                },
+                "breaker.half_open_successes",
             ),
             (
                 ClusterConfig {

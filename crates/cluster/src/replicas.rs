@@ -454,14 +454,15 @@ const WITHDRAW_MILLI: u64 = 1000;
 
 impl RetryBudget {
     /// A budget holding `capacity` tokens (starts full), depositing
-    /// `deposit_per_success` tokens per recorded success. Fractions
+    /// `deposit_per_success` tokens per recorded success (in
+    /// `[0, 1000]`, which [`ClusterConfig::validate`] checks). Fractions
     /// below a millitoken round to zero (no replenishment).
     fn new(capacity: u32, deposit_per_success: f64) -> RetryBudget {
         let capacity_milli = u64::from(capacity) * WITHDRAW_MILLI;
         RetryBudget {
             millitokens: AtomicU64::new(capacity_milli),
             capacity_milli,
-            deposit_milli: (deposit_per_success.clamp(0.0, 1000.0) * WITHDRAW_MILLI as f64) as u64,
+            deposit_milli: (deposit_per_success * WITHDRAW_MILLI as f64) as u64,
             exhausted: AtomicU64::new(0),
             withdrawn: AtomicU64::new(0),
         }

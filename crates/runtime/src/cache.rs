@@ -55,11 +55,11 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans (clamped to ≥1).
+    /// A cache holding at most `capacity` plans.
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
             inner: Mutex::new(Inner::default()),
-            capacity: capacity.max(1),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }

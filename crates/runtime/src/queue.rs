@@ -38,7 +38,7 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (clamped to ≥1).
+    /// A queue holding at most `capacity` items.
     pub fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
             inner: Mutex::new(Inner {
@@ -47,7 +47,7 @@ impl<T> BoundedQueue<T> {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 

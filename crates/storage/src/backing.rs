@@ -31,18 +31,4 @@ pub trait PageBacking: Debug + Send + Sync {
     /// Errors surface real storage failures: I/O errors, checksum
     /// mismatches, or a page missing from the file.
     fn read_page(&self, page_no: u64) -> Result<(), StorageError>;
-
-    /// Writes the new physical bytes of logical page `page_no` through
-    /// the pool (dirty-page tracking; the store's WAL has already made
-    /// the change durable by the time this is called).
-    ///
-    /// The default rejects writes: read-only backings (and test
-    /// doubles) stay valid implementations without opting in to the
-    /// mutable heap path.
-    fn write_page(&self, page_no: u64, payload: &[u8]) -> Result<(), StorageError> {
-        let _ = payload;
-        Err(StorageError::Backing {
-            detail: format!("page backing is read-only (write to page {page_no})"),
-        })
-    }
 }
